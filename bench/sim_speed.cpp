@@ -4,10 +4,6 @@
 // worker thread (the oracle) and the full worker pool — and gates:
 //   - determinism: every statistic except wall-clock is bit-identical
 //     between the two runs (the conservative-window invariant at work);
-//   - mode equality: under --sync optimistic/auto the WORKLOAD section
-//     of the stats must additionally be bit-identical to a conservative
-//     run — speculation with rollback may never change simulation
-//     results, only the sync-machinery counters;
 //   - sanity: no echo failed, no cross-lane ring dropped a message,
 //     every routed notification was delivered and executed;
 //   - speedup: with >= 8 hardware threads, the parallel run must
@@ -15,27 +11,19 @@
 //     on the 10k-flow workload. On smaller hosts the ratio is printed
 //     but informational — one core cannot exhibit parallelism.
 // Writes BENCH_sim_speed.json ($VFPGA_JSON_DIR honoured). Exits
-// non-zero on any gate violation.
+// non-zero on any gate violation, and 2 on an unknown argument.
 //
 // `--soak` switches to the flow-table soak instead: a million-slot
 // FlowGen table (8 lanes x 125k slots) churned through tick-driven
 // batch rounds under the adaptive window controller, gated on tuple/
 // flow bookkeeping conservation and the DESIGN.md §15 bytes/flow
-// budget. The soak's sparse cross-lane notifications make it the
-// speculation-friendly workload: under --sync optimistic it must
-// commit at least one speculated window per barrier on average.
-// Writes BENCH_sim_soak.json.
+// budget. Writes BENCH_sim_soak.json.
 //
 //   --smoke                trimmed workload for CI (composes with --soak)
 //   --soak                 run the million-flow churn soak
-//   --sync MODE            conservative (default), optimistic, or auto
 //   --stats-only           print ONLY the deterministic stats JSON to
 //                          stdout (no file, no wall-clock fields) —
 //                          CI byte-diffs this across VFPGA_THREADS
-//   --workload-only        with --stats-only: print only the workload
-//                          section, which is identical across sync
-//                          modes too — CI byte-diffs conservative
-//                          against optimistic with this
 //   --threads N            worker pool request (env > this > hardware)
 //   --seed N               base seed override (also VFPGA_BENCH_SEED)
 //   VFPGA_THREADS=N        worker pool size for the parallel run
@@ -54,23 +42,10 @@ namespace {
 using vfpga::harness::SimSpeedConfig;
 using vfpga::harness::SimSpeedResult;
 
-const char* sync_name(vfpga::sim::SyncMode mode) {
-  switch (mode) {
-    case vfpga::sim::SyncMode::kConservative:
-      return "conservative";
-    case vfpga::sim::SyncMode::kOptimistic:
-      return "optimistic";
-    case vfpga::sim::SyncMode::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-/// The workload section: pure simulation results, identical across
-/// thread counts AND sync modes (the mode-equality gate byte-diffs it).
-std::string workload_json(const SimSpeedConfig& config,
-                          const SimSpeedResult& r) {
-  char buffer[1536];
+/// The deterministic stats: byte-identical across thread counts.
+std::string stats_json(const SimSpeedConfig& config,
+                       const SimSpeedResult& r) {
+  char buffer[2048];
   std::snprintf(
       buffer, sizeof(buffer),
       "{\n"
@@ -80,67 +55,45 @@ std::string workload_json(const SimSpeedConfig& config,
       "  \"flows_per_lane\": %u,\n"
       "  \"packets\": %llu,\n"
       "  \"events\": %llu,\n"
+      "  \"windows\": %llu,\n"
+      "  \"barriers\": %llu,\n"
       "  \"cross_lane_messages\": %llu,\n"
       "  \"cross_lane_received\": %llu,\n"
+      "  \"dropped_messages\": %llu,\n"
       "  \"failures\": %llu,\n"
       "  \"flows_created\": %llu,\n"
       "  \"flows_completed\": %llu,\n"
       "  \"flows_abandoned\": %llu,\n"
-      "  \"sim_makespan_us\": %.3f,\n"
-      "  \"samples\": %llu,\n"
-      "  \"latency_us\": {\"mean\": %.6f, \"stddev\": %.6f, "
-      "\"p50\": %.6f, \"p95\": %.6f, \"p99\": %.6f, \"p999\": %.6f, "
-      "\"max\": %.6f}\n"
-      "}\n",
-      static_cast<unsigned long long>(config.seed), r.lanes,
-      config.flows_per_lane, static_cast<unsigned long long>(r.packets),
-      static_cast<unsigned long long>(r.events),
-      static_cast<unsigned long long>(r.cross_lane_messages),
-      static_cast<unsigned long long>(r.cross_lane_received),
-      static_cast<unsigned long long>(r.failures),
-      static_cast<unsigned long long>(r.flows_created),
-      static_cast<unsigned long long>(r.flows_completed),
-      static_cast<unsigned long long>(r.flows_abandoned),
-      r.sim_makespan_us,
-      static_cast<unsigned long long>(r.sample_count), r.latency.mean_us,
-      r.latency.stddev_us, r.latency.median_us, r.latency.p95_us,
-      r.latency.p99_us, r.latency.p999_us, r.latency.max_us);
-  return buffer;
-}
-
-/// The sync-machinery section: deterministic across thread counts for a
-/// FIXED mode, but mode-dependent by nature (speculation retains fired
-/// arena nodes, executes windows conservative skip-ahead would jump,
-/// and retunes the adaptive window per round instead of per window).
-std::string sync_json(const SimSpeedConfig& config, const SimSpeedResult& r) {
-  char buffer[1024];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\n"
-      "  \"mode\": \"%s\",\n"
-      "  \"windows\": %llu,\n"
-      "  \"barriers\": %llu,\n"
-      "  \"speculative_rounds\": %llu,\n"
-      "  \"speculated_windows\": %llu,\n"
-      "  \"rollbacks\": %llu,\n"
-      "  \"checkpoint_bytes\": %llu,\n"
-      "  \"dropped_messages\": %llu,\n"
       "  \"window_growths\": %llu,\n"
       "  \"window_shrinks\": %llu,\n"
       "  \"arena_nodes\": %llu,\n"
       "  \"smallfn_heap_fallbacks\": %llu,\n"
+      "  \"sim_makespan_us\": %.3f,\n"
+      "  \"samples\": %llu,\n"
+      "  \"latency_us\": {\"mean\": %.6f, \"stddev\": %.6f, "
+      "\"p50\": %.6f, \"p95\": %.6f, \"p99\": %.6f, \"p999\": %.6f, "
+      "\"max\": %.6f},\n"
       "  \"residency\": [",
-      sync_name(config.sync), static_cast<unsigned long long>(r.windows),
+      static_cast<unsigned long long>(config.seed), r.lanes,
+      config.flows_per_lane, static_cast<unsigned long long>(r.packets),
+      static_cast<unsigned long long>(r.events),
+      static_cast<unsigned long long>(r.windows),
       static_cast<unsigned long long>(r.barriers),
-      static_cast<unsigned long long>(r.speculative_rounds),
-      static_cast<unsigned long long>(r.speculated_windows),
-      static_cast<unsigned long long>(r.rollbacks),
-      static_cast<unsigned long long>(r.checkpoint_bytes),
+      static_cast<unsigned long long>(r.cross_lane_messages),
+      static_cast<unsigned long long>(r.cross_lane_received),
       static_cast<unsigned long long>(r.dropped_messages),
+      static_cast<unsigned long long>(r.failures),
+      static_cast<unsigned long long>(r.flows_created),
+      static_cast<unsigned long long>(r.flows_completed),
+      static_cast<unsigned long long>(r.flows_abandoned),
       static_cast<unsigned long long>(r.window_growths),
       static_cast<unsigned long long>(r.window_shrinks),
       static_cast<unsigned long long>(r.arena_nodes),
-      static_cast<unsigned long long>(r.smallfn_heap_fallbacks));
+      static_cast<unsigned long long>(r.smallfn_heap_fallbacks),
+      r.sim_makespan_us, static_cast<unsigned long long>(r.sample_count),
+      r.latency.mean_us, r.latency.stddev_us, r.latency.median_us,
+      r.latency.p95_us, r.latency.p99_us, r.latency.p999_us,
+      r.latency.max_us);
   std::string out = buffer;
   for (std::size_t i = 0; i < r.residency.size(); ++i) {
     const auto& lane = r.residency[i];
@@ -157,17 +110,6 @@ std::string sync_json(const SimSpeedConfig& config, const SimSpeedResult& r) {
   return out;
 }
 
-/// The full deterministic stats — workload plus sync section. Byte-
-/// identical across thread counts for a fixed mode; the workload part
-/// alone is byte-identical across modes too.
-std::string stats_json(const SimSpeedConfig& config,
-                       const SimSpeedResult& r) {
-  std::string workload = workload_json(config, r);
-  // Splice the sync object in before the closing brace.
-  workload.erase(workload.rfind("}\n"));
-  return workload + ",  \"sync\": " + sync_json(config, r) + "}\n";
-}
-
 bool write_json(const SimSpeedConfig& config, const SimSpeedResult& seq,
                 const SimSpeedResult& par, double speedup, bool ok) {
   const std::string path =
@@ -179,14 +121,13 @@ bool write_json(const SimSpeedConfig& config, const SimSpeedResult& seq,
   std::fprintf(file,
                "{\n  \"source\": \"sim_speed\",\n  \"seed\": %llu,\n"
                "  \"lanes\": %u,\n  \"threads\": %u,\n"
-               "  \"sync\": \"%s\",\n"
                "  \"packets\": %llu,\n"
                "  \"pps_sequential\": %.0f,\n  \"pps_parallel\": %.0f,\n"
                "  \"speedup\": %.3f,\n  \"wall_seq_s\": %.3f,\n"
                "  \"wall_par_s\": %.3f,\n  \"deterministic\": %s,\n"
                "  \"ok\": %s,\n  \"stats\": %s}\n",
                static_cast<unsigned long long>(config.seed), seq.lanes,
-               par.threads_used, sync_name(config.sync),
+               par.threads_used,
                static_cast<unsigned long long>(seq.packets),
                seq.packets_per_wall_second, par.packets_per_wall_second,
                speedup, seq.wall_seconds, par.wall_seconds,
@@ -197,24 +138,15 @@ bool write_json(const SimSpeedConfig& config, const SimSpeedResult& seq,
   return true;
 }
 
-/// Bitwise equality of the deterministic fields — the gate compares the
-/// rendered JSON so a drifting double shows up as a text diff too.
-bool same_stats(const SimSpeedConfig& config, const SimSpeedResult& a,
-                const SimSpeedResult& b) {
-  return stats_json(config, a) == stats_json(config, b);
-}
-
 /// DESIGN.md §15: flow-table bytes per slot at the million-slot scale.
 constexpr double kSoakBytesPerFlowBudget = 48.0;
 
-int run_soak(bool smoke, unsigned threads, vfpga::u64 seed,
-             vfpga::sim::SyncMode sync) {
+int run_soak(bool smoke, unsigned cli_threads, vfpga::u64 seed) {
   using vfpga::harness::FlowSoakConfig;
   using vfpga::harness::FlowSoakResult;
   FlowSoakConfig config;
   config.seed = seed;
-  config.threads = threads;
-  config.sync = sync;
+  config.threads = vfpga::harness::worker_threads(config.lanes, cli_threads);
   if (smoke) {
     config.flows_per_lane = 2048;
     config.host_ips_per_lane = 2;
@@ -222,19 +154,15 @@ int run_soak(bool smoke, unsigned threads, vfpga::u64 seed,
     config.slots_per_tick = 1024;
   }
 
-  std::printf("sim_speed --soak: %u lanes x %u slots (%s table, %s "
-              "sync)%s\n",
+  std::printf("sim_speed --soak: %u lanes x %u slots (%s table)%s\n",
               config.lanes, config.flows_per_lane,
-              smoke ? "trimmed" : "million-slot", sync_name(sync),
-              smoke ? " (smoke)" : "");
+              smoke ? "trimmed" : "million-slot", smoke ? " (smoke)" : "");
   const FlowSoakResult r = vfpga::harness::run_flow_soak(config);
   std::printf(
       "  slots %llu  packets %llu  flows created %llu (completed %llu, "
       "live %llu)\n"
       "  windows %llu over %llu barriers (+%llu grow, -%llu shrink)  "
       "msgs %llu\n"
-      "  speculated %llu windows in %llu rounds, %llu rollbacks, "
-      "ckpt %.1f KiB\n"
       "  footprint %.1f MiB = %.1f B/flow  wall %.2fs (%.0f pkt/s at "
       "%u threads)\n",
       static_cast<unsigned long long>(r.table_slots),
@@ -247,10 +175,6 @@ int run_soak(bool smoke, unsigned threads, vfpga::u64 seed,
       static_cast<unsigned long long>(r.window_growths),
       static_cast<unsigned long long>(r.window_shrinks),
       static_cast<unsigned long long>(r.cross_lane_messages),
-      static_cast<unsigned long long>(r.speculated_windows),
-      static_cast<unsigned long long>(r.speculative_rounds),
-      static_cast<unsigned long long>(r.rollbacks),
-      static_cast<double>(r.checkpoint_bytes) / 1024.0,
       static_cast<double>(r.footprint_bytes) / (1024.0 * 1024.0),
       r.bytes_per_flow, r.wall_seconds, r.packets_per_wall_second,
       r.threads_used);
@@ -281,18 +205,6 @@ int run_soak(bool smoke, unsigned threads, vfpga::u64 seed,
                 r.bytes_per_flow, kSoakBytesPerFlowBudget);
     ok = false;
   }
-  // The speculation payoff gate: on this sparse-crossing workload an
-  // optimistic run must commit at least one extra window per barrier on
-  // average — otherwise speculation is paying checkpoint cost for no
-  // committed progress.
-  if (sync == vfpga::sim::SyncMode::kOptimistic && r.barriers > 0 &&
-      r.speculated_windows < r.barriers) {
-    std::printf("  FAIL: %llu speculated windows over %llu barriers "
-                "(< 1 per barrier)\n",
-                static_cast<unsigned long long>(r.speculated_windows),
-                static_cast<unsigned long long>(r.barriers));
-    ok = false;
-  }
 
   const std::string path =
       vfpga::harness::bench_json_path("BENCH_sim_soak.json");
@@ -300,20 +212,16 @@ int run_soak(bool smoke, unsigned threads, vfpga::u64 seed,
     std::fprintf(
         file,
         "{\n  \"source\": \"sim_soak\",\n  \"seed\": %llu,\n"
-        "  \"sync\": \"%s\",\n"
         "  \"lanes\": %u,\n  \"table_slots\": %llu,\n"
         "  \"packets\": %llu,\n  \"flows_created\": %llu,\n"
         "  \"flows_completed\": %llu,\n  \"flows_open\": %llu,\n"
         "  \"windows\": %llu,\n  \"barriers\": %llu,\n"
         "  \"window_growths\": %llu,\n"
-        "  \"speculative_rounds\": %llu,\n"
-        "  \"speculated_windows\": %llu,\n  \"rollbacks\": %llu,\n"
-        "  \"checkpoint_bytes\": %llu,\n"
         "  \"cross_lane_messages\": %llu,\n"
         "  \"footprint_bytes\": %llu,\n  \"bytes_per_flow\": %.2f,\n"
         "  \"wall_seconds\": %.3f,\n  \"ok\": %s\n}\n",
-        static_cast<unsigned long long>(config.seed), sync_name(sync),
-        r.lanes, static_cast<unsigned long long>(r.table_slots),
+        static_cast<unsigned long long>(config.seed), r.lanes,
+        static_cast<unsigned long long>(r.table_slots),
         static_cast<unsigned long long>(r.packets),
         static_cast<unsigned long long>(r.flows_created),
         static_cast<unsigned long long>(r.flows_completed),
@@ -321,10 +229,6 @@ int run_soak(bool smoke, unsigned threads, vfpga::u64 seed,
         static_cast<unsigned long long>(r.windows),
         static_cast<unsigned long long>(r.barriers),
         static_cast<unsigned long long>(r.window_growths),
-        static_cast<unsigned long long>(r.speculative_rounds),
-        static_cast<unsigned long long>(r.speculated_windows),
-        static_cast<unsigned long long>(r.rollbacks),
-        static_cast<unsigned long long>(r.checkpoint_bytes),
         static_cast<unsigned long long>(r.cross_lane_messages),
         static_cast<unsigned long long>(r.footprint_bytes), r.bytes_per_flow,
         r.wall_seconds, ok ? "true" : "false");
@@ -343,47 +247,30 @@ int main(int argc, char** argv) {
   using namespace vfpga;
   bool smoke = false;
   bool stats_only = false;
-  bool workload_only = false;
   bool soak = false;
-  sim::SyncMode sync = sim::SyncMode::kConservative;
   for (int i = 1; i < argc; ++i) {
-    const char* mode = nullptr;
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--stats-only") == 0) {
+    } else if (std::strcmp(arg, "--stats-only") == 0) {
       stats_only = true;
-    } else if (std::strcmp(argv[i], "--workload-only") == 0) {
-      workload_only = true;
-    } else if (std::strcmp(argv[i], "--soak") == 0) {
+    } else if (std::strcmp(arg, "--soak") == 0) {
       soak = true;
-    } else if (std::strcmp(argv[i], "--sync") == 0 && i + 1 < argc) {
-      mode = argv[++i];
-    } else if (std::strncmp(argv[i], "--sync=", 7) == 0) {
-      mode = argv[i] + 7;
-    }
-    if (mode != nullptr) {
-      if (std::strcmp(mode, "conservative") == 0) {
-        sync = sim::SyncMode::kConservative;
-      } else if (std::strcmp(mode, "optimistic") == 0) {
-        sync = sim::SyncMode::kOptimistic;
-      } else if (std::strcmp(mode, "auto") == 0) {
-        sync = sim::SyncMode::kAuto;
-      } else {
-        std::fprintf(stderr,
-                     "error: --sync expects conservative, optimistic or "
-                     "auto, got \"%s\"\n",
-                     mode);
-        return 2;
-      }
+    } else if (std::strcmp(arg, "--seed") == 0 ||
+               std::strcmp(arg, "--threads") == 0) {
+      ++i;  // operand parsed by base_seed / cli_threads below
+    } else if (std::strncmp(arg, "--seed=", 7) != 0 &&
+               std::strncmp(arg, "--threads=", 10) != 0) {
+      std::fprintf(stderr, "error: unknown argument \"%s\"\n", arg);
+      return 2;
     }
   }
 
   SimSpeedConfig config;
   config.seed = bench::base_seed(config.seed, argc, argv);
-  config.threads = bench::cli_threads(argc, argv);
-  config.sync = sync;
+  const unsigned cli_threads = bench::cli_threads(argc, argv);
   if (soak) {
-    return run_soak(smoke, config.threads, config.seed, sync);
+    return run_soak(smoke, cli_threads, config.seed);
   }
   if (smoke) {
     config.lanes = 4;
@@ -391,23 +278,21 @@ int main(int argc, char** argv) {
     config.packets_per_lane = 200;
     config.size_max_packets = 64;
   }
+  // env > CLI > hardware; the harness takes a nonzero count as given.
+  config.threads = harness::worker_threads(config.lanes, cli_threads);
 
   if (stats_only) {
-    // One run at the environment's thread count; CI byte-diffs the full
-    // output of VFPGA_THREADS=1 against VFPGA_THREADS=N per mode, and
-    // the --workload-only section of conservative against optimistic.
+    // One run at the resolved thread count; CI byte-diffs the output of
+    // VFPGA_THREADS=1 against VFPGA_THREADS=N.
     const SimSpeedResult r = harness::run_sim_speed(config);
-    std::fputs(workload_only ? workload_json(config, r).c_str()
-                             : stats_json(config, r).c_str(),
-               stdout);
+    std::fputs(stats_json(config, r).c_str(), stdout);
     return r.failures == 0 && r.dropped_messages == 0 ? 0 : 1;
   }
 
-  std::printf("sim_speed: %u lanes x %u flows, %llu packets/lane, %s "
-              "sync%s\n",
+  std::printf("sim_speed: %u lanes x %u flows, %llu packets/lane%s\n",
               config.lanes, config.flows_per_lane,
               static_cast<unsigned long long>(config.packets_per_lane),
-              sync_name(sync), smoke ? " (smoke)" : "");
+              smoke ? " (smoke)" : "");
 
   SimSpeedConfig seq_config = config;
   seq_config.threads = 1;
@@ -422,8 +307,7 @@ int main(int argc, char** argv) {
       "  threads=1: %8.0f pkt/s (wall %.2fs)\n"
       "  threads=%u: %8.0f pkt/s (wall %.2fs)  speedup %.2fx\n"
       "  packets %llu  events %llu  windows %llu over %llu barriers  "
-      "msgs %llu  p99 %.2f us\n"
-      "  speculated %llu windows, %llu rollbacks, ckpt %.1f KiB\n",
+      "msgs %llu  p99 %.2f us\n",
       seq.packets_per_wall_second, seq.wall_seconds, par.threads_used,
       par.packets_per_wall_second, par.wall_seconds, speedup,
       static_cast<unsigned long long>(seq.packets),
@@ -431,30 +315,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(seq.windows),
       static_cast<unsigned long long>(seq.barriers),
       static_cast<unsigned long long>(seq.cross_lane_messages),
-      seq.latency.p99_us,
-      static_cast<unsigned long long>(seq.speculated_windows),
-      static_cast<unsigned long long>(seq.rollbacks),
-      static_cast<double>(seq.checkpoint_bytes) / 1024.0);
+      seq.latency.p99_us);
 
   bool ok = true;
-  if (!same_stats(config, seq, par)) {
+  if (stats_json(config, seq) != stats_json(config, par)) {
     std::printf("  FAIL: stats differ between 1 and %u threads\n",
                 par.threads_used);
     ok = false;
-  }
-  if (sync != sim::SyncMode::kConservative) {
-    // Mode equality: the same workload under conservative sync must
-    // produce the byte-identical workload section. Speculation may only
-    // move the sync-machinery counters.
-    SimSpeedConfig cons_config = seq_config;
-    cons_config.sync = sim::SyncMode::kConservative;
-    const SimSpeedResult cons = harness::run_sim_speed(cons_config);
-    if (workload_json(cons_config, cons) != workload_json(config, seq)) {
-      std::printf("  FAIL: %s-sync workload stats differ from "
-                  "conservative\n",
-                  sync_name(sync));
-      ok = false;
-    }
   }
   for (const SimSpeedResult* r : {&seq, &par}) {
     if (r->failures != 0) {

@@ -35,13 +35,9 @@ struct SimSpeedConfig {
   sim::Duration window = sim::microseconds(100);
   u32 ring_capacity = 4096;
 
-  /// Cross-lane sync mode. Every lane context is a LaneCheckpointHook
-  /// (testbed snapshot + host-thread + FlowGen + sample counts), so all
-  /// three modes are available; the WORKLOAD fields of the result are
-  /// identical in every mode — only the sync-machinery counters move.
+  /// Unread: conservative windows are the only lane protocol. Kept
+  /// because the benchmark harness still assigns it.
   sim::SyncMode sync = sim::SyncMode::kConservative;
-  /// Max extra windows past the conservative horizon per round.
-  u32 speculation_depth = 3;
 
   /// Traffic shape (see net::FlowGenConfig).
   net::ArrivalProcess arrivals = net::ArrivalProcess::kMmpp2;
@@ -51,7 +47,8 @@ struct SimSpeedConfig {
   u32 payload_max = 1400;
 
   u64 seed = 0x51'eedull;
-  /// Worker threads for LaneSet::run; 0 = worker_threads(lanes).
+  /// Worker threads for LaneSet::run, used exactly (clamped to the lane
+  /// count); 0 = worker_threads(lanes), where VFPGA_THREADS applies.
   unsigned threads = 0;
 };
 
@@ -62,8 +59,8 @@ struct SimSpeedResult {
   // ---- deterministic at any thread count (the --stats-only JSON) ----
   u64 packets = 0;   ///< echo round trips completed
   u64 events = 0;    ///< lane scheduler events fired
-  u64 windows = 0;   ///< committed window phases
-  u64 barriers = 0;  ///< barrier (round) phases executed
+  u64 windows = 0;   ///< window phases executed
+  u64 barriers = 0;  ///< barrier phases executed
   u64 cross_lane_messages = 0;
   u64 cross_lane_received = 0;  ///< notification handlers that ran
   u64 dropped_messages = 0;     ///< must be 0: rings were sized right
@@ -75,14 +72,8 @@ struct SimSpeedResult {
   stats::LatencySummary latency{};  ///< merged echo latency
   u64 sample_count = 0;
 
-  // ---- sync machinery (deterministic per mode; the workload fields
-  // above are additionally identical ACROSS modes) --------------------
   u64 window_growths = 0;
   u64 window_shrinks = 0;
-  u64 speculative_rounds = 0;
-  u64 speculated_windows = 0;
-  u64 rollbacks = 0;
-  u64 checkpoint_bytes = 0;
   std::vector<sim::LaneSet::LaneResidency> residency;
 
   // ---- allocator health (deterministic: same events -> same arenas) -
@@ -135,17 +126,11 @@ struct FlowSoakConfig {
   bool adaptive = true;  ///< off = fixed window (the barrier baseline)
   u32 ring_capacity = 4096;
 
-  /// Cross-lane sync mode; each shard checkpoints through its FlowGen.
-  /// The soak's sparse notifications are the speculation-friendly case:
-  /// most rounds commit their full depth, the occasional notify round
-  /// rolls back once to the notifying window.
-  sim::SyncMode sync = sim::SyncMode::kConservative;
-  u32 speculation_depth = 3;
-
   /// Mice-heavy sizes so slots churn several times within the soak.
   u64 size_max_packets = 8;
   double mean_gap_us = 20.0;
   u64 seed = 0xf10f'50adull;
+  /// As SimSpeedConfig::threads: nonzero is exact, 0 = worker_threads.
   unsigned threads = 0;
 };
 
@@ -164,10 +149,6 @@ struct FlowSoakResult {
   u64 barriers = 0;
   u64 window_growths = 0;
   u64 window_shrinks = 0;
-  u64 speculative_rounds = 0;
-  u64 speculated_windows = 0;
-  u64 rollbacks = 0;
-  u64 checkpoint_bytes = 0;
   u64 cross_lane_messages = 0;
   u64 cross_lane_received = 0;
   /// Allocated flow-table bytes across all shards, and per slot — the

@@ -36,7 +36,6 @@
 #include <optional>
 #include <vector>
 
-#include "vfpga/migrate/state_io.hpp"
 #include "vfpga/net/addr.hpp"
 #include "vfpga/sim/rng.hpp"
 #include "vfpga/sim/time.hpp"
@@ -169,16 +168,6 @@ class FlowGen {
   /// The soak bench divides this by slots() to gate the bytes/flow
   /// budget.
   [[nodiscard]] u64 footprint_bytes() const;
-
-  /// In-process checkpoint for optimistic lane speculation: RNG stream,
-  /// the SoA columns (raw, host byte order — this is NOT a migration
-  /// image), freelists, carve cursors and counters. Steer tables are
-  /// pure functions of the config, so only their built-flags are saved;
-  /// restore drops tables built after the save so footprint_bytes()
-  /// rewinds with the rest of the state. load_state() requires a
-  /// generator constructed from the same config save_state() saw.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
 
  private:
   // flags_ bits.

@@ -1,109 +1,54 @@
-// Sharded parallel event lanes: conservative time-window sync with an
-// optimistic (Time-Warp-lite) speculation mode on top.
+// Sharded parallel event lanes under conservative time-window sync.
 //
 // A LaneSet partitions a simulation into K independent EventLanes (one
 // per queue pair in the scale harness), each owning a private Scheduler.
-// Simulated time advances in ROUNDS: every lane executes its own events
-// up to the round target with NO shared state, all lanes barrier, the
-// round commits (cross-lane messages are routed) or rolls back, and the
-// set advances to the round containing the earliest pending work.
+// Simulated time advances in windows: every lane executes its own events
+// up to the window horizon with NO shared state, all lanes barrier,
+// cross-lane messages are routed, and the set advances to the window
+// containing the earliest pending work. This is classic conservative
+// parallel discrete-event simulation: the window length is the
+// lookahead, so a message sent in window W can only take effect in
+// window W+1 or later — no lane can ever observe an effect from a peer
+// whose clock it has already passed.
 //
-// A conservative round is one window wide — classic conservative
-// parallel discrete-event simulation, where the window length is the
-// lookahead: a message sent in window W can only take effect in window
-// W+1 or later, so no lane can ever observe an effect from a peer whose
-// clock it has already passed.
-//
-// An OPTIMISTIC round speculates `depth` extra windows past the
-// conservative horizon: each lane first takes a lane-local checkpoint
-// (scheduler rewind mark + its registered LaneCheckpointHook serialized
-// through migrate::StateWriter), then executes the round's windows in
-// grid order, delivering ring messages non-destructively (peek, consume
-// only on commit) and staging its own sends tagged with a lane-LOCAL
-// horizon. At the barrier the commit rule is
-//
-//   C' = min(target, earliest staged due)
-//
-// — if every staged send lands at or past the target, the whole round
-// commits; otherwise SOME lane ran past a message it should have seen
-// (a straggler), so ALL lanes rewind to the checkpoint, every staged
-// send is discarded, and the round re-executes to the largest window
-// boundary not past the earliest straggler. The replay is deterministic
-// (same checkpoint, same ring contents), so it regenerates the same
-// sends — all of which are now at or past the reduced target — and is
-// therefore GUARANTEED to commit: at most one rollback per round, and
-// every round commits at least one window (livelock-free).
-//
-// With a fixed window the committed execution is event-for-event
-// identical to the conservative path — message handlers run at the very
-// same simulated times — so results are bit-identical at ANY worker
-// thread count AND any speculation depth; `VFPGA_THREADS=1` with
-// conservative sync is the oracle for everything (the determinism gates
-// in bench/sim_speed and CI enforce exactly this).
-//
-// Cross-lane sends travel through the PR-7 visibility-gated MessageRing:
-// one SPSC ring per (source, destination) lane pair, posted_at carrying
-// the message's due time. Staging is lane-local during the parallel
-// phase; the actual ring pushes happen in the single-threaded barrier
-// phase in canonical (source id, FIFO) order, and receivers drain rings
-// in source-id order at each window boundary. Every ordering decision
-// is a pure function of simulation state.
+// Cross-lane sends travel through the visibility-gated MessageRing: one
+// SPSC ring per (source, destination) lane pair, posted_at carrying the
+// message's due time. Staging is lane-local during the parallel phase;
+// the actual ring pushes happen in the single-threaded barrier phase in
+// canonical (source id, FIFO) order, and receivers drain rings in
+// source-id order at their next window start. Every ordering decision is
+// therefore a pure function of simulation state — results are
+// bit-identical at ANY worker-thread count, so `VFPGA_THREADS=1` is the
+// oracle for the parallel build (the determinism gates in bench/sim_speed
+// and CI enforce exactly this).
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "vfpga/migrate/state_io.hpp"
 #include "vfpga/reactor/message_ring.hpp"
 #include "vfpga/sim/scheduler.hpp"
 
 namespace vfpga::sim {
 
-/// How a LaneSet synchronizes lanes past the conservative horizon.
-enum class SyncMode : u8 {
-  kConservative,  ///< one window per round, never rolls back
-  kOptimistic,    ///< always speculate the configured depth
-  kAuto,          ///< §15 controller picks the depth per round
-};
-
-/// Per-lane workload state save/restore, the checkpoint half that the
-/// scheduler's structural rewind cannot cover: any state an event
-/// mutates outside the scheduler (RNG streams, flow tables, testbeds,
-/// counters) must round-trip through this hook or rollback would replay
-/// against stale state. Serialization uses the PR-6 StateWriter/
-/// StateReader machinery; restore() must leave the owner exactly as
-/// save() observed it.
-class LaneCheckpointHook {
- public:
-  virtual ~LaneCheckpointHook() = default;
-  virtual void save(migrate::StateWriter& w) = 0;
-  virtual void restore(migrate::StateReader& r) = 0;
-};
+/// The only lane sync protocol. Kept as a one-value enum because the
+/// benchmark harness still assigns SimSpeedConfig::sync.
+enum class SyncMode : u8 { kConservative };
 
 struct LaneSetConfig {
   u32 lanes = 1;
   /// Window length == conservative lookahead: the minimum cross-lane
   /// latency. Larger windows barrier less often but delay messages more.
   /// With the adaptive controller enabled this is only the STARTING
-  /// width; the controller retunes it between rounds.
+  /// width; the controller retunes it between windows.
   Duration window = microseconds(100);
   /// Capacity of each (source, destination) message ring.
   u32 ring_capacity = 4096;
 
-  /// Optimistic execution past the conservative horizon. Speculative
-  /// rounds require a LaneCheckpointHook on EVERY lane (enforced at
-  /// run()); depth 0 degenerates to the conservative path through the
-  /// same code, with no checkpoints and no rollbacks.
-  struct Speculation {
-    SyncMode mode = SyncMode::kConservative;
-    /// Extra windows past the conservative horizon a round may run.
-    u32 depth = 3;
-  } speculation;
-
   /// Self-tuning window controller. The fixed window trades barrier
   /// frequency against cross-lane latency once, at configuration time;
-  /// the controller re-makes that trade every round from two observed
-  /// simulated-time quantities — cross-lane messages routed per round
+  /// the controller re-makes that trade every window from two observed
+  /// simulated-time quantities — cross-lane messages routed per window
   /// and the fraction of lanes that executed any event — so chatty
   /// phases keep messages prompt while idle-heavy phases stop paying a
   /// barrier per window. It runs entirely in the single-threaded
@@ -115,12 +60,12 @@ struct LaneSetConfig {
     /// cross-lane latency floor the controller may never trade away.
     Duration min_window = microseconds(25);
     Duration max_window = milliseconds(5);
-    /// EWMA messages/round at or above this: halve the window (the
+    /// EWMA messages/window at or above this: halve the window (the
     /// lanes are talking — tighten the lookahead immediately).
     u32 high_messages = 8;
-    /// EWMA messages/round at or below this counts as a quiet round.
+    /// EWMA messages/window at or below this counts as a quiet window.
     u32 low_messages = 1;
-    /// Consecutive quiet rounds before the window doubles. Hysteresis:
+    /// Consecutive quiet windows before the window doubles. Hysteresis:
     /// growth is patient, shrink is immediate.
     u32 grow_patience = 4;
   } adaptive;
@@ -129,7 +74,7 @@ struct LaneSetConfig {
 class LaneSet;
 
 /// One shard: a private Scheduler plus its cross-lane mailboxes. All
-/// mutable state is owned by exactly one worker during a round.
+/// mutable state is owned by exactly one worker during a window.
 class EventLane {
  public:
   EventLane(const EventLane&) = delete;
@@ -144,8 +89,7 @@ class EventLane {
  private:
   friend class LaneSet;
 
-  EventLane(u32 id, u32 sources, u32 ring_capacity)
-      : id_(id), peeked_(sources, 0) {
+  EventLane(u32 id, u32 sources, u32 ring_capacity) : id_(id) {
     inbox_.reserve(sources);
     for (u32 s = 0; s < sources; ++s) {
       inbox_.emplace_back(ring_capacity);
@@ -162,26 +106,11 @@ class EventLane {
   Scheduler sched_;
   /// inbox_[src]: SPSC ring carrying messages from lane `src`.
   std::vector<reactor::MessageRing> inbox_;
-  /// Sends staged during this round, routed at the commit barrier (or
-  /// discarded wholesale on rollback).
+  /// Sends staged during this window, routed at the barrier.
   std::vector<Outgoing> outbox_;
-  /// peeked_[src]: ring entries delivered this round but not yet
-  /// consumed — the re-deliverable prefix a rollback rewinds over.
-  std::vector<u32> peeked_;
   u64 received_ = 0;
-  /// End of the window this lane is currently executing — the earliest
-  /// legal `due` for a send from this lane (lane-LOCAL: during a
-  /// speculative round, lanes in later windows have later horizons).
-  SimTime local_horizon_{};
-
-  // ---- round-scratch, folded into stats at commit / reset on rollback
-  u64 round_busy_windows_ = 0;
-  u64 round_idle_windows_ = 0;
-
-  // ---- checkpoint (speculative rounds only) -------------------------
-  LaneCheckpointHook* hook_ = nullptr;
-  Bytes ckpt_;
-  u64 ckpt_received_ = 0;
+  /// Whether this window fired any event (residency + controller input).
+  bool window_busy_ = false;
 };
 
 class LaneSet {
@@ -194,58 +123,36 @@ class LaneSet {
   /// adaptive controller last retuned it to.
   [[nodiscard]] Duration window() const { return window_; }
 
-  /// The CONSERVATIVE horizon: end of the current round's first window.
-  /// In a conservative round this is the round target; in a speculative
-  /// round lanes run past it, so a sender inside such a round must use
-  /// post_horizon(src) — its lane-local window end — as the earliest
-  /// legal due instead. Stable for the whole parallel phase.
-  [[nodiscard]] SimTime horizon() const { return first_horizon_; }
-
-  /// Earliest legal `due` for a send from lane `src` right now: the end
-  /// of the window `src` is currently executing. Equal to horizon() in
-  /// conservative rounds; later for lanes deep in a speculative round.
-  /// Only the worker stepping `src` may call this mid-round.
-  [[nodiscard]] SimTime post_horizon(u32 src) const {
-    return lanes_.at(src)->local_horizon_;
-  }
+  /// End of the window currently executing. Stable for the whole
+  /// parallel phase.
+  [[nodiscard]] SimTime horizon() const { return horizon_; }
 
   /// Send `fn` to run on lane `dst` at simulated time `due`. Must be
   /// called from code executing on lane `src` (an event or a delivered
-  /// message) with `due >= post_horizon(src)`: the message cannot take
-  /// effect in the window its sender is still executing. A due inside
-  /// another lane's speculated region is legal — it becomes a straggler
-  /// and rolls that speculation back. Delivery respects per-(src,dst)
+  /// message) with `due >= horizon()`: the message cannot take effect in
+  /// the window that is still executing. Delivery respects per-(src,dst)
   /// FIFO order; a message is executed at max(due, visibility of
   /// everything queued ahead of it), exactly the MessageRing contract.
   void post(u32 src, u32 dst, SimTime due, SmallFn fn);
 
-  /// Register lane `id`'s workload checkpoint hook (required on every
-  /// lane before run() may speculate). The hook must outlive the set.
-  void set_checkpoint_hook(u32 id, LaneCheckpointHook* hook);
-
-  /// Per-lane time residency over the committed schedule.
+  /// Per-lane time residency over the executed windows.
   struct LaneResidency {
-    u64 busy_windows = 0;  ///< committed windows with >= 1 event fired
-    u64 idle_windows = 0;  ///< committed windows with no events
-    /// Rounds this lane spent entirely idle while at least one peer
+    u64 busy_windows = 0;  ///< windows with >= 1 event fired
+    u64 idle_windows = 0;  ///< windows with no events
+    /// Windows this lane spent entirely idle while at least one peer
     /// executed events — windows it only attended for the barrier.
     u64 barrier_waits = 0;
   };
 
   struct RunStats {
-    u64 windows = 0;   ///< committed window phases
-    u64 barriers = 0;  ///< barrier (round) phases executed
-    u64 events = 0;    ///< lane scheduler events fired (net of rollbacks)
+    u64 windows = 0;   ///< window phases executed
+    u64 barriers = 0;  ///< barrier phases executed (one per window)
+    u64 events = 0;    ///< lane scheduler events fired
     u64 messages = 0;  ///< cross-lane messages routed into rings
     u64 dropped = 0;   ///< sends lost to a full ring (0 in a sane setup)
     /// Adaptive controller decisions (0 with the fixed window).
     u64 window_growths = 0;
     u64 window_shrinks = 0;
-    /// Optimistic sync (0 under conservative / depth 0).
-    u64 speculative_rounds = 0;  ///< rounds that ran past the horizon
-    u64 speculated_windows = 0;  ///< extra windows committed past it
-    u64 rollbacks = 0;           ///< straggler-triggered round rewinds
-    u64 checkpoint_bytes = 0;    ///< hook bytes serialized across the run
     std::vector<LaneResidency> residency;  ///< one entry per lane
   };
 
@@ -257,41 +164,27 @@ class LaneSet {
   RunStats run(unsigned threads);
 
  private:
-  /// Parallel phase: restore (after a rollback) or checkpoint (entering
-  /// a speculative round), then execute the lane's windows up to the
-  /// round target. Touches only lane state.
+  /// Parallel phase: deliver every inbound message visible before the
+  /// horizon, then execute the lane's events up to it. Touches only
+  /// lane state.
   void step_lane(EventLane& lane);
-  /// Deliver every inbound message visible before window end `h` by
-  /// peeking it in place and scheduling a trampoline at max(due, now).
-  void deliver_visible(EventLane& lane, SimTime h);
-  void checkpoint_lane(EventLane& lane);
-  void restore_lane(EventLane& lane);
-  /// Barrier phase (single-threaded): apply the commit rule — route
-  /// every staged send in canonical order and open the next round, or
-  /// rewind the round to the earliest straggler.
-  void finish_round();
-  /// Barrier phase: open the round containing the earliest pending
+  /// Barrier phase (single-threaded): route every staged send in
+  /// canonical order, account the window, and open the next one.
+  void finish_window();
+  /// Barrier phase: open the window containing the earliest pending
   /// work; returns false (and latches done_) at global quiescence.
-  bool begin_round();
-  /// Barrier phase: fold the finished round's message count and
-  /// busy-lane fraction into the EWMAs; resize window_ under hysteresis
-  /// when the adaptive controller is on. Pure integer arithmetic over
-  /// simulated-time observations — deterministic at any thread count.
+  bool begin_window();
+  /// Barrier phase: fold the finished window's message count and
+  /// busy-lane fraction into the EWMAs and resize window_ under
+  /// hysteresis. Pure integer arithmetic over simulated-time
+  /// observations — deterministic at any thread count.
   void retune_window();
-  /// Next round's speculation depth (0 = conservative round).
-  [[nodiscard]] u32 choose_depth();
 
   LaneSetConfig config_;
   std::vector<std::unique_ptr<EventLane>> lanes_;
-  /// Committed simulated time: every lane's state is final up to here.
-  SimTime committed_{};
-  /// End of the current round's first window (== the conservative
-  /// horizon) and of its last (the speculation target).
-  SimTime first_horizon_{};
-  SimTime target_{};
-  bool speculative_round_ = false;  ///< this round runs past the horizon
-  bool restore_pending_ = false;    ///< workers must rewind before executing
-  bool round_speculated_ = false;   ///< round attempted speculation (stats)
+  /// End of the window currently executing (between windows: of the
+  /// last one finished — every lane's state is final up to here).
+  SimTime horizon_{};
   bool done_ = false;
   RunStats stats_;
   /// Current window width (== config_.window when not adaptive).
@@ -301,7 +194,6 @@ class LaneSet {
   i64 busy_ewma_x256_ = 0;
   u64 messages_at_retune_ = 0;
   u32 quiet_streak_ = 0;
-  u32 auto_depth_ = 0;  ///< kAuto's current depth choice
 };
 
 }  // namespace vfpga::sim

@@ -29,9 +29,6 @@ Scheduler::~Scheduler() {
   for (Event* event : heap_) {
     arena_.release(event);
   }
-  for (Event* event : fired_log_) {
-    arena_.release(event);
-  }
 }
 
 void Scheduler::schedule_at(SimTime when, Action action) {
@@ -58,67 +55,12 @@ Event* Scheduler::pop_next() {
 
 void Scheduler::fire(Event* event) {
   now_ = event->when;
-  if (speculating_) {
-    // Invoke in place and retain the node: rollback needs the callable
-    // AND its original (when, seq) back, so replay re-fires the exact
-    // same heap order. The node is off both the heap and the free list,
-    // so actions scheduling new events can never alias it.
-    fired_log_.push_back(event);
-    event->fn();
-    ++executed_;
-    return;
-  }
   // Move the callable out and recycle the node *before* invoking: the
   // action is free to schedule new events, which may reuse this node.
   SmallFn fn = std::move(event->fn);
   arena_.release(event);
   fn();
   ++executed_;
-}
-
-void Scheduler::begin_speculation() {
-  VFPGA_EXPECTS(!speculating_);
-  speculating_ = true;
-  mark_now_ = now_;
-  mark_seq_ = next_seq_;
-  mark_executed_ = executed_;
-}
-
-void Scheduler::commit_speculation() {
-  VFPGA_EXPECTS(speculating_);
-  for (Event* event : fired_log_) {
-    arena_.release(event);
-  }
-  fired_log_.clear();
-  speculating_ = false;
-}
-
-void Scheduler::rollback_speculation() {
-  VFPGA_EXPECTS(speculating_);
-  // Events scheduled during the speculated region (seq >= mark) are
-  // undone whether they fired or not; fired pre-mark events go back on
-  // the heap with their original (when, seq), so the replayed pop order
-  // is byte-identical to the first execution.
-  std::erase_if(heap_, [this](Event* event) {
-    if (event->seq >= mark_seq_) {
-      arena_.release(event);
-      return true;
-    }
-    return false;
-  });
-  for (Event* event : fired_log_) {
-    if (event->seq >= mark_seq_) {
-      arena_.release(event);
-    } else {
-      heap_.push_back(event);
-    }
-  }
-  fired_log_.clear();
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  now_ = mark_now_;
-  next_seq_ = mark_seq_;
-  executed_ = mark_executed_;
-  speculating_ = false;
 }
 
 std::size_t Scheduler::run_until_idle() {

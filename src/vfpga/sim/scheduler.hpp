@@ -65,30 +65,6 @@ class Scheduler {
   /// Lifetime total of events executed.
   [[nodiscard]] u64 executed() const { return executed_; }
 
-  // ---- speculation (optimistic lane sync) ---------------------------
-  //
-  // A speculating scheduler executes normally but can be rewound to the
-  // begin_speculation() mark. Callables are move-only and opaque, so the
-  // checkpoint is structural, not a byte copy: fired nodes are retained
-  // (callable, `when` and `seq` intact) instead of recycled, and
-  // rollback re-inserts the pre-mark ones into the heap — replay pops
-  // them in the exact original (when, seq) order, so a rolled-back
-  // region re-executes bit-identically. The contract this buys is that
-  // every action scheduled while speculation may be active must be
-  // RE-INVOCABLE: invoking it must not consume captured state that the
-  // lane checkpoint hooks do not restore.
-
-  /// Mark the rewind point. No nested speculation.
-  void begin_speculation();
-  /// Accept everything executed since the mark: recycle the retained
-  /// fired nodes. The scheduler state is already the executed state.
-  void commit_speculation();
-  /// Rewind to the mark: discard events scheduled since it, re-insert
-  /// the fired pre-mark events, restore now()/executed() and the
-  /// sequence counter so replay reproduces identical (when, seq) pairs.
-  void rollback_speculation();
-  [[nodiscard]] bool speculating() const { return speculating_; }
-
   /// The node pool — exposes allocation counters for the zero-alloc
   /// steady-state regression test.
   [[nodiscard]] const EventArena& arena() const { return arena_; }
@@ -96,8 +72,7 @@ class Scheduler {
  private:
   /// Pop the earliest (when, seq) event off the flat heap.
   Event* pop_next();
-  /// Run one event: move the callable out, recycle the node, invoke —
-  /// or, while speculating, invoke in place and retain the node.
+  /// Run one event: move the callable out, recycle the node, invoke.
   void fire(Event* event);
 
   std::vector<Event*> heap_;
@@ -106,14 +81,6 @@ class Scheduler {
   u64 next_seq_ = 0;
   u64 executed_ = 0;
   bool stop_requested_ = false;
-
-  // Speculation mark + the retained-node log (empty when not
-  // speculating).
-  bool speculating_ = false;
-  std::vector<Event*> fired_log_;
-  SimTime mark_now_{};
-  u64 mark_seq_ = 0;
-  u64 mark_executed_ = 0;
 };
 
 }  // namespace vfpga::sim

@@ -1,10 +1,7 @@
 // Reactor subsystem tests: the message ring's visibility/drop
-// semantics, poller and timed-poller dispatch, one-shot timers,
-// run_until_idle's clock-forwarding, and cross-reactor message passing
-// through a ReactorGroup.
+// semantics, poller and timed-poller dispatch, one-shot timers, and
+// run_until_idle's clock-forwarding.
 #include <gtest/gtest.h>
-
-#include <functional>
 
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/reactor/reactor.hpp"
@@ -57,39 +54,6 @@ TEST(MessageRing, InvisibleHeadBlocksFifoOrder) {
   EXPECT_EQ(ran, 2);
   EXPECT_TRUE(ring.empty());
   EXPECT_EQ(ring.dequeued(), 2u);
-}
-
-TEST(MessageRing, PeekLeavesEntriesInPlaceAndConsumeRetiresThePrefix) {
-  MessageRing ring{4};
-  int ran = 0;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(ring.try_push([&ran, i] { ran = i + 1; },
-                              sim::SimTime{10 * (i + 1)}));
-  }
-  // Peeked entries stay queued and re-invocable — the speculating
-  // consumer may invoke them, roll back, and invoke them again.
-  EXPECT_EQ(ring.peeked_at(0).picos(), 10);
-  EXPECT_EQ(ring.peeked_at(2).picos(), 30);
-  ring.peek(0)();
-  EXPECT_EQ(ran, 1);
-  ring.peek(0)();  // rollback path: same entry, same effect
-  EXPECT_EQ(ran, 1);
-  ring.peek(1)();
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.dequeued(), 0u);
-
-  // Commit: retire the delivered prefix. The survivor is the old third
-  // entry, now at the head for the next round's peek.
-  ring.consume(2);
-  EXPECT_EQ(ring.size(), 1u);
-  EXPECT_EQ(ring.dequeued(), 2u);
-  EXPECT_EQ(ring.peeked_at(0).picos(), 30);
-  ring.peek(0)();
-  EXPECT_EQ(ran, 3);
-  ring.consume(1);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.dequeued(), 3u);
 }
 
 // ---- pollers --------------------------------------------------------------
@@ -215,39 +179,6 @@ TEST_F(ReactorFixture, RunUntilIdleCountsConsecutiveDryIterations) {
   const u64 iterations = reactor.run_until_idle(/*idle_limit=*/3);
   EXPECT_EQ(iterations, 3u);
   EXPECT_EQ(reactor.stats().busy_iterations, 0u);
-}
-
-// ---- reactor groups -------------------------------------------------------
-
-TEST(ReactorGroup, CrossReactorPingPongDrains) {
-  core::VirtioNetTestbed bed{};
-  ReactorGroup group{2, {}, [&] { return bed.spawn_thread(); }};
-  ASSERT_EQ(group.size(), 2u);
-
-  u32 hops = 0;
-  // Bounce a message between the two reactors: each hop runs on the
-  // target and posts the next one back, stamped with the clock it ran
-  // at — the causal chain run_until_idle must honour.
-  std::function<void(u32)> hop = [&](u32 on) {
-    ++hops;
-    if (hops >= 6) {
-      return;
-    }
-    const u32 peer = 1 - on;
-    EXPECT_TRUE(
-        group.at(peer).post([&hop, peer] { hop(peer); }, group.at(on).now()));
-  };
-  ASSERT_TRUE(group.at(0).post([&hop] { hop(0); }, group.at(0).now()));
-  group.run_until_idle();
-
-  EXPECT_EQ(hops, 6u);
-  EXPECT_GE(group.at(0).stats().messages_processed, 3u);
-  EXPECT_GE(group.at(1).stats().messages_processed, 2u);
-  EXPECT_FALSE(group.at(0).has_pending_work());
-  EXPECT_FALSE(group.at(1).has_pending_work());
-  // The interleave is earliest-clock-first: neither reactor ends up far
-  // ahead of the other after a drained ping-pong.
-  EXPECT_LT((group.at(0).now() - group.at(1).now()).micros(), 1000.0);
 }
 
 }  // namespace

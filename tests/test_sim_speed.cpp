@@ -2,6 +2,9 @@
 // function of the config — worker-thread count included out.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "vfpga/harness/sim_speed.hpp"
 
 namespace vfpga::harness {
@@ -81,73 +84,30 @@ TEST(SimSpeed, AllocatorCountersAreDeterministic) {
   EXPECT_EQ(par.smallfn_heap_fallbacks, 0u);
 }
 
-// Workload-only comparison for cross-mode checks: everything the
-// simulation computed, but not the sync-layer shape (windows/barriers
-// are mode-variant — speculation executes windows skip-ahead jumps).
-void expect_same_workload(const SimSpeedResult& a, const SimSpeedResult& b) {
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.cross_lane_messages, b.cross_lane_messages);
-  EXPECT_EQ(a.cross_lane_received, b.cross_lane_received);
-  EXPECT_EQ(a.dropped_messages, b.dropped_messages);
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.flows_created, b.flows_created);
-  EXPECT_EQ(a.flows_completed, b.flows_completed);
-  EXPECT_EQ(a.flows_abandoned, b.flows_abandoned);
-  EXPECT_EQ(a.sample_count, b.sample_count);
-  EXPECT_EQ(a.sim_makespan_us, b.sim_makespan_us);
-  EXPECT_EQ(a.latency.mean_us, b.latency.mean_us);
-  EXPECT_EQ(a.latency.stddev_us, b.latency.stddev_us);
-  EXPECT_EQ(a.latency.p99_us, b.latency.p99_us);
-  EXPECT_EQ(a.latency.max_us, b.latency.max_us);
-}
-
-TEST(SimSpeed, OptimisticSyncMatchesConservativeWorkload) {
+TEST(SimSpeed, NonzeroThreadsIsExactDespiteTheEnvironment) {
+  // The bench's 1-thread oracle sets threads = 1 explicitly; the
+  // environment must not widen it. Restore whatever the caller had.
+  const char* saved = std::getenv("VFPGA_THREADS");
+  const std::string previous = saved != nullptr ? saved : "";
+  setenv("VFPGA_THREADS", "4", 1);
   SimSpeedConfig config = tiny_config();
   config.threads = 1;
-  const SimSpeedResult cons = run_sim_speed(config);
-  config.sync = sim::SyncMode::kOptimistic;
-  for (const unsigned threads : {1u, 2u}) {
-    config.threads = threads;
-    const SimSpeedResult opt = run_sim_speed(config);
-    expect_same_workload(cons, opt);
-    // Speculation really engaged: checkpoints were cut through the full
-    // testbed snapshot path, not skipped.
-    EXPECT_GT(opt.speculative_rounds, 0u) << "threads " << threads;
-    EXPECT_GT(opt.checkpoint_bytes, 0u) << "threads " << threads;
+  const SimSpeedResult r = run_sim_speed(config);
+  FlowSoakConfig soak;
+  soak.lanes = 4;
+  soak.flows_per_lane = 64;
+  soak.host_ips_per_lane = 1;
+  soak.ticks = 2;
+  soak.slots_per_tick = 16;
+  soak.threads = 1;
+  const FlowSoakResult s = run_flow_soak(soak);
+  if (saved != nullptr) {
+    setenv("VFPGA_THREADS", previous.c_str(), 1);
+  } else {
+    unsetenv("VFPGA_THREADS");
   }
-}
-
-TEST(SimSpeed, OptimisticSyncIsDeterministicAcrossThreadCounts) {
-  SimSpeedConfig config = tiny_config();
-  config.sync = sim::SyncMode::kOptimistic;
-  config.threads = 1;
-  const SimSpeedResult seq = run_sim_speed(config);
-  config.threads = 2;
-  const SimSpeedResult par = run_sim_speed(config);
-  expect_same_stats(seq, par);
-  // The whole sync trajectory — not just the workload — matches: the
-  // commit/rollback decisions are functions of deterministic state.
-  EXPECT_EQ(seq.barriers, par.barriers);
-  EXPECT_EQ(seq.speculative_rounds, par.speculative_rounds);
-  EXPECT_EQ(seq.speculated_windows, par.speculated_windows);
-  EXPECT_EQ(seq.rollbacks, par.rollbacks);
-  EXPECT_EQ(seq.checkpoint_bytes, par.checkpoint_bytes);
-  ASSERT_EQ(seq.residency.size(), par.residency.size());
-  for (std::size_t i = 0; i < seq.residency.size(); ++i) {
-    EXPECT_EQ(seq.residency[i].busy_windows, par.residency[i].busy_windows);
-    EXPECT_EQ(seq.residency[i].idle_windows, par.residency[i].idle_windows);
-    EXPECT_EQ(seq.residency[i].barrier_waits, par.residency[i].barrier_waits);
-  }
-}
-
-TEST(SimSpeed, AutoSyncMatchesConservativeWorkload) {
-  SimSpeedConfig config = tiny_config();
-  config.threads = 2;
-  const SimSpeedResult cons = run_sim_speed(config);
-  config.sync = sim::SyncMode::kAuto;
-  const SimSpeedResult aut = run_sim_speed(config);
-  expect_same_workload(cons, aut);
+  EXPECT_EQ(r.threads_used, 1u);
+  EXPECT_EQ(s.threads_used, 1u);
 }
 
 TEST(SimSpeed, ResidencyCountersPartitionCommittedWindows) {
@@ -239,21 +199,6 @@ TEST(SimSpeed, SoakAdaptiveWindowCutsBarriersWithoutChangingResults) {
   EXPECT_EQ(fixed.window_growths, 0u);
   EXPECT_GT(adaptive.window_growths, 0u);
   EXPECT_LT(adaptive.windows, fixed.windows);
-}
-
-TEST(SimSpeed, SoakOptimisticSyncMatchesConservative) {
-  FlowSoakConfig config = tiny_soak_config();
-  config.threads = 1;
-  const FlowSoakResult cons = run_flow_soak(config);
-  config.sync = sim::SyncMode::kOptimistic;
-  config.threads = 4;
-  const FlowSoakResult opt = run_flow_soak(config);
-  expect_same_soak(cons, opt);
-  EXPECT_EQ(opt.cross_lane_messages, cons.cross_lane_messages);
-  EXPECT_GT(opt.speculative_rounds, 0u);
-  // The soak's sparse notify traffic is the payoff case: speculation
-  // should commit extra windows, not just survive.
-  EXPECT_GT(opt.speculated_windows, 0u);
 }
 
 }  // namespace
