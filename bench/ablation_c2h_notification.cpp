@@ -11,7 +11,7 @@
 //      engine status (MMIO reads).
 #include <cstdio>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/stats/summary.hpp"
 
@@ -20,16 +20,6 @@ namespace {
 using namespace vfpga;
 
 constexpr u64 kPayload = 256;
-
-u64 iterations() {
-  if (const char* env = std::getenv("VFPGA_ITERATIONS")) {
-    const long long v = std::atoll(env);
-    if (v > 0) {
-      return static_cast<u64>(v);
-    }
-  }
-  return 20'000;
-}
 
 void report(const char* name, const stats::SampleSet& samples) {
   std::printf("%-26s mean %6.2f  stddev %5.2f  p95 %6.2f  p99 %6.2f (us)\n",
@@ -40,8 +30,9 @@ void report(const char* name, const stats::SampleSet& samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const u64 seed = bench::base_seed(11, argc, argv);
-  const u64 n = iterations();
+  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+  const u64 seed = args.seed.value_or(11);
+  const u64 n = args.iterations.value_or(20'000);
   std::printf("ABL-NOTIF -- C2H notification strategies, %llu round trips, "
               "%llu-byte payload equivalent\n\n",
               static_cast<unsigned long long>(n),

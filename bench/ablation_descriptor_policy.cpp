@@ -14,7 +14,7 @@
 // against the XDMA engine's per-transfer descriptor fetch as reference.
 #include <cstdio>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/stats/summary.hpp"
 
@@ -23,16 +23,6 @@ namespace {
 using namespace vfpga;
 
 constexpr u64 kPayload = 256;
-
-u64 iterations() {
-  if (const char* env = std::getenv("VFPGA_ITERATIONS")) {
-    const long long v = std::atoll(env);
-    if (v > 0) {
-      return static_cast<u64>(v);
-    }
-  }
-  return 20'000;
-}
 
 void run_virtio(const char* name, core::ControllerPolicy policy, u64 n,
                 u64 seed) {
@@ -58,8 +48,9 @@ void run_virtio(const char* name, core::ControllerPolicy policy, u64 n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const u64 seed = bench::base_seed(21, argc, argv);
-  const u64 n = iterations();
+  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+  const u64 seed = args.seed.value_or(21);
+  const u64 n = args.iterations.value_or(20'000);
   std::printf("ABL-DESC -- descriptor policy ablation, %llu round trips, "
               "%llu-byte payload\n\n",
               static_cast<unsigned long long>(n),

@@ -8,35 +8,21 @@
 // regime where driver choice stops mattering.
 #include <cstdio>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/stats/summary.hpp"
 
-namespace {
-
-using namespace vfpga;
-
-u64 iterations() {
-  if (const char* env = std::getenv("VFPGA_ITERATIONS")) {
-    const long long v = std::atoll(env);
-    if (v > 0) {
-      return static_cast<u64>(v) / 2 + 1;
-    }
-  }
-  return 8'000;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const u64 n = iterations();
+  using namespace vfpga;
+  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+  const u64 n = args.iterations ? *args.iterations / 2 + 1 : 8'000;
   std::printf("ABL-PAYLOAD -- bus-domination sweep, %llu round trips/point\n\n",
               static_cast<unsigned long long>(n));
   std::printf("%-10s %12s %12s %14s %16s\n", "bytes", "total (us)",
               "hw (us)", "sw share (%)", "goodput (Gb/s)");
 
   core::TestbedOptions options;
-  options.seed = bench::base_seed(31, argc, argv);
+  options.seed = args.seed.value_or(31);
   core::XdmaTestbed bed{options};
 
   for (u64 bytes : {u64{64}, u64{256}, u64{1024}, u64{4096}, u64{16384},

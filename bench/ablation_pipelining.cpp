@@ -8,9 +8,8 @@
 // This bench sweeps the burst size and reports per-packet cost and
 // packet rate for both stacks.
 #include <cstdio>
-#include <cstdlib>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/stats/summary.hpp"
 
@@ -20,21 +19,12 @@ using namespace vfpga;
 
 constexpr u64 kPayload = 256;
 
-u64 iterations() {
-  if (const char* env = std::getenv("VFPGA_ITERATIONS")) {
-    const long long v = std::atoll(env);
-    if (v > 0) {
-      return static_cast<u64>(v) / 4 + 1;
-    }
-  }
-  return 4'000;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const u64 seed = bench::base_seed(71, argc, argv);
-  const u64 bursts = iterations();
+  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+  const u64 seed = args.seed.value_or(71);
+  const u64 bursts = args.iterations ? *args.iterations / 4 + 1 : 4'000;
   std::printf("ABL-PIPE -- burst pipelining, %llu bursts/point, %llu B "
               "payload\n\n",
               static_cast<unsigned long long>(bursts),

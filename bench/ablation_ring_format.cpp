@@ -7,25 +7,14 @@
 // PCIe-attached FPGA, running the paper's UDP-echo experiment over both
 // formats with everything else identical.
 #include <cstdio>
-#include <cstdlib>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/stats/summary.hpp"
 
 namespace {
 
 using namespace vfpga;
-
-u64 iterations() {
-  if (const char* env = std::getenv("VFPGA_ITERATIONS")) {
-    const long long v = std::atoll(env);
-    if (v > 0) {
-      return static_cast<u64>(v);
-    }
-  }
-  return 20'000;
-}
 
 void run_format(bool packed, u64 n, u64 seed) {
   std::printf("%s rings:\n", packed ? "packed" : "split ");
@@ -59,8 +48,9 @@ void run_format(bool packed, u64 n, u64 seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const u64 seed = bench::base_seed(51, argc, argv);
-  const u64 n = iterations();
+  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+  const u64 seed = args.seed.value_or(51);
+  const u64 n = args.iterations.value_or(20'000);
   std::printf("ABL-RING -- split vs packed virtqueue format, %llu round "
               "trips/point\n\n",
               static_cast<unsigned long long>(n));

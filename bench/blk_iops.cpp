@@ -9,27 +9,25 @@
 //   - IOPS is non-decreasing in queue depth (2% tolerance) for every
 //     (mode, payload) — deeper queues amortize per-op host costs;
 //   - no completion carried a non-OK status byte.
-// Writes BENCH_blk.json ($VFPGA_JSON_DIR honoured). Exits non-zero on
-// any gate violation.
+// Writes BENCH_blk.json ($VFPGA_JSON_DIR honoured): the --stats-only
+// document plus `ok`. Exits non-zero on any gate violation or when the
+// JSON cannot be written.
 //
 // The sweep's cells run sharded across event lanes (run_blk_sweep):
 // bit-identical numbers at any worker-thread count, in the canonical
 // payload-major / depth / {interrupt, reactor} order printed below.
 //
 //   --smoke                trimmed sweep for CI
-//   --stats-only           print ONLY the deterministic per-cell JSON to
+//   --stats-only           print ONLY the deterministic JSON document to
 //                          stdout — CI byte-diffs this across
 //                          VFPGA_THREADS (no gates, no file)
 //   --threads N            worker threads for the sweep lanes
 //                          (env > this > hardware; VFPGA_THREADS wins)
-//   --seed N               base seed override (also VFPGA_BENCH_SEED)
+//   --seed N               base seed (beats VFPGA_SEED)
 //   VFPGA_ITERATIONS=400   measured requests per cell
 #include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/harness/blk_bench.hpp"
 #include "vfpga/harness/report.hpp"
 
@@ -42,56 +40,48 @@ const char* mode_name(BlkCompletionMode mode) {
   return mode == BlkCompletionMode::kInterrupt ? "interrupt" : "reactor";
 }
 
-bool write_json(const vfpga::harness::BlkBenchConfig& config,
-                const std::vector<BlkCellResult>& cells, bool ok) {
-  const std::string path = vfpga::harness::bench_json_path("BENCH_blk.json");
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
+/// The deterministic members, byte-identical at any thread count, in an
+/// object left open: --stats-only closes it, the file adds `ok` first.
+vfpga::harness::Json sweep_json(const vfpga::harness::BlkBenchConfig& config,
+                                const vfpga::harness::BlkSweepResult& sweep) {
+  vfpga::harness::Json doc;
+  doc.begin_object()
+      .field("source", "blk_iops")
+      .field("seed", config.seed)
+      .field("ops_per_cell", config.ops_per_cell)
+      .field("lane_windows", sweep.lane_windows)
+      .field("lane_messages", sweep.lane_messages)
+      .field("cells_aggregated", sweep.cells_aggregated)
+      .begin_array("cells");
+  for (const BlkCellResult& r : sweep.cells) {
+    doc.begin_object()
+        .field("mode", mode_name(r.mode))
+        .field("payload", r.payload)
+        .field("queue_depth", r.queue_depth)
+        .field("ops", r.ops)
+        .field("failures", r.failures)
+        .field("iops", r.iops)
+        .field("p50_us", r.latency_us.percentile(50))
+        .field("p99_us", r.latency_us.percentile(99))
+        .field("p999_us", r.latency_us.percentile(99.9))
+        .end_object();
   }
-  std::fprintf(file,
-               "{\n  \"source\": \"blk_iops\",\n  \"seed\": %llu,\n"
-               "  \"ops_per_cell\": %u,\n  \"cells\": [",
-               static_cast<unsigned long long>(config.seed),
-               config.ops_per_cell);
-  bool first = true;
-  for (const BlkCellResult& r : cells) {
-    std::fprintf(
-        file,
-        "%s\n    {\"mode\": \"%s\", \"payload\": %u, \"queue_depth\": %u, "
-        "\"ops\": %llu, \"failures\": %llu, \"iops\": %.1f, "
-        "\"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f}",
-        first ? "" : ",", mode_name(r.mode), r.payload, r.queue_depth,
-        static_cast<unsigned long long>(r.ops),
-        static_cast<unsigned long long>(r.failures), r.iops,
-        r.latency_us.percentile(50), r.latency_us.percentile(99),
-        r.latency_us.percentile(99.9));
-    first = false;
-  }
-  std::fprintf(file, "\n  ],\n  \"ok\": %s\n}\n", ok ? "true" : "false");
-  std::fclose(file);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
+  doc.end_array();
+  return doc;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace vfpga;
-  bool smoke = false;
-  bool stats_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--stats-only") == 0) {
-      stats_only = true;
-    }
-  }
-
-  harness::BlkBenchConfig config = harness::BlkBenchConfig::from_env();
-  config.seed = bench::base_seed(config.seed, argc, argv);
-  config.threads = bench::cli_threads(argc, argv);
-  if (smoke) {
+  const bench::Args args = bench::parse_args(
+      argc, argv,
+      bench::kSmoke | bench::kStatsOnly | bench::kSeed | bench::kThreads);
+  harness::BlkBenchConfig config;
+  config.ops_per_cell = args.iterations.value_or(config.ops_per_cell);
+  config.seed = args.seed.value_or(config.seed);
+  config.threads = args.threads;
+  if (args.smoke) {
     config.payloads = {512, 65536};
     config.queue_depths = {1, 8};
     config.ops_per_cell = 120;
@@ -102,30 +92,14 @@ int main(int argc, char** argv) {
   // read sweep.cells, which run_blk_sweep orders exactly as this bench
   // prints: payload-major, then depth, then {interrupt, reactor}.
   const harness::BlkSweepResult sweep = harness::run_blk_sweep(config);
+  harness::Json doc = sweep_json(config, sweep);
 
-  if (stats_only) {
-    std::printf("{\n  \"source\": \"blk_iops\",\n  \"seed\": %llu,\n"
-                "  \"lane_windows\": %llu,\n  \"lane_messages\": %llu,\n"
-                "  \"cells_aggregated\": %u,\n  \"cells\": [",
-                static_cast<unsigned long long>(config.seed),
-                static_cast<unsigned long long>(sweep.lane_windows),
-                static_cast<unsigned long long>(sweep.lane_messages),
-                sweep.cells_aggregated);
+  if (args.stats_only) {
+    std::fputs(doc.end_object().str().c_str(), stdout);
     bool clean = true;
-    for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
-      const BlkCellResult& r = sweep.cells[i];
-      std::printf(
-          "%s\n    {\"mode\": \"%s\", \"payload\": %u, \"queue_depth\": %u, "
-          "\"ops\": %llu, \"failures\": %llu, \"iops\": %.4f, "
-          "\"p50_us\": %.4f, \"p99_us\": %.4f, \"p999_us\": %.4f}",
-          i == 0 ? "" : ",", mode_name(r.mode), r.payload, r.queue_depth,
-          static_cast<unsigned long long>(r.ops),
-          static_cast<unsigned long long>(r.failures), r.iops,
-          r.latency_us.percentile(50), r.latency_us.percentile(99),
-          r.latency_us.percentile(99.9));
+    for (const BlkCellResult& r : sweep.cells) {
       clean = clean && r.failures == 0;
     }
-    std::printf("\n  ]\n}\n");
     return clean ? 0 : 1;
   }
 
@@ -133,11 +107,10 @@ int main(int argc, char** argv) {
       "blk_iops: %u requests/cell, seed %llu%s\n\n"
       "%8s %9s %6s | %10s %9s %9s %10s | %10s\n",
       config.ops_per_cell, static_cast<unsigned long long>(config.seed),
-      smoke ? " (smoke)" : "", "payload", "mode", "depth", "IOPS", "p50 us",
-      "p99 us", "p99.9 us", "poll-busy%");
+      args.smoke ? " (smoke)" : "", "payload", "mode", "depth", "IOPS",
+      "p50 us", "p99 us", "p99.9 us", "poll-busy%");
 
   bool ok = true;
-  std::vector<BlkCellResult> cells;
   std::size_t cell_index = 0;
   for (const u32 payload : config.payloads) {
     // iops[mode] per depth, for the monotonicity gate.
@@ -176,7 +149,6 @@ int main(int argc, char** argv) {
           ok = false;
         }
         prev_iops[m] = r.iops;
-        cells.push_back(r);
       }
       const BlkCellResult& irq =
           per_mode[static_cast<std::size_t>(BlkCompletionMode::kInterrupt)];
@@ -202,6 +174,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  write_json(config, cells, ok);
+  doc.field("ok", ok).end_object();
+  ok = harness::write_bench_json("BENCH_blk.json", doc.str()) && ok;
   return ok ? 0 : 1;
 }

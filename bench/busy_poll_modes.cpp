@@ -13,14 +13,12 @@
 // Exits non-zero on any gate violation.
 //
 //   --smoke                trimmed sweep for CI
-//   --seed N               base seed override (also VFPGA_BENCH_SEED)
+//   --seed N               base seed (beats VFPGA_SEED; default 45073)
 //   VFPGA_ITERATIONS=300   measured echoes per flow
-//   VFPGA_SEED=45073       base seed
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/harness/busy_poll_bench.hpp"
 
 namespace {
@@ -41,17 +39,13 @@ const char* mode_name(vfpga::hostos::RxMode mode) {
 
 int main(int argc, char** argv) {
   using namespace vfpga;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
-
-  harness::BusyPollBenchConfig base = harness::BusyPollBenchConfig::from_env();
-  base.seed = bench::base_seed(base.seed, argc, argv);
+  const bench::Args args =
+      bench::parse_args(argc, argv, bench::kSmoke | bench::kSeed);
+  harness::BusyPollBenchConfig base;
+  base.iterations_per_flow = args.iterations.value_or(base.iterations_per_flow);
+  base.seed = args.seed.value_or(base.seed);
   std::vector<u16> flow_counts = {1, 4};
-  if (smoke) {
+  if (args.smoke) {
     base.payloads = {64, 256, 1024};
     flow_counts = {1};
     base.trials = 3;
@@ -67,9 +61,9 @@ int main(int argc, char** argv) {
       "busy_poll_modes: %u trials/cell, %llu echoes/flow, %.0fus pacing%s\n\n"
       "%6s %9s %8s | %8s %8s %8s %9s | %9s %6s\n",
       base.trials, static_cast<unsigned long long>(base.iterations_per_flow),
-      base.pacing_gap.micros(), smoke ? " (smoke)" : "", "flows", "mode",
-      "payload", "p50 us", "p95 us", "p99 us", "p99.9 us", "residency",
-      "spin%");
+      base.pacing_gap.micros(), args.smoke ? " (smoke)" : "", "flows",
+      "mode", "payload", "p50 us", "p95 us", "p99 us", "p99.9 us",
+      "residency", "spin%");
 
   bool ok = true;
   for (const u16 flows : flow_counts) {

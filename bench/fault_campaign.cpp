@@ -7,61 +7,48 @@
 // when any run hung, silently corrupted a payload, or failed to return
 // to steady-state after the plane was disarmed — with a per-class
 // breakdown of what failed, so CI logs show which invariant broke
-// where instead of a bare exit code.
+// where instead of a bare exit code — or when the JSON cannot be
+// written.
 //
-//   --seed N                 base-seed override (or VFPGA_BENCH_SEED)
+//   --seed N                 base seed (beats VFPGA_SEED; default 202408)
 //   VFPGA_CAMPAIGN_RUNS=200  seeded runs per (class, workload)
 //   VFPGA_CAMPAIGN_OPS=12    faulted operations per run
 //   VFPGA_CAMPAIGN_RATE=0.08 per-consult injection probability
 #include <cstdio>
 #include <string>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/harness/fault_campaign.hpp"
 #include "vfpga/harness/report.hpp"
 
 namespace {
 
-bool write_json(const vfpga::harness::CampaignConfig& config,
-                const vfpga::harness::CampaignResult& result) {
-  const std::string path =
-      vfpga::harness::bench_json_path("BENCH_fault_campaign.json");
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
-  }
-  std::fprintf(file,
-               "{\n  \"source\": \"fault_campaign\",\n  \"seed\": %llu,\n"
-               "  \"runs_per_class\": %llu,\n  \"ops_per_run\": %u,\n"
-               "  \"fault_rate\": %.4f,\n  \"classes\": [",
-               static_cast<unsigned long long>(config.base_seed),
-               static_cast<unsigned long long>(config.runs_per_class),
-               config.ops_per_run, config.fault_rate);
-  bool first = true;
+std::string campaign_json(const vfpga::harness::CampaignConfig& config,
+                          const vfpga::harness::CampaignResult& result) {
+  vfpga::harness::Json doc;
+  doc.begin_object()
+      .field("source", "fault_campaign")
+      .field("seed", config.base_seed)
+      .field("runs_per_class", config.runs_per_class)
+      .field("ops_per_run", config.ops_per_run)
+      .field("fault_rate", config.fault_rate)
+      .begin_array("classes");
   for (const auto& r : result.classes) {
-    std::fprintf(
-        file,
-        "%s\n    {\"class\": \"%s\", \"workload\": \"%s\", "
-        "\"runs\": %llu, \"injected\": %llu, \"hangs\": %llu, "
-        "\"corruptions\": %llu, \"device_resets\": %llu, "
-        "\"recoveries\": %llu, \"steady_state_failures\": %llu, "
-        "\"ok\": %s}",
-        first ? "" : ",", vfpga::fault::fault_class_name(r.cls),
-        r.workload.c_str(), static_cast<unsigned long long>(r.runs),
-        static_cast<unsigned long long>(r.injected),
-        static_cast<unsigned long long>(r.hangs),
-        static_cast<unsigned long long>(r.corruptions),
-        static_cast<unsigned long long>(r.device_resets),
-        static_cast<unsigned long long>(r.recoveries),
-        static_cast<unsigned long long>(r.steady_state_failures),
-        r.ok() ? "true" : "false");
-    first = false;
+    doc.begin_object()
+        .field("class", vfpga::fault::fault_class_name(r.cls))
+        .field("workload", r.workload)
+        .field("runs", r.runs)
+        .field("injected", r.injected)
+        .field("hangs", r.hangs)
+        .field("corruptions", r.corruptions)
+        .field("device_resets", r.device_resets)
+        .field("recoveries", r.recoveries)
+        .field("steady_state_failures", r.steady_state_failures)
+        .field("ok", r.ok())
+        .end_object();
   }
-  std::fprintf(file, "\n  ],\n  \"ok\": %s\n}\n",
-               result.ok() ? "true" : "false");
-  std::fclose(file);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
+  doc.end_array().field("ok", result.ok()).end_object();
+  return doc.str();
 }
 
 /// Per-class failure breakdown on the way out: which invariant broke,
@@ -93,8 +80,12 @@ int report_failures(const vfpga::harness::CampaignResult& result) {
 
 int main(int argc, char** argv) {
   using namespace vfpga;
-  harness::CampaignConfig config = harness::CampaignConfig::from_env();
-  config.base_seed = bench::base_seed(config.base_seed, argc, argv);
+  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+  harness::CampaignConfig config;
+  config.runs_per_class = args.campaign_runs.value_or(config.runs_per_class);
+  config.ops_per_run = args.campaign_ops.value_or(config.ops_per_run);
+  config.fault_rate = args.campaign_rate.value_or(config.fault_rate);
+  config.base_seed = args.seed.value_or(config.base_seed);
   std::printf(
       "fault campaign: %llu runs/class, %u ops/run, rate %.3f, seed %llu\n",
       static_cast<unsigned long long>(config.runs_per_class),
@@ -102,6 +93,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(config.base_seed));
   const harness::CampaignResult result = harness::run_fault_campaign(config);
   harness::print_campaign_report(result);
-  write_json(config, result);
-  return report_failures(result) == 0 ? 0 : 1;
+  const bool written = harness::write_bench_json(
+      "BENCH_fault_campaign.json", campaign_json(config, result));
+  return report_failures(result) == 0 && written ? 0 : 1;
 }

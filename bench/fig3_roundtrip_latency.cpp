@@ -3,29 +3,25 @@
 //
 // Sweeps payloads 64 B..1 KB, 50,000 packets each (VFPGA_ITERATIONS to
 // override), on both testbeds, and prints the distribution summary plus
-// ASCII histograms of the latency distributions.
+// ASCII histograms of the latency distributions. Writes
+// BENCH_latency.json ($VFPGA_JSON_DIR honoured); exits 1 if it cannot.
 #include <cstdio>
 
+#include "bench_cli.hpp"
 #include "vfpga/harness/parallel.hpp"
 #include "vfpga/harness/report.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vfpga;
-  harness::ExperimentConfig config = harness::ExperimentConfig::from_env();
+  const harness::ExperimentConfig config =
+      bench::paper_config(bench::parse_args(argc, argv, 0));
   const auto [virtio, xdma] = harness::run_both_sweeps_parallel(config);
   std::fputs(harness::render_fig3(virtio, xdma, /*with_histograms=*/true)
                  .c_str(),
              stdout);
   std::fputs(harness::render_footer(config, virtio, xdma).c_str(), stdout);
-  const std::string csv =
-      harness::maybe_export_csv(virtio, xdma, "fig3_roundtrip_latency");
-  if (!csv.empty()) {
-    std::printf("[csv written to %s]\n", csv.c_str());
-  }
-  const std::string json = harness::write_latency_json(
-      config, virtio, xdma, "fig3_roundtrip_latency");
-  if (!json.empty()) {
-    std::printf("[json written to %s]\n", json.c_str());
-  }
-  return 0;
+  return harness::write_latency_json(config, virtio, xdma,
+                                     "fig3_roundtrip_latency")
+             ? 0
+             : 1;
 }

@@ -4,12 +4,14 @@
 // mean +- standard deviation per payload.
 #include <cstdio>
 
+#include "bench_cli.hpp"
 #include "vfpga/harness/report.hpp"
 #include "vfpga/harness/virtio_bench.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vfpga;
-  harness::ExperimentConfig config = harness::ExperimentConfig::from_env();
+  const harness::ExperimentConfig config =
+      bench::paper_config(bench::parse_args(argc, argv, 0));
   const harness::SweepResult sweep = harness::run_virtio_sweep(config);
   std::fputs(
       harness::render_breakdown_figure(

@@ -3,12 +3,14 @@
 // time exceeds the hardware time — the reverse of the VirtIO breakdown.
 #include <cstdio>
 
+#include "bench_cli.hpp"
 #include "vfpga/harness/report.hpp"
 #include "vfpga/harness/xdma_bench.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vfpga;
-  harness::ExperimentConfig config = harness::ExperimentConfig::from_env();
+  const harness::ExperimentConfig config =
+      bench::paper_config(bench::parse_args(argc, argv, 0));
   const harness::SweepResult sweep = harness::run_xdma_sweep(config);
   std::fputs(
       harness::render_breakdown_figure(

@@ -5,117 +5,85 @@
 // prints the blackout/loss/verification report, writes
 // BENCH_migration.json ($VFPGA_JSON_DIR honoured) and exits non-zero
 // when any run corrupted state, diverged after switchover, or blew the
-// blackout budget.
+// blackout budget, or when the JSON cannot be written.
 //
 //   --smoke            trimmed workload for CI (fewer ops and rounds)
-//   --seed N           base-seed override (or VFPGA_BENCH_SEED)
+//   --seed N           base seed (beats VFPGA_SEED; default 8242026)
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/harness/migration.hpp"
 #include "vfpga/harness/report.hpp"
 
 namespace {
 
-struct NamedResult {
-  std::string name;
-  vfpga::harness::MigrationConfig config;
-  vfpga::harness::MigrationResult result;
-};
-
-bool write_json(const std::vector<NamedResult>& runs, vfpga::u64 seed) {
-  const std::string path =
-      vfpga::harness::bench_json_path("BENCH_migration.json");
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
-  }
-  std::fprintf(file, "{\n  \"source\": \"migration\",\n  \"seed\": %llu,\n"
-               "  \"runs\": [",
-               static_cast<unsigned long long>(seed));
-  bool first = true;
-  for (const NamedResult& run : runs) {
-    const auto& r = run.result;
-    std::fprintf(
-        file,
-        "%s\n    {\"ring\": \"%s\", \"precopy_rounds\": %u, "
-        "\"pages_full\": %llu, \"pages_dirty\": %llu, "
-        "\"pages_blackout\": %llu, \"state_bytes\": %llu, "
-        "\"blackout_us\": %.2f, \"rate_pps\": %.0f, "
-        "\"modeled_lost_packets\": %.3f, \"loss_bound_packets\": %.3f, "
-        "\"ops_precopy\": %llu, \"faults_injected\": %llu, "
-        "\"post_ops\": %llu, \"divergent_ops\": %llu, "
-        "\"restore_ok\": %s, \"snapshot_identical\": %s, "
-        "\"final_snapshot_identical\": %s, \"blackout_bounded\": %s, "
-        "\"ok\": %s}",
-        first ? "" : ",", run.name.c_str(), r.precopy_rounds,
-        static_cast<unsigned long long>(r.pages_full_copy),
-        static_cast<unsigned long long>(r.pages_dirty_copied),
-        static_cast<unsigned long long>(r.pages_blackout),
-        static_cast<unsigned long long>(r.state_bytes), r.blackout_us,
-        r.traffic_rate_pps, r.modeled_lost_packets, r.loss_bound_packets,
-        static_cast<unsigned long long>(r.ops_during_precopy),
-        static_cast<unsigned long long>(r.faults_injected),
-        static_cast<unsigned long long>(r.post_ops),
-        static_cast<unsigned long long>(r.divergent_ops),
-        r.restore_ok ? "true" : "false",
-        r.snapshot_identical ? "true" : "false",
-        r.final_snapshot_identical ? "true" : "false",
-        r.blackout_bounded ? "true" : "false", r.ok() ? "true" : "false");
-    first = false;
-  }
-  std::fprintf(file, "\n  ]\n}\n");
-  std::fclose(file);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
+void add_run(vfpga::harness::Json& doc, const char* ring,
+             const vfpga::harness::MigrationResult& r) {
+  doc.begin_object()
+      .field("ring", ring)
+      .field("precopy_rounds", r.precopy_rounds)
+      .field("pages_full", r.pages_full_copy)
+      .field("pages_dirty", r.pages_dirty_copied)
+      .field("pages_blackout", r.pages_blackout)
+      .field("state_bytes", r.state_bytes)
+      .field("blackout_us", r.blackout_us)
+      .field("rate_pps", r.traffic_rate_pps)
+      .field("modeled_lost_packets", r.modeled_lost_packets)
+      .field("loss_bound_packets", r.loss_bound_packets)
+      .field("ops_precopy", r.ops_during_precopy)
+      .field("faults_injected", r.faults_injected)
+      .field("post_ops", r.post_ops)
+      .field("divergent_ops", r.divergent_ops)
+      .field("restore_ok", r.restore_ok)
+      .field("snapshot_identical", r.snapshot_identical)
+      .field("final_snapshot_identical", r.final_snapshot_identical)
+      .field("blackout_bounded", r.blackout_bounded)
+      .field("ok", r.ok())
+      .end_object();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace vfpga;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
-  const u64 seed = bench::base_seed(8'24'2026, argc, argv);
+  const bench::Args args =
+      bench::parse_args(argc, argv, bench::kSmoke | bench::kSeed);
+  const u64 seed = args.seed.value_or(8'24'2026);
 
   harness::MigrationConfig base;
-  base.seed = seed;
-  if (smoke) {
+  if (args.smoke) {
     base.ops_per_round = 10;
     base.max_precopy_rounds = 4;
     base.post_ops = 16;
     base.clean_ops = 4;
   }
 
-  std::vector<NamedResult> runs;
+  harness::Json doc;
+  doc.begin_object()
+      .field("source", "migration")
+      .field("seed", seed)
+      .begin_array("runs");
+  std::vector<const char*> failed;
   for (const bool packed : {false, true}) {
     harness::MigrationConfig config = base;
     config.testbed.use_packed_rings = packed;
     config.seed = seed + (packed ? 1 : 0);
-    NamedResult run;
-    run.name = packed ? "packed" : "split";
-    run.config = config;
-    std::printf("=== %s rings ===\n", run.name.c_str());
-    run.result = harness::run_migration(config);
-    harness::print_migration_report(config, run.result);
-    runs.push_back(std::move(run));
-  }
-
-  write_json(runs, seed);
-
-  for (const NamedResult& run : runs) {
-    if (!run.result.ok()) {
-      std::printf("FAIL: %s-ring migration violated an invariant\n",
-                  run.name.c_str());
-      return 1;
+    const char* ring = packed ? "packed" : "split";
+    std::printf("=== %s rings ===\n", ring);
+    const harness::MigrationResult result = harness::run_migration(config);
+    harness::print_migration_report(config, result);
+    add_run(doc, ring, result);
+    if (!result.ok()) {
+      failed.push_back(ring);
     }
   }
-  return 0;
+  doc.end_array().field("ok", failed.empty()).end_object();
+  const bool written = harness::write_bench_json("BENCH_migration.json",
+                                                 doc.str());
+
+  for (const char* ring : failed) {
+    std::printf("FAIL: %s-ring migration violated an invariant\n", ring);
+  }
+  return failed.empty() && written ? 0 : 1;
 }

@@ -10,20 +10,19 @@
 //
 //   --smoke                  trimmed sweep for CI
 //   --stats-only             print ONLY the deterministic per-cell JSON
-//                            to stdout — CI byte-diffs this across
-//                            VFPGA_THREADS (no gates, no wall-clock)
+//                            document to stdout — CI byte-diffs this
+//                            across VFPGA_THREADS (no gates, no table)
 //   --threads N              worker threads for the trial lanes
 //                            (env > this > hardware; VFPGA_THREADS wins)
-//   --seed N                 base seed override (also VFPGA_BENCH_SEED)
+//   --seed N                 base seed (beats VFPGA_SEED; default 2025)
 //   VFPGA_MQ_TRIALS=4        independent trials per cell
 //   VFPGA_MQ_PACKETS=200     measured echoes per flow
-//   VFPGA_SEED=2025          base seed
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/harness/multi_flow.hpp"
+#include "vfpga/harness/report.hpp"
 
 namespace {
 
@@ -32,48 +31,43 @@ namespace {
 // adds device-side parallelism and can only help (modulo trial noise).
 constexpr double kMonotonicTolerance = 0.97;
 
-/// One cell's deterministic stats as a JSON object line. Everything
-/// here is simulated-time derived, so it must match byte for byte at
-/// any thread count.
-void print_cell_json(const vfpga::harness::MultiFlowResult& r, bool first) {
-  std::printf(
-      "%s\n    {\"pairs\": %u, \"flows\": %u, \"payload\": %llu, "
-      "\"kpps\": %.4f, \"makespan_us\": %.3f, \"p50_us\": %.4f, "
-      "\"p99_us\": %.4f, \"failures\": %llu, \"cross_pair_rx\": %llu, "
-      "\"lane_windows\": %llu, \"lane_window_growths\": %llu, "
-      "\"lane_messages\": %llu, \"trials_aggregated\": %u}",
-      first ? "" : ",", r.queue_pairs, r.flows,
-      static_cast<unsigned long long>(r.payload_bytes),
-      r.aggregate_mpps * 1000.0, r.mean_makespan_us,
-      r.all_latency_us.percentile(50), r.all_latency_us.percentile(99),
-      static_cast<unsigned long long>(r.failures),
-      static_cast<unsigned long long>(r.cross_pair_rx),
-      static_cast<unsigned long long>(r.lane_windows),
-      static_cast<unsigned long long>(r.lane_window_growths),
-      static_cast<unsigned long long>(r.lane_messages), r.trials_aggregated);
+/// One cell's deterministic stats. Everything here is simulated-time
+/// derived, so it must match byte for byte at any thread count.
+void add_cell(vfpga::harness::Json& doc,
+              const vfpga::harness::MultiFlowResult& r) {
+  doc.begin_object()
+      .field("pairs", r.queue_pairs)
+      .field("flows", r.flows)
+      .field("payload", r.payload_bytes)
+      .field("kpps", r.aggregate_mpps * 1000.0)
+      .field("makespan_us", r.mean_makespan_us)
+      .field("p50_us", r.all_latency_us.percentile(50))
+      .field("p99_us", r.all_latency_us.percentile(99))
+      .field("failures", r.failures)
+      .field("cross_pair_rx", r.cross_pair_rx)
+      .field("lane_windows", r.lane_windows)
+      .field("lane_window_growths", r.lane_window_growths)
+      .field("lane_messages", r.lane_messages)
+      .field("trials_aggregated", r.trials_aggregated)
+      .end_object();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace vfpga;
-  bool smoke = false;
-  bool stats_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--stats-only") == 0) {
-      stats_only = true;
-    }
-  }
-
-  harness::MultiFlowConfig base = harness::MultiFlowConfig::from_env();
-  base.seed = bench::base_seed(base.seed, argc, argv);
-  base.threads = bench::cli_threads(argc, argv);
+  const bench::Args args = bench::parse_args(
+      argc, argv,
+      bench::kSmoke | bench::kStatsOnly | bench::kSeed | bench::kThreads);
+  harness::MultiFlowConfig base;
+  base.trials = args.mq_trials.value_or(base.trials);
+  base.packets_per_flow = args.mq_packets.value_or(base.packets_per_flow);
+  base.seed = args.seed.value_or(base.seed);
+  base.threads = args.threads;
   std::vector<u16> pair_counts = {1, 2, 4, 8};
   std::vector<u16> flow_counts = {8, 16};
   std::vector<u64> payloads = {64, 256, 1024};
-  if (smoke) {
+  if (args.smoke) {
     pair_counts = {1, 2, 4};
     flow_counts = {8};
     payloads = {256};
@@ -82,27 +76,33 @@ int main(int argc, char** argv) {
     base.warmup_per_flow = 4;
   }
 
-  if (stats_only) {
-    std::printf("{\n  \"source\": \"mq_scaling\",\n  \"seed\": %llu,\n"
-                "  \"cells\": [",
-                static_cast<unsigned long long>(base.seed));
-    bool first = true;
-    bool clean = true;
-    for (const u16 flows : flow_counts) {
-      for (const u64 payload : payloads) {
-        for (const u16 pairs : pair_counts) {
-          harness::MultiFlowConfig config = base;
-          config.queue_pairs = pairs;
-          config.flows = flows;
-          config.payload_bytes = payload;
-          const harness::MultiFlowResult r = harness::run_multi_flow(config);
-          print_cell_json(r, first);
-          first = false;
-          clean = clean && r.failures == 0 && r.cross_pair_rx == 0;
-        }
+  // Every cell runs once, in the order both outputs walk: flows, then
+  // payload, then pairs.
+  std::vector<harness::MultiFlowResult> results;
+  for (const u16 flows : flow_counts) {
+    for (const u64 payload : payloads) {
+      for (const u16 pairs : pair_counts) {
+        harness::MultiFlowConfig config = base;
+        config.queue_pairs = pairs;
+        config.flows = flows;
+        config.payload_bytes = payload;
+        results.push_back(harness::run_multi_flow(config));
       }
     }
-    std::printf("\n  ]\n}\n");
+  }
+
+  if (args.stats_only) {
+    harness::Json doc;
+    doc.begin_object()
+        .field("source", "mq_scaling")
+        .field("seed", base.seed)
+        .begin_array("cells");
+    bool clean = true;
+    for (const harness::MultiFlowResult& r : results) {
+      add_cell(doc, r);
+      clean = clean && r.failures == 0 && r.cross_pair_rx == 0;
+    }
+    std::fputs(doc.end_array().end_object().str().c_str(), stdout);
     return clean ? 0 : 1;
   }
 
@@ -111,20 +111,17 @@ int main(int argc, char** argv) {
       "%5s %6s %8s | %10s %10s | %8s %8s %8s %9s %12s\n",
       base.trials,
       static_cast<unsigned long long>(base.packets_per_flow),
-      smoke ? " (smoke)" : "", "pairs", "flows", "payload", "aggr kpps",
+      args.smoke ? " (smoke)" : "", "pairs", "flows", "payload", "aggr kpps",
       "makespan", "p50 us", "p95 us", "p99 us", "p99.9 us", "worst-p99 us");
 
   bool ok = true;
+  std::size_t cell_index = 0;
   for (const u16 flows : flow_counts) {
     for (const u64 payload : payloads) {
       double prev_kpps = 0;
       u16 prev_pairs = 0;
       for (const u16 pairs : pair_counts) {
-        harness::MultiFlowConfig config = base;
-        config.queue_pairs = pairs;
-        config.flows = flows;
-        config.payload_bytes = payload;
-        const harness::MultiFlowResult r = harness::run_multi_flow(config);
+        const harness::MultiFlowResult& r = results[cell_index++];
 
         double worst_p99 = 0;
         for (const harness::FlowResult& flow : r.per_flow) {

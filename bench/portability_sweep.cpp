@@ -9,8 +9,8 @@
 // ordering is a property of the driver structures, not of one board —
 // so it should hold on every platform.
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_cli.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/stats/summary.hpp"
 
@@ -67,20 +67,10 @@ sim::NoiseConfig tuned_server_noise() {
   return n;
 }
 
-u64 iterations() {
-  if (const char* env = std::getenv("VFPGA_ITERATIONS")) {
-    const long long v = std::atoll(env);
-    if (v > 0) {
-      return static_cast<u64>(v);
-    }
-  }
-  return 15'000;
-}
-
 }  // namespace
 
-int main() {
-  const u64 n = iterations();
+int main(int argc, char** argv) {
+  const u64 n = bench::parse_args(argc, argv, 0).iterations.value_or(15'000);
   const u64 payload = 256;
   std::printf("PORTABILITY -- VirtIO vs XDMA across platform presets, "
               "%llu round trips, %llu B payload\n\n",

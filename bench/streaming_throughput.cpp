@@ -16,7 +16,8 @@
 // with a near-tie tolerance where costs cross. The mergeable cell must
 // negotiate MRG_RXBUF and reassemble spans; the tso cell must negotiate
 // the offload, submit superframes and see GRO coalescing end to end.
-// Exits non-zero on any gate violation.
+// Writes BENCH_streaming.json ($VFPGA_JSON_DIR honoured). Exits non-zero
+// on any gate violation or when the JSON cannot be written.
 //
 // The sweep's cells run sharded across event lanes
 // (run_streaming_sweep): bit-identical numbers at any worker-thread
@@ -26,31 +27,24 @@
 //   --smoke                trimmed sweep for CI
 //   --threads N            worker threads for the sweep lanes
 //                          (env > this > hardware; VFPGA_THREADS wins)
-//   --seed N               base seed override (also VFPGA_BENCH_SEED)
-//   VFPGA_ITERATIONS=200   measured round trips per cell
-//   VFPGA_SEED=2024        base seed
+//   --seed N               base seed (beats VFPGA_SEED; default 2024)
+//   VFPGA_ITERATIONS=400   measured round trips per cell
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
-#include "bench_seed.hpp"
+#include "bench_cli.hpp"
 #include "vfpga/harness/report.hpp"
 #include "vfpga/harness/streaming.hpp"
 
 int main(int argc, char** argv) {
   using namespace vfpga;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
-
-  harness::StreamingConfig config = harness::StreamingConfig::from_env();
-  config.seed = bench::base_seed(config.seed, argc, argv);
-  config.threads = bench::cli_threads(argc, argv);
-  if (smoke) {
+  const bench::Args args = bench::parse_args(
+      argc, argv, bench::kSmoke | bench::kSeed | bench::kThreads);
+  harness::StreamingConfig config;
+  config.iterations = args.iterations.value_or(config.iterations);
+  config.seed = args.seed.value_or(config.seed);
+  config.threads = args.threads;
+  if (args.smoke) {
     config.payloads = {4096, 16384};
     config.iterations = std::min<u64>(config.iterations, 120);
     config.warmup = 4;
@@ -71,11 +65,10 @@ int main(int argc, char** argv) {
       "streaming_throughput: %llu round trips/cell, mtu %u (wire %u)%s\n\n"
       "%6s %10s %8s | %8s %8s %8s | %9s %7s %7s\n",
       static_cast<unsigned long long>(config.iterations), config.mtu,
-      config.wire_mtu, smoke ? " (smoke)" : "", "ring", "mode", "payload",
-      "Gb/s", "p50 us", "p99 us", "sg segs", "merged", "gro");
+      config.wire_mtu, args.smoke ? " (smoke)" : "", "ring", "mode",
+      "payload", "Gb/s", "p50 us", "p99 us", "sg segs", "merged", "gro");
 
   bool ok = true;
-  std::vector<harness::StreamingCellResult> cells;
   std::size_t cell_index = 0;
   for (const bool packed : {false, true}) {
     for (const u64 payload : config.payloads) {
@@ -97,7 +90,6 @@ int main(int argc, char** argv) {
                       harness::stream_mode_name(r.mode));
           ok = false;
         }
-        cells.push_back(r);
       }
 
       const harness::StreamingCellResult& copy = row[0];
@@ -201,41 +193,32 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Machine-readable export for CI artifact upload.
-  const std::string path = harness::bench_json_path("BENCH_streaming.json");
-  if (std::FILE* file = std::fopen(path.c_str(), "w")) {
-    std::fprintf(file,
-                 "{\n  \"source\": \"streaming_throughput\",\n"
-                 "  \"iterations\": %llu,\n  \"mtu\": %u,\n"
-                 "  \"wire_mtu\": %u,\n  \"cells\": [",
-                 static_cast<unsigned long long>(config.iterations),
-                 config.mtu, config.wire_mtu);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const harness::StreamingCellResult& r = cells[i];
-      std::fprintf(
-          file,
-          "%s\n    {\"ring\": \"%s\", \"mode\": \"%s\", "
-          "\"payload_bytes\": %llu, \"gbps\": %.4f, \"p50_us\": %.3f, "
-          "\"p99_us\": %.3f, \"tx_sg_segments\": %llu, "
-          "\"rx_merged_frames\": %llu, \"tx_superframes\": %llu, "
-          "\"sw_gso_segments\": %llu, \"gro_coalesced\": %llu, "
-          "\"rx_gro_frames\": %llu, \"failures\": %llu}",
-          i == 0 ? "" : ",", r.packed ? "packed" : "split",
-          harness::stream_mode_name(r.mode),
-          static_cast<unsigned long long>(r.payload), r.gbps,
-          r.rtt_us.percentile(50), r.rtt_us.percentile(99),
-          static_cast<unsigned long long>(r.tx_sg_segments),
-          static_cast<unsigned long long>(r.rx_merged_frames),
-          static_cast<unsigned long long>(r.tx_superframes),
-          static_cast<unsigned long long>(r.sw_gso_segments),
-          static_cast<unsigned long long>(r.gro_coalesced),
-          static_cast<unsigned long long>(r.rx_gro_frames),
-          static_cast<unsigned long long>(r.failures));
-    }
-    std::fputs("\n  ]\n}\n", file);
-    std::fclose(file);
-    std::printf("[json written to %s]\n", path.c_str());
+  harness::Json doc;
+  doc.begin_object()
+      .field("source", "streaming_throughput")
+      .field("seed", config.seed)
+      .field("iterations", config.iterations)
+      .field("mtu", config.mtu)
+      .field("wire_mtu", config.wire_mtu)
+      .begin_array("cells");
+  for (const harness::StreamingCellResult& r : sweep.cells) {
+    doc.begin_object()
+        .field("ring", r.packed ? "packed" : "split")
+        .field("mode", harness::stream_mode_name(r.mode))
+        .field("payload_bytes", r.payload)
+        .field("gbps", r.gbps)
+        .field("p50_us", r.rtt_us.percentile(50))
+        .field("p99_us", r.rtt_us.percentile(99))
+        .field("tx_sg_segments", r.tx_sg_segments)
+        .field("rx_merged_frames", r.rx_merged_frames)
+        .field("tx_superframes", r.tx_superframes)
+        .field("sw_gso_segments", r.sw_gso_segments)
+        .field("gro_coalesced", r.gro_coalesced)
+        .field("rx_gro_frames", r.rx_gro_frames)
+        .field("failures", r.failures)
+        .end_object();
   }
-
+  doc.end_array().field("ok", ok).end_object();
+  ok = harness::write_bench_json("BENCH_streaming.json", doc.str()) && ok;
   return ok ? 0 : 1;
 }

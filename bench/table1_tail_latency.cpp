@@ -1,29 +1,24 @@
 // TAB1: Tail latencies for data movement with VirtIO and XDMA (paper
-// Table I): p95 / p99 / p99.9 per payload for both drivers.
+// Table I): p95 / p99 / p99.9 per payload for both drivers. Writes
+// BENCH_latency.json ($VFPGA_JSON_DIR honoured); exits 1 if it cannot.
 #include <cstdio>
 
+#include "bench_cli.hpp"
 #include "vfpga/harness/parallel.hpp"
 #include "vfpga/harness/report.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vfpga;
-  harness::ExperimentConfig config = harness::ExperimentConfig::from_env();
+  const harness::ExperimentConfig config =
+      bench::paper_config(bench::parse_args(argc, argv, 0));
   const auto [virtio, xdma] = harness::run_both_sweeps_parallel(config);
   std::fputs(harness::render_table1(virtio, xdma).c_str(), stdout);
   std::fputs(harness::render_footer(config, virtio, xdma).c_str(), stdout);
-  const std::string csv =
-      harness::maybe_export_csv(virtio, xdma, "table1_tail_latency");
-  if (!csv.empty()) {
-    std::printf("[csv written to %s]\n", csv.c_str());
-  }
-  const std::string json =
+  const bool written =
       harness::write_latency_json(config, virtio, xdma, "table1_tail_latency");
-  if (!json.empty()) {
-    std::printf("[json written to %s]\n", json.c_str());
-  }
   std::puts(
       "\nPaper Table I (Alinx AX7A200 testbed) for shape comparison:\n"
       "  64B:   95% 35.1/51.3  99% 44.8/70.1  99.9% 66.5/85.8 (V/X)\n"
       "  1024B: 95% 57.8/72.8  99% 65.9/76.7  99.9% 99.6/97.3 (V/X)");
-  return 0;
+  return written ? 0 : 1;
 }

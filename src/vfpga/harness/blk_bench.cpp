@@ -1,7 +1,6 @@
 #include "vfpga/harness/blk_bench.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -252,23 +251,6 @@ class CellRun {
 };
 
 }  // namespace
-
-BlkBenchConfig BlkBenchConfig::from_env() {
-  BlkBenchConfig config;
-  if (const char* iters = std::getenv("VFPGA_ITERATIONS")) {
-    const long long v = std::atoll(iters);
-    if (v > 0) {
-      config.ops_per_cell = static_cast<u32>(v);
-    }
-  }
-  if (const char* seed = std::getenv("VFPGA_SEED")) {
-    const long long v = std::atoll(seed);
-    if (v > 0) {
-      config.seed = static_cast<u64>(v);
-    }
-  }
-  return config;
-}
 
 BlkCellResult run_blk_cell(const BlkBenchConfig& config, BlkCompletionMode mode,
                            u32 payload, u16 queue_depth) {

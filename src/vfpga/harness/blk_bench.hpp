@@ -41,9 +41,6 @@ struct BlkBenchConfig {
   /// Worker threads for run_blk_sweep's lanes; 0 = worker_threads().
   /// VFPGA_THREADS still overrides either way (env > this > hardware).
   unsigned threads = 0;
-
-  /// Apply VFPGA_ITERATIONS / VFPGA_SEED environment overrides.
-  static BlkBenchConfig from_env();
 };
 
 struct BlkCellResult {

@@ -1,9 +1,7 @@
 #include "vfpga/harness/busy_poll_bench.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
-#include <string>
 
 #include "vfpga/common/contract.hpp"
 #include "vfpga/net/rss.hpp"
@@ -83,17 +81,6 @@ bool echo_once(core::VirtioNetTestbed& bed, FlowContext& flow,
 }
 
 }  // namespace
-
-BusyPollBenchConfig BusyPollBenchConfig::from_env() {
-  BusyPollBenchConfig config;
-  if (const char* iters = std::getenv("VFPGA_ITERATIONS")) {
-    config.iterations_per_flow = std::stoull(iters);
-  }
-  if (const char* seed = std::getenv("VFPGA_SEED")) {
-    config.seed = std::stoull(seed);
-  }
-  return config;
-}
 
 BusyPollCellResult run_busy_poll_cell(const BusyPollBenchConfig& config,
                                       hostos::RxMode mode,

@@ -42,9 +42,6 @@ struct BusyPollBenchConfig {
   sim::Duration poll_budget = sim::microseconds(200);
   u64 seed = 0xb011;
   core::TestbedOptions testbed{};
-
-  /// Apply VFPGA_ITERATIONS / VFPGA_SEED overrides.
-  static BusyPollBenchConfig from_env();
 };
 
 /// One (mode, payload, flows) cell, merged over trials.

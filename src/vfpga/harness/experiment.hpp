@@ -11,16 +11,13 @@ namespace vfpga::harness {
 
 struct ExperimentConfig {
   /// Paper §III-B.3: "Each test consists of 50,000 packets for each
-  /// payload size." Override with VFPGA_ITERATIONS for quick runs.
+  /// payload size." The benches take VFPGA_ITERATIONS for quick runs.
   u64 iterations = 50'000;
   u64 warmup = 64;
   u64 seed = 2024;
   /// The paper's payload sweep (Figs. 3-5, Table I).
   std::vector<u64> payloads = {64, 128, 256, 512, 1024};
   core::TestbedOptions testbed{};
-
-  /// Apply VFPGA_ITERATIONS / VFPGA_SEED environment overrides.
-  static ExperimentConfig from_env();
 };
 
 /// Per-round-trip measurements for one (driver, payload) cell.

@@ -1,7 +1,6 @@
 #include "vfpga/harness/fault_campaign.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "vfpga/common/contract.hpp"
@@ -404,35 +403,6 @@ ClassReport run_blk_class(fault::FaultClass cls, const CampaignConfig& config) {
 }
 
 }  // namespace
-
-CampaignConfig CampaignConfig::from_env() {
-  CampaignConfig config;
-  if (const char* runs = std::getenv("VFPGA_CAMPAIGN_RUNS")) {
-    const long long v = std::atoll(runs);
-    if (v > 0) {
-      config.runs_per_class = static_cast<u64>(v);
-    }
-  }
-  if (const char* ops = std::getenv("VFPGA_CAMPAIGN_OPS")) {
-    const long long v = std::atoll(ops);
-    if (v > 0) {
-      config.ops_per_run = static_cast<u32>(v);
-    }
-  }
-  if (const char* rate = std::getenv("VFPGA_CAMPAIGN_RATE")) {
-    const double v = std::atof(rate);
-    if (v > 0.0 && v < 1.0) {
-      config.fault_rate = v;
-    }
-  }
-  if (const char* seed = std::getenv("VFPGA_SEED")) {
-    const long long v = std::atoll(seed);
-    if (v > 0) {
-      config.base_seed = static_cast<u64>(v);
-    }
-  }
-  return config;
-}
 
 bool CampaignResult::ok() const {
   for (const ClassReport& report : classes) {

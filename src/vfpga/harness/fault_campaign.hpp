@@ -41,10 +41,6 @@ struct CampaignConfig {
   /// Also bound each operation by simulated time as a belt-and-braces
   /// liveness check.
   sim::Duration op_time_bound = sim::milliseconds(50);
-
-  /// Apply VFPGA_CAMPAIGN_RUNS / VFPGA_CAMPAIGN_OPS /
-  /// VFPGA_CAMPAIGN_RATE / VFPGA_SEED environment overrides.
-  static CampaignConfig from_env();
 };
 
 /// Aggregated result for one (fault class, workload) pair.

@@ -1,9 +1,7 @@
 #include "vfpga/harness/multi_flow.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
-#include <string>
 
 #include "vfpga/common/contract.hpp"
 #include "vfpga/harness/parallel.hpp"
@@ -230,20 +228,6 @@ class TrialLanes {
 };
 
 }  // namespace
-
-MultiFlowConfig MultiFlowConfig::from_env() {
-  MultiFlowConfig config;
-  if (const char* trials = std::getenv("VFPGA_MQ_TRIALS")) {
-    config.trials = static_cast<u32>(std::stoul(trials));
-  }
-  if (const char* packets = std::getenv("VFPGA_MQ_PACKETS")) {
-    config.packets_per_flow = std::stoull(packets);
-  }
-  if (const char* seed = std::getenv("VFPGA_SEED")) {
-    config.seed = std::stoull(seed);
-  }
-  return config;
-}
 
 MultiFlowResult run_multi_flow(const MultiFlowConfig& config) {
   VFPGA_EXPECTS(config.queue_pairs >= 1 && config.flows >= 1 &&

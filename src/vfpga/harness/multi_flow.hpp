@@ -47,9 +47,6 @@ struct MultiFlowConfig {
   /// VFPGA_THREADS still overrides either way (env > this > hardware).
   unsigned threads = 0;
   core::TestbedOptions testbed{};
-
-  /// Apply VFPGA_MQ_TRIALS / VFPGA_MQ_PACKETS / VFPGA_SEED overrides.
-  static MultiFlowConfig from_env();
 };
 
 /// Per-flow outcome, merged across trials (flow f is the same identity

@@ -1,8 +1,11 @@
 #include "vfpga/harness/report.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "vfpga/common/contract.hpp"
 #include "vfpga/stats/histogram.hpp"
@@ -110,91 +113,124 @@ std::string render_footer(const ExperimentConfig& config,
               static_cast<unsigned long long>(failures));
 }
 
-bool write_sweep_csv(const SweepResult& virtio, const SweepResult& xdma,
-                     const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
+Json& Json::begin_object(std::string_view key) { return open(key, '{'); }
+
+Json& Json::end_object() { return close('}'); }
+
+Json& Json::begin_array(std::string_view key) { return open(key, '['); }
+
+Json& Json::end_array() { return close(']'); }
+
+void Json::member(std::string_view key) {
+  if (depth_ > 0) {
+    out_ += first_ ? "\n" : ",\n";
+    out_.append(static_cast<std::size_t>(2 * depth_), ' ');
   }
-  std::fputs(
-      "driver,payload_bytes,samples,mean_us,stddev_us,min_us,median_us,"
-      "p95_us,p99_us,p999_us,max_us,hw_mean_us,sw_mean_us\n",
-      file);
-  for (const auto* sweep : {&virtio, &xdma}) {
-    for (const CellResult& cell : sweep->cells) {
-      const auto s = stats::LatencySummary::from(cell.total_us);
-      std::fprintf(file,
-                   "%s,%llu,%zu,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,"
-                   "%.3f,%.3f\n",
-                   sweep->driver_name.c_str(),
-                   static_cast<unsigned long long>(cell.payload),
-                   cell.total_us.count(), s.mean_us, s.stddev_us, s.min_us,
-                   s.median_us, s.p95_us, s.p99_us, s.p999_us, s.max_us,
-                   cell.hardware_us.mean(), cell.software_us.mean());
+  first_ = false;
+  if (!key.empty()) {
+    quoted(key);
+    out_ += ": ";
+  }
+}
+
+void Json::number(double value) {
+  if (!std::isfinite(value)) {
+    out_ += "null";
+    return;
+  }
+  char buf[32];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+void Json::quoted(std::string_view text) {
+  out_ += '"';
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out_ += '\\';
+      out_ += c;
+    } else if (byte < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(byte));
+      out_ += buf;
+    } else {
+      out_ += c;
     }
   }
-  std::fclose(file);
+  out_ += '"';
+}
+
+Json& Json::open(std::string_view key, char bracket) {
+  member(key);
+  out_ += bracket;
+  ++depth_;
+  first_ = true;
+  return *this;
+}
+
+Json& Json::close(char bracket) {
+  VFPGA_EXPECTS(depth_ > 0);
+  --depth_;
+  if (!first_) {
+    out_ += '\n';
+    out_.append(static_cast<std::size_t>(2 * depth_), ' ');
+  }
+  out_ += bracket;
+  first_ = false;
+  if (depth_ == 0) {
+    out_ += '\n';
+  }
+  return *this;
+}
+
+bool write_bench_json(const std::string& filename, const std::string& text) {
+  const char* dir = std::getenv("VFPGA_JSON_DIR");
+  const std::string path = dir == nullptr || *dir == '\0'
+                               ? filename
+                               : std::string(dir) + "/" + filename;
+  std::ofstream file(path, std::ios::binary);
+  file << text;
+  file.close();
+  if (!file) {
+    std::fprintf(stderr, "error: could not write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
   return true;
 }
 
-std::string maybe_export_csv(const SweepResult& virtio,
-                             const SweepResult& xdma,
-                             const std::string& name) {
-  const char* dir = std::getenv("VFPGA_CSV_DIR");
-  if (dir == nullptr || *dir == '\0') {
-    return {};
-  }
-  const std::string path = std::string(dir) + "/" + name + ".csv";
-  if (!write_sweep_csv(virtio, xdma, path)) {
-    return {};
-  }
-  return path;
-}
-
-std::string bench_json_path(const std::string& filename) {
-  const char* dir = std::getenv("VFPGA_JSON_DIR");
-  if (dir == nullptr || *dir == '\0') {
-    return filename;
-  }
-  return std::string(dir) + "/" + filename;
-}
-
-std::string write_latency_json(const ExperimentConfig& config,
-                               const SweepResult& virtio,
-                               const SweepResult& xdma,
-                               const std::string& source) {
-  const std::string path = bench_json_path("BENCH_latency.json");
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return {};
-  }
-  std::fprintf(file,
-               "{\n  \"source\": \"%s\",\n  \"iterations\": %llu,\n"
-               "  \"seed\": %llu,\n  \"cells\": [",
-               source.c_str(),
-               static_cast<unsigned long long>(config.iterations),
-               static_cast<unsigned long long>(config.seed));
-  bool first = true;
+bool write_latency_json(const ExperimentConfig& config,
+                        const SweepResult& virtio, const SweepResult& xdma,
+                        const std::string& source) {
+  Json doc;
+  doc.begin_object()
+      .field("source", source)
+      .field("iterations", config.iterations)
+      .field("seed", config.seed)
+      .begin_array("cells");
   for (const auto* sweep : {&virtio, &xdma}) {
     for (const CellResult& cell : sweep->cells) {
       const auto s = stats::LatencySummary::from(cell.total_us);
-      std::fprintf(
-          file,
-          "%s\n    {\"driver\": \"%s\", \"payload_bytes\": %llu, "
-          "\"samples\": %zu, \"mean_us\": %.3f, \"stddev_us\": %.3f, "
-          "\"p50_us\": %.3f, \"p95_us\": %.3f, \"p99_us\": %.3f, "
-          "\"p999_us\": %.3f, \"max_us\": %.3f, \"failures\": %llu}",
-          first ? "" : ",", sweep->driver_name.c_str(),
-          static_cast<unsigned long long>(cell.payload),
-          cell.total_us.count(), s.mean_us, s.stddev_us, s.median_us,
-          s.p95_us, s.p99_us, s.p999_us, s.max_us,
-          static_cast<unsigned long long>(cell.failures));
-      first = false;
+      doc.begin_object()
+          .field("driver", sweep->driver_name)
+          .field("payload_bytes", cell.payload)
+          .field("samples", cell.total_us.count())
+          .field("mean_us", s.mean_us)
+          .field("stddev_us", s.stddev_us)
+          .field("min_us", s.min_us)
+          .field("p50_us", s.median_us)
+          .field("p95_us", s.p95_us)
+          .field("p99_us", s.p99_us)
+          .field("p999_us", s.p999_us)
+          .field("max_us", s.max_us)
+          .field("hw_mean_us", cell.hardware_us.mean())
+          .field("sw_mean_us", cell.software_us.mean())
+          .field("failures", cell.failures)
+          .end_object();
     }
   }
-  std::fputs("\n  ]\n}\n", file);
-  std::fclose(file);
-  return path;
+  doc.end_array().end_object();
+  return write_bench_json("BENCH_latency.json", doc.str());
 }
 
 }  // namespace vfpga::harness

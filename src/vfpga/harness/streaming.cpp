@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <utility>
@@ -30,23 +29,6 @@ const char* stream_mode_name(StreamMode mode) {
       return "tso";
   }
   return "?";
-}
-
-StreamingConfig StreamingConfig::from_env() {
-  StreamingConfig config;
-  if (const char* iters = std::getenv("VFPGA_ITERATIONS")) {
-    const long long v = std::atoll(iters);
-    if (v > 0) {
-      config.iterations = static_cast<u64>(v);
-    }
-  }
-  if (const char* seed = std::getenv("VFPGA_SEED")) {
-    const long long v = std::atoll(seed);
-    if (v > 0) {
-      config.seed = static_cast<u64>(v);
-    }
-  }
-  return config;
 }
 
 namespace {

@@ -53,8 +53,6 @@ struct StreamingConfig {
   /// Worker threads for run_streaming_sweep's lanes; 0 =
   /// worker_threads(). VFPGA_THREADS still overrides (env > this > hw).
   unsigned threads = 0;
-
-  static StreamingConfig from_env();
 };
 
 struct StreamingCellResult {

@@ -1,14 +1,22 @@
 // Harness-level tests: parallel sweep determinism (the "same seed, same
-// tables at any thread count" guarantee) and the timeline renderer.
+// tables at any thread count" guarantee), the JSON writer behind every
+// BENCH_*.json, and the timeline renderer.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <bit>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "vfpga/fpga/timeline.hpp"
 #include "vfpga/harness/parallel.hpp"
 #include "vfpga/harness/report.hpp"
-
-#include <cstdio>
 
 namespace vfpga::harness {
 namespace {
@@ -90,16 +98,6 @@ TEST(ParallelHarness, WorkerThreadsClampsOversizedEnvOverride) {
   EXPECT_EQ(worker_threads(0), 1u);
 }
 
-TEST(ExperimentConfig, EnvOverrides) {
-  ::setenv("VFPGA_ITERATIONS", "1234", 1);
-  ::setenv("VFPGA_SEED", "77", 1);
-  const ExperimentConfig config = ExperimentConfig::from_env();
-  EXPECT_EQ(config.iterations, 1234u);
-  EXPECT_EQ(config.seed, 77u);
-  ::unsetenv("VFPGA_ITERATIONS");
-  ::unsetenv("VFPGA_SEED");
-}
-
 TEST(Timeline, RendersCapturesWithDeltas) {
   fpga::PerfCounterBank counters;
   counters.capture("notify", sim::SimTime{} + sim::nanoseconds(80));
@@ -118,50 +116,137 @@ TEST(Timeline, RendersCapturesWithDeltas) {
   EXPECT_NE(tail.find("irq_sent"), std::string::npos);
 }
 
-TEST(CsvExport, RoundTripsThroughFile) {
-  const ExperimentConfig config = tiny_config();
-  const SweepResult virtio = run_virtio_sweep(config);
-  const SweepResult xdma = run_xdma_sweep(config);
-  const std::string path = ::testing::TempDir() + "vfpga_sweep.csv";
-  ASSERT_TRUE(write_sweep_csv(virtio, xdma, path));
-
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  ASSERT_NE(file, nullptr);
-  char line[512];
-  ASSERT_NE(std::fgets(line, sizeof line, file), nullptr);
-  EXPECT_NE(std::string(line).find("driver,payload_bytes"),
-            std::string::npos);
-  int rows = 0;
-  double mean = 0;
-  while (std::fgets(line, sizeof line, file) != nullptr) {
-    char driver[32];
-    unsigned long long payload = 0;
-    std::size_t samples = 0;
-    ASSERT_EQ(std::sscanf(line, "%31[^,],%llu,%zu,%lf", driver, &payload,
-                          &samples, &mean),
-              4)
-        << line;
-    EXPECT_EQ(samples, config.iterations);
-    EXPECT_GT(mean, 5.0);
-    ++rows;
+/// Every number written under `"key": ` in `text`, in document order.
+std::vector<double> values_of(const std::string& text, const std::string& key) {
+  std::vector<double> values;
+  const std::string needle = "\"" + key + "\": ";
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    const char* begin = text.data() + at + needle.size();
+    const char* end = text.data() + text.size();
+    double value = 0;
+    const auto result = std::from_chars(begin, end, value);
+    EXPECT_EQ(result.ec, std::errc{}) << key;
+    values.push_back(value);
   }
-  std::fclose(file);
-  EXPECT_EQ(rows, 4);  // 2 drivers x 2 payloads
-  std::remove(path.c_str());
+  return values;
 }
 
-TEST(CsvExport, EnvGateControlsExport) {
+std::string read_file(const std::string& path) {
+  std::ifstream file(path);
+  return {std::istreambuf_iterator<char>(file), {}};
+}
+
+TEST(LatencyJson, RoundTripsThroughFile) {
   const ExperimentConfig config = tiny_config();
   const SweepResult virtio = run_virtio_sweep(config);
   const SweepResult xdma = run_xdma_sweep(config);
-  ::unsetenv("VFPGA_CSV_DIR");
-  EXPECT_TRUE(maybe_export_csv(virtio, xdma, "gate_test").empty());
-  const std::string dir = ::testing::TempDir();
-  ::setenv("VFPGA_CSV_DIR", dir.c_str(), 1);
-  const std::string path = maybe_export_csv(virtio, xdma, "gate_test");
-  EXPECT_FALSE(path.empty());
+  std::string dir = ::testing::TempDir() + "vfpga_json_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  ::setenv("VFPGA_JSON_DIR", dir.c_str(), 1);
+  ASSERT_TRUE(write_latency_json(config, virtio, xdma, "test"));
+  ::unsetenv("VFPGA_JSON_DIR");
+
+  const std::string path = dir + "/BENCH_latency.json";
+  const std::string text = read_file(path);
+  std::vector<double> hw;
+  std::vector<double> sw;
+  std::vector<double> samples;
+  for (const auto* sweep : {&virtio, &xdma}) {
+    for (const CellResult& cell : sweep->cells) {
+      hw.push_back(cell.hardware_us.mean());
+      sw.push_back(cell.software_us.mean());
+      samples.push_back(static_cast<double>(cell.total_us.count()));
+    }
+  }
+  EXPECT_EQ(hw.size(), 4u);  // 2 drivers x 2 payloads
+  EXPECT_EQ(values_of(text, "hw_mean_us"), hw);  // bit-exact
+  EXPECT_EQ(values_of(text, "sw_mean_us"), sw);
+  EXPECT_EQ(values_of(text, "samples"), samples);
+  EXPECT_EQ(values_of(text, "min_us").size(), 4u);
   std::remove(path.c_str());
-  ::unsetenv("VFPGA_CSV_DIR");
+  ::rmdir(dir.c_str());
+}
+
+TEST(JsonWriter, NestsAndSeparatesWithCommas) {
+  Json doc;
+  doc.begin_object()
+      .field("n", 1)
+      .begin_object("inner")
+      .field("flag", true)
+      .end_object()
+      .begin_array("list")
+      .begin_object()
+      .field("s", "x")
+      .end_object()
+      .begin_object()
+      .end_object()
+      .end_array()
+      .begin_array("empty")
+      .end_array()
+      .field("last", false)
+      .end_object();
+  EXPECT_EQ(doc.str(),
+            "{\n"
+            "  \"n\": 1,\n"
+            "  \"inner\": {\n"
+            "    \"flag\": true\n"
+            "  },\n"
+            "  \"list\": [\n"
+            "    {\n"
+            "      \"s\": \"x\"\n"
+            "    },\n"
+            "    {}\n"
+            "  ],\n"
+            "  \"empty\": [],\n"
+            "  \"last\": false\n"
+            "}\n");
+}
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlCharacters) {
+  Json doc;
+  doc.begin_object()
+      .field("k\"", std::string_view{"a\"b\\c\n\x01\x1f", 8})
+      .end_object();
+  EXPECT_EQ(doc.str(),
+            "{\n  \"k\\\"\": \"a\\\"b\\\\c\\u000a\\u0001\\u001f\"\n}\n");
+}
+
+TEST(JsonWriter, DoublesAreShortestAndReadBackBitExact) {
+  const double values[] = {0.1,      1.0 / 3.0, 2.0 / 3.0, 1e300,
+                           5e-324,   -2.5,      0.0,       123456.789,
+                           37.21996, 1e21,      4.0};
+  Json doc;
+  doc.begin_object();
+  for (const double value : values) {
+    doc.field("v", value);
+  }
+  doc.end_object();
+  const std::vector<double> read = values_of(doc.str(), "v");
+  ASSERT_EQ(read.size(), std::size(values));
+  for (std::size_t i = 0; i < read.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<u64>(read[i]), std::bit_cast<u64>(values[i]))
+        << values[i];
+  }
+  EXPECT_NE(doc.str().find("\"v\": 0.1,"), std::string::npos);
+  EXPECT_NE(doc.str().find("\"v\": 4\n"), std::string::npos);
+}
+
+TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
+  Json doc;
+  doc.begin_object()
+      .field("nan", std::numeric_limits<double>::quiet_NaN())
+      .field("inf", std::numeric_limits<double>::infinity())
+      .field("ninf", -std::numeric_limits<double>::infinity())
+      .end_object();
+  EXPECT_EQ(doc.str(),
+            "{\n  \"nan\": null,\n  \"inf\": null,\n  \"ninf\": null\n}\n");
+}
+
+TEST(JsonWriter, WriteBenchJsonFailsForMissingDirectory) {
+  ::setenv("VFPGA_JSON_DIR", "/nonexistent/vfpga-json-dir", 1);
+  EXPECT_FALSE(write_bench_json("BENCH_test.json", "{}\n"));
+  ::unsetenv("VFPGA_JSON_DIR");
 }
 
 TEST(Timeline, EmptyBankRendersPlaceholder) {
