@@ -7,7 +7,8 @@
 // exits 2, so a typo can never silently run the default workload.
 //
 // The environment follows one strict rule: counts are positive integers
-// (up to 2^32 - 1), seeds are any u64, and the fault rate lies in (0,1).
+// (up to 2^32 - 1), VFPGA_THREADS follows the --threads rule (1..65536),
+// seeds are any u64, and the fault rate lies in (0,1).
 // A set-but-invalid variable prints `error: VFPGA_X=<value> ...` and
 // exits 2. Numbers take C prefixes (`0x10`, `010`) but no sign or
 // surrounding whitespace.
@@ -175,6 +176,9 @@ inline Args parse_args(int argc, char** argv, unsigned accepted) {
     }
   }
 
+  // Validated only: harness::worker_threads reads VFPGA_THREADS itself.
+  detail::env<unsigned>("VFPGA_THREADS", parse_thread_count,
+                        "is not a positive integer (1..65536)");
   args.seed = detail::env<u64>("VFPGA_SEED", parse_u64,
                                "is not an unsigned 64-bit integer");
   if (cli_seed.has_value()) {

@@ -13,15 +13,15 @@
 // document plus `ok`. Exits non-zero on any gate violation or when the
 // JSON cannot be written.
 //
-// The sweep's cells run sharded across event lanes (run_blk_sweep):
-// bit-identical numbers at any worker-thread count, in the canonical
-// payload-major / depth / {interrupt, reactor} order printed below.
+// The sweep's cells run on the worker pool (run_blk_sweep): bit-identical
+// numbers at any worker-thread count, in the canonical payload-major /
+// depth / {interrupt, reactor} order printed below.
 //
 //   --smoke                trimmed sweep for CI
 //   --stats-only           print ONLY the deterministic JSON document to
 //                          stdout — CI byte-diffs this across
 //                          VFPGA_THREADS (no gates, no file)
-//   --threads N            worker threads for the sweep lanes
+//   --threads N            worker threads for the sweep's cells
 //                          (env > this > hardware; VFPGA_THREADS wins)
 //   --seed N               base seed (beats VFPGA_SEED)
 //   VFPGA_ITERATIONS=400   measured requests per cell
@@ -49,9 +49,6 @@ vfpga::harness::Json sweep_json(const vfpga::harness::BlkBenchConfig& config,
       .field("source", "blk_iops")
       .field("seed", config.seed)
       .field("ops_per_cell", config.ops_per_cell)
-      .field("lane_windows", sweep.lane_windows)
-      .field("lane_messages", sweep.lane_messages)
-      .field("cells_aggregated", sweep.cells_aggregated)
       .begin_array("cells");
   for (const BlkCellResult& r : sweep.cells) {
     doc.begin_object()
@@ -88,7 +85,7 @@ int main(int argc, char** argv) {
     config.warmup_ops = 16;
   }
 
-  // One lane-sharded pass computes every cell; the loops below only
+  // One parallel sweep computes every cell; the loops below only
   // read sweep.cells, which run_blk_sweep orders exactly as this bench
   // prints: payload-major, then depth, then {interrupt, reactor}.
   const harness::BlkSweepResult sweep = harness::run_blk_sweep(config);

@@ -12,7 +12,7 @@
 //   --stats-only             print ONLY the deterministic per-cell JSON
 //                            document to stdout — CI byte-diffs this
 //                            across VFPGA_THREADS (no gates, no table)
-//   --threads N              worker threads for the trial lanes
+//   --threads N              worker threads for the trials
 //                            (env > this > hardware; VFPGA_THREADS wins)
 //   --seed N                 base seed (beats VFPGA_SEED; default 2025)
 //   VFPGA_MQ_TRIALS=4        independent trials per cell
@@ -45,10 +45,6 @@ void add_cell(vfpga::harness::Json& doc,
       .field("p99_us", r.all_latency_us.percentile(99))
       .field("failures", r.failures)
       .field("cross_pair_rx", r.cross_pair_rx)
-      .field("lane_windows", r.lane_windows)
-      .field("lane_window_growths", r.lane_window_growths)
-      .field("lane_messages", r.lane_messages)
-      .field("trials_aggregated", r.trials_aggregated)
       .end_object();
 }
 

@@ -19,13 +19,12 @@
 // Writes BENCH_streaming.json ($VFPGA_JSON_DIR honoured). Exits non-zero
 // on any gate violation or when the JSON cannot be written.
 //
-// The sweep's cells run sharded across event lanes
-// (run_streaming_sweep): bit-identical numbers at any worker-thread
-// count, in the canonical packed-major / payload / mode order printed
-// below.
+// The sweep's cells run on the worker pool (run_streaming_sweep):
+// bit-identical numbers at any worker-thread count, in the canonical
+// packed-major / payload / mode order printed below.
 //
 //   --smoke                trimmed sweep for CI
-//   --threads N            worker threads for the sweep lanes
+//   --threads N            worker threads for the sweep's cells
 //                          (env > this > hardware; VFPGA_THREADS wins)
 //   --seed N               base seed (beats VFPGA_SEED; default 2024)
 //   VFPGA_ITERATIONS=400   measured round trips per cell
@@ -50,7 +49,7 @@ int main(int argc, char** argv) {
     config.warmup = 4;
   }
 
-  // One lane-sharded pass computes every cell; the loops below read
+  // One parallel sweep computes every cell; the loops below read
   // sweep.cells in the exact order this bench prints (packed-major,
   // then payload, then the six modes).
   const harness::StreamingSweepResult sweep =

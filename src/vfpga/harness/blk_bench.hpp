@@ -38,7 +38,7 @@ struct BlkBenchConfig {
   std::vector<u16> queue_depths = {1, 2, 4, 8, 16, 32};
   /// Backing-store size; sectors are striped across it.
   u64 capacity_sectors = 8192;
-  /// Worker threads for run_blk_sweep's lanes; 0 = worker_threads().
+  /// Worker threads for run_blk_sweep's cells; 0 = worker_threads().
   /// VFPGA_THREADS still overrides either way (env > this > hardware).
   unsigned threads = 0;
 };
@@ -66,24 +66,13 @@ BlkCellResult run_blk_cell(const BlkBenchConfig& config,
 struct BlkSweepResult {
   /// Every (payload, depth, mode) cell in canonical sweep order:
   /// payload-major, then depth, then {interrupt, reactor}. Each cell's
-  /// numbers are identical to a standalone run_blk_cell call — the
-  /// lanes change where cells execute, never what they compute.
+  /// numbers are identical to a standalone run_blk_cell call.
   std::vector<BlkCellResult> cells;
-
-  // ---- lane-set execution (deterministic at any thread count) -------
-  u64 lane_windows = 0;
-  u64 lane_window_growths = 0;
-  u64 lane_messages = 0;
-  /// Cell-completion messages lane 0 executed — must equal cells.size().
-  u32 cells_aggregated = 0;
 };
 
-/// Run the full sweep with cells sharded across event lanes: a fixed
-/// lane count (independent of the worker pool, so results never depend
-/// on it), each lane advancing its cells one completion-batch event at
-/// a time, testbeds built lane-side in the parallel phase and released
-/// as cells finish. Completions aggregate to lane 0 through the message
-/// rings. Bit-identical at any thread count.
+/// Run the full sweep, one run_blk_cell per cell on the worker pool
+/// (harness::run_parallel). Cells share nothing, so the result is
+/// bit-identical at any thread count.
 BlkSweepResult run_blk_sweep(const BlkBenchConfig& config);
 
 }  // namespace vfpga::harness

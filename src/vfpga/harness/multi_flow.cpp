@@ -1,12 +1,14 @@
 #include "vfpga/harness/multi_flow.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <utility>
 
 #include "vfpga/common/contract.hpp"
 #include "vfpga/harness/parallel.hpp"
 #include "vfpga/net/rss.hpp"
-#include "vfpga/sim/event_lane.hpp"
+#include "vfpga/sim/scheduler.hpp"
 #include "vfpga/stats/sharded.hpp"
 
 namespace vfpga::harness {
@@ -71,118 +73,88 @@ bool echo_once(core::VirtioNetTestbed& bed, FlowContext& flow, bool measure,
   return false;
 }
 
-/// One trial: a testbed plus its flows, owned by exactly one event lane.
-struct TrialState {
-  std::unique_ptr<core::VirtioNetTestbed> bed;
+/// One trial's outcome. The flows (threads, sockets, latency sets)
+/// outlive the trial's testbed for the merge.
+struct TrialResult {
   std::vector<FlowContext> flows;
-  u16 flows_active = 0;
-  sim::SimTime trial_start{};
   double makespan_us = 0;
   double throughput_mpps = 0;
   u64 cross_pair_rx = 0;
 };
 
-/// Drives config.trials independent trials, one per event lane. The
-/// old implementation interleaved a trial's flows with an explicit
-/// earliest-clock-first scan; here each flow's next round trip is a
-/// lane-scheduler event stamped with the flow's thread clock, and the
-/// (when, seq) heap produces the same furthest-behind-first order —
-/// while whole trials execute concurrently under the window protocol.
-class TrialLanes {
+/// One trial: a fresh testbed and its flows on a private scheduler.
+/// Each flow's next round trip is an event stamped with the flow's
+/// thread clock, so the (when, seq) heap always advances the flow that
+/// is furthest behind.
+class Trial {
  public:
-  TrialLanes(const MultiFlowConfig& config, stats::ShardedSamples& all)
-      : config_(config), all_(all), set_(lane_config(config)) {
-    states_.resize(config_.trials);
-    for (u32 t = 0; t < config_.trials; ++t) {
-      // The testbed is built inside the lane's first event, so trial
-      // construction happens in the parallel phase too.
-      set_.lane(t).scheduler().schedule_at(
-          sim::SimTime{} + sim::nanoseconds(1),
-          [this, t] { start_trial(t); });
-    }
+  Trial(const MultiFlowConfig& config, u32 index, stats::SampleSet& samples)
+      : config_(config), index_(index), samples_(samples) {}
+  Trial(const Trial&) = delete;
+  Trial& operator=(const Trial&) = delete;
+
+  TrialResult run() {
+    sched_.schedule_at(sim::SimTime{} + sim::nanoseconds(1),
+                       [this] { set_up(); });
+    sched_.run_until_idle();
+    return std::move(result_);
   }
-
-  sim::LaneSet::RunStats run(unsigned threads) { return set_.run(threads); }
-
-  [[nodiscard]] const TrialState& trial(u32 t) const { return states_[t]; }
-  [[nodiscard]] u32 trials_aggregated() const { return trials_aggregated_; }
 
  private:
-  static sim::LaneSetConfig lane_config(const MultiFlowConfig& config) {
-    sim::LaneSetConfig lc;
-    lc.lanes = config.trials;
-    lc.window = sim::microseconds(100);
-    // Trials only talk at completion, so the controller quickly widens
-    // the window and the barrier cost fades; the latency numbers are
-    // lane-local and unaffected (completion messages carry counters,
-    // not timing).
-    lc.adaptive.enabled = true;
-    lc.adaptive.min_window = sim::microseconds(25);
-    lc.adaptive.max_window = sim::milliseconds(10);
-    return lc;
-  }
-
-  void start_trial(u32 t) {
-    TrialState& st = states_[t];
+  void set_up() {
     core::TestbedOptions options = config_.testbed;
-    options.seed = derive_seed(config_.seed, t);
+    options.seed = derive_seed(config_.seed, index_);
     options.net.max_queue_pairs = config_.queue_pairs;
     options.requested_queue_pairs = config_.queue_pairs;
-    st.bed = std::make_unique<core::VirtioNetTestbed>(options);
-    const u16 pairs = st.bed->driver().queue_pairs();
+    bed_ = std::make_unique<core::VirtioNetTestbed>(options);
+    const u16 pairs = bed_->driver().queue_pairs();
     VFPGA_ASSERT(pairs == config_.queue_pairs);
 
-    st.flows.resize(config_.flows);
-    const net::Ipv4Addr host_ip = st.bed->stack().config().host_ip;
+    std::vector<FlowContext>& flows = result_.flows;
+    flows.resize(config_.flows);
+    const net::Ipv4Addr host_ip = bed_->stack().config().host_ip;
     u16 next_port = 20'000;
     for (u16 f = 0; f < config_.flows; ++f) {
-      FlowContext& flow = st.flows[f];
+      FlowContext& flow = flows[f];
       flow.pair = static_cast<u16>(f % pairs);
       const u16 port = net::search_source_port(
-          host_ip, st.bed->fpga_ip(), st.bed->options().fpga_udp_port, pairs,
+          host_ip, bed_->fpga_ip(), bed_->options().fpga_udp_port, pairs,
           flow.pair, next_port);
       next_port = static_cast<u16>(port + 1);
-      flow.thread = st.bed->spawn_thread();
-      flow.socket =
-          std::make_unique<hostos::UdpSocket>(st.bed->stack(), port);
+      flow.thread = bed_->spawn_thread();
+      flow.socket = std::make_unique<hostos::UdpSocket>(bed_->stack(), port);
       flow.remaining = config_.packets_per_flow;
       flow.warmup = config_.warmup_per_flow;
       flow.payload.assign(config_.payload_bytes, static_cast<u8>(0xa0 + f));
       VFPGA_EXPECTS(!flow.payload.empty());
     }
-    st.trial_start = st.bed->thread().now();
-    st.flows_active = 0;
-    sim::Scheduler& sched = set_.lane(t).scheduler();
+    trial_start_ = bed_->thread().now();
     for (u16 f = 0; f < config_.flows; ++f) {
-      if (st.flows[f].remaining + st.flows[f].warmup == 0) {
+      if (flows[f].remaining + flows[f].warmup == 0) {
         continue;
       }
-      ++st.flows_active;
-      schedule_flow(sched, st.flows[f], t, f);
+      ++flows_active_;
+      schedule_flow(f);
     }
-    if (st.flows_active == 0) {
-      finish_trial(t);
+    if (flows_active_ == 0) {
+      finish();
     }
   }
 
-  /// The flow's next round trip fires at its thread's clock — the heap
-  /// then always advances the flow that is furthest behind.
-  void schedule_flow(sim::Scheduler& sched, const FlowContext& flow, u32 t,
-                     u16 f) {
-    sched.schedule_at(std::max(flow.thread->now(), sched.now()),
-                      [this, t, f] { flow_step(t, f); });
+  void schedule_flow(u16 f) {
+    sched_.schedule_at(std::max(result_.flows[f].thread->now(), sched_.now()),
+                       [this, f] { flow_step(f); });
   }
 
-  void flow_step(u32 t, u16 f) {
-    TrialState& st = states_[t];
-    FlowContext& flow = st.flows[f];
+  void flow_step(u16 f) {
+    FlowContext& flow = result_.flows[f];
     const bool measure = flow.warmup == 0;
-    const bool ok = echo_once(*st.bed, flow, measure, config_.max_attempts);
+    const bool ok = echo_once(*bed_, flow, measure, config_.max_attempts);
     if (measure) {
       --flow.remaining;
       if (ok) {
         ++flow.completed;
-        all_.shard(t).add_us(flow.latency_us.values_us().back());
+        samples_.add_us(flow.latency_us.values_us().back());
       } else {
         ++flow.failures;
       }
@@ -190,41 +162,39 @@ class TrialLanes {
       --flow.warmup;
     }
     if (flow.remaining + flow.warmup > 0) {
-      schedule_flow(set_.lane(t).scheduler(), flow, t, f);
+      schedule_flow(f);
       return;
     }
-    VFPGA_ASSERT(st.flows_active > 0);
-    if (--st.flows_active == 0) {
-      finish_trial(t);
+    VFPGA_ASSERT(flows_active_ > 0);
+    if (--flows_active_ == 0) {
+      finish();
     }
   }
 
-  void finish_trial(u32 t) {
-    TrialState& st = states_[t];
-    sim::SimTime end = st.trial_start;
+  void finish() {
+    sim::SimTime end = trial_start_;
     u64 completed = 0;
-    for (const FlowContext& flow : st.flows) {
+    for (const FlowContext& flow : result_.flows) {
       end = std::max(end, flow.thread->now());
       completed += flow.completed;
     }
-    st.makespan_us = (end - st.trial_start).micros();
-    st.throughput_mpps =
-        st.makespan_us > 0 ? static_cast<double>(completed) / st.makespan_us
-                           : 0.0;
-    st.cross_pair_rx = st.bed->stack().steering_mismatches();
-    // The testbed is done; the flows (threads, sockets, latency sets)
-    // outlive it for the merge, exactly as the pre-lane harness did.
-    st.bed.reset();
-    // Completion crosses to lane 0 through the rings — the aggregation
-    // counter is lane-0 state and must not be touched from lane t.
-    set_.post(t, 0, set_.horizon(), [this] { ++trials_aggregated_; });
+    result_.makespan_us = (end - trial_start_).micros();
+    result_.throughput_mpps =
+        result_.makespan_us > 0
+            ? static_cast<double>(completed) / result_.makespan_us
+            : 0.0;
+    result_.cross_pair_rx = bed_->stack().steering_mismatches();
+    bed_.reset();
   }
 
   const MultiFlowConfig& config_;
-  stats::ShardedSamples& all_;
-  sim::LaneSet set_;
-  std::vector<TrialState> states_;
-  u32 trials_aggregated_ = 0;
+  u32 index_;
+  stats::SampleSet& samples_;
+  sim::Scheduler sched_;
+  std::unique_ptr<core::VirtioNetTestbed> bed_;
+  TrialResult result_;
+  u16 flows_active_ = 0;
+  sim::SimTime trial_start_{};
 };
 
 }  // namespace
@@ -233,23 +203,21 @@ MultiFlowResult run_multi_flow(const MultiFlowConfig& config) {
   VFPGA_EXPECTS(config.queue_pairs >= 1 && config.flows >= 1 &&
                 config.trials >= 1);
 
-  // One shard per trial lane: lane workers append concurrently without
-  // a lock; the merge below happens after LaneSet::run joins (fork/join
-  // happens-before, satellite of the multi-queue plane).
+  // One shard per trial: workers append concurrently without a lock;
+  // the merge below happens after run_parallel joins (fork/join
+  // happens-before).
   const std::size_t reserve =
       config.flows * (config.packets_per_flow + config.warmup_per_flow);
   stats::ShardedSamples all(config.trials, reserve);
-
-  TrialLanes lanes(config, all);
-  const sim::LaneSet::RunStats lane_stats =
-      lanes.run(worker_threads(config.trials, config.threads));
-  VFPGA_ASSERT(lane_stats.dropped == 0);
+  std::vector<TrialResult> trials(config.trials);
+  std::vector<std::function<void()>> tasks;
+  for (u32 t = 0; t < config.trials; ++t) {
+    tasks.emplace_back(
+        [&, t] { trials[t] = Trial{config, t, all.shard(t)}.run(); });
+  }
+  run_parallel(std::move(tasks), worker_threads(config.trials, config.threads));
 
   MultiFlowResult result;
-  result.lane_windows = lane_stats.windows;
-  result.lane_window_growths = lane_stats.window_growths;
-  result.lane_messages = lane_stats.messages;
-  result.trials_aggregated = lanes.trials_aggregated();
   result.queue_pairs = config.queue_pairs;
   result.flows = config.flows;
   result.payload_bytes = config.payload_bytes;
@@ -257,8 +225,7 @@ MultiFlowResult run_multi_flow(const MultiFlowConfig& config) {
   result.per_flow.resize(config.flows);
   double mpps = 0;
   double makespan = 0;
-  for (u32 t = 0; t < config.trials; ++t) {
-    const TrialState& out = lanes.trial(t);
+  for (const TrialResult& out : trials) {
     for (u16 f = 0; f < config.flows; ++f) {
       FlowResult& merged = result.per_flow[f];
       merged.flow = f;
@@ -272,7 +239,6 @@ MultiFlowResult run_multi_flow(const MultiFlowConfig& config) {
     makespan += out.makespan_us;
     result.cross_pair_rx += out.cross_pair_rx;
   }
-  VFPGA_ASSERT(result.trials_aggregated == config.trials);
   result.aggregate_mpps = mpps / config.trials;
   result.mean_makespan_us = makespan / config.trials;
   return result;

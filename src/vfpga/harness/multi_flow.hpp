@@ -10,14 +10,12 @@
 // contention (the QueueEngine busy timelines) shapes the latency tails
 // exactly as concurrent senders would.
 //
-// Independent trials (fresh testbed, derived seed) are sharded across a
-// sim::LaneSet — one event lane per trial, the testbed built inside the
-// lane's first event so construction itself runs in the parallel phase.
-// Trial completions hop to lane 0 through the visibility-gated message
-// rings; latencies land in per-trial stats::ShardedSamples shards. Like
-// every LaneSet workload, the merged result is bit-identical at any
-// worker-thread count (VFPGA_THREADS=1 is the oracle; CI byte-diffs the
-// mq_scaling --stats-only JSON against it).
+// Independent trials (fresh testbed, derived seed) run on the worker
+// pool (harness::run_parallel), each on its own scheduler; latencies land
+// in per-trial stats::ShardedSamples shards. Trials share nothing, so the
+// merged result is bit-identical at any worker-thread count
+// (VFPGA_THREADS=1 is the oracle; CI byte-diffs the mq_scaling
+// --stats-only JSON against it).
 #pragma once
 
 #include <vector>
@@ -43,7 +41,7 @@ struct MultiFlowConfig {
   /// Retry budget per echo (poll all queues between attempts).
   u32 max_attempts = 8;
   u64 seed = 20'25;
-  /// Worker threads for the trial lanes; 0 = worker_threads(trials).
+  /// Worker threads for the trials; 0 = worker_threads(trials).
   /// VFPGA_THREADS still overrides either way (env > this > hardware).
   unsigned threads = 0;
   core::TestbedOptions testbed{};
@@ -73,14 +71,6 @@ struct MultiFlowResult {
   /// UDP frames that arrived on a pair other than their flow's — must
   /// be 0 without fault injection (steering is deterministic).
   u64 cross_pair_rx = 0;
-
-  // ---- lane-set execution (deterministic at any thread count) -------
-  u64 lane_windows = 0;         ///< barrier phases across the run
-  u64 lane_window_growths = 0;  ///< adaptive controller widenings
-  u64 lane_messages = 0;        ///< cross-lane messages routed
-  /// Trial-completion messages lane 0 executed — trials, or the
-  /// aggregation path lost one.
-  u32 trials_aggregated = 0;
 };
 
 MultiFlowResult run_multi_flow(const MultiFlowConfig& config);

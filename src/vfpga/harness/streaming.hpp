@@ -50,7 +50,7 @@ struct StreamingConfig {
   u16 wire_mtu = 1500;
   /// Per-RX-buffer size in the mergeable cell.
   u32 mrg_buffer_bytes = 4096;
-  /// Worker threads for run_streaming_sweep's lanes; 0 =
+  /// Worker threads for run_streaming_sweep's cells; 0 =
   /// worker_threads(). VFPGA_THREADS still overrides (env > this > hw).
   unsigned threads = 0;
 };
@@ -88,23 +88,13 @@ struct StreamingSweepResult {
   /// Every (packed, payload, mode) cell in canonical sweep order:
   /// packed-major ({split, packed}), then payload, then the six modes
   /// in enum order. Each cell's numbers are identical to a standalone
-  /// run_streaming_cell call — the lanes change where cells execute,
-  /// never what they compute.
+  /// run_streaming_cell call.
   std::vector<StreamingCellResult> cells;
-
-  // ---- lane-set execution (deterministic at any thread count) -------
-  u64 lane_windows = 0;
-  u64 lane_window_growths = 0;
-  u64 lane_messages = 0;
-  /// Cell-completion messages lane 0 executed — must equal cells.size().
-  u32 cells_aggregated = 0;
 };
 
-/// Run the full sweep with cells sharded across event lanes: a fixed
-/// lane count (independent of the worker pool), each lane advancing its
-/// cells one round-trip batch per event, testbeds built lane-side in
-/// the parallel phase and released as cells finish. Bit-identical at
-/// any thread count.
+/// Run the full sweep, one run_streaming_cell per cell on the worker
+/// pool (harness::run_parallel). Cells share nothing, so the result is
+/// bit-identical at any thread count.
 StreamingSweepResult run_streaming_sweep(const StreamingConfig& config);
 
 }  // namespace vfpga::harness

@@ -10,6 +10,22 @@
 
 namespace vfpga::sim {
 
+namespace {
+
+// Adaptive window controller thresholds.
+/// EWMA messages/window at or above this: halve the window (the lanes
+/// are talking — tighten the lookahead immediately).
+constexpr i64 kHighMessages = 8;
+/// EWMA messages/window at or below this counts as a quiet window.
+constexpr i64 kLowMessages = 1;
+/// Consecutive quiet windows before the window doubles. Hysteresis:
+/// growth is patient, shrink is immediate.
+constexpr u32 kGrowPatience = 4;
+static_assert(kGrowPatience >= 1);
+static_assert(kHighMessages > kLowMessages);
+
+}  // namespace
+
 LaneSet::LaneSet(LaneSetConfig config) : config_(config) {
   VFPGA_EXPECTS(config_.lanes >= 1);
   VFPGA_EXPECTS(config_.window > Duration{});
@@ -18,9 +34,6 @@ LaneSet::LaneSet(LaneSetConfig config) : config_(config) {
     VFPGA_EXPECTS(config_.adaptive.min_window > Duration{});
     VFPGA_EXPECTS(config_.adaptive.min_window <= config_.window);
     VFPGA_EXPECTS(config_.window <= config_.adaptive.max_window);
-    VFPGA_EXPECTS(config_.adaptive.grow_patience >= 1);
-    VFPGA_EXPECTS(config_.adaptive.high_messages >
-                  config_.adaptive.low_messages);
   }
   window_ = config_.window;
   lanes_.reserve(config_.lanes);
@@ -84,7 +97,7 @@ void LaneSet::retune_window() {
   const i64 busy_x256 = static_cast<i64>(busy_lanes) * 256;
   busy_ewma_x256_ += (busy_x256 - busy_ewma_x256_) / 4;
 
-  if (message_ewma_x256_ >= static_cast<i64>(a.high_messages) * 256) {
+  if (message_ewma_x256_ >= kHighMessages * 256) {
     // Chatty: messages are waiting a whole window for delivery. Shrink
     // immediately — latency is paid per message, barriers per window.
     quiet_streak_ = 0;
@@ -96,7 +109,7 @@ void LaneSet::retune_window() {
     }
     return;
   }
-  if (message_ewma_x256_ > static_cast<i64>(a.low_messages) * 256) {
+  if (message_ewma_x256_ > kLowMessages * 256) {
     quiet_streak_ = 0;  // middle band: hold
     return;
   }
@@ -105,7 +118,7 @@ void LaneSet::retune_window() {
   // fleet reaches the max window twice as fast as a busy-but-silent one.
   const i64 half_busy_x256 = static_cast<i64>(lanes_.size()) * 128;
   quiet_streak_ += busy_ewma_x256_ <= half_busy_x256 ? 2u : 1u;
-  if (quiet_streak_ < a.grow_patience) {
+  if (quiet_streak_ < kGrowPatience) {
     return;
   }
   quiet_streak_ = 0;

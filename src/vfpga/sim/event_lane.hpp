@@ -60,14 +60,6 @@ struct LaneSetConfig {
     /// cross-lane latency floor the controller may never trade away.
     Duration min_window = microseconds(25);
     Duration max_window = milliseconds(5);
-    /// EWMA messages/window at or above this: halve the window (the
-    /// lanes are talking — tighten the lookahead immediately).
-    u32 high_messages = 8;
-    /// EWMA messages/window at or below this counts as a quiet window.
-    u32 low_messages = 1;
-    /// Consecutive quiet windows before the window doubles. Hysteresis:
-    /// growth is patient, shrink is immediate.
-    u32 grow_patience = 4;
   } adaptive;
 };
 

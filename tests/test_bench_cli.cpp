@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "../bench/bench_cli.hpp"
@@ -31,7 +32,7 @@ class BenchCli : public ::testing::Test {
     for (const char* name :
          {"VFPGA_ITERATIONS", "VFPGA_SEED", "VFPGA_MQ_TRIALS",
           "VFPGA_MQ_PACKETS", "VFPGA_CAMPAIGN_RUNS", "VFPGA_CAMPAIGN_OPS",
-          "VFPGA_CAMPAIGN_RATE"}) {
+          "VFPGA_CAMPAIGN_RATE", "VFPGA_THREADS"}) {
       ::unsetenv(name);
     }
   }
@@ -99,6 +100,12 @@ TEST_F(BenchCli, EnvironmentCountsAndRateAreRead) {
   EXPECT_FALSE(args.mq_packets.has_value());
 }
 
+TEST_F(BenchCli, ValidThreadsEnvironmentPassesAndLeavesCliThreadsUnset) {
+  ::setenv("VFPGA_THREADS", "4", 1);
+  EXPECT_EQ(parse({"bench"}).threads, 0u);  // worker_threads reads it
+  EXPECT_EQ(parse({"bench", "--threads=2"}).threads, 2u);
+}
+
 // The paper benches' VFPGA_ITERATIONS / VFPGA_SEED overrides.
 TEST(ExperimentConfig, EnvOverrides) {
   ::setenv("VFPGA_ITERATIONS", "1234", 1);
@@ -160,6 +167,16 @@ TEST_F(BenchCliDeathTest, RejectsRateOutsideTheUnitInterval) {
   ::setenv("VFPGA_CAMPAIGN_RATE", "2", 1);
   EXPECT_EXIT(parse({"bench"}), ::testing::ExitedWithCode(2),
               "error: VFPGA_CAMPAIGN_RATE=2 is not a probability");
+}
+
+TEST_F(BenchCliDeathTest, RejectsMalformedThreadsEnvironment) {
+  for (const char* value : {"4x", "abc", "0", "-2"}) {
+    ::setenv("VFPGA_THREADS", value, 1);
+    EXPECT_EXIT(parse({"bench"}, 0), ::testing::ExitedWithCode(2),
+                std::string("error: VFPGA_THREADS=") + value +
+                    " is not a positive integer")
+        << value;
+  }
 }
 
 TEST_F(BenchCliDeathTest, RejectsMalformedEnvironmentSeed) {

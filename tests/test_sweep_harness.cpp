@@ -1,13 +1,14 @@
-// Lane-migrated harness tests: sweeps sharded over sim::LaneSet must
-// (a) compute each cell bit-identically to the standalone single-cell
-// runner, and (b) be bit-identical at any worker-thread count
-// (VFPGA_THREADS=1 is the oracle CI byte-diffs against).
+// Sweep harness tests: sweeps whose independent cells run on the worker
+// pool must (a) compute each cell bit-identically to the standalone
+// single-cell runner, and (b) be bit-identical at any worker-thread
+// count (VFPGA_THREADS=1 is the oracle CI byte-diffs against).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 
 #include "vfpga/harness/blk_bench.hpp"
+#include "vfpga/harness/multi_flow.hpp"
 #include "vfpga/harness/streaming.hpp"
 
 namespace vfpga::harness {
@@ -58,16 +59,15 @@ void expect_cells_equal(const BlkCellResult& a, const BlkCellResult& b,
   EXPECT_EQ(a.reactor_busy_iterations, b.reactor_busy_iterations) << label;
 }
 
-TEST(LaneHarness, BlkSweepMatchesStandaloneCells) {
+TEST(SweepHarness, BlkSweepMatchesStandaloneCells) {
   const BlkBenchConfig config = tiny_blk_config();
   const BlkSweepResult sweep = run_blk_sweep(config);
   ASSERT_EQ(sweep.cells.size(),
             config.payloads.size() * config.queue_depths.size() * 2);
-  EXPECT_EQ(sweep.cells_aggregated, sweep.cells.size());
 
   // Canonical order: payload-major, then depth, then {interrupt,
-  // reactor}. Each cell must match a standalone run exactly — the lanes
-  // move cells between threads, never inside the simulation.
+  // reactor}. Each cell must match a standalone run exactly — the pool
+  // moves cells between threads, never inside the simulation.
   std::size_t i = 0;
   for (const u32 payload : config.payloads) {
     for (const u16 depth : config.queue_depths) {
@@ -83,7 +83,7 @@ TEST(LaneHarness, BlkSweepMatchesStandaloneCells) {
   }
 }
 
-TEST(LaneHarness, BlkSweepDeterministicAcrossThreads) {
+TEST(SweepHarness, BlkSweepDeterministicAcrossThreads) {
   const BlkBenchConfig config = tiny_blk_config();
   BlkSweepResult one;
   {
@@ -100,13 +100,6 @@ TEST(LaneHarness, BlkSweepDeterministicAcrossThreads) {
     expect_cells_equal(one.cells[i], four.cells[i],
                        "cell " + std::to_string(i));
   }
-  // Lane bookkeeping is part of the deterministic surface too: the
-  // window protocol (and the adaptive controller riding on it) must not
-  // see the thread count.
-  EXPECT_EQ(one.lane_windows, four.lane_windows);
-  EXPECT_EQ(one.lane_window_growths, four.lane_window_growths);
-  EXPECT_EQ(one.lane_messages, four.lane_messages);
-  EXPECT_EQ(one.cells_aggregated, four.cells_aggregated);
 }
 
 StreamingConfig tiny_streaming_config() {
@@ -135,7 +128,7 @@ void expect_cells_equal(const StreamingCellResult& a,
   EXPECT_EQ(a.rx_gro_frames, b.rx_gro_frames) << label;
 }
 
-TEST(LaneHarness, StreamingSweepMatchesStandaloneCells) {
+TEST(SweepHarness, StreamingSweepMatchesStandaloneCells) {
   const StreamingConfig config = tiny_streaming_config();
   const StreamingSweepResult sweep = run_streaming_sweep(config);
   constexpr StreamMode kModes[] = {
@@ -143,7 +136,6 @@ TEST(LaneHarness, StreamingSweepMatchesStandaloneCells) {
       StreamMode::kIndirect,    StreamMode::kMergeable,
       StreamMode::kSegmentedSw, StreamMode::kOffload};
   ASSERT_EQ(sweep.cells.size(), 2 * config.payloads.size() * 6);
-  EXPECT_EQ(sweep.cells_aggregated, sweep.cells.size());
 
   std::size_t i = 0;
   for (const bool packed : {false, true}) {
@@ -159,7 +151,7 @@ TEST(LaneHarness, StreamingSweepMatchesStandaloneCells) {
   }
 }
 
-TEST(LaneHarness, StreamingSweepDeterministicAcrossThreads) {
+TEST(SweepHarness, StreamingSweepDeterministicAcrossThreads) {
   const StreamingConfig config = tiny_streaming_config();
   StreamingSweepResult one;
   {
@@ -176,9 +168,42 @@ TEST(LaneHarness, StreamingSweepDeterministicAcrossThreads) {
     expect_cells_equal(one.cells[i], four.cells[i],
                        "cell " + std::to_string(i));
   }
-  EXPECT_EQ(one.lane_windows, four.lane_windows);
-  EXPECT_EQ(one.lane_window_growths, four.lane_window_growths);
-  EXPECT_EQ(one.lane_messages, four.lane_messages);
+}
+
+TEST(SweepHarness, MultiFlowDeterministicAcrossThreads) {
+  MultiFlowConfig config;
+  config.queue_pairs = 2;
+  config.flows = 4;
+  config.packets_per_flow = 16;
+  config.warmup_per_flow = 2;
+  config.trials = 4;
+  config.seed = 913;
+  MultiFlowResult one;
+  {
+    ScopedThreadsEnv env{"1"};
+    one = run_multi_flow(config);
+  }
+  MultiFlowResult four;
+  {
+    ScopedThreadsEnv env{"4"};
+    four = run_multi_flow(config);
+  }
+  ASSERT_EQ(one.per_flow.size(), four.per_flow.size());
+  for (std::size_t f = 0; f < one.per_flow.size(); ++f) {
+    const std::string label = "flow " + std::to_string(f);
+    EXPECT_EQ(one.per_flow[f].pair, four.per_flow[f].pair) << label;
+    EXPECT_EQ(one.per_flow[f].completed, four.per_flow[f].completed) << label;
+    EXPECT_EQ(one.per_flow[f].failures, four.per_flow[f].failures) << label;
+    EXPECT_EQ(one.per_flow[f].latency_us.values_us(),
+              four.per_flow[f].latency_us.values_us())
+        << label;
+  }
+  EXPECT_EQ(one.all_latency_us.values_us(), four.all_latency_us.values_us());
+  EXPECT_EQ(one.failures, four.failures);
+  EXPECT_EQ(one.aggregate_mpps, four.aggregate_mpps);  // kpps, bitwise
+  EXPECT_EQ(one.mean_makespan_us, four.mean_makespan_us);
+  EXPECT_EQ(one.cross_pair_rx, four.cross_pair_rx);
+  EXPECT_GT(one.all_latency_us.count(), 0u);
 }
 
 }  // namespace
