@@ -10,8 +10,13 @@ namespace vfpga::harness {
 
 namespace {
 
-/// Deterministic per-op payload so a stale echo from a retransmitted
-/// earlier request can never satisfy a later one.
+bool payload_matches(ConstByteSpan expected, ConstByteSpan got) {
+  return expected.size() == got.size() &&
+         std::equal(expected.begin(), expected.end(), got.begin());
+}
+
+}  // namespace
+
 Bytes make_payload(u64 bytes, u64 run_seed, u32 op) {
   Bytes payload(bytes);
   sim::SplitMix64 gen{run_seed * 1315423911ull + op};
@@ -21,43 +26,21 @@ Bytes make_payload(u64 bytes, u64 run_seed, u32 op) {
   return payload;
 }
 
-bool payload_matches(ConstByteSpan expected, ConstByteSpan got) {
-  return expected.size() == got.size() &&
-         std::equal(expected.begin(), expected.end(), got.begin());
-}
-
-/// Outcome of one operation driven through the recovery machinery.
-struct OpOutcome {
-  bool ok = false;
-  bool recovered = false;  ///< at least one failed attempt preceded success
-  sim::Duration recovery{};
-};
-
-/// One UDP echo with the full recovery ladder: blocking receive,
-/// then (on timeout / mismatch) TX watchdog + interrupt-less RX poll,
-/// then retransmission, bounded by attempts and simulated time.
-OpOutcome udp_echo_op(core::VirtioNetTestbed& bed, hostos::UdpSocket& sock,
-                      ConstByteSpan payload, const CampaignConfig& config) {
+EchoOutcome recovering_udp_echo(core::VirtioNetTestbed& bed,
+                                hostos::UdpSocket& sock,
+                                ConstByteSpan payload, u32 max_attempts,
+                                sim::Duration time_bound) {
   hostos::HostThread& t = bed.thread();
   const sim::SimTime op_start = t.now();
-  OpOutcome outcome;
-  std::optional<sim::SimTime> first_failure;
-
+  EchoOutcome outcome;
   const auto fail_detected = [&] {
-    if (!first_failure.has_value()) {
-      first_failure = t.now();
-    }
-  };
-  const auto accept = [&] {
-    outcome.ok = true;
-    if (first_failure.has_value()) {
-      outcome.recovered = true;
-      outcome.recovery = t.now() - *first_failure;
+    if (!outcome.first_failure.has_value()) {
+      outcome.first_failure = t.now();
     }
   };
 
-  for (u32 attempt = 0; attempt < config.max_op_attempts; ++attempt) {
-    if (t.now() - op_start >= config.op_time_bound) {
+  for (u32 attempt = 0; attempt < max_attempts; ++attempt) {
+    if (t.now() - op_start >= time_bound) {
       return outcome;  // liveness bound blown: hang
     }
     if (!sock.sendto(t, bed.fpga_ip(), bed.options().fpga_udp_port,
@@ -71,7 +54,7 @@ OpOutcome udp_echo_op(core::VirtioNetTestbed& bed, hostos::UdpSocket& sock,
     for (u32 rx_try = 0; rx_try < 4; ++rx_try) {
       const auto reply = sock.recvfrom(t);
       if (reply.has_value() && payload_matches(payload, reply->payload)) {
-        accept();
+        outcome.ok = true;
         return outcome;
       }
       fail_detected();  // timeout, or a detected-corrupt/stale echo
@@ -85,6 +68,30 @@ OpOutcome udp_echo_op(core::VirtioNetTestbed& bed, hostos::UdpSocket& sock,
         break;  // in-flight chains are gone; retransmit
       }
     }
+  }
+  return outcome;
+}
+
+namespace {
+
+/// Outcome of one operation driven through the recovery machinery.
+struct OpOutcome {
+  bool ok = false;
+  bool recovered = false;  ///< at least one failed attempt preceded success
+  sim::Duration recovery{};
+};
+
+/// The campaign's UDP op: recovery latency runs from the first detected
+/// failure to the accepted echo.
+OpOutcome udp_echo_op(core::VirtioNetTestbed& bed, hostos::UdpSocket& sock,
+                      ConstByteSpan payload, const CampaignConfig& config) {
+  const EchoOutcome echo = recovering_udp_echo(
+      bed, sock, payload, config.max_op_attempts, config.op_time_bound);
+  OpOutcome outcome;
+  outcome.ok = echo.ok;
+  if (echo.ok && echo.first_failure.has_value()) {
+    outcome.recovered = true;
+    outcome.recovery = bed.thread().now() - *echo.first_failure;
   }
   return outcome;
 }

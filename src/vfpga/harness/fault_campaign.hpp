@@ -11,6 +11,7 @@
 // class as exact samples so the report can print p50/p99.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,26 @@ struct CampaignResult {
   std::vector<ClassReport> classes;
   [[nodiscard]] bool ok() const;
 };
+
+/// Deterministic per-op payload so a stale echo from a retransmitted
+/// earlier request can never satisfy a later one.
+Bytes make_payload(u64 bytes, u64 run_seed, u32 op);
+
+struct EchoOutcome {
+  bool ok = false;  ///< an intact echo came back within the bounds
+  /// When the first failure (refused send, timeout, or corrupt/stale
+  /// echo) was detected; nullopt when the first attempt succeeded.
+  std::optional<sim::SimTime> first_failure;
+};
+
+/// One UDP echo with the full recovery ladder: send, up to 4 receive
+/// tries, each failure followed by the TX watchdog and an
+/// interrupt-less RX poll, retransmission after a device reset, bounded
+/// by `max_attempts` sends and `time_bound` of simulated time.
+EchoOutcome recovering_udp_echo(core::VirtioNetTestbed& bed,
+                                hostos::UdpSocket& sock,
+                                ConstByteSpan payload, u32 max_attempts,
+                                sim::Duration time_bound);
 
 /// Run the full campaign: every virtio-reachable fault class against
 /// the UDP-echo workload, the DMA/engine classes against the chardev

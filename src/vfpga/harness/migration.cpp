@@ -1,35 +1,17 @@
 #include "vfpga/harness/migration.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
+#include "vfpga/harness/fault_campaign.hpp"
 #include "vfpga/migrate/snapshot.hpp"
 #include "vfpga/net/rss.hpp"
-#include "vfpga/sim/rng.hpp"
 
 namespace vfpga::harness {
 
 namespace {
-
-/// Deterministic per-op payload (same generator as the fault campaign)
-/// so a stale echo from an earlier retry can never satisfy a later op —
-/// and so A's replay and B's replay build identical frames.
-Bytes make_payload(u64 bytes, u64 run_seed, u32 op) {
-  Bytes payload(bytes);
-  sim::SplitMix64 gen{run_seed * 1315423911ull + op};
-  for (auto& b : payload) {
-    b = static_cast<u8>(gen.next());
-  }
-  return payload;
-}
-
-bool payload_matches(ConstByteSpan expected, ConstByteSpan got) {
-  return expected.size() == got.size() &&
-         std::equal(expected.begin(), expected.end(), got.begin());
-}
 
 /// Everything one op's outcome can differ in between the unmigrated and
 /// the migrated host. end_picos folds in every cost-model charge and
@@ -43,48 +25,13 @@ struct OpTrace {
   bool operator==(const OpTrace&) const = default;
 };
 
-/// One UDP echo with the fault campaign's recovery ladder: blocking
-/// receive, then TX watchdog + interrupt-less RX poll on failure, then
-/// retransmission, bounded by attempts and simulated time.
+/// One UDP echo through the fault campaign's recovery ladder.
 OpTrace udp_echo_op(core::VirtioNetTestbed& bed, hostos::UdpSocket& sock,
                     ConstByteSpan payload, const MigrationConfig& config) {
-  hostos::HostThread& t = bed.thread();
-  const sim::SimTime op_start = t.now();
-  OpTrace trace;
-  bool failed_once = false;
-
-  for (u32 attempt = 0; attempt < config.max_op_attempts; ++attempt) {
-    if (t.now() - op_start >= config.op_time_bound) {
-      break;  // liveness bound blown: hang
-    }
-    if (!sock.sendto(t, bed.fpga_ip(), bed.options().fpga_udp_port,
-                     payload)) {
-      failed_once = true;
-      (void)bed.driver().tx_watchdog(t);
-      continue;
-    }
-    bool reset = false;
-    for (u32 rx_try = 0; rx_try < 4 && !reset; ++rx_try) {
-      const auto reply = sock.recvfrom(t);
-      if (reply.has_value() && payload_matches(payload, reply->payload)) {
-        trace.ok = true;
-        trace.recovered = failed_once;
-        trace.end_picos = t.now().picos();
-        return trace;
-      }
-      failed_once = true;
-      const auto action = bed.driver().tx_watchdog(t);
-      if (bed.stack().poll_rx(t) > 0) {
-        continue;
-      }
-      if (action == hostos::VirtioNetDriver::WatchdogAction::kReset) {
-        reset = true;  // in-flight chains are gone; retransmit
-      }
-    }
-  }
-  trace.recovered = failed_once;
-  trace.end_picos = t.now().picos();
-  return trace;
+  const EchoOutcome echo = recovering_udp_echo(
+      bed, sock, payload, config.max_op_attempts, config.op_time_bound);
+  return OpTrace{echo.ok, echo.first_failure.has_value(),
+                 bed.thread().now().picos()};
 }
 
 /// One socket per flow, source ports searched so flow f's Toeplitz hash

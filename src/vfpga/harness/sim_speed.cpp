@@ -17,6 +17,21 @@ namespace {
 
 constexpr u32 kEchoAttempts = 64;
 
+// Echo fleet shape (DESIGN.md §14): a fixed window, and the FlowGen
+// traffic every lane draws.
+constexpr sim::Duration kEchoWindow = sim::microseconds(100);
+constexpr double kEchoMeanGapUs = 50.0;
+constexpr u32 kEchoPayloadMin = 64;
+constexpr u32 kEchoPayloadMax = 1400;
+
+// Soak shape (DESIGN.md §15): the adaptive window's floor is its
+// starting width.
+constexpr sim::Duration kSoakWindow = sim::microseconds(100);
+constexpr sim::Duration kSoakMaxWindow = sim::milliseconds(10);
+constexpr sim::Duration kSoakTick = sim::microseconds(200);
+constexpr u32 kSoakNotifyEvery = 8;
+constexpr double kSoakMeanGapUs = 20.0;
+
 /// A nonzero request is used as given (clamped to the lane count, like
 /// LaneSet::run); only 0 falls back to worker_threads, where
 /// VFPGA_THREADS applies. Callers that want env > CLI > hardware
@@ -48,17 +63,10 @@ struct LaneContext {
 
 class Runner {
  public:
-  static sim::LaneSetConfig lane_config(const SimSpeedConfig& config) {
-    sim::LaneSetConfig lc;
-    lc.lanes = config.lanes;
-    lc.window = config.window;
-    lc.ring_capacity = config.ring_capacity;
-    return lc;
-  }
-
   explicit Runner(const SimSpeedConfig& config)
       : config_(config),
-        set_(lane_config(config)),
+        set_(sim::LaneSetConfig{
+            .lanes = config.lanes, .window = kEchoWindow, .adaptive = {}}),
         shards_(config.lanes, config.packets_per_lane),
         smallfn_baseline_(sim::SmallFn::heap_allocations()) {
     sim::SplitMix64 seeder{config_.seed};
@@ -89,10 +97,10 @@ class Runner {
       gen_config.pair_set = {static_cast<u16>(i)};
       gen_config.flows = config_.flows_per_lane;
       gen_config.arrivals = config_.arrivals;
-      gen_config.mean_gap_us = config_.mean_gap_us;
+      gen_config.mean_gap_us = kEchoMeanGapUs;
       gen_config.size_max_packets = config_.size_max_packets;
-      gen_config.payload_min = config_.payload_min;
-      gen_config.payload_max = config_.payload_max;
+      gen_config.payload_min = kEchoPayloadMin;
+      gen_config.payload_max = kEchoPayloadMax;
       gen_config.seed = seeder.next();
       ctx->gen = std::make_unique<net::FlowGen>(gen_config);
 
@@ -272,7 +280,13 @@ struct SoakShard {
 class SoakRunner {
  public:
   explicit SoakRunner(const FlowSoakConfig& config)
-      : config_(config), set_(lane_config(config)), shards_(config.lanes) {
+      : config_(config),
+        set_(sim::LaneSetConfig{.lanes = config.lanes,
+                                .window = kSoakWindow,
+                                .adaptive = {.enabled = true,
+                                             .min_window = kSoakWindow,
+                                             .max_window = kSoakMaxWindow}}),
+        shards_(config.lanes) {
     sim::SplitMix64 seeder{config_.seed};
     for (u32 l = 0; l < config_.lanes; ++l) {
       net::FlowGenConfig gc;
@@ -287,14 +301,14 @@ class SoakRunner {
       gc.pair_set = {static_cast<u16>(l)};
       gc.flows = config_.flows_per_lane;
       gc.size_max_packets = config_.size_max_packets;
-      gc.mean_gap_us = config_.mean_gap_us;
+      gc.mean_gap_us = kSoakMeanGapUs;
       gc.seed = seeder.next();
       shards_[l].gen = std::make_unique<net::FlowGen>(gc);
 
       // Stagger first ticks so the opening window is not one aligned
       // burst (the offsets are fixed — determinism is untouched).
       set_.lane(l).scheduler().schedule_at(
-          sim::SimTime{} + config_.tick + sim::nanoseconds(l * 137 + 1),
+          sim::SimTime{} + kSoakTick + sim::nanoseconds(l * 137 + 1),
           [this, l] { tick(l); });
     }
   }
@@ -344,17 +358,6 @@ class SoakRunner {
   }
 
  private:
-  static sim::LaneSetConfig lane_config(const FlowSoakConfig& config) {
-    sim::LaneSetConfig lc;
-    lc.lanes = config.lanes;
-    lc.window = config.window;
-    lc.ring_capacity = config.ring_capacity;
-    lc.adaptive.enabled = config.adaptive;
-    lc.adaptive.min_window = config.window;
-    lc.adaptive.max_window = sim::milliseconds(10);
-    return lc;
-  }
-
   /// One churn round: advance a batch of slots, churning every flow
   /// that finishes. The tick cadence (not the flows' own gap draws)
   /// paces the lane — the soak stresses table turnover, not timing.
@@ -379,13 +382,13 @@ class SoakRunner {
     // Sparse cross-lane traffic: enough to keep the rings and the
     // visibility gates honest, rare enough that the adaptive controller
     // sees a quiet fleet and widens the window.
-    if (shard.ticks_done % config_.notify_every == 0) {
+    if (shard.ticks_done % kSoakNotifyEvery == 0) {
       const u32 dst = (l + 1) % config_.lanes;
       u64* counter = &shards_[dst].notified;
       set_.post(l, dst, set_.horizon(), [counter] { ++*counter; });
     }
     if (shard.ticks_done < config_.ticks) {
-      set_.lane(l).scheduler().schedule_after(config_.tick,
+      set_.lane(l).scheduler().schedule_after(kSoakTick,
                                               [this, l] { tick(l); });
     }
   }
@@ -400,7 +403,7 @@ class SoakRunner {
 FlowSoakResult run_flow_soak(const FlowSoakConfig& config) {
   VFPGA_EXPECTS(config.lanes >= 1 && config.lanes <= 256);
   VFPGA_EXPECTS(config.flows_per_lane >= 1 && config.ticks >= 1 &&
-                config.slots_per_tick >= 1 && config.notify_every >= 1);
+                config.slots_per_tick >= 1);
   SoakRunner runner(config);
   return runner.run(exact_threads(config.lanes, config.threads));
 }

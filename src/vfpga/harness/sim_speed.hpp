@@ -31,20 +31,13 @@ struct SimSpeedConfig {
   /// Echo round trips each lane performs before draining.
   u64 packets_per_lane = 2000;
 
-  /// Conservative window (lookahead) of the lane set.
-  sim::Duration window = sim::microseconds(100);
-  u32 ring_capacity = 4096;
-
   /// Unread: conservative windows are the only lane protocol. Kept
   /// because the benchmark harness still assigns it.
   sim::SyncMode sync = sim::SyncMode::kConservative;
 
   /// Traffic shape (see net::FlowGenConfig).
   net::ArrivalProcess arrivals = net::ArrivalProcess::kMmpp2;
-  double mean_gap_us = 50.0;
   u64 size_max_packets = 512;
-  u32 payload_min = 64;
-  u32 payload_max = 1400;
 
   u64 seed = 0x51'eedull;
   /// Worker threads for LaneSet::run, used exactly (clamped to the lane
@@ -118,17 +111,9 @@ struct FlowSoakConfig {
   /// Churn rounds per lane, and slots advanced per round.
   u32 ticks = 48;
   u32 slots_per_tick = 8192;
-  sim::Duration tick = sim::microseconds(200);
-  /// Post the cross-lane counter message every Nth tick (sparse).
-  u32 notify_every = 8;
-
-  sim::Duration window = sim::microseconds(100);
-  bool adaptive = true;  ///< off = fixed window (the barrier baseline)
-  u32 ring_capacity = 4096;
 
   /// Mice-heavy sizes so slots churn several times within the soak.
   u64 size_max_packets = 8;
-  double mean_gap_us = 20.0;
   u64 seed = 0xf10f'50adull;
   /// As SimSpeedConfig::threads: nonzero is exact, 0 = worker_threads.
   unsigned threads = 0;
@@ -162,11 +147,9 @@ struct FlowSoakResult {
   double packets_per_wall_second = 0;
 };
 
-/// Run the flow-table soak. Deterministic fields are a pure function of
-/// `config` — `threads` never affects them, and `adaptive` only changes
-/// the window/barrier counters, never the simulated traffic (the test
-/// asserting the adaptive controller's barrier reduction relies on
-/// this).
+/// Run the flow-table soak under the adaptive window controller.
+/// Deterministic fields are a pure function of `config` — `threads`
+/// never affects them.
 FlowSoakResult run_flow_soak(const FlowSoakConfig& config);
 
 }  // namespace vfpga::harness

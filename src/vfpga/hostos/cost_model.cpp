@@ -68,11 +68,8 @@ CostModelConfig CostModelConfig::fedora_defaults() {
   c.blk_complete = {nanoseconds(480), 0.20, nanoseconds(240), {}};
 
   // Reactor loop: one iteration's fixed overhead is a poller-table walk
-  // plus a message-ring probe (SPDK measures ~100-300ns per idle
-  // thread_poll); dispatching one cross-reactor message adds a function
-  // call + cache miss on the ring slot.
+  // (SPDK measures ~100-300ns per idle thread_poll).
   c.reactor_poll_iteration = {nanoseconds(110), 0.20, nanoseconds(45), {}};
-  c.reactor_msg = {nanoseconds(70), 0.22, nanoseconds(30), {}};
 
   // XDMA character-device driver segments. Submission pins user pages,
   // builds the SG table and descriptors, and flushes them — the

@@ -67,11 +67,9 @@ struct CostModelConfig {
   sim::JitteredSegment blk_complete;
 
   // ---- reactor (run-to-completion polled execution) ----
-  /// One reactor loop iteration's fixed overhead: poller table walk,
-  /// message-ring empty probe, timer-wheel peek (SPDK thread_poll).
+  /// One reactor loop iteration's fixed overhead: the poller table
+  /// walk (SPDK thread_poll).
   sim::JitteredSegment reactor_poll_iteration;
-  /// Dequeue + dispatch of one inter-reactor message (spdk_msg fn call).
-  sim::JitteredSegment reactor_msg;
 
   // ---- vendor driver (XDMA path) ----
   sim::JitteredSegment xdma_submit;     ///< pin pages, SG map, build descs

@@ -321,19 +321,22 @@ void VirtioNetDriver::update_dim(HostThread& thread, u16 pair, u32 batch) {
   if (ps.rx_rate_ewma < 0.0) {
     ps.rx_rate_ewma = batch;
   } else {
-    const double a = dim_.ewma_alpha;
+    const double a = kDimPolicy.ewma_alpha;
     ps.rx_rate_ewma = a * batch + (1.0 - a) * ps.rx_rate_ewma;
   }
   // Hysteretic profile switch: reprogramming the device costs a control
   // command round-trip, so only threshold crossings act. The NOTF_COAL
   // window is device-global in this personality; with several pairs the
   // first pair to cross a watermark reprograms it for all of them.
-  if (!ps.dim_profile_high && ps.rx_rate_ewma >= dim_.high_watermark) {
-    if (send_rx_coalesce(thread, dim_.coalesce_usecs, dim_.coalesce_frames)) {
+  if (!ps.dim_profile_high &&
+      ps.rx_rate_ewma >= kDimPolicy.high_watermark) {
+    if (send_rx_coalesce(thread, kDimPolicy.coalesce_usecs,
+                         kDimPolicy.coalesce_frames)) {
       ps.dim_profile_high = true;
       ++dim_updates_;
     }
-  } else if (ps.dim_profile_high && ps.rx_rate_ewma <= dim_.low_watermark) {
+  } else if (ps.dim_profile_high &&
+             ps.rx_rate_ewma <= kDimPolicy.low_watermark) {
     if (send_rx_coalesce(thread, 0, 1)) {
       ps.dim_profile_high = false;
       ++dim_updates_;
@@ -390,8 +393,9 @@ VirtioNetDriver::WatchdogAction VirtioNetDriver::tx_watchdog(
       ps.tx_stall_since = thread.now();
     }
     const bool deadline_passed =
-        thread.now() - *ps.tx_stall_since >= watchdog_.deadline;
-    if (deadline_passed || ps.kick_retries >= watchdog_.max_kick_retries) {
+        thread.now() - *ps.tx_stall_since >= kWatchdogPolicy.deadline;
+    if (deadline_passed ||
+        ps.kick_retries >= kWatchdogPolicy.max_kick_retries) {
       VFPGA_ASSERT(recover(thread));
       return WatchdogAction::kReset;
     }
@@ -399,8 +403,8 @@ VirtioNetDriver::WatchdogAction VirtioNetDriver::tx_watchdog(
     // lost notify left the published chains in the ring, so a repeat
     // kick is enough to restart the device FSM — per-queue recovery,
     // the other pairs keep running undisturbed.
-    const sim::Duration backoff =
-        watchdog_.backoff_base * static_cast<i64>(1ll << ps.kick_retries);
+    const sim::Duration backoff = kWatchdogPolicy.backoff_base *
+                                  static_cast<i64>(1ll << ps.kick_retries);
     ++ps.kick_retries;
     thread.block_until(thread.now() + backoff);
     transport_.notify(virtio::net::tx_queue_index(p), thread);

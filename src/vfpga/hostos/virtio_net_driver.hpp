@@ -212,19 +212,22 @@ class VirtioNetDriver {
   /// profile on (hysteretic) threshold crossings.
   struct DimPolicy {
     /// EWMA smoothing for the per-poll batch size.
-    double ewma_alpha = 0.25;
+    double ewma_alpha;
     /// EWMA at or above this arms the batching profile.
-    double high_watermark = 4.0;
+    double high_watermark;
     /// EWMA at or below this returns to the low-latency profile
     /// (< high_watermark: the gap is the hysteresis band).
-    double low_watermark = 1.5;
+    double low_watermark;
     /// Batching profile: fire after this many withheld completions ...
-    u32 coalesce_frames = 8;
+    u32 coalesce_frames;
     /// ... or when the holdoff window (microseconds) expires.
-    u32 coalesce_usecs = 32;
+    u32 coalesce_usecs;
   };
-  void set_dim_policy(const DimPolicy& policy) { dim_ = policy; }
-  [[nodiscard]] const DimPolicy& dim_policy() const { return dim_; }
+  static constexpr DimPolicy kDimPolicy{.ewma_alpha = 0.25,
+                                        .high_watermark = 4.0,
+                                        .low_watermark = 1.5,
+                                        .coalesce_frames = 8,
+                                        .coalesce_usecs = 32};
 
   /// Poll-mode RX for one pair: flush any coalesced TX kicks, disarm
   /// the pair's RX vector, and spin on the used ring — harvesting
@@ -255,10 +258,14 @@ class VirtioNetDriver {
   /// the bounded exponential backoff re-kicks are paced before the
   /// watchdog escalates to a full device reset.
   struct WatchdogPolicy {
-    sim::Duration deadline = sim::microseconds(500);
-    u32 max_kick_retries = 3;
-    sim::Duration backoff_base = sim::microseconds(20);
+    sim::Duration deadline;
+    u32 max_kick_retries;
+    sim::Duration backoff_base;
   };
+  static constexpr WatchdogPolicy kWatchdogPolicy{
+      .deadline = sim::microseconds(500),
+      .max_kick_retries = 3,
+      .backoff_base = sim::microseconds(20)};
   enum class WatchdogAction : u8 {
     kNone,      ///< queue healthy (or drained by the inline harvest)
     kRekicked,  ///< backoff wait + doorbell re-ring
@@ -277,10 +284,6 @@ class VirtioNetDriver {
   /// Full recovery cycle: reset the device, renegotiate features,
   /// rebuild every queue and requeue the (reused) RX/TX buffers.
   bool recover(HostThread& thread);
-
-  void set_watchdog_policy(const WatchdogPolicy& policy) {
-    watchdog_ = policy;
-  }
 
   /// Send VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET on the control queue and
   /// return the device's ack byte (VIRTIO_NET_OK/ERR), or nullopt when
@@ -471,9 +474,7 @@ class VirtioNetDriver {
   u64 rx_gro_frames_ = 0;
   u64 dim_updates_ = 0;
 
-  WatchdogPolicy watchdog_{};
   BusyPollPolicy busy_poll_policy_{};
-  DimPolicy dim_{};
 };
 
 }  // namespace vfpga::hostos

@@ -1,13 +1,15 @@
-// Fixed-capacity inter-reactor message ring.
+// Fixed-capacity cross-core message ring.
 //
-// Models the lock-free SPSC/MPSC rings run-to-completion frameworks use
-// for cross-core message passing (SPDK's per-thread spdk_ring, DPDK's
+// Models the lock-free SPSC rings run-to-completion frameworks use for
+// cross-core message passing (SPDK's per-thread spdk_ring, DPDK's
 // rte_ring): a power-of-two slot array with masked head/tail cursors,
 // never allocating on the hot path, and dropping (with a counter) when
 // full instead of blocking — the producer owns the retry policy. The
-// simulation is cooperative single-OS-thread, so the "lock-free" part is
-// a modelling statement: a push costs one slot write + cursor bump and
-// can never stall the consumer.
+// sim::LaneSet carries every cross-lane message through one ring per
+// (source, destination) lane pair; pushes and pops happen on one OS
+// thread at a time, so the "lock-free" part is a modelling statement: a
+// push costs one slot write + cursor bump and can never stall the
+// consumer.
 //
 // Causality: each message carries the simulated time it was posted; a
 // consumer whose clock has not reached that time does not see it yet
@@ -25,7 +27,7 @@
 
 namespace vfpga::reactor {
 
-/// A message is a deferred function call on the target reactor — the
+/// A message is a deferred function call on the receiving lane — the
 /// spdk_thread_send_msg model (fn + ctx collapsed into a closure). It is
 /// a sim::SmallFn, so posting a message never heap-allocates as long as
 /// the capture fits the 48-byte inline buffer — the same zero-alloc

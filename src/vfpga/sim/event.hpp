@@ -7,7 +7,7 @@
 // type-erased copy on pop — are exactly the costs this header removes:
 //
 //  * SmallFn: a move-only type-erased `void()` callable with 48 bytes of
-//    inline storage. Every capture the scheduler and reactor timers use
+//    inline storage. Every capture the scheduler and lane messages use
 //    (a couple of pointers plus a timestamp) fits inline; larger
 //    captures still work but fall back to the heap and are counted, so
 //    a steady-state test can assert the hot path allocates nothing.

@@ -26,10 +26,16 @@ static_assert(kHighMessages > kLowMessages);
 
 }  // namespace
 
+EventLane::EventLane(u32 id, u32 sources) : id_(id) {
+  inbox_.reserve(sources);
+  for (u32 s = 0; s < sources; ++s) {
+    inbox_.emplace_back(LaneSet::kRingCapacity);
+  }
+}
+
 LaneSet::LaneSet(LaneSetConfig config) : config_(config) {
   VFPGA_EXPECTS(config_.lanes >= 1);
   VFPGA_EXPECTS(config_.window > Duration{});
-  VFPGA_EXPECTS(config_.ring_capacity >= 2);
   if (config_.adaptive.enabled) {
     VFPGA_EXPECTS(config_.adaptive.min_window > Duration{});
     VFPGA_EXPECTS(config_.adaptive.min_window <= config_.window);
@@ -39,7 +45,7 @@ LaneSet::LaneSet(LaneSetConfig config) : config_(config) {
   lanes_.reserve(config_.lanes);
   for (u32 i = 0; i < config_.lanes; ++i) {
     lanes_.push_back(std::unique_ptr<EventLane>(
-        new EventLane(i, config_.lanes, config_.ring_capacity)));
+        new EventLane(i, config_.lanes)));
   }
 }
 

@@ -42,8 +42,6 @@ struct LaneSetConfig {
   /// With the adaptive controller enabled this is only the STARTING
   /// width; the controller retunes it between windows.
   Duration window = microseconds(100);
-  /// Capacity of each (source, destination) message ring.
-  u32 ring_capacity = 4096;
 
   /// Self-tuning window controller. The fixed window trades barrier
   /// frequency against cross-lane latency once, at configuration time;
@@ -81,12 +79,7 @@ class EventLane {
  private:
   friend class LaneSet;
 
-  EventLane(u32 id, u32 sources, u32 ring_capacity) : id_(id) {
-    inbox_.reserve(sources);
-    for (u32 s = 0; s < sources; ++s) {
-      inbox_.emplace_back(ring_capacity);
-    }
-  }
+  EventLane(u32 id, u32 sources);
 
   struct Outgoing {
     u32 dst = 0;
@@ -107,6 +100,10 @@ class EventLane {
 
 class LaneSet {
  public:
+  /// Capacity of each (source, destination) message ring: a send to a
+  /// full ring is dropped and counted in RunStats::dropped.
+  static constexpr u32 kRingCapacity = 4096;
+
   explicit LaneSet(LaneSetConfig config);
 
   [[nodiscard]] u32 size() const { return static_cast<u32>(lanes_.size()); }

@@ -74,12 +74,13 @@ bool XdmaHostDriver::run_channel(hostos::HostThread& thread,
   const HostAddr desc_base = channel.direction() == Direction::H2C
                                  ? h2c_desc_addr_
                                  : c2h_desc_addr_;
-  for (u32 attempt = 0; attempt < recovery_.max_attempts; ++attempt) {
+  for (u32 attempt = 0; attempt < kRecoveryPolicy.max_attempts; ++attempt) {
     if (attempt > 0) {
       // Bounded exponential backoff before re-submitting; the engine was
       // already stopped and its sticky status cleared below.
-      thread.block_until(thread.now() + recovery_.backoff_base *
-                                            static_cast<i64>(1ll << (attempt - 1)));
+      thread.block_until(
+          thread.now() + kRecoveryPolicy.backoff_base *
+                             static_cast<i64>(1ll << (attempt - 1)));
       ++engine_restarts_;
     }
 

@@ -55,12 +55,11 @@ class XdmaHostDriver {
   /// the descriptor list, and restarts the engine with bounded
   /// exponential backoff between attempts.
   struct RecoveryPolicy {
-    u32 max_attempts = 4;
-    sim::Duration backoff_base = sim::microseconds(10);
+    u32 max_attempts;
+    sim::Duration backoff_base;
   };
-  void set_recovery_policy(const RecoveryPolicy& policy) {
-    recovery_ = policy;
-  }
+  static constexpr RecoveryPolicy kRecoveryPolicy{
+      .max_attempts = 4, .backoff_base = sim::microseconds(10)};
 
   [[nodiscard]] u64 transfers_completed() const {
     return transfers_completed_;
@@ -93,7 +92,6 @@ class XdmaHostDriver {
   u64 transfers_completed_ = 0;
   u64 engine_restarts_ = 0;
   u64 lost_completion_irqs_ = 0;
-  RecoveryPolicy recovery_{};
 };
 
 }  // namespace vfpga::xdma

@@ -80,6 +80,7 @@ struct LaneWork {
   u64 checksum = 0;
   u32 fired = 0;
   u32 limit = 0;
+  SimTime last_step{};
 };
 
 void lane_step(LaneWork& w) {
@@ -88,6 +89,7 @@ void lane_step(LaneWork& w) {
   // messages changes the final checksum.
   w.checksum = w.checksum * 1'000'003ull + (draw >> 32);
   ++w.fired;
+  w.last_step = w.set->lane(w.id).now();
   if (w.fired % 3 == 0) {
     const u32 dst = (w.id + 1) % static_cast<u32>(w.all->size());
     std::vector<LaneWork>* all = w.all;
@@ -108,19 +110,27 @@ void lane_step(LaneWork& w) {
 struct WorkloadSnapshot {
   std::vector<u64> checksums;
   std::vector<u32> fired;
+  std::vector<SimTime> clocks;  ///< each lane's last local step
   u64 windows = 0;
   u64 events = 0;
   u64 messages = 0;
   u64 dropped = 0;
+  u64 window_growths = 0;
+  u64 window_shrinks = 0;
 
   bool operator==(const WorkloadSnapshot&) const = default;
 };
 
-WorkloadSnapshot run_workload(unsigned threads,
+/// Four lanes, 200 local steps each, a cross-lane message every third
+/// step; a 25us window, fixed or retuned between 25us and 2ms.
+WorkloadSnapshot run_workload(unsigned threads, bool adaptive = false,
                               LaneSet::RunStats* stats_out = nullptr) {
   LaneSetConfig config;
   config.lanes = 4;
   config.window = microseconds(25);
+  config.adaptive.enabled = adaptive;
+  config.adaptive.min_window = microseconds(25);
+  config.adaptive.max_window = milliseconds(2);
   LaneSet set(config);
   std::vector<LaneWork> work(config.lanes);
   for (u32 i = 0; i < config.lanes; ++i) {
@@ -134,11 +144,14 @@ WorkloadSnapshot run_workload(unsigned threads,
   for (const LaneWork& w : work) {
     snap.checksums.push_back(w.checksum);
     snap.fired.push_back(w.fired);
+    snap.clocks.push_back(w.last_step);
   }
   snap.windows = stats.windows;
   snap.events = stats.events;
   snap.messages = stats.messages;
   snap.dropped = stats.dropped;
+  snap.window_growths = stats.window_growths;
+  snap.window_shrinks = stats.window_shrinks;
   if (stats_out != nullptr) {
     *stats_out = stats;
   }
@@ -231,7 +244,6 @@ TEST(EventLane, ChattyLanesCollapseWindowToMinWithoutLivelock) {
   LaneSetConfig config;
   config.lanes = 2;
   config.window = microseconds(200);
-  config.ring_capacity = 4096;
   config.adaptive.enabled = true;
   config.adaptive.min_window = microseconds(25);
   config.adaptive.max_window = milliseconds(1);
@@ -293,50 +305,40 @@ TEST(EventLane, SingleLaneControllerIsANoOp) {
   EXPECT_EQ(set.window(), config.window);
 }
 
-WorkloadSnapshot run_adaptive_workload(unsigned threads) {
-  LaneSetConfig config;
-  config.lanes = 4;
-  config.window = microseconds(25);
-  config.adaptive.enabled = true;
-  config.adaptive.min_window = microseconds(25);
-  config.adaptive.max_window = milliseconds(2);
-  LaneSet set(config);
-  std::vector<LaneWork> work(config.lanes);
-  for (u32 i = 0; i < config.lanes; ++i) {
-    work[i] = LaneWork{&set, &work, i, Xoshiro256{1000 + i}, 0, 0, 200};
-    set.lane(i).scheduler().schedule_at(SimTime{} + nanoseconds(i + 1),
-                                        [&work, i] { lane_step(work[i]); });
-  }
-  const LaneSet::RunStats stats = set.run(threads);
-  WorkloadSnapshot snap;
-  for (const LaneWork& w : work) {
-    snap.checksums.push_back(w.checksum);
-    snap.fired.push_back(w.fired);
-  }
-  snap.windows = stats.windows;
-  snap.events = stats.events;
-  snap.messages = stats.messages + stats.window_growths +
-                  stats.window_shrinks;  // fold controller moves into the diff
-  snap.dropped = stats.dropped;
-  return snap;
-}
-
 TEST(EventLane, AdaptiveControllerIsDeterministicAcrossThreadCounts) {
   // The controller feeds only on per-window event/message counts, which
   // are themselves deterministic — so its decisions (and everything
   // downstream of them) must be too.
-  const WorkloadSnapshot one = run_adaptive_workload(1);
+  const WorkloadSnapshot one = run_workload(1, /*adaptive=*/true);
   EXPECT_EQ(one.fired, (std::vector<u32>{200, 200, 200, 200}));
   EXPECT_EQ(one.dropped, 0u);
-  EXPECT_EQ(run_adaptive_workload(2), one);
-  EXPECT_EQ(run_adaptive_workload(4), one);
+  EXPECT_EQ(run_workload(2, /*adaptive=*/true), one);
+  EXPECT_EQ(run_workload(4, /*adaptive=*/true), one);
+}
+
+TEST(EventLane, AdaptiveWindowCutsBarriersWithoutChangingResults) {
+  // Local steps draw their gaps from the lane's own stream and messages
+  // only fold into checksums, so the window width decides when a
+  // message lands but not what any lane does. The controller must leave
+  // every event, message and lane clock as the fixed window has them,
+  // while spending fewer windows on this sparse-message workload.
+  const WorkloadSnapshot fixed = run_workload(2);
+  const WorkloadSnapshot adaptive = run_workload(2, /*adaptive=*/true);
+  EXPECT_EQ(adaptive.fired, fixed.fired);
+  EXPECT_EQ(adaptive.clocks, fixed.clocks);
+  EXPECT_EQ(adaptive.events, fixed.events);
+  EXPECT_EQ(adaptive.messages, fixed.messages);
+  EXPECT_EQ(adaptive.dropped, 0u);
+  EXPECT_EQ(fixed.window_growths, 0u);
+  EXPECT_GT(adaptive.window_growths, 0u);
+  EXPECT_LT(adaptive.windows, fixed.windows);
 }
 
 TEST(EventLane, ResidencyPartitionsCommittedWindowsDeterministically) {
   LaneSet::RunStats one;
   LaneSet::RunStats four;
-  run_workload(1, &one);
-  run_workload(4, &four);
+  run_workload(1, /*adaptive=*/false, &one);
+  run_workload(4, /*adaptive=*/false, &four);
   ASSERT_EQ(one.residency.size(), 4u);
   u64 total_busy = 0;
   for (u32 i = 0; i < 4; ++i) {
@@ -359,19 +361,18 @@ TEST(EventLane, FullRingDropsAreCountedNotLost) {
   LaneSetConfig config;
   config.lanes = 2;
   config.window = microseconds(10);
-  config.ring_capacity = 2;
   LaneSet set(config);
-  int delivered = 0;
+  u32 delivered = 0;
   set.lane(0).scheduler().schedule_at(SimTime{}, [&set, &delivered] {
-    for (int i = 0; i < 5; ++i) {
+    for (u32 i = 0; i < LaneSet::kRingCapacity + 3; ++i) {
       set.post(0, 1, set.horizon(), [&delivered] { ++delivered; });
     }
   });
   const LaneSet::RunStats stats = set.run(1);
-  EXPECT_EQ(stats.messages, 2u);  // ring capacity
+  EXPECT_EQ(stats.messages, LaneSet::kRingCapacity);
   EXPECT_EQ(stats.dropped, 3u);
-  EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(set.lane(1).received_messages(), 2u);
+  EXPECT_EQ(delivered, LaneSet::kRingCapacity);
+  EXPECT_EQ(set.lane(1).received_messages(), LaneSet::kRingCapacity);
 }
 
 }  // namespace

@@ -381,6 +381,7 @@ TEST(OffloadDatapath, SoftwareGsoFallbackWithoutNegotiation) {
 // ---- adaptive interrupt moderation (DIM) --------------------------------
 
 TEST(AdaptiveModeration, DimProgramsAndRelaxesCoalescing) {
+  constexpr const auto& kDim = hostos::VirtioNetDriver::kDimPolicy;
   for (const bool packed : {false, true}) {
     TestbedOptions options;
     options.seed = 0xd1a0 + (packed ? 1 : 0);
@@ -417,13 +418,12 @@ TEST(AdaptiveModeration, DimProgramsAndRelaxesCoalescing) {
               .has_value());
     }
     EXPECT_GE(bed.driver().dim_updates(), 1u);
-    EXPECT_GE(bed.driver().rx_rate_ewma(0),
-              bed.driver().dim_policy().high_watermark);
+    EXPECT_GE(bed.driver().rx_rate_ewma(0), kDim.high_watermark);
     const virtio::net::CoalRxParams high = bed.net_logic().rx_coalesce();
-    EXPECT_EQ(high.max_packets, bed.driver().dim_policy().coalesce_frames);
-    EXPECT_EQ(high.max_usecs, bed.driver().dim_policy().coalesce_usecs);
+    EXPECT_EQ(high.max_packets, kDim.coalesce_frames);
+    EXPECT_EQ(high.max_usecs, kDim.coalesce_usecs);
     EXPECT_EQ(bed.net_logic().interrupt_moderation(0).max_frames,
-              bed.driver().dim_policy().coalesce_frames);
+              kDim.coalesce_frames);
 
     // One-at-a-time traffic decays the EWMA through the hysteresis band
     // until DIM reverts the device to immediate interrupts. The echoes
@@ -442,8 +442,7 @@ TEST(AdaptiveModeration, DimProgramsAndRelaxesCoalescing) {
               .has_value());
     }
     EXPECT_GE(bed.driver().dim_updates(), before + 1);
-    EXPECT_LE(bed.driver().rx_rate_ewma(0),
-              bed.driver().dim_policy().low_watermark);
+    EXPECT_LE(bed.driver().rx_rate_ewma(0), kDim.low_watermark);
     EXPECT_EQ(bed.net_logic().rx_coalesce().max_packets, 1u);
     EXPECT_EQ(bed.net_logic().interrupt_moderation(0).max_frames, 1u);
   }

@@ -1,9 +1,9 @@
 // Reactor subsystem tests: the message ring's visibility/drop
-// semantics, poller and timed-poller dispatch, one-shot timers, and
-// run_until_idle's clock-forwarding.
+// semantics and poller dispatch.
 #include <gtest/gtest.h>
 
 #include "vfpga/core/testbed.hpp"
+#include "vfpga/reactor/message_ring.hpp"
 #include "vfpga/reactor/reactor.hpp"
 
 namespace vfpga::reactor {
@@ -80,21 +80,6 @@ TEST_F(ReactorFixture, PollerRunsEveryIterationWithStats) {
   EXPECT_EQ(stats[0].busy_runs, 2u);
 }
 
-TEST_F(ReactorFixture, TimedPollerHonoursPeriod) {
-  u32 runs = 0;
-  reactor.register_poller(
-      "timed", [&](sim::SimTime) { ++runs; return false; },
-      sim::microseconds(10));
-  const sim::SimTime start = thread.now();
-  while (thread.now() < start + sim::microseconds(100)) {
-    reactor.poll_once();
-  }
-  // ~10 period expiries over 100us, far fewer than loop iterations.
-  EXPECT_GE(runs, 8u);
-  EXPECT_LE(runs, 13u);
-  EXPECT_GT(reactor.stats().iterations, u64{runs} * 10);
-}
-
 TEST_F(ReactorFixture, PollerCanUnregisterItself) {
   u32 runs = 0;
   u64 id = 0;
@@ -110,75 +95,6 @@ TEST_F(ReactorFixture, PollerCanUnregisterItself) {
   }
   EXPECT_EQ(runs, 3u);
   EXPECT_TRUE(reactor.poller_stats().empty());
-}
-
-// ---- timers ---------------------------------------------------------------
-
-TEST_F(ReactorFixture, OneShotTimerFiresAtDeadlineAndCancelWorks) {
-  const sim::SimTime start = thread.now();
-  bool fired = false;
-  sim::SimTime fired_at{};
-  reactor.schedule_timer(sim::microseconds(50), [&] {
-    fired = true;
-    fired_at = thread.now();
-  });
-  const u64 cancelled = reactor.schedule_timer(sim::microseconds(500), [] {});
-  EXPECT_TRUE(reactor.cancel_timer(cancelled));
-  EXPECT_FALSE(reactor.cancel_timer(cancelled));  // already gone
-
-  reactor.run_until_idle();
-  EXPECT_TRUE(fired);
-  // Fired at the first iteration at/after the deadline, never before,
-  // and without waiting for the cancelled timer's horizon.
-  EXPECT_GE(fired_at, start + sim::microseconds(50));
-  EXPECT_LT(fired_at, start + sim::microseconds(55));
-  EXPECT_EQ(reactor.stats().timers_fired, 1u);
-  EXPECT_FALSE(reactor.has_pending_work());
-}
-
-// ---- messages through the loop --------------------------------------------
-
-TEST_F(ReactorFixture, MessagesRespectPostedTimeVisibility) {
-  const sim::SimTime visible_at = thread.now() + sim::microseconds(30);
-  int ran = 0;
-  ASSERT_TRUE(reactor.post([&] { ++ran; }, visible_at));
-  reactor.poll_once();
-  EXPECT_EQ(ran, 0);  // the producer's store is not visible yet
-  ASSERT_TRUE(reactor.next_wakeup().has_value());
-  EXPECT_EQ(reactor.next_wakeup()->picos(), visible_at.picos());
-
-  reactor.run_until_idle();  // spins the clock forward to the message
-  EXPECT_EQ(ran, 1);
-  EXPECT_GE(thread.now(), visible_at);
-  EXPECT_EQ(reactor.stats().messages_processed, 1u);
-}
-
-TEST_F(ReactorFixture, NextWakeupIsEarliestOfTimerAndMessage) {
-  reactor.schedule_timer(sim::microseconds(20), [] {});
-  const sim::SimTime msg_at = thread.now() + sim::microseconds(5);
-  ASSERT_TRUE(reactor.post([] {}, msg_at));
-  ASSERT_TRUE(reactor.next_wakeup().has_value());
-  EXPECT_EQ(reactor.next_wakeup()->picos(), msg_at.picos());
-}
-
-TEST_F(ReactorFixture, MsgBatchBoundsPerIterationDispatch) {
-  Reactor small{{.id = 2, .msg_ring_capacity = 8, .msg_batch = 2}, thread};
-  int ran = 0;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(small.post([&] { ++ran; }, thread.now()));
-  }
-  small.poll_once();
-  EXPECT_EQ(ran, 2);  // batch limit, not the whole backlog
-  small.poll_once();
-  EXPECT_EQ(ran, 4);
-  small.poll_once();
-  EXPECT_EQ(ran, 5);
-}
-
-TEST_F(ReactorFixture, RunUntilIdleCountsConsecutiveDryIterations) {
-  const u64 iterations = reactor.run_until_idle(/*idle_limit=*/3);
-  EXPECT_EQ(iterations, 3u);
-  EXPECT_EQ(reactor.stats().busy_iterations, 0u);
 }
 
 }  // namespace

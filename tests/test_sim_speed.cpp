@@ -133,7 +133,6 @@ FlowSoakConfig tiny_soak_config() {
   config.host_ips_per_lane = 2;
   config.ticks = 24;
   config.slots_per_tick = 256;
-  config.notify_every = 4;
   config.size_max_packets = 6;
   config.seed = 1234;
   return config;
@@ -181,24 +180,6 @@ TEST(SimSpeed, SoakChurnsAndConservesBookkeeping) {
   // the steer tables amortize worse here, so give slack over the 48
   // B/flow the million-slot soak gates).
   EXPECT_GT(r.bytes_per_flow, 0.0);
-}
-
-TEST(SimSpeed, SoakAdaptiveWindowCutsBarriersWithoutChangingResults) {
-  FlowSoakConfig config = tiny_soak_config();
-  config.threads = 2;
-  config.adaptive = false;
-  const FlowSoakResult fixed = run_flow_soak(config);
-  config.adaptive = true;
-  const FlowSoakResult adaptive = run_flow_soak(config);
-
-  // The controller must be invisible to the simulation: identical
-  // traffic, churn, and message counts...
-  expect_same_soak(fixed, adaptive);
-  EXPECT_EQ(fixed.cross_lane_messages, adaptive.cross_lane_messages);
-  // ...while spending fewer barrier phases on this quiet-fleet workload.
-  EXPECT_EQ(fixed.window_growths, 0u);
-  EXPECT_GT(adaptive.window_growths, 0u);
-  EXPECT_LT(adaptive.windows, fixed.windows);
 }
 
 }  // namespace
