@@ -221,9 +221,12 @@ VirtioNetTestbed::RoundTrip VirtioNetTestbed::udp_round_trip(
   // (§IV-B): the notify->irq interval covers both, so the user-logic
   // interval is subtracted out of the hardware share and reported on its
   // own (both are later deducted from the total to estimate software).
+  using fpga::CounterEvent;
+  const fpga::PerfCounterBank& counters = device_->counters();
   const sim::Duration notify_to_irq =
-      device_->counters().interval("notify", "irq_sent");
-  rt.response_gen = device_->counters().interval("ul_start", "ul_done");
+      counters.interval(CounterEvent::kNotify, CounterEvent::kIrqSent);
+  rt.response_gen =
+      counters.interval(CounterEvent::kUlStart, CounterEvent::kUlDone);
   rt.hardware = notify_to_irq - rt.response_gen;
   rt.ok = true;
   return rt;
@@ -319,9 +322,11 @@ XdmaTestbed::RoundTrip XdmaTestbed::run_round_trip(u64 bytes,
   if (readback_ != pattern_) {
     return rt;
   }
-  auto& counters = device_->counters();
-  rt.hardware = counters.interval("h2c_run", "h2c_complete") +
-                counters.interval("c2h_run", "c2h_complete");
+  using fpga::CounterEvent;
+  const fpga::PerfCounterBank& counters = device_->counters();
+  rt.hardware =
+      counters.interval(CounterEvent::kH2cRun, CounterEvent::kH2cComplete) +
+      counters.interval(CounterEvent::kC2hRun, CounterEvent::kC2hComplete);
   rt.ok = true;
   return rt;
 }

@@ -148,6 +148,7 @@ class XdmaTestbed {
   explicit XdmaTestbed(TestbedOptions options = {});
 
   [[nodiscard]] hostos::HostThread& thread() { return *thread_; }
+  [[nodiscard]] mem::HostMemory& memory() { return *memory_; }
   [[nodiscard]] xdma::XdmaIpFunction& device() { return *device_; }
   [[nodiscard]] xdma::XdmaHostDriver& driver() { return driver_; }
   [[nodiscard]] hostos::XdmaDeviceFile& h2c_file() { return *h2c_file_; }

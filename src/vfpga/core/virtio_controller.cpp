@@ -441,7 +441,7 @@ void VirtioDeviceFunction::fire_queue_interrupt(u16 queue, sim::SimTime at) {
   }
   isr_status_ |= virtio::isr::kQueueInterrupt;
   msix_->fire(vector, at, *port_);
-  counters_.capture("irq_sent", at);
+  counters_.capture(fpga::CounterEvent::kIrqSent, at);
 }
 
 void VirtioDeviceFunction::moderated_queue_interrupt(u16 queue,
@@ -489,7 +489,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
   if (status_.needs_reset()) {
     return;  // error state: datapath fenced until the driver resets us
   }
-  counters_.capture("notify", at);
+  counters_.capture(fpga::CounterEvent::kNotify, at);
   IQueueEngine& eng = engine(queue);
   sim::SimTime t =
       at + config_.timing.clock.cycles(config_.timing.notify_decode_cycles);
@@ -571,7 +571,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
       }
     }
 
-    counters_.capture("ul_start", t);
+    counters_.capture(fpga::CounterEvent::kUlStart, t);
     std::optional<UserLogic::Response> response =
         user_logic_->process_chain(queue, payload, writable_capacity, meta);
     if (response.has_value()) {
@@ -582,7 +582,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
     } else {
       last_response_generation_ = sim::Duration{};
     }
-    counters_.capture("ul_done", t);
+    counters_.capture(fpga::CounterEvent::kUlDone, t);
 
     const bool same_chain_response =
         response.has_value() && response->target_queue == queue;

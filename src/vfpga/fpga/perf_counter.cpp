@@ -7,24 +7,27 @@
 
 namespace vfpga::fpga {
 
-void PerfCounterBank::capture(const std::string& name, sim::SimTime at) {
+void PerfCounterBank::capture(CounterEvent event, sim::SimTime at) {
   VFPGA_EXPECTS(at.picos() >= 0);
-  const u64 cycle =
-      static_cast<u64>(at.picos()) / static_cast<u64>(clock_.period().picos());
-  latest_[name] = cycle;
-  history_.push_back(Capture{name, cycle});
+  const u64 cycle = clock_.cycles_in(at - sim::SimTime{});
+  const auto id = static_cast<std::size_t>(event);
+  latest_[id] = cycle;
+  captured_ |= 1u << id;
+  window_[next_] = window_[next_ + kHistoryDepth] = Capture{event, cycle};
+  next_ = (next_ + 1) % kHistoryDepth;
+  size_ = std::min(size_ + 1, kHistoryDepth);
 }
 
-std::optional<u64> PerfCounterBank::cycles(const std::string& name) const {
-  const auto it = latest_.find(name);
-  if (it == latest_.end()) {
+std::optional<u64> PerfCounterBank::cycles(CounterEventRef event) const {
+  const auto id = static_cast<std::size_t>(event.event);
+  if ((captured_ >> id & 1u) == 0) {
     return std::nullopt;
   }
-  return it->second;
+  return latest_[id];
 }
 
-sim::Duration PerfCounterBank::interval(const std::string& from,
-                                        const std::string& to) const {
+sim::Duration PerfCounterBank::interval(CounterEventRef from,
+                                        CounterEventRef to) const {
   const auto a = cycles(from);
   const auto b = cycles(to);
   VFPGA_EXPECTS(a.has_value() && b.has_value());
@@ -32,58 +35,28 @@ sim::Duration PerfCounterBank::interval(const std::string& from,
   return clock_.cycles(*b - *a);
 }
 
-void PerfCounterBank::reset() {
-  latest_.clear();
-  history_.clear();
-}
-
-namespace {
-
-void put_string(migrate::StateWriter& w, const std::string& s) {
-  w.put_blob(ConstByteSpan{reinterpret_cast<const u8*>(s.data()), s.size()});
-}
-
-std::string get_string(migrate::StateReader& r) {
-  const Bytes raw = r.get_blob();
-  return std::string{raw.begin(), raw.end()};
-}
-
-}  // namespace
-
 void PerfCounterBank::save_state(migrate::StateWriter& w) const {
-  std::vector<const std::string*> names;
-  names.reserve(latest_.size());
-  for (const auto& [name, cycle] : latest_) {
-    names.push_back(&name);
-  }
-  std::sort(names.begin(), names.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  w.put_u32(static_cast<u32>(names.size()));
-  for (const std::string* name : names) {
-    put_string(w, *name);
-    w.put_u64(latest_.at(*name));
-  }
-  w.put_u32(static_cast<u32>(history_.size()));
-  for (const Capture& c : history_) {
-    put_string(w, c.name);
-    w.put_u64(c.cycle);
+  w.put_u32(captured_);
+  for (std::size_t id = 0; id < kCounterEvents; ++id) {
+    if ((captured_ >> id & 1u) != 0) {
+      w.put_u64(latest_[id]);
+    }
   }
 }
 
 void PerfCounterBank::load_state(migrate::StateReader& r) {
-  latest_.clear();
-  history_.clear();
-  const u32 latest_count = r.get_u32();
-  for (u32 i = 0; i < latest_count && !r.failed(); ++i) {
-    std::string name = get_string(r);
-    latest_[std::move(name)] = r.get_u64();
+  *this = PerfCounterBank{clock_};
+  const u32 mask = r.get_u32();
+  if (mask >> kCounterEvents != 0) {
+    r.fail();  // a bit past the last event: not an image of this bank
+    return;
   }
-  const u32 history_count = r.get_u32();
-  for (u32 i = 0; i < history_count && !r.failed(); ++i) {
-    std::string name = get_string(r);
-    const u64 cycle = r.get_u64();
-    history_.push_back(Capture{std::move(name), cycle});
+  for (std::size_t id = 0; id < kCounterEvents; ++id) {
+    if ((mask >> id & 1u) != 0) {
+      latest_[id] = r.get_u64();
+    }
   }
+  captured_ = mask;
 }
 
 }  // namespace vfpga::fpga

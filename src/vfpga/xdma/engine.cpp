@@ -1,7 +1,6 @@
 #include "vfpga/xdma/engine.hpp"
 
 #include <array>
-#include <string>
 #include <vector>
 
 #include "vfpga/common/contract.hpp"
@@ -17,10 +16,12 @@ DmaChannel::DmaChannel(Direction direction, pcie::DmaPort port,
       config_(config),
       counters_(counters) {}
 
-void DmaChannel::capture(const char* event, sim::SimTime at) {
+void DmaChannel::capture(fpga::CounterEvent h2c_event, sim::SimTime at) {
   if (counters_ != nullptr) {
-    const char* prefix = direction_ == Direction::H2C ? "h2c_" : "c2h_";
-    counters_->capture(std::string{prefix} + event, at);
+    counters_->capture(direction_ == Direction::H2C
+                           ? h2c_event
+                           : fpga::c2h_twin(h2c_event),
+                       at);
   }
 }
 
@@ -52,7 +53,7 @@ DmaChannel::RunResult DmaChannel::run(sim::SimTime start) {
   RunResult result;
   status_ = regs::kStatusBusy;
   sim::SimTime t = start + config_.clock.cycles(config_.setup_cycles);
-  capture("run", start);
+  capture(fpga::CounterEvent::kH2cRun, start);
 
   u64 desc_addr = descriptor_addr_;
   for (;;) {
@@ -67,11 +68,11 @@ DmaChannel::RunResult DmaChannel::run(sim::SimTime start) {
       status_ = regs::kStatusMagicStopped | regs::kStatusDescStopped;
       result.error = true;
       result.complete = t;
-      capture("error", t);
+      capture(fpga::CounterEvent::kH2cError, t);
       return result;
     }
     t += config_.clock.cycles(config_.per_descriptor_cycles);
-    capture("desc_decoded", t);
+    capture(fpga::CounterEvent::kH2cDescDecoded, t);
 
     if (direction_ == Direction::H2C) {
       t = move_data(t, desc.src_addr, desc.dst_addr, desc.length);
@@ -96,7 +97,7 @@ DmaChannel::RunResult DmaChannel::run(sim::SimTime start) {
   }
   status_ = regs::kStatusDescStopped | regs::kStatusDescCompleted;
   result.complete = t;
-  capture("complete", t);
+  capture(fpga::CounterEvent::kH2cComplete, t);
 
   if (irq_enabled_ && on_complete) {
     on_complete(t);
@@ -110,7 +111,7 @@ sim::SimTime DmaChannel::transfer_gather(
   VFPGA_EXPECTS(direction_ == Direction::H2C);
   VFPGA_EXPECTS(!segments.empty());
   status_ = regs::kStatusBusy;
-  capture("issue", start);
+  capture(fpga::CounterEvent::kH2cIssue, start);
   sim::SimTime t = start + config_.clock.cycles(config_.per_descriptor_cycles *
                                                 segments.size());
   t += config_.clock.cycles(config_.datapath_fixed_cycles);
@@ -134,7 +135,7 @@ sim::SimTime DmaChannel::transfer_gather(
 
   status_ = regs::kStatusDescCompleted | regs::kStatusDescStopped;
   ++completed_count_;
-  capture("transfer_done", t);
+  capture(fpga::CounterEvent::kH2cTransferDone, t);
   return t;
 }
 
@@ -143,13 +144,13 @@ sim::SimTime DmaChannel::transfer(sim::SimTime start, HostAddr host_addr,
   // Fabric-driven: the controller supplies the descriptor directly; no
   // host fetch, only a short issue penalty.
   status_ = regs::kStatusBusy;
-  capture("issue", start);
+  capture(fpga::CounterEvent::kH2cIssue, start);
   sim::SimTime t =
       start + config_.clock.cycles(config_.per_descriptor_cycles);
   t = move_data(t, host_addr, card_addr, bytes);
   status_ = regs::kStatusDescCompleted | regs::kStatusDescStopped;
   ++completed_count_;
-  capture("transfer_done", t);
+  capture(fpga::CounterEvent::kH2cTransferDone, t);
   return t;
 }
 

@@ -124,7 +124,8 @@ class DmaChannel {
   /// Data movement common to both modes; returns completion time.
   sim::SimTime move_data(sim::SimTime start, HostAddr host_addr,
                          FpgaAddr card_addr, u32 bytes);
-  void capture(const char* event, sim::SimTime at);
+  /// Capture `h2c_event`, or its c2h_ twin on a C2H channel.
+  void capture(fpga::CounterEvent h2c_event, sim::SimTime at);
 
   Direction direction_;
   pcie::DmaPort port_;

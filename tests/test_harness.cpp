@@ -99,13 +99,17 @@ TEST(ParallelHarness, WorkerThreadsClampsOversizedEnvOverride) {
 }
 
 TEST(Timeline, RendersCapturesWithDeltas) {
+  using fpga::CounterEvent;
   fpga::PerfCounterBank counters;
-  counters.capture("notify", sim::SimTime{} + sim::nanoseconds(80));
-  counters.capture("desc_fetch", sim::SimTime{} + sim::nanoseconds(1680));
-  counters.capture("irq_sent", sim::SimTime{} + sim::microseconds(12));
+  counters.capture(CounterEvent::kNotify,
+                   sim::SimTime{} + sim::nanoseconds(80));
+  counters.capture(CounterEvent::kH2cIssue,
+                   sim::SimTime{} + sim::nanoseconds(1680));
+  counters.capture(CounterEvent::kIrqSent,
+                   sim::SimTime{} + sim::microseconds(12));
   const std::string text = fpga::render_timeline(counters);
   EXPECT_NE(text.find("notify"), std::string::npos);
-  EXPECT_NE(text.find("desc_fetch"), std::string::npos);
+  EXPECT_NE(text.find("h2c_issue"), std::string::npos);
   EXPECT_NE(text.find("irq_sent"), std::string::npos);
   // Delta between the first two events: 1600 ns.
   EXPECT_NE(text.find("1600"), std::string::npos);

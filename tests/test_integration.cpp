@@ -7,6 +7,7 @@
 #include "vfpga/core/console_device.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/hostos/virtio_blk_driver.hpp"
+#include "vfpga/migrate/state_io.hpp"
 
 namespace vfpga {
 namespace {
@@ -78,6 +79,49 @@ TEST(XdmaTestbed, ManyRoundTripsAllSucceed) {
     ASSERT_TRUE(rt.ok) << "iteration " << i;
   }
   EXPECT_EQ(bed.driver().transfers_completed(), 600u);
+}
+
+/// What a testbed holds on to after a run: none of it may grow with the
+/// number of round trips.
+struct Footprint {
+  std::size_t window = 0;      ///< counter-bank capture window
+  std::size_t bank_bytes = 0;  ///< counter-bank save_state size
+  u64 resident_bytes = 0;      ///< host memory backed by pages
+};
+
+Footprint footprint_of(const fpga::PerfCounterBank& bank,
+                       const mem::HostMemory& memory) {
+  migrate::StateWriter w;
+  bank.save_state(w);
+  return {bank.history().size(), w.buffer().size(), memory.resident_bytes()};
+}
+
+Footprint virtio_footprint(int echoes) {
+  core::VirtioNetTestbed bed;
+  Bytes payload(64, 0x5a);
+  for (int i = 0; i < echoes; ++i) {
+    payload[0] = static_cast<u8>(i);
+    EXPECT_TRUE(bed.udp_round_trip(payload).ok) << "echo " << i;
+  }
+  return footprint_of(bed.device().counters(), bed.memory());
+}
+
+Footprint xdma_footprint(int loop_backs) {
+  core::XdmaTestbed bed;
+  for (int i = 0; i < loop_backs; ++i) {
+    EXPECT_TRUE(bed.write_read_round_trip(64).ok) << "loop-back " << i;
+  }
+  return footprint_of(bed.device().counters(), bed.memory());
+}
+
+TEST(FlatMemory, TenTimesTheTrafficKeepsTheSameFootprint) {
+  for (const auto& run : {virtio_footprint, xdma_footprint}) {
+    const Footprint small = run(1'000);
+    const Footprint large = run(10'000);
+    EXPECT_EQ(small.window, large.window);
+    EXPECT_EQ(small.bank_bytes, large.bank_bytes);
+    EXPECT_EQ(small.resident_bytes, large.resident_bytes);
+  }
 }
 
 TEST(Determinism, SameSeedSameLatencies) {

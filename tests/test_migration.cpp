@@ -1,13 +1,15 @@
 // Snapshot/restore and live-migration tests: state-io substrate safety,
-// crash-consistent round trips on both ring formats (including
-// snapshots taken mid-mergeable-RX span, mid-GSO superframe, and with
-// DIM moderation armed), rejection of version-skewed/corrupted images,
-// and the two-host migration harness end to end.
+// the perf-counter bank's state section, crash-consistent round trips
+// on both ring formats (including snapshots taken mid-mergeable-RX
+// span, mid-GSO superframe, and with DIM moderation armed), rejection
+// of version-skewed/corrupted images, and the two-host migration
+// harness end to end.
 #include <gtest/gtest.h>
 
 #include <array>
 
 #include "vfpga/core/testbed.hpp"
+#include "vfpga/fpga/perf_counter.hpp"
 #include "vfpga/harness/migration.hpp"
 #include "vfpga/migrate/snapshot.hpp"
 #include "vfpga/migrate/state_io.hpp"
@@ -298,6 +300,45 @@ TEST(Snapshot, NoMemoryImageIsSmall) {
   EXPECT_LT(without.size(), 64u * 1024u);
 }
 
+// ---- counter bank ---------------------------------------------------------
+
+TEST(PerfCounterBank, StateCarriesLatestCyclesButNotTheWindow) {
+  using fpga::CounterEvent;
+  fpga::PerfCounterBank source;
+  source.capture(CounterEvent::kNotify, sim::SimTime{} + sim::nanoseconds(80));
+  source.capture(CounterEvent::kIrqSent,
+                 sim::SimTime{} + sim::nanoseconds(1680));
+  migrate::StateWriter w;
+  source.save_state(w);
+  EXPECT_EQ(w.buffer().size(), 4u + 2u * 8u);  // mask + two cycles
+
+  fpga::PerfCounterBank restored;
+  migrate::StateReader r{w.buffer()};
+  restored.load_state(r);
+  EXPECT_FALSE(r.failed());
+  EXPECT_EQ(restored.interval("notify", "irq_sent").nanos(), 1600.0);
+  EXPECT_FALSE(restored.cycles(CounterEvent::kUlStart).has_value());
+  EXPECT_TRUE(restored.history().empty());
+}
+
+TEST(PerfCounterBank, LoadStateRejectsUnknownEventBit) {
+  migrate::StateWriter w;
+  w.put_u32(1u | 1u << fpga::kCounterEvents);  // notify + one past the last
+  w.put_u64(10);
+  w.put_u64(20);
+
+  fpga::PerfCounterBank bank;
+  bank.capture(fpga::CounterEvent::kUlDone, sim::SimTime{});
+  migrate::StateReader r{w.buffer()};
+  bank.load_state(r);
+  EXPECT_TRUE(r.failed());
+  for (std::size_t id = 0; id < fpga::kCounterEvents; ++id) {
+    EXPECT_FALSE(bank.cycles(static_cast<fpga::CounterEvent>(id)).has_value())
+        << fpga::kCounterEventNames[id];
+  }
+  EXPECT_TRUE(bank.history().empty());
+}
+
 // ---- rejection paths ------------------------------------------------------
 
 Bytes snapshot_of(core::TestbedOptions options) {
@@ -353,12 +394,17 @@ TEST(SnapshotReject, BadMagic) {
 
 TEST(SnapshotReject, VersionSkew) {
   core::TestbedOptions options;
-  Bytes image = snapshot_of(options);
-  image[8] = 99;  // version field, checked before the checksum
-  core::VirtioNetTestbed bed{options};
-  EXPECT_EQ(migrate::restore_snapshot(bed, image),
-            RestoreStatus::kBadVersion);
-  expect_unharmed(bed);
+  const Bytes current = snapshot_of(options);
+  // Version 1 serialized the counter bank's whole capture log.
+  for (const u8 version : {u8{1}, u8{99}}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    Bytes image = current;
+    image[8] = version;  // version field, checked before the checksum
+    core::VirtioNetTestbed bed{options};
+    EXPECT_EQ(migrate::restore_snapshot(bed, image),
+              RestoreStatus::kBadVersion);
+    expect_unharmed(bed);
+  }
 }
 
 TEST(SnapshotReject, BitFlipFailsChecksum) {
