@@ -1,6 +1,7 @@
 # Run one binary and compare its stdout with a committed golden file.
 #
-#   cmake -DCOMMAND=<exe> -DGOLDEN=<file> -DWORK_DIR=<dir> -P check_golden.cmake
+#   cmake -DCOMMAND=<exe> [-DARGS="<arg> ..."] -DGOLDEN=<file>
+#         -DWORK_DIR=<dir> -P check_golden.cmake
 #
 # The binary runs with VFPGA_JSON_DIR=<WORK_DIR>, so parallel goldens never
 # share a BENCH_*.json. `wrote <path>` lines name that directory and are
@@ -9,9 +10,11 @@
 # printed.
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(ENV{VFPGA_JSON_DIR} "${WORK_DIR}")
-execute_process(COMMAND "${COMMAND}" OUTPUT_VARIABLE out RESULT_VARIABLE rc)
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${COMMAND}" ${args} OUTPUT_VARIABLE out
+                RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${COMMAND} exited with ${rc}")
+  message(FATAL_ERROR "${COMMAND} ${ARGS} exited with ${rc}")
 endif()
 
 # Anchor every line on a preceding newline, drop the `wrote` lines, then
