@@ -41,9 +41,7 @@ virtio::FeatureSet BlkDeviceLogic::device_features() const {
   if (config_.num_queues > 1) {
     f.set(virtio::feature::blk::kMq);
   }
-  if (config_.offer_discard) {
-    f.set(virtio::feature::blk::kDiscard);
-  }
+  f.set(virtio::feature::blk::kDiscard);
   return f;
 }
 
@@ -59,8 +57,6 @@ void BlkDeviceLogic::on_driver_ready(virtio::FeatureSet negotiated) {
   // about how many rings exist. Fail loudly at DRIVER_OK.
   VFPGA_EXPECTS(!negotiated.has(virtio::feature::blk::kMq) ||
                 config_.num_queues > 1);
-  VFPGA_EXPECTS(!negotiated.has(virtio::feature::blk::kDiscard) ||
-                config_.offer_discard);
   negotiated_ = negotiated;
 }
 
@@ -81,7 +77,7 @@ u8 BlkDeviceLogic::device_config_read(u32 offset) const {
   }
   if (offset >= BlkConfigLayout::kBlkSizeOffset &&
       offset < BlkConfigLayout::kBlkSizeOffset + 4) {
-    return field8(BlkConfigLayout::kBlkSizeOffset, config_.blk_size);
+    return field8(BlkConfigLayout::kBlkSizeOffset, kBlkSize);
   }
   if (offset >= BlkConfigLayout::kNumQueuesOffset &&
       offset < BlkConfigLayout::kNumQueuesOffset + 2) {
@@ -90,17 +86,16 @@ u8 BlkDeviceLogic::device_config_read(u32 offset) const {
   if (offset >= BlkConfigLayout::kMaxDiscardSectorsOffset &&
       offset < BlkConfigLayout::kMaxDiscardSectorsOffset + 4) {
     return field8(BlkConfigLayout::kMaxDiscardSectorsOffset,
-                  config_.max_discard_sectors);
+                  kMaxDiscardSectors);
   }
   if (offset >= BlkConfigLayout::kMaxDiscardSegOffset &&
       offset < BlkConfigLayout::kMaxDiscardSegOffset + 4) {
-    return field8(BlkConfigLayout::kMaxDiscardSegOffset,
-                  config_.max_discard_seg);
+    return field8(BlkConfigLayout::kMaxDiscardSegOffset, kMaxDiscardSeg);
   }
   if (offset >= BlkConfigLayout::kDiscardAlignmentOffset &&
       offset < BlkConfigLayout::kDiscardAlignmentOffset + 4) {
     return field8(BlkConfigLayout::kDiscardAlignmentOffset,
-                  config_.discard_alignment);
+                  kDiscardAlignment);
   }
   return 0;
 }
@@ -109,12 +104,12 @@ u64 BlkDeviceLogic::seek_cycles(u64 sector) {
   const u64 distance =
       sector > head_sector_ ? sector - head_sector_ : head_sector_ - sector;
   const u64 distance_bytes = distance * virtio::blk::kSectorBytes;
-  return config_.seek_base_cycles +
-         ((distance_bytes * config_.seek_cycles_per_mib) >> 20);
+  return kBlkTiming.seek_base_cycles +
+         ((distance_bytes * kBlkTiming.seek_cycles_per_mib) >> 20);
 }
 
 u64 BlkDeviceLogic::transfer_cycles(u64 bytes) const {
-  return ((bytes + 7) / 8) * config_.cycles_per_beat;
+  return ((bytes + 7) / 8) * kBlkTiming.cycles_per_beat;
 }
 
 void BlkDeviceLogic::mark_dirty(u64 byte_offset, u64 bytes) {
@@ -165,7 +160,7 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
   // descriptors; everything beyond those is data (§5.2.6).
   if (payload.size() < virtio::blk::kRequestHeaderBytes ||
       meta.readable_descriptors + meta.writable_descriptors < 2) {
-    return status_only(virtio::blk::kStatusIoErr, config_.fixed_cycles,
+    return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                        queue);
   }
 
@@ -176,13 +171,13 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
   if (fault_ != nullptr &&
       fault_->should_inject(fault::FaultClass::kBlkHeaderCorrupt)) {
     ++header_faults_;
-    return status_only(virtio::blk::kStatusIoErr, config_.fixed_cycles,
+    return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                        queue);
   }
 
   const RequestHeader header = RequestHeader::decode(payload);
   if (header.reserved != 0) {
-    return status_only(virtio::blk::kStatusIoErr, config_.fixed_cycles,
+    return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                        queue);
   }
 
@@ -192,12 +187,12 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
   const u32 data_segments =
       meta.readable_descriptors + meta.writable_descriptors - 2;
   if (data_segments > config_.seg_max) {
-    return status_only(virtio::blk::kStatusIoErr, config_.fixed_cycles,
+    return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                        queue);
   }
   if (std::max(meta.largest_readable_bytes, meta.largest_writable_bytes) >
       config_.size_max) {
-    return status_only(virtio::blk::kStatusIoErr, config_.fixed_cycles,
+    return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                        queue);
   }
 
@@ -208,7 +203,7 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
       fault_->should_inject(fault::FaultClass::kBlkBackingTimeout)) {
     ++timeout_faults_;
     return status_only(virtio::blk::kStatusIoErr,
-                       config_.fixed_cycles + config_.backing_timeout_cycles,
+                       kBlkTiming.fixed_cycles + config_.backing_timeout_cycles,
                        queue);
   }
 
@@ -220,10 +215,10 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
           payload.subspan(virtio::blk::kRequestHeaderBytes);
       if (byte_offset > storage_.size() ||
           data.size() > storage_.size() - byte_offset) {
-        return status_only(virtio::blk::kStatusIoErr, config_.fixed_cycles,
+        return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                            queue);
       }
-      const u64 cycles = config_.fixed_cycles + seek_cycles(header.sector) +
+      const u64 cycles = kBlkTiming.fixed_cycles + seek_cycles(header.sector) +
                          transfer_cycles(data.size());
       std::copy(data.begin(), data.end(),
                 storage_.begin() + static_cast<std::ptrdiff_t>(byte_offset));
@@ -237,11 +232,11 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
       const u64 data_len = writable_capacity - 1;  // minus status byte
       if (byte_offset > storage_.size() ||
           data_len > storage_.size() - byte_offset) {
-        return status_only(virtio::blk::kStatusIoErr, config_.fixed_cycles,
+        return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                            queue);
       }
       Response response = status_only(virtio::blk::kStatusOk,
-                                      config_.fixed_cycles +
+                                      kBlkTiming.fixed_cycles +
                                           seek_cycles(header.sector) +
                                           transfer_cycles(data_len),
                                       queue);
@@ -258,8 +253,9 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
       // durable. Cost scales with the dirty span being drained.
       const u64 dirty_kib =
           dirty_count_ * virtio::blk::kSectorBytes / 1024;
-      const u64 cycles = config_.fixed_cycles + config_.flush_base_cycles +
-                         dirty_kib * config_.flush_cycles_per_dirty_kib;
+      const u64 cycles = kBlkTiming.fixed_cycles +
+                         kBlkTiming.flush_base_cycles +
+                         dirty_kib * kBlkTiming.flush_cycles_per_dirty_kib;
       for (u64 s = 0; s < dirty_.size(); ++s) {
         if (dirty_[s] == 0) {
           continue;
@@ -278,7 +274,7 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
     }
     case RequestType::GetId: {
       Response response =
-          status_only(virtio::blk::kStatusOk, config_.fixed_cycles, queue);
+          status_only(virtio::blk::kStatusOk, kBlkTiming.fixed_cycles, queue);
       const u64 id_len =
           std::min<u64>(virtio::blk::kDeviceIdBytes, writable_capacity - 1);
       response.payload.assign(id_len, 0);
@@ -291,14 +287,14 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
     case RequestType::Discard: {
       if (!negotiated_.has(virtio::feature::blk::kDiscard)) {
         return status_only(virtio::blk::kStatusUnsupported,
-                           config_.fixed_cycles, queue);
+                           kBlkTiming.fixed_cycles, queue);
       }
       const ConstByteSpan data =
           payload.subspan(virtio::blk::kRequestHeaderBytes);
       const u64 count = data.size() / DiscardSegment::kBytes;
       if (data.size() % DiscardSegment::kBytes != 0 || count == 0 ||
-          count > config_.max_discard_seg) {
-        return status_only(virtio::blk::kStatusIoErr, config_.fixed_cycles,
+          count > kMaxDiscardSeg) {
+        return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                            queue);
       }
       // Validate every segment before touching the medium: a DISCARD is
@@ -306,16 +302,14 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
       for (u64 i = 0; i < count; ++i) {
         const DiscardSegment seg =
             DiscardSegment::decode(data.subspan(i * DiscardSegment::kBytes));
-        if (seg.flags != 0 || seg.num_sectors > config_.max_discard_sectors ||
-            (config_.discard_alignment > 1 &&
-             seg.sector % config_.discard_alignment != 0) ||
+        if (seg.flags != 0 || seg.num_sectors > kMaxDiscardSectors ||
             seg.sector > config_.capacity_sectors ||
             seg.num_sectors > config_.capacity_sectors - seg.sector) {
-          return status_only(virtio::blk::kStatusIoErr, config_.fixed_cycles,
+          return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                              queue);
         }
       }
-      u64 cycles = config_.fixed_cycles;
+      u64 cycles = kBlkTiming.fixed_cycles;
       for (u64 i = 0; i < count; ++i) {
         const DiscardSegment seg =
             DiscardSegment::decode(data.subspan(i * DiscardSegment::kBytes));
@@ -332,7 +326,7 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
       return status_only(virtio::blk::kStatusOk, cycles, queue);
     }
   }
-  return status_only(virtio::blk::kStatusUnsupported, config_.fixed_cycles,
+  return status_only(virtio::blk::kStatusUnsupported, kBlkTiming.fixed_cycles,
                      queue);
 }
 

@@ -27,35 +27,47 @@ namespace vfpga::core {
 
 struct BlkDeviceConfig {
   u64 capacity_sectors = 2048;  ///< 1 MiB at 512 B/sector
-  u64 fixed_cycles = 40;
-  u64 cycles_per_beat = 1;
 
   // ---- limits advertised through virtio_blk_config -----------------------------
-  u32 blk_size = 512;    ///< optimal logical block size (F_BLK_SIZE)
   u32 size_max = 65536;  ///< max bytes of any single segment (F_SIZE_MAX)
   u32 seg_max = 16;      ///< max data segments per request (F_SEG_MAX)
   u16 num_queues = 1;    ///< >1 offers VIRTIO_BLK_F_MQ
-  bool offer_discard = true;
-  u32 max_discard_sectors = 4096;
-  u32 max_discard_seg = 8;
-  u32 discard_alignment = 1;  ///< in sectors
 
-  // ---- backing-store cost model (fabric cycles) --------------------------------
-  /// Fixed cost of repositioning the backing store plus a distance
-  /// component: the model keeps a per-device head position and charges
-  /// proportionally to the seek span, so sequential workloads beat
-  /// random ones like they do on any real medium with locality.
-  u64 seek_base_cycles = 24;
-  u64 seek_cycles_per_mib = 64;
-  /// FLUSH drains the dirty set into the durable layer: base cost plus
-  /// a per-dirty-KiB component.
-  u64 flush_base_cycles = 180;
-  u64 flush_cycles_per_dirty_kib = 12;
   /// Stall charged when the fault plane injects a backing-store timeout
   /// (the request still completes — with VIRTIO_BLK_S_IOERR — after the
   /// device-internal deadline expires).
   u64 backing_timeout_cycles = 2'000'000;
 };
+
+/// Limits the personality always advertises: optimal logical block size
+/// (F_BLK_SIZE) and the DISCARD limits (F_DISCARD is always offered).
+/// Discard alignment is one sector, so any sector may start a range.
+inline constexpr u32 kBlkSize = 512;
+inline constexpr u32 kMaxDiscardSectors = 4096;
+inline constexpr u32 kMaxDiscardSeg = 8;
+inline constexpr u32 kDiscardAlignment = 1;  ///< in sectors
+
+/// Request pipeline and backing-store cost model (fabric cycles).
+struct BlkTiming {
+  u64 fixed_cycles;
+  u64 cycles_per_beat;
+  /// Fixed cost of repositioning the backing store plus a distance
+  /// component: the model keeps a per-device head position and charges
+  /// proportionally to the seek span, so sequential workloads beat
+  /// random ones like they do on any real medium with locality.
+  u64 seek_base_cycles;
+  u64 seek_cycles_per_mib;
+  /// FLUSH drains the dirty set into the durable layer: base cost plus
+  /// a per-dirty-KiB component.
+  u64 flush_base_cycles;
+  u64 flush_cycles_per_dirty_kib;
+};
+inline constexpr BlkTiming kBlkTiming{.fixed_cycles = 40,
+                                      .cycles_per_beat = 1,
+                                      .seek_base_cycles = 24,
+                                      .seek_cycles_per_mib = 64,
+                                      .flush_base_cycles = 180,
+                                      .flush_cycles_per_dirty_kib = 12};
 
 class BlkDeviceLogic final : public UserLogic {
  public:

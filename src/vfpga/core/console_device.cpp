@@ -30,8 +30,7 @@ std::optional<UserLogic::Response> ConsoleDeviceLogic::process(
   response.payload.assign(payload.begin(), payload.end());
   response.target_queue = virtio::console::kRxQueue;
   response.processing_cycles =
-      config_.fixed_cycles + ((payload.size() + 7) / 8) *
-                                 config_.cycles_per_beat;
+      kConsoleFixedCycles + ((payload.size() + 7) / 8) * kConsoleCyclesPerBeat;
   bytes_echoed_ += payload.size();
   return response;
 }

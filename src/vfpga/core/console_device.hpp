@@ -12,9 +12,11 @@ namespace vfpga::core {
 struct ConsoleDeviceConfig {
   u16 cols = 80;
   u16 rows = 25;
-  u64 fixed_cycles = 24;
-  u64 cycles_per_beat = 1;
 };
+
+/// Echo pipeline cost: fixed cycles + cycles per 8-byte beat.
+inline constexpr u64 kConsoleFixedCycles = 24;
+inline constexpr u64 kConsoleCyclesPerBeat = 1;
 
 class ConsoleDeviceLogic final : public UserLogic {
  public:

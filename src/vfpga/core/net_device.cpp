@@ -36,16 +36,20 @@ virtio::FeatureSet NetDeviceLogic::device_features() const {
   if (config_.offer_guest_csum) {
     f.set(virtio::feature::net::kGuestCsum);
   }
-  if (config_.offer_mrg_rxbuf) {
-    f.set(virtio::feature::net::kMrgRxbuf);
-  }
-  if (config_.offer_gso && config_.offer_csum) {
+  // MRG_RXBUF lets a negotiating driver post small RX buffers and let
+  // one frame span several of them, with the header's num_buffers
+  // carrying the span (§5.1.6.4). Like it, the segmentation offloads
+  // (HOST_TSO4/HOST_UFO on TX, GUEST_TSO4/GUEST_UFO on RX) are free to
+  // offer: the GSO/GRO engines engage only when a driver negotiates the
+  // bits AND stamps a gso_type on a submitted frame.
+  f.set(virtio::feature::net::kMrgRxbuf);
+  if (config_.offer_csum) {
     // The segmenter writes per-segment checksums, so the HOST offloads
     // ride the CSUM offer (§5.1.3.1: HOST_TSO/UFO require CSUM).
     f.set(virtio::feature::net::kHostTso4);
     f.set(virtio::feature::net::kHostUfo);
   }
-  if (config_.offer_gso && config_.offer_guest_csum) {
+  if (config_.offer_guest_csum) {
     f.set(virtio::feature::net::kGuestTso4);
     f.set(virtio::feature::net::kGuestUfo);
   }
@@ -126,7 +130,7 @@ std::optional<UserLogic::Response> NetDeviceLogic::process_ctrl(
     ++dropped_;  // nowhere to put the ack: ill-formed chain
     return std::nullopt;
   }
-  const u64 cycles = config_.fixed_cycles;
+  const u64 cycles = kNetPipelineTiming.fixed_cycles;
   if (payload.size() < 2) {
     ++ctrl_rejected_;
     return ctrl_response(queue, virtio::net::kCtrlErr, cycles);
@@ -185,8 +189,7 @@ u8 NetDeviceLogic::device_config_read(u32 offset) const {
     case NetConfigLayout::kMacOffset + 5:
       return config_.mac.octets[offset - NetConfigLayout::kMacOffset];
     case NetConfigLayout::kStatusOffset:
-      return config_.link_up ? static_cast<u8>(virtio::net::kNetStatusLinkUp)
-                             : u8{0};
+      return static_cast<u8>(virtio::net::kNetStatusLinkUp);
     case NetConfigLayout::kStatusOffset + 1:
       return 0;
     case NetConfigLayout::kMaxPairsOffset:
@@ -205,7 +208,8 @@ u8 NetDeviceLogic::device_config_read(u32 offset) const {
 u64 NetDeviceLogic::processing_cycles(u64 frame_bytes,
                                       bool checksummed) const {
   const u64 beats = (frame_bytes + 7) / 8;
-  u64 cycles = config_.fixed_cycles + beats * config_.cycles_per_beat;
+  u64 cycles = kNetPipelineTiming.fixed_cycles +
+               beats * kNetPipelineTiming.cycles_per_beat;
   if (checksummed) {
     cycles += beats;  // second pass through the checksum pipeline
   }
@@ -457,8 +461,9 @@ std::optional<UserLogic::Response> NetDeviceLogic::process_gso_udp(
   // Single shared pass over the payload (the checksum unit is fused
   // into the segmenter) plus a per-segment header-rewrite stage.
   const u64 beats = (frame.size() + 7) / 8;
-  u64 cycles = config_.fixed_cycles + beats * config_.cycles_per_beat +
-               segments.size() * config_.gso_segment_cycles;
+  u64 cycles = kNetPipelineTiming.fixed_cycles +
+               beats * kNetPipelineTiming.cycles_per_beat +
+               segments.size() * kNetPipelineTiming.gso_segment_cycles;
 
   udp_echoes_ += segments.size();
   pair_echoes_[echo_pair] += segments.size();
@@ -468,7 +473,7 @@ std::optional<UserLogic::Response> NetDeviceLogic::process_gso_udp(
     // sees a single large frame with a device-vouched checksum.
     auto gro = net::gro_coalesce_udp(segments);
     if (gro.has_value()) {
-      cycles += segments.size() * config_.gro_merge_cycles;
+      cycles += segments.size() * kNetPipelineTiming.gro_merge_cycles;
       ++gro_coalesced_;
       Response response;
       response.payload.resize(NetHeader::kSize + gro->frame.size());

@@ -30,23 +30,11 @@ struct NetDeviceConfig {
   net::MacAddr mac{{0x02, 0xfa, 0xde, 0x00, 0x00, 0x01}};
   net::Ipv4Addr ip = net::Ipv4Addr::from_octets(10, 42, 0, 2);
   u16 mtu = 1500;
-  bool link_up = true;
   /// Offer TX checksum offload (VIRTIO_NET_F_CSUM).
   bool offer_csum = true;
   /// Offer VIRTIO_NET_F_GUEST_CSUM (we always produce full checksums, so
   /// offering it is safe).
   bool offer_guest_csum = true;
-  /// Offer VIRTIO_NET_F_MRG_RXBUF: a negotiating driver may post small
-  /// RX buffers and let one frame span several of them, with the header's
-  /// num_buffers carrying the span (§5.1.6.4). Offering costs nothing —
-  /// behaviour changes only when a driver actually accepts the bit.
-  bool offer_mrg_rxbuf = true;
-  /// Offer the segmentation offloads (HOST_TSO4/HOST_UFO on TX,
-  /// GUEST_TSO4/GUEST_UFO on RX). Like MRG_RXBUF the offer is free: the
-  /// GSO/GRO engines engage only when a driver negotiates the bits AND
-  /// stamps a gso_type on a submitted frame. HOST bits additionally
-  /// require offer_csum (the segmenter writes per-segment checksums).
-  bool offer_gso = true;
   /// Offer VIRTIO_NET_F_NOTF_COAL (adaptive interrupt moderation via
   /// control-queue commands). Default OFF: the offer adds a control
   /// queue to the single-pair personality, which changes queue_count and
@@ -58,19 +46,26 @@ struct NetDeviceConfig {
   /// VIRTIO_NET_F_MQ + VIRTIO_NET_F_CTRL_VQ and adds the control queue
   /// after the last pair.
   u16 max_queue_pairs = 1;
-
-  /// User-logic pipeline model: fixed cycles + per-8-byte-beat cycles
-  /// (parse + rebuild), doubled when a checksum must be computed in the
-  /// slow path.
-  u64 fixed_cycles = 52;
-  u64 cycles_per_beat = 1;
-  /// GSO engine model: per-segment header-rewrite cost on top of the
-  /// single shared per-beat payload pass (the checksum unit is fused
-  /// into the segmenter, so no second pass), and per-segment cost of
-  /// the GRO coalescer merging the echoed train back together.
-  u64 gso_segment_cycles = 24;
-  u64 gro_merge_cycles = 12;
 };
+
+/// User-logic pipeline model of the echo personality (fabric cycles).
+struct NetPipelineTiming {
+  /// Fixed cycles + per-8-byte-beat cycles (parse + rebuild), doubled
+  /// when a checksum must be computed in the slow path.
+  u64 fixed_cycles;
+  u64 cycles_per_beat;
+  /// GSO engine: per-segment header-rewrite cost on top of the single
+  /// shared per-beat payload pass (the checksum unit is fused into the
+  /// segmenter, so no second pass), and per-segment cost of the GRO
+  /// coalescer merging the echoed train back together.
+  u64 gso_segment_cycles;
+  u64 gro_merge_cycles;
+};
+inline constexpr NetPipelineTiming kNetPipelineTiming{
+    .fixed_cycles = 52,
+    .cycles_per_beat = 1,
+    .gso_segment_cycles = 24,
+    .gro_merge_cycles = 12};
 
 class NetDeviceLogic final : public UserLogic {
  public:

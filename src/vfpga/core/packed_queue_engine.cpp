@@ -13,7 +13,8 @@ virtio::Timed<u16> PackedQueueEngine::poll_available(sim::SimTime start) {
 
 virtio::Timed<FetchedChain> PackedQueueEngine::consume_chain(
     sim::SimTime start) {
-  sim::SimTime t = start + timing_.clock.cycles(timing_.arbitration_cycles);
+  sim::SimTime t =
+      start + kQueueTiming.clock.cycles(kQueueTiming.arbitration_cycles);
   if (!head_cached_) {
     // Defensive re-peek (e.g. a trusted-credit consume without a fresh
     // poll): the FSM must read the descriptor anyway.
@@ -30,8 +31,8 @@ virtio::Timed<FetchedChain> PackedQueueEngine::consume_chain(
   chain.ring_slots = consumed.value.descriptor_count;
   chain.via_indirect = consumed.value.via_indirect;
   chain.descriptors = std::move(consumed.value.descriptors);
-  t += timing_.clock.cycles(timing_.per_descriptor_cycles *
-                            chain.descriptors.size());
+  t += kQueueTiming.clock.cycles(kQueueTiming.per_descriptor_cycles *
+                                 chain.descriptors.size());
   if (fault_ != nullptr && chain.via_indirect &&
       fault_->should_inject(fault::FaultClass::kIndirectCorrupt) &&
       !chain.descriptors.empty()) {
@@ -54,7 +55,8 @@ virtio::Timed<FetchedChain> PackedQueueEngine::consume_chain(
 IQueueEngine::Completion PackedQueueEngine::complete_chain(
     const FetchedChain& chain, u32 written, sim::SimTime start,
     bool refresh_suppression) {
-  sim::SimTime t = start + timing_.clock.cycles(timing_.used_update_cycles);
+  sim::SimTime t =
+      start + kQueueTiming.clock.cycles(kQueueTiming.used_update_cycles);
   if (fault_ != nullptr &&
       fault_->should_inject(fault::FaultClass::kUsedWriteFail)) {
     // Completion descriptor write lost: cursor does not advance, the
@@ -69,7 +71,7 @@ IQueueEngine::Completion PackedQueueEngine::complete_chain(
   // Delivered edge of the completion descriptor write (poll-mode gate).
   record_completion(push.delivered);
 
-  t += timing_.clock.cycles(timing_.irq_decision_cycles);
+  t += kQueueTiming.clock.cycles(kQueueTiming.irq_decision_cycles);
   u16 flags;
   if (refresh_suppression || !cached_driver_event_.has_value()) {
     const auto event = vq_.read_driver_event_flags(t);

@@ -15,10 +15,9 @@ namespace vfpga::core {
 
 class PackedQueueEngine final : public IQueueEngine {
  public:
-  PackedQueueEngine(virtio::PackedVirtqueueDevice vq, QueueTiming timing,
-                    ControllerPolicy policy,
+  PackedQueueEngine(virtio::PackedVirtqueueDevice vq, ControllerPolicy policy,
                     fault::FaultPlane* fault = nullptr)
-      : vq_(std::move(vq)), timing_(timing), policy_(policy), fault_(fault) {}
+      : vq_(std::move(vq)), policy_(policy), fault_(fault) {}
 
   [[nodiscard]] virtio::PackedVirtqueueDevice& vq() { return vq_; }
 
@@ -36,7 +35,6 @@ class PackedQueueEngine final : public IQueueEngine {
 
  private:
   virtio::PackedVirtqueueDevice vq_;
-  QueueTiming timing_;
   ControllerPolicy policy_;
   fault::FaultPlane* fault_ = nullptr;
   bool head_cached_ = false;  ///< a peek has armed the next consume

@@ -33,7 +33,8 @@ virtio::Timed<u16> QueueEngine::poll_available(sim::SimTime start) {
 }
 
 virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
-  sim::SimTime t = start + timing_.clock.cycles(timing_.arbitration_cycles);
+  sim::SimTime t =
+      start + kQueueTiming.clock.cycles(kQueueTiming.arbitration_cycles);
 
   const auto entry = vq_.fetch_avail_entry(vq_.next_avail_position(), t);
   t = entry.done;
@@ -43,66 +44,49 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
   chain.handle = entry.value;
   chain.ring_slots = 1;  // split completion needs only the head index
 
+  const u16 head = entry.value;
+  bool walk_chain = !policy_.batched_chain_fetch;
   if (policy_.batched_chain_fetch) {
     // Speculatively fetch two descriptors in one burst: driver free
     // lists allocate chains contiguously in the common case, so the
     // second slot is usually the chain's continuation.
-    const u16 head = entry.value;
     const u16 burst = static_cast<u16>(head + 1 < vq_.size() ? 2 : 1);
     auto fetched = vq_.fetch_descriptors(head, burst, t);
     t = fetched.done;
     const virtio::Descriptor& first = fetched.value.front();
-    if ((first.flags & virtio::descflags::kIndirect) != 0) {
-      // Speculation miss: the head is an indirect descriptor, so the
-      // burst bought nothing — walk it through the indirect path (which
-      // re-reads the head; the wasted burst is the realistic penalty).
-      auto indirect = vq_.fetch_chain(head, t);
-      chain.descriptors = std::move(indirect.value.descriptors);
-      chain.via_indirect = indirect.value.via_indirect;
-      t = indirect.done +
-          timing_.clock.cycles(timing_.per_descriptor_cycles *
-                               chain.descriptors.size());
-      if (fault_ != nullptr && chain.via_indirect &&
-          fault_->should_inject(fault::FaultClass::kIndirectCorrupt) &&
-          !chain.descriptors.empty()) {
-        chain.descriptors.front().addr = 0;
+    // Speculation miss: an indirect head means the burst bought nothing
+    // — walk it through the indirect path below (which re-reads the
+    // head; the wasted burst is the realistic penalty).
+    walk_chain = (first.flags & virtio::descflags::kIndirect) != 0;
+    if (!walk_chain) {
+      chain.descriptors.push_back(first);
+      u16 next = first.next;
+      bool more = (first.flags & virtio::descflags::kNext) != 0;
+      if (more && burst == 2 && next == head + 1) {
+        const virtio::Descriptor& second = fetched.value[1];
+        chain.descriptors.push_back(second);
+        next = second.next;
+        more = (second.flags & virtio::descflags::kNext) != 0;
       }
-      if (fault_ != nullptr &&
-          fault_->should_inject(fault::FaultClass::kDescCorrupt) &&
-          !chain.descriptors.empty()) {
-        chain.descriptors.front().addr = 0;
+      while (more) {  // speculation miss: walk the remainder one-by-one
+        auto d = vq_.fetch_descriptor(next, t);
+        t = d.done;
+        chain.descriptors.push_back(d.value);
+        next = d.value.next;
+        more = (d.value.flags & virtio::descflags::kNext) != 0;
       }
-      chain.error =
-          indirect.value.error || !chain_within_bounds(chain, vq_.size());
-      return virtio::Timed<FetchedChain>{std::move(chain), t};
-    }
-    chain.descriptors.push_back(first);
-    u16 next = first.next;
-    bool more = (first.flags & virtio::descflags::kNext) != 0;
-    if (more && burst == 2 && next == head + 1) {
-      const virtio::Descriptor& second = fetched.value[1];
-      chain.descriptors.push_back(second);
-      next = second.next;
-      more = (second.flags & virtio::descflags::kNext) != 0;
-    }
-    while (more) {  // speculation miss: walk the remainder one-by-one
-      auto d = vq_.fetch_descriptor(next, t);
-      t = d.done;
-      chain.descriptors.push_back(d.value);
-      next = d.value.next;
-      more = (d.value.flags & virtio::descflags::kNext) != 0;
     }
   }
   bool fetch_error = false;
-  if (!policy_.batched_chain_fetch) {
-    auto fetched = vq_.fetch_chain(entry.value, t);
+  if (walk_chain) {
+    auto fetched = vq_.fetch_chain(head, t);
     t = fetched.done;
     chain.descriptors = std::move(fetched.value.descriptors);
     chain.via_indirect = fetched.value.via_indirect;
     fetch_error = fetched.value.error;
   }
-  t += timing_.clock.cycles(timing_.per_descriptor_cycles *
-                            chain.descriptors.size());
+  t += kQueueTiming.clock.cycles(kQueueTiming.per_descriptor_cycles *
+                                 chain.descriptors.size());
   if (fault_ != nullptr && chain.via_indirect &&
       fault_->should_inject(fault::FaultClass::kIndirectCorrupt) &&
       !chain.descriptors.empty()) {
@@ -124,7 +108,8 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
 IQueueEngine::Completion QueueEngine::complete_chain(
     const FetchedChain& chain, u32 written, sim::SimTime start,
     bool refresh_suppression) {
-  sim::SimTime t = start + timing_.clock.cycles(timing_.used_update_cycles);
+  sim::SimTime t =
+      start + kQueueTiming.clock.cycles(kQueueTiming.used_update_cycles);
   if (fault_ != nullptr &&
       fault_->should_inject(fault::FaultClass::kUsedWriteFail)) {
     // The used-ring update is lost before reaching host memory: the
@@ -140,7 +125,7 @@ IQueueEngine::Completion QueueEngine::complete_chain(
   record_completion(push.delivered);
 
   bool interrupt = true;
-  t += timing_.clock.cycles(timing_.irq_decision_cycles);
+  t += kQueueTiming.clock.cycles(kQueueTiming.irq_decision_cycles);
   if (policy_.use_event_idx) {
     u16 event_value;
     const bool fresh = refresh_suppression || !cached_used_event_.has_value();

@@ -25,13 +25,20 @@ namespace vfpga::core {
 /// FSM cycle costs (125 MHz domain). These are the controller's own
 /// pipeline stages, distinct from PCIe wire time.
 struct QueueTiming {
-  fpga::ClockDomain clock = fpga::kUserClock;
-  u64 notify_decode_cycles = 48;  ///< doorbell decode + queue dispatch
-  u64 arbitration_cycles = 24;    ///< grant from the queue arbiter
-  u64 per_descriptor_cycles = 10; ///< descriptor unpack/validate
-  u64 used_update_cycles = 16;    ///< build used element + idx update
-  u64 irq_decision_cycles = 10;   ///< EVENT_IDX compare / vector select
+  fpga::ClockDomain clock;
+  u64 notify_decode_cycles;   ///< doorbell decode + queue dispatch
+  u64 arbitration_cycles;     ///< grant from the queue arbiter
+  u64 per_descriptor_cycles;  ///< descriptor unpack/validate
+  u64 used_update_cycles;     ///< build used element + idx update
+  u64 irq_decision_cycles;    ///< EVENT_IDX compare / vector select
 };
+/// The synthesized FSM's stage costs; both ring formats share them.
+inline constexpr QueueTiming kQueueTiming{.clock = fpga::kUserClock,
+                                          .notify_decode_cycles = 48,
+                                          .arbitration_cycles = 24,
+                                          .per_descriptor_cycles = 10,
+                                          .used_update_cycles = 16,
+                                          .irq_decision_cycles = 10};
 
 struct ControllerPolicy {
   /// Fetch two adjacent descriptors in one PCIe read when the chain is
@@ -172,9 +179,9 @@ class IQueueEngine {
 /// Split-ring engine — the paper's controller FSM.
 class QueueEngine final : public IQueueEngine {
  public:
-  QueueEngine(virtio::VirtqueueDevice vq, QueueTiming timing,
-              ControllerPolicy policy, fault::FaultPlane* fault = nullptr)
-      : vq_(std::move(vq)), timing_(timing), policy_(policy), fault_(fault) {}
+  QueueEngine(virtio::VirtqueueDevice vq, ControllerPolicy policy,
+              fault::FaultPlane* fault = nullptr)
+      : vq_(std::move(vq)), policy_(policy), fault_(fault) {}
 
   [[nodiscard]] virtio::VirtqueueDevice& vq() { return vq_; }
   [[nodiscard]] const virtio::VirtqueueDevice& vq() const { return vq_; }
@@ -188,7 +195,6 @@ class QueueEngine final : public IQueueEngine {
   sim::SimTime post_drain_update(u16 drained_through,
                                  sim::SimTime start) override;
 
-  [[nodiscard]] const QueueTiming& timing() const { return timing_; }
   [[nodiscard]] const ControllerPolicy& policy() const { return policy_; }
 
   void save_state(migrate::StateWriter& w) const override;
@@ -196,7 +202,6 @@ class QueueEngine final : public IQueueEngine {
 
  private:
   virtio::VirtqueueDevice vq_;
-  QueueTiming timing_;
   ControllerPolicy policy_;
   fault::FaultPlane* fault_ = nullptr;
   std::optional<u16> cached_used_event_;

@@ -27,14 +27,6 @@ TestbedOptions with_ring_format(TestbedOptions options) {
   if (options.use_packed_rings) {
     options.controller.policy.offer_packed = true;
   }
-  // Size the driver's buffer pools for the device's MTU unless the
-  // caller picked a capacity explicitly. At the default MTU of 1500 the
-  // derived value is the legacy 1526-byte frame area.
-  using Datapath = hostos::VirtioNetDriver::DatapathOptions;
-  if (options.datapath.frame_capacity == Datapath{}.frame_capacity) {
-    options.datapath.frame_capacity =
-        Datapath::frame_capacity_for_mtu(options.net.mtu);
-  }
   return options;
 }
 
@@ -91,7 +83,9 @@ VirtioNetTestbed::VirtioNetTestbed(TestbedOptions options)
   ctx.enumerated = &enumerated_.front();
   ctx.irq = &irq_;
   ctx.prefer_packed = options_.use_packed_rings;
-  driver_.set_datapath(options_.datapath);
+  // Size the driver's buffer pools for the device's MTU: the driver
+  // reads the MTU from config space only after its pools exist.
+  driver_.set_datapath(options_.datapath, options_.net.mtu);
   const bool bound =
       driver_.probe(ctx, *thread_, options_.requested_queue_pairs);
   VFPGA_ASSERT(bound);
@@ -99,7 +93,8 @@ VirtioNetTestbed::VirtioNetTestbed(TestbedOptions options)
 
   stack_ = std::make_unique<hostos::KernelNetstack>(driver_, irq_);
   stack_->configure_fpga_route(options_.net.ip, options_.net.mac);
-  socket_ = std::make_unique<hostos::UdpSocket>(*stack_, options_.udp_port);
+  socket_ =
+      std::make_unique<hostos::UdpSocket>(*stack_, TestbedOptions::udp_port);
 
   if (options_.attach_blk) {
     // The blk function probes after the net stack is up, so the
@@ -207,7 +202,8 @@ VirtioNetTestbed::RoundTrip VirtioNetTestbed::udp_round_trip(
 
   const sim::SimTime start = t.now();
   RoundTrip rt;
-  if (!socket_->sendto(t, options_.net.ip, options_.fpga_udp_port, payload)) {
+  if (!socket_->sendto(t, options_.net.ip, TestbedOptions::fpga_udp_port,
+                       payload)) {
     return rt;
   }
   const auto reply = socket_->recvfrom(t);
@@ -242,8 +238,7 @@ XdmaTestbed::XdmaTestbed(TestbedOptions options)
       memory_(std::make_unique<mem::HostMemory>()),
       rc_(std::make_unique<pcie::RootComplex>(*memory_,
                                               pcie::LinkModel{options.link})),
-      device_(std::make_unique<xdma::XdmaIpFunction>(options.xdma_bram_bytes,
-                                                     options.xdma_engine)),
+      device_(std::make_unique<xdma::XdmaIpFunction>(kBramBytes)),
       rng_(options.seed ^ 0x9e3779b97f4a7c15ull),
       mem_rng_(options.seed ^ 0x6d656d7ull),
       noise_(options.noise) {
@@ -281,7 +276,7 @@ XdmaTestbed::XdmaTestbed(TestbedOptions options)
 
 XdmaTestbed::RoundTrip XdmaTestbed::run_round_trip(u64 bytes,
                                                    bool user_irq) {
-  VFPGA_EXPECTS(bytes > 0 && bytes <= options_.xdma_bram_bytes);
+  VFPGA_EXPECTS(bytes > 0 && bytes <= kBramBytes);
   hostos::HostThread& t = *thread_;
   t.exec(options_.costs.app_iteration);
 

@@ -36,19 +36,17 @@ struct TestbedOptions {
   hostos::CostModelConfig costs = hostos::CostModelConfig::fedora_defaults();
   ControllerConfig controller{};
   NetDeviceConfig net{};
-  xdma::EngineConfig xdma_engine{};
-  u64 xdma_bram_bytes = 128 * 1024;
   /// Negotiate VIRTIO_F_RING_PACKED end-to-end (device offer + driver
   /// acceptance). Default off: the paper's controller uses split rings.
   bool use_packed_rings = false;
   /// Driver datapath: TX descriptor strategy (bounce copy vs zero-copy
-  /// scatter-gather vs indirect), mergeable-RX opt-in and pool sizing.
-  /// frame_capacity is auto-derived from net.mtu when left at its
-  /// default; the all-default struct reproduces the legacy driver bit
-  /// for bit.
+  /// scatter-gather vs indirect) and mergeable-RX opt-in. The pools are
+  /// sized for net.mtu; the all-default struct reproduces the legacy
+  /// driver bit for bit.
   hostos::VirtioNetDriver::DatapathOptions datapath{};
-  u16 udp_port = 4791;
-  u16 fpga_udp_port = 9000;
+  /// The test socket's port and the FPGA's echo port.
+  static constexpr u16 udp_port = 4791;
+  static constexpr u16 fpga_udp_port = 9000;
   /// RX/TX queue pairs the driver asks for (VIRTIO_NET_F_MQ). Clamped
   /// by the device's max_virtqueue_pairs (options.net.max_queue_pairs);
   /// 1 keeps the paper's single-queue configuration.
@@ -145,6 +143,10 @@ class VirtioNetTestbed {
 
 class XdmaTestbed {
  public:
+  /// BRAM behind the example design's AXI-MM port, sized like the
+  /// VirtIO controller's staging buffer.
+  static constexpr u64 kBramBytes = 128 * 1024;
+
   explicit XdmaTestbed(TestbedOptions options = {});
 
   [[nodiscard]] hostos::HostThread& thread() { return *thread_; }

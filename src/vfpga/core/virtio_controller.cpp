@@ -115,11 +115,9 @@ void VirtioDeviceFunction::connect(pcie::RootComplex& rc) {
   msix_ = std::make_unique<pcie::MsixTable>(
       static_cast<u32>(user_logic_->queue_count() + 1));
   h2c_ = std::make_unique<xdma::DmaChannel>(xdma::Direction::H2C, *port_,
-                                            bram_, config_.engine,
-                                            &counters_);
+                                            bram_, &counters_);
   c2h_ = std::make_unique<xdma::DmaChannel>(xdma::Direction::C2H, *port_,
-                                            bram_, config_.engine,
-                                            &counters_);
+                                            bram_, &counters_);
 }
 
 const VirtioDeviceFunction::QueueState& VirtioDeviceFunction::queue_state(
@@ -330,12 +328,12 @@ void VirtioDeviceFunction::common_write(BarOffset offset, u64 value, u32 size,
           vq.write_device_event_flags(virtio::packed::event::kEnable,
                                       at);
           engines_[queue_select_] = std::make_unique<PackedQueueEngine>(
-              std::move(vq), config_.timing, config_.policy, fault_);
+              std::move(vq), config_.policy, fault_);
         } else {
           virtio::VirtqueueDevice vq{*port_};
           vq.configure(q.rings, q.size, negotiated);
           engines_[queue_select_] = std::make_unique<QueueEngine>(
-              std::move(vq), config_.timing, config_.policy, fault_);
+              std::move(vq), config_.policy, fault_);
         }
         credits_[queue_select_] = 0;
       }
@@ -492,7 +490,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
   counters_.capture(fpga::CounterEvent::kNotify, at);
   IQueueEngine& eng = engine(queue);
   sim::SimTime t =
-      at + config_.timing.clock.cycles(config_.timing.notify_decode_cycles);
+      at + kQueueTiming.clock.cycles(kQueueTiming.notify_decode_cycles);
   // Per-queue engine serialization: a notify landing while this queue's
   // FSM is still working queues up behind it (other queues in parallel).
   if (queue_busy_until_[queue] > t) {
@@ -576,7 +574,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
         user_logic_->process_chain(queue, payload, writable_capacity, meta);
     if (response.has_value()) {
       const sim::Duration processing =
-          config_.timing.clock.cycles(response->processing_cycles);
+          kQueueTiming.clock.cycles(response->processing_cycles);
       t += processing;
       last_response_generation_ = processing;
     } else {
@@ -639,31 +637,20 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
       continue;
     }
 
-    // The TX-side completion only recycles the buffer; the driver keeps
-    // its interrupt suppressed, so the FSM may use its cached used_event
-    // threshold instead of a fresh DMA read.
-    if (config_.tx_complete_before_response || !response.has_value()) {
-      const auto completion = eng.complete_chain(
-          chain, 0, t, /*refresh_suppression=*/false);
-      t = completion.engine_free;
-      if (completion.interrupt) {
-        fire_queue_interrupt(queue, t);
-      } else {
-        ++interrupts_suppressed_;
-      }
-      if (response.has_value()) {
-        t = deliver_response_train(*response, chain, queue, t);
-      }
+    // Per the paper's naive serialized FSM, the TX used-ring update runs
+    // before the response delivery. It only recycles the buffer; the
+    // driver keeps its interrupt suppressed, so the FSM may use its
+    // cached used_event threshold instead of a fresh DMA read.
+    const auto completion =
+        eng.complete_chain(chain, 0, t, /*refresh_suppression=*/false);
+    t = completion.engine_free;
+    if (completion.interrupt) {
+      fire_queue_interrupt(queue, t);
     } else {
+      ++interrupts_suppressed_;
+    }
+    if (response.has_value()) {
       t = deliver_response_train(*response, chain, queue, t);
-      const auto completion = eng.complete_chain(
-          chain, 0, t, /*refresh_suppression=*/false);
-      t = completion.engine_free;
-      if (completion.interrupt) {
-        fire_queue_interrupt(queue, t);
-      } else {
-        ++interrupts_suppressed_;
-      }
     }
     t = replenish_credits(eng, queue, t);
   }
@@ -933,16 +920,14 @@ void VirtioDeviceFunction::load_state(migrate::StateReader& r) {
         break;
       case kEngineSplit: {
         auto eng = std::make_unique<QueueEngine>(
-            virtio::VirtqueueDevice{*port_}, config_.timing, config_.policy,
-            fault_);
+            virtio::VirtqueueDevice{*port_}, config_.policy, fault_);
         eng->load_state(r);
         engines_[q] = std::move(eng);
         break;
       }
       case kEnginePacked: {
         auto eng = std::make_unique<PackedQueueEngine>(
-            virtio::PackedVirtqueueDevice{*port_}, config_.timing,
-            config_.policy, fault_);
+            virtio::PackedVirtqueueDevice{*port_}, config_.policy, fault_);
         eng->load_state(r);
         engines_[q] = std::move(eng);
         break;

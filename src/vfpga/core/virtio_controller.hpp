@@ -54,17 +54,11 @@ inline constexpr BarOffset kMsixPbaOffset = 0x3000;
 inline constexpr u64 kBar0Size = 0x4000;
 
 struct ControllerConfig {
-  QueueTiming timing{};
   ControllerPolicy policy{};
   /// Queue size the device advertises.
   u16 max_queue_size = 256;
-  /// Per the paper's naive serialized FSM, the TX used-ring update runs
-  /// before the response delivery; clearing this prioritizes the
-  /// response path (ablation).
-  bool tx_complete_before_response = true;
   /// BRAM staging buffer for frames (Fig. 2: "BRAM or external DRAM").
   u64 bram_bytes = 128 * 1024;
-  xdma::EngineConfig engine{};
 };
 
 class VirtioDeviceFunction : public pcie::Function {

@@ -108,7 +108,7 @@ BusyPollCellResult run_busy_poll_cell(const BusyPollBenchConfig& config,
     VFPGA_ASSERT(pairs == config.flows);
 
     std::vector<FlowContext> flows(config.flows);
-    const net::Ipv4Addr host_ip = bed.stack().config().host_ip;
+    const net::Ipv4Addr host_ip = hostos::KernelNetstack::kHostIp;
     u16 next_port = 21'000;
     for (u16 f = 0; f < config.flows; ++f) {
       FlowContext& flow = flows[f];
@@ -198,9 +198,7 @@ KickCoalescingResult run_kick_coalescing(const BusyPollBenchConfig& config,
   core::VirtioNetTestbed bed(options);
   VFPGA_ASSERT(bed.driver().using_packed_rings() == packed_ring);
 
-  auto policy = bed.driver().busy_poll_policy();
-  policy.kick_coalesce = burst;
-  bed.driver().set_busy_poll_policy(policy);
+  bed.driver().set_kick_coalesce(burst);
   bed.socket().set_rx_mode(hostos::RxMode::kBusyPoll);
   bed.socket().set_busy_poll_budget(config.poll_budget);
 

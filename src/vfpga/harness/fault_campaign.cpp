@@ -212,7 +212,7 @@ ClassReport run_udp_mq_class(fault::FaultClass cls,
     for (u16 p = 0; p < kPairs; ++p) {
       u16 port = next_port;
       while (net::steer(
-                 net::rss_flow_hash(bed.stack().config().host_ip, port,
+                 net::rss_flow_hash(hostos::KernelNetstack::kHostIp, port,
                                     bed.fpga_ip(),
                                     bed.options().fpga_udp_port),
                  kPairs) != p) {

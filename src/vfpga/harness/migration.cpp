@@ -44,7 +44,7 @@ std::vector<std::unique_ptr<hostos::UdpSocket>> make_flow_sockets(
     u16 port = next_port;
     if (pairs > 1) {
       while (net::steer(
-                 net::rss_flow_hash(bed.stack().config().host_ip, port,
+                 net::rss_flow_hash(hostos::KernelNetstack::kHostIp, port,
                                     bed.fpga_ip(),
                                     bed.options().fpga_udp_port),
                  pairs) != f % pairs) {

@@ -112,7 +112,7 @@ class Trial {
 
     std::vector<FlowContext>& flows = result_.flows;
     flows.resize(config_.flows);
-    const net::Ipv4Addr host_ip = bed_->stack().config().host_ip;
+    const net::Ipv4Addr host_ip = hostos::KernelNetstack::kHostIp;
     u16 next_port = 20'000;
     for (u16 f = 0; f < config_.flows; ++f) {
       FlowContext& flow = flows[f];

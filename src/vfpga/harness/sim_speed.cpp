@@ -90,7 +90,7 @@ class Runner {
       // Toeplitz hash the multi-queue device uses, so the lane sharding
       // is exactly the device's own flow-to-queue mapping.
       net::FlowGenConfig gen_config;
-      gen_config.host_ip = ctx->bed->stack().config().host_ip;
+      gen_config.host_ip = hostos::KernelNetstack::kHostIp;
       gen_config.fpga_ip = ctx->bed->fpga_ip();
       gen_config.fpga_port = ctx->bed->options().fpga_udp_port;
       gen_config.pairs = static_cast<u16>(config_.lanes);

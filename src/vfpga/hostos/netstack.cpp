@@ -14,13 +14,12 @@
 namespace vfpga::hostos {
 
 KernelNetstack::KernelNetstack(VirtioNetDriver& driver,
-                               InterruptController& irq,
-                               NetstackConfig config)
-    : driver_(&driver), irq_(&irq), config_(config) {}
+                               InterruptController& irq)
+    : driver_(&driver), irq_(&irq) {}
 
 void KernelNetstack::configure_fpga_route(net::Ipv4Addr fpga_ip,
                                           net::MacAddr fpga_mac) {
-  routes_.add(net::Route{fpga_ip, 32, config_.virtio_ifindex, std::nullopt});
+  routes_.add(net::Route{fpga_ip, 32, kVirtioIfindex, std::nullopt});
   arp_.insert(fpga_ip, fpga_mac, /*permanent=*/true);
 }
 
@@ -108,12 +107,12 @@ bool KernelNetstack::send_built(HostThread& thread, u16 src_port,
   }
 
   const Bytes udp = net::build_udp_datagram(net::UdpHeader{src_port, dst_port},
-                                            config_.host_ip, dst, payload);
+                                            kHostIp, dst, payload);
   net::Ipv4Header ip;
-  ip.src = config_.host_ip;
+  ip.src = kHostIp;
   ip.dst = dst;
   ip.protocol = net::IpProtocol::Udp;
-  ip.ttl = config_.ip_ttl;
+  ip.ttl = kIpTtl;
   ip.identification = next_ip_id_++;
   Bytes packet = net::build_ipv4_packet(ip, udp);
 
@@ -133,7 +132,7 @@ bool KernelNetstack::send_built(HostThread& thread, u16 src_port,
   // Queue selection mirrors the device's RSS stage: same hash, same
   // reduction, so the echo lands on the TX queue's partner RX queue.
   const u16 pair = net::steer(
-      net::rss_flow_hash(config_.host_ip, src_port, dst, dst_port),
+      net::rss_flow_hash(kHostIp, src_port, dst, dst_port),
       driver_->queue_pairs());
   flow_affinity_[src_port] = pair;
 
@@ -201,7 +200,7 @@ std::optional<net::MacAddr> KernelNetstack::arp_resolve(HostThread& thread,
   net::ArpMessage request;
   request.op = net::ArpOp::Request;
   request.sender_mac = driver_->mac();
-  request.sender_ip = config_.host_ip;
+  request.sender_ip = kHostIp;
   request.target_mac = net::MacAddr{};
   request.target_ip = ip;
   const Bytes frame = net::build_ethernet_frame(
@@ -238,7 +237,7 @@ void KernelNetstack::demux_frames(HostThread& thread, u16 pair) {
       const auto arp = net::parse_arp_message(ConstByteSpan{raw}.subspan(
           eth->payload_offset, eth->payload_length));
       if (arp.has_value()) {
-        arp_.observe(*arp, config_.host_ip, driver_->mac());
+        arp_.observe(*arp, kHostIp, driver_->mac());
         ++frames_demuxed_;
       } else {
         ++frames_dropped_;
@@ -249,7 +248,7 @@ void KernelNetstack::demux_frames(HostThread& thread, u16 pair) {
     const auto ip = net::parse_ipv4_packet(ConstByteSpan{raw}.subspan(
         eth->payload_offset, eth->payload_length));
     if (!ip.has_value() || !ip->checksum_ok ||
-        ip->header.dst != config_.host_ip) {
+        ip->header.dst != kHostIp) {
       ++frames_dropped_;
       continue;
     }
@@ -456,7 +455,7 @@ std::optional<sim::Duration> KernelNetstack::icmp_ping(
       net::IcmpEcho{net::IcmpType::EchoRequest, identifier, sequence},
       payload);
   net::Ipv4Header ip;
-  ip.src = config_.host_ip;
+  ip.src = kHostIp;
   ip.dst = dst;
   ip.protocol = net::IpProtocol::Icmp;
   ip.identification = next_ip_id_++;

@@ -32,21 +32,19 @@ enum class RxMode : u8 {
   kAdaptive,
 };
 
-struct NetstackConfig {
-  net::Ipv4Addr host_ip = net::Ipv4Addr::from_octets(10, 42, 0, 1);
-  u8 ip_ttl = 64;
-  /// Interface id assigned to the virtio-net device in the FIB.
-  u32 virtio_ifindex = 2;
-};
-
 class KernelNetstack {
  public:
-  KernelNetstack(VirtioNetDriver& driver, InterruptController& irq,
-                 NetstackConfig config = {});
+  /// The host's address on the point-to-point link to the FPGA.
+  static constexpr net::Ipv4Addr kHostIp =
+      net::Ipv4Addr::from_octets(10, 42, 0, 1);
+  static constexpr u8 kIpTtl = 64;
+  /// Interface id assigned to the virtio-net device in the FIB.
+  static constexpr u32 kVirtioIfindex = 2;
+
+  KernelNetstack(VirtioNetDriver& driver, InterruptController& irq);
 
   [[nodiscard]] net::RoutingTable& routes() { return routes_; }
   [[nodiscard]] net::ArpCache& arp() { return arp_; }
-  [[nodiscard]] const NetstackConfig& config() const { return config_; }
 
   /// The paper's static setup: host route to the FPGA through the
   /// virtio-net interface plus a permanent neighbour entry.
@@ -185,7 +183,6 @@ class KernelNetstack {
 
   VirtioNetDriver* driver_;
   InterruptController* irq_;
-  NetstackConfig config_;
   net::RoutingTable routes_;
   net::ArpCache arp_;
   u16 next_ip_id_ = 1;

@@ -40,7 +40,6 @@ class VirtioBlkDriver {
     u16 queue_depth = 32;
     /// Per-slot data buffer size — the largest single I/O.
     u32 max_io_bytes = 64 * 1024;
-    bool use_indirect = false;
   };
 
   VirtioBlkDriver() = default;

@@ -82,8 +82,7 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
       transport_.negotiated().has(virtio::feature::net::kGuestTso4) ||
       transport_.negotiated().has(virtio::feature::net::kGuestUfo);
   const u32 rx_frame_area =
-      guest_gso ? std::max(datapath_.frame_capacity, datapath_.gso_max_bytes)
-                : datapath_.frame_capacity;
+      guest_gso ? std::max(frame_capacity_, kGsoMaxBytes) : frame_capacity_;
   rx_buffer_bytes_ = mrg_active_
                          ? datapath_.mrg_buffer_bytes
                          : static_cast<u32>(NetHeader::kSize) + rx_frame_area;
@@ -164,9 +163,8 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
     // once; a recovery cycle reuses the same memory and just rebuilds
     // the free list.
     const u32 tx_area = datapath_.want_offload
-                            ? std::max(datapath_.frame_capacity,
-                                       datapath_.gso_max_bytes)
-                            : datapath_.frame_capacity;
+                            ? std::max(frame_capacity_, kGsoMaxBytes)
+                            : frame_capacity_;
     PairState& ps = pair_state_[p];
     ps.tx_buffers.resize(tx.size());
     ps.tx_free.clear();
@@ -435,9 +433,8 @@ bool VirtioNetDriver::xmit_frame(HostThread& thread, ConstByteSpan frame,
   // §5.1.6.2) is a driver bug, not a runtime condition.
   VFPGA_EXPECTS(!gso || (tso_active_ && offload.needs_csum));
   VFPGA_EXPECTS(frame.size() <=
-                (gso ? std::max(datapath_.frame_capacity,
-                                datapath_.gso_max_bytes)
-                     : datapath_.frame_capacity));
+                (gso ? std::max(frame_capacity_, kGsoMaxBytes)
+                     : frame_capacity_));
   VFPGA_EXPECTS(pair < pairs_);
   thread.exec(thread.costs().virtio_xmit);
 
@@ -494,15 +491,14 @@ bool VirtioNetDriver::xmit_frame(HostThread& thread, ConstByteSpan frame,
     // Zero-copy: the header and the frame's pages go out as separate
     // descriptors — no bounce memcpy; the charge is one DMA mapping per
     // segment (dma_map_single / sg-entry build).
-    const u32 seg = std::max<u32>(datapath_.sg_segment_bytes, 1);
     std::vector<virtio::ChainBuffer> sg;
-    sg.reserve(2 + frame.size() / seg);
+    sg.reserve(2 + frame.size() / kSgSegmentBytes);
     sg.push_back(virtio::ChainBuffer{ps.tx_buffers[slot].hdr_addr,
                                      static_cast<u32>(NetHeader::kSize),
                                      false});
-    for (u64 off = 0; off < frame.size(); off += seg) {
-      const u32 chunk =
-          static_cast<u32>(std::min<u64>(seg, frame.size() - off));
+    for (u64 off = 0; off < frame.size(); off += kSgSegmentBytes) {
+      const u32 chunk = static_cast<u32>(
+          std::min<u64>(kSgSegmentBytes, frame.size() - off));
       sg.push_back(virtio::ChainBuffer{ps.tx_buffers[slot].frame_addr + off,
                                        chunk, false});
     }
@@ -535,7 +531,7 @@ bool VirtioNetDriver::xmit_frame(HostThread& thread, ConstByteSpan frame,
   ++tx_packets_;
   ++ps.tx_pending_kick;
 
-  if (more_coming && ps.tx_pending_kick < busy_poll_policy_.kick_coalesce) {
+  if (more_coming && ps.tx_pending_kick < kick_coalesce_) {
     // xmit_more: hold the publish and the doorbell. The whole batch
     // becomes one avail-idx update — one EVENT_IDX window, at most one
     // kick — when the final frame (or an explicit flush_tx) lands.
@@ -664,7 +660,7 @@ u32 VirtioNetDriver::busy_poll(HostThread& thread, u16 pair,
   VFPGA_EXPECTS(bound());
   VFPGA_EXPECTS(pair < pairs_);
   if (budget <= sim::Duration{}) {
-    budget = busy_poll_policy_.default_budget;
+    budget = kBusyPollPolicy.default_budget;
   }
   ++busy_polls_;
   PairState& ps = pair_state_[pair];
@@ -687,7 +683,7 @@ u32 VirtioNetDriver::busy_poll(HostThread& thread, u16 pair,
   u32 buffers = 0;
   u64 spins = 0;
   for (;;) {
-    VFPGA_ASSERT(spins < busy_poll_policy_.max_spin_iterations);
+    VFPGA_ASSERT(spins < kBusyPollPolicy.max_spin_iterations);
     ++spins;
     // One poll iteration: re-read the used ring's idx cache line.
     thread.exec_poll(thread.costs().busy_poll_iteration);
@@ -771,7 +767,7 @@ bool VirtioNetDriver::should_busy_poll(u16 pair) const {
   if (ewma < 0.0) {
     return true;
   }
-  return ewma <= busy_poll_policy_.spin_threshold.micros();
+  return ewma <= kBusyPollPolicy.spin_threshold.micros();
 }
 
 void VirtioNetDriver::note_rx_wait(u16 pair, sim::Duration wait) {
@@ -780,7 +776,7 @@ void VirtioNetDriver::note_rx_wait(u16 pair, sim::Duration wait) {
   if (ps.rx_wait_ewma_us < 0.0) {
     ps.rx_wait_ewma_us = us;
   } else {
-    const double a = busy_poll_policy_.ewma_alpha;
+    const double a = kBusyPollPolicy.ewma_alpha;
     ps.rx_wait_ewma_us = a * us + (1.0 - a) * ps.rx_wait_ewma_us;
   }
 }

@@ -64,14 +64,9 @@ class VirtioNetDriver {
     bool want_mrg_rxbuf = false;
     /// Per-RX-buffer size when mergeable is negotiated.
     u32 mrg_buffer_bytes = 2048;
-    /// Largest Ethernet frame the TX/RX pools are sized for.
-    u32 frame_capacity = 1526;
-    /// Page granularity of zero-copy TX segments (dma_map_single is
-    /// page-granular on real hardware).
-    u32 sg_segment_bytes = 4096;
     /// Request the segmentation offloads (HOST_TSO4/HOST_UFO on TX,
     /// GUEST_TSO4/GUEST_UFO on RX). When negotiated, xmit_frame accepts
-    /// GSO superframes up to gso_max_bytes and the RX backlog carries
+    /// GSO superframes up to kGsoMaxBytes and the RX backlog carries
     /// the device's DATA_VALID / coalescing metadata.
     bool want_offload = false;
     /// Request VIRTIO_NET_F_NOTF_COAL (+ CTRL_VQ) and run the DIM-style
@@ -79,19 +74,21 @@ class VirtioNetDriver {
     /// per-pair EWMA of the completion batch size and reprograms the
     /// device's RX coalescing window on threshold crossings.
     bool want_rx_moderation = false;
-    /// Largest GSO superframe (hdr excluded) the TX pool is sized for
-    /// when want_offload is set. 65535 mirrors the kernel's
-    /// GSO_LEGACY_MAX_SIZE.
-    u32 gso_max_bytes = 65535;
-
-    /// Pool sizing for a given device MTU. The constant slack matches
-    /// the legacy 1526-byte frame area at the default MTU of 1500.
-    [[nodiscard]] static constexpr u32 frame_capacity_for_mtu(u32 mtu) {
-      return 14 + mtu + 12;
-    }
   };
-  void set_datapath(const DatapathOptions& options) { datapath_ = options; }
+  /// Set the datapath and size the TX/RX pools for a device of `mtu`
+  /// (probe reads the MTU from config space only after the pools exist).
+  void set_datapath(const DatapathOptions& options, u16 mtu) {
+    datapath_ = options;
+    frame_capacity_ = frame_capacity_for_mtu(mtu);
+  }
   [[nodiscard]] const DatapathOptions& datapath() const { return datapath_; }
+
+  /// Page granularity of zero-copy TX segments (dma_map_single is
+  /// page-granular on real hardware).
+  static constexpr u32 kSgSegmentBytes = 4096;
+  /// Largest GSO superframe (hdr excluded) the TX pool is sized for
+  /// when want_offload is set: the kernel's GSO_LEGACY_MAX_SIZE.
+  static constexpr u32 kGsoMaxBytes = 65535;
   /// True when VIRTIO_NET_F_MRG_RXBUF was negotiated on the last probe.
   [[nodiscard]] bool mergeable_rx_active() const { return mrg_active_; }
 
@@ -132,8 +129,8 @@ class VirtioNetDriver {
   /// UDP convention. `more_coming` is the xmit_more/MSG_MORE hint: the
   /// caller promises another frame (or an explicit flush_tx) on this
   /// pair immediately, so the driver may defer the avail publish and the
-  /// doorbell to coalesce up to BusyPollPolicy::kick_coalesce frames
-  /// into one kick. Returns true when the device was kicked.
+  /// doorbell to coalesce up to set_kick_coalesce() frames into one
+  /// kick. Returns true when the device was kicked.
   bool xmit_frame(HostThread& thread, ConstByteSpan frame, bool needs_csum,
                   u16 csum_start = 0, u16 csum_offset = 0, u16 pair = 0,
                   bool more_coming = false);
@@ -152,8 +149,8 @@ class VirtioNetDriver {
   };
 
   /// Transmit with the full offload control block. Superframes (gso_type
-  /// set) may exceed frame_capacity up to gso_max_bytes when the offload
-  /// was negotiated.
+  /// set) may exceed the frame capacity up to kGsoMaxBytes when the
+  /// offload was negotiated.
   bool xmit_frame(HostThread& thread, ConstByteSpan frame,
                   const TxOffload& offload, u16 pair = 0,
                   bool more_coming = false);
@@ -177,34 +174,34 @@ class VirtioNetDriver {
   /// interrupts. Returns the number of frames harvested.
   u32 napi_poll(HostThread& thread, u16 pair = 0);
 
-  /// Busy-poll knobs (Linux SO_BUSY_POLL / napi_busy_loop semantics in
+  /// Busy-poll tuning (Linux SO_BUSY_POLL / napi_busy_loop semantics in
   /// the modeled stack) and the adaptive spin-vs-sleep controller.
   struct BusyPollPolicy {
     /// Spin budget per busy_poll() call before falling back to
     /// interrupts (the SO_BUSY_POLL microseconds value).
-    sim::Duration default_budget = sim::microseconds(50);
-    /// TX doorbell coalescing: frames batched per kick under the
-    /// xmit_more hint. 1 = kick per frame (the interrupt path's shape).
-    u32 kick_coalesce = 1;
+    sim::Duration default_budget;
     /// EWMA smoothing for the observed data-arrival wait per pair.
-    double ewma_alpha = 0.25;
+    double ewma_alpha;
     /// Adaptive mode spins when the pair's predicted wait is at or
     /// below this (like adaptive IRQ coalescing thresholds). Sized to
     /// cover the device's round-trip spread (~8-20us on the modeled
     /// link): a budget-expiry observation (default_budget charged on a
     /// dry poll) still lands above it, so a pair whose traffic stops
     /// drifts back to sleeping within a few calls.
-    sim::Duration spin_threshold = sim::microseconds(25);
+    sim::Duration spin_threshold;
     /// Hard cap on spin iterations per call: a pathological loop fails
     /// fast instead of hanging the simulation.
-    u64 max_spin_iterations = 2'000'000;
+    u64 max_spin_iterations;
   };
-  void set_busy_poll_policy(const BusyPollPolicy& policy) {
-    busy_poll_policy_ = policy;
-  }
-  [[nodiscard]] const BusyPollPolicy& busy_poll_policy() const {
-    return busy_poll_policy_;
-  }
+  static constexpr BusyPollPolicy kBusyPollPolicy{
+      .default_budget = sim::microseconds(50),
+      .ewma_alpha = 0.25,
+      .spin_threshold = sim::microseconds(25),
+      .max_spin_iterations = 2'000'000};
+
+  /// TX doorbell coalescing: frames batched per kick under the
+  /// xmit_more hint. 1 = kick per frame (the interrupt path's shape).
+  void set_kick_coalesce(u32 frames) { kick_coalesce_ = frames; }
 
   /// DIM-style adaptive interrupt moderation (cf. Linux net_dim): track
   /// an EWMA of completions harvested per napi_poll and flip the
@@ -454,6 +451,13 @@ class VirtioNetDriver {
   std::vector<PairState> pair_state_{1};
   u32 rx_buffer_bytes_ = 12 + 1526;  ///< hdr + max frame
   DatapathOptions datapath_{};
+  /// Largest Ethernet frame the TX/RX pools are sized for, given the
+  /// device MTU. The constant slack is the legacy 1526-byte frame area
+  /// at the default MTU of 1500.
+  static constexpr u32 frame_capacity_for_mtu(u32 mtu) {
+    return 14 + mtu + 12;
+  }
+  u32 frame_capacity_ = frame_capacity_for_mtu(1500);
   bool mrg_active_ = false;
 
   u64 tx_packets_ = 0;
@@ -474,7 +478,7 @@ class VirtioNetDriver {
   u64 rx_gro_frames_ = 0;
   u64 dim_updates_ = 0;
 
-  BusyPollPolicy busy_poll_policy_{};
+  u32 kick_coalesce_ = 1;
 };
 
 }  // namespace vfpga::hostos

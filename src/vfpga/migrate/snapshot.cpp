@@ -13,25 +13,21 @@ namespace {
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4;  // magic + version + flags
 constexpr std::size_t kTrailerBytes = 4;         // crc32
 
-/// Everything that shapes the deterministic bring-up. Source and target
-/// both encode through this; byte inequality means the target testbed
-/// would have laid out rings/pools differently and the snapshot cannot
-/// apply. Uses the post-normalization options (testbed.options()), so
-/// derived fields like frame_capacity compare after derivation.
+/// Every settable option that shapes the deterministic bring-up. Source
+/// and target both encode through this; byte inequality means the target
+/// testbed would have laid out rings/pools differently and the snapshot
+/// cannot apply. Uses the post-normalization options (testbed.options()).
+/// Constants need no entry, and the driver's frame capacity is derived
+/// from net.mtu.
 void encode_fingerprint(const core::TestbedOptions& o, StateWriter& w) {
   w.put_u64(o.seed);
   w.put_bool(o.use_packed_rings);
   w.put_u16(o.requested_queue_pairs);
-  w.put_u16(o.udp_port);
-  w.put_u16(o.fpga_udp_port);
   w.put_bytes(o.net.mac.octets);
   w.put_u32(o.net.ip.value);
   w.put_u16(o.net.mtu);
-  w.put_bool(o.net.link_up);
   w.put_bool(o.net.offer_csum);
   w.put_bool(o.net.offer_guest_csum);
-  w.put_bool(o.net.offer_mrg_rxbuf);
-  w.put_bool(o.net.offer_gso);
   w.put_bool(o.net.offer_notf_coal);
   w.put_u16(o.net.max_queue_pairs);
   w.put_bool(o.controller.policy.batched_chain_fetch);
@@ -40,16 +36,12 @@ void encode_fingerprint(const core::TestbedOptions& o, StateWriter& w) {
   w.put_bool(o.controller.policy.offer_indirect);
   w.put_bool(o.controller.policy.offer_packed);
   w.put_u16(o.controller.max_queue_size);
-  w.put_bool(o.controller.tx_complete_before_response);
   w.put_u8(static_cast<u8>(o.datapath.tx_path));
   w.put_bool(o.datapath.charge_tx_copy);
   w.put_bool(o.datapath.want_mrg_rxbuf);
   w.put_u32(o.datapath.mrg_buffer_bytes);
-  w.put_u32(o.datapath.frame_capacity);
-  w.put_u32(o.datapath.sg_segment_bytes);
   w.put_bool(o.datapath.want_offload);
   w.put_bool(o.datapath.want_rx_moderation);
-  w.put_u32(o.datapath.gso_max_bytes);
   w.put_u64(o.fault.seed);
   for (double rate : o.fault.rate) {
     w.put_f64(rate);
@@ -57,17 +49,12 @@ void encode_fingerprint(const core::TestbedOptions& o, StateWriter& w) {
   w.put_bool(o.attach_blk);
   if (o.attach_blk) {
     w.put_u64(o.blk.capacity_sectors);
-    w.put_u32(o.blk.blk_size);
     w.put_u32(o.blk.size_max);
     w.put_u32(o.blk.seg_max);
     w.put_u16(o.blk.num_queues);
-    w.put_bool(o.blk.offer_discard);
-    w.put_u32(o.blk.max_discard_sectors);
-    w.put_u32(o.blk.max_discard_seg);
     w.put_u16(o.blk_driver.requested_queues);
     w.put_u16(o.blk_driver.queue_depth);
     w.put_u32(o.blk_driver.max_io_bytes);
-    w.put_bool(o.blk_driver.use_indirect);
   }
 }
 

@@ -7,13 +7,20 @@
 
 namespace vfpga::xdma {
 
+namespace {
+
+constexpr sim::Duration engine_cycles(u64 n) {
+  return kEngineTiming.clock.cycles(n);
+}
+
+}  // namespace
+
 DmaChannel::DmaChannel(Direction direction, pcie::DmaPort port,
-                       mem::Bram& card_memory, EngineConfig config,
+                       mem::Bram& card_memory,
                        fpga::PerfCounterBank* counters)
     : direction_(direction),
       port_(port),
       card_memory_(&card_memory),
-      config_(config),
       counters_(counters) {}
 
 void DmaChannel::capture(fpga::CounterEvent h2c_event, sim::SimTime at) {
@@ -28,18 +35,18 @@ void DmaChannel::capture(fpga::CounterEvent h2c_event, sim::SimTime at) {
 sim::SimTime DmaChannel::move_data(sim::SimTime start, HostAddr host_addr,
                                    FpgaAddr card_addr, u32 bytes) {
   VFPGA_EXPECTS(bytes > 0);
-  sim::SimTime t = start + config_.clock.cycles(config_.datapath_fixed_cycles);
+  sim::SimTime t = start + engine_cycles(kEngineTiming.datapath_fixed_cycles);
   const u64 beats = card_memory_->beats_for(bytes);
 
   if (direction_ == Direction::H2C) {
     Bytes buffer(bytes);
     t = port_.read(t, host_addr, buffer);  // PCIe read of host payload
     card_memory_->write(card_addr, buffer);
-    t += config_.clock.cycles(beats);  // drain into BRAM
+    t += engine_cycles(beats);  // drain into BRAM
   } else {
     Bytes buffer(bytes);
     card_memory_->read(card_addr, buffer);
-    t += config_.clock.cycles(beats);  // fill from BRAM
+    t += engine_cycles(beats);  // fill from BRAM
     const auto timing = port_.write(t, host_addr, buffer);
     // The channel is architecturally "busy" until the data is globally
     // visible: the IRQ/writeback that follows must not pass the data.
@@ -52,7 +59,7 @@ DmaChannel::RunResult DmaChannel::run(sim::SimTime start) {
   VFPGA_EXPECTS(descriptor_addr_ != 0);
   RunResult result;
   status_ = regs::kStatusBusy;
-  sim::SimTime t = start + config_.clock.cycles(config_.setup_cycles);
+  sim::SimTime t = start + engine_cycles(kEngineTiming.setup_cycles);
   capture(fpga::CounterEvent::kH2cRun, start);
 
   u64 desc_addr = descriptor_addr_;
@@ -71,7 +78,7 @@ DmaChannel::RunResult DmaChannel::run(sim::SimTime start) {
       capture(fpga::CounterEvent::kH2cError, t);
       return result;
     }
-    t += config_.clock.cycles(config_.per_descriptor_cycles);
+    t += engine_cycles(kEngineTiming.per_descriptor_cycles);
     capture(fpga::CounterEvent::kH2cDescDecoded, t);
 
     if (direction_ == Direction::H2C) {
@@ -89,7 +96,7 @@ DmaChannel::RunResult DmaChannel::run(sim::SimTime start) {
     desc_addr = desc.next_addr;
   }
 
-  t += config_.clock.cycles(config_.writeback_cycles);
+  t += engine_cycles(kEngineTiming.writeback_cycles);
   if (writeback_addr_ != 0) {
     std::array<u8, 8> wb{};
     store_le32(wb, 0, completed_count_);
@@ -112,9 +119,9 @@ sim::SimTime DmaChannel::transfer_gather(
   VFPGA_EXPECTS(!segments.empty());
   status_ = regs::kStatusBusy;
   capture(fpga::CounterEvent::kH2cIssue, start);
-  sim::SimTime t = start + config_.clock.cycles(config_.per_descriptor_cycles *
-                                                segments.size());
-  t += config_.clock.cycles(config_.datapath_fixed_cycles);
+  sim::SimTime t = start + engine_cycles(kEngineTiming.per_descriptor_cycles *
+                                         segments.size());
+  t += engine_cycles(kEngineTiming.datapath_fixed_cycles);
 
   u64 total = 0;
   for (const GatherSegment& s : segments) {
@@ -131,7 +138,7 @@ sim::SimTime DmaChannel::transfer_gather(
   }
   t = port_.read_burst(t, reads);
   card_memory_->write(card_addr, buffer);
-  t += config_.clock.cycles(card_memory_->beats_for(total));
+  t += engine_cycles(card_memory_->beats_for(total));
 
   status_ = regs::kStatusDescCompleted | regs::kStatusDescStopped;
   ++completed_count_;
@@ -146,7 +153,7 @@ sim::SimTime DmaChannel::transfer(sim::SimTime start, HostAddr host_addr,
   status_ = regs::kStatusBusy;
   capture(fpga::CounterEvent::kH2cIssue, start);
   sim::SimTime t =
-      start + config_.clock.cycles(config_.per_descriptor_cycles);
+      start + engine_cycles(kEngineTiming.per_descriptor_cycles);
   t = move_data(t, host_addr, card_addr, bytes);
   status_ = regs::kStatusDescCompleted | regs::kStatusDescStopped;
   ++completed_count_;

@@ -34,22 +34,29 @@ namespace vfpga::xdma {
 
 enum class Direction { H2C, C2H };
 
-struct EngineConfig {
-  fpga::ClockDomain clock = fpga::kUserClock;
+/// Data-mover stage costs of the DMA/Bridge Subsystem (fabric cycles).
+/// The VirtIO controller's engine and the XDMA example design are the
+/// same IP, so both run on this one constant (the paper's control).
+struct EngineTiming {
+  fpga::ClockDomain clock;
   /// run-bit assertion to first descriptor request.
-  u64 setup_cycles = 24;
+  u64 setup_cycles;
   /// per-descriptor decode/issue overhead.
-  u64 per_descriptor_cycles = 14;
+  u64 per_descriptor_cycles;
   /// store-and-forward pipeline fill per transfer.
-  u64 datapath_fixed_cycles = 18;
+  u64 datapath_fixed_cycles;
   /// status writeback generation.
-  u64 writeback_cycles = 6;
+  u64 writeback_cycles;
 };
+inline constexpr EngineTiming kEngineTiming{.clock = fpga::kUserClock,
+                                            .setup_cycles = 24,
+                                            .per_descriptor_cycles = 14,
+                                            .datapath_fixed_cycles = 18,
+                                            .writeback_cycles = 6};
 
 class DmaChannel {
  public:
   DmaChannel(Direction direction, pcie::DmaPort port, mem::Bram& card_memory,
-             EngineConfig config = {},
              fpga::PerfCounterBank* counters = nullptr);
 
   [[nodiscard]] Direction direction() const { return direction_; }
@@ -130,7 +137,6 @@ class DmaChannel {
   Direction direction_;
   pcie::DmaPort port_;
   mem::Bram* card_memory_;
-  EngineConfig config_;
   fpga::PerfCounterBank* counters_;
 
   fault::FaultPlane* fault_ = nullptr;

@@ -4,8 +4,7 @@
 
 namespace vfpga::xdma {
 
-XdmaIpFunction::XdmaIpFunction(u64 bram_bytes, EngineConfig engine_config)
-    : bram_(bram_bytes), engine_config_(engine_config) {
+XdmaIpFunction::XdmaIpFunction(u64 bram_bytes) : bram_(bram_bytes) {
   auto& cfg = config();
   cfg.set_ids(kXilinxVendorId, kXdmaExampleDeviceId, kXilinxVendorId, 0x0007);
   cfg.set_revision(0x00);
@@ -28,9 +27,9 @@ XdmaIpFunction::~XdmaIpFunction() = default;
 void XdmaIpFunction::connect(pcie::RootComplex& rc) {
   port_.emplace(rc.dma_port(*this));
   h2c_ = std::make_unique<DmaChannel>(Direction::H2C, *port_, bram_,
-                                      engine_config_, &counters_);
+                                      &counters_);
   c2h_ = std::make_unique<DmaChannel>(Direction::C2H, *port_, bram_,
-                                      engine_config_, &counters_);
+                                      &counters_);
   msix_ = std::make_unique<pcie::MsixTable>(kMsixVectors);
   h2c_->on_complete = [this](sim::SimTime at) {
     msix_->fire(kH2cVector, at, *port_);

@@ -33,7 +33,7 @@ class XdmaIpFunction : public pcie::Function {
  public:
   /// `bram_bytes`: size of the BRAM behind the AXI-MM port. The paper
   /// sizes/widths it to match the VirtIO design's memory.
-  explicit XdmaIpFunction(u64 bram_bytes, EngineConfig engine_config = {});
+  explicit XdmaIpFunction(u64 bram_bytes);
   ~XdmaIpFunction() override;
 
   /// Create DMA channels and MSI-X plumbing; call after attaching to the
@@ -64,7 +64,6 @@ class XdmaIpFunction : public pcie::Function {
   void register_write(BarOffset offset, u32 value, sim::SimTime at);
 
   mem::Bram bram_;
-  EngineConfig engine_config_;
   fpga::PerfCounterBank counters_;
   std::optional<pcie::DmaPort> port_;
   std::unique_ptr<DmaChannel> h2c_;

@@ -55,9 +55,7 @@ TEST(BusyPoll, KickCoalescingBatchesDoorbells) {
   for (const bool packed : {false, true}) {
     core::VirtioNetTestbed bed{quiet_options(0x9012, packed)};
     bed.socket().set_rx_mode(RxMode::kBusyPoll);
-    auto policy = bed.driver().busy_poll_policy();
-    policy.kick_coalesce = 4;
-    bed.driver().set_busy_poll_policy(policy);
+    bed.driver().set_kick_coalesce(4);
 
     const u64 kicks_before = bed.driver().tx_kicks();
     const u64 frames_before = bed.device().frames_processed();
@@ -88,9 +86,7 @@ TEST(BusyPoll, KickCoalescingBatchesDoorbells) {
 TEST(BusyPoll, StrandedBatchFlushedByNextPoll) {
   core::VirtioNetTestbed bed{quiet_options(0x9013)};
   bed.socket().set_rx_mode(RxMode::kBusyPoll);
-  auto policy = bed.driver().busy_poll_policy();
-  policy.kick_coalesce = 8;
-  bed.driver().set_busy_poll_policy(policy);
+  bed.driver().set_kick_coalesce(8);
 
   const Bytes payload = make_payload(96, 0x51);
   for (u32 b = 0; b < 3; ++b) {
@@ -111,7 +107,8 @@ TEST(BusyPoll, StrandedBatchFlushedByNextPoll) {
 TEST(BusyPoll, AdaptiveControllerFollowsEwma) {
   core::VirtioNetTestbed bed{quiet_options(0x9014)};
   auto& driver = bed.driver();
-  const sim::Duration threshold = driver.busy_poll_policy().spin_threshold;
+  const sim::Duration threshold =
+      VirtioNetDriver::kBusyPollPolicy.spin_threshold;
 
   EXPECT_LT(driver.rx_wait_ewma_us(), 0.0);  // no observation yet
   EXPECT_TRUE(driver.should_busy_poll());
@@ -169,14 +166,14 @@ TEST(BusyPoll, ModesAgreeOnDataAndPollIsNoSlower) {
 }
 
 // Interrupt mode must not change because the busy-poll machinery
-// exists: two identically seeded beds, one with the busy-poll policy
-// explicitly (re)set to its defaults, produce bit-identical timelines.
+// exists: two identically seeded beds, one with kick coalescing
+// explicitly (re)set to its default, produce bit-identical timelines.
 TEST(BusyPoll, InterruptModeUnperturbedByPolicyPlumbing) {
   core::TestbedOptions options;
   options.seed = 0x9017;  // noise left ON: full RNG stream comparison
   core::VirtioNetTestbed a{options};
   core::VirtioNetTestbed b{options};
-  b.driver().set_busy_poll_policy(VirtioNetDriver::BusyPollPolicy{});
+  b.driver().set_kick_coalesce(1);
 
   const Bytes payload = make_payload(256, 0x33);
   for (int i = 0; i < 32; ++i) {

@@ -256,12 +256,57 @@ TEST_F(PolicyFixture, BatchedChainFetchWinsOnMultiDescriptorChains) {
     vq.configure(drv.addresses(), drv.size(), features);
     ControllerPolicy policy;
     policy.batched_chain_fetch = batch;
-    QueueEngine engine{std::move(vq), QueueTiming{}, policy};
+    QueueEngine engine{std::move(vq), policy};
     const auto fetched = engine.consume_chain(sim::SimTime{});
     EXPECT_EQ(fetched.value.descriptors.size(), 2u);
     return fetched.done;
   };
   EXPECT_LT(consume_time(true), consume_time(false));
+}
+
+// A batched fetch that lands on an indirect head walks the table instead,
+// then runs the same post-fetch checks as every other chain: a corrupted
+// descriptor read still fails the bounds check.
+TEST(QueueEngineFetch, BatchedIndirectHeadStillRunsDescCorruptCheck) {
+  mem::HostMemory memory;
+  pcie::RootComplex rc{memory, pcie::LinkModel{}};
+  NetDeviceLogic logic;
+  VirtioDeviceFunction endpoint{logic};
+  rc.attach(endpoint);
+  endpoint.connect(rc);
+  ASSERT_EQ(pcie::enumerate_bus(rc).size(), 1u);
+
+  const virtio::FeatureSet features{
+      (1ull << virtio::feature::kVersion1) |
+      (1ull << virtio::feature::kRingIndirectDesc)};
+  virtio::VirtqueueDriver drv{memory, 16, features};
+  const std::array<virtio::ChainBuffer, 2> chain{
+      virtio::ChainBuffer{memory.allocate(16), 16, false},
+      virtio::ChainBuffer{memory.allocate(16), 16, true},
+  };
+  ASSERT_TRUE(drv.add_chain_indirect(chain, 1).has_value());
+  drv.publish();
+
+  const auto consume = [&](fault::FaultPlane* fault) {
+    virtio::VirtqueueDevice vq{rc.dma_port(endpoint)};
+    vq.configure(drv.addresses(), drv.size(), features);
+    ControllerPolicy policy;
+    policy.batched_chain_fetch = true;
+    QueueEngine engine{std::move(vq), policy, fault};
+    return engine.consume_chain(sim::SimTime{}).value;
+  };
+  const FetchedChain clean = consume(nullptr);
+  EXPECT_TRUE(clean.via_indirect);
+  EXPECT_FALSE(clean.error);
+  EXPECT_EQ(clean.descriptors.size(), 2u);
+
+  fault::FaultConfig config;
+  config.set_rate(fault::FaultClass::kDescCorrupt, 1.0);
+  fault::FaultPlane plane{config};
+  const FetchedChain corrupt = consume(&plane);
+  EXPECT_TRUE(corrupt.via_indirect);
+  EXPECT_TRUE(corrupt.error);
+  EXPECT_EQ(plane.injected(fault::FaultClass::kDescCorrupt), 1u);
 }
 
 TEST_F(PolicyFixture, TrustingCachedCreditsReducesHardwareTime) {

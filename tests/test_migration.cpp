@@ -395,8 +395,9 @@ TEST(SnapshotReject, BadMagic) {
 TEST(SnapshotReject, VersionSkew) {
   core::TestbedOptions options;
   const Bytes current = snapshot_of(options);
-  // Version 1 serialized the counter bank's whole capture log.
-  for (const u8 version : {u8{1}, u8{99}}) {
+  // Version 1 serialized the counter bank's whole capture log; version
+  // 2 fingerprinted options that are now constants.
+  for (const u8 version : {u8{1}, u8{2}, u8{99}}) {
     SCOPED_TRACE(static_cast<int>(version));
     Bytes image = current;
     image[8] = version;  // version field, checked before the checksum
@@ -418,16 +419,43 @@ TEST(SnapshotReject, BitFlipFailsChecksum) {
 }
 
 TEST(SnapshotReject, IncompatibleOptions) {
-  core::TestbedOptions source;
-  source.seed = 0xaaaa;
-  const Bytes image = snapshot_of(source);
+  // One mutation per fingerprint group: each changes the bring-up, so an
+  // image taken without it must not apply.
+  struct Mutation {
+    const char* field;
+    bool attach_blk;
+    void (*apply)(core::TestbedOptions&);
+  };
+  const Mutation mutations[] = {
+      {"seed", false, [](core::TestbedOptions& o) { o.seed = 0xbbbb; }},
+      {"use_packed_rings", false,
+       [](core::TestbedOptions& o) { o.use_packed_rings = true; }},
+      {"net.mtu", false, [](core::TestbedOptions& o) { o.net.mtu = 9000; }},
+      {"datapath.tx_path", false,
+       [](core::TestbedOptions& o) {
+         o.datapath.tx_path = hostos::VirtioNetDriver::TxPath::kScatterGather;
+       }},
+      {"controller.policy.batched_chain_fetch", false,
+       [](core::TestbedOptions& o) {
+         o.controller.policy.batched_chain_fetch = true;
+       }},
+      {"blk_driver.queue_depth", true,
+       [](core::TestbedOptions& o) { o.blk_driver.queue_depth = 16; }},
+  };
+  for (const Mutation& m : mutations) {
+    SCOPED_TRACE(m.field);
+    core::TestbedOptions source;
+    source.seed = 0xaaaa;
+    source.attach_blk = m.attach_blk;
+    const Bytes image = snapshot_of(source);
 
-  core::TestbedOptions other = source;
-  other.seed = 0xbbbb;  // different bring-up RNG stream
-  core::VirtioNetTestbed bed{other};
-  EXPECT_EQ(migrate::restore_snapshot(bed, image),
-            RestoreStatus::kIncompatible);
-  expect_unharmed(bed);
+    core::TestbedOptions other = source;
+    m.apply(other);
+    core::VirtioNetTestbed bed{other};
+    EXPECT_EQ(migrate::restore_snapshot(bed, image),
+              RestoreStatus::kIncompatible);
+    expect_unharmed(bed);
+  }
 }
 
 TEST(SnapshotReject, MalformedStateLatchesDeviceNeedsReset) {
