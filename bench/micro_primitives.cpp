@@ -8,10 +8,17 @@
 #include <array>
 
 #include "vfpga/core/testbed.hpp"
+#include "vfpga/fpga/perf_counter.hpp"
+#include "vfpga/hostos/cost_model.hpp"
+#include "vfpga/mem/host_memory.hpp"
+#include "vfpga/migrate/snapshot.hpp"
 #include "vfpga/net/checksum.hpp"
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/udp.hpp"
+#include "vfpga/sim/distributions.hpp"
+#include "vfpga/sim/noise.hpp"
+#include "vfpga/sim/rng.hpp"
 #include "vfpga/virtio/pci_caps.hpp"
 #include "vfpga/virtio/virtqueue_driver.hpp"
 
@@ -102,6 +109,81 @@ void BM_XdmaRoundTripSim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_XdmaRoundTripSim)->Arg(64)->Arg(1024);
+
+// ---- per-layer: one dry poll and what it is made of -----------------------
+
+// One busy-poll spin as the blk and net drivers charge it: a lognormal
+// cost draw plus its interference and rare-stall Poisson draws.
+void BM_ExecPoll(benchmark::State& state) {
+  sim::Xoshiro256 rng{7};
+  const auto costs = hostos::CostModelConfig::fedora_defaults();
+  const sim::NoiseModel noise;
+  hostos::HostThread thread{rng, costs, noise};
+  for (auto _ : state) {
+    thread.exec_poll(costs.busy_poll_iteration);
+    benchmark::DoNotOptimize(thread.now());
+  }
+}
+BENCHMARK(BM_ExecPoll);
+
+// Means of the noise model's two Poisson draws over a ~100 ns segment:
+// common interference and rare stalls.
+void BM_SamplePoisson(benchmark::State& state, double mean) {
+  sim::Xoshiro256 rng{8};
+  benchmark::DoNotOptimize(mean);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::sample_poisson(rng, mean));
+  }
+}
+BENCHMARK_CAPTURE(BM_SamplePoisson, common, 0.0012);
+BENCHMARK_CAPTURE(BM_SamplePoisson, rare, 4e-6);
+
+// A ring-index write and a used-index read, on one page (arg 0) or on
+// two pages in turn (arg 1).
+void BM_HostMemoryAccess(benchmark::State& state) {
+  constexpr u64 kPage = mem::HostMemory::kPageSize;
+  mem::HostMemory memory;
+  const HostAddr a = memory.allocate(kPage, kPage);
+  const HostAddr b = memory.allocate(kPage, kPage);
+  const HostAddr read_at = state.range(0) == 0 ? a + 64 : b + 64;
+  memory.write_le64(b, 1);  // both pages resident before timing
+  u64 value = 0;
+  for (auto _ : state) {
+    memory.write_le64(a, value++);
+    benchmark::DoNotOptimize(memory.read_le16(read_at));
+  }
+}
+BENCHMARK(BM_HostMemoryAccess)->ArgName("two_pages")->Arg(0)->Arg(1);
+
+// One FPGA counter capture, cycling through every event id.
+void BM_CounterCapture(benchmark::State& state) {
+  fpga::PerfCounterBank bank;
+  sim::SimTime at{};
+  std::size_t event = 0;
+  for (auto _ : state) {
+    at += sim::nanoseconds(8);
+    bank.capture(static_cast<fpga::CounterEvent>(event), at);
+    event = (event + 1) % fpga::kCounterEvents;
+    benchmark::DoNotOptimize(bank);
+  }
+}
+BENCHMARK(BM_CounterCapture);
+
+// A quiesced echo testbed's snapshot: device and driver state only (arg
+// 0, the migration blackout) or with every resident page (arg 1).
+void BM_SnapshotWrite(benchmark::State& state) {
+  core::TestbedOptions options;
+  options.seed = 97;
+  core::VirtioNetTestbed bed{options};
+  const Bytes payload(256, 1);
+  (void)bed.udp_round_trip(payload);
+  bed.quiesce();
+  const bool include_memory = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(migrate::save_snapshot(bed, include_memory));
+  }
+}
+BENCHMARK(BM_SnapshotWrite)->ArgName("memory")->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -20,20 +20,34 @@ HostMemory::HostMemory(HostAddr alloc_base)
 }
 
 const u8* HostMemory::page_for_read(u64 page_index) const {
+  if (last_page_ != nullptr && page_index == last_index_) {
+    return last_page_;
+  }
   const auto it = pages_.find(page_index);
-  return it == pages_.end() ? kZeroPage.data() : it->second.get();
+  if (it == pages_.end()) {
+    return kZeroPage.data();
+  }
+  last_index_ = page_index;
+  last_page_ = it->second.get();
+  return last_page_;
 }
 
 u8* HostMemory::page_for_write(u64 page_index) {
+  // Before the cache check: dirty tracking must see every write.
   if (dirty_tracking_) {
     dirty_pages_.insert(page_index);
+  }
+  if (last_page_ != nullptr && page_index == last_index_) {
+    return last_page_;
   }
   auto& page = pages_[page_index];
   if (!page) {
     page = std::make_unique<u8[]>(kPageSize);
     std::memset(page.get(), 0, kPageSize);
   }
-  return page.get();
+  last_index_ = page_index;
+  last_page_ = page.get();
+  return last_page_;
 }
 
 void HostMemory::read(HostAddr addr, ByteSpan out) const {

@@ -10,6 +10,11 @@
 // A bump allocator hands out DMA-able regions the way a kernel's
 // dma_alloc_coherent would — alignment-respecting, never freeing (the
 // experiments tear the whole address space down at once).
+//
+// Page lookups go through a one-entry cache of the last resident page
+// touched, so const reads update a mutable field. Like everything else
+// in a testbed, a HostMemory has a single owner and is never accessed
+// from two threads: each parallel lane builds its own testbed.
 #pragma once
 
 #include <memory>
@@ -103,9 +108,13 @@ class HostMemory {
   [[nodiscard]] u8* page_for_write(u64 page_index);
 
   std::unordered_map<u64, Page> pages_;
+  // Last resident page looked up. Never the shared zero page, so a write
+  // after a zero-page read still allocates; pages are never freed, so the
+  // pointer survives rehashes of pages_.
+  mutable u64 last_index_ = 0;
+  mutable u8* last_page_ = nullptr;
   HostAddr alloc_base_;
   HostAddr bump_;
-  mutable const u8* zero_page_ = nullptr;
   fault::FaultPlane* fault_ = nullptr;
   bool dirty_tracking_ = false;
   std::unordered_set<u64> dirty_pages_;

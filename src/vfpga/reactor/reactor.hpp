@@ -11,11 +11,11 @@
 // segment and every poller runs on the reactor's own simulated timeline.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "vfpga/common/contract.hpp"
 #include "vfpga/hostos/cost_model.hpp"
 
 namespace vfpga::reactor {
@@ -38,8 +38,10 @@ class Reactor {
 
   [[nodiscard]] u32 id() const { return config_.id; }
 
-  /// Register a poller; it runs on every loop iteration.
+  /// Register a poller; it runs on every loop iteration. Not callable
+  /// from inside a poller: poll_once() is iterating the table.
   u64 register_poller(std::string name, PollerFn fn) {
+    VFPGA_EXPECTS(!polling_);
     pollers_.push_back(Poller{next_id_++, std::move(name), std::move(fn)});
     return pollers_.back().id;
   }
@@ -49,6 +51,7 @@ class Reactor {
     for (Poller& p : pollers_) {
       if (p.id == poller_id) {
         p.dead = true;
+        has_dead_ = true;
       }
     }
   }
@@ -60,6 +63,7 @@ class Reactor {
     t.exec_poll(t.costs().reactor_poll_iteration);
     ++stats_.iterations;
     bool busy = false;
+    polling_ = true;
     for (Poller& p : pollers_) {
       if (p.dead) {
         continue;
@@ -70,9 +74,11 @@ class Reactor {
         busy = true;
       }
     }
-    pollers_.erase(std::remove_if(pollers_.begin(), pollers_.end(),
-                                  [](const Poller& p) { return p.dead; }),
-                   pollers_.end());
+    polling_ = false;
+    if (has_dead_) {
+      std::erase_if(pollers_, [](const Poller& p) { return p.dead; });
+      has_dead_ = false;
+    }
     if (busy) {
       ++stats_.busy_iterations;
     }
@@ -114,6 +120,8 @@ class Reactor {
   hostos::HostThread* thread_;
   std::vector<Poller> pollers_;
   u64 next_id_ = 1;
+  bool polling_ = false;   ///< inside poll_once's walk of pollers_
+  bool has_dead_ = false;  ///< some poller awaits compaction
   Stats stats_;
 };
 

@@ -53,9 +53,15 @@ u64 sample_poisson(Xoshiro256& rng, double mean) {
     return 0;
   }
   if (mean < 30.0) {
-    // Knuth's inversion by multiplication.
-    const double limit = std::exp(-mean);
+    // Knuth's inversion by multiplication. The count is zero exactly when
+    // the first draw is <= exp(-mean), which the cutoff mostly decides
+    // without the exp. exp draws nothing, so the stream is the one the
+    // plain loop consumes.
     double product = rng.uniform01();
+    if (product < poisson_zero_cutoff(mean)) {
+      return 0;
+    }
+    const double limit = std::exp(-mean);
     u64 count = 0;
     while (product > limit) {
       product *= rng.uniform01();

@@ -31,6 +31,13 @@ bool sample_bernoulli(Xoshiro256& rng, double p);
 /// Poisson via inversion for small means, normal approximation above.
 u64 sample_poisson(Xoshiro256& rng, double mean);
 
+/// A first uniform draw below this decides a zero Poisson count without
+/// computing exp(-mean): exp(-m) >= 1 - m for every m, and the 2^-48
+/// margin covers the subtraction's rounding and exp's <= 1 ulp error.
+constexpr double poisson_zero_cutoff(double mean) {
+  return 1.0 - mean - 0x1p-48;
+}
+
 /// A latency segment: median duration with multiplicative lognormal
 /// jitter, clamped to [floor, ceiling]. This is the basic unit of the
 /// software cost model: e.g. "UDP TX stack traversal: median 2.6 us,

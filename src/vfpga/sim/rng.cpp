@@ -3,13 +3,6 @@
 #include "vfpga/common/contract.hpp"
 
 namespace vfpga::sim {
-namespace {
-
-constexpr u64 rotl(u64 x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 Xoshiro256::Xoshiro256(u64 seed) {
   SplitMix64 sm{seed};
@@ -21,22 +14,6 @@ Xoshiro256::Xoshiro256(u64 seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) {
     s_[0] = 0x9e3779b97f4a7c15ull;
   }
-}
-
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  const u64 result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const u64 t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Xoshiro256::uniform01() noexcept {
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 u64 Xoshiro256::uniform_below(u64 bound) noexcept {

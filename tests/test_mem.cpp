@@ -1,6 +1,9 @@
 // Unit tests: simulated host memory and BRAM.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "vfpga/mem/bram.hpp"
 #include "vfpga/mem/host_memory.hpp"
 
@@ -56,6 +59,69 @@ TEST(HostMemory, FillWorksAcrossPages) {
   }
   EXPECT_EQ(memory.read_u8(addr - 1), 0);
   EXPECT_EQ(memory.read_u8(addr + 20), 0);
+}
+
+// ---- last-page cache ------------------------------------------------------
+
+TEST(HostMemory, WriteAfterZeroPageReadAllocates) {
+  HostMemory memory;
+  EXPECT_EQ(memory.read_le64(0x7000), 0u);
+  memory.write_le64(0x7000, 0x0102030405060708ull);
+  EXPECT_EQ(memory.read_le64(0x7000), 0x0102030405060708ull);
+  EXPECT_EQ(memory.resident_bytes(), HostMemory::kPageSize);
+}
+
+TEST(HostMemory, AlternatingPagesReadTheirOwnData) {
+  HostMemory memory;
+  const HostAddr a = 0x10000;
+  const HostAddr b = 0x20000;
+  for (u16 i = 0; i < 64; ++i) {
+    memory.write_le16(a + 2 * i, static_cast<u16>(0xa000 + i));
+    memory.write_le16(b + 2 * i, static_cast<u16>(0xb000 + i));
+  }
+  for (u16 i = 0; i < 64; ++i) {
+    EXPECT_EQ(memory.read_le16(a + 2 * i), 0xa000 + i);
+    EXPECT_EQ(memory.read_le16(b + 2 * i), 0xb000 + i);
+  }
+  EXPECT_EQ(memory.resident_bytes(), 2 * HostMemory::kPageSize);
+}
+
+TEST(HostMemory, DirtyTrackingSeesCachedPageWrites) {
+  HostMemory memory;
+  memory.set_dirty_tracking(true);
+  const HostAddr a = 5 * HostMemory::kPageSize;
+  memory.write_u8(a, 1);
+  EXPECT_EQ(memory.drain_dirty_pages(), std::vector<u64>{5});
+  memory.write_u8(a + 1, 2);  // same page as the last access
+  EXPECT_EQ(memory.drain_dirty_pages(), std::vector<u64>{5});
+  EXPECT_TRUE(memory.drain_dirty_pages().empty());
+}
+
+TEST(HostMemory, WholePageCopyRoundTripsThroughTheCache) {
+  HostMemory memory;
+  std::array<u8, HostMemory::kPageSize> in{};
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<u8>(i * 13);
+  }
+  memory.write_page(9, in);
+  std::array<u8, HostMemory::kPageSize> out{};
+  memory.read_page(9, out);
+  EXPECT_EQ(out, in);
+  memory.write_u8(9 * HostMemory::kPageSize + 3, 0xee);
+  memory.read_page(9, out);
+  EXPECT_EQ(out[3], 0xee);
+  EXPECT_EQ(memory.read_u8(9 * HostMemory::kPageSize + 4), in[4]);
+}
+
+TEST(HostMemory, ResidentBytesCountsEachTouchedPageOnce) {
+  HostMemory memory;
+  memory.write_u8(0x1000, 1);
+  memory.write_u8(0x1001, 2);  // cache hit: no new page
+  (void)memory.read_u8(0x3000);  // zero-page read: no new page
+  memory.write_u8(0x2000, 3);
+  memory.write_u8(0x1002, 4);
+  EXPECT_EQ(memory.resident_bytes(), 2 * HostMemory::kPageSize);
+  EXPECT_EQ(memory.resident_page_indices(), (std::vector<u64>{1, 2}));
 }
 
 TEST(HostMemory, AllocatorRespectsAlignment) {

@@ -97,5 +97,33 @@ TEST_F(ReactorFixture, PollerCanUnregisterItself) {
   EXPECT_TRUE(reactor.poller_stats().empty());
 }
 
+TEST_F(ReactorFixture, RegisterFromInsideAPollerIsAContractFailure) {
+  reactor.register_poller("registers", [&](sim::SimTime) {
+    reactor.register_poller("inner", [](sim::SimTime) { return false; });
+    return false;
+  });
+  EXPECT_DEATH(reactor.poll_once(), "polling_");
+}
+
+TEST_F(ReactorFixture, DeadPollersAreCompactedAfterTheIteration) {
+  u32 kept_runs = 0;
+  const u64 doomed =
+      reactor.register_poller("doomed", [](sim::SimTime) { return false; });
+  reactor.register_poller("kept", [&](sim::SimTime) {
+    ++kept_runs;
+    return false;
+  });
+  reactor.unregister_poller(doomed);
+  reactor.poll_once();
+  reactor.poll_once();
+  EXPECT_EQ(kept_runs, 2u);
+  const auto stats = reactor.poller_stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].name, "kept");
+  // Registering between iterations stays allowed.
+  reactor.register_poller("late", [](sim::SimTime) { return true; });
+  EXPECT_TRUE(reactor.poll_once());
+}
+
 }  // namespace
 }  // namespace vfpga::reactor

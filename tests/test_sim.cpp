@@ -150,6 +150,45 @@ TEST(Distributions, PoissonMeanMatches) {
   }
 }
 
+// Knuth's loop as sample_poisson ran it before the zero-count cutoff:
+// the reference the shortcut must match draw for draw.
+u64 reference_knuth_poisson(Xoshiro256& rng, double mean) {
+  const double limit = std::exp(-mean);
+  double product = rng.uniform01();
+  u64 count = 0;
+  while (product > limit) {
+    product *= rng.uniform01();
+    ++count;
+  }
+  return count;
+}
+
+TEST(Distributions, PoissonZeroCutoffMatchesKnuthDrawForDraw) {
+  for (double mean :
+       {1e-9, 4e-6, 1.2e-3, 0.05, 0.5, 0.999, 1.0, 3.0, 29.9}) {
+    Xoshiro256 fast{77};
+    Xoshiro256 reference{77};
+    for (int i = 0; i < 1'000'000; ++i) {
+      const u64 got = sample_poisson(fast, mean);
+      const u64 want = reference_knuth_poisson(reference, mean);
+      if (got != want || fast.state() != reference.state()) {
+        FAIL() << "mean " << mean << " draw " << i << ": " << got
+               << " vs " << want;
+      }
+    }
+  }
+}
+
+TEST(Distributions, PoissonZeroCutoffStaysBelowExp) {
+  // The shortcut is exact when every draw below the cutoff is <= exp(-m)
+  // as computed; the cutoff must also survive an exp one ulp low.
+  for (double m = 1e-12; m <= 1.0; m *= 1.01) {
+    const double e = std::exp(-m);
+    ASSERT_GE(e, 1.0 - m - 0x1p-48) << "m " << m;
+    ASSERT_LE(poisson_zero_cutoff(m), std::nextafter(e, 0.0)) << "m " << m;
+  }
+}
+
 TEST(Distributions, JitteredSegmentRespectsBounds) {
   Xoshiro256 rng{10};
   JitteredSegment segment{nanoseconds(1000), 0.8, nanoseconds(800),
