@@ -15,6 +15,7 @@
 #include "vfpga/net/checksum.hpp"
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
+#include "vfpga/net/rss.hpp"
 #include "vfpga/net/udp.hpp"
 #include "vfpga/sim/distributions.hpp"
 #include "vfpga/sim/noise.hpp"
@@ -38,18 +39,50 @@ BENCHMARK(BM_Checksum)->Arg(64)->Arg(512)->Arg(1500);
 
 void BM_UdpFrameBuild(benchmark::State& state) {
   const Bytes payload(static_cast<std::size_t>(state.range(0)), 1);
-  const net::Ipv4Addr src = net::Ipv4Addr::from_octets(10, 0, 0, 1);
-  const net::Ipv4Addr dst = net::Ipv4Addr::from_octets(10, 0, 0, 2);
+  net::UdpFrameHeader header;
+  header.ip.src = net::Ipv4Addr::from_octets(10, 0, 0, 1);
+  header.ip.dst = net::Ipv4Addr::from_octets(10, 0, 0, 2);
+  header.udp = net::UdpHeader{1, 2};
+  Bytes frame(net::udp_frame_size(payload.size()));
   for (auto _ : state) {
-    const Bytes udp =
-        net::build_udp_datagram(net::UdpHeader{1, 2}, src, dst, payload);
-    const Bytes ip = net::build_ipv4_packet(
-        net::Ipv4Header{src, dst, net::IpProtocol::Udp}, udp);
-    benchmark::DoNotOptimize(net::build_ethernet_frame(
-        net::EthernetHeader{{}, {}, net::EtherType::Ipv4}, ip));
+    net::write_udp_frame(frame, header, payload, std::nullopt);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_UdpFrameBuild)->Arg(64)->Arg(1024);
+
+// Parse + checksum verification of one datagram of state.range(0) bytes.
+void BM_UdpVerify(benchmark::State& state) {
+  const u64 payload_len = static_cast<u64>(state.range(0)) - 8;
+  const Bytes payload(payload_len, 0x5a);
+  net::UdpFrameHeader header;
+  header.ip.src = net::Ipv4Addr::from_octets(10, 0, 0, 1);
+  header.ip.dst = net::Ipv4Addr::from_octets(10, 0, 0, 2);
+  header.udp = net::UdpHeader{1, 2};
+  Bytes frame(net::udp_frame_size(payload_len));
+  net::write_udp_frame(frame, header, payload, std::nullopt);
+  const ConstByteSpan datagram = ConstByteSpan{frame}.subspan(
+      net::EthernetHeader::kSize + net::Ipv4Header::kSize,
+      static_cast<u64>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        net::parse_udp_datagram(datagram, header.ip.src, header.ip.dst));
+  }
+}
+BENCHMARK(BM_UdpVerify)->Arg(64)->Arg(1024);
+
+void BM_RssFlowHash(benchmark::State& state) {
+  net::Ipv4Addr host = net::Ipv4Addr::from_octets(10, 42, 0, 1);
+  net::Ipv4Addr fpga = net::Ipv4Addr::from_octets(10, 42, 0, 2);
+  benchmark::DoNotOptimize(host);
+  benchmark::DoNotOptimize(fpga);
+  u16 port = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::rss_flow_hash(host, ++port, fpga, 9000));
+  }
+}
+BENCHMARK(BM_RssFlowHash);
 
 void BM_VirtqueueAddHarvest(benchmark::State& state) {
   mem::HostMemory memory;

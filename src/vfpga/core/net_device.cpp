@@ -230,7 +230,7 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
     return std::nullopt;
   }
   const NetHeader vhdr = NetHeader::decode(payload);
-  Bytes frame(payload.begin() + NetHeader::kSize, payload.end());
+  const ConstByteSpan frame = payload.subspan(NetHeader::kSize);
 
   if (vhdr.gso_type != NetHeader::kGsoNone) {
     return process_gso_udp(vhdr, frame);
@@ -244,7 +244,7 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
 
   // ---- ARP: answer requests for our address ----------------------------------
   if (parsed_eth->header.type == net::EtherType::Arp) {
-    const auto arp = net::parse_arp_message(ConstByteSpan{frame}.subspan(
+    const auto arp = net::parse_arp_message(frame.subspan(
         parsed_eth->payload_offset, parsed_eth->payload_length));
     if (!arp.has_value() || arp->op != net::ArpOp::Request ||
         arp->target_ip != config_.ip) {
@@ -275,8 +275,8 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   }
 
   // ---- IPv4 ---------------------------------------------------------------------
-  auto ip_span = ConstByteSpan{frame}.subspan(parsed_eth->payload_offset,
-                                              parsed_eth->payload_length);
+  const auto ip_span = frame.subspan(parsed_eth->payload_offset,
+                                     parsed_eth->payload_length);
   const auto parsed_ip = net::parse_ipv4_packet(ip_span);
   if (!parsed_ip.has_value() || !parsed_ip->checksum_ok) {
     ++dropped_;
@@ -331,30 +331,44 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
     ++dropped_;
     return std::nullopt;
   }
-  auto udp_span =
+  const auto udp_span =
       ip_span.subspan(parsed_ip->payload_offset, parsed_ip->payload_length);
+  const net::Ipv4Addr src_ip = parsed_ip->header.src;
+  const net::Ipv4Addr dst_ip = parsed_ip->header.dst;
+  const auto parsed_udp = net::parse_udp_datagram(udp_span, src_ip, dst_ip);
 
-  // If the driver offloaded the checksum (VIRTIO_NET_F_CSUM), the UDP
-  // checksum field currently holds only the pseudo-header sum; the
-  // device must complete it — the paper's example of work the FPGA
-  // performs "on behalf of the host".
+  // One checksum pass per hop. The echo swaps endpoints, which leaves
+  // every ones'-complement sum unchanged (as in process_gso_udp), so the
+  // checksum the device completes or verifies here is already the
+  // echo's: it is recomputed only when the wire carried none, or when
+  // the completed one covered more than the UDP length.
+  std::optional<u16> echo_csum;
   bool device_checksummed = false;
-  Bytes udp_copy(udp_span.begin(), udp_span.end());
   if ((vhdr.flags & NetHeader::kNeedsCsum) != 0) {
-    net::finalize_udp_checksum(ByteSpan{udp_copy}, parsed_ip->header.src,
-                               parsed_ip->header.dst);
+    // VIRTIO_NET_F_CSUM: the checksum field holds only the
+    // pseudo-header sum and the device completes it, the paper's example
+    // of work the FPGA performs "on behalf of the host".
+    if (udp_span.size() < net::UdpHeader::kSize) {
+      ++dropped_;
+      return std::nullopt;
+    }
+    const u16 completed = net::udp_checksum(udp_span, src_ip, dst_ip);
     device_checksummed = true;
     ++checksums_offloaded_;
+    if (parsed_udp.has_value() &&
+        net::UdpHeader::kSize + parsed_udp->payload_length ==
+            udp_span.size()) {
+      echo_csum = completed;
+    }
   } else {
-    const auto parsed_udp = net::parse_udp_datagram(
-        udp_copy, parsed_ip->header.src, parsed_ip->header.dst);
     if (!parsed_udp.has_value() || !parsed_udp->checksum_ok) {
       ++dropped_;
       return std::nullopt;
     }
+    if (const u16 wire = load_be16(udp_span, 6); wire != 0) {
+      echo_csum = wire;  // verified equal to the recomputed checksum
+    }
   }
-  const auto parsed_udp = net::parse_udp_datagram(
-      udp_copy, parsed_ip->header.src, parsed_ip->header.dst);
   if (!parsed_udp.has_value()) {
     // Reachable in the offload branch: a frame whose UDP length fields
     // were mangled in flight parses as IPv4 (header checksum intact)
@@ -363,50 +377,46 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
     return std::nullopt;
   }
 
-  // Build the echo: same payload, endpoints swapped.
-  const auto echo_payload = ConstByteSpan{udp_copy}.subspan(
-      parsed_udp->payload_offset, parsed_udp->payload_length);
-  const Bytes echo_udp = net::build_udp_datagram(
-      net::UdpHeader{parsed_udp->header.dst_port, parsed_udp->header.src_port},
-      parsed_ip->header.dst, parsed_ip->header.src, echo_payload);
-  net::Ipv4Header echo_ip;
-  echo_ip.src = parsed_ip->header.dst;
-  echo_ip.dst = parsed_ip->header.src;
-  echo_ip.protocol = net::IpProtocol::Udp;
-  echo_ip.identification = parsed_ip->header.identification;
-  const Bytes echo_packet = net::build_ipv4_packet(echo_ip, echo_udp);
-  const Bytes echo_frame = net::build_ethernet_frame(
-      net::EthernetHeader{parsed_eth->header.src, config_.mac,
-                          net::EtherType::Ipv4},
-      echo_packet);
+  // Write the echo once: same payload, endpoints swapped.
+  net::UdpFrameHeader echo;
+  echo.eth.dst = parsed_eth->header.src;
+  echo.eth.src = config_.mac;
+  echo.ip.src = dst_ip;
+  echo.ip.dst = src_ip;
+  echo.ip.identification = parsed_ip->header.identification;
+  echo.udp = net::UdpHeader{parsed_udp->header.dst_port,
+                            parsed_udp->header.src_port};
+  const auto echo_payload = udp_span.subspan(parsed_udp->payload_offset,
+                                             parsed_udp->payload_length);
+  const u64 echo_frame_size = net::udp_frame_size(echo_payload.size());
 
   Response response;
-  response.payload.resize(NetHeader::kSize + echo_frame.size());
+  response.payload.resize(NetHeader::kSize + echo_frame_size);
   NetHeader out_hdr;
   out_hdr.num_buffers = 1;
   if (negotiated_.has(virtio::feature::net::kGuestCsum)) {
     out_hdr.flags = NetHeader::kDataValid;  // we computed a full checksum
   }
   out_hdr.encode(response.payload);
-  std::copy(echo_frame.begin(), echo_frame.end(),
-            response.payload.begin() + NetHeader::kSize);
+  net::write_udp_frame(ByteSpan{response.payload}.subspan(NetHeader::kSize),
+                       echo, echo_payload, echo_csum);
   // RSS stage: the echo steers by the symmetric flow hash, which lands
   // on the originating pair because the host picked its TX queue with
   // the same hash (steering faults can divert it — the host detects the
   // mismatch and repairs via the control queue).
   const u16 echo_pair = steer_flow(net::rss_flow_hash(
-      parsed_ip->header.src, parsed_udp->header.src_port,
-      parsed_ip->header.dst, parsed_udp->header.dst_port));
+      src_ip, parsed_udp->header.src_port, dst_ip,
+      parsed_udp->header.dst_port));
   response.target_queue = virtio::net::rx_queue_index(echo_pair);
   response.processing_cycles =
-      processing_cycles(echo_frame.size(), device_checksummed);
+      processing_cycles(echo_frame_size, device_checksummed);
   ++udp_echoes_;
   ++pair_echoes_[echo_pair];
   return response;
 }
 
 std::optional<UserLogic::Response> NetDeviceLogic::process_gso_udp(
-    const NetHeader& vhdr, const Bytes& frame) {
+    const NetHeader& vhdr, ConstByteSpan frame) {
   // Fixed frame layout (no IP options): eth 0..13, IP 14..33, UDP 34..41.
   constexpr u64 kIpSrcOff = 26;
   constexpr u64 kIpDstOff = 30;

@@ -149,7 +149,7 @@ class NetDeviceLogic final : public UserLogic {
   /// GSO fast path: segment one offloaded superframe, echo the train,
   /// and coalesce it back when the guest accepts large RX frames.
   std::optional<Response> process_gso_udp(const virtio::net::NetHeader& vhdr,
-                                          const Bytes& frame);
+                                          ConstByteSpan frame);
 
   NetDeviceConfig config_;
   virtio::FeatureSet negotiated_{};

@@ -106,28 +106,25 @@ bool KernelNetstack::send_built(HostThread& thread, u16 src_port,
     return false;
   }
 
-  const Bytes udp = net::build_udp_datagram(net::UdpHeader{src_port, dst_port},
-                                            kHostIp, dst, payload);
-  net::Ipv4Header ip;
-  ip.src = kHostIp;
-  ip.dst = dst;
-  ip.protocol = net::IpProtocol::Udp;
-  ip.ttl = kIpTtl;
-  ip.identification = next_ip_id_++;
-  Bytes packet = net::build_ipv4_packet(ip, udp);
-
+  // One pass: headers, payload and padding straight into the reused
+  // frame buffer. With VIRTIO_NET_F_CSUM the stack leaves the L4
+  // checksum field zero for the device to fill (the partial
+  // pseudo-header sum is logically there; the device recomputes in
+  // full), so no checksum is computed here.
   const bool offload_csum =
       driver_->negotiated().has(virtio::feature::net::kCsum);
-  if (offload_csum) {
-    // The stack leaves the L4 checksum for the device: zero the field
-    // (the partial pseudo-header sum is logically there; the device
-    // recomputes in full).
-    store_be16(ByteSpan{packet}, net::Ipv4Header::kSize + 6, 0);
-  }
-
-  const Bytes frame = net::build_ethernet_frame(
-      net::EthernetHeader{*neighbour, driver_->mac(), net::EtherType::Ipv4},
-      packet);
+  net::UdpFrameHeader header;
+  header.eth.dst = *neighbour;
+  header.eth.src = driver_->mac();
+  header.ip.src = kHostIp;
+  header.ip.dst = dst;
+  header.ip.ttl = kIpTtl;
+  header.ip.identification = next_ip_id_++;
+  header.udp = net::UdpHeader{src_port, dst_port};
+  tx_frame_.resize(net::udp_frame_size(payload.size()));
+  net::write_udp_frame(tx_frame_, header, payload,
+                       offload_csum ? std::optional<u16>{0} : std::nullopt);
+  const ConstByteSpan frame{tx_frame_};
 
   // Queue selection mirrors the device's RSS stage: same hash, same
   // reduction, so the echo lands on the TX queue's partner RX queue.

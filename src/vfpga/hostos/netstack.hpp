@@ -186,6 +186,8 @@ class KernelNetstack {
   net::RoutingTable routes_;
   net::ArpCache arp_;
   u16 next_ip_id_ = 1;
+  /// send_built's frame, reused so a steady send allocates nothing.
+  Bytes tx_frame_;
   std::map<u16, std::deque<Datagram>> socket_queues_;
   /// local port -> queue pair its flow hashes to (set on transmit).
   std::map<u16, u16> flow_affinity_;

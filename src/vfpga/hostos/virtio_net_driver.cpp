@@ -565,13 +565,19 @@ bool VirtioNetDriver::harvest_one_rx(virtio::DriverRing& rx, PairState& ps) {
   const auto completion = rx.harvest();
   VFPGA_ASSERT(completion.has_value());
   const RxBuffer& buf = ps.rx_buffers[completion->token];
-  const Bytes data =
-      transport_.memory().read_bytes(buf.addr, completion->written);
+  const auto& memory = transport_.memory();
+  // Frame bytes go straight from the buffer into their destination
+  // vector, with no intermediate copy.
+  const auto read_append = [&](Bytes& out, HostAddr addr, u64 length) {
+    const u64 at = out.size();
+    out.resize(at + length);
+    memory.read(addr, ByteSpan{out}.subspan(at));
+  };
   bool frame_done = false;
   if (ps.rx_partial_remaining > 0) {
     // Continuation buffer of a mergeable span: raw frame bytes, no
     // header (§5.1.6.4 — only the first buffer carries virtio_net_hdr).
-    ps.rx_partial.insert(ps.rx_partial.end(), data.begin(), data.end());
+    read_append(ps.rx_partial, buf.addr, completion->written);
     if (--ps.rx_partial_remaining == 0) {
       RxFrame done = std::move(ps.rx_partial_meta);
       done.frame = std::move(ps.rx_partial);
@@ -588,7 +594,11 @@ bool VirtioNetDriver::harvest_one_rx(virtio::DriverRing& rx, PairState& ps) {
     }
   } else {
     VFPGA_ASSERT(completion->written >= NetHeader::kSize);
-    const NetHeader vhdr = NetHeader::decode(data);
+    std::array<u8, NetHeader::kSize> hdr_bytes{};
+    memory.read(buf.addr, hdr_bytes);
+    const NetHeader vhdr = NetHeader::decode(hdr_bytes);
+    const HostAddr frame_addr = buf.addr + NetHeader::kSize;
+    const u64 frame_len = completion->written - NetHeader::kSize;
     RxFrame meta;
     meta.csum_valid = (vhdr.flags & NetHeader::kDataValid) != 0;
     meta.gso_type = vhdr.gso_type;
@@ -596,7 +606,7 @@ bool VirtioNetDriver::harvest_one_rx(virtio::DriverRing& rx, PairState& ps) {
     const u16 num_buffers =
         mrg_active_ ? std::max<u16>(vhdr.num_buffers, 1) : u16{1};
     if (num_buffers <= 1) {
-      meta.frame.assign(data.begin() + NetHeader::kSize, data.end());
+      read_append(meta.frame, frame_addr, frame_len);
       if (meta.gso_type != NetHeader::kGsoNone) {
         ++rx_gro_frames_;
       }
@@ -605,7 +615,8 @@ bool VirtioNetDriver::harvest_one_rx(virtio::DriverRing& rx, PairState& ps) {
       ++ps.rx_packets;
       frame_done = true;
     } else {
-      ps.rx_partial.assign(data.begin() + NetHeader::kSize, data.end());
+      ps.rx_partial.clear();
+      read_append(ps.rx_partial, frame_addr, frame_len);
       ps.rx_partial_remaining = static_cast<u16>(num_buffers - 1);
       ps.rx_partial_meta = std::move(meta);
     }

@@ -23,6 +23,9 @@ struct EthernetHeader {
 /// Minimum payload so the frame (without FCS) reaches 60 bytes.
 inline constexpr u64 kMinEthernetPayload = 46;
 
+/// Write the 14-byte header at the start of `frame`.
+void write_ethernet_header(ByteSpan frame, const EthernetHeader& header);
+
 /// Build a frame: header + payload (+ zero padding to the Ethernet
 /// minimum). The 4-byte FCS is not materialized — link integrity is the
 /// PHY model's concern — but padding is, because it crosses the PCIe

@@ -96,14 +96,8 @@ std::vector<Bytes> gso_segment_udp(ConstByteSpan superframe, u16 gso_size,
     store_be16(s, kUdpLen, udp_len);
     store_be16(s, kUdpCsum, 0);
     if (fill_checksums) {
-      ChecksumAccumulator acc;
-      acc.add_u32(src);
-      acc.add_u32(dst);
-      acc.add_u16(static_cast<u16>(IpProtocol::Udp));
-      acc.add_u16(udp_len);
-      acc.add(ConstByteSpan{s}.subspan(kUdpOff, udp_len));
-      const u16 csum = acc.fold();
-      store_be16(s, kUdpCsum, csum == 0 ? 0xffff : csum);
+      finalize_udp_checksum(s.subspan(kUdpOff, udp_len), Ipv4Addr{src},
+                            Ipv4Addr{dst});
     }
     segments.push_back(std::move(frame));
   }

@@ -24,6 +24,10 @@ struct Ipv4Header {
   static constexpr u64 kSize = 20;  ///< no options in this stack
 };
 
+/// Write the 20-byte header, header checksum included, at the start of
+/// `packet`; `header.total_length` is written as given.
+void write_ipv4_header(ByteSpan packet, const Ipv4Header& header);
+
 /// Build header + payload with a valid header checksum.
 [[nodiscard]] Bytes build_ipv4_packet(Ipv4Header header, ConstByteSpan payload);
 

@@ -30,13 +30,11 @@ inline constexpr u16 kSteeringTableSize = 128;
 /// The fixed Toeplitz key shared by host and device models.
 [[nodiscard]] const std::array<u8, kRssKeyBytes>& rss_key();
 
-/// Raw Toeplitz hash of `data` under `key`.
-[[nodiscard]] u32 toeplitz_hash(ConstByteSpan data,
-                                const std::array<u8, kRssKeyBytes>& key);
-
 /// Symmetric flow hash over the UDP 4-tuple: the (addr, port) endpoints
 /// are ordered numerically before serialization, so hash(A->B) ==
 /// hash(B->A) and an echoed packet steers back to its originating pair.
+/// Computed by per-byte lookup tables built from rss_key() at compile
+/// time.
 [[nodiscard]] u32 rss_flow_hash(Ipv4Addr src_ip, u16 src_port, Ipv4Addr dst_ip,
                                 u16 dst_port);
 

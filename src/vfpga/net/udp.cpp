@@ -5,39 +5,59 @@
 #include "vfpga/common/contract.hpp"
 #include "vfpga/common/endian.hpp"
 #include "vfpga/net/checksum.hpp"
-#include "vfpga/net/ipv4.hpp"
 
 namespace vfpga::net {
 namespace {
 
-u16 udp_checksum(ConstByteSpan datagram, Ipv4Addr src, Ipv4Addr dst) {
+ChecksumAccumulator pseudo_header_sum(Ipv4Addr src, Ipv4Addr dst,
+                                      u64 length) {
   ChecksumAccumulator acc;
   acc.add_u32(src.value);
   acc.add_u32(dst.value);
   acc.add_u16(static_cast<u16>(IpProtocol::Udp));
-  acc.add_u16(static_cast<u16>(datagram.size()));
-  acc.add(datagram);
+  acc.add_u16(static_cast<u16>(length));
+  return acc;
+}
+
+}  // namespace
+
+u16 udp_checksum(ConstByteSpan datagram, Ipv4Addr src, Ipv4Addr dst) {
+  VFPGA_EXPECTS(datagram.size() >= UdpHeader::kSize);
+  ChecksumAccumulator acc = pseudo_header_sum(src, dst, datagram.size());
+  acc.add(datagram.first(6));
+  acc.add(datagram.subspan(UdpHeader::kSize));
   const u16 csum = acc.fold();
   // RFC 768: an all-zero checksum means "none"; transmit 0xffff instead.
   return csum == 0 ? 0xffff : csum;
 }
 
-}  // namespace
+void write_udp_frame(ByteSpan frame, const UdpFrameHeader& header,
+                     ConstByteSpan payload, std::optional<u16> udp_checksum) {
+  constexpr u64 kUdpOff = EthernetHeader::kSize + Ipv4Header::kSize;
+  const u64 udp_len = UdpHeader::kSize + payload.size();
+  VFPGA_EXPECTS(Ipv4Header::kSize + udp_len <= 0xffff);
+  VFPGA_EXPECTS(frame.size() == udp_frame_size(payload.size()));
 
-Bytes build_udp_datagram(const UdpHeader& header, Ipv4Addr src, Ipv4Addr dst,
-                         ConstByteSpan payload) {
-  const u64 total = UdpHeader::kSize + payload.size();
-  VFPGA_EXPECTS(total <= 0xffff);
-  Bytes datagram(total, 0);
-  ByteSpan s{datagram};
-  store_be16(s, 0, header.src_port);
-  store_be16(s, 2, header.dst_port);
-  store_be16(s, 4, static_cast<u16>(total));
-  store_be16(s, 6, 0);  // checksum placeholder
+  EthernetHeader eth = header.eth;
+  eth.type = EtherType::Ipv4;
+  write_ethernet_header(frame, eth);
+  Ipv4Header ip = header.ip;
+  ip.protocol = IpProtocol::Udp;
+  ip.total_length = static_cast<u16>(Ipv4Header::kSize + udp_len);
+  write_ipv4_header(frame.subspan(EthernetHeader::kSize), ip);
+
+  const ByteSpan datagram = frame.subspan(kUdpOff, udp_len);
+  store_be16(datagram, 0, header.udp.src_port);
+  store_be16(datagram, 2, header.udp.dst_port);
+  store_be16(datagram, 4, static_cast<u16>(udp_len));
+  store_be16(datagram, 6, udp_checksum.value_or(0));
   std::copy(payload.begin(), payload.end(),
             datagram.begin() + UdpHeader::kSize);
-  store_be16(s, 6, udp_checksum(datagram, src, dst));
-  return datagram;
+  std::fill(frame.begin() + static_cast<std::ptrdiff_t>(kUdpOff + udp_len),
+            frame.end(), u8{0});
+  if (!udp_checksum.has_value()) {
+    store_be16(datagram, 6, net::udp_checksum(datagram, ip.src, ip.dst));
+  }
 }
 
 std::optional<ParsedUdp> parse_udp_datagram(ConstByteSpan data, Ipv4Addr src,
@@ -55,21 +75,21 @@ std::optional<ParsedUdp> parse_udp_datagram(ConstByteSpan data, Ipv4Addr src,
   out.payload_offset = UdpHeader::kSize;
   out.payload_length = static_cast<u64>(length) - UdpHeader::kSize;
 
-  const u16 wire_csum = load_be16(data, 6);
-  if (wire_csum == 0) {
+  if (load_be16(data, 6) == 0) {
     out.checksum_ok = true;  // checksum not used by sender
   } else {
-    // Recompute over the datagram with the checksum bytes zeroed.
-    Bytes copy(data.begin(), data.begin() + length);
-    store_be16(ByteSpan{copy}, 6, 0);
-    out.checksum_ok = (udp_checksum(copy, src, dst) == wire_csum);
+    // In place: a datagram carrying its correct checksum sums, with the
+    // pseudo-header, to negative zero. For a nonzero wire value this is
+    // exactly udp_checksum() == wire, a computed 0 sent as 0xffff
+    // included (DESIGN.md, net layer).
+    ChecksumAccumulator acc = pseudo_header_sum(src, dst, length);
+    acc.add(data.first(length));
+    out.checksum_ok = acc.fold() == 0;
   }
   return out;
 }
 
 void finalize_udp_checksum(ByteSpan datagram, Ipv4Addr src, Ipv4Addr dst) {
-  VFPGA_EXPECTS(datagram.size() >= UdpHeader::kSize);
-  store_be16(datagram, 6, 0);
   store_be16(datagram, 6, udp_checksum(datagram, src, dst));
 }
 

@@ -2,6 +2,9 @@
 // virtio-net driver binding, netstack send/receive paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "support/net_oracle.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/hostos/cost_model.hpp"
 #include "vfpga/hostos/interrupt.hpp"
@@ -252,6 +255,53 @@ TEST_F(StackFixture, OffloadDisabledFallsBackToFullChecksums) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->payload, payload);
   EXPECT_EQ(bed.net_logic().checksums_offloaded(), 0u);
+}
+
+TEST_F(StackFixture, SentFrameMatchesBuilderChain) {
+  // The TX bounce buffer holds virtio_net_hdr + frame contiguously; find
+  // exactly the bytes the per-layer builder chain produced for each send.
+  for (const bool offload : {false, true}) {
+    options.net.offer_csum = offload;
+    core::VirtioNetTestbed bed{options};
+    u16 ip_id = 1;  // the stack's first IP id; nothing else is sent
+    for (const u64 len : {0u, 1u, 17u, 18u, 64u, 1024u, 1472u}) {
+      Bytes payload(len);
+      for (u64 i = 0; i < len; ++i) {
+        payload[i] = static_cast<u8>(i * 31 + len);
+      }
+      ASSERT_TRUE(bed.socket().sendto(bed.thread(), bed.fpga_ip(),
+                                      bed.options().fpga_udp_port, payload));
+      ASSERT_TRUE(bed.socket().recvfrom(bed.thread()).has_value());
+
+      net::UdpFrameHeader h;
+      h.eth.dst = bed.options().net.mac;
+      h.eth.src = bed.driver().mac();
+      h.ip.src = KernelNetstack::kHostIp;
+      h.ip.dst = bed.fpga_ip();
+      h.ip.identification = ip_id++;
+      h.udp = net::UdpHeader{bed.options().udp_port,
+                             bed.options().fpga_udp_port};
+      const Bytes frame = net_oracle::build_udp_frame(h, payload, offload);
+      Bytes expected(virtio::net::NetHeader::kSize);
+      virtio::net::NetHeader hdr;
+      if (offload) {
+        hdr.flags = virtio::net::NetHeader::kNeedsCsum;
+        hdr.csum_start = net::EthernetHeader::kSize + net::Ipv4Header::kSize;
+        hdr.csum_offset = 6;
+      }
+      hdr.encode(expected);
+      expected.insert(expected.end(), frame.begin(), frame.end());
+
+      const mem::HostMemory& memory = bed.memory();
+      const HostAddr base =
+          memory.allocator_cursor() - memory.allocated_bytes();
+      const Bytes image = memory.read_bytes(base, memory.allocated_bytes());
+      EXPECT_NE(std::search(image.begin(), image.end(), expected.begin(),
+                            expected.end()),
+                image.end())
+          << "payload " << len << " offload " << offload;
+    }
+  }
 }
 
 TEST_F(StackFixture, TxInterruptsStaySuppressed) {

@@ -1,7 +1,10 @@
 // Unit + property tests: checksums, Ethernet/IPv4/UDP/ARP codecs,
-// routing table, ARP cache.
+// routing table, ARP cache. The word-at-a-time checksum, the in-place
+// UDP verify and the single-pass frame writer are each compared with
+// the straightforward versions in support/net_oracle.hpp.
 #include <gtest/gtest.h>
 
+#include "support/net_oracle.hpp"
 #include "vfpga/common/endian.hpp"
 #include "vfpga/net/arp.hpp"
 #include "vfpga/net/checksum.hpp"
@@ -22,6 +25,39 @@ const Ipv4Addr kHostIp = Ipv4Addr::from_octets(10, 42, 0, 1);
 const Ipv4Addr kFpgaIp = Ipv4Addr::from_octets(10, 42, 0, 2);
 const MacAddr kHostMac{{0x02, 0, 0, 0, 0, 0x01}};
 const MacAddr kFpgaMac{{0x02, 0, 0, 0, 0, 0x02}};
+constexpr u64 kUdpOff = EthernetHeader::kSize + Ipv4Header::kSize;
+
+Bytes random_bytes(sim::Xoshiro256& rng, u64 size) {
+  Bytes out(size);
+  for (auto& b : out) {
+    b = static_cast<u8>(rng());
+  }
+  return out;
+}
+
+UdpFrameHeader host_to_fpga(UdpHeader udp, u16 ip_id = 0) {
+  UdpFrameHeader h;
+  h.eth.dst = kFpgaMac;
+  h.eth.src = kHostMac;
+  h.ip.src = kHostIp;
+  h.ip.dst = kFpgaIp;
+  h.ip.identification = ip_id;
+  h.udp = udp;
+  return h;
+}
+
+// The UDP datagram of a frame the library's writer produced.
+Bytes udp_datagram(UdpHeader udp, Ipv4Addr src, Ipv4Addr dst,
+                   ConstByteSpan payload) {
+  UdpFrameHeader h = host_to_fpga(udp);
+  h.ip.src = src;
+  h.ip.dst = dst;
+  Bytes frame(udp_frame_size(payload.size()));
+  write_udp_frame(frame, h, payload, std::nullopt);
+  const auto datagram =
+      ConstByteSpan{frame}.subspan(kUdpOff, UdpHeader::kSize + payload.size());
+  return Bytes(datagram.begin(), datagram.end());
+}
 
 // ---- checksum -------------------------------------------------------------------
 
@@ -56,6 +92,96 @@ TEST(Checksum, EmbeddedChecksumValidates) {
   EXPECT_TRUE(checksum_valid(data));
   data[3] ^= 1;
   EXPECT_FALSE(checksum_valid(data));
+}
+
+// The word-at-a-time sum against the byte-pair loop it replaced.
+TEST(Checksum, WordSumMatchesBytePairLoopAtEveryLength) {
+  sim::Xoshiro256 rng{0xc5};
+  const Bytes data = random_bytes(rng, 2049);
+  for (u64 len = 0; len <= 2048; ++len) {
+    for (const u64 offset : {u64{0}, u64{1}}) {  // aligned and not
+      const auto span = ConstByteSpan{data}.subspan(offset, len);
+      ASSERT_EQ(internet_checksum(span), net_oracle::internet_checksum(span))
+          << "length " << len << " offset " << offset;
+    }
+  }
+  // All-zero data sums to +0, all-ones to -0: fold() keeps them apart.
+  for (const u64 len : {0u, 1u, 2u, 7u, 8u, 9u, 64u, 1500u}) {
+    for (const u8 fill : {u8{0x00}, u8{0xff}}) {
+      const Bytes same(len, fill);
+      EXPECT_EQ(internet_checksum(same), net_oracle::internet_checksum(same))
+          << "length " << len << " fill " << int{fill};
+    }
+  }
+}
+
+TEST(Checksum, EverySplitMatchesBytePairLoop) {
+  sim::Xoshiro256 rng{0x5b};
+  for (const u64 len :
+       {1u, 2u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 63u, 64u, 65u, 1471u}) {
+    const Bytes data = random_bytes(rng, len);
+    for (u64 split = 0; split <= len; ++split) {
+      ChecksumAccumulator acc;
+      net_oracle::BytePairChecksum ref;
+      for (const auto part : {ConstByteSpan{data}.first(split),
+                              ConstByteSpan{data}.subspan(split)}) {
+        acc.add(part);
+        ref.add(part);
+      }
+      ASSERT_EQ(acc.fold(), ref.fold()) << "length " << len << " split "
+                                        << split;
+    }
+  }
+  // Three pieces, so an odd carry can cross two boundaries.
+  const Bytes data = random_bytes(rng, 17);
+  for (u64 a = 0; a <= data.size(); ++a) {
+    for (u64 b = a; b <= data.size(); ++b) {
+      ChecksumAccumulator acc;
+      net_oracle::BytePairChecksum ref;
+      for (const auto part : {ConstByteSpan{data}.first(a),
+                              ConstByteSpan{data}.subspan(a, b - a),
+                              ConstByteSpan{data}.subspan(b)}) {
+        acc.add(part);
+        ref.add(part);
+      }
+      ASSERT_EQ(acc.fold(), ref.fold()) << "splits " << a << ", " << b;
+    }
+  }
+}
+
+TEST(Checksum, InterleavedWordsAndSpansMatchBytePairLoop) {
+  sim::Xoshiro256 rng{0x1e};
+  const Bytes data = random_bytes(rng, 512);
+  for (int trial = 0; trial < 500; ++trial) {
+    ChecksumAccumulator acc;
+    net_oracle::BytePairChecksum ref;
+    const u64 ops = rng.uniform_below(12) + 1;
+    for (u64 op = 0; op < ops; ++op) {
+      switch (rng.uniform_below(3)) {
+        case 0: {
+          const u64 len = rng.uniform_below(100);
+          const auto part = ConstByteSpan{data}.subspan(
+              rng.uniform_below(data.size() - len), len);
+          acc.add(part);
+          ref.add(part);
+          break;
+        }
+        case 1: {
+          const auto v = static_cast<u16>(rng());
+          acc.add_u16(v);
+          ref.add_u16(v);
+          break;
+        }
+        default: {
+          const auto v = static_cast<u32>(rng());
+          acc.add_u32(v);
+          ref.add_u32(v);
+          break;
+        }
+      }
+      ASSERT_EQ(acc.fold(), ref.fold()) << "trial " << trial << " op " << op;
+    }
+  }
 }
 
 // ---- ethernet --------------------------------------------------------------------
@@ -143,7 +269,7 @@ TEST(Ipv4, TotalLengthBoundsPayload) {
 TEST(Udp, BuildParsesBackWithPseudoHeaderChecksum) {
   const Bytes payload{'h', 'e', 'l', 'l', 'o'};
   const Bytes dgram =
-      build_udp_datagram(UdpHeader{4791, 9000}, kHostIp, kFpgaIp, payload);
+      udp_datagram(UdpHeader{4791, 9000}, kHostIp, kFpgaIp, payload);
   const auto parsed = parse_udp_datagram(dgram, kHostIp, kFpgaIp);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->checksum_ok);
@@ -155,7 +281,7 @@ TEST(Udp, BuildParsesBackWithPseudoHeaderChecksum) {
 TEST(Udp, ChecksumCoversPseudoHeader) {
   const Bytes payload(16, 7);
   const Bytes dgram =
-      build_udp_datagram(UdpHeader{1, 2}, kHostIp, kFpgaIp, payload);
+      udp_datagram(UdpHeader{1, 2}, kHostIp, kFpgaIp, payload);
   // Same bytes, wrong address: checksum must fail. (Note: merely
   // swapping src/dst would pass — ones'-complement addition commutes.)
   const auto parsed = parse_udp_datagram(
@@ -166,13 +292,112 @@ TEST(Udp, ChecksumCoversPseudoHeader) {
 
 TEST(Udp, FinalizeRepairsZeroedChecksum) {
   Bytes dgram =
-      build_udp_datagram(UdpHeader{5, 6}, kHostIp, kFpgaIp, Bytes(32, 3));
+      udp_datagram(UdpHeader{5, 6}, kHostIp, kFpgaIp, Bytes(32, 3));
   store_be16(ByteSpan{dgram}, 6, 0);  // offloaded: stack left it blank
   finalize_udp_checksum(dgram, kHostIp, kFpgaIp);
   const auto parsed = parse_udp_datagram(dgram, kHostIp, kFpgaIp);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->checksum_ok);
   EXPECT_NE(load_be16(dgram, 6), 0);
+}
+
+// The in-place verdict against zeroing the field in a copy and
+// recomputing.
+void expect_recompute_verdict(ConstByteSpan datagram, const char* what) {
+  const auto parsed = parse_udp_datagram(datagram, kHostIp, kFpgaIp);
+  const auto ref =
+      net_oracle::udp_checksum_verdict(datagram, kHostIp, kFpgaIp);
+  ASSERT_EQ(parsed.has_value(), ref.has_value()) << what;
+  if (parsed.has_value()) {
+    EXPECT_EQ(parsed->checksum_ok, *ref) << what;
+  }
+}
+
+TEST(UdpVerify, InPlaceVerdictMatchesRecompute) {
+  sim::Xoshiro256 rng{0x64};
+  const Bytes payload = random_bytes(rng, 56);
+  const Bytes datagram = net_oracle::build_udp_datagram(
+      UdpHeader{4791, 9000}, kHostIp, kFpgaIp, payload);
+  ASSERT_EQ(datagram.size(), 64u);
+  expect_recompute_verdict(datagram, "intact");
+
+  for (const u16 wire : {u16{0}, u16{0xffff}}) {
+    Bytes copy = datagram;
+    store_be16(ByteSpan{copy}, 6, wire);
+    expect_recompute_verdict(copy, wire == 0 ? "wire 0" : "wire 0xffff");
+  }
+  for (u64 bit = 0; bit < datagram.size() * 8; ++bit) {
+    Bytes flipped = datagram;
+    flipped[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+    expect_recompute_verdict(flipped, "single-bit flip");
+  }
+
+  // UDP length shorter than the span: the checksum covers the length.
+  const Bytes short_dgram =
+      net_oracle::build_udp_datagram(UdpHeader{4791, 9000}, kHostIp, kFpgaIp,
+                                     ConstByteSpan{payload}.first(40));
+  Bytes padded = short_dgram;
+  padded.insert(padded.end(), payload.begin(), payload.begin() + 16);
+  expect_recompute_verdict(padded, "length < span, valid");
+  Bytes shortened = datagram;
+  store_be16(ByteSpan{shortened}, 4, 40);
+  expect_recompute_verdict(shortened, "length < span, stale checksum");
+  // Longer than the span: both reject the datagram.
+  Bytes longer = datagram;
+  store_be16(ByteSpan{longer}, 4, 80);
+  expect_recompute_verdict(longer, "length > span");
+  EXPECT_FALSE(parse_udp_datagram(longer, kHostIp, kFpgaIp).has_value());
+}
+
+TEST(UdpVerify, ComputedZeroChecksumTravelsAsAllOnes) {
+  // Choose the first payload word so the datagram sums to -0: its
+  // computed checksum is 0, so the sender writes 0xffff (RFC 768).
+  sim::Xoshiro256 rng{0x00};
+  Bytes payload = random_bytes(rng, 56);
+  store_be16(ByteSpan{payload}, 0, 0);
+  const Bytes base = net_oracle::build_udp_datagram(
+      UdpHeader{4791, 9000}, kHostIp, kFpgaIp, payload);
+  const u16 base_csum = load_be16(base, 6);
+  store_be16(ByteSpan{payload}, 0, base_csum == 0xffff ? 0 : base_csum);
+  const Bytes datagram = net_oracle::build_udp_datagram(
+      UdpHeader{4791, 9000}, kHostIp, kFpgaIp, payload);
+  ASSERT_EQ(load_be16(datagram, 6), 0xffff);
+  EXPECT_EQ(udp_checksum(datagram, kHostIp, kFpgaIp), 0xffff);
+  const auto parsed = parse_udp_datagram(datagram, kHostIp, kFpgaIp);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_TRUE(parsed->checksum_ok);
+  for (u64 bit = 0; bit < datagram.size() * 8; ++bit) {
+    Bytes flipped = datagram;
+    flipped[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+    expect_recompute_verdict(flipped, "single-bit flip of a -0 datagram");
+  }
+}
+
+// ---- the single-pass frame writer ------------------------------------------------
+
+TEST(UdpFrame, MatchesBuilderChainAtEveryPayloadSize) {
+  sim::Xoshiro256 rng{0xf4};
+  const Bytes data = random_bytes(rng, 1472);
+  for (u64 len = 0; len <= data.size(); ++len) {
+    const auto payload = ConstByteSpan{data}.first(len);
+    const UdpFrameHeader h =
+        host_to_fpga(UdpHeader{4791, 9000}, static_cast<u16>(len * 7));
+    for (const bool offload : {false, true}) {
+      // Pre-filled, so a byte the writer skips (padding) shows up.
+      Bytes frame(udp_frame_size(len), 0xcc);
+      write_udp_frame(frame, h, payload,
+                      offload ? std::optional<u16>{0} : std::nullopt);
+      ASSERT_EQ(frame, net_oracle::build_udp_frame(h, payload, offload))
+          << "payload " << len << " offload " << offload;
+    }
+  }
+}
+
+TEST(UdpFrame, StoresAGivenChecksumAsIs) {
+  const Bytes payload(20, 0x11);
+  Bytes frame(udp_frame_size(payload.size()));
+  write_udp_frame(frame, host_to_fpga(UdpHeader{1, 2}), payload, 0x1234);
+  EXPECT_EQ(load_be16(frame, kUdpOff + 6), 0x1234);
 }
 
 // Property: random payloads of every size round-trip with valid sums.
@@ -188,7 +413,7 @@ TEST_P(UdpProperty, RandomPayloadRoundTrip) {
     const u16 sport = static_cast<u16>(rng.uniform_below(65535) + 1);
     const u16 dport = static_cast<u16>(rng.uniform_below(65535) + 1);
     const Bytes dgram =
-        build_udp_datagram(UdpHeader{sport, dport}, kHostIp, kFpgaIp, payload);
+        udp_datagram(UdpHeader{sport, dport}, kHostIp, kFpgaIp, payload);
     const auto parsed = parse_udp_datagram(dgram, kHostIp, kFpgaIp);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_TRUE(parsed->checksum_ok);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "support/net_oracle.hpp"
 #include "vfpga/common/endian.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/net/checksum.hpp"
@@ -43,8 +44,8 @@ Bytes build_superframe(ConstByteSpan payload, u16 ip_id = 0x100) {
   net::UdpHeader udp;
   udp.src_port = 4791;
   udp.dst_port = 9000;
-  const Bytes datagram = net::build_udp_datagram(udp, kSrcIp, kDstIp,
-                                                 payload);
+  const Bytes datagram = net_oracle::build_udp_datagram(udp, kSrcIp, kDstIp,
+                                                        payload);
   net::Ipv4Header ip;
   ip.src = kSrcIp;
   ip.dst = kDstIp;
@@ -260,19 +261,23 @@ TEST(ChecksumEdgeCases, ZeroUdpChecksumTransmitsAsAllOnes) {
   // Find a payload whose checksum folds to zero: RFC 768 requires the
   // sender substitute 0xffff (zero on the wire means "no checksum"),
   // and the receiver must accept the substituted value.
-  net::UdpHeader udp;
-  udp.src_port = 4791;
-  udp.dst_port = 9000;
+  net::UdpFrameHeader header;
+  header.ip.src = kSrcIp;
+  header.ip.dst = kDstIp;
+  header.udp.src_port = 4791;
+  header.udp.dst_port = 9000;
   Bytes payload(2, 0);
+  Bytes frame(net::udp_frame_size(payload.size()));
+  const ConstByteSpan datagram =
+      ConstByteSpan{frame}.subspan(kUdpOff, net::UdpHeader::kSize + 2);
   bool found = false;
   for (u32 w = 0; w < 0x10000 && !found; ++w) {
     store_be16(ByteSpan{payload}, 0, static_cast<u16>(w));
-    const Bytes datagram =
-        net::build_udp_datagram(udp, kSrcIp, kDstIp, payload);
-    if (load_be16(ConstByteSpan{datagram}, 6) == 0xffff) {
+    net::write_udp_frame(frame, header, payload, std::nullopt);
+    if (load_be16(datagram, 6) == 0xffff) {
       found = true;
       const auto parsed =
-          net::parse_udp_datagram(ConstByteSpan{datagram}, kSrcIp, kDstIp);
+          net::parse_udp_datagram(datagram, kSrcIp, kDstIp);
       ASSERT_TRUE(parsed.has_value());
       EXPECT_TRUE(parsed->checksum_ok);
     }

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <string>
 
+#include "support/net_oracle.hpp"
 #include "support/test_driver.hpp"
 #include "vfpga/core/blk_device.hpp"
 #include "vfpga/core/net_device.hpp"
@@ -32,7 +33,7 @@ struct NetLogicFixture : ::testing::Test {
   net::MacAddr host_mac{{2, 0, 0, 0, 0, 1}};
 
   Bytes make_udp_frame(ConstByteSpan payload, bool valid_udp_csum = true) {
-    const Bytes udp = net::build_udp_datagram(
+    const Bytes udp = net_oracle::build_udp_datagram(
         net::UdpHeader{4791, 9000}, host_ip, logic.device_config().ip,
         payload);
     Bytes packet = net::build_ipv4_packet(
@@ -119,6 +120,160 @@ TEST_F(NetLogicFixture, OffloadedChecksumIsCompletedNotDropped) {
   // Response carries DATA_VALID when GUEST_CSUM negotiated.
   EXPECT_EQ(response->payload[0] & NetHeader::kDataValid,
             NetHeader::kDataValid);
+}
+
+// ---- echo frames against the builder chain -----------------------------------------
+
+// Fixed layout of the stack's UDP frames.
+constexpr u64 kIpOff = net::EthernetHeader::kSize;
+constexpr u64 kUdpOff = kIpOff + net::Ipv4Header::kSize;
+
+struct EchoOracleFixture : NetLogicFixture {
+  net::UdpFrameHeader request_header(u16 ip_id) {
+    net::UdpFrameHeader h;
+    h.eth = net::EthernetHeader{logic.device_config().mac, host_mac,
+                                net::EtherType::Ipv4};
+    h.ip.src = host_ip;
+    h.ip.dst = logic.device_config().ip;
+    h.ip.identification = ip_id;
+    h.udp = net::UdpHeader{4791, 9000};
+    return h;
+  }
+
+  // The response the per-layer builders produced for `request`:
+  // endpoints swapped, the payload its UDP length covers, a full
+  // checksum.
+  Bytes chain_echo(ConstByteSpan request, bool data_valid) {
+    net::UdpFrameHeader h;
+    std::copy_n(request.begin() + 6, 6, h.eth.dst.octets.begin());
+    h.eth.src = logic.device_config().mac;
+    h.ip.src = net::Ipv4Addr{load_be32(request, kIpOff + 16)};
+    h.ip.dst = net::Ipv4Addr{load_be32(request, kIpOff + 12)};
+    h.ip.identification = load_be16(request, kIpOff + 4);
+    h.udp = net::UdpHeader{load_be16(request, kUdpOff + 2),
+                           load_be16(request, kUdpOff)};
+    const u16 udp_len = load_be16(request, kUdpOff + 4);
+    const Bytes frame = net_oracle::build_udp_frame(
+        h, request.subspan(kUdpOff + net::UdpHeader::kSize,
+                           udp_len - net::UdpHeader::kSize));
+    Bytes out(NetHeader::kSize + frame.size());
+    NetHeader hdr;
+    hdr.num_buffers = 1;
+    hdr.flags = data_valid ? NetHeader::kDataValid : u8{0};
+    hdr.encode(out);
+    std::copy(frame.begin(), frame.end(), out.begin() + NetHeader::kSize);
+    return out;
+  }
+
+  void negotiate(bool offload) {
+    virtio::FeatureSet f;
+    f.set(virtio::feature::kVersion1);
+    if (offload) {
+      f.set(virtio::feature::net::kCsum).set(virtio::feature::net::kGuestCsum);
+    }
+    logic.on_driver_ready(f);
+  }
+
+  std::optional<UserLogic::Response> echo(ConstByteSpan request,
+                                          bool offload) {
+    return logic.process(
+        virtio::net::kTxQueue,
+        with_net_header(request, offload ? NetHeader::kNeedsCsum : u8{0}),
+        2048);
+  }
+
+  Bytes payload_bytes(u64 size) {
+    Bytes payload(size);
+    for (u64 i = 0; i < size; ++i) {
+      payload[i] = static_cast<u8>(i * 167 + 13);
+    }
+    return payload;
+  }
+};
+
+TEST_F(EchoOracleFixture, EchoMatchesBuilderChainAtEveryPayloadSize) {
+  const Bytes data = payload_bytes(1472);
+  for (const bool offload : {false, true}) {
+    negotiate(offload);
+    for (u64 len = 0; len <= data.size(); ++len) {
+      const Bytes request = net_oracle::build_udp_frame(
+          request_header(static_cast<u16>(len)),
+          ConstByteSpan{data}.first(len), /*zero_udp_checksum=*/offload);
+      const auto response = echo(request, offload);
+      ASSERT_TRUE(response.has_value()) << len;
+      ASSERT_EQ(response->payload, chain_echo(request, offload))
+          << "payload " << len << " offload " << offload;
+      const u64 beats =
+          (response->payload.size() - NetHeader::kSize + 7) / 8;
+      EXPECT_EQ(response->processing_cycles,
+                kNetPipelineTiming.fixed_cycles +
+                    beats * kNetPipelineTiming.cycles_per_beat +
+                    (offload ? beats : 0));
+    }
+  }
+  EXPECT_EQ(logic.udp_echoes(), 2u * 1473u);
+  EXPECT_EQ(logic.checksums_offloaded(), 1473u);
+}
+
+TEST_F(EchoOracleFixture, ZeroWireChecksumIsComputedForTheEcho) {
+  negotiate(false);
+  const Bytes data = payload_bytes(1472);
+  for (const u64 len : {0u, 1u, 63u, 64u, 1471u, 1472u}) {
+    Bytes request = net_oracle::build_udp_frame(
+        request_header(7), ConstByteSpan{data}.first(len));
+    store_be16(ByteSpan{request}, kUdpOff + 6, 0);  // "no checksum"
+    const auto response = echo(request, false);
+    ASSERT_TRUE(response.has_value()) << len;
+    EXPECT_EQ(response->payload, chain_echo(request, false)) << len;
+  }
+}
+
+TEST_F(EchoOracleFixture, MangledUdpLengthEchoesWhatTheLengthCovers) {
+  const Bytes data = payload_bytes(300);
+  for (const u64 cut : {1u, 2u, 7u, 64u}) {
+    // Offloaded: the device completes a checksum over the IP payload,
+    // which the echo of the shorter datagram cannot reuse.
+    negotiate(true);
+    Bytes request = net_oracle::build_udp_frame(request_header(1), data,
+                                                /*zero_udp_checksum=*/true);
+    store_be16(ByteSpan{request}, kUdpOff + 4,
+               static_cast<u16>(net::UdpHeader::kSize + data.size() - cut));
+    auto response = echo(request, true);
+    ASSERT_TRUE(response.has_value()) << cut;
+    EXPECT_EQ(response->payload, chain_echo(request, true)) << cut;
+
+    // Verified: a checksum valid for the shorter datagram, trailing
+    // bytes in the IP payload.
+    negotiate(false);
+    net::Ipv4Header ip = request_header(2).ip;
+    ip.protocol = net::IpProtocol::Udp;
+    Bytes datagram = net_oracle::build_udp_datagram(
+        net::UdpHeader{4791, 9000}, ip.src, ip.dst,
+        ConstByteSpan{data}.first(data.size() - cut));
+    datagram.insert(datagram.end(), data.end() - static_cast<i64>(cut),
+                    data.end());
+    request = net_oracle::build_ethernet_frame(
+        request_header(2).eth, net_oracle::build_ipv4_packet(ip, datagram));
+    response = echo(request, false);
+    ASSERT_TRUE(response.has_value()) << cut;
+    EXPECT_EQ(response->payload, chain_echo(request, false)) << cut;
+  }
+
+  // A UDP length past the IP payload parses in neither mode. With the
+  // checksum offloaded the device has already completed it, and counts
+  // that, before the parse drops the frame.
+  for (const bool offload : {false, true}) {
+    negotiate(offload);
+    Bytes request = net_oracle::build_udp_frame(request_header(3), data,
+                                                offload);
+    store_be16(ByteSpan{request}, kUdpOff + 4,
+               static_cast<u16>(net::UdpHeader::kSize + data.size() + 2));
+    const u64 dropped = logic.dropped();
+    const u64 offloaded = logic.checksums_offloaded();
+    EXPECT_FALSE(echo(request, offload).has_value());
+    EXPECT_EQ(logic.dropped(), dropped + 1);
+    EXPECT_EQ(logic.checksums_offloaded(), offloaded + (offload ? 1 : 0));
+  }
 }
 
 TEST_F(NetLogicFixture, ArpRequestForOurIpGetsReply) {
