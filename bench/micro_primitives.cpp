@@ -218,6 +218,28 @@ void BM_SnapshotWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotWrite)->ArgName("memory")->Arg(0)->Arg(1);
 
+// Restoring that snapshot into a testbed built from the same options:
+// validation, every layer's state and (arg 1) the pages. Each iteration
+// restores over the previous one; construction is not timed.
+void BM_SnapshotRestore(benchmark::State& state) {
+  core::TestbedOptions options;
+  options.seed = 97;
+  core::VirtioNetTestbed source{options};
+  const Bytes payload(256, 1);
+  (void)source.udp_round_trip(payload);
+  source.quiesce();
+  const Bytes image = migrate::save_snapshot(source, state.range(0) != 0);
+  core::VirtioNetTestbed target{options};
+  for (auto _ : state) {
+    if (migrate::restore_snapshot(target, image) !=
+        migrate::RestoreStatus::kOk) {
+      state.SkipWithError("restore failed");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_SnapshotRestore)->ArgName("memory")->Arg(0)->Arg(1);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -336,48 +336,25 @@ void BlkDeviceLogic::simulate_power_loss() {
   dirty_count_ = 0;
 }
 
-void BlkDeviceLogic::save_state(migrate::StateWriter& w) const {
-  w.put_u64(negotiated_.bits());
-  w.put_blob(storage_);
-  w.put_blob(durable_);
-  w.put_blob(dirty_);
-  w.put_u64(dirty_count_);
-  w.put_u64(dirty_high_water_);
-  w.put_u64(head_sector_);
-  w.put_u64(reads_);
-  w.put_u64(writes_);
-  w.put_u64(flushes_);
-  w.put_u64(discards_);
-  w.put_u64(get_ids_);
-  w.put_u64(errors_);
-  w.put_u64(header_faults_);
-  w.put_u64(timeout_faults_);
-}
-
-void BlkDeviceLogic::load_state(migrate::StateReader& r) {
-  negotiated_ = virtio::FeatureSet{r.get_u64()};
-  Bytes storage = r.get_blob();
-  Bytes durable = r.get_blob();
-  Bytes dirty = r.get_blob();
-  if (storage.size() != storage_.size() ||
-      durable.size() != durable_.size() || dirty.size() != dirty_.size()) {
-    r.fail();
-    return;
+void BlkDeviceLogic::transfer(migrate::StateIo& io) {
+  io.features(negotiated_);
+  // The three layers are sized by the capacity: written as blobs, read
+  // back only into a target of the same size.
+  for (Bytes* layer : {&storage_, &durable_, &dirty_}) {
+    io.expect<u64>(layer->size());
+    io.bytes(*layer);
   }
-  storage_ = std::move(storage);
-  durable_ = std::move(durable);
-  dirty_.assign(dirty.begin(), dirty.end());
-  dirty_count_ = r.get_u64();
-  dirty_high_water_ = r.get_u64();
-  head_sector_ = r.get_u64();
-  reads_ = r.get_u64();
-  writes_ = r.get_u64();
-  flushes_ = r.get_u64();
-  discards_ = r.get_u64();
-  get_ids_ = r.get_u64();
-  errors_ = r.get_u64();
-  header_faults_ = r.get_u64();
-  timeout_faults_ = r.get_u64();
+  io.u64(dirty_count_);
+  io.u64(dirty_high_water_);
+  io.u64(head_sector_);
+  io.u64(reads_);
+  io.u64(writes_);
+  io.u64(flushes_);
+  io.u64(discards_);
+  io.u64(get_ids_);
+  io.u64(errors_);
+  io.u64(header_faults_);
+  io.u64(timeout_faults_);
 }
 
 }  // namespace vfpga::core

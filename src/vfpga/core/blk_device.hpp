@@ -19,8 +19,7 @@
 #include "vfpga/virtio/blk_defs.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::core {
@@ -118,8 +117,7 @@ class BlkDeviceLogic final : public UserLogic {
 
   [[nodiscard]] const BlkDeviceConfig& config() const { return config_; }
 
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   [[nodiscard]] u64 seek_cycles(u64 sector);

@@ -524,55 +524,33 @@ std::optional<UserLogic::Response> NetDeviceLogic::process_gso_udp(
   return response;
 }
 
-void NetDeviceLogic::save_state(migrate::StateWriter& w) const {
-  w.put_u64(negotiated_.bits());
-  w.put_u16(active_pairs_);
-  for (u8 entry : steering_table_) {
-    w.put_u8(entry);
+void NetDeviceLogic::transfer(migrate::StateIo& io) {
+  io.features(negotiated_);
+  // Steering reduces a table entry modulo the active pairs and indexes
+  // the per-pair counters with the result.
+  io.u16(active_pairs_);
+  if (active_pairs_ == 0 || active_pairs_ > pair_echoes_.size()) {
+    io.fail();
   }
-  w.put_u16(static_cast<u16>(pair_echoes_.size()));
-  for (u64 e : pair_echoes_) {
-    w.put_u64(e);
-  }
-  w.put_u64(udp_echoes_);
-  w.put_u64(icmp_echoes_);
-  w.put_u64(arp_replies_);
-  w.put_u64(checksums_offloaded_);
-  w.put_u64(dropped_);
-  w.put_u64(ctrl_commands_);
-  w.put_u64(ctrl_rejected_);
-  w.put_u64(gso_superframes_);
-  w.put_u64(gso_segments_out_);
-  w.put_u64(gro_coalesced_);
-  w.put_u32(rx_coal_.max_usecs);
-  w.put_u32(rx_coal_.max_packets);
-}
-
-void NetDeviceLogic::load_state(migrate::StateReader& r) {
-  negotiated_ = virtio::FeatureSet{r.get_u64()};
-  active_pairs_ = r.get_u16();
   for (u8& entry : steering_table_) {
-    entry = r.get_u8();
+    io.u8(entry);
   }
-  if (r.get_u16() != pair_echoes_.size()) {
-    r.fail();
-    return;
-  }
+  io.expect<u16>(static_cast<u16>(pair_echoes_.size()));
   for (u64& e : pair_echoes_) {
-    e = r.get_u64();
+    io.u64(e);
   }
-  udp_echoes_ = r.get_u64();
-  icmp_echoes_ = r.get_u64();
-  arp_replies_ = r.get_u64();
-  checksums_offloaded_ = r.get_u64();
-  dropped_ = r.get_u64();
-  ctrl_commands_ = r.get_u64();
-  ctrl_rejected_ = r.get_u64();
-  gso_superframes_ = r.get_u64();
-  gso_segments_out_ = r.get_u64();
-  gro_coalesced_ = r.get_u64();
-  rx_coal_.max_usecs = r.get_u32();
-  rx_coal_.max_packets = r.get_u32();
+  io.u64(udp_echoes_);
+  io.u64(icmp_echoes_);
+  io.u64(arp_replies_);
+  io.u64(checksums_offloaded_);
+  io.u64(dropped_);
+  io.u64(ctrl_commands_);
+  io.u64(ctrl_rejected_);
+  io.u64(gso_superframes_);
+  io.u64(gso_segments_out_);
+  io.u64(gro_coalesced_);
+  io.u32(rx_coal_.max_usecs);
+  io.u32(rx_coal_.max_packets);
 }
 
 }  // namespace vfpga::core

@@ -20,8 +20,7 @@
 #include "vfpga/virtio/net_defs.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::core {
@@ -134,8 +133,7 @@ class NetDeviceLogic final : public UserLogic {
   /// Snapshot/restore of the fabric personality's dynamic state:
   /// negotiated features, active pairs, the RSS indirection table,
   /// NOTF_COAL parameters and counters.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   [[nodiscard]] u64 processing_cycles(u64 frame_bytes, bool checksummed) const;

@@ -93,22 +93,11 @@ sim::SimTime PackedQueueEngine::post_drain_update(u16 /*drained_through*/,
   return start;
 }
 
-void PackedQueueEngine::save_state(migrate::StateWriter& w) const {
-  save_base_state(w);
-  vq_.save_state(w);
-  w.put_bool(head_cached_);
-  w.put_bool(cached_driver_event_.has_value());
-  w.put_u16(cached_driver_event_.value_or(0));
-}
-
-void PackedQueueEngine::load_state(migrate::StateReader& r) {
-  load_base_state(r);
-  vq_.load_state(r);
-  head_cached_ = r.get_bool();
-  const bool has_cached = r.get_bool();
-  const u16 cached = r.get_u16();
-  cached_driver_event_ =
-      has_cached ? std::optional<u16>{cached} : std::nullopt;
+void PackedQueueEngine::transfer(migrate::StateIo& io) {
+  IQueueEngine::transfer(io);
+  vq_.transfer(io);
+  io.boolean(head_cached_);
+  io.optional(cached_driver_event_);
 }
 
 }  // namespace vfpga::core

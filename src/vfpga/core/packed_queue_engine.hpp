@@ -30,8 +30,10 @@ class PackedQueueEngine final : public IQueueEngine {
   sim::SimTime post_drain_update(u16 drained_through,
                                  sim::SimTime start) override;
 
-  void save_state(migrate::StateWriter& w) const override;
-  void load_state(migrate::StateReader& r) override;
+  [[nodiscard]] virtio::RingFormat ring_format() const override {
+    return virtio::RingFormat::kPacked;
+  }
+  void transfer(migrate::StateIo& io) override;
 
  private:
   virtio::PackedVirtqueueDevice vq_;

@@ -164,36 +164,18 @@ sim::SimTime QueueEngine::post_drain_update(u16 drained_through,
   return vq_.write_avail_event(drained_through, start).issuer_free;
 }
 
-void IQueueEngine::save_base_state(migrate::StateWriter& w) const {
-  w.put_u64(completions_);
-  for (sim::SimTime t : visible_at_) {
-    w.put_time(t);
-  }
-}
-
-void IQueueEngine::load_base_state(migrate::StateReader& r) {
-  completions_ = r.get_u64();
+void IQueueEngine::transfer(migrate::StateIo& io) {
+  io.u64(completions_);
   for (sim::SimTime& t : visible_at_) {
-    t = r.get_time();
+    io.time(t);
   }
 }
 
-void QueueEngine::save_state(migrate::StateWriter& w) const {
-  save_base_state(w);
-  vq_.save_state(w);
-  w.put_bool(cached_used_event_.has_value());
-  w.put_u16(cached_used_event_.value_or(0));
-  w.put_u16(stale_completions_);
-}
-
-void QueueEngine::load_state(migrate::StateReader& r) {
-  load_base_state(r);
-  vq_.load_state(r);
-  const bool has_cached = r.get_bool();
-  const u16 cached = r.get_u16();
-  cached_used_event_ =
-      has_cached ? std::optional<u16>{cached} : std::nullopt;
-  stale_completions_ = r.get_u16();
+void QueueEngine::transfer(migrate::StateIo& io) {
+  IQueueEngine::transfer(io);
+  vq_.transfer(io);
+  io.optional(cached_used_event_);
+  io.u16(stale_completions_);
 }
 
 }  // namespace vfpga::core

@@ -16,8 +16,7 @@
 #include "vfpga/virtio/virtqueue_device.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::core {
@@ -149,16 +148,15 @@ class IQueueEngine {
   virtual sim::SimTime post_drain_update(u16 drained_through,
                                          sim::SimTime start) = 0;
 
-  /// Snapshot/restore of the full FSM state (including the inherited
-  /// completion-visibility window). Must never touch host memory.
-  virtual void save_state(migrate::StateWriter& w) const = 0;
-  virtual void load_state(migrate::StateReader& r) = 0;
+  /// The ring format this engine runs (the snapshot's engine tag).
+  [[nodiscard]] virtual virtio::RingFormat ring_format() const = 0;
+
+  /// Snapshot/restore of the full FSM state. Must never touch host
+  /// memory. Overrides transfer the base's completion counter and
+  /// visibility window first (IQueueEngine::transfer).
+  virtual void transfer(migrate::StateIo& io) = 0;
 
  protected:
-  /// Serialization of the base's completion counter + visibility window
-  /// (concrete engines call these from their save/load overrides).
-  void save_base_state(migrate::StateWriter& w) const;
-  void load_base_state(migrate::StateReader& r);
   /// Engines call this from complete_chain once the used-ring write is
   /// issued, with the write's delivered (globally-visible) timestamp.
   void record_completion(sim::SimTime delivered) {
@@ -197,8 +195,10 @@ class QueueEngine final : public IQueueEngine {
 
   [[nodiscard]] const ControllerPolicy& policy() const { return policy_; }
 
-  void save_state(migrate::StateWriter& w) const override;
-  void load_state(migrate::StateReader& r) override;
+  [[nodiscard]] virtio::RingFormat ring_format() const override {
+    return virtio::RingFormat::kSplit;
+  }
+  void transfer(migrate::StateIo& io) override;
 
  private:
   virtio::VirtqueueDevice vq_;

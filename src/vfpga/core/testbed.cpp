@@ -138,60 +138,38 @@ void VirtioNetTestbed::quiesce() {
   }
 }
 
-void VirtioNetTestbed::save_state(migrate::StateWriter& w) const {
-  thread_->save_state(w);
-  irq_.save_state(w);
-  net_logic_->save_state(w);
-  device_->save_state(w);
-  driver_.save_state(w);
-  stack_->save_state(w);
-  w.put_bool(fault_plane_ != nullptr);
-  if (fault_plane_) {
-    fault_plane_->save_state(w);
-  }
-  for (u64 word : rng_.state()) {
-    w.put_u64(word);
-  }
-  for (u64 word : mem_rng_.state()) {
-    w.put_u64(word);
-  }
-  w.put_u64(memory_->allocator_cursor());
-  if (blk_device_) {
-    blk_logic_->save_state(w);
-    blk_device_->save_state(w);
-    blk_driver_.save_state(w);
-  }
-}
-
-void VirtioNetTestbed::load_state(migrate::StateReader& r) {
-  thread_->load_state(r);
-  irq_.load_state(r);
-  net_logic_->load_state(r);
-  device_->load_state(r);
-  driver_.load_state(r);
-  stack_->load_state(r);
-  const bool has_fault = r.get_bool();
-  if (has_fault != (fault_plane_ != nullptr)) {
-    r.fail();
+void VirtioNetTestbed::transfer(migrate::StateIo& io) {
+  thread_->transfer(io);
+  irq_.transfer(io);
+  net_logic_->transfer(io);
+  device_->transfer(io);
+  driver_.transfer(io);
+  stack_->transfer(io);
+  io.expect<bool>(fault_plane_ != nullptr);
+  if (io.failed()) {
     return;
   }
   if (fault_plane_) {
-    fault_plane_->load_state(r);
+    fault_plane_->transfer(io);
   }
-  std::array<u64, 4> s{};
-  for (u64& word : s) {
-    word = r.get_u64();
+  for (sim::Xoshiro256* rng : {&rng_, &mem_rng_}) {
+    std::array<u64, 4> s = rng->state();
+    for (u64& word : s) {
+      io.u64(word);
+    }
+    if (io.loading()) {
+      rng->set_state(s);
+    }
   }
-  rng_.set_state(s);
-  for (u64& word : s) {
-    word = r.get_u64();
+  HostAddr cursor = memory_->allocator_cursor();
+  io.u64(cursor);
+  if (io.loading()) {
+    memory_->set_allocator_cursor(cursor);
   }
-  mem_rng_.set_state(s);
-  memory_->set_allocator_cursor(r.get_u64());
   if (blk_device_) {
-    blk_logic_->load_state(r);
-    blk_device_->load_state(r);
-    blk_driver_.load_state(r);
+    blk_logic_->transfer(io);
+    blk_device_->transfer(io);
+    blk_driver_.transfer(io);
   }
 }
 

@@ -23,8 +23,7 @@
 #include "vfpga/xdma/host_driver.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::core {
@@ -115,10 +114,9 @@ class VirtioNetTestbed {
   /// migration can copy them iteratively while traffic flows. The
   /// restore target must be constructed from identical TestbedOptions
   /// (the deterministic bring-up yields identical DMA addresses);
-  /// load_state then overwrites all dynamic state without touching
+  /// a restore then overwrites all dynamic state without touching
   /// memory.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   TestbedOptions options_;

@@ -827,133 +827,92 @@ sim::SimTime VirtioDeviceFunction::bypass_from_host(sim::SimTime start,
 
 namespace {
 
-/// Ring-format tag per serialized queue engine.
-constexpr u8 kEngineNone = 0;
-constexpr u8 kEngineSplit = 1;
-constexpr u8 kEnginePacked = 2;
+/// A restored MSI-X vector: kNoVector or an entry of the table. One
+/// past the table fails the reader and is dropped, as a register write
+/// would drop it: the failed restore's device_error() fires the config
+/// vector.
+void transfer_vector(migrate::StateIo& io, u16& vector,
+                     std::size_t table_size) {
+  io.u16(vector);
+  if (vector != virtio::kNoVector && vector >= table_size) {
+    vector = virtio::kNoVector;
+    io.fail();
+  }
+}
 
 }  // namespace
 
-void VirtioDeviceFunction::save_state(migrate::StateWriter& w) const {
-  w.put_u8(status_.status());
-  w.put_u64(offered_.bits());
-  w.put_u64(driver_features_.bits());
-  w.put_u32(device_feature_select_);
-  w.put_u32(driver_feature_select_);
-  w.put_u16(msix_config_vector_);
-  w.put_u16(queue_select_);
-  w.put_u8(config_generation_);
-  w.put_u8(isr_status_);
-
-  w.put_u16(static_cast<u16>(queue_state_.size()));
-  for (u16 q = 0; q < queue_state_.size(); ++q) {
-    const QueueState& qs = queue_state_[q];
-    w.put_u16(qs.size);
-    w.put_u16(qs.msix_vector);
-    w.put_bool(qs.enabled);
-    w.put_u64(qs.rings.desc);
-    w.put_u64(qs.rings.avail);
-    w.put_u64(qs.rings.used);
-
-    const IQueueEngine* eng = engines_[q].get();
-    if (eng == nullptr) {
-      w.put_u8(kEngineNone);
-    } else if (dynamic_cast<const PackedQueueEngine*>(eng) != nullptr) {
-      w.put_u8(kEnginePacked);
-      eng->save_state(w);
-    } else {
-      w.put_u8(kEngineSplit);
-      eng->save_state(w);
-    }
-
-    w.put_u16(credits_[q]);
-    w.put_u16(total_drained_[q]);
-    w.put_time(queue_busy_until_[q]);
-    w.put_bool(moderation_[q].armed);
-    w.put_u32(moderation_[q].withheld);
-    w.put_time(moderation_[q].deadline);
+void VirtioDeviceFunction::transfer(migrate::StateIo& io) {
+  u8 status = status_.status();
+  io.u8(status);
+  if (io.loading()) {
+    status_.restore_status(status);
   }
+  io.features(offered_);
+  io.features(driver_features_);
+  io.u32(device_feature_select_);
+  io.u32(driver_feature_select_);
+  transfer_vector(io, msix_config_vector_, msix_->size());
+  io.index(queue_select_, queue_state_.size());
+  io.u8(config_generation_);
+  io.u8(isr_status_);
 
-  w.put_duration(last_response_generation_);
-  w.put_u64(frames_processed_);
-  w.put_u64(interrupts_suppressed_);
-  w.put_u64(interrupts_moderated_);
-  w.put_u64(queue_irqs_lost_);
-  w.put_u64(device_errors_);
-
-  msix_->save_state(w);
-  counters_.save_state(w);
-}
-
-void VirtioDeviceFunction::load_state(migrate::StateReader& r) {
-  status_.restore_status(r.get_u8());
-  offered_ = virtio::FeatureSet{r.get_u64()};
-  driver_features_ = virtio::FeatureSet{r.get_u64()};
-  device_feature_select_ = r.get_u32();
-  driver_feature_select_ = r.get_u32();
-  msix_config_vector_ = r.get_u16();
-  queue_select_ = r.get_u16();
-  config_generation_ = r.get_u8();
-  isr_status_ = r.get_u8();
-
-  if (r.get_u16() != queue_state_.size()) {
-    r.fail();
-    return;
-  }
-  for (u16 q = 0; q < queue_state_.size() && !r.failed(); ++q) {
+  io.expect<u16>(static_cast<u16>(queue_state_.size()));
+  for (std::size_t q = 0; q < queue_state_.size() && !io.failed(); ++q) {
     QueueState& qs = queue_state_[q];
-    qs.size = r.get_u16();
-    qs.msix_vector = r.get_u16();
-    qs.enabled = r.get_bool();
-    qs.rings.desc = r.get_u64();
-    qs.rings.avail = r.get_u64();
-    qs.rings.used = r.get_u64();
+    io.u16(qs.size);
+    transfer_vector(io, qs.msix_vector, msix_->size());
+    io.boolean(qs.enabled);
+    io.u64(qs.rings.desc);
+    io.u64(qs.rings.avail);
+    io.u64(qs.rings.used);
 
     // Recreate the engine in the serialized ring format, then overwrite
     // its registers. Unlike the kQueueEnable path this must NOT write
     // the packed device-event flags: host memory already holds the
     // source's ring bytes.
-    const u8 tag = r.get_u8();
-    switch (tag) {
-      case kEngineNone:
-        engines_[q].reset();
-        break;
-      case kEngineSplit: {
-        auto eng = std::make_unique<QueueEngine>(
-            virtio::VirtqueueDevice{*port_}, config_.policy, fault_);
-        eng->load_state(r);
-        engines_[q] = std::move(eng);
-        break;
+    auto format = static_cast<u8>(engines_[q] ? engines_[q]->ring_format()
+                                              : virtio::RingFormat::kNone);
+    io.u8(format);
+    if (io.loading()) {
+      switch (static_cast<virtio::RingFormat>(format)) {
+        case virtio::RingFormat::kNone:
+          engines_[q].reset();
+          break;
+        case virtio::RingFormat::kSplit:
+          engines_[q] = std::make_unique<QueueEngine>(
+              virtio::VirtqueueDevice{*port_}, config_.policy, fault_);
+          break;
+        case virtio::RingFormat::kPacked:
+          engines_[q] = std::make_unique<PackedQueueEngine>(
+              virtio::PackedVirtqueueDevice{*port_}, config_.policy, fault_);
+          break;
+        default:
+          io.fail();
+          return;
       }
-      case kEnginePacked: {
-        auto eng = std::make_unique<PackedQueueEngine>(
-            virtio::PackedVirtqueueDevice{*port_}, config_.policy, fault_);
-        eng->load_state(r);
-        engines_[q] = std::move(eng);
-        break;
-      }
-      default:
-        r.fail();
-        return;
+    }
+    if (engines_[q]) {
+      engines_[q]->transfer(io);
     }
 
-    credits_[q] = r.get_u16();
-    total_drained_[q] = r.get_u16();
-    queue_busy_until_[q] = r.get_time();
-    moderation_[q].armed = r.get_bool();
-    moderation_[q].withheld = r.get_u32();
-    moderation_[q].deadline = r.get_time();
+    io.u16(credits_[q]);
+    io.u16(total_drained_[q]);
+    io.time(queue_busy_until_[q]);
+    io.boolean(moderation_[q].armed);
+    io.u32(moderation_[q].withheld);
+    io.time(moderation_[q].deadline);
   }
 
-  last_response_generation_ = r.get_duration();
-  frames_processed_ = r.get_u64();
-  interrupts_suppressed_ = r.get_u64();
-  interrupts_moderated_ = r.get_u64();
-  queue_irqs_lost_ = r.get_u64();
-  device_errors_ = r.get_u64();
+  io.duration(last_response_generation_);
+  io.u64(frames_processed_);
+  io.u64(interrupts_suppressed_);
+  io.u64(interrupts_moderated_);
+  io.u64(queue_irqs_lost_);
+  io.u64(device_errors_);
 
-  msix_->load_state(r);
-  counters_.load_state(r);
+  msix_->transfer(io);
+  counters_.transfer(io);
 }
 
 }  // namespace vfpga::core

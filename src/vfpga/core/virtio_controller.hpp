@@ -38,8 +38,7 @@
 #include "vfpga/xdma/engine.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::core {
@@ -95,12 +94,11 @@ class VirtioDeviceFunction : public pcie::Function {
 
   /// Serialize every register and FSM the driver can observe: config
   /// space, negotiated features, per-queue ring engines, moderation
-  /// windows, counters. load_state recreates the queue engines in the
+  /// windows, counters. A restore recreates the queue engines in the
   /// serialized ring format WITHOUT touching host memory (the memory
   /// image is restored separately) and fails the reader on structural
   /// mismatch (queue count / ring format).
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
   // ---- pcie::Function ---------------------------------------------------------
   u64 bar_read(u32 bar, BarOffset offset, u32 size, sim::SimTime at) override;

@@ -62,43 +62,24 @@ void FaultPlane::corrupt(ByteSpan data) {
   data[offset] ^= mask;
 }
 
-void FaultPlane::save_state(migrate::StateWriter& w) const {
+void FaultPlane::transfer(migrate::StateIo& io) {
   // Config fingerprint: the restore target must have been constructed
   // with the identical campaign, or the restored RNG stream diverges.
-  w.put_u64(config_.seed);
+  io.expect<u64>(config_.seed);
   for (double rate : config_.rate) {
-    w.put_f64(rate);
+    io.expect<double>(rate);
   }
-  const auto& s = rng_.state();
-  for (u64 word : s) {
-    w.put_u64(word);
-  }
-  for (u64 n : injected_) {
-    w.put_u64(n);
-  }
-  w.put_bool(armed_);
-}
-
-void FaultPlane::load_state(migrate::StateReader& r) {
-  if (r.get_u64() != config_.seed) {
-    r.fail();
-    return;
-  }
-  for (double rate : config_.rate) {
-    if (r.get_f64() != rate) {
-      r.fail();
-      return;
-    }
-  }
-  std::array<u64, 4> s{};
+  std::array<u64, 4> s = rng_.state();
   for (u64& word : s) {
-    word = r.get_u64();
+    io.u64(word);
   }
-  rng_.set_state(s);
+  if (io.loading()) {
+    rng_.set_state(s);
+  }
   for (u64& n : injected_) {
-    n = r.get_u64();
+    io.u64(n);
   }
-  armed_ = r.get_bool();
+  io.boolean(armed_);
 }
 
 u64 FaultPlane::total_injected() const {

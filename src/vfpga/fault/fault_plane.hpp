@@ -19,8 +19,7 @@
 #include "vfpga/sim/rng.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::fault {
@@ -102,11 +101,10 @@ class FaultPlane {
 
   /// Snapshot/restore of the plane's dynamic state (RNG position,
   /// injection counters, arm switch). The fault *config* is part of the
-  /// snapshot compatibility fingerprint: load_state fails when the
+  /// snapshot compatibility fingerprint: a restore fails when the
   /// restore target was built with different rates or seed, since the
   /// replayed RNG stream would no longer mean the same thing.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   FaultConfig config_;

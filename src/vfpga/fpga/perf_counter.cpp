@@ -35,28 +35,22 @@ sim::Duration PerfCounterBank::interval(CounterEventRef from,
   return clock_.cycles(*b - *a);
 }
 
-void PerfCounterBank::save_state(migrate::StateWriter& w) const {
-  w.put_u32(captured_);
-  for (std::size_t id = 0; id < kCounterEvents; ++id) {
-    if ((captured_ >> id & 1u) != 0) {
-      w.put_u64(latest_[id]);
+void PerfCounterBank::transfer(migrate::StateIo& io) {
+  u32 mask = captured_;
+  io.u32(mask);
+  if (io.loading()) {
+    *this = PerfCounterBank{clock_};
+    if (mask >> kCounterEvents != 0) {
+      io.fail();  // a bit past the last event: not an image of this bank
+      return;
     }
-  }
-}
-
-void PerfCounterBank::load_state(migrate::StateReader& r) {
-  *this = PerfCounterBank{clock_};
-  const u32 mask = r.get_u32();
-  if (mask >> kCounterEvents != 0) {
-    r.fail();  // a bit past the last event: not an image of this bank
-    return;
+    captured_ = mask;
   }
   for (std::size_t id = 0; id < kCounterEvents; ++id) {
     if ((mask >> id & 1u) != 0) {
-      latest_[id] = r.get_u64();
+      io.u64(latest_[id]);
     }
   }
-  captured_ = mask;
 }
 
 }  // namespace vfpga::fpga

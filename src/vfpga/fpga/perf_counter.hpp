@@ -18,8 +18,7 @@
 #include "vfpga/fpga/clock.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::fpga {
@@ -115,8 +114,7 @@ class PerfCounterBank {
   /// Snapshot/restore: a u32 mask of the captured events, then their
   /// cycles in id order. The window is a diagnostic trace, not device
   /// state: it is not written, and a restore starts it empty.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   ClockDomain clock_;

@@ -165,18 +165,11 @@ void HostThread::reset_accounting() {
   poll_ = sim::Duration{};
 }
 
-void HostThread::save_state(migrate::StateWriter& w) const {
-  w.put_time(now_);
-  w.put_duration(software_);
-  w.put_duration(mmio_stall_);
-  w.put_duration(poll_);
-}
-
-void HostThread::load_state(migrate::StateReader& r) {
-  now_ = r.get_time();
-  software_ = r.get_duration();
-  mmio_stall_ = r.get_duration();
-  poll_ = r.get_duration();
+void HostThread::transfer(migrate::StateIo& io) {
+  io.time(now_);
+  io.duration(software_);
+  io.duration(mmio_stall_);
+  io.duration(poll_);
 }
 
 }  // namespace vfpga::hostos

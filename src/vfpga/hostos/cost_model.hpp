@@ -19,8 +19,7 @@
 #include "vfpga/sim/rng.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::hostos {
@@ -149,8 +148,7 @@ class HostThread {
 
   /// Snapshot/restore of the timeline and accounting (not the wired-in
   /// rng/cost/noise references, which the restore target already owns).
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   sim::Xoshiro256* rng_;

@@ -1,6 +1,7 @@
 #include "vfpga/hostos/interrupt.hpp"
 
 #include "vfpga/common/contract.hpp"
+#include "vfpga/common/log.hpp"
 #include "vfpga/migrate/state_io.hpp"
 
 namespace vfpga::hostos {
@@ -12,7 +13,13 @@ u32 InterruptController::allocate_vector() {
 }
 
 void InterruptController::deliver(u32 message_data, sim::SimTime at) {
-  VFPGA_EXPECTS(message_data < queues_.size());
+  if (message_data >= queues_.size()) {
+    // No vector was allocated for this message: a spurious interrupt,
+    // which the host drops (e.g. from an MSI-X entry a corrupt
+    // snapshot image programmed).
+    VFPGA_WARN("irq", "spurious MSI: no vector for its message data");
+    return;
+  }
   queues_[message_data].push_back(at);
   ++delivered_per_vector_[message_data];
   ++delivered_;
@@ -45,43 +52,22 @@ sim::SimTime InterruptController::consume(u32 vector) {
   return at;
 }
 
-void InterruptController::save_state(migrate::StateWriter& w) const {
-  w.put_u32(static_cast<u32>(queues_.size()));
-  for (const auto& q : queues_) {
-    w.put_u32(static_cast<u32>(q.size()));
-    for (sim::SimTime at : q) {
-      w.put_time(at);
-    }
-  }
-  for (u64 d : delivered_per_vector_) {
-    w.put_u64(d);
-  }
-  w.put_u64(delivered_);
-}
-
-void InterruptController::load_state(migrate::StateReader& r) {
+void InterruptController::transfer(migrate::StateIo& io) {
   // The vector count is dynamic state, not configuration: a device
   // reset on the snapshot source re-allocates vectors, so the source
-  // may have more than a freshly-probed target. Resize to match,
-  // guarded against corrupt counts (each vector costs >= 4 bytes).
-  const u32 vectors = r.get_u32();
-  if (vectors > r.remaining() / 4) {
-    r.fail();
-    return;
-  }
-  queues_.assign(vectors, {});
-  delivered_per_vector_.assign(vectors, 0);
+  // may have more than a freshly-probed target. Resize to match.
+  queues_.resize(io.count<u32>(queues_.size()));
+  delivered_per_vector_.resize(queues_.size());
   for (auto& q : queues_) {
-    q.clear();
-    const u32 depth = r.get_u32();
-    for (u32 i = 0; i < depth && !r.failed(); ++i) {
-      q.push_back(r.get_time());
+    q.resize(io.count<u32>(q.size()));
+    for (sim::SimTime& at : q) {
+      io.time(at);
     }
   }
   for (u64& d : delivered_per_vector_) {
-    d = r.get_u64();
+    io.u64(d);
   }
-  delivered_ = r.get_u64();
+  io.u64(delivered_);
 }
 
 }  // namespace vfpga::hostos

@@ -17,8 +17,7 @@
 #include "vfpga/sim/time.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::hostos {
@@ -28,7 +27,8 @@ class InterruptController {
   /// Allocate a vector number (the MSI message data value).
   u32 allocate_vector();
 
-  /// Delivery entry point — wire into RootComplex::set_irq_sink.
+  /// Delivery entry point — wire into RootComplex::set_irq_sink. A
+  /// message with no allocated vector is dropped as spurious.
   void deliver(u32 message_data, sim::SimTime at);
 
   /// True when `vector` has an undelivered (unconsumed) interrupt.
@@ -60,8 +60,7 @@ class InterruptController {
 
   /// Snapshot/restore: pending (undelivered) interrupts migrate with the
   /// device so a parked wake-up still fires after resume.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   std::vector<std::deque<sim::SimTime>> queues_;

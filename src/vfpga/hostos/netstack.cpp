@@ -527,80 +527,57 @@ std::optional<KernelNetstack::Datagram> KernelNetstack::udp_receive_poll(
   return dgram;
 }
 
-void KernelNetstack::save_state(migrate::StateWriter& w) const {
-  w.put_u16(next_ip_id_);
-  w.put_u32(static_cast<u32>(socket_queues_.size()));
-  for (const auto& [port, queue] : socket_queues_) {
-    w.put_u16(port);
-    w.put_u32(static_cast<u32>(queue.size()));
-    for (const Datagram& d : queue) {
-      w.put_u32(d.src.value);
-      w.put_u16(d.src_port);
-      w.put_u16(d.dst_port);
-      w.put_blob(d.payload);
-    }
+namespace {
+
+/// The keys of a length-prefixed map, each transferred by the caller
+/// before its value. Loading clears the map for the caller to refill.
+template <class Map>
+std::vector<typename Map::key_type> map_keys(migrate::StateIo& io,
+                                             Map& map) {
+  std::vector<typename Map::key_type> keys;
+  for (const auto& entry : map) {
+    keys.push_back(entry.first);
   }
-  w.put_u32(static_cast<u32>(flow_affinity_.size()));
-  for (const auto& [port, pair] : flow_affinity_) {
-    w.put_u16(port);
-    w.put_u16(pair);
+  keys.resize(io.count<u32>(keys.size()));
+  if (io.loading()) {
+    map.clear();
   }
-  w.put_u64(steering_mismatches_);
-  w.put_u32(mismatches_since_repair_);
-  w.put_u32(static_cast<u32>(icmp_replies_.size()));
-  for (const IcmpReply& reply : icmp_replies_) {
-    w.put_u32(reply.src.value);
-    w.put_u16(reply.identifier);
-    w.put_u16(reply.sequence);
-    w.put_blob(reply.payload);
-  }
-  w.put_u64(frames_demuxed_);
-  w.put_u64(frames_dropped_);
-  w.put_u64(tx_superframes_);
-  w.put_u64(sw_gso_segments_);
-  w.put_u64(csum_rescued_);
+  return keys;
 }
 
-void KernelNetstack::load_state(migrate::StateReader& r) {
-  next_ip_id_ = r.get_u16();
-  socket_queues_.clear();
-  const u32 sockets = r.get_u32();
-  for (u32 i = 0; i < sockets && !r.failed(); ++i) {
-    const u16 port = r.get_u16();
-    auto& queue = socket_queues_[port];
-    const u32 depth = r.get_u32();
-    for (u32 j = 0; j < depth && !r.failed(); ++j) {
-      Datagram d;
-      d.src = net::Ipv4Addr{r.get_u32()};
-      d.src_port = r.get_u16();
-      d.dst_port = r.get_u16();
-      d.payload = r.get_blob();
-      queue.push_back(std::move(d));
+}  // namespace
+
+void KernelNetstack::transfer(migrate::StateIo& io) {
+  io.u16(next_ip_id_);
+  for (u16 port : map_keys(io, socket_queues_)) {
+    io.u16(port);
+    std::deque<Datagram>& queue = socket_queues_[port];
+    queue.resize(io.count<u32>(queue.size()));
+    for (Datagram& d : queue) {
+      io.u32(d.src.value);
+      io.u16(d.src_port);
+      io.u16(d.dst_port);
+      io.blob(d.payload);
     }
   }
-  flow_affinity_.clear();
-  const u32 flows = r.get_u32();
-  for (u32 i = 0; i < flows && !r.failed(); ++i) {
-    const u16 port = r.get_u16();
-    flow_affinity_[port] = r.get_u16();
+  for (u16 port : map_keys(io, flow_affinity_)) {
+    io.u16(port);
+    io.u16(flow_affinity_[port]);
   }
-  steering_mismatches_ = r.get_u64();
-  mismatches_since_repair_ = r.get_u32();
-  icmp_replies_.clear();
-  const u32 replies = r.get_u32();
-  for (u32 i = 0; i < replies && !r.failed(); ++i) {
-    IcmpReply reply;
-    reply.src = net::Ipv4Addr{r.get_u32()};
-    reply.identifier = r.get_u16();
-    reply.sequence = r.get_u16();
-    reply.payload = r.get_blob();
-    icmp_replies_.push_back(std::move(reply));
+  io.u64(steering_mismatches_);
+  io.u32(mismatches_since_repair_);
+  icmp_replies_.resize(io.count<u32>(icmp_replies_.size()));
+  for (IcmpReply& reply : icmp_replies_) {
+    io.u32(reply.src.value);
+    io.u16(reply.identifier);
+    io.u16(reply.sequence);
+    io.blob(reply.payload);
   }
-  frames_demuxed_ = r.get_u64();
-  frames_dropped_ = r.get_u64();
-  tx_superframes_ = r.get_u64();
-  sw_gso_segments_ = r.get_u64();
-  csum_rescued_ = r.get_u64();
+  io.u64(frames_demuxed_);
+  io.u64(frames_dropped_);
+  io.u64(tx_superframes_);
+  io.u64(sw_gso_segments_);
+  io.u64(csum_rescued_);
 }
 
 }  // namespace vfpga::hostos

@@ -163,8 +163,7 @@ class KernelNetstack {
   /// affinities, queued ICMP replies, IP-id counter, counters. Routing
   /// and ARP tables are configuration (configure_fpga_route) and are
   /// rebuilt by the restore target's own setup.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   /// Consecutive diverted datagrams tolerated before the stack asks the

@@ -417,39 +417,24 @@ bool VirtioBlkDriver::discard(
   return ok;
 }
 
-void VirtioBlkDriver::save_state(migrate::StateWriter& w) const {
-  transport_.save_state(w);
-  w.put_u64(requests_completed_);
-  w.put_u64(requests_failed_);
-  w.put_u64(irq_recoveries_);
-  w.put_u64(rejected_oversize_);
-  w.put_bool(use_indirect_);
-  w.put_u16(static_cast<u16>(queues_.size()));
-  for (const QueueRt& rt : queues_) {
+void VirtioBlkDriver::transfer(migrate::StateIo& io) {
+  transport_.transfer(io);
+  io.u64(requests_completed_);
+  io.u64(requests_failed_);
+  io.u64(irq_recoveries_);
+  io.u64(rejected_oversize_);
+  io.boolean(use_indirect_);
+  io.expect<u16>(static_cast<u16>(queues_.size()));
+  for (std::size_t q = 0; q < queues_.size() && !io.failed(); ++q) {
+    QueueRt& rt = queues_[q];
     // Snapshots are taken quiesced: nothing in flight, nothing pending.
-    VFPGA_EXPECTS(rt.in_flight == 0);
-    VFPGA_EXPECTS(rt.completed.empty());
-    w.put_u64(rt.harvest_seq);
-    w.put_bool(rt.polled);
-  }
-}
-
-void VirtioBlkDriver::load_state(migrate::StateReader& r) {
-  transport_.load_state(r);
-  requests_completed_ = r.get_u64();
-  requests_failed_ = r.get_u64();
-  irq_recoveries_ = r.get_u64();
-  rejected_oversize_ = r.get_u64();
-  use_indirect_ = r.get_bool();
-  if (r.get_u16() != queues_.size()) {
-    r.fail();
-    return;
-  }
-  for (QueueRt& rt : queues_) {
-    rt.harvest_seq = r.get_u64();
-    const bool polled = r.get_bool();
-    if (polled != rt.polled) {
-      set_polled(static_cast<u16>(&rt - queues_.data()), polled);
+    VFPGA_EXPECTS(io.loading() ||
+                  (rt.in_flight == 0 && rt.completed.empty()));
+    io.u64(rt.harvest_seq);
+    bool polled = rt.polled;
+    io.boolean(polled);
+    if (io.loading()) {
+      set_polled(static_cast<u16>(q), polled);
     }
   }
 }

@@ -145,8 +145,7 @@ class VirtioBlkDriver {
   [[nodiscard]] u64 irq_recoveries() const { return irq_recoveries_; }
   [[nodiscard]] u64 rejected_oversize() const { return rejected_oversize_; }
 
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   struct Slot {

@@ -805,196 +805,95 @@ std::optional<VirtioNetDriver::RxFrame> VirtioNetDriver::pop_rx_frame(
 
 namespace {
 
-void put_rx_frame(migrate::StateWriter& w,
-                  const VirtioNetDriver::RxFrame& f) {
-  w.put_blob(f.frame);
-  w.put_bool(f.csum_valid);
-  w.put_u8(f.gso_type);
-  w.put_u16(f.gso_size);
-}
-
-VirtioNetDriver::RxFrame get_rx_frame(migrate::StateReader& r) {
-  VirtioNetDriver::RxFrame f;
-  f.frame = r.get_blob();
-  f.csum_valid = r.get_bool();
-  f.gso_type = r.get_u8();
-  f.gso_size = r.get_u16();
-  return f;
+void transfer_rx_frame(migrate::StateIo& io, VirtioNetDriver::RxFrame& f) {
+  io.blob(f.frame);
+  io.boolean(f.csum_valid);
+  io.u8(f.gso_type);
+  io.u16(f.gso_size);
 }
 
 }  // namespace
 
-void VirtioNetDriver::save_state(migrate::StateWriter& w) const {
-  transport_.save_state(w);
-  w.put_bytes(mac_.octets);
-  w.put_u16(mtu_);
-  w.put_u16(requested_pairs_);
-  w.put_u16(pairs_);
-  w.put_u16(configured_pairs_);
-  w.put_u16(max_device_pairs_);
-  w.put_bool(mq_active_);
-  w.put_bool(ctrl_active_);
-  w.put_bool(tso_active_);
-  w.put_bool(rx_moderation_active_);
-  w.put_u16(ctrl_queue_index_);
-  w.put_u64(ctrl_cmd_addr_);
-  w.put_u64(ctrl_ack_addr_);
-  w.put_u32(rx_buffer_bytes_);
-  w.put_bool(mrg_active_);
-
-  w.put_u16(static_cast<u16>(pair_state_.size()));
-  for (const PairState& ps : pair_state_) {
-    w.put_u32(static_cast<u32>(ps.rx_buffers.size()));
-    for (const RxBuffer& b : ps.rx_buffers) {
-      w.put_u64(b.addr);
-      w.put_u32(b.len);
-    }
-    w.put_u32(static_cast<u32>(ps.tx_buffers.size()));
-    for (const TxBuffer& b : ps.tx_buffers) {
-      w.put_u64(b.hdr_addr);
-      w.put_u64(b.frame_addr);
-    }
-    w.put_u32(static_cast<u32>(ps.tx_free.size()));
-    for (u32 slot : ps.tx_free) {
-      w.put_u32(slot);
-    }
-    w.put_u32(static_cast<u32>(ps.rx_backlog.size()));
-    for (const RxFrame& f : ps.rx_backlog) {
-      put_rx_frame(w, f);
-    }
-    w.put_u32(ps.rx_vector);
-    w.put_u32(ps.tx_vector);
-    w.put_u32(ps.kick_retries);
-    w.put_bool(ps.tx_stall_since.has_value());
-    w.put_time(ps.tx_stall_since.value_or(sim::SimTime{}));
-    w.put_u64(ps.rx_packets);
-    w.put_u64(ps.rx_harvest_seq);
-    w.put_u32(ps.tx_pending_kick);
-    w.put_f64(ps.rx_wait_ewma_us);
-    w.put_blob(ps.rx_partial);
-    w.put_u16(ps.rx_partial_remaining);
-    put_rx_frame(w, ps.rx_partial_meta);
-    w.put_f64(ps.rx_rate_ewma);
-    w.put_bool(ps.dim_profile_high);
-  }
-
-  w.put_u64(tx_packets_);
-  w.put_u64(rx_packets_);
-  w.put_u64(tx_kicks_);
-  w.put_u64(tx_kicks_coalesced_);
-  w.put_u64(tx_dropped_);
-  w.put_u64(tx_sg_segments_);
-  w.put_u64(rx_merged_frames_);
-  w.put_u64(busy_polls_);
-  w.put_u64(busy_poll_harvested_);
-  w.put_u64(busy_poll_spins_);
-  w.put_u64(device_resets_);
-  w.put_u64(watchdog_kicks_);
-  w.put_u64(steering_repairs_);
-  w.put_u64(ctrl_commands_sent_);
-  w.put_u64(tx_gso_frames_);
-  w.put_u64(rx_gro_frames_);
-  w.put_u64(dim_updates_);
-}
-
-void VirtioNetDriver::load_state(migrate::StateReader& r) {
-  transport_.load_state(r);
-  if (r.failed()) {
+void VirtioNetDriver::transfer(migrate::StateIo& io) {
+  transport_.transfer(io);
+  if (io.failed()) {
     return;
   }
-  r.get_bytes(mac_.octets);
-  mtu_ = r.get_u16();
-  requested_pairs_ = r.get_u16();
-  pairs_ = r.get_u16();
-  configured_pairs_ = r.get_u16();
-  max_device_pairs_ = r.get_u16();
-  mq_active_ = r.get_bool();
-  ctrl_active_ = r.get_bool();
-  tso_active_ = r.get_bool();
-  rx_moderation_active_ = r.get_bool();
-  ctrl_queue_index_ = r.get_u16();
-  ctrl_cmd_addr_ = r.get_u64();
-  ctrl_ack_addr_ = r.get_u64();
-  rx_buffer_bytes_ = r.get_u32();
-  mrg_active_ = r.get_bool();
-
-  const u16 pair_count = r.get_u16();
-  if (pair_count != pair_state_.size()) {
-    r.fail();
-    return;
+  io.bytes(mac_.octets);
+  io.u16(mtu_);
+  io.u16(requested_pairs_);
+  io.u16(pairs_);
+  io.u16(configured_pairs_);
+  io.u16(max_device_pairs_);
+  // Both pair counts bound loops over pair_state_.
+  if (pairs_ > pair_state_.size() || configured_pairs_ > pair_state_.size()) {
+    io.fail();
   }
+  io.boolean(mq_active_);
+  io.boolean(ctrl_active_);
+  io.boolean(tso_active_);
+  io.boolean(rx_moderation_active_);
+  io.u16(ctrl_queue_index_);
+  io.u64(ctrl_cmd_addr_);
+  io.u64(ctrl_ack_addr_);
+  io.u32(rx_buffer_bytes_);
+  io.boolean(mrg_active_);
+
+  io.expect<u16>(static_cast<u16>(pair_state_.size()));
   for (PairState& ps : pair_state_) {
-    // Length guard: every serialized element costs at least 4 bytes, so
-    // a count exceeding the remaining stream is corrupt — refuse before
-    // resize() turns it into a multi-gigabyte allocation.
-    const u32 rx_count = r.get_u32();
-    if (rx_count > r.remaining() / 4) {
-      r.fail();
+    if (io.failed()) {
       return;
     }
-    ps.rx_buffers.resize(rx_count);
+    ps.rx_buffers.resize(io.count<u32>(ps.rx_buffers.size()));
     for (RxBuffer& b : ps.rx_buffers) {
-      b.addr = r.get_u64();
-      b.len = r.get_u32();
+      io.u64(b.addr);
+      io.u32(b.len);
     }
-    const u32 tx_count = r.get_u32();
-    if (tx_count > r.remaining() / 4) {
-      r.fail();
-      return;
-    }
-    ps.tx_buffers.resize(tx_count);
+    ps.tx_buffers.resize(io.count<u32>(ps.tx_buffers.size()));
     for (TxBuffer& b : ps.tx_buffers) {
-      b.hdr_addr = r.get_u64();
-      b.frame_addr = r.get_u64();
+      io.u64(b.hdr_addr);
+      io.u64(b.frame_addr);
     }
-    ps.tx_free.clear();
-    const u32 free_count = r.get_u32();
-    for (u32 i = 0; i < free_count && !r.failed(); ++i) {
-      ps.tx_free.push_back(r.get_u32());
+    ps.tx_free.resize(io.count<u32>(ps.tx_free.size()));
+    for (u32& slot : ps.tx_free) {
+      io.index(slot, ps.tx_buffers.size());
     }
-    ps.rx_backlog.clear();
-    const u32 backlog = r.get_u32();
-    for (u32 i = 0; i < backlog && !r.failed(); ++i) {
-      ps.rx_backlog.push_back(get_rx_frame(r));
+    ps.rx_backlog.resize(io.count<u32>(ps.rx_backlog.size()));
+    for (RxFrame& f : ps.rx_backlog) {
+      transfer_rx_frame(io, f);
     }
-    ps.rx_vector = r.get_u32();
-    ps.tx_vector = r.get_u32();
-    ps.kick_retries = r.get_u32();
-    const bool stalled = r.get_bool();
-    const sim::SimTime stall_at = r.get_time();
-    ps.tx_stall_since =
-        stalled ? std::optional<sim::SimTime>{stall_at} : std::nullopt;
-    ps.rx_packets = r.get_u64();
-    ps.rx_harvest_seq = r.get_u64();
-    ps.tx_pending_kick = r.get_u32();
-    ps.rx_wait_ewma_us = r.get_f64();
-    ps.rx_partial = r.get_blob();
-    ps.rx_partial_remaining = r.get_u16();
-    ps.rx_partial_meta = get_rx_frame(r);
-    ps.rx_rate_ewma = r.get_f64();
-    ps.dim_profile_high = r.get_bool();
-    if (r.failed()) {
-      return;
-    }
+    io.u32(ps.rx_vector);
+    io.u32(ps.tx_vector);
+    io.u32(ps.kick_retries);
+    io.optional(ps.tx_stall_since);
+    io.u64(ps.rx_packets);
+    io.u64(ps.rx_harvest_seq);
+    io.u32(ps.tx_pending_kick);
+    io.f64(ps.rx_wait_ewma_us);
+    io.blob(ps.rx_partial);
+    io.u16(ps.rx_partial_remaining);
+    transfer_rx_frame(io, ps.rx_partial_meta);
+    io.f64(ps.rx_rate_ewma);
+    io.boolean(ps.dim_profile_high);
   }
 
-  tx_packets_ = r.get_u64();
-  rx_packets_ = r.get_u64();
-  tx_kicks_ = r.get_u64();
-  tx_kicks_coalesced_ = r.get_u64();
-  tx_dropped_ = r.get_u64();
-  tx_sg_segments_ = r.get_u64();
-  rx_merged_frames_ = r.get_u64();
-  busy_polls_ = r.get_u64();
-  busy_poll_harvested_ = r.get_u64();
-  busy_poll_spins_ = r.get_u64();
-  device_resets_ = r.get_u64();
-  watchdog_kicks_ = r.get_u64();
-  steering_repairs_ = r.get_u64();
-  ctrl_commands_sent_ = r.get_u64();
-  tx_gso_frames_ = r.get_u64();
-  rx_gro_frames_ = r.get_u64();
-  dim_updates_ = r.get_u64();
+  io.u64(tx_packets_);
+  io.u64(rx_packets_);
+  io.u64(tx_kicks_);
+  io.u64(tx_kicks_coalesced_);
+  io.u64(tx_dropped_);
+  io.u64(tx_sg_segments_);
+  io.u64(rx_merged_frames_);
+  io.u64(busy_polls_);
+  io.u64(busy_poll_harvested_);
+  io.u64(busy_poll_spins_);
+  io.u64(device_resets_);
+  io.u64(watchdog_kicks_);
+  io.u64(steering_repairs_);
+  io.u64(ctrl_commands_sent_);
+  io.u64(tx_gso_frames_);
+  io.u64(rx_gro_frames_);
+  io.u64(dim_updates_);
 }
 
 }  // namespace vfpga::hostos

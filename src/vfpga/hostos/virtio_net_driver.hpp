@@ -358,8 +358,7 @@ class VirtioNetDriver {
   /// reassembly), NAPI/watchdog/DIM controllers and counters. Policies
   /// (busy-poll, watchdog, DIM, datapath options) are configuration the
   /// restore target already applied identically.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   bool initialize_device(HostThread& thread);

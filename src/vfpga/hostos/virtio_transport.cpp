@@ -241,77 +241,24 @@ u64 VirtioPciTransport::device_config_read64(u32 offset, HostThread& thread) {
          static_cast<u64>(device_config_read32(offset + 4, thread)) << 32;
 }
 
-namespace {
-
-constexpr u8 kRingNone = 0;
-constexpr u8 kRingSplit = 1;
-constexpr u8 kRingPackedFmt = 2;
-
-}  // namespace
-
-void VirtioPciTransport::save_state(migrate::StateWriter& w) const {
-  w.put_u64(negotiated_.bits());
-  w.put_u8(status_shadow_);
-  w.put_u16(msix_table_size_);
-  w.put_u16(static_cast<u16>(queues_.size()));
-  for (const auto& q : queues_) {
-    if (q == nullptr) {
-      w.put_u8(kRingNone);
-    } else if (const auto* packed =
-                   dynamic_cast<const virtio::PackedVirtqueueDriver*>(
-                       q.get())) {
-      w.put_u8(kRingPackedFmt);
-      packed->save_state(w);
-    } else {
-      w.put_u8(kRingSplit);
-      dynamic_cast<const virtio::VirtqueueDriver&>(*q).save_state(w);
-    }
-  }
-}
-
-void VirtioPciTransport::load_state(migrate::StateReader& r) {
-  if (!bound_) {
-    r.fail();
+void VirtioPciTransport::transfer(migrate::StateIo& io) {
+  if (io.loading() && !bound_) {
+    io.fail();
     return;
   }
-  negotiated_ = virtio::FeatureSet{r.get_u64()};
-  status_shadow_ = r.get_u8();
-  if (r.get_u16() != msix_table_size_ || r.get_u16() != queues_.size()) {
-    r.fail();
-    return;
-  }
+  io.features(negotiated_);
+  io.u8(status_shadow_);
+  io.expect<u16>(msix_table_size_);
+  io.expect<u16>(static_cast<u16>(queues_.size()));
   for (auto& q : queues_) {
-    const u8 tag = r.get_u8();
-    switch (tag) {
-      case kRingNone:
-        if (q != nullptr) {
-          r.fail();
-        }
-        break;
-      case kRingSplit: {
-        auto* split = dynamic_cast<virtio::VirtqueueDriver*>(q.get());
-        if (split == nullptr) {
-          r.fail();
-          break;
-        }
-        split->load_state(r);
-        break;
-      }
-      case kRingPackedFmt: {
-        auto* packed = dynamic_cast<virtio::PackedVirtqueueDriver*>(q.get());
-        if (packed == nullptr) {
-          r.fail();
-          break;
-        }
-        packed->load_state(r);
-        break;
-      }
-      default:
-        r.fail();
-        break;
-    }
-    if (r.failed()) {
+    // The restore target probed the same rings: each must match its tag.
+    io.expect<u8>(static_cast<u8>(q ? q->ring_format()
+                                    : virtio::RingFormat::kNone));
+    if (io.failed()) {
       return;
+    }
+    if (q) {
+      q->transfer(io);
     }
   }
 }

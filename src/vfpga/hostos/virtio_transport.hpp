@@ -105,8 +105,7 @@ class VirtioPciTransport {
   /// ring's in-RAM state. The restore target must already be bound
   /// (probe replayed deterministically from the same seed) with the same
   /// queue count and ring formats; anything else fails the reader.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   BindContext ctx_{};

@@ -93,7 +93,8 @@ Bytes save_snapshot(core::VirtioNetTestbed& testbed, bool include_memory) {
   w.end_section();
 
   w.begin_section(kSectionState);
-  testbed.save_state(w);
+  StateIo io{w};
+  testbed.transfer(io);
   w.end_section();
 
   if (include_memory) {
@@ -165,7 +166,8 @@ RestoreStatus restore_snapshot(core::VirtioNetTestbed& testbed,
   }
   // Mutation begins here: a structural failure past this point cannot be
   // rolled back, so it latches DEVICE_NEEDS_RESET instead.
-  testbed.load_state(r);
+  StateIo io{r};
+  testbed.transfer(io);
   if (r.failed()) {
     testbed.device().device_error(testbed.thread().now());
     return RestoreStatus::kMalformed;

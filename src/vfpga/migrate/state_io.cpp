@@ -52,11 +52,16 @@ bool StateReader::take(std::size_t n) {
   return true;
 }
 
-u8 StateReader::get_u8() {
-  if (!take(1)) {
+u64 StateReader::get_le(std::size_t n) {
+  if (!take(n)) {
     return 0;
   }
-  return data_[pos_++];
+  u64 v = 0;
+  for (std::size_t i = n; i-- > 0;) {
+    v = v << 8 | data_[pos_ + i];
+  }
+  pos_ += n;
+  return v;
 }
 
 void StateReader::get_bytes(ByteSpan out) {

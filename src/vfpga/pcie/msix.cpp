@@ -98,27 +98,13 @@ Bytes make_msix_capability_body(u16 table_size, u8 table_bar, u32 table_offset,
   return body;
 }
 
-void MsixTable::save_state(migrate::StateWriter& w) const {
-  w.put_u32(static_cast<u32>(entries_.size()));
-  for (const Entry& e : entries_) {
-    w.put_u64(e.address);
-    w.put_u32(e.data);
-    w.put_bool(e.masked);
-    w.put_bool(e.pending);
-  }
-}
-
-void MsixTable::load_state(migrate::StateReader& r) {
-  const u32 count = r.get_u32();
-  if (count != entries_.size()) {
-    r.fail();
-    return;
-  }
+void MsixTable::transfer(migrate::StateIo& io) {
+  io.expect<u32>(static_cast<u32>(entries_.size()));
   for (Entry& e : entries_) {
-    e.address = r.get_u64();
-    e.data = r.get_u32();
-    e.masked = r.get_bool();
-    e.pending = r.get_bool();
+    io.u64(e.address);
+    io.u32(e.data);
+    io.boolean(e.masked);
+    io.boolean(e.pending);
   }
 }
 

@@ -15,8 +15,7 @@
 #include "vfpga/sim/time.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::pcie {
@@ -57,8 +56,7 @@ class MsixTable {
 
   /// Snapshot/restore of the programmed vectors (address/data/mask/
   /// pending). The table size is structural and must already match.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   struct Entry {

@@ -11,6 +11,10 @@
 
 #include "vfpga/virtio/ring_layout.hpp"
 
+namespace vfpga::migrate {
+class StateIo;
+}  // namespace vfpga::migrate
+
 namespace vfpga::virtio {
 
 class DriverRing {
@@ -21,6 +25,7 @@ class DriverRing {
   virtual ~DriverRing() = default;
 
   [[nodiscard]] virtual u16 size() const = 0;
+  [[nodiscard]] virtual RingFormat ring_format() const = 0;
   [[nodiscard]] virtual u16 free_descriptors() const = 0;
 
   /// Expose a buffer chain; returns an opaque handle (split: head
@@ -66,6 +71,9 @@ class DriverRing {
   /// Split: descriptor table / avail ring / used ring. Packed:
   /// descriptor ring / driver event struct / device event struct.
   [[nodiscard]] virtual RingAddresses ring_addresses() const = 0;
+
+  /// Snapshot/restore of the ring's driver-RAM bookkeeping.
+  virtual void transfer(migrate::StateIo& io) = 0;
 
  protected:
   void mark_broken() { broken_ = true; }

@@ -187,41 +187,26 @@ pcie::DmaPort::WriteTiming PackedVirtqueueDevice::write_device_event_flags(
   return port_.write(start, addrs_.used + pk::event::kFlagsOffset, raw);
 }
 
-void PackedVirtqueueDevice::save_state(migrate::StateWriter& w) const {
-  w.put_u64(addrs_.desc);
-  w.put_u64(addrs_.avail);
-  w.put_u64(addrs_.used);
-  w.put_u16(queue_size_);
-  w.put_u16(avail_cursor_);
-  w.put_bool(avail_wrap_);
-  w.put_u16(used_cursor_);
-  w.put_bool(used_wrap_);
-  w.put_bool(cached_head_.has_value());
-  if (cached_head_.has_value()) {
-    w.put_u64(cached_head_->addr);
-    w.put_u32(cached_head_->len);
-    w.put_u16(cached_head_->id);
-    w.put_u16(cached_head_->desc_flags);
+void PackedVirtqueueDevice::transfer(migrate::StateIo& io) {
+  io.u64(addrs_.desc);
+  io.u64(addrs_.avail);
+  io.u64(addrs_.used);
+  io.u16(queue_size_);
+  io.u16(avail_cursor_);
+  io.boolean(avail_wrap_);
+  io.u16(used_cursor_);
+  io.boolean(used_wrap_);
+  bool has_head = cached_head_.has_value();
+  io.boolean(has_head);
+  if (io.loading()) {
+    cached_head_ = has_head ? std::optional{pk::PackedDescriptor{}}
+                            : std::nullopt;
   }
-}
-
-void PackedVirtqueueDevice::load_state(migrate::StateReader& r) {
-  addrs_.desc = r.get_u64();
-  addrs_.avail = r.get_u64();
-  addrs_.used = r.get_u64();
-  queue_size_ = r.get_u16();
-  avail_cursor_ = r.get_u16();
-  avail_wrap_ = r.get_bool();
-  used_cursor_ = r.get_u16();
-  used_wrap_ = r.get_bool();
-  cached_head_.reset();
-  if (r.get_bool()) {
-    pk::PackedDescriptor d;
-    d.addr = r.get_u64();
-    d.len = r.get_u32();
-    d.id = r.get_u16();
-    d.desc_flags = r.get_u16();
-    cached_head_ = d;
+  if (has_head) {
+    io.u64(cached_head_->addr);
+    io.u32(cached_head_->len);
+    io.u16(cached_head_->id);
+    io.u16(cached_head_->desc_flags);
   }
 }
 

@@ -70,8 +70,7 @@ class PackedVirtqueueDevice {
 
   /// Snapshot/restore of cursors, wrap counters, and the cached head
   /// descriptor register. Never touches host memory.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   pcie::DmaPort port_;

@@ -194,74 +194,39 @@ void PackedVirtqueueDriver::disable_interrupts() {
                       pk::event::kDisable);
 }
 
-void PackedVirtqueueDriver::save_state(migrate::StateWriter& w) const {
-  w.put_u16(queue_size_);
-  w.put_u64(negotiated_.bits());
-  w.put_u64(addrs_.desc);
-  w.put_u64(addrs_.avail);
-  w.put_u64(addrs_.used);
-  w.put_u16(static_cast<u16>(free_ids_.size()));
-  for (u16 id : free_ids_) {
-    w.put_u16(id);
-  }
-  for (u16 c : id_desc_count_) {
-    w.put_u16(c);
-  }
-  for (u64 t : id_token_) {
-    w.put_u64(t);
-  }
-  for (HostAddr a : indirect_table_) {
-    w.put_u64(a);
-  }
-  for (u32 c : indirect_capacity_) {
-    w.put_u32(c);
-  }
-  w.put_u16(num_free_);
-  w.put_u16(next_avail_slot_);
-  w.put_bool(avail_wrap_);
-  w.put_u16(next_used_slot_);
-  w.put_bool(used_wrap_);
-  w.put_u16(pending_publish_);
-  w.put_bool(broken());
-}
-
-void PackedVirtqueueDriver::load_state(migrate::StateReader& r) {
-  if (r.get_u16() != queue_size_) {
-    r.fail();
-    return;
-  }
-  negotiated_ = FeatureSet{r.get_u64()};
-  addrs_.desc = r.get_u64();
-  addrs_.avail = r.get_u64();
-  addrs_.used = r.get_u64();
-  free_ids_.clear();
-  const u16 free_count = r.get_u16();
-  if (free_count > queue_size_) {
-    r.fail();
-    return;
-  }
-  for (u16 i = 0; i < free_count; ++i) {
-    free_ids_.push_back(r.get_u16());
+void PackedVirtqueueDriver::transfer(migrate::StateIo& io) {
+  io.expect<u16>(queue_size_);
+  io.features(negotiated_);
+  io.u64(addrs_.desc);
+  io.u64(addrs_.avail);
+  io.u64(addrs_.used);
+  free_ids_.resize(io.count<u16>(free_ids_.size(), queue_size_));
+  for (u16& id : free_ids_) {
+    io.index(id, queue_size_);
   }
   for (u16& c : id_desc_count_) {
-    c = r.get_u16();
+    io.u16(c);
   }
   for (u64& t : id_token_) {
-    t = r.get_u64();
+    io.u64(t);
   }
   for (HostAddr& a : indirect_table_) {
-    a = r.get_u64();
+    io.u64(a);
   }
   for (u32& c : indirect_capacity_) {
-    c = r.get_u32();
+    io.u32(c);
   }
-  num_free_ = r.get_u16();
-  next_avail_slot_ = r.get_u16();
-  avail_wrap_ = r.get_bool();
-  next_used_slot_ = r.get_u16();
-  used_wrap_ = r.get_bool();
-  pending_publish_ = r.get_u16();
-  restore_broken(r.get_bool());
+  io.index(num_free_, queue_size_ + 1u);
+  io.index(next_avail_slot_, queue_size_);
+  io.boolean(avail_wrap_);
+  io.index(next_used_slot_, queue_size_);
+  io.boolean(used_wrap_);
+  io.u16(pending_publish_);
+  bool is_broken = broken();
+  io.boolean(is_broken);
+  if (io.loading()) {
+    restore_broken(is_broken);
+  }
 }
 
 }  // namespace vfpga::virtio

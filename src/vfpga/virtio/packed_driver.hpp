@@ -16,11 +16,6 @@
 #include "vfpga/virtio/features.hpp"
 #include "vfpga/virtio/packed_layout.hpp"
 
-namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
-}  // namespace vfpga::migrate
-
 namespace vfpga::virtio {
 
 class PackedVirtqueueDriver final : public DriverRing {
@@ -32,6 +27,9 @@ class PackedVirtqueueDriver final : public DriverRing {
 
   // ---- DriverRing ---------------------------------------------------------------
   [[nodiscard]] u16 size() const override { return queue_size_; }
+  [[nodiscard]] RingFormat ring_format() const override {
+    return RingFormat::kPacked;
+  }
   [[nodiscard]] u16 free_descriptors() const override { return num_free_; }
   std::optional<u16> add_chain(std::span<const ChainBuffer> buffers,
                                u64 token) override;
@@ -58,9 +56,8 @@ class PackedVirtqueueDriver final : public DriverRing {
 
   /// Snapshot/restore of the driver-RAM bookkeeping (id free list, wrap
   /// counters, cursors). Never writes host memory; fails the reader on a
-  /// queue-size mismatch.
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  /// queue-size mismatch and on an id, count or slot outside the ring.
+  void transfer(migrate::StateIo& io) override;
 
  private:
   struct PendingId {

@@ -16,6 +16,10 @@
 
 namespace vfpga::virtio {
 
+/// The ring format a queue runs; snapshots tag each driver ring and
+/// each device queue engine with it (a u8 on the wire).
+enum class RingFormat : u8 { kNone = 0, kSplit = 1, kPacked = 2 };
+
 inline constexpr u64 kDescSize = 16;
 inline constexpr u64 kDescAddrOffset = 0;
 inline constexpr u64 kDescLenOffset = 8;

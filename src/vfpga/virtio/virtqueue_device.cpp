@@ -236,24 +236,14 @@ pcie::DmaPort::WriteTiming VirtqueueDevice::write_avail_event(
                      raw);
 }
 
-void VirtqueueDevice::save_state(migrate::StateWriter& w) const {
-  w.put_u64(addrs_.desc);
-  w.put_u64(addrs_.avail);
-  w.put_u64(addrs_.used);
-  w.put_u16(queue_size_);
-  w.put_u64(negotiated_.bits());
-  w.put_u16(avail_cursor_);
-  w.put_u16(used_idx_);
-}
-
-void VirtqueueDevice::load_state(migrate::StateReader& r) {
-  addrs_.desc = r.get_u64();
-  addrs_.avail = r.get_u64();
-  addrs_.used = r.get_u64();
-  queue_size_ = r.get_u16();
-  negotiated_ = FeatureSet{r.get_u64()};
-  avail_cursor_ = r.get_u16();
-  used_idx_ = r.get_u16();
+void VirtqueueDevice::transfer(migrate::StateIo& io) {
+  io.u64(addrs_.desc);
+  io.u64(addrs_.avail);
+  io.u64(addrs_.used);
+  io.u16(queue_size_);
+  io.features(negotiated_);
+  io.u16(avail_cursor_);
+  io.u16(used_idx_);
 }
 
 }  // namespace vfpga::virtio

@@ -17,8 +17,7 @@
 #include "vfpga/virtio/ring_layout.hpp"
 
 namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vfpga::migrate
 
 namespace vfpga::virtio {
@@ -107,11 +106,10 @@ class VirtqueueDevice {
   void advance_avail_cursor() { ++avail_cursor_; }
   [[nodiscard]] u16 used_idx() const { return used_idx_; }
 
-  /// Snapshot/restore. load_state only rewrites internal registers —
+  /// Snapshot/restore. A restore only rewrites internal registers —
   /// it must never touch host memory (the memory image is restored
   /// separately and already holds the ring bytes).
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  void transfer(migrate::StateIo& io);
 
  private:
   pcie::DmaPort port_;

@@ -237,61 +237,35 @@ void VirtqueueDriver::set_used_event(u16 value) {
   memory_->write_le16(addrs_.avail + used_event_offset(queue_size_), value);
 }
 
-void VirtqueueDriver::save_state(migrate::StateWriter& w) const {
-  w.put_u16(queue_size_);
-  w.put_u64(negotiated_.bits());
-  w.put_u64(addrs_.desc);
-  w.put_u64(addrs_.avail);
-  w.put_u64(addrs_.used);
-  for (u64 t : tokens_) {
-    w.put_u64(t);
-  }
-  for (u16 len : chain_len_) {
-    w.put_u16(len);
-  }
-  for (HostAddr a : indirect_table_) {
-    w.put_u64(a);
-  }
-  for (u32 c : indirect_capacity_) {
-    w.put_u32(c);
-  }
-  w.put_u16(free_head_);
-  w.put_u16(num_free_);
-  w.put_u16(avail_idx_shadow_);
-  w.put_u16(pending_publish_);
-  w.put_u16(last_used_idx_);
-  w.put_u16(kick_threshold_idx_);
-  w.put_bool(broken());
-}
-
-void VirtqueueDriver::load_state(migrate::StateReader& r) {
-  if (r.get_u16() != queue_size_) {
-    r.fail();
-    return;
-  }
-  negotiated_ = FeatureSet{r.get_u64()};
-  addrs_.desc = r.get_u64();
-  addrs_.avail = r.get_u64();
-  addrs_.used = r.get_u64();
+void VirtqueueDriver::transfer(migrate::StateIo& io) {
+  io.expect<u16>(queue_size_);
+  io.features(negotiated_);
+  io.u64(addrs_.desc);
+  io.u64(addrs_.avail);
+  io.u64(addrs_.used);
   for (u64& t : tokens_) {
-    t = r.get_u64();
+    io.u64(t);
   }
   for (u16& len : chain_len_) {
-    len = r.get_u16();
+    io.u16(len);
   }
   for (HostAddr& a : indirect_table_) {
-    a = r.get_u64();
+    io.u64(a);
   }
   for (u32& c : indirect_capacity_) {
-    c = r.get_u32();
+    io.u32(c);
   }
-  free_head_ = r.get_u16();
-  num_free_ = r.get_u16();
-  avail_idx_shadow_ = r.get_u16();
-  pending_publish_ = r.get_u16();
-  last_used_idx_ = r.get_u16();
-  kick_threshold_idx_ = r.get_u16();
-  restore_broken(r.get_bool());
+  io.index(free_head_, queue_size_);
+  io.index(num_free_, queue_size_ + 1u);
+  io.u16(avail_idx_shadow_);
+  io.u16(pending_publish_);
+  io.u16(last_used_idx_);
+  io.u16(kick_threshold_idx_);
+  bool is_broken = broken();
+  io.boolean(is_broken);
+  if (io.loading()) {
+    restore_broken(is_broken);
+  }
 }
 
 }  // namespace vfpga::virtio

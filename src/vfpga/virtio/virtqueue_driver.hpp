@@ -20,11 +20,6 @@
 #include "vfpga/virtio/features.hpp"
 #include "vfpga/virtio/ring_layout.hpp"
 
-namespace vfpga::migrate {
-class StateWriter;
-class StateReader;
-}  // namespace vfpga::migrate
-
 namespace vfpga::virtio {
 
 class VirtqueueDriver final : public DriverRing {
@@ -35,6 +30,9 @@ class VirtqueueDriver final : public DriverRing {
                   FeatureSet negotiated);
 
   [[nodiscard]] u16 size() const override { return queue_size_; }
+  [[nodiscard]] RingFormat ring_format() const override {
+    return RingFormat::kSplit;
+  }
   [[nodiscard]] const RingAddresses& addresses() const { return addrs_; }
   [[nodiscard]] u16 free_descriptors() const override { return num_free_; }
 
@@ -106,10 +104,10 @@ class VirtqueueDriver final : public DriverRing {
 
   /// Snapshot/restore of the driver-RAM bookkeeping (free list, tokens,
   /// cursors). Ring bytes live in host memory and are restored with it;
-  /// load_state never writes memory. Fails the reader on a queue-size
-  /// mismatch (structural — the rings were allocated at construction).
-  void save_state(migrate::StateWriter& w) const;
-  void load_state(migrate::StateReader& r);
+  /// a restore never writes memory. Fails the reader on a queue-size
+  /// mismatch (structural — the rings were allocated at construction)
+  /// and on a free head or free count outside the ring.
+  void transfer(migrate::StateIo& io) override;
 
  private:
   void write_descriptor(u16 index, const Descriptor& desc);

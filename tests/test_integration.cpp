@@ -85,14 +85,15 @@ TEST(XdmaTestbed, ManyRoundTripsAllSucceed) {
 /// number of round trips.
 struct Footprint {
   std::size_t window = 0;      ///< counter-bank capture window
-  std::size_t bank_bytes = 0;  ///< counter-bank save_state size
+  std::size_t bank_bytes = 0;  ///< counter-bank snapshot size
   u64 resident_bytes = 0;      ///< host memory backed by pages
 };
 
-Footprint footprint_of(const fpga::PerfCounterBank& bank,
+Footprint footprint_of(fpga::PerfCounterBank& bank,
                        const mem::HostMemory& memory) {
   migrate::StateWriter w;
-  bank.save_state(w);
+  migrate::StateIo io{w};
+  bank.transfer(io);
   return {bank.history().size(), w.buffer().size(), memory.resident_bytes()};
 }
 

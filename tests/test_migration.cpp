@@ -6,7 +6,11 @@
 // harness end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/fpga/perf_counter.hpp"
@@ -21,6 +25,48 @@ namespace {
 using migrate::RestoreStatus;
 
 // ---- state-io substrate ---------------------------------------------------
+
+/// One field of every kind StateIo transfers.
+struct AllFields {
+  u8 a = 0;
+  u16 b = 0;
+  u32 c = 0;
+  u64 d = 0;
+  bool e = false;
+  double f = 0;
+  sim::SimTime at{};
+  sim::Duration span{};
+  virtio::FeatureSet features{};
+  std::array<u8, 3> raw{};
+  Bytes blob;
+  std::optional<u16> maybe;
+  std::optional<sim::SimTime> never;
+  u16 slot = 0;
+  std::vector<u32> items;
+
+  void transfer(migrate::StateIo& io) {
+    io.u8(a);
+    io.u16(b);
+    io.u32(c);
+    io.u64(d);
+    io.boolean(e);
+    io.f64(f);
+    io.time(at);
+    io.duration(span);
+    io.features(features);
+    io.bytes(raw);
+    io.blob(blob);
+    io.optional(maybe);
+    io.optional(never);
+    io.expect<u16>(0x7777);
+    io.index(slot, 8);
+    items.resize(io.count<u32>(items.size(), 4));
+    for (u32& item : items) {
+      io.u32(item);
+    }
+  }
+  bool operator==(const AllFields&) const = default;
+};
 
 TEST(StateIo, PrimitiveRoundTrip) {
   migrate::StateWriter w;
@@ -49,6 +95,129 @@ TEST(StateIo, PrimitiveRoundTrip) {
   EXPECT_EQ(r.get_blob(), payload);
   EXPECT_FALSE(r.failed());
   EXPECT_EQ(r.remaining(), 0u);
+
+  // StateIo: the same field list saves and loads, in StateWriter's
+  // encoding.
+  AllFields source;
+  source.a = 0xab;
+  source.b = 0x1234;
+  source.c = 0xdeadbeef;
+  source.d = 0x0123456789abcdefull;
+  source.e = true;
+  source.f = 3.25;
+  source.at = sim::SimTime{777};
+  source.span = sim::Duration{-9};
+  source.features = virtio::FeatureSet{1ull << 33 | 1};
+  source.raw = {7, 8, 9};
+  source.blob = payload;
+  source.maybe = 0x4242;
+  source.slot = 7;
+  source.items = {10, 20, 30};
+  migrate::StateWriter saved;
+  migrate::StateIo save{saved};
+  EXPECT_FALSE(save.loading());
+  source.transfer(save);
+
+  migrate::StateWriter expected;
+  expected.put_u8(0xab);
+  expected.put_u16(0x1234);
+  expected.put_u32(0xdeadbeef);
+  expected.put_u64(0x0123456789abcdefull);
+  expected.put_bool(true);
+  expected.put_f64(3.25);
+  expected.put_time(sim::SimTime{777});
+  expected.put_duration(sim::Duration{-9});
+  expected.put_u64(1ull << 33 | 1);
+  expected.put_bytes(source.raw);
+  expected.put_blob(payload);
+  expected.put_bool(true);
+  expected.put_u16(0x4242);
+  expected.put_bool(false);
+  expected.put_time(sim::SimTime{});
+  expected.put_u16(0x7777);
+  expected.put_u16(7);
+  expected.put_u32(3);
+  for (u32 item : source.items) {
+    expected.put_u32(item);
+  }
+  EXPECT_EQ(saved.buffer(), expected.buffer());
+
+  AllFields restored;
+  restored.never = sim::SimTime{5};  // absent in the image: cleared
+  restored.items = {1, 2, 3, 4};
+  migrate::StateReader loaded{saved.buffer()};
+  migrate::StateIo load{loaded};
+  EXPECT_TRUE(load.loading());
+  restored.transfer(load);
+  EXPECT_FALSE(load.failed());
+  EXPECT_EQ(loaded.remaining(), 0u);
+  EXPECT_EQ(restored, source);
+}
+
+/// Save `source`, let `poison` rewrite the image, and load it into a
+/// fresh AllFields; returns the loaded fields and whether the reader
+/// failed.
+std::pair<AllFields, bool> load_poisoned(AllFields source,
+                                         void (*poison)(Bytes&)) {
+  migrate::StateWriter w;
+  migrate::StateIo save{w};
+  source.transfer(save);
+  Bytes image = w.take();
+  poison(image);
+  AllFields restored;
+  migrate::StateReader r{image};
+  migrate::StateIo load{r};
+  restored.transfer(load);
+  return {restored, load.failed()};
+}
+
+// Offsets into an AllFields image with an empty blob and 2 items.
+constexpr std::size_t kExpectAt = 1 + 2 + 4 + 8 + 1 + 8 + 8 + 8 + 8 + 3 + 8 +
+                                  3 + 9;
+constexpr std::size_t kSlotAt = kExpectAt + 2;
+constexpr std::size_t kCountAt = kSlotAt + 2;
+
+AllFields two_items() {
+  AllFields fields;
+  fields.items = {5, 6};
+  return fields;
+}
+
+TEST(StateIo, ValidImageLoads) {
+  const auto [restored, failed] =
+      load_poisoned(two_items(), [](Bytes&) {});
+  EXPECT_FALSE(failed);
+  EXPECT_EQ(restored, two_items());
+}
+
+TEST(StateIo, MismatchedExpectFailsReader) {
+  const auto [restored, failed] = load_poisoned(
+      two_items(), [](Bytes& image) { image[kExpectAt] ^= 1; });
+  EXPECT_TRUE(failed);
+}
+
+TEST(StateIo, OutOfRangeIndexFailsReader) {
+  const auto [restored, failed] = load_poisoned(
+      two_items(), [](Bytes& image) { image[kSlotAt] = 8; });
+  EXPECT_TRUE(failed);
+}
+
+TEST(StateIo, OverLongCountFailsWithoutAllocating) {
+  // Past what the stream holds: 2^32 - 1 elements in 8 bytes.
+  const auto [huge, huge_failed] =
+      load_poisoned(two_items(), [](Bytes& image) {
+        for (std::size_t i = 0; i < 4; ++i) {
+          image[kCountAt + i] = 0xff;
+        }
+      });
+  EXPECT_TRUE(huge_failed);
+  EXPECT_EQ(huge.items.capacity(), 0u);
+
+  // Within the stream but past the caller's bound of 4.
+  const auto [over, over_failed] = load_poisoned(
+      two_items(), [](Bytes& image) { image[kCountAt] = 5; });
+  EXPECT_TRUE(over_failed);
+  EXPECT_EQ(over.items.capacity(), 0u);
 }
 
 TEST(StateIo, SectionsNestAndSkipUnreadRemainder) {
@@ -124,13 +293,18 @@ std::vector<i64> run_trace(core::VirtioNetTestbed& bed, u32 ops,
   return trace;
 }
 
+/// The warm-up every quiesced round trip snapshots after.
+void drive_quiesced(core::VirtioNetTestbed& bed) {
+  (void)run_trace(bed, 6, 256);
+  bed.quiesce();
+}
+
 /// Snapshot A (quiesced), restore into a fresh B, then prove forward
 /// behaviour is bit-identical: same op trace and byte-identical final
 /// snapshots.
 void expect_round_trip(core::TestbedOptions options) {
   core::VirtioNetTestbed a{options};
-  (void)run_trace(a, 6, 256);
-  a.quiesce();
+  drive_quiesced(a);
   const Bytes image = migrate::save_snapshot(a);
 
   core::VirtioNetTestbed b{options};
@@ -143,39 +317,53 @@ void expect_round_trip(core::TestbedOptions options) {
   EXPECT_EQ(migrate::save_snapshot(a), migrate::save_snapshot(b));
 }
 
-TEST(Snapshot, RoundTripSplitRings) {
+core::TestbedOptions split_options() {
   core::TestbedOptions options;
   options.seed = 0x51ee7;
-  expect_round_trip(options);
+  return options;
 }
 
-TEST(Snapshot, RoundTripPackedRings) {
+core::TestbedOptions packed_options() {
   core::TestbedOptions options;
   options.seed = 0x9ac4ed;
   options.use_packed_rings = true;
-  expect_round_trip(options);
+  return options;
 }
 
-TEST(Snapshot, RoundTripMultiQueue) {
+core::TestbedOptions multi_queue_options() {
   core::TestbedOptions options;
   options.seed = 0x3b;
   options.net.max_queue_pairs = 2;
   options.requested_queue_pairs = 2;
-  expect_round_trip(options);
+  return options;
+}
+
+TEST(Snapshot, RoundTripSplitRings) { expect_round_trip(split_options()); }
+
+TEST(Snapshot, RoundTripPackedRings) { expect_round_trip(packed_options()); }
+
+TEST(Snapshot, RoundTripMultiQueue) {
+  expect_round_trip(multi_queue_options());
 }
 
 /// Send a request and snapshot BEFORE harvesting the reply, so the
 /// in-flight state (used-ring entries, pending interrupts, partially
 /// consumed spans) must survive the restore. Both testbeds then receive
 /// and must produce the identical datagram at the identical clock.
+/// Warm up, then send a `payload_bytes` echo request and leave its
+/// reply unharvested.
+bool drive_mid_flight(core::VirtioNetTestbed& bed, u64 payload_bytes) {
+  (void)run_trace(bed, 4, 256);  // warm pools, arm moderation if enabled
+  return bed.socket().sendto(bed.thread(), bed.fpga_ip(),
+                             bed.options().fpga_udp_port,
+                             echo_payload(payload_bytes, 0xf0));
+}
+
 void expect_mid_flight_round_trip(core::TestbedOptions options,
                                   u64 payload_bytes) {
   core::VirtioNetTestbed a{options};
-  (void)run_trace(a, 4, 256);  // warm pools, arm moderation if enabled
-
+  ASSERT_TRUE(drive_mid_flight(a, payload_bytes));
   const Bytes payload = echo_payload(payload_bytes, 0xf0);
-  ASSERT_TRUE(a.socket().sendto(a.thread(), a.fpga_ip(),
-                                a.options().fpga_udp_port, payload));
   // NO quiesce: the reply is sitting unharvested in the RX ring.
   const Bytes image = migrate::save_snapshot(a);
 
@@ -196,14 +384,19 @@ void expect_mid_flight_round_trip(core::TestbedOptions options,
   EXPECT_EQ(migrate::save_snapshot(a), migrate::save_snapshot(b));
 }
 
-TEST(Snapshot, MidMergeableRxSpan) {
+core::TestbedOptions mid_mergeable_options() {
   core::TestbedOptions options;
   options.seed = 0x36b;
   options.datapath.want_mrg_rxbuf = true;
   // Small buffers so a full-size frame spans several of them and the
   // snapshot catches a genuinely multi-buffer span in flight.
   options.datapath.mrg_buffer_bytes = 512;
-  expect_mid_flight_round_trip(options, 1200);
+  return options;
+}
+constexpr u64 kMidMergeablePayload = 1200;
+
+TEST(Snapshot, MidMergeableRxSpan) {
+  expect_mid_flight_round_trip(mid_mergeable_options(), kMidMergeablePayload);
 }
 
 TEST(Snapshot, MidGsoSuperframe) {
@@ -218,36 +411,57 @@ TEST(Snapshot, MidGsoSuperframe) {
   expect_mid_flight_round_trip(options, 6000);
 }
 
-TEST(Snapshot, DimModerationArmed) {
+core::TestbedOptions dim_options() {
   core::TestbedOptions options;
   options.seed = 0xd13;
   options.net.offer_notf_coal = true;
   options.datapath.want_rx_moderation = true;
-  expect_mid_flight_round_trip(options, 512);
+  return options;
+}
+constexpr u64 kDimPayload = 512;
+
+TEST(Snapshot, DimModerationArmed) {
+  expect_mid_flight_round_trip(dim_options(), kDimPayload);
 }
 
 /// Snapshot with the blk function attached and a write-back layer in a
 /// non-trivial state: durable data, a dirty (unflushed) sector, and
 /// live driver counters all have to survive the restore, and forward
 /// behaviour on both net and blk must stay bit-identical.
-TEST(Snapshot, RoundTripWithBlkAttached) {
+core::TestbedOptions blk_options() {
   core::TestbedOptions options;
   options.seed = 0xb10c;
   options.attach_blk = true;
   options.blk.capacity_sectors = 256;
+  return options;
+}
 
-  core::VirtioNetTestbed a{options};
-  (void)run_trace(a, 3, 256);
+Bytes blk_durable_data() {
   Bytes durable_data(2 * 512);
   for (std::size_t i = 0; i < durable_data.size(); ++i) {
     durable_data[i] = static_cast<u8>(i * 13 + 1);
   }
-  ASSERT_TRUE(a.blk_driver().write_sectors(a.thread(), 7, durable_data));
-  ASSERT_TRUE(a.blk_driver().flush(a.thread()));
-  // One write left unflushed: the snapshot catches storage != durable.
-  ASSERT_TRUE(a.blk_driver().write_sectors(a.thread(), 40, Bytes(512, 0x5a)));
-  ASSERT_EQ(a.blk_logic().dirty_sectors(), 1u);
-  a.quiesce();
+  return durable_data;
+}
+
+/// Echo traffic, two flushed sectors at 7 and one unflushed at 40 (the
+/// snapshot catches storage != durable), then quiesce.
+bool drive_blk(core::VirtioNetTestbed& bed) {
+  (void)run_trace(bed, 3, 256);
+  const bool ok =
+      bed.blk_driver().write_sectors(bed.thread(), 7, blk_durable_data()) &&
+      bed.blk_driver().flush(bed.thread()) &&
+      bed.blk_driver().write_sectors(bed.thread(), 40, Bytes(512, 0x5a)) &&
+      bed.blk_logic().dirty_sectors() == 1;
+  bed.quiesce();
+  return ok;
+}
+
+TEST(Snapshot, RoundTripWithBlkAttached) {
+  const core::TestbedOptions options = blk_options();
+  core::VirtioNetTestbed a{options};
+  ASSERT_TRUE(drive_blk(a));
+  const Bytes durable_data = blk_durable_data();
   const Bytes image = migrate::save_snapshot(a);
 
   core::VirtioNetTestbed b{options};
@@ -287,6 +501,64 @@ TEST(Snapshot, RoundTripWithBlkAttached) {
   EXPECT_EQ(migrate::save_snapshot(a), migrate::save_snapshot(c));
 }
 
+/// The CRC-32 an image carries: over every byte but its own trailer
+/// (over the whole image it is the CRC residue, the same for every
+/// image).
+u32 body_crc(const Bytes& image) {
+  return migrate::crc32(ConstByteSpan{image}.first(image.size() - 4));
+}
+
+/// The snapshot format pinned: the CRC-32 and size of the full and the
+/// no-memory image of every round-trip setup above. A refactor of the
+/// state layout must leave every value as it is; a deliberate format
+/// change bumps kSnapshotVersion and updates them in the same commit.
+TEST(Snapshot, ImagesArePinned) {
+  struct Pin {
+    const char* setup;
+    core::TestbedOptions options;
+    bool (*drive)(core::VirtioNetTestbed&);
+    u32 crc_full;
+    std::size_t size_full;
+    u32 crc_state;
+    std::size_t size_state;
+  };
+  const auto quiesced = [](core::VirtioNetTestbed& bed) {
+    drive_quiesced(bed);
+    return true;
+  };
+  const Pin pins[] = {
+      {"split", split_options(), quiesced, 0xa34f20a1, 74263, 0x9b393c52,
+       37307},
+      {"packed", packed_options(), quiesced, 0xaa704c4c, 70659, 0x8f052882,
+       37807},
+      {"multi-queue", multi_queue_options(), quiesced, 0x0aca5b9a, 153287,
+       0x803aacc3, 87603},
+      {"blk", blk_options(), drive_blk, 0x841de516, 359257, 0x12b5310d,
+       314093},
+      {"mid-mergeable", mid_mergeable_options(),
+       [](core::VirtioNetTestbed& bed) {
+         return drive_mid_flight(bed, kMidMergeablePayload);
+       },
+       0xe0e94e7b, 70163, 0x77b494bf, 37311},
+      {"dim", dim_options(),
+       [](core::VirtioNetTestbed& bed) {
+         return drive_mid_flight(bed, kDimPayload);
+       },
+       0x241dae0f, 88259, 0x59f501dc, 51303},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.setup);
+    core::VirtioNetTestbed bed{pin.options};
+    ASSERT_TRUE(pin.drive(bed));
+    const Bytes full = migrate::save_snapshot(bed, true);
+    const Bytes state = migrate::save_snapshot(bed, false);
+    EXPECT_EQ(body_crc(full), pin.crc_full);
+    EXPECT_EQ(full.size(), pin.size_full);
+    EXPECT_EQ(body_crc(state), pin.crc_state);
+    EXPECT_EQ(state.size(), pin.size_state);
+  }
+}
+
 TEST(Snapshot, NoMemoryImageIsSmall) {
   core::TestbedOptions options;
   core::VirtioNetTestbed a{options};
@@ -309,12 +581,14 @@ TEST(PerfCounterBank, StateCarriesLatestCyclesButNotTheWindow) {
   source.capture(CounterEvent::kIrqSent,
                  sim::SimTime{} + sim::nanoseconds(1680));
   migrate::StateWriter w;
-  source.save_state(w);
+  migrate::StateIo save{w};
+  source.transfer(save);
   EXPECT_EQ(w.buffer().size(), 4u + 2u * 8u);  // mask + two cycles
 
   fpga::PerfCounterBank restored;
   migrate::StateReader r{w.buffer()};
-  restored.load_state(r);
+  migrate::StateIo load{r};
+  restored.transfer(load);
   EXPECT_FALSE(r.failed());
   EXPECT_EQ(restored.interval("notify", "irq_sent").nanos(), 1600.0);
   EXPECT_FALSE(restored.cycles(CounterEvent::kUlStart).has_value());
@@ -330,7 +604,8 @@ TEST(PerfCounterBank, LoadStateRejectsUnknownEventBit) {
   fpga::PerfCounterBank bank;
   bank.capture(fpga::CounterEvent::kUlDone, sim::SimTime{});
   migrate::StateReader r{w.buffer()};
-  bank.load_state(r);
+  migrate::StateIo io{r};
+  bank.transfer(io);
   EXPECT_TRUE(r.failed());
   for (std::size_t id = 0; id < fpga::kCounterEvents; ++id) {
     EXPECT_FALSE(bank.cycles(static_cast<fpga::CounterEvent>(id)).has_value())
@@ -480,6 +755,253 @@ TEST(SnapshotReject, MalformedStateLatchesDeviceNeedsReset) {
   EXPECT_NE(bed.device().device_status() &
                 virtio::status::kDeviceNeedsReset,
             0);
+}
+
+// ---- restored indices ------------------------------------------------------
+
+u64 load_le(ConstByteSpan b, std::size_t off, std::size_t width) {
+  u64 v = 0;
+  for (std::size_t i = width; i-- > 0;) {
+    v = (v << 8) | b[off + i];
+  }
+  return v;
+}
+
+void store_le(ByteSpan b, std::size_t off, std::size_t width, u64 v) {
+  for (std::size_t i = 0; i < width; ++i) {
+    b[off + i] = static_cast<u8>(v >> (8 * i));
+  }
+}
+
+/// A range-checked field of the net driver's state (transport and
+/// rings included): where it sits and a value past its table.
+struct Poison {
+  std::size_t offset;
+  std::size_t width;
+  u64 value;
+};
+
+/// Where the TX ring of pair 0 (queue 1) starts in the driver state:
+/// ten bytes (queue size, features) before its ring addresses, which
+/// the device's queue registers hold too.
+std::size_t tx_ring_at(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  const virtio::RingAddresses& rings = bed.device().queue_state(1).rings;
+  std::array<u8, 24> addrs{};
+  store_le(addrs, 0, 8, rings.desc);
+  store_le(addrs, 8, 8, rings.avail);
+  store_le(addrs, 16, 8, rings.used);
+  const auto it = std::search(state.begin(), state.end(), addrs.begin(),
+                              addrs.end());
+  EXPECT_NE(it, state.end());
+  return static_cast<std::size_t>(it - state.begin()) - 10;
+}
+
+/// The split ring's free head and free count follow the queue size,
+/// features, addresses and four per-descriptor tables (22 bytes each).
+Poison split_free_head(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  const std::size_t ring = tx_ring_at(state, bed);
+  const u64 size = load_le(state, ring, 2);
+  return {ring + 34 + 22 * size, 2, size};
+}
+
+Poison split_num_free(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  const std::size_t ring = tx_ring_at(state, bed);
+  const u64 size = load_le(state, ring, 2);
+  return {ring + 36 + 22 * size, 2, size + 1};
+}
+
+/// The packed ring's cursors follow the free-id list and the four
+/// per-id tables.
+std::size_t packed_cursors_at(ConstByteSpan state, std::size_t ring) {
+  const u64 size = load_le(state, ring, 2);
+  const u64 free_ids = load_le(state, ring + 34, 2);
+  return ring + 36 + 2 * free_ids + 22 * size;
+}
+
+Poison packed_free_id(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  const std::size_t ring = tx_ring_at(state, bed);
+  EXPECT_GT(load_le(state, ring + 34, 2), 0u);
+  return {ring + 36, 2, load_le(state, ring, 2)};
+}
+
+Poison packed_num_free(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  const std::size_t ring = tx_ring_at(state, bed);
+  return {packed_cursors_at(state, ring), 2, load_le(state, ring, 2) + 1};
+}
+
+Poison packed_next_avail(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  const std::size_t ring = tx_ring_at(state, bed);
+  return {packed_cursors_at(state, ring) + 2, 2, load_le(state, ring, 2)};
+}
+
+Poison packed_next_used(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  const std::size_t ring = tx_ring_at(state, bed);
+  return {packed_cursors_at(state, ring) + 5, 2, load_le(state, ring, 2)};
+}
+
+/// Pair 0's first free TX slot. The driver's MAC opens the fields after
+/// the transport; 45 bytes of scalars later come the RX buffers (12
+/// bytes each), the TX buffers (16 bytes each) and the free TX slots,
+/// each list behind a u32 count.
+Poison net_tx_free_slot(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  const auto mac = bed.driver().mac().octets;
+  const auto it =
+      std::search(state.begin(), state.end(), mac.begin(), mac.end());
+  EXPECT_NE(it, state.end());
+  std::size_t at = static_cast<std::size_t>(it - state.begin()) + 45;
+  at += 4 + 12 * load_le(state, at, 4);
+  const u64 tx_buffers = load_le(state, at, 4);
+  at += 4 + 16 * tx_buffers;
+  EXPECT_GT(load_le(state, at, 4), 0u);
+  return {at + 4, 4, tx_buffers};
+}
+
+/// Transfer `bed`'s driver state out, poison one field and transfer it
+/// back: the reader must fail. Then poison the same field in a snapshot
+/// image, re-seal the CRC and restore it into a fresh testbed: the
+/// restore is malformed and latches DEVICE_NEEDS_RESET.
+void expect_poison_rejected(core::TestbedOptions options,
+                            Poison (*locate)(ConstByteSpan,
+                                             core::VirtioNetTestbed&)) {
+  core::VirtioNetTestbed bed{options};
+  drive_quiesced(bed);
+  migrate::StateWriter w;
+  migrate::StateIo save{w};
+  bed.driver().transfer(save);
+  const Bytes state = w.take();
+  Bytes image = migrate::save_snapshot(bed, false);
+  const Poison poison = locate(state, bed);
+
+  {
+    Bytes valid = state;
+    migrate::StateReader r{valid};
+    migrate::StateIo load{r};
+    bed.driver().transfer(load);
+    EXPECT_FALSE(load.failed());
+  }
+  Bytes poisoned = state;
+  store_le(poisoned, poison.offset, poison.width, poison.value);
+  migrate::StateReader r{poisoned};
+  migrate::StateIo load{r};
+  bed.driver().transfer(load);
+  EXPECT_TRUE(load.failed());
+
+  const auto at = std::search(image.begin(), image.end(), state.begin(),
+                              state.end());
+  ASSERT_NE(at, image.end());
+  store_le(image, static_cast<std::size_t>(at - image.begin()) + poison.offset,
+           poison.width, poison.value);
+  patch_crc(image);
+  core::VirtioNetTestbed target{options};
+  EXPECT_EQ(migrate::restore_snapshot(target, image),
+            RestoreStatus::kMalformed);
+  EXPECT_GE(target.device().device_errors(), 1u);
+  EXPECT_NE(target.device().device_status() &
+                virtio::status::kDeviceNeedsReset,
+            0);
+}
+
+TEST(RestoredIndex, SplitFreeHead) {
+  expect_poison_rejected(split_options(), split_free_head);
+}
+
+TEST(RestoredIndex, SplitNumFree) {
+  expect_poison_rejected(split_options(), split_num_free);
+}
+
+TEST(RestoredIndex, PackedFreeId) {
+  expect_poison_rejected(packed_options(), packed_free_id);
+}
+
+TEST(RestoredIndex, PackedNumFree) {
+  expect_poison_rejected(packed_options(), packed_num_free);
+}
+
+TEST(RestoredIndex, PackedNextAvailSlot) {
+  expect_poison_rejected(packed_options(), packed_next_avail);
+}
+
+TEST(RestoredIndex, PackedNextUsedSlot) {
+  expect_poison_rejected(packed_options(), packed_next_used);
+}
+
+TEST(RestoredIndex, NetTxFreeSlot) {
+  expect_poison_rejected(split_options(), net_tx_free_slot);
+}
+
+// ---- snapshot-image mutation smoke ------------------------------------------
+
+/// Seeded single-byte mutations of the state section, each re-sealed
+/// with a good CRC: every restore either applies or is rejected as
+/// malformed with the device error-latched — never a crash or UB (the
+/// sanitizer builds run this too). Restore only: driving traffic after
+/// an applied mutation is not checked here.
+void expect_state_mutations_contained(core::TestbedOptions options,
+                                      u64 seed) {
+  const Bytes image = snapshot_of(options);
+  const std::size_t fp_len = static_cast<std::size_t>(read_le64(image, 20));
+  const std::size_t state_header = 16 + 12 + fp_len;
+  const std::size_t state_at = state_header + 12;
+  const u64 state_len = read_le64(image, state_header + 4);
+  sim::Xoshiro256 rng{seed};
+  int malformed = 0;
+  for (int i = 0; i < 200; ++i) {
+    Bytes mutated = image;
+    const std::size_t at = state_at + rng.uniform_below(state_len);
+    mutated[at] ^= static_cast<u8>(1 + rng.uniform_below(255));
+    patch_crc(mutated);
+    core::VirtioNetTestbed bed{options};
+    const RestoreStatus status = migrate::restore_snapshot(bed, mutated);
+    SCOPED_TRACE(at);
+    ASSERT_TRUE(status == RestoreStatus::kOk ||
+                status == RestoreStatus::kMalformed)
+        << migrate::restore_status_name(status);
+    if (status == RestoreStatus::kMalformed) {
+      ++malformed;
+      EXPECT_GE(bed.device().device_errors(), 1u);
+      EXPECT_NE(bed.device().device_status() &
+                    virtio::status::kDeviceNeedsReset,
+                0);
+    }
+  }
+  // Most bytes are counters and timestamps, but a seeded run must also
+  // hit some of the checked ones.
+  EXPECT_GT(malformed, 0);
+}
+
+TEST(SnapshotMutation, SplitStateSection) {
+  expect_state_mutations_contained(split_options(), 0x5eed01);
+}
+
+TEST(SnapshotMutation, PackedStateSection) {
+  expect_state_mutations_contained(packed_options(), 0x5eed02);
+}
+
+/// An image whose config MSI-X entry carries a message the host never
+/// allocated, and whose counter bank — right after the MSI-X table —
+/// fails the reader: the failed restore's device_error() fires that
+/// entry, and the interrupt controller drops the message as spurious.
+TEST(SnapshotReject, MsiToUnallocatedVectorIsDropped) {
+  core::TestbedOptions options;
+  Bytes image = snapshot_of(options);
+  core::VirtioNetTestbed bed{options};
+  // The MSI-X table: a u32 entry count, then {u64 address, u32 data,
+  // bool masked, bool pending} per entry; entry 0 targets the MSI window.
+  const u32 entries = bed.device().msix().size();
+  std::array<u8, 12> table_head{};
+  store_le(table_head, 0, 4, entries);
+  store_le(table_head, 4, 8, hostos::InterruptController::message_address());
+  const auto table = std::search(image.begin(), image.end(),
+                                 table_head.begin(), table_head.end());
+  ASSERT_NE(table, image.end());
+  const auto at = static_cast<std::size_t>(table - image.begin());
+  store_le(image, at + 12, 4, 999);               // entry 0's message data
+  store_le(image, at + 4 + 14 * entries, 4, ~0u);  // counter-bank mask
+  patch_crc(image);
+
+  EXPECT_EQ(migrate::restore_snapshot(bed, image),
+            RestoreStatus::kMalformed);
+  EXPECT_GE(bed.device().device_errors(), 1u);
 }
 
 TEST(SnapshotReject, StatusNames) {
