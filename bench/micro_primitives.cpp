@@ -20,6 +20,7 @@
 #include "vfpga/sim/distributions.hpp"
 #include "vfpga/sim/noise.hpp"
 #include "vfpga/sim/rng.hpp"
+#include "vfpga/virtio/packed_driver.hpp"
 #include "vfpga/virtio/pci_caps.hpp"
 #include "vfpga/virtio/virtqueue_driver.hpp"
 
@@ -104,6 +105,33 @@ void BM_VirtqueueAddHarvest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VirtqueueAddHarvest);
+
+// The packed-ring counterpart: add one buffer, mark its slot used as the
+// device would (buffer id, USED bits at the wrap it was made available
+// in), harvest it.
+void BM_PackedAddHarvest(benchmark::State& state) {
+  namespace pk = virtio::packed;
+  mem::HostMemory memory;
+  virtio::PackedVirtqueueDriver vq{
+      memory, 256,
+      virtio::FeatureSet{(1ull << virtio::feature::kVersion1) |
+                         (1ull << virtio::feature::kRingPacked)}};
+  const HostAddr buf = memory.allocate(64);
+  const virtio::ChainBuffer chain{buf, 64, false};
+  const HostAddr ring = vq.ring_addresses().desc;
+  u64 token = 0;
+  for (auto _ : state) {
+    const u16 slot = vq.next_avail_slot();
+    const bool wrap = vq.avail_wrap_counter();
+    const auto id = vq.add_chain(std::span{&chain, 1}, token++);
+    vq.publish();
+    const HostAddr entry = ring + pk::desc_offset(slot);
+    memory.write_le16(entry + pk::kDescIdOffset, *id);
+    memory.write_le16(entry + pk::kDescFlagsOffset, pk::used_flags(wrap));
+    benchmark::DoNotOptimize(vq.harvest());
+  }
+}
+BENCHMARK(BM_PackedAddHarvest);
 
 void BM_CapabilityWalk(benchmark::State& state) {
   pcie::ConfigSpace config;

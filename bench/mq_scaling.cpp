@@ -1,7 +1,7 @@
 // Multi-queue scaling sweep: aggregate throughput and per-flow tails.
 //
-// Sweeps (queue pairs x concurrent flows x payload) with the
-// MultiFlowGenerator and reports, per cell, the aggregate echo
+// Sweeps (queue pairs x concurrent flows x payload) with
+// harness::run_multi_flow and reports, per cell, the aggregate echo
 // throughput plus per-flow latency percentiles (p50/p95/p99 over all
 // flows, and the worst single flow's p99). For each (flows, payload)
 // row the sweep asserts that aggregate throughput scales monotonically

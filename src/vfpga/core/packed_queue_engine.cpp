@@ -11,8 +11,8 @@ virtio::Timed<u16> PackedQueueEngine::poll_available(sim::SimTime start) {
   return virtio::Timed<u16>{static_cast<u16>(peek.value ? 1 : 0), peek.done};
 }
 
-virtio::Timed<FetchedChain> PackedQueueEngine::consume_chain(
-    sim::SimTime start) {
+sim::SimTime PackedQueueEngine::consume_chain(sim::SimTime start,
+                                              FetchedChain& chain) {
   sim::SimTime t =
       start + kQueueTiming.clock.cycles(kQueueTiming.arbitration_cycles);
   if (!head_cached_) {
@@ -24,13 +24,11 @@ virtio::Timed<FetchedChain> PackedQueueEngine::consume_chain(
   }
   head_cached_ = false;
 
-  auto consumed = vq_.consume_chain(t);
+  const auto consumed = vq_.consume_chain(t, chain.descriptors);
   t = consumed.done;
-  FetchedChain chain;
   chain.handle = consumed.value.id;
   chain.ring_slots = consumed.value.descriptor_count;
   chain.via_indirect = consumed.value.via_indirect;
-  chain.descriptors = std::move(consumed.value.descriptors);
   t += kQueueTiming.clock.cycles(kQueueTiming.per_descriptor_cycles *
                                  chain.descriptors.size());
   if (fault_ != nullptr && chain.via_indirect &&
@@ -49,7 +47,7 @@ virtio::Timed<FetchedChain> PackedQueueEngine::consume_chain(
   }
   chain.error =
       consumed.value.error || !chain_within_bounds(chain, vq_.size());
-  return virtio::Timed<FetchedChain>{std::move(chain), t};
+  return t;
 }
 
 IQueueEngine::Completion PackedQueueEngine::complete_chain(
@@ -93,9 +91,9 @@ sim::SimTime PackedQueueEngine::post_drain_update(u16 /*drained_through*/,
   return start;
 }
 
-void PackedQueueEngine::transfer(migrate::StateIo& io) {
-  IQueueEngine::transfer(io);
-  vq_.transfer(io);
+void PackedQueueEngine::transfer(migrate::StateIo& io, u16 queue_size) {
+  IQueueEngine::transfer(io, queue_size);
+  vq_.transfer(io, queue_size);
   io.boolean(head_cached_);
   io.optional(cached_driver_event_);
 }

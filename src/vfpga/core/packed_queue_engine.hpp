@@ -23,7 +23,7 @@ class PackedQueueEngine final : public IQueueEngine {
 
   virtio::Timed<u16> poll_available(sim::SimTime start) override;
   [[nodiscard]] bool poll_is_exact() const override { return false; }
-  virtio::Timed<FetchedChain> consume_chain(sim::SimTime start) override;
+  sim::SimTime consume_chain(sim::SimTime start, FetchedChain& chain) override;
   Completion complete_chain(const FetchedChain& chain, u32 written,
                             sim::SimTime start,
                             bool refresh_suppression) override;
@@ -33,7 +33,7 @@ class PackedQueueEngine final : public IQueueEngine {
   [[nodiscard]] virtio::RingFormat ring_format() const override {
     return virtio::RingFormat::kPacked;
   }
-  void transfer(migrate::StateIo& io) override;
+  void transfer(migrate::StateIo& io, u16 queue_size) override;
 
  private:
   virtio::PackedVirtqueueDevice vq_;

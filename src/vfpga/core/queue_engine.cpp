@@ -32,7 +32,8 @@ virtio::Timed<u16> QueueEngine::poll_available(sim::SimTime start) {
   return virtio::Timed<u16>{outstanding, idx.done};
 }
 
-virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
+sim::SimTime QueueEngine::consume_chain(sim::SimTime start,
+                                        FetchedChain& chain) {
   sim::SimTime t =
       start + kQueueTiming.clock.cycles(kQueueTiming.arbitration_cycles);
 
@@ -40,9 +41,10 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
   t = entry.done;
   vq_.advance_avail_cursor();
 
-  FetchedChain chain;
   chain.handle = entry.value;
   chain.ring_slots = 1;  // split completion needs only the head index
+  chain.via_indirect = false;
+  chain.descriptors.clear();
 
   const u16 head = entry.value;
   bool walk_chain = !policy_.batched_chain_fetch;
@@ -50,10 +52,10 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
     // Speculatively fetch two descriptors in one burst: driver free
     // lists allocate chains contiguously in the common case, so the
     // second slot is usually the chain's continuation.
+    std::array<virtio::Descriptor, 2> fetched{};
     const u16 burst = static_cast<u16>(head + 1 < vq_.size() ? 2 : 1);
-    auto fetched = vq_.fetch_descriptors(head, burst, t);
-    t = fetched.done;
-    const virtio::Descriptor& first = fetched.value.front();
+    t = vq_.fetch_descriptors(head, std::span{fetched}.first(burst), t);
+    const virtio::Descriptor& first = fetched.front();
     // Speculation miss: an indirect head means the burst bought nothing
     // — walk it through the indirect path below (which re-reads the
     // head; the wasted burst is the realistic penalty).
@@ -63,7 +65,7 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
       u16 next = first.next;
       bool more = (first.flags & virtio::descflags::kNext) != 0;
       if (more && burst == 2 && next == head + 1) {
-        const virtio::Descriptor& second = fetched.value[1];
+        const virtio::Descriptor& second = fetched[1];
         chain.descriptors.push_back(second);
         next = second.next;
         more = (second.flags & virtio::descflags::kNext) != 0;
@@ -79,11 +81,10 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
   }
   bool fetch_error = false;
   if (walk_chain) {
-    auto fetched = vq_.fetch_chain(head, t);
-    t = fetched.done;
-    chain.descriptors = std::move(fetched.value.descriptors);
-    chain.via_indirect = fetched.value.via_indirect;
-    fetch_error = fetched.value.error;
+    const auto walk = vq_.fetch_chain(head, t, chain.descriptors);
+    t = walk.done;
+    chain.via_indirect = walk.value.via_indirect;
+    fetch_error = walk.value.error;
   }
   t += kQueueTiming.clock.cycles(kQueueTiming.per_descriptor_cycles *
                                  chain.descriptors.size());
@@ -102,7 +103,7 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
     chain.descriptors.front().addr = 0;
   }
   chain.error = fetch_error || !chain_within_bounds(chain, vq_.size());
-  return virtio::Timed<FetchedChain>{std::move(chain), t};
+  return t;
 }
 
 IQueueEngine::Completion QueueEngine::complete_chain(
@@ -164,16 +165,16 @@ sim::SimTime QueueEngine::post_drain_update(u16 drained_through,
   return vq_.write_avail_event(drained_through, start).issuer_free;
 }
 
-void IQueueEngine::transfer(migrate::StateIo& io) {
+void IQueueEngine::transfer(migrate::StateIo& io, u16 /*queue_size*/) {
   io.u64(completions_);
   for (sim::SimTime& t : visible_at_) {
     io.time(t);
   }
 }
 
-void QueueEngine::transfer(migrate::StateIo& io) {
-  IQueueEngine::transfer(io);
-  vq_.transfer(io);
+void QueueEngine::transfer(migrate::StateIo& io, u16 queue_size) {
+  IQueueEngine::transfer(io, queue_size);
+  vq_.transfer(io, queue_size);
   io.optional(cached_used_event_);
   io.u16(stale_completions_);
 }

@@ -62,7 +62,9 @@ struct ControllerPolicy {
 /// above it is treated as a corrupted descriptor table.
 inline constexpr u32 kMaxSaneDescriptorLen = 1u << 20;
 
-/// A fully-fetched buffer chain ready for data movement.
+/// A fully-fetched buffer chain ready for data movement. The controller
+/// owns these and hands them to consume_chain for refilling, so the
+/// descriptor list keeps its capacity from chain to chain.
 struct FetchedChain {
   /// Completion handle: split = head descriptor index, packed = buffer id.
   u16 handle = 0;
@@ -124,9 +126,11 @@ class IQueueEngine {
   virtual virtio::Timed<u16> poll_available(sim::SimTime start) = 0;
   [[nodiscard]] virtual bool poll_is_exact() const = 0;
 
-  /// Consume the next available chain (requires a prior poll that
-  /// reported availability).
-  virtual virtio::Timed<FetchedChain> consume_chain(sim::SimTime start) = 0;
+  /// Consume the next available chain into `chain`, overwriting every
+  /// field (requires a prior poll that reported availability). Returns
+  /// the time the chain is fetched.
+  virtual sim::SimTime consume_chain(sim::SimTime start,
+                                     FetchedChain& chain) = 0;
 
   struct Completion {
     sim::SimTime engine_free{};
@@ -152,9 +156,11 @@ class IQueueEngine {
   [[nodiscard]] virtual virtio::RingFormat ring_format() const = 0;
 
   /// Snapshot/restore of the full FSM state. Must never touch host
-  /// memory. Overrides transfer the base's completion counter and
-  /// visibility window first (IQueueEngine::transfer).
-  virtual void transfer(migrate::StateIo& io) = 0;
+  /// memory. `queue_size` is the size in the controller's queue
+  /// registers, which the restored ring must match. Overrides transfer
+  /// the base's completion counter and visibility window first
+  /// (IQueueEngine::transfer).
+  virtual void transfer(migrate::StateIo& io, u16 queue_size) = 0;
 
  protected:
   /// Engines call this from complete_chain once the used-ring write is
@@ -186,7 +192,7 @@ class QueueEngine final : public IQueueEngine {
 
   virtio::Timed<u16> poll_available(sim::SimTime start) override;
   [[nodiscard]] bool poll_is_exact() const override { return true; }
-  virtio::Timed<FetchedChain> consume_chain(sim::SimTime start) override;
+  sim::SimTime consume_chain(sim::SimTime start, FetchedChain& chain) override;
   Completion complete_chain(const FetchedChain& chain, u32 written,
                             sim::SimTime start,
                             bool refresh_suppression) override;
@@ -198,7 +204,7 @@ class QueueEngine final : public IQueueEngine {
   [[nodiscard]] virtio::RingFormat ring_format() const override {
     return virtio::RingFormat::kSplit;
   }
-  void transfer(migrate::StateIo& io) override;
+  void transfer(migrate::StateIo& io, u16 queue_size) override;
 
  private:
   virtio::VirtqueueDevice vq_;

@@ -1,6 +1,7 @@
 #include "vfpga/core/virtio_controller.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "vfpga/common/contract.hpp"
 #include "vfpga/common/endian.hpp"
@@ -510,9 +511,8 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
 
   while (credits_[queue] > 0) {
     --credits_[queue];
-    auto fetched = eng.consume_chain(t);
-    t = fetched.done;
-    const FetchedChain& chain = fetched.value;
+    FetchedChain& chain = notify_chain_;
+    t = eng.consume_chain(t, chain);
     if (chain.error) {
       // Corrupted descriptor table: never touch the chain's buffers —
       // fence the datapath and wait for the driver to reset us.
@@ -525,29 +525,29 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
     // FPGA memory), then hand it to user logic. Multi-segment chains
     // gather as one pipelined read burst; single-buffer chains keep the
     // plain transfer path.
-    Bytes payload;
-    std::vector<xdma::DmaChannel::GatherSegment> gather;
+    payload_.clear();
+    gather_.clear();
     for (const virtio::Descriptor& d : chain.descriptors) {
       if ((d.flags & virtio::descflags::kWrite) != 0) {
         continue;
       }
-      gather.push_back({d.addr, d.len});
+      gather_.push_back({d.addr, d.len});
     }
-    if (gather.size() > 1) {
+    if (gather_.size() > 1) {
       u64 total = 0;
-      for (const xdma::DmaChannel::GatherSegment& s : gather) {
+      for (const xdma::DmaChannel::GatherSegment& s : gather_) {
         total += s.bytes;
       }
-      t = h2c_->transfer_gather(t, gather, 0);
-      payload.resize(total);
-      bram_.read(0, ByteSpan{payload});
+      t = h2c_->transfer_gather(t, gather_, 0);
+      payload_.resize(total);
+      bram_.read(0, ByteSpan{payload_});
     } else {
       FpgaAddr bram_cursor = 0;
-      for (const xdma::DmaChannel::GatherSegment& s : gather) {
+      for (const xdma::DmaChannel::GatherSegment& s : gather_) {
         t = h2c_->transfer(t, s.host_addr, bram_cursor, s.bytes);
-        const std::size_t old = payload.size();
-        payload.resize(old + s.bytes);
-        bram_.read(bram_cursor, ByteSpan{payload}.subspan(old));
+        const std::size_t old = payload_.size();
+        payload_.resize(old + s.bytes);
+        bram_.read(bram_cursor, ByteSpan{payload_}.subspan(old));
         bram_cursor += s.bytes;
       }
     }
@@ -571,7 +571,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
 
     counters_.capture(fpga::CounterEvent::kUlStart, t);
     std::optional<UserLogic::Response> response =
-        user_logic_->process_chain(queue, payload, writable_capacity, meta);
+        user_logic_->process_chain(queue, payload_, writable_capacity, meta);
     if (response.has_value()) {
       const sim::Duration processing =
           kQueueTiming.clock.cycles(response->processing_cycles);
@@ -587,29 +587,29 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
 
     if (same_chain_response) {
       // Block-device style: write into the writable tail of this chain.
-      Bytes staged = response->payload;
+      const Bytes& payload = response->payload;
       u32 written = 0;
       sim::SimTime issuer = t;
       std::size_t off = 0;
       for (const virtio::Descriptor& d : chain.descriptors) {
         if ((d.flags & virtio::descflags::kWrite) == 0 ||
-            off >= staged.size()) {
+            off >= payload.size()) {
           continue;
         }
-        const u32 chunk =
-            static_cast<u32>(std::min<std::size_t>(d.len, staged.size() - off));
-        bram_.write(0, ConstByteSpan{staged}.subspan(off, chunk));
+        const u32 chunk = static_cast<u32>(
+            std::min<std::size_t>(d.len, payload.size() - off));
+        bram_.write(0, ConstByteSpan{payload}.subspan(off, chunk));
         issuer = c2h_->transfer(issuer, d.addr, 0, chunk);
         off += chunk;
         written += chunk;
       }
-      VFPGA_ASSERT(off == staged.size());
+      VFPGA_ASSERT(off == payload.size());
       if (response->chain_status.has_value()) {
         // §5.2.6: the status byte is the LAST byte of the chain's last
         // device-writable descriptor — the dedicated status descriptor
         // in a conforming [header][data][status] request. The data
         // scatter above must have left it free.
-        VFPGA_EXPECTS(staged.size() + 1 <= writable_capacity);
+        VFPGA_EXPECTS(payload.size() + 1 <= writable_capacity);
         const virtio::Descriptor* last_writable = nullptr;
         for (const virtio::Descriptor& d : chain.descriptors) {
           if ((d.flags & virtio::descflags::kWrite) != 0) {
@@ -617,7 +617,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
           }
         }
         VFPGA_ASSERT(last_writable != nullptr);
-        const Bytes status_byte{*response->chain_status};
+        const std::array<u8, 1> status_byte{*response->chain_status};
         bram_.write(0, status_byte);
         issuer = c2h_->transfer(issuer,
                                 last_writable->addr + last_writable->len - 1,
@@ -699,8 +699,9 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
       response.payload.size() >= virtio::net::NetHeader::kSize;
 
   // Consume chains until their writable capacity covers the payload
-  // (exactly one without MRG_RXBUF).
-  std::vector<FetchedChain> chains;
+  // (exactly one without MRG_RXBUF), into the first `count` entries of
+  // the reused rx_chains_ pool.
+  std::size_t count = 0;
   u64 capacity = 0;
   while (true) {
     if (credits_[target] == 0 || !config_.policy.trust_cached_credits) {
@@ -708,7 +709,7 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
       t = poll.done;
       credits_[target] = poll.value;
       if (credits_[target] == 0) {
-        if (chains.empty()) {
+        if (count == 0) {
           VFPGA_WARN("virtio-ctl",
                      "no RX buffer available: dropping response");
           queue_busy_until_[target] = t;
@@ -719,33 +720,38 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
     }
     --credits_[target];
 
-    auto fetched = eng.consume_chain(t);
-    t = fetched.done;
-    if (fetched.value.error) {
+    if (count == rx_chains_.size()) {
+      rx_chains_.emplace_back();
+    }
+    FetchedChain& chain = rx_chains_[count];
+    t = eng.consume_chain(t, chain);
+    if (chain.error) {
       device_error(t);
       queue_busy_until_[target] = t;
       return t;
     }
-    for (const virtio::Descriptor& d : fetched.value.descriptors) {
+    for (const virtio::Descriptor& d : chain.descriptors) {
       if ((d.flags & virtio::descflags::kWrite) != 0) {
         capacity += d.len;
       }
     }
-    chains.push_back(std::move(fetched.value));
+    ++count;
     if (!mergeable || capacity >= response.payload.size()) {
       break;
     }
   }
+  const std::span<const FetchedChain> chains{rx_chains_.data(), count};
 
   // Stage the response in BRAM — patching the span count into the net
-  // header first — then scatter into the chains' writable buffers via
+  // header there — then scatter into the chains' writable buffers via
   // the C2H engine, one used entry per chain.
-  Bytes staged = response.payload;
+  const Bytes& payload = response.payload;
+  bram_.write(0, payload);
   if (mergeable) {
-    store_le16(ByteSpan{staged}, virtio::net::NetHeader::kNumBuffersOffset,
-               static_cast<u16>(chains.size()));
+    std::array<u8, 2> num_buffers{};
+    store_le16(num_buffers, 0, static_cast<u16>(count));
+    bram_.write(virtio::net::NetHeader::kNumBuffersOffset, num_buffers);
   }
-  bram_.write(0, staged);
   std::size_t off = 0;
   bool want_interrupt = false;
   for (std::size_t ci = 0; ci < chains.size(); ++ci) {
@@ -754,11 +760,11 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
       if ((d.flags & virtio::descflags::kWrite) == 0) {
         continue;
       }
-      if (off >= staged.size()) {
+      if (off >= payload.size()) {
         break;
       }
       const u32 chunk =
-          static_cast<u32>(std::min<std::size_t>(d.len, staged.size() - off));
+          static_cast<u32>(std::min<std::size_t>(d.len, payload.size() - off));
       t = c2h_->transfer(t, d.addr, off, chunk);
       off += chunk;
       written += chunk;
@@ -772,7 +778,7 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
     t = completion.engine_free;
     want_interrupt = want_interrupt || completion.interrupt;
   }
-  if (off < staged.size()) {
+  if (off < payload.size()) {
     // The ring ran out of buffers mid-span (or a lone chain was too
     // small without MRG_RXBUF): a NIC truncates/drops rather than
     // halting — the driver sees the short `written` total.
@@ -861,6 +867,10 @@ void VirtioDeviceFunction::transfer(migrate::StateIo& io) {
   for (std::size_t q = 0; q < queue_state_.size() && !io.failed(); ++q) {
     QueueState& qs = queue_state_[q];
     io.u16(qs.size);
+    // What a kQueueSize register write accepts.
+    if (qs.size == 0 || qs.size > config_.max_queue_size) {
+      io.fail();
+    }
     transfer_vector(io, qs.msix_vector, msix_->size());
     io.boolean(qs.enabled);
     io.u64(qs.rings.desc);
@@ -893,7 +903,7 @@ void VirtioDeviceFunction::transfer(migrate::StateIo& io) {
       }
     }
     if (engines_[q]) {
-      engines_[q]->transfer(io);
+      engines_[q]->transfer(io, qs.size);
     }
 
     io.u16(credits_[q]);

@@ -246,6 +246,15 @@ class VirtioDeviceFunction : public pcie::Function {
   };
   std::vector<ModerationState> moderation_;
 
+  // Datapath scratch, reused so a steady-state echo allocates nothing
+  // here: the chain a notify consumes, its gathered payload and gather
+  // list, and the RX chains a response spans (entries are refilled in
+  // place, keeping their descriptor capacity).
+  FetchedChain notify_chain_;
+  Bytes payload_;
+  std::vector<xdma::DmaChannel::GatherSegment> gather_;
+  std::vector<FetchedChain> rx_chains_;
+
   sim::Duration last_response_generation_{};
   u64 frames_processed_ = 0;
   u64 interrupts_suppressed_ = 0;

@@ -151,6 +151,22 @@ Bytes HostMemory::read_bytes(HostAddr addr, u64 length) const {
   return out;
 }
 
+std::optional<RegionView> HostMemory::view(HostAddr base, u64 length) {
+  if (length == 0 || base > ~u64{0} - (length - 1)) {
+    return std::nullopt;
+  }
+  RegionView view{*this, base, length};
+  const u64 last = (base + length - 1) / kPageSize;
+  for (u64 index = base / kPageSize; index <= last; ++index) {
+    const auto it = pages_.find(index);
+    if (it == pages_.end()) {
+      return std::nullopt;
+    }
+    view.pages_.push_back(it->second.get());
+  }
+  return view;
+}
+
 void HostMemory::set_dirty_tracking(bool enabled) {
   dirty_tracking_ = enabled;
   dirty_pages_.clear();

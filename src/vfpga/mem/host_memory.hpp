@@ -15,9 +15,15 @@
 // touched, so const reads update a mutable field. Like everything else
 // in a testbed, a HostMemory has a single owner and is never accessed
 // from two threads: each parallel lane builds its own testbed.
+//
+// A RegionView resolves a fixed range (a virtqueue's ring area) to its
+// page pointers once, so the driver's per-field ring accesses skip the
+// page lookup. Pages are never freed, so a view stays valid for the
+// life of its HostMemory.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -27,6 +33,8 @@
 #include "vfpga/fault/fault_plane.hpp"
 
 namespace vfpga::mem {
+
+class RegionView;
 
 class HostMemory {
  public:
@@ -63,6 +71,11 @@ class HostMemory {
   void write_le64(HostAddr addr, u64 v);
 
   [[nodiscard]] Bytes read_bytes(HostAddr addr, u64 length) const;
+
+  /// Resolve [base, base + length) to a view of its pages. nullopt when
+  /// the range is empty, wraps the address space or touches a page that
+  /// is not resident: resolving never allocates a page.
+  [[nodiscard]] std::optional<RegionView> view(HostAddr base, u64 length);
 
   // ---- allocation ----------------------------------------------------------
 
@@ -102,6 +115,7 @@ class HostMemory {
   void set_allocator_cursor(HostAddr cursor) { bump_ = cursor; }
 
  private:
+  friend class RegionView;
   using Page = std::unique_ptr<u8[]>;
 
   [[nodiscard]] const u8* page_for_read(u64 page_index) const;
@@ -118,6 +132,65 @@ class HostMemory {
   fault::FaultPlane* fault_ = nullptr;
   bool dirty_tracking_ = false;
   std::unordered_set<u64> dirty_pages_;
+};
+
+/// A fixed range of host memory resolved to page pointers once. Offsets
+/// are relative to base(); the typed accessors take naturally aligned
+/// offsets (base() + offset a multiple of the width), so an access never
+/// straddles a page. Writes log their page in the owning HostMemory's
+/// dirty set exactly as HostMemory::write does. Built by
+/// HostMemory::view(); valid while that HostMemory lives. A
+/// default-constructed view is empty and fails every access.
+class RegionView {
+ public:
+  RegionView() = default;
+
+  [[nodiscard]] HostAddr base() const { return base_; }
+  [[nodiscard]] u64 size() const { return size_; }
+
+  [[nodiscard]] u16 read_le16(u64 offset) const {
+    return load_le16(ConstByteSpan{at(offset, 2), 2});
+  }
+  [[nodiscard]] u32 read_le32(u64 offset) const {
+    return load_le32(ConstByteSpan{at(offset, 4), 4});
+  }
+  [[nodiscard]] u64 read_le64(u64 offset) const {
+    return load_le64(ConstByteSpan{at(offset, 8), 8});
+  }
+  void write_le16(u64 offset, u16 v) {
+    store_le16(ByteSpan{at(offset, 2), 2}, 0, v);
+    log_write(offset);
+  }
+  void write_le32(u64 offset, u32 v) {
+    store_le32(ByteSpan{at(offset, 4), 4}, 0, v);
+    log_write(offset);
+  }
+  void write_le64(u64 offset, u64 v) {
+    store_le64(ByteSpan{at(offset, 8), 8}, 0, v);
+    log_write(offset);
+  }
+
+ private:
+  friend class HostMemory;
+  RegionView(HostMemory& memory, HostAddr base, u64 size)
+      : memory_(&memory), base_(base), size_(size) {}
+
+  [[nodiscard]] u8* at(u64 offset, u64 width) const {
+    const u64 pos = base_ % HostMemory::kPageSize + offset;
+    VFPGA_EXPECTS(offset < size_ && width <= size_ - offset &&
+                  pos % width == 0);
+    return pages_[pos / HostMemory::kPageSize] + pos % HostMemory::kPageSize;
+  }
+  void log_write(u64 offset) {
+    if (memory_->dirty_tracking_) {
+      memory_->dirty_pages_.insert((base_ + offset) / HostMemory::kPageSize);
+    }
+  }
+
+  HostMemory* memory_ = nullptr;
+  HostAddr base_ = 0;
+  u64 size_ = 0;
+  std::vector<u8*> pages_;  ///< one per page the range spans, in order
 };
 
 }  // namespace vfpga::mem

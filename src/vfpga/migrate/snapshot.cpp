@@ -164,16 +164,13 @@ RestoreStatus restore_snapshot(core::VirtioNetTestbed& testbed,
   if (!r.enter_section(kSectionState)) {
     return RestoreStatus::kMalformed;
   }
-  // Mutation begins here: a structural failure past this point cannot be
-  // rolled back, so it latches DEVICE_NEEDS_RESET instead.
-  StateIo io{r};
-  testbed.transfer(io);
-  if (r.failed()) {
-    testbed.device().device_error(testbed.thread().now());
-    return RestoreStatus::kMalformed;
-  }
+  // The state names ring areas in host memory, which must be resident
+  // when it is applied: read the memory section first.
+  StateReader state{body.subspan(kHeaderBytes + r.position(), r.remaining())};
   r.exit_section();
 
+  // Mutation begins here: a structural failure past this point cannot be
+  // rolled back, so it latches DEVICE_NEEDS_RESET instead.
   if (flags & kSnapshotFlagMemory) {
     constexpr u64 kPerPage = 8 + mem::HostMemory::kPageSize;
     if (!r.enter_section(kSectionMemory) ||
@@ -197,6 +194,13 @@ RestoreStatus restore_snapshot(core::VirtioNetTestbed& testbed,
       return RestoreStatus::kMalformed;
     }
     r.exit_section();
+  }
+
+  StateIo io{state};
+  testbed.transfer(io);
+  if (state.failed()) {
+    testbed.device().device_error(testbed.thread().now());
+    return RestoreStatus::kMalformed;
   }
 
   if (r.failed()) {

@@ -14,10 +14,6 @@ namespace pk = packed;
 
 namespace {
 
-/// Descriptors fetched per speculative continuation read: one 64-byte
-/// cacheline of the descriptor ring.
-constexpr u16 kDescFetchWindow = 4;
-
 pk::PackedDescriptor decode(ConstByteSpan raw) {
   VFPGA_EXPECTS(raw.size() >= pk::kDescSize);
   pk::PackedDescriptor d;
@@ -59,8 +55,10 @@ virtio::Timed<bool> PackedVirtqueueDevice::peek_available(sim::SimTime start) {
 }
 
 virtio::Timed<PackedVirtqueueDevice::Chain>
-PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
+PackedVirtqueueDevice::consume_chain(sim::SimTime start,
+                                     std::vector<Descriptor>& descriptors) {
   VFPGA_EXPECTS(cached_head_.has_value());
+  descriptors.clear();
   Chain chain;
   sim::SimTime t = start;
   pk::PackedDescriptor current = *cached_head_;
@@ -70,8 +68,9 @@ PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
   // consecutive ring slots by construction, so the FSM fetches follow-on
   // descriptors a cacheline at a time instead of one dependent read per
   // slot. The head was already read by peek_available, so
-  // one-descriptor chains see an unchanged transaction stream.
-  Bytes window;
+  // one-descriptor chains see an unchanged transaction stream. The
+  // window is staged in staging_.
+  std::size_t window_len = 0;
   std::size_t window_pos = 0;
 
   for (u16 guard = 0; guard < queue_size_; ++guard) {
@@ -89,27 +88,26 @@ PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
         avail_wrap_ = !avail_wrap_;
       }
       const u32 len = current.len;
-      if (!chain.descriptors.empty() ||
+      if (!descriptors.empty() ||
           (current.desc_flags & pk::flags::kNext) != 0 || len == 0 ||
           len % pk::kDescSize != 0 || len / pk::kDescSize > queue_size_) {
         chain.error = true;
-        return virtio::Timed<Chain>{std::move(chain), t};
+        return virtio::Timed<Chain>{chain, t};
       }
-      Bytes raw(len);
-      t = port_.read(t, current.addr, raw);
-      const u16 count = static_cast<u16>(len / pk::kDescSize);
-      for (u16 i = 0; i < count; ++i) {
-        const pk::PackedDescriptor entry = decode(ConstByteSpan{raw}.subspan(
-            static_cast<std::size_t>(i) * pk::kDescSize));
+      staging_.resize(len);
+      t = port_.read(t, current.addr, staging_);
+      for (std::size_t at = 0; at < len; at += pk::kDescSize) {
+        const pk::PackedDescriptor entry =
+            decode(ConstByteSpan{staging_}.subspan(at));
         Descriptor view;
         view.addr = entry.addr;
         view.len = entry.len;
         view.flags = (entry.desc_flags & pk::flags::kWrite) != 0
                          ? descflags::kWrite
                          : u16{0};
-        chain.descriptors.push_back(view);
+        descriptors.push_back(view);
       }
-      return virtio::Timed<Chain>{std::move(chain), t};
+      return virtio::Timed<Chain>{chain, t};
     }
     Descriptor view;
     view.addr = current.addr;
@@ -117,7 +115,7 @@ PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
     view.flags = (current.desc_flags & pk::flags::kWrite) != 0
                      ? descflags::kWrite
                      : u16{0};
-    chain.descriptors.push_back(view);
+    descriptors.push_back(view);
     chain.id = current.id;  // the last descriptor's id is authoritative
     ++chain.descriptor_count;
     ++avail_cursor_;
@@ -126,24 +124,25 @@ PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
       avail_wrap_ = !avail_wrap_;
     }
     if ((current.desc_flags & pk::flags::kNext) == 0) {
-      return virtio::Timed<Chain>{std::move(chain), t};
+      return virtio::Timed<Chain>{chain, t};
     }
     // Chains occupy consecutive slots: fetch the continuation, pulling
     // a fresh window when the previous one is exhausted (windows never
     // span the ring-wrap boundary).
-    if (window_pos >= window.size()) {
+    if (window_pos >= window_len) {
       const u16 count = std::min<u16>(
           kDescFetchWindow, static_cast<u16>(queue_size_ - avail_cursor_));
-      window.resize(static_cast<std::size_t>(count) * pk::kDescSize);
+      window_len = static_cast<std::size_t>(count) * pk::kDescSize;
+      staging_.resize(window_len);
       t = port_.read(t, addrs_.desc + pk::desc_offset(avail_cursor_),
-                     ByteSpan{window});
+                     staging_);
       window_pos = 0;
     }
-    current = decode(ConstByteSpan{window}.subspan(window_pos));
+    current = decode(ConstByteSpan{staging_}.subspan(window_pos));
     window_pos += pk::kDescSize;
   }
   chain.error = true;  // chain longer than the queue: corrupted ring
-  return virtio::Timed<Chain>{std::move(chain), t};
+  return virtio::Timed<Chain>{chain, t};
 }
 
 pcie::DmaPort::WriteTiming PackedVirtqueueDevice::push_used(
@@ -187,14 +186,17 @@ pcie::DmaPort::WriteTiming PackedVirtqueueDevice::write_device_event_flags(
   return port_.write(start, addrs_.used + pk::event::kFlagsOffset, raw);
 }
 
-void PackedVirtqueueDevice::transfer(migrate::StateIo& io) {
+void PackedVirtqueueDevice::transfer(migrate::StateIo& io, u16 queue_size) {
   io.u64(addrs_.desc);
   io.u64(addrs_.avail);
   io.u64(addrs_.used);
-  io.u16(queue_size_);
-  io.u16(avail_cursor_);
+  if (io.loading()) {
+    queue_size_ = queue_size;
+  }
+  io.expect<u16>(queue_size_);
+  io.index(avail_cursor_, queue_size_);
   io.boolean(avail_wrap_);
-  io.u16(used_cursor_);
+  io.index(used_cursor_, queue_size_);
   io.boolean(used_wrap_);
   bool has_head = cached_head_.has_value();
   io.boolean(has_head);

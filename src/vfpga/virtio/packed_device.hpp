@@ -37,9 +37,10 @@ class PackedVirtqueueDevice {
   /// in a register).
   virtio::Timed<bool> peek_available(sim::SimTime start);
 
-  /// Consume the chain starting at the cached head descriptor: walk
-  /// NEXT descriptors (consecutive slots, one DMA read each), advance
-  /// the cursor. peek_available must have returned true.
+  /// Consume the chain starting at the cached head descriptor into
+  /// `descriptors` (cleared first; its capacity is reused): walk NEXT
+  /// descriptors (consecutive slots, fetched a cacheline at a time),
+  /// advance the cursor. peek_available must have returned true.
   struct Chain {
     u16 id = 0;
     u16 descriptor_count = 0;  ///< ring slots consumed (indirect: 1)
@@ -50,9 +51,9 @@ class PackedVirtqueueDevice {
     /// NEXT, bad table length, endless chain) — the controller must not
     /// touch the buffers and should enter the error state.
     bool error = false;
-    std::vector<Descriptor> descriptors;  ///< format-independent view
   };
-  virtio::Timed<Chain> consume_chain(sim::SimTime start);
+  virtio::Timed<Chain> consume_chain(sim::SimTime start,
+                                     std::vector<Descriptor>& descriptors);
 
   /// Complete a chain: one posted 16-byte descriptor write with the
   /// USED ownership bits; the used cursor skips the chain length.
@@ -69,8 +70,11 @@ class PackedVirtqueueDevice {
   [[nodiscard]] bool avail_wrap() const { return avail_wrap_; }
 
   /// Snapshot/restore of cursors, wrap counters, and the cached head
-  /// descriptor register. Never touches host memory.
-  void transfer(migrate::StateIo& io);
+  /// descriptor register. Never touches host memory. `queue_size` is
+  /// the size the controller's queue registers hold: the restored ring
+  /// must have it, and both cursors must lie inside it, or the reader
+  /// fails.
+  void transfer(migrate::StateIo& io, u16 queue_size);
 
  private:
   pcie::DmaPort port_;
@@ -82,6 +86,7 @@ class PackedVirtqueueDevice {
   u16 used_cursor_ = 0;
   bool used_wrap_ = true;
   std::optional<packed::PackedDescriptor> cached_head_;
+  Bytes staging_;  ///< continuation-window and indirect-table reads
 };
 
 }  // namespace vfpga::virtio

@@ -20,15 +20,32 @@ PackedVirtqueueDriver::PackedVirtqueueDriver(mem::HostMemory& memory,
       num_free_(queue_size) {
   VFPGA_EXPECTS(queue_size != 0);
   VFPGA_EXPECTS(negotiated.has(feature::kRingPacked));
-  addrs_.desc = memory.allocate(pk::ring_bytes(queue_size), 16);
-  addrs_.avail = memory.allocate(pk::event::kSize, 4);  // driver event
-  addrs_.used = memory.allocate(pk::event::kSize, 4);   // device event
-  memory.fill(addrs_.desc, 0, pk::ring_bytes(queue_size));
-  memory.fill(addrs_.avail, 0, pk::event::kSize);
-  memory.fill(addrs_.used, 0, pk::event::kSize);
+  RingAddresses addrs;
+  addrs.desc = memory.allocate(pk::ring_bytes(queue_size), 16);
+  addrs.avail = memory.allocate(pk::event::kSize, 4);  // driver event
+  addrs.used = memory.allocate(pk::event::kSize, 4);   // device event
+  memory.fill(addrs.desc, 0, pk::ring_bytes(queue_size));
+  memory.fill(addrs.avail, 0, pk::event::kSize);
+  memory.fill(addrs.used, 0, pk::event::kSize);
+  // The fills made every ring page resident.
+  auto views = resolve(memory, addrs, queue_size);
+  VFPGA_ENSURES(views.has_value());
+  rings_ = std::move(*views);
   for (u16 i = 0; i < queue_size; ++i) {
     free_ids_.push_back(i);
   }
+}
+
+std::optional<PackedVirtqueueDriver::Views> PackedVirtqueueDriver::resolve(
+    mem::HostMemory& memory, const RingAddresses& addrs, u16 queue_size) {
+  auto ring = memory.view(addrs.desc, pk::ring_bytes(queue_size));
+  auto driver_event = memory.view(addrs.avail, pk::event::kSize);
+  auto device_event = memory.view(addrs.used, pk::event::kSize);
+  if (!ring || !driver_event || !device_event) {
+    return std::nullopt;
+  }
+  return Views{std::move(*ring), std::move(*driver_event),
+               std::move(*device_event)};
 }
 
 std::optional<u16> PackedVirtqueueDriver::add_chain(
@@ -46,12 +63,12 @@ std::optional<u16> PackedVirtqueueDriver::add_chain(
   bool wrap = avail_wrap_;
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     const ChainBuffer& b = buffers[i];
-    const HostAddr entry = addrs_.desc + pk::desc_offset(slot);
-    memory_->write_le64(entry + pk::kDescAddrOffset, b.addr);
-    memory_->write_le32(entry + pk::kDescLenOffset, b.len);
+    const u64 entry = pk::desc_offset(slot);
+    rings_.ring.write_le64(entry + pk::kDescAddrOffset, b.addr);
+    rings_.ring.write_le32(entry + pk::kDescLenOffset, b.len);
     // §2.8.6: the buffer ID is required only in the last descriptor of
     // the chain; writing it everywhere is permitted and simpler.
-    memory_->write_le16(entry + pk::kDescIdOffset, id);
+    rings_.ring.write_le16(entry + pk::kDescIdOffset, id);
     u16 desc_flags = pk::avail_flags(wrap);
     if (b.device_writable) {
       desc_flags |= pk::flags::kWrite;
@@ -62,7 +79,7 @@ std::optional<u16> PackedVirtqueueDriver::add_chain(
     // In a real implementation the head descriptor's flags are written
     // last with a release barrier; the functional simulation's publish
     // point is this store sequence as a whole.
-    memory_->write_le16(entry + pk::kDescFlagsOffset, desc_flags);
+    rings_.ring.write_le16(entry + pk::kDescFlagsOffset, desc_flags);
 
     ++slot;
     if (slot == queue_size_) {
@@ -111,14 +128,14 @@ std::optional<u16> PackedVirtqueueDriver::add_chain_indirect(
                         b.device_writable ? pk::flags::kWrite : u16{0});
   }
 
-  const HostAddr entry = addrs_.desc + pk::desc_offset(next_avail_slot_);
-  memory_->write_le64(entry + pk::kDescAddrOffset, table);
-  memory_->write_le32(entry + pk::kDescLenOffset,
-                      static_cast<u32>(pk::kDescSize * buffers.size()));
-  memory_->write_le16(entry + pk::kDescIdOffset, id);
-  memory_->write_le16(entry + pk::kDescFlagsOffset,
-                      static_cast<u16>(pk::avail_flags(avail_wrap_) |
-                                       pk::flags::kIndirect));
+  const u64 entry = pk::desc_offset(next_avail_slot_);
+  rings_.ring.write_le64(entry + pk::kDescAddrOffset, table);
+  rings_.ring.write_le32(entry + pk::kDescLenOffset,
+                         static_cast<u32>(pk::kDescSize * buffers.size()));
+  rings_.ring.write_le16(entry + pk::kDescIdOffset, id);
+  rings_.ring.write_le16(entry + pk::kDescFlagsOffset,
+                         static_cast<u16>(pk::avail_flags(avail_wrap_) |
+                                          pk::flags::kIndirect));
   ++next_avail_slot_;
   if (next_avail_slot_ == queue_size_) {
     next_avail_slot_ = 0;
@@ -140,13 +157,13 @@ u16 PackedVirtqueueDriver::publish() {
 bool PackedVirtqueueDriver::should_kick() const {
   // Flags-only suppression: read the device event structure.
   const u16 device_flags =
-      memory_->read_le16(addrs_.used + pk::event::kFlagsOffset);
+      rings_.device_event.read_le16(pk::event::kFlagsOffset);
   return device_flags != pk::event::kDisable;
 }
 
 bool PackedVirtqueueDriver::used_pending() const {
-  const u16 desc_flags = memory_->read_le16(
-      addrs_.desc + pk::desc_offset(next_used_slot_) + pk::kDescFlagsOffset);
+  const u16 desc_flags = rings_.ring.read_le16(
+      pk::desc_offset(next_used_slot_) + pk::kDescFlagsOffset);
   return pk::is_used(desc_flags, used_wrap_);
 }
 
@@ -154,9 +171,9 @@ std::optional<DriverRing::Completion> PackedVirtqueueDriver::harvest() {
   if (!used_pending()) {
     return std::nullopt;
   }
-  const HostAddr entry = addrs_.desc + pk::desc_offset(next_used_slot_);
-  const u16 id = memory_->read_le16(entry + pk::kDescIdOffset);
-  const u32 written = memory_->read_le32(entry + pk::kDescLenOffset);
+  const u64 entry = pk::desc_offset(next_used_slot_);
+  const u16 id = rings_.ring.read_le16(entry + pk::kDescIdOffset);
+  const u32 written = rings_.ring.read_le32(entry + pk::kDescLenOffset);
   if (id >= queue_size_) {
     // Corrupt completion descriptor: refuse it and mark the ring broken
     // so the driver escalates to a device reset.
@@ -185,21 +202,30 @@ std::optional<DriverRing::Completion> PackedVirtqueueDriver::harvest() {
 }
 
 void PackedVirtqueueDriver::enable_interrupts() {
-  memory_->write_le16(addrs_.avail + pk::event::kFlagsOffset,
-                      pk::event::kEnable);
+  rings_.driver_event.write_le16(pk::event::kFlagsOffset,
+                                 pk::event::kEnable);
 }
 
 void PackedVirtqueueDriver::disable_interrupts() {
-  memory_->write_le16(addrs_.avail + pk::event::kFlagsOffset,
-                      pk::event::kDisable);
+  rings_.driver_event.write_le16(pk::event::kFlagsOffset,
+                                 pk::event::kDisable);
 }
 
 void PackedVirtqueueDriver::transfer(migrate::StateIo& io) {
   io.expect<u16>(queue_size_);
   io.features(negotiated_);
-  io.u64(addrs_.desc);
-  io.u64(addrs_.avail);
-  io.u64(addrs_.used);
+  RingAddresses addrs = ring_addresses();
+  io.u64(addrs.desc);
+  io.u64(addrs.avail);
+  io.u64(addrs.used);
+  if (io.loading() && !io.failed()) {
+    auto views = resolve(*memory_, addrs, queue_size_);
+    if (!views) {
+      io.fail();
+      return;
+    }
+    rings_ = std::move(*views);
+  }
   free_ids_.resize(io.count<u16>(free_ids_.size(), queue_size_));
   for (u16& id : free_ids_) {
     io.index(id, queue_size_);

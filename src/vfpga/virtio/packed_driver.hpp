@@ -5,7 +5,9 @@
 // AVAIL/USED flag bits against a 1-bit wrap counter; completions come
 // back in the same ring as device-written descriptors. Notification
 // suppression uses the two 4-byte event structures in their flags-only
-// mode (ENABLE/DISABLE).
+// mode (ENABLE/DISABLE). The descriptor ring and both event structures
+// are reached through mem::RegionView, resolved where their addresses
+// are assigned (construction, restore).
 #pragma once
 
 #include <deque>
@@ -46,7 +48,8 @@ class PackedVirtqueueDriver final : public DriverRing {
   void enable_interrupts() override;
   void disable_interrupts() override;
   [[nodiscard]] RingAddresses ring_addresses() const override {
-    return addrs_;
+    return RingAddresses{rings_.ring.base(), rings_.driver_event.base(),
+                         rings_.device_event.base()};
   }
 
   // ---- packed-specific observability ---------------------------------------------
@@ -56,10 +59,21 @@ class PackedVirtqueueDriver final : public DriverRing {
 
   /// Snapshot/restore of the driver-RAM bookkeeping (id free list, wrap
   /// counters, cursors). Never writes host memory; fails the reader on a
-  /// queue-size mismatch and on an id, count or slot outside the ring.
+  /// queue-size mismatch, on a ring area that touches a non-resident
+  /// page, and on an id, count or slot outside the ring.
   void transfer(migrate::StateIo& io) override;
 
  private:
+  /// The descriptor ring and the two event structures.
+  struct Views {
+    mem::RegionView ring, driver_event, device_event;
+  };
+  /// Views of the areas at `addrs`; nullopt when one touches a
+  /// non-resident page.
+  static std::optional<Views> resolve(mem::HostMemory& memory,
+                                      const RingAddresses& addrs,
+                                      u16 queue_size);
+
   struct PendingId {
     u16 id = 0;
     u16 descriptor_count = 0;
@@ -69,7 +83,7 @@ class PackedVirtqueueDriver final : public DriverRing {
   mem::HostMemory* memory_;
   u16 queue_size_;
   FeatureSet negotiated_;
-  RingAddresses addrs_;  ///< desc = ring, avail = driver evt, used = device evt
+  Views rings_;  ///< resolved where the ring addresses are assigned
 
   std::deque<u16> free_ids_;
   std::vector<u16> id_desc_count_;

@@ -11,10 +11,6 @@
 namespace vfpga::virtio {
 namespace {
 
-/// Descriptors fetched per speculative continuation read: one 64-byte
-/// cacheline of the descriptor table.
-constexpr u16 kDescFetchWindow = 4;
-
 Descriptor decode_descriptor(ConstByteSpan raw) {
   VFPGA_EXPECTS(raw.size() >= kDescSize);
   Descriptor d;
@@ -69,26 +65,26 @@ Timed<Descriptor> VirtqueueDevice::fetch_descriptor(u16 index,
   return Timed<Descriptor>{decode_descriptor(raw), done};
 }
 
-Timed<std::vector<Descriptor>> VirtqueueDevice::fetch_descriptors(
-    u16 first, u16 count, sim::SimTime start) const {
+sim::SimTime VirtqueueDevice::fetch_descriptors(u16 first,
+                                                std::span<Descriptor> out,
+                                                sim::SimTime start) const {
   VFPGA_EXPECTS(configured());
-  VFPGA_EXPECTS(count >= 1);
-  VFPGA_EXPECTS(first + count <= queue_size_);
-  Bytes raw(kDescSize * count);
+  VFPGA_EXPECTS(!out.empty() && out.size() <= kDescFetchWindow);
+  VFPGA_EXPECTS(first + out.size() <= queue_size_);
+  std::array<u8, kDescSize * kDescFetchWindow> storage{};
+  const ByteSpan raw = ByteSpan{storage}.first(kDescSize * out.size());
   const sim::SimTime done =
       port_.read(start, addrs_.desc + desc_offset(first), raw);
-  std::vector<Descriptor> out;
-  out.reserve(count);
-  for (u16 i = 0; i < count; ++i) {
-    out.push_back(decode_descriptor(
-        ConstByteSpan{raw}.subspan(static_cast<std::size_t>(i) * kDescSize)));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = decode_descriptor(raw.subspan(i * kDescSize));
   }
-  return Timed<std::vector<Descriptor>>{std::move(out), done};
+  return done;
 }
 
-Timed<ChainFetch> VirtqueueDevice::fetch_chain(u16 head,
-                                               sim::SimTime start) const {
-  ChainFetch out;
+Timed<ChainFetch> VirtqueueDevice::fetch_chain(u16 head, sim::SimTime start,
+                                               std::vector<Descriptor>& out) {
+  out.clear();
+  ChainFetch walk;
   sim::SimTime t = start;
   u16 index = head;
   // Speculative window for chain continuations: free-list drivers lay
@@ -96,28 +92,26 @@ Timed<ChainFetch> VirtqueueDevice::fetch_chain(u16 head,
   // fetches the next descriptors a cacheline at a time instead of one
   // dependent read per entry. The head is always a single-descriptor
   // read, so one-descriptor chains see an unchanged transaction stream.
-  std::vector<Descriptor> window;
+  std::array<Descriptor, kDescFetchWindow> window{};
   u16 window_first = 0;
+  u16 window_len = 0;
   // A conformant driver never builds a chain longer than the queue; a
   // longer walk means the table is corrupt (or loops) and the FSM bails
   // with the error flag rather than spinning forever.
   for (u16 guard = 0; guard < queue_size_; ++guard) {
     Timed<Descriptor> fetched{Descriptor{}, t};
-    const bool in_window =
-        !window.empty() && index >= window_first &&
-        static_cast<std::size_t>(index - window_first) < window.size();
+    const bool in_window = index >= window_first &&
+                           index - window_first < window_len;
     if (in_window) {
-      fetched.value = window[static_cast<std::size_t>(index - window_first)];
+      fetched.value = window[index - window_first];
     } else if (guard == 0) {
       fetched = fetch_descriptor(index, t);
       t = fetched.done;
     } else {
-      const u16 count = std::min<u16>(
-          kDescFetchWindow, static_cast<u16>(queue_size_ - index));
-      auto burst = fetch_descriptors(index, count, t);
-      t = burst.done;
-      window = std::move(burst.value);
+      window_len = std::min<u16>(kDescFetchWindow,
+                                 static_cast<u16>(queue_size_ - index));
       window_first = index;
+      t = fetch_descriptors(index, std::span{window}.first(window_len), t);
       fetched.value = window.front();
     }
     if ((fetched.value.flags & descflags::kIndirect) != 0) {
@@ -127,30 +121,28 @@ Timed<ChainFetch> VirtqueueDevice::fetch_chain(u16 head,
       // entries, and the table must not exceed the queue size; the
       // table entries use table-relative `next` indices, which for our
       // drivers are laid out sequentially.
-      out.via_indirect = true;
+      walk.via_indirect = true;
       const u32 len = fetched.value.len;
-      if (!out.descriptors.empty() || len == 0 || len % kDescSize != 0 ||
+      if (!out.empty() || len == 0 || len % kDescSize != 0 ||
           len / kDescSize > queue_size_) {
-        out.error = true;
-        return Timed<ChainFetch>{std::move(out), t};
+        walk.error = true;
+        return Timed<ChainFetch>{walk, t};
       }
-      const u16 count = static_cast<u16>(len / kDescSize);
-      Bytes raw(len);
-      t = port_.read(t, fetched.value.addr, raw);
-      for (u16 i = 0; i < count; ++i) {
-        out.descriptors.push_back(decode_descriptor(ConstByteSpan{raw}.subspan(
-            static_cast<std::size_t>(i) * kDescSize)));
+      table_.resize(len);
+      t = port_.read(t, fetched.value.addr, table_);
+      for (std::size_t at = 0; at < len; at += kDescSize) {
+        out.push_back(decode_descriptor(ConstByteSpan{table_}.subspan(at)));
       }
-      return Timed<ChainFetch>{std::move(out), t};
+      return Timed<ChainFetch>{walk, t};
     }
-    out.descriptors.push_back(fetched.value);
+    out.push_back(fetched.value);
     if ((fetched.value.flags & descflags::kNext) == 0) {
-      return Timed<ChainFetch>{std::move(out), t};
+      return Timed<ChainFetch>{walk, t};
     }
     index = fetched.value.next;
   }
-  out.error = true;  // chain longer than the queue: corrupted table
-  return Timed<ChainFetch>{std::move(out), t};
+  walk.error = true;  // chain longer than the queue: corrupted table
+  return Timed<ChainFetch>{walk, t};
 }
 
 sim::SimTime VirtqueueDevice::gather_payload(std::span<const Descriptor> chain,
@@ -236,11 +228,14 @@ pcie::DmaPort::WriteTiming VirtqueueDevice::write_avail_event(
                      raw);
 }
 
-void VirtqueueDevice::transfer(migrate::StateIo& io) {
+void VirtqueueDevice::transfer(migrate::StateIo& io, u16 queue_size) {
   io.u64(addrs_.desc);
   io.u64(addrs_.avail);
   io.u64(addrs_.used);
-  io.u16(queue_size_);
+  if (io.loading()) {
+    queue_size_ = queue_size;
+  }
+  io.expect<u16>(queue_size_);
   io.features(negotiated_);
   io.u16(avail_cursor_);
   io.u16(used_idx_);

@@ -29,16 +29,19 @@ struct Timed {
   sim::SimTime done{};
 };
 
-/// Result of a device-side chain walk: the decoded descriptors, whether
-/// they arrived through an indirect table (one table-sized DMA read
-/// instead of one read per descriptor), and whether the walk tripped a
-/// structural check — an indirect descriptor mid-chain, a table length
-/// that is not a multiple of the descriptor size or exceeds the queue
-/// size, or a chain that never terminates. A malformed walk is driver
-/// (or fault-plane) misbehaviour the hardware FSM must survive, so it
-/// is reported instead of asserted.
+/// Most descriptors one burst read fetches: one 64-byte cacheline of
+/// the descriptor table (the speculative chain-continuation window).
+inline constexpr u16 kDescFetchWindow = 4;
+
+/// Outcome of a device-side chain walk (the descriptors go to caller
+/// storage): whether they arrived through an indirect table (one
+/// table-sized DMA read instead of one read per descriptor), and whether
+/// the walk tripped a structural check — an indirect descriptor
+/// mid-chain, a table length that is not a multiple of the descriptor
+/// size or exceeds the queue size, or a chain that never terminates. A
+/// malformed walk is driver (or fault-plane) misbehaviour the hardware
+/// FSM must survive, so it is reported instead of asserted.
 struct ChainFetch {
-  std::vector<Descriptor> descriptors;
   bool via_indirect = false;
   bool error = false;
 };
@@ -65,16 +68,19 @@ class VirtqueueDevice {
   /// DMA-read one descriptor.
   Timed<Descriptor> fetch_descriptor(u16 index, sim::SimTime start) const;
 
-  /// DMA-read `count` consecutive descriptors in a single burst — what a
-  /// controller that speculatively fetches the whole table slice does.
-  Timed<std::vector<Descriptor>> fetch_descriptors(u16 first, u16 count,
-                                                   sim::SimTime start) const;
+  /// DMA-read `out.size()` (at most kDescFetchWindow) consecutive
+  /// descriptors in a single burst — what a controller that
+  /// speculatively fetches the whole table slice does.
+  sim::SimTime fetch_descriptors(u16 first, std::span<Descriptor> out,
+                                 sim::SimTime start) const;
 
-  /// Walk a chain starting at `head`, one DMA read per descriptor
-  /// (the paper controller's behaviour); an INDIRECT head instead
-  /// fetches its whole table in one read. Malformed structure is
-  /// reported via ChainFetch::error, never asserted.
-  Timed<ChainFetch> fetch_chain(u16 head, sim::SimTime start) const;
+  /// Walk a chain starting at `head` into `out` (cleared first; its
+  /// capacity is reused), one DMA read per descriptor (the paper
+  /// controller's behaviour); an INDIRECT head instead fetches its whole
+  /// table in one read. Malformed structure is reported via
+  /// ChainFetch::error, never asserted.
+  Timed<ChainFetch> fetch_chain(u16 head, sim::SimTime start,
+                                std::vector<Descriptor>& out);
 
   /// DMA the contents of a device-readable chain out of host memory.
   /// Appends to `out`; returns completion time.
@@ -108,8 +114,10 @@ class VirtqueueDevice {
 
   /// Snapshot/restore. A restore only rewrites internal registers —
   /// it must never touch host memory (the memory image is restored
-  /// separately and already holds the ring bytes).
-  void transfer(migrate::StateIo& io);
+  /// separately and already holds the ring bytes). `queue_size` is the
+  /// size the controller's queue registers hold: the restored ring must
+  /// have it, or the reader fails.
+  void transfer(migrate::StateIo& io, u16 queue_size);
 
  private:
   pcie::DmaPort port_;
@@ -118,6 +126,7 @@ class VirtqueueDevice {
   FeatureSet negotiated_{};
   u16 avail_cursor_ = 0;  ///< next avail position to consume
   u16 used_idx_ = 0;      ///< next used idx to publish
+  Bytes table_;           ///< staging for indirect-table reads
 };
 
 }  // namespace vfpga::virtio

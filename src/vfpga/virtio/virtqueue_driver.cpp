@@ -22,12 +22,17 @@ VirtqueueDriver::VirtqueueDriver(mem::HostMemory& memory, u16 queue_size,
       indirect_capacity_(queue_size, 0) {
   VFPGA_EXPECTS(is_pow2(queue_size));
 
-  addrs_.desc = memory.allocate(desc_table_bytes(queue_size), kDescAlign);
-  addrs_.avail = memory.allocate(avail_ring_bytes(queue_size), kAvailAlign);
-  addrs_.used = memory.allocate(used_ring_bytes(queue_size), kUsedAlign);
-  memory.fill(addrs_.desc, 0, desc_table_bytes(queue_size));
-  memory.fill(addrs_.avail, 0, avail_ring_bytes(queue_size));
-  memory.fill(addrs_.used, 0, used_ring_bytes(queue_size));
+  RingAddresses addrs;
+  addrs.desc = memory.allocate(desc_table_bytes(queue_size), kDescAlign);
+  addrs.avail = memory.allocate(avail_ring_bytes(queue_size), kAvailAlign);
+  addrs.used = memory.allocate(used_ring_bytes(queue_size), kUsedAlign);
+  memory.fill(addrs.desc, 0, desc_table_bytes(queue_size));
+  memory.fill(addrs.avail, 0, avail_ring_bytes(queue_size));
+  memory.fill(addrs.used, 0, used_ring_bytes(queue_size));
+  // The fills made every ring page resident.
+  auto views = resolve(memory, addrs, queue_size);
+  VFPGA_ENSURES(views.has_value());
+  rings_ = std::move(*views);
 
   // Free list threads every descriptor through its `next` field.
   for (u16 i = 0; i < queue_size; ++i) {
@@ -41,22 +46,27 @@ VirtqueueDriver::VirtqueueDriver(mem::HostMemory& memory, u16 queue_size,
 
 void VirtqueueDriver::write_descriptor(u16 index, const Descriptor& desc) {
   VFPGA_EXPECTS(index < queue_size_);
-  const HostAddr base = addrs_.desc + desc_offset(index);
-  memory_->write_le64(base + kDescAddrOffset, desc.addr);
-  memory_->write_le32(base + kDescLenOffset, desc.len);
-  memory_->write_le16(base + kDescFlagsOffset, desc.flags);
-  memory_->write_le16(base + kDescNextOffset, desc.next);
+  const u64 base = desc_offset(index);
+  rings_.desc.write_le64(base + kDescAddrOffset, desc.addr);
+  rings_.desc.write_le32(base + kDescLenOffset, desc.len);
+  rings_.desc.write_le16(base + kDescFlagsOffset, desc.flags);
+  rings_.desc.write_le16(base + kDescNextOffset, desc.next);
 }
 
-Descriptor VirtqueueDriver::read_descriptor(u16 index) const {
+std::optional<VirtqueueDriver::Views> VirtqueueDriver::resolve(
+    mem::HostMemory& memory, const RingAddresses& addrs, u16 queue_size) {
+  auto desc = memory.view(addrs.desc, desc_table_bytes(queue_size));
+  auto avail = memory.view(addrs.avail, avail_ring_bytes(queue_size));
+  auto used = memory.view(addrs.used, used_ring_bytes(queue_size));
+  if (!desc || !avail || !used) {
+    return std::nullopt;
+  }
+  return Views{std::move(*desc), std::move(*avail), std::move(*used)};
+}
+
+u16 VirtqueueDriver::next_of(u16 index) const {
   VFPGA_EXPECTS(index < queue_size_);
-  const HostAddr base = addrs_.desc + desc_offset(index);
-  Descriptor d;
-  d.addr = memory_->read_le64(base + kDescAddrOffset);
-  d.len = memory_->read_le32(base + kDescLenOffset);
-  d.flags = memory_->read_le16(base + kDescFlagsOffset);
-  d.next = memory_->read_le16(base + kDescNextOffset);
-  return d;
+  return rings_.desc.read_le16(desc_offset(index) + kDescNextOffset);
 }
 
 std::optional<u16> VirtqueueDriver::add_chain(
@@ -77,11 +87,10 @@ std::optional<u16> VirtqueueDriver::add_chain(
 
   const u16 head = free_head_;
   u16 index = head;
-  u16 last = head;
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     const ChainBuffer& b = buffers[i];
-    Descriptor d = read_descriptor(index);
-    const u16 next_free = d.next;
+    const u16 next_free = next_of(index);
+    Descriptor d;
     d.addr = b.addr;
     d.len = b.len;
     d.flags = b.device_writable ? descflags::kWrite : u16{0};
@@ -92,10 +101,8 @@ std::optional<u16> VirtqueueDriver::add_chain(
       d.next = 0;
     }
     write_descriptor(index, d);
-    last = index;
     index = next_free;
   }
-  (void)last;
   free_head_ = index;
   num_free_ = static_cast<u16>(num_free_ - buffers.size());
 
@@ -106,7 +113,7 @@ std::optional<u16> VirtqueueDriver::add_chain(
   // idx write in publish() is the release point).
   const u16 slot = static_cast<u16>(
       (avail_idx_shadow_ + pending_publish_) % queue_size_);
-  memory_->write_le16(addrs_.avail + avail_entry_offset(slot), head);
+  rings_.avail.write_le16(avail_entry_offset(slot), head);
   ++pending_publish_;
   return head;
 }
@@ -145,8 +152,8 @@ std::optional<u16> VirtqueueDriver::add_chain_indirect(
   }
 
   // One ring descriptor points at the table.
-  Descriptor d = read_descriptor(head);
-  const u16 next_free = d.next;
+  const u16 next_free = next_of(head);
+  Descriptor d;
   d.addr = table;
   d.len = static_cast<u32>(kDescSize * buffers.size());
   d.flags = descflags::kIndirect;
@@ -160,7 +167,7 @@ std::optional<u16> VirtqueueDriver::add_chain_indirect(
 
   const u16 slot = static_cast<u16>(
       (avail_idx_shadow_ + pending_publish_) % queue_size_);
-  memory_->write_le16(addrs_.avail + avail_entry_offset(slot), head);
+  rings_.avail.write_le16(avail_entry_offset(slot), head);
   ++pending_publish_;
   return head;
 }
@@ -173,7 +180,7 @@ u16 VirtqueueDriver::publish() {
   kick_threshold_idx_ = avail_idx_shadow_;
   avail_idx_shadow_ = static_cast<u16>(avail_idx_shadow_ + pending_publish_);
   pending_publish_ = 0;
-  memory_->write_le16(addrs_.avail + kAvailIdxOffset, avail_idx_shadow_);
+  rings_.avail.write_le16(kAvailIdxOffset, avail_idx_shadow_);
   return published;
 }
 
@@ -181,19 +188,18 @@ bool VirtqueueDriver::should_kick() const {
   if (negotiated_.has(feature::kRingEventIdx)) {
     // Notify iff the device's avail_event has been passed by this
     // publish window (§2.7.10 wrap-safe comparison).
-    const u16 event =
-        memory_->read_le16(addrs_.used + avail_event_offset(queue_size_));
+    const u16 event = rings_.used.read_le16(avail_event_offset(queue_size_));
     const u16 new_idx = avail_idx_shadow_;
     const u16 old_idx = kick_threshold_idx_;
     return static_cast<u16>(new_idx - event - 1) <
            static_cast<u16>(new_idx - old_idx);
   }
-  const u16 flags = memory_->read_le16(addrs_.used + kUsedFlagsOffset);
+  const u16 flags = rings_.used.read_le16(kUsedFlagsOffset);
   return (flags & ringflags::kUsedNoNotify) == 0;
 }
 
 bool VirtqueueDriver::used_pending() const {
-  return memory_->read_le16(addrs_.used + kUsedIdxOffset) != last_used_idx_;
+  return rings_.used.read_le16(kUsedIdxOffset) != last_used_idx_;
 }
 
 std::optional<VirtqueueDriver::Completion> VirtqueueDriver::harvest_used() {
@@ -201,9 +207,9 @@ std::optional<VirtqueueDriver::Completion> VirtqueueDriver::harvest_used() {
     return std::nullopt;
   }
   const u16 slot = static_cast<u16>(last_used_idx_ % queue_size_);
-  const HostAddr entry = addrs_.used + used_entry_offset(slot);
-  const u32 id = memory_->read_le32(entry);
-  const u32 written = memory_->read_le32(entry + 4);
+  const u64 entry = used_entry_offset(slot);
+  const u32 id = rings_.used.read_le32(entry);
+  const u32 written = rings_.used.read_le32(entry + 4);
   if (id >= queue_size_) {
     // Corrupt used entry (Linux: "id %u out of range"): refuse to
     // harvest and mark the vring broken so the driver resets the device.
@@ -221,11 +227,9 @@ std::optional<VirtqueueDriver::Completion> VirtqueueDriver::harvest_used() {
   // Recycle the chain onto the free list.
   u16 tail = head;
   for (u16 i = 1; i < count; ++i) {
-    tail = read_descriptor(tail).next;
+    tail = next_of(tail);
   }
-  Descriptor tail_desc = read_descriptor(tail);
-  tail_desc.next = free_head_;
-  write_descriptor(tail, tail_desc);
+  rings_.desc.write_le16(desc_offset(tail) + kDescNextOffset, free_head_);
   free_head_ = head;
   num_free_ = static_cast<u16>(num_free_ + count);
   chain_len_[head] = 0;
@@ -234,15 +238,24 @@ std::optional<VirtqueueDriver::Completion> VirtqueueDriver::harvest_used() {
 }
 
 void VirtqueueDriver::set_used_event(u16 value) {
-  memory_->write_le16(addrs_.avail + used_event_offset(queue_size_), value);
+  rings_.avail.write_le16(used_event_offset(queue_size_), value);
 }
 
 void VirtqueueDriver::transfer(migrate::StateIo& io) {
   io.expect<u16>(queue_size_);
   io.features(negotiated_);
-  io.u64(addrs_.desc);
-  io.u64(addrs_.avail);
-  io.u64(addrs_.used);
+  RingAddresses addrs = addresses();
+  io.u64(addrs.desc);
+  io.u64(addrs.avail);
+  io.u64(addrs.used);
+  if (io.loading() && !io.failed()) {
+    auto views = resolve(*memory_, addrs, queue_size_);
+    if (!views) {
+      io.fail();
+      return;
+    }
+    rings_ = std::move(*views);
+  }
   for (u64& t : tokens_) {
     io.u64(t);
   }

@@ -6,7 +6,9 @@
 // VIRTIO_F_EVENT_IDX notification-suppression protocol. All ring state
 // lives in simulated host memory — the device side reads the very same
 // bytes over its DMA port — while bookkeeping (free list, tokens) lives
-// in driver RAM, exactly as in a real kernel.
+// in driver RAM, exactly as in a real kernel. The driver reaches its
+// three ring areas through mem::RegionView, resolved once where the
+// ring addresses are assigned (construction, restore).
 //
 // This class is purely functional; the time the driver *spends* doing
 // these operations is charged by the cost model in vfpga/hostos.
@@ -33,7 +35,10 @@ class VirtqueueDriver final : public DriverRing {
   [[nodiscard]] RingFormat ring_format() const override {
     return RingFormat::kSplit;
   }
-  [[nodiscard]] const RingAddresses& addresses() const { return addrs_; }
+  [[nodiscard]] RingAddresses addresses() const {
+    return RingAddresses{rings_.desc.base(), rings_.avail.base(),
+                         rings_.used.base()};
+  }
   [[nodiscard]] u16 free_descriptors() const override { return num_free_; }
 
   /// Expose a buffer chain to the device. Returns the head descriptor
@@ -94,7 +99,7 @@ class VirtqueueDriver final : public DriverRing {
     set_used_event(static_cast<u16>(last_used_idx_ + 0x8000));
   }
   [[nodiscard]] RingAddresses ring_addresses() const override {
-    return addrs_;
+    return addresses();
   }
 
   /// Number of chains the driver currently has in flight.
@@ -105,18 +110,31 @@ class VirtqueueDriver final : public DriverRing {
   /// Snapshot/restore of the driver-RAM bookkeeping (free list, tokens,
   /// cursors). Ring bytes live in host memory and are restored with it;
   /// a restore never writes memory. Fails the reader on a queue-size
-  /// mismatch (structural — the rings were allocated at construction)
-  /// and on a free head or free count outside the ring.
+  /// mismatch (structural — the rings were allocated at construction),
+  /// on a ring area that touches a non-resident page, and on a free head
+  /// or free count outside the ring.
   void transfer(migrate::StateIo& io) override;
 
  private:
+  /// The three ring areas: descriptor table, avail ring (used_event
+  /// included) and used ring (avail_event included).
+  struct Views {
+    mem::RegionView desc, avail, used;
+  };
+  /// Views of the areas at `addrs`; nullopt when one touches a
+  /// non-resident page.
+  static std::optional<Views> resolve(mem::HostMemory& memory,
+                                      const RingAddresses& addrs,
+                                      u16 queue_size);
+
   void write_descriptor(u16 index, const Descriptor& desc);
-  [[nodiscard]] Descriptor read_descriptor(u16 index) const;
+  /// The `next` field of descriptor `index`: the free list's link.
+  [[nodiscard]] u16 next_of(u16 index) const;
 
   mem::HostMemory* memory_;
   u16 queue_size_;
   FeatureSet negotiated_;
-  RingAddresses addrs_;
+  Views rings_;  ///< resolved where the ring addresses are assigned
 
   std::vector<u64> tokens_;       ///< token per head descriptor
   std::vector<u16> chain_len_;    ///< descriptors per chain, by head

@@ -1,7 +1,6 @@
 #include "vfpga/xdma/engine.hpp"
 
 #include <array>
-#include <vector>
 
 #include "vfpga/common/contract.hpp"
 
@@ -38,16 +37,15 @@ sim::SimTime DmaChannel::move_data(sim::SimTime start, HostAddr host_addr,
   sim::SimTime t = start + engine_cycles(kEngineTiming.datapath_fixed_cycles);
   const u64 beats = card_memory_->beats_for(bytes);
 
+  staging_.resize(bytes);
   if (direction_ == Direction::H2C) {
-    Bytes buffer(bytes);
-    t = port_.read(t, host_addr, buffer);  // PCIe read of host payload
-    card_memory_->write(card_addr, buffer);
+    t = port_.read(t, host_addr, staging_);  // PCIe read of host payload
+    card_memory_->write(card_addr, staging_);
     t += engine_cycles(beats);  // drain into BRAM
   } else {
-    Bytes buffer(bytes);
-    card_memory_->read(card_addr, buffer);
+    card_memory_->read(card_addr, staging_);
     t += engine_cycles(beats);  // fill from BRAM
-    const auto timing = port_.write(t, host_addr, buffer);
+    const auto timing = port_.write(t, host_addr, staging_);
     // The channel is architecturally "busy" until the data is globally
     // visible: the IRQ/writeback that follows must not pass the data.
     t = timing.delivered;
@@ -128,16 +126,16 @@ sim::SimTime DmaChannel::transfer_gather(
     VFPGA_EXPECTS(s.bytes > 0);
     total += s.bytes;
   }
-  Bytes buffer(total);
-  std::vector<pcie::DmaPort::ReadSegment> reads;
-  reads.reserve(segments.size());
+  staging_.resize(total);
+  reads_.clear();
   u64 offset = 0;
   for (const GatherSegment& s : segments) {
-    reads.push_back({s.host_addr, ByteSpan{buffer}.subspan(offset, s.bytes)});
+    reads_.push_back(
+        {s.host_addr, ByteSpan{staging_}.subspan(offset, s.bytes)});
     offset += s.bytes;
   }
-  t = port_.read_burst(t, reads);
-  card_memory_->write(card_addr, buffer);
+  t = port_.read_burst(t, reads_);
+  card_memory_->write(card_addr, staging_);
   t += engine_cycles(card_memory_->beats_for(total));
 
   status_ = regs::kStatusDescCompleted | regs::kStatusDescStopped;

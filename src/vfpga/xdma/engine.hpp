@@ -21,6 +21,7 @@
 
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/fpga/clock.hpp"
@@ -146,6 +147,10 @@ class DmaChannel {
   bool irq_enabled_ = false;
   u32 status_ = 0;
   u32 completed_count_ = 0;
+  /// Payload staging between the link and card memory, reused by every
+  /// transfer (resized, never shrunk), and the gather burst's segments.
+  Bytes staging_;
+  std::vector<pcie::DmaPort::ReadSegment> reads_;
 };
 
 }  // namespace vfpga::xdma

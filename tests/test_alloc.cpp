@@ -78,15 +78,15 @@ constexpr std::array<u64, 3> kSizes = {64, 1024, 256};
 constexpr int kWarmup = 1024;
 constexpr int kMeasured = 64;
 
-// Worst single op over kMeasured. A VirtIO echo makes 11 allocations:
-// the device's fetched chain lists and descriptor-payload copy, its DMA
-// staging copies, its response buffer, the RX frame and the socket
-// datagram. Every 16th op adds two std::deque blocks (RX backlog and
-// socket queue), every 64th one for the interrupt controller's queue.
-// An XDMA loop-back makes 2, the DMA engine's staging buffer per
-// direction, plus the interrupt queue's block every 64th op.
-constexpr u64 kEchoCap = 14;
-constexpr u64 kXdmaCap = 4;
+// Worst single op over kMeasured. A VirtIO echo makes 3 allocations:
+// the user logic's response buffer, the RX frame and the socket
+// datagram; the controller's chain lists, payload and DMA staging are
+// reused buffers. Every 16th op adds two std::deque blocks (RX backlog
+// and socket queue), every 64th one for the interrupt controller's
+// queue. An XDMA loop-back makes none, except every 64th op, which adds
+// a block to each of its two interrupt vectors' queues.
+constexpr u64 kEchoCap = 6;
+constexpr u64 kXdmaCap = 2;
 
 /// Most allocations any one of kMeasured steady-state ops made.
 template <typename Op>

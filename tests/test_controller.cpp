@@ -257,9 +257,10 @@ TEST_F(PolicyFixture, BatchedChainFetchWinsOnMultiDescriptorChains) {
     ControllerPolicy policy;
     policy.batched_chain_fetch = batch;
     QueueEngine engine{std::move(vq), policy};
-    const auto fetched = engine.consume_chain(sim::SimTime{});
-    EXPECT_EQ(fetched.value.descriptors.size(), 2u);
-    return fetched.done;
+    FetchedChain fetched;
+    const sim::SimTime done = engine.consume_chain(sim::SimTime{}, fetched);
+    EXPECT_EQ(fetched.descriptors.size(), 2u);
+    return done;
   };
   EXPECT_LT(consume_time(true), consume_time(false));
 }
@@ -293,7 +294,9 @@ TEST(QueueEngineFetch, BatchedIndirectHeadStillRunsDescCorruptCheck) {
     ControllerPolicy policy;
     policy.batched_chain_fetch = true;
     QueueEngine engine{std::move(vq), policy, fault};
-    return engine.consume_chain(sim::SimTime{}).value;
+    FetchedChain fetched;
+    (void)engine.consume_chain(sim::SimTime{}, fetched);
+    return fetched;
   };
   const FetchedChain clean = consume(nullptr);
   EXPECT_TRUE(clean.via_indirect);

@@ -6,6 +6,7 @@
 
 #include "vfpga/mem/bram.hpp"
 #include "vfpga/mem/host_memory.hpp"
+#include "vfpga/sim/rng.hpp"
 
 namespace vfpga::mem {
 namespace {
@@ -152,6 +153,133 @@ TEST(HostMemory, AllocationsNeverOverlap) {
       EXPECT_TRUE(disjoint) << i << " vs " << j;
     }
   }
+}
+
+// ---- RegionView ------------------------------------------------------------
+
+// A 512-byte region that straddles the page 4 / page 5 boundary, with an
+// 8-byte aligned base so every width's offsets can land on both pages.
+constexpr HostAddr kViewBase = 5 * HostMemory::kPageSize - 200;
+constexpr u64 kViewLength = 512;
+
+TEST(RegionView, ResolvesOnlyResidentRanges) {
+  HostMemory memory;
+  EXPECT_FALSE(memory.view(kViewBase, kViewLength).has_value());
+  memory.fill(kViewBase, 0, 200);  // the first page only
+  EXPECT_FALSE(memory.view(kViewBase, kViewLength).has_value());
+  EXPECT_EQ(memory.resident_bytes(), HostMemory::kPageSize);
+  memory.fill(kViewBase, 0, kViewLength);
+  const auto view = memory.view(kViewBase, kViewLength);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->base(), kViewBase);
+  EXPECT_EQ(view->size(), kViewLength);
+  EXPECT_FALSE(memory.view(kViewBase, 0).has_value());
+  EXPECT_FALSE(memory.view(~u64{0} - 7, 16).has_value());  // wraps
+  EXPECT_EQ(memory.resident_bytes(), 2 * HostMemory::kPageSize);
+}
+
+/// One seeded access of 2, 4 or 8 bytes at a naturally aligned offset.
+struct Access {
+  u64 width;
+  u64 offset;
+  u64 value;
+};
+
+Access next_access(sim::Xoshiro256& rng) {
+  const u64 width = u64{2} << rng.uniform_below(3);
+  const u64 offset = rng.uniform_below(kViewLength / width) * width;
+  return {width, offset, rng() >> (64 - 8 * width)};
+}
+
+/// The view's typed accessors agree with HostMemory's at base + offset:
+/// writes land the same bytes, and reads return the same values, on
+/// both sides of the page boundary.
+TEST(RegionView, MatchesHostMemoryTypedAccessors) {
+  HostMemory through_view;
+  HostMemory direct;
+  through_view.fill(kViewBase, 0, kViewLength);
+  direct.fill(kViewBase, 0, kViewLength);
+  auto view = through_view.view(kViewBase, kViewLength);
+  ASSERT_TRUE(view.has_value());
+  sim::Xoshiro256 rng{0x7e61};
+  for (int i = 0; i < 4000; ++i) {
+    const Access a = next_access(rng);
+    const HostAddr addr = kViewBase + a.offset;
+    if (rng.uniform_below(2) == 0) {
+      switch (a.width) {
+        case 2:
+          view->write_le16(a.offset, static_cast<u16>(a.value));
+          direct.write_le16(addr, static_cast<u16>(a.value));
+          break;
+        case 4:
+          view->write_le32(a.offset, static_cast<u32>(a.value));
+          direct.write_le32(addr, static_cast<u32>(a.value));
+          break;
+        default:
+          view->write_le64(a.offset, a.value);
+          direct.write_le64(addr, a.value);
+          break;
+      }
+      continue;
+    }
+    switch (a.width) {
+      case 2:
+        EXPECT_EQ(view->read_le16(a.offset), direct.read_le16(addr));
+        EXPECT_EQ(view->read_le16(a.offset), through_view.read_le16(addr));
+        break;
+      case 4:
+        EXPECT_EQ(view->read_le32(a.offset), direct.read_le32(addr));
+        EXPECT_EQ(view->read_le32(a.offset), through_view.read_le32(addr));
+        break;
+      default:
+        EXPECT_EQ(view->read_le64(a.offset), direct.read_le64(addr));
+        EXPECT_EQ(view->read_le64(a.offset), through_view.read_le64(addr));
+        break;
+    }
+  }
+  EXPECT_EQ(through_view.read_bytes(kViewBase, kViewLength),
+            direct.read_bytes(kViewBase, kViewLength));
+}
+
+/// Migration's dirty set stays exact: writes through a view dirty the
+/// same pages as the same bytes written with HostMemory::write.
+TEST(RegionView, WritesDirtyTheSamePagesAsHostMemoryWrite) {
+  HostMemory through_view;
+  HostMemory direct;
+  through_view.fill(kViewBase, 0, kViewLength);
+  direct.fill(kViewBase, 0, kViewLength);
+  auto view = through_view.view(kViewBase, kViewLength);
+  ASSERT_TRUE(view.has_value());
+  through_view.set_dirty_tracking(true);
+  direct.set_dirty_tracking(true);
+  sim::Xoshiro256 rng{0xd1e7};
+  bool saw_both_pages = false;
+  for (int round = 0; round < 200; ++round) {
+    const u64 writes = rng.uniform_below(3);  // 0, 1 or 2 per drain
+    for (u64 w = 0; w < writes; ++w) {
+      const Access a = next_access(rng);
+      std::array<u8, 8> bytes{};
+      store_le64(bytes, 0, a.value);
+      direct.write(kViewBase + a.offset, ConstByteSpan{bytes}.first(a.width));
+      switch (a.width) {
+        case 2:
+          view->write_le16(a.offset, static_cast<u16>(a.value));
+          break;
+        case 4:
+          view->write_le32(a.offset, static_cast<u32>(a.value));
+          break;
+        default:
+          view->write_le64(a.offset, a.value);
+          break;
+      }
+    }
+    const std::vector<u64> dirty = through_view.drain_dirty_pages();
+    EXPECT_EQ(dirty, direct.drain_dirty_pages());
+    saw_both_pages = saw_both_pages || dirty == std::vector<u64>{4, 5};
+  }
+  EXPECT_TRUE(saw_both_pages);
+  EXPECT_EQ(through_view.read_bytes(kViewBase, kViewLength),
+            direct.read_bytes(kViewBase, kViewLength));
 }
 
 TEST(Bram, RoundTripAndBounds) {

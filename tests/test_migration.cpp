@@ -342,6 +342,36 @@ TEST(Snapshot, RoundTripSplitRings) { expect_round_trip(split_options()); }
 
 TEST(Snapshot, RoundTripPackedRings) { expect_round_trip(packed_options()); }
 
+/// A driver that recovered reallocated its rings past the layout a fresh
+/// testbed brings up. Restoring its image must rebind the target
+/// driver's rings to the image's addresses (resident once the image's
+/// memory is in), and the restored bed must then carry 100 echoes
+/// exactly as the source does.
+void expect_restored_rings_carry_traffic(core::TestbedOptions options) {
+  core::VirtioNetTestbed a{options};
+  drive_quiesced(a);
+  ASSERT_TRUE(a.driver().recover(a.thread()));
+  drive_quiesced(a);
+  const Bytes image = migrate::save_snapshot(a);
+
+  core::VirtioNetTestbed b{options};
+  ASSERT_NE(b.device().queue_state(1).rings.desc,
+            a.device().queue_state(1).rings.desc);
+  ASSERT_EQ(migrate::restore_snapshot(b, image), RestoreStatus::kOk);
+  const auto trace_b = run_trace(b, 100, 256, 100);
+  EXPECT_EQ(std::count(trace_b.begin(), trace_b.end(), -1), 0);
+  EXPECT_EQ(trace_b, run_trace(a, 100, 256, 100));
+  EXPECT_EQ(migrate::save_snapshot(a), migrate::save_snapshot(b));
+}
+
+TEST(Snapshot, RestoredSplitRingsCarryTraffic) {
+  expect_restored_rings_carry_traffic(split_options());
+}
+
+TEST(Snapshot, RestoredPackedRingsCarryTraffic) {
+  expect_restored_rings_carry_traffic(packed_options());
+}
+
 TEST(Snapshot, RoundTripMultiQueue) {
   expect_round_trip(multi_queue_options());
 }
@@ -856,18 +886,69 @@ Poison net_tx_free_slot(ConstByteSpan state, core::VirtioNetTestbed& bed) {
   return {at + 4, 4, tx_buffers};
 }
 
-/// Transfer `bed`'s driver state out, poison one field and transfer it
-/// back: the reader must fail. Then poison the same field in a snapshot
-/// image, re-seal the CRC and restore it into a fresh testbed: the
-/// restore is malformed and latches DEVICE_NEEDS_RESET.
-void expect_poison_rejected(core::TestbedOptions options,
-                            Poison (*locate)(ConstByteSpan,
-                                             core::VirtioNetTestbed&)) {
+/// Where queue 1's ring addresses next occur in the device state at or
+/// after `from`. The state holds them twice: in the queue registers
+/// (after the size, MSI-X vector and enabled flag), then in the engine.
+std::size_t device_rings_at(ConstByteSpan state, core::VirtioNetTestbed& bed,
+                            std::size_t from) {
+  const virtio::RingAddresses& rings = bed.device().queue_state(1).rings;
+  std::array<u8, 24> addrs{};
+  store_le(addrs, 0, 8, rings.desc);
+  store_le(addrs, 8, 8, rings.avail);
+  store_le(addrs, 16, 8, rings.used);
+  const auto it = std::search(state.begin() + static_cast<std::ptrdiff_t>(from),
+                              state.end(), addrs.begin(), addrs.end());
+  EXPECT_NE(it, state.end());
+  return static_cast<std::size_t>(it - state.begin());
+}
+
+/// Queue 1's device ring size (the split engine) or size and cursors
+/// (the packed engine) follow the engine's copy of the addresses.
+std::size_t device_ring_size_at(ConstByteSpan state,
+                                core::VirtioNetTestbed& bed) {
+  return device_rings_at(state, bed, device_rings_at(state, bed, 0) + 1) + 24;
+}
+
+Poison device_queue_size(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  return {device_ring_size_at(state, bed), 2, 0};
+}
+
+Poison packed_device_avail_cursor(ConstByteSpan state,
+                                  core::VirtioNetTestbed& bed) {
+  const std::size_t at = device_ring_size_at(state, bed);
+  return {at + 2, 2, load_le(state, at, 2)};
+}
+
+Poison packed_device_used_cursor(ConstByteSpan state,
+                                 core::VirtioNetTestbed& bed) {
+  const std::size_t at = device_ring_size_at(state, bed);
+  return {at + 5, 2, load_le(state, at, 2)};
+}
+
+void transfer_driver(core::VirtioNetTestbed& bed, migrate::StateIo& io) {
+  bed.driver().transfer(io);
+}
+
+void transfer_device(core::VirtioNetTestbed& bed, migrate::StateIo& io) {
+  bed.device().transfer(io);
+}
+
+/// Transfer one part of `bed`'s state (the driver's by default) out,
+/// poison one field and transfer it back: the reader must fail. Then
+/// poison the same field in a snapshot image, re-seal the CRC and
+/// restore it into a fresh testbed: the restore is malformed and
+/// latches DEVICE_NEEDS_RESET. Returns how many bytes of host memory the
+/// failed restore made resident.
+u64 expect_poison_rejected(
+    core::TestbedOptions options,
+    Poison (*locate)(ConstByteSpan, core::VirtioNetTestbed&),
+    void (*transfer)(core::VirtioNetTestbed&,
+                     migrate::StateIo&) = transfer_driver) {
   core::VirtioNetTestbed bed{options};
   drive_quiesced(bed);
   migrate::StateWriter w;
   migrate::StateIo save{w};
-  bed.driver().transfer(save);
+  transfer(bed, save);
   const Bytes state = w.take();
   Bytes image = migrate::save_snapshot(bed, false);
   const Poison poison = locate(state, bed);
@@ -876,29 +957,34 @@ void expect_poison_rejected(core::TestbedOptions options,
     Bytes valid = state;
     migrate::StateReader r{valid};
     migrate::StateIo load{r};
-    bed.driver().transfer(load);
+    transfer(bed, load);
     EXPECT_FALSE(load.failed());
   }
   Bytes poisoned = state;
   store_le(poisoned, poison.offset, poison.width, poison.value);
   migrate::StateReader r{poisoned};
   migrate::StateIo load{r};
-  bed.driver().transfer(load);
+  transfer(bed, load);
   EXPECT_TRUE(load.failed());
 
   const auto at = std::search(image.begin(), image.end(), state.begin(),
                               state.end());
-  ASSERT_NE(at, image.end());
+  EXPECT_NE(at, image.end());
+  if (at == image.end()) {
+    return 0;
+  }
   store_le(image, static_cast<std::size_t>(at - image.begin()) + poison.offset,
            poison.width, poison.value);
   patch_crc(image);
   core::VirtioNetTestbed target{options};
+  const u64 resident = target.memory().resident_bytes();
   EXPECT_EQ(migrate::restore_snapshot(target, image),
             RestoreStatus::kMalformed);
   EXPECT_GE(target.device().device_errors(), 1u);
   EXPECT_NE(target.device().device_status() &
                 virtio::status::kDeviceNeedsReset,
             0);
+  return target.memory().resident_bytes() - resident;
 }
 
 TEST(RestoredIndex, SplitFreeHead) {
@@ -927,6 +1013,87 @@ TEST(RestoredIndex, PackedNextUsedSlot) {
 
 TEST(RestoredIndex, NetTxFreeSlot) {
   expect_poison_rejected(split_options(), net_tx_free_slot);
+}
+
+TEST(RestoredIndex, SplitDeviceQueueSize) {
+  expect_poison_rejected(split_options(), device_queue_size, transfer_device);
+}
+
+TEST(RestoredIndex, PackedDeviceQueueSize) {
+  expect_poison_rejected(packed_options(), device_queue_size,
+                         transfer_device);
+}
+
+TEST(RestoredIndex, PackedDeviceAvailCursor) {
+  expect_poison_rejected(packed_options(), packed_device_avail_cursor,
+                         transfer_device);
+}
+
+TEST(RestoredIndex, PackedDeviceUsedCursor) {
+  expect_poison_rejected(packed_options(), packed_device_used_cursor,
+                         transfer_device);
+}
+
+/// A queue-size register of 0 over a ring restored with size 0 passes
+/// the ring's own check, so the register is checked the way a register
+/// write is (non-zero, at most the advertised maximum).
+TEST(RestoredIndex, QueueSizeRegister) {
+  core::VirtioNetTestbed bed{split_options()};
+  drive_quiesced(bed);
+  migrate::StateWriter w;
+  migrate::StateIo save{w};
+  bed.device().transfer(save);
+  const Bytes state = w.take();
+  Bytes image = migrate::save_snapshot(bed, false);
+  const std::size_t size_register = device_rings_at(state, bed, 0) - 5;
+  const std::size_t ring_size = device_ring_size_at(state, bed);
+  const auto poison = [&](ByteSpan bytes, std::size_t at) {
+    store_le(bytes, at + size_register, 2, 0);
+    store_le(bytes, at + ring_size, 2, 0);
+  };
+
+  Bytes poisoned = state;
+  poison(poisoned, 0);
+  migrate::StateReader r{poisoned};
+  migrate::StateIo load{r};
+  bed.device().transfer(load);
+  EXPECT_TRUE(load.failed());
+
+  const auto at = std::search(image.begin(), image.end(), state.begin(),
+                              state.end());
+  ASSERT_NE(at, image.end());
+  poison(image, static_cast<std::size_t>(at - image.begin()));
+  patch_crc(image);
+  core::VirtioNetTestbed target{split_options()};
+  EXPECT_EQ(migrate::restore_snapshot(target, image),
+            RestoreStatus::kMalformed);
+  EXPECT_NE(target.device().device_status() &
+                virtio::status::kDeviceNeedsReset,
+            0);
+}
+
+/// A TX ring area moved to memory no page backs: the driver cannot
+/// resolve its ring there, so the restore is malformed, and resolving
+/// allocates no page.
+Poison split_desc_non_resident(ConstByteSpan state,
+                               core::VirtioNetTestbed& bed) {
+  return {tx_ring_at(state, bed) + 10, 8, 0x7000'0000'0000ull};
+}
+
+Poison packed_device_event_non_resident(ConstByteSpan state,
+                                        core::VirtioNetTestbed& bed) {
+  return {tx_ring_at(state, bed) + 26, 8, 0x7000'0000'0000ull};
+}
+
+TEST(RestoredRing, SplitDescriptorTableNotResident) {
+  EXPECT_EQ(expect_poison_rejected(split_options(), split_desc_non_resident),
+            0u);
+}
+
+TEST(RestoredRing, PackedDeviceEventNotResident) {
+  EXPECT_EQ(expect_poison_rejected(packed_options(),
+                                   packed_device_event_non_resident),
+            0u);
 }
 
 // ---- snapshot-image mutation smoke ------------------------------------------

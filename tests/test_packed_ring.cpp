@@ -38,6 +38,8 @@ struct PackedFixture : ::testing::Test {
   pcie::RootComplex rc{memory, pcie::LinkModel{}};
   FeatureSet features{(1ull << feature::kVersion1) |
                       (1ull << feature::kRingPacked)};
+  /// Where the device side consumes chains into.
+  std::vector<Descriptor> descriptors;
 
   /// Endpoint stub so the device side has a bus-mastering port.
   struct Stub : pcie::Function {
@@ -104,11 +106,11 @@ TEST_F(PackedFixture, DeviceConsumesAndCompletesThroughDma) {
 
   peek = dev.peek_available(peek.done);
   ASSERT_TRUE(peek.value);
-  auto chain = dev.consume_chain(peek.done);
+  auto chain = dev.consume_chain(peek.done, descriptors);
   EXPECT_EQ(chain.value.id, *id);
   EXPECT_EQ(chain.value.descriptor_count, 1);
-  ASSERT_EQ(chain.value.descriptors.size(), 1u);
-  EXPECT_EQ(chain.value.descriptors[0].addr, buf);
+  ASSERT_EQ(descriptors.size(), 1u);
+  EXPECT_EQ(descriptors[0].addr, buf);
 
   dev.push_used(chain.value, 0, chain.done);
   ASSERT_TRUE(drv.used_pending());
@@ -128,7 +130,7 @@ TEST_F(PackedFixture, SingleBufferCostsOneReadVsSplitsThree) {
   packed_drv.add_chain(std::span{&cb, 1}, 1);
   packed_drv.publish();
   const auto peek = packed_dev.peek_available(sim::SimTime{});
-  const auto chain = packed_dev.consume_chain(peek.done);
+  const auto chain = packed_dev.consume_chain(peek.done, descriptors);
   const sim::Duration packed_cost = chain.done - sim::SimTime{};
 
   const FeatureSet split_features{1ull << feature::kVersion1};
@@ -140,7 +142,8 @@ TEST_F(PackedFixture, SingleBufferCostsOneReadVsSplitsThree) {
   split_drv.publish();
   const auto idx = split_dev.fetch_avail_idx(sim::SimTime{});
   const auto entry = split_dev.fetch_avail_entry(0, idx.done);
-  const auto split_chain = split_dev.fetch_chain(entry.value, entry.done);
+  const auto split_chain =
+      split_dev.fetch_chain(entry.value, entry.done, descriptors);
   const sim::Duration split_cost = split_chain.done - sim::SimTime{};
 
   EXPECT_LT(packed_cost.picos() * 2, split_cost.picos());
@@ -158,9 +161,9 @@ TEST_F(PackedFixture, RingRecyclesAcrossManyWraps) {
 
     const auto peek = dev.peek_available(sim::SimTime{});
     ASSERT_TRUE(peek.value) << i;
-    auto chain = dev.consume_chain(peek.done);
+    auto chain = dev.consume_chain(peek.done, descriptors);
     Bytes data(1);
-    memory.read(chain.value.descriptors[0].addr, data);
+    memory.read(descriptors[0].addr, data);
     EXPECT_EQ(data[0], static_cast<u8>(i));
     dev.push_used(chain.value, 0, chain.done);
 
@@ -179,7 +182,7 @@ TEST_F(PackedFixture, ChainSpanningWrapBoundary) {
     drv.add_chain(std::span{&cb, 1}, i);
     const auto peek = dev.peek_available(sim::SimTime{});
     ASSERT_TRUE(peek.value);
-    auto chain = dev.consume_chain(peek.done);
+    auto chain = dev.consume_chain(peek.done, descriptors);
     dev.push_used(chain.value, 0, chain.done);
     ASSERT_TRUE(drv.harvest().has_value());
   }
@@ -192,7 +195,7 @@ TEST_F(PackedFixture, ChainSpanningWrapBoundary) {
   ASSERT_TRUE(id.has_value());
   const auto peek = dev.peek_available(sim::SimTime{});
   ASSERT_TRUE(peek.value);
-  auto consumed = dev.consume_chain(peek.done);
+  auto consumed = dev.consume_chain(peek.done, descriptors);
   EXPECT_EQ(consumed.value.descriptor_count, 2);
   EXPECT_EQ(consumed.value.id, *id);
   dev.push_used(consumed.value, 8, consumed.done);

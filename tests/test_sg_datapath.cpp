@@ -71,15 +71,16 @@ TEST_F(SplitSgFixture, ZeroLengthWritableSegmentRoundTrips) {
 
   const auto entry = dev.fetch_avail_entry(0, sim::SimTime{});
   dev.advance_avail_cursor();
-  const auto fetched = dev.fetch_chain(entry.value, entry.done);
+  std::vector<Descriptor> descriptors;
+  const auto fetched = dev.fetch_chain(entry.value, entry.done, descriptors);
   ASSERT_FALSE(fetched.value.error);
-  ASSERT_EQ(fetched.value.descriptors.size(), 3u);
-  EXPECT_EQ(fetched.value.descriptors[1].len, 0u);
+  ASSERT_EQ(descriptors.size(), 3u);
+  EXPECT_EQ(descriptors[1].len, 0u);
 
   Bytes message(72, 0xab);
   u32 written = 0;
-  const auto timing = dev.scatter_payload(fetched.value.descriptors, message,
-                                          fetched.done, written);
+  const auto timing =
+      dev.scatter_payload(descriptors, message, fetched.done, written);
   EXPECT_EQ(written, 72u);
   dev.push_used(entry.value, written, timing.issuer_free);
 
@@ -105,15 +106,16 @@ TEST_F(SplitSgFixture, ZeroLengthSegmentInsideIndirectTable) {
 
   const auto entry = dev.fetch_avail_entry(0, sim::SimTime{});
   dev.advance_avail_cursor();
-  const auto fetched = dev.fetch_chain(entry.value, entry.done);
+  std::vector<Descriptor> descriptors;
+  const auto fetched = dev.fetch_chain(entry.value, entry.done, descriptors);
   ASSERT_FALSE(fetched.value.error);
   EXPECT_TRUE(fetched.value.via_indirect);
-  ASSERT_EQ(fetched.value.descriptors.size(), 3u);
+  ASSERT_EQ(descriptors.size(), 3u);
 
   Bytes message(40, 0x5d);
   u32 written = 0;
-  const auto timing = dev.scatter_payload(fetched.value.descriptors, message,
-                                          fetched.done, written);
+  const auto timing =
+      dev.scatter_payload(descriptors, message, fetched.done, written);
   EXPECT_EQ(written, 40u);
   dev.push_used(entry.value, written, timing.issuer_free);
   const auto completion = drv.harvest_used();
@@ -145,8 +147,8 @@ TEST_F(SplitSgFixture, DeviceFlagsEndlessChainAsError) {
   memory.write_le16(d0 + kDescFlagsOffset, descflags::kNext);
   memory.write_le16(d0 + kDescNextOffset, 0);
 
-  const auto fetched = dev.fetch_chain(0, sim::SimTime{});
-  EXPECT_TRUE(fetched.value.error);
+  std::vector<Descriptor> descriptors;
+  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}, descriptors).value.error);
 }
 
 TEST_F(SplitSgFixture, IndirectTableWithBadGeometryIsError) {
@@ -156,23 +158,24 @@ TEST_F(SplitSgFixture, IndirectTableWithBadGeometryIsError) {
   const HostAddr d0 = drv.addresses().desc + desc_offset(0);
   memory.write_le64(d0 + kDescAddrOffset, table);
   memory.write_le16(d0 + kDescFlagsOffset, descflags::kIndirect);
+  std::vector<Descriptor> descriptors;
 
   // Length not a whole number of descriptor entries.
   memory.write_le32(d0 + kDescLenOffset, kDescSize + 4);
-  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}).value.error);
+  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}, descriptors).value.error);
   // Zero-length table.
   memory.write_le32(d0 + kDescLenOffset, 0);
-  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}).value.error);
+  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}, descriptors).value.error);
   // More entries than the queue size (§2.7.5.3.1 cap).
   memory.write_le32(d0 + kDescLenOffset,
                     static_cast<u32>(kDescSize * (drv.size() + 1)));
-  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}).value.error);
+  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}, descriptors).value.error);
   // Sanity: a one-entry table with the same ring descriptor is fine.
   memory.write_le64(table + kDescAddrOffset, memory.allocate(8));
   memory.write_le32(table + kDescLenOffset, 8);
   memory.write_le16(table + kDescFlagsOffset, 0);
   memory.write_le32(d0 + kDescLenOffset, static_cast<u32>(kDescSize));
-  EXPECT_FALSE(dev.fetch_chain(0, sim::SimTime{}).value.error);
+  EXPECT_FALSE(dev.fetch_chain(0, sim::SimTime{}, descriptors).value.error);
 }
 
 struct PackedSgFixture : ::testing::Test {
@@ -217,10 +220,11 @@ TEST_F(PackedSgFixture, ZeroLengthWritableSegmentRoundTrips) {
 
   const auto avail = dev.peek_available(sim::SimTime{});
   ASSERT_TRUE(avail.value);
-  const auto consumed = dev.consume_chain(avail.done);
+  std::vector<Descriptor> descriptors;
+  const auto consumed = dev.consume_chain(avail.done, descriptors);
   ASSERT_FALSE(consumed.value.error);
-  ASSERT_EQ(consumed.value.descriptors.size(), 3u);
-  EXPECT_EQ(consumed.value.descriptors[1].len, 0u);
+  ASSERT_EQ(descriptors.size(), 3u);
+  EXPECT_EQ(descriptors[1].len, 0u);
 
   dev.push_used(consumed.value, 72, consumed.done);
   const auto completion = drv.harvest();
@@ -249,8 +253,8 @@ TEST_F(PackedSgFixture, DeviceFlagsEndlessChainAsError) {
   }
   const auto avail = dev.peek_available(sim::SimTime{});
   ASSERT_TRUE(avail.value);
-  const auto consumed = dev.consume_chain(avail.done);
-  EXPECT_TRUE(consumed.value.error);
+  std::vector<Descriptor> descriptors;
+  EXPECT_TRUE(dev.consume_chain(avail.done, descriptors).value.error);
 }
 
 TEST_F(PackedSgFixture, IndirectTableWithBadGeometryIsError) {
@@ -258,6 +262,7 @@ TEST_F(PackedSgFixture, IndirectTableWithBadGeometryIsError) {
   const HostAddr table = memory.allocate(pk::kDescSize * 16, 16);
   const u16 indirect_avail =
       static_cast<u16>(pk::flags::kIndirect | pk::avail_flags(true));
+  std::vector<Descriptor> descriptors;
 
   // Length not a whole number of entries.
   {
@@ -266,7 +271,7 @@ TEST_F(PackedSgFixture, IndirectTableWithBadGeometryIsError) {
               indirect_avail);
     const auto avail = dev.peek_available(sim::SimTime{});
     ASSERT_TRUE(avail.value);
-    EXPECT_TRUE(dev.consume_chain(avail.done).value.error);
+    EXPECT_TRUE(dev.consume_chain(avail.done, descriptors).value.error);
   }
   // More entries than the queue size.
   {
@@ -276,7 +281,7 @@ TEST_F(PackedSgFixture, IndirectTableWithBadGeometryIsError) {
               indirect_avail);
     const auto avail = dev.peek_available(sim::SimTime{});
     ASSERT_TRUE(avail.value);
-    EXPECT_TRUE(dev.consume_chain(avail.done).value.error);
+    EXPECT_TRUE(dev.consume_chain(avail.done, descriptors).value.error);
   }
   // INDIRECT combined with NEXT (§2.8.8 forbids chaining them).
   {
@@ -285,7 +290,7 @@ TEST_F(PackedSgFixture, IndirectTableWithBadGeometryIsError) {
               static_cast<u16>(indirect_avail | pk::flags::kNext));
     const auto avail = dev.peek_available(sim::SimTime{});
     ASSERT_TRUE(avail.value);
-    EXPECT_TRUE(dev.consume_chain(avail.done).value.error);
+    EXPECT_TRUE(dev.consume_chain(avail.done, descriptors).value.error);
   }
 }
 

@@ -126,15 +126,15 @@ TEST_F(RingFixture, DeviceSeesDriverDescriptorsThroughDma) {
   const auto entry = dev.fetch_avail_entry(0, idx.done);
   EXPECT_EQ(entry.value, *head);
 
-  const auto chain = dev.fetch_chain(entry.value, entry.done);
+  std::vector<Descriptor> descriptors;
+  const auto chain = dev.fetch_chain(entry.value, entry.done, descriptors);
   EXPECT_FALSE(chain.value.error);
-  ASSERT_EQ(chain.value.descriptors.size(), 1u);
-  EXPECT_EQ(chain.value.descriptors[0].addr, buf);
-  EXPECT_EQ(chain.value.descriptors[0].len, 32u);
+  ASSERT_EQ(descriptors.size(), 1u);
+  EXPECT_EQ(descriptors[0].addr, buf);
+  EXPECT_EQ(descriptors[0].len, 32u);
 
   Bytes payload;
-  const auto done =
-      dev.gather_payload(chain.value.descriptors, payload, chain.done);
+  const auto done = dev.gather_payload(descriptors, payload, chain.done);
   EXPECT_EQ(payload, Bytes(32, 0x77));
   EXPECT_GT(done, chain.done);
 }
@@ -152,11 +152,12 @@ TEST_F(RingFixture, FullProtocolRoundTrip) {
   // Device consumes it, scatters a payload, pushes a used entry.
   const auto entry = dev.fetch_avail_entry(0, sim::SimTime{});
   dev.advance_avail_cursor();
-  const auto chain = dev.fetch_chain(entry.value, entry.done);
+  std::vector<Descriptor> descriptors;
+  const auto chain = dev.fetch_chain(entry.value, entry.done, descriptors);
   const Bytes message{'v', 'i', 'r', 't', 'i', 'o'};
   u32 written = 0;
-  const auto scatter = dev.scatter_payload(chain.value.descriptors, message,
-                                           chain.done, written);
+  const auto scatter =
+      dev.scatter_payload(descriptors, message, chain.done, written);
   EXPECT_EQ(written, message.size());
   dev.push_used(entry.value, written, scatter.issuer_free);
 
@@ -234,15 +235,15 @@ TEST_F(RingFixture, BatchedDescriptorFetchMatchesSingles) {
   };
   const auto head = drv.add_chain(chain, 1);
   drv.publish();
-  const auto burst = dev.fetch_descriptors(*head, 2, sim::SimTime{});
+  std::array<Descriptor, 2> burst{};
+  const auto burst_done = dev.fetch_descriptors(*head, burst, sim::SimTime{});
   const auto single0 = dev.fetch_descriptor(*head, sim::SimTime{});
-  ASSERT_EQ(burst.value.size(), 2u);
-  EXPECT_EQ(burst.value[0].addr, single0.value.addr);
-  EXPECT_EQ(burst.value[0].flags, single0.value.flags);
+  EXPECT_EQ(burst[0].addr, single0.value.addr);
+  EXPECT_EQ(burst[0].flags, single0.value.flags);
   // One burst read is cheaper than two single reads.
   const auto two_singles =
       dev.fetch_descriptor(single0.value.next, single0.done).done;
-  EXPECT_LT(burst.done.picos(), two_singles.picos());
+  EXPECT_LT(burst_done.picos(), two_singles.picos());
 }
 
 // Property sweep over queue sizes: in-flight + free == size always.
