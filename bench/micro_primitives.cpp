@@ -187,6 +187,20 @@ void BM_ExecPoll(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecPoll);
 
+// One lognormal segment draw (Box–Muller, the table cosine and its
+// rounding guard, clamp and round to picoseconds): the XDMA submit
+// segment, the widest-sigma cost the loop-back charges.
+void BM_JitteredSegmentSample(benchmark::State& state) {
+  sim::Xoshiro256 rng{9};
+  const auto costs = hostos::CostModelConfig::fedora_defaults();
+  sim::JitteredSegment segment = costs.xdma_submit;
+  benchmark::DoNotOptimize(segment);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(segment.sample(rng));
+  }
+}
+BENCHMARK(BM_JitteredSegmentSample);
+
 // Means of the noise model's two Poisson draws over a ~100 ns segment:
 // common interference and rare stalls.
 void BM_SamplePoisson(benchmark::State& state, double mean) {

@@ -8,9 +8,19 @@
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/udp.hpp"
+#include "vfpga/sim/distributions.hpp"
 #include "vfpga/virtio/net_defs.hpp"
 
 namespace vfpga::core {
+
+namespace {
+
+// Small host-memory-controller jitter on DMA reads: keeps the FPGA
+// counters' variance "minimal" (paper Fig. 4) but not identically zero.
+constexpr sim::JitteredSegment kDmaReadJitter{sim::nanoseconds(55), 0.6, {},
+                                              {}};
+
+}  // namespace
 
 u64 virtio_wire_bytes(u64 udp_payload) {
   const u64 l3 = net::Ipv4Header::kSize + net::UdpHeader::kSize + udp_payload;
@@ -50,11 +60,8 @@ VirtioNetTestbed::VirtioNetTestbed(TestbedOptions options)
   rc_->set_irq_sink([this](u32 data, sim::SimTime at) {
     irq_.deliver(data, at);
   });
-  // Small host-memory-controller jitter on DMA reads: keeps the FPGA
-  // counters' variance "minimal" (paper Fig. 4) but not identically zero.
-  rc_->set_dma_read_jitter([this] {
-    return sim::from_nanos(sim::sample_lognormal(mem_rng_, 55.0, 0.6));
-  });
+  rc_->set_dma_read_jitter(
+      [this] { return kDmaReadJitter.sample(mem_rng_); });
   rc_->attach(*device_);
   device_->connect(*rc_);
   if (options_.attach_blk) {
@@ -223,9 +230,8 @@ XdmaTestbed::XdmaTestbed(TestbedOptions options)
   rc_->set_irq_sink([this](u32 data, sim::SimTime at) {
     irq_.deliver(data, at);
   });
-  rc_->set_dma_read_jitter([this] {
-    return sim::from_nanos(sim::sample_lognormal(mem_rng_, 55.0, 0.6));
-  });
+  rc_->set_dma_read_jitter(
+      [this] { return kDmaReadJitter.sample(mem_rng_); });
   rc_->attach(*device_);
   device_->connect(*rc_);
   if (fault_plane_) {

@@ -99,10 +99,9 @@ void HostThread::exec(const MixtureSegment& segment) {
 
 void HostThread::exec_fixed(sim::Duration d) {
   VFPGA_EXPECTS(d >= sim::Duration{});
-  const sim::Duration interference = noise_->interference(*rng_, d) +
-                                     noise_->rare_stall(*rng_, d);
-  now_ += d + interference;
-  software_ += d + interference;
+  const sim::Duration spent = d + noise_->software_noise(*rng_, d);
+  now_ += spent;
+  software_ += spent;
 }
 
 void HostThread::exec_poll(const JitteredSegment& segment) {

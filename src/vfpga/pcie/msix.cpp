@@ -1,5 +1,6 @@
 #include "vfpga/pcie/msix.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "vfpga/common/contract.hpp"
@@ -105,6 +106,12 @@ void MsixTable::transfer(migrate::StateIo& io) {
     io.u32(e.data);
     io.boolean(e.masked);
     io.boolean(e.pending);
+  }
+  if (io.failed()) {
+    // A failed reader yields zeros: unmasked entries aimed at host
+    // address 0. Back to the power-on state, so a vector raised before
+    // the reset goes pending instead of writing host memory.
+    std::fill(entries_.begin(), entries_.end(), Entry{});
   }
 }
 

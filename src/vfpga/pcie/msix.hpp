@@ -55,7 +55,8 @@ class MsixTable {
   }
 
   /// Snapshot/restore of the programmed vectors (address/data/mask/
-  /// pending). The table size is structural and must already match.
+  /// pending). The table size is structural and must already match. A
+  /// failed load leaves every vector at its power-on state (masked).
   void transfer(migrate::StateIo& io);
 
  private:

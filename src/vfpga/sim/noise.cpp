@@ -4,28 +4,17 @@
 
 namespace vfpga::sim {
 
-Duration NoiseModel::interference(Xoshiro256& rng,
-                                  Duration software_time) const {
-  if (!config_.enabled || software_time <= Duration{}) {
-    return Duration{};
-  }
-  const double us = software_time.micros();
+Duration NoiseModel::common_delays(Xoshiro256& rng, u64 events) const {
   double extra_ns = 0.0;
-  const u64 common = sample_poisson(rng, config_.common_rate_per_us * us);
-  for (u64 i = 0; i < common; ++i) {
+  for (u64 i = 0; i < events; ++i) {
     extra_ns += sample_exponential(rng, config_.common_mean_ns);
   }
   return from_nanos(extra_ns);
 }
 
-Duration NoiseModel::rare_stall(Xoshiro256& rng, Duration elapsed) const {
-  if (!config_.enabled || elapsed <= Duration{}) {
-    return Duration{};
-  }
-  const double us = elapsed.micros();
+Duration NoiseModel::rare_delays(Xoshiro256& rng, u64 events) const {
   double extra_ns = 0.0;
-  const u64 rare = sample_poisson(rng, config_.rare_rate_per_us * us);
-  for (u64 i = 0; i < rare; ++i) {
+  for (u64 i = 0; i < events; ++i) {
     double stall = config_.rare_offset_ns +
                    sample_pareto(rng, config_.rare_pareto_scale_ns,
                                  config_.rare_pareto_shape);

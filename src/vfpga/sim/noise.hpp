@@ -55,6 +55,10 @@ struct NoiseConfig {
 
 /// Samples interference delay accumulated while `software_time` elapses
 /// on the host CPU. Stateless apart from the RNG passed in.
+///
+/// Each draw is a Poisson count whose mean is ~1e-3 or less, so nearly
+/// every call ends at its first uniform with no delay: that path is
+/// inline, and only the delay loops are in noise.cpp.
 class NoiseModel {
  public:
   NoiseModel() = default;
@@ -65,13 +69,51 @@ class NoiseModel {
   /// Common interference accrued over a software segment (preemptions,
   /// IRQs — proportional to execution time).
   [[nodiscard]] Duration interference(Xoshiro256& rng,
-                                      Duration software_time) const;
+                                      Duration software_time) const {
+    if (!config_.enabled || software_time <= Duration{}) {
+      return Duration{};
+    }
+    return interference_over(rng, software_time.micros());
+  }
 
   /// Rare long stalls accrued over any wall-clock interval, including
   /// blocked waits (see rare_rate_per_us).
-  [[nodiscard]] Duration rare_stall(Xoshiro256& rng, Duration elapsed) const;
+  [[nodiscard]] Duration rare_stall(Xoshiro256& rng, Duration elapsed) const {
+    if (!config_.enabled || elapsed <= Duration{}) {
+      return Duration{};
+    }
+    return rare_stall_over(rng, elapsed.micros());
+  }
+
+  /// Both kinds of noise accrued while `software_time` executes: the
+  /// rare stall is drawn first, then the interference. The order is part
+  /// of the seeded stream; the goldens were recorded with it.
+  [[nodiscard]] Duration software_noise(Xoshiro256& rng,
+                                        Duration software_time) const {
+    if (!config_.enabled || software_time <= Duration{}) {
+      return Duration{};
+    }
+    const double us = software_time.micros();
+    // Its own statement: a sum's operands are unsequenced.
+    const Duration stall = rare_stall_over(rng, us);
+    return interference_over(rng, us) + stall;
+  }
 
  private:
+  Duration interference_over(Xoshiro256& rng, double us) const {
+    const u64 events = sample_poisson(rng, config_.common_rate_per_us * us);
+    return events == 0 ? Duration{} : common_delays(rng, events);
+  }
+  Duration rare_stall_over(Xoshiro256& rng, double us) const {
+    const u64 events = sample_poisson(rng, config_.rare_rate_per_us * us);
+    return events == 0 ? Duration{} : rare_delays(rng, events);
+  }
+
+  /// The summed delays of `events` common interference events.
+  Duration common_delays(Xoshiro256& rng, u64 events) const;
+  /// The summed delays of `events` rare stalls, each capped.
+  Duration rare_delays(Xoshiro256& rng, u64 events) const;
+
   NoiseConfig config_{};
 };
 

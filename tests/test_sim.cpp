@@ -5,8 +5,12 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
+#include "support/noise_oracle.hpp"
+#include "vfpga/hostos/cost_model.hpp"
 #include "vfpga/sim/distributions.hpp"
 #include "vfpga/sim/noise.hpp"
 #include "vfpga/sim/rng.hpp"
@@ -224,6 +228,110 @@ TEST(Distributions, MixtureSelectsAllComponents) {
   EXPECT_NEAR(static_cast<double>(fast) / kN, 0.5, 0.03);
 }
 
+// ---- table cosine and its rounding guard -----------------------------------
+
+TEST(FastCos, WithinBoundOfLibm) {
+  constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
+  double worst = 0.0;
+  double worst_u = 0.0;
+  const auto check = [&](double u) {
+    const double error = std::fabs(fast_cos_2pi(u) - std::cos(kTwoPi * u));
+    if (error > worst) {
+      worst = error;
+      worst_u = u;
+    }
+  };
+  Xoshiro256 rng{2024};
+  for (int i = 0; i < 10'000'000; ++i) {
+    check(rng.uniform01());
+  }
+  // Each knot and each midpoint between knots (the largest remainder),
+  // a few ulps either side; the ends of the domain.
+  for (int half_steps = 0; half_steps <= 512; ++half_steps) {
+    const double centre = half_steps / 512.0;
+    double below = centre;
+    double above = centre;
+    for (int k = 0; k < 4; ++k) {
+      check(below);
+      check(above);
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 1.0);
+    }
+  }
+  EXPECT_LE(worst, 0x1p-50) << "at u = " << worst_u;
+}
+
+// Every segment the cost model and testbeds sample, plus sigma = 0 and
+// clamping cases: the table cosine and its guard must return the libm
+// chain's Duration and leave the generator in the same state, draw for
+// draw.
+TEST(Distributions, JitteredSegmentMatchesOracleDrawForDraw) {
+  const auto c = hostos::CostModelConfig::fedora_defaults();
+  std::vector<JitteredSegment> segments = {
+      c.syscall_entry, c.syscall_exit, c.irq_entry, c.udp_tx_stack,
+      c.udp_rx_stack, c.virtio_xmit, c.virtio_rx_napi, c.virtio_rx_refill,
+      c.socket_recv, c.busy_poll_iteration, c.irq_disarm, c.irq_rearm,
+      c.dma_map_segment, c.gso_segment_host, c.blk_submit, c.blk_complete,
+      c.reactor_poll_iteration, c.xdma_submit, c.xdma_isr_body,
+      c.xdma_teardown, c.app_iteration,
+      // The testbeds' DMA-read jitter.
+      {nanoseconds(55), 0.6, {}, {}},
+      // sigma = 0: no draw, clamped or not.
+      {nanoseconds(750), 0.0, {}, {}},
+      {nanoseconds(750), 0.0, nanoseconds(800), {}},
+      // Clamped on both sides about a third of the time each.
+      {nanoseconds(1000), 0.8, nanoseconds(700), nanoseconds(1400)},
+  };
+  for (const auto& component : c.wakeup.components) {
+    segments.push_back(component.segment);  // incl. the 40 us ceiling
+  }
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    Xoshiro256 rng{1000 + s};
+    Xoshiro256 reference{1000 + s};
+    for (int i = 0; i < 1'000'000; ++i) {
+      const Duration got = segments[s].sample(rng);
+      const Duration want = noise_oracle::sample(segments[s], reference);
+      if (got != want || rng.state() != reference.state()) {
+        FAIL() << "segment " << s << " draw " << i << ": " << got.picos()
+               << " ps vs " << want.picos() << " ps";
+      }
+    }
+  }
+}
+
+// A median chosen so the libm chain's ns * 1e3 + 0.5 lies within 2^-52
+// of itself from an integer: the picosecond count flips inside any
+// interval the guard could draw, so the fast path must decline and the
+// std::cos recomputation must give the libm answer.
+TEST(Distributions, JitteredSegmentFallsBackNearARoundingBoundary) {
+  constexpr double kU1 = 0.3;
+  constexpr double kU2 = 0.1;
+  constexpr double kSigma = 0.5;
+  int boundaries = 0;
+  int fast = 0;
+  for (i64 picos = 1'000'000'000'000; boundaries < 3; ++picos) {
+    ASSERT_LT(picos, 1'000'010'000'000) << "no boundary found";
+    const JitteredSegment segment{Duration{picos}, kSigma, {}, {}};
+    const double z = std::sqrt(-2.0 * std::log(kU1)) *
+                     std::cos(2.0 * 3.14159265358979323846 * kU2);
+    const double ns = segment.median.nanos() * std::exp(kSigma * z);
+    const double v = ns * 1e3 + 0.5;
+    const Duration want = from_nanos(ns);
+    if (std::fabs(v - std::nearbyint(v)) > v * 0x1p-52) {
+      if (segment.fast_from_uniforms(kU1, kU2) == want) {
+        ++fast;
+      }
+      continue;
+    }
+    ++boundaries;
+    EXPECT_EQ(segment.fast_from_uniforms(kU1, kU2), std::nullopt)
+        << "median " << picos << " ps";
+    EXPECT_EQ(segment.from_uniforms(kU1, kU2), want)
+        << "median " << picos << " ps";
+  }
+  EXPECT_GT(fast, 100);  // away from a boundary the table path decides
+}
+
 // ---- scheduler ---------------------------------------------------------------
 
 TEST(Scheduler, ExecutesInTimeOrder) {
@@ -420,6 +528,39 @@ TEST(Noise, RareStallsAreRareButLarge) {
   // ~0.12% per 30us window.
   EXPECT_GT(stalls, 30);
   EXPECT_LT(stalls, 400);
+}
+
+// exec_fixed draws the rare stall before the interference, the order
+// the goldens were recorded in. Rates high enough that both draws often
+// count events, so the other order gives a different timeline.
+TEST(Noise, ExecFixedDrawsRareStallFirst) {
+  NoiseConfig config;
+  config.common_rate_per_us = 0.3;
+  config.rare_rate_per_us = 0.3;
+  const NoiseModel noise{config};
+  const noise_oracle::NoiseModel oracle{config};
+  const auto costs = hostos::CostModelConfig::fedora_defaults();
+  Xoshiro256 rng{21};
+  Xoshiro256 reference{21};
+  hostos::HostThread thread{rng, costs, noise};
+  int order_mattered = 0;
+  for (int i = 0; i < 2'000; ++i) {
+    const Duration d = nanoseconds(500 + 37 * i);
+    Xoshiro256 swapped = rng;
+    const SimTime before = thread.now();
+    thread.exec_fixed(d);
+
+    const Duration stall = oracle.rare_stall(reference, d);
+    const Duration want = d + oracle.interference(reference, d) + stall;
+    ASSERT_EQ(thread.now() - before, want) << "step " << i;
+    ASSERT_EQ(rng.state(), reference.state()) << "step " << i;
+
+    const Duration interference = oracle.interference(swapped, d);
+    if (d + interference + oracle.rare_stall(swapped, d) != want) {
+      ++order_mattered;
+    }
+  }
+  EXPECT_GT(order_mattered, 100);
 }
 
 }  // namespace
