@@ -1,10 +1,9 @@
 #include "vfpga/harness/fault_campaign.hpp"
 
 #include <cstdio>
-#include <memory>
 
 #include "vfpga/common/contract.hpp"
-#include "vfpga/net/rss.hpp"
+#include "vfpga/harness/multi_flow.hpp"
 
 namespace vfpga::harness {
 
@@ -207,20 +206,7 @@ ClassReport run_udp_mq_class(fault::FaultClass cls,
     core::VirtioNetTestbed bed{options};
     ++report.runs;
 
-    std::vector<std::unique_ptr<hostos::UdpSocket>> socks;
-    u16 next_port = 30'000;
-    for (u16 p = 0; p < kPairs; ++p) {
-      u16 port = next_port;
-      while (net::steer(
-                 net::rss_flow_hash(hostos::KernelNetstack::kHostIp, port,
-                                    bed.fpga_ip(),
-                                    bed.options().fpga_udp_port),
-                 kPairs) != p) {
-        ++port;
-      }
-      next_port = static_cast<u16>(port + 1);
-      socks.push_back(std::make_unique<hostos::UdpSocket>(bed.stack(), port));
-    }
+    const auto socks = steered_sockets(bed, kPairs, 30'000);
 
     for (u32 op = 0; op < config.ops_per_run; ++op) {
       const Bytes payload = make_payload(config.udp_payload_bytes,

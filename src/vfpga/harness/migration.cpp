@@ -2,12 +2,11 @@
 
 #include <array>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "vfpga/harness/fault_campaign.hpp"
+#include "vfpga/harness/multi_flow.hpp"
 #include "vfpga/migrate/snapshot.hpp"
-#include "vfpga/net/rss.hpp"
 
 namespace vfpga::harness {
 
@@ -32,29 +31,6 @@ OpTrace udp_echo_op(core::VirtioNetTestbed& bed, hostos::UdpSocket& sock,
       bed, sock, payload, config.max_op_attempts, config.op_time_bound);
   return OpTrace{echo.ok, echo.first_failure.has_value(),
                  bed.thread().now().picos()};
-}
-
-/// One socket per flow, source ports searched so flow f's Toeplitz hash
-/// steers it to pair f mod P — every pair carries migration traffic.
-std::vector<std::unique_ptr<hostos::UdpSocket>> make_flow_sockets(
-    core::VirtioNetTestbed& bed, u16 flows, u16 pairs) {
-  std::vector<std::unique_ptr<hostos::UdpSocket>> socks;
-  u16 next_port = 30'000;
-  for (u16 f = 0; f < flows; ++f) {
-    u16 port = next_port;
-    if (pairs > 1) {
-      while (net::steer(
-                 net::rss_flow_hash(hostos::KernelNetstack::kHostIp, port,
-                                    bed.fpga_ip(),
-                                    bed.options().fpga_udp_port),
-                 pairs) != f % pairs) {
-        ++port;
-      }
-    }
-    next_port = static_cast<u16>(port + 1);
-    socks.push_back(std::make_unique<hostos::UdpSocket>(bed.stack(), port));
-  }
-  return socks;
 }
 
 /// Copy one set of pages A -> B ("over the migration link").
@@ -97,8 +73,9 @@ MigrationResult run_migration(const MigrationConfig& config) {
   core::VirtioNetTestbed a{options};
   core::VirtioNetTestbed b{options};
 
-  auto socks_a = make_flow_sockets(a, config.flows, config.queue_pairs);
-  auto socks_b = make_flow_sockets(b, config.flows, config.queue_pairs);
+  // Flow f steers to pair f mod P: every pair carries migration traffic.
+  auto socks_a = steered_sockets(a, config.flows, 30'000);
+  auto socks_b = steered_sockets(b, config.flows, 30'000);
 
   // Warm every flow once (pools populated, flow affinity pinned) before
   // tracking begins, mirroring a guest that has been running a while.

@@ -74,31 +74,18 @@ std::pair<SweepResult, SweepResult> run_both_sweeps_parallel(
   xdma.driver_name = "XDMA";
   xdma.cells.resize(config.payloads.size());
 
-  // Derive cell seeds exactly as the sequential runners do, so parallel
-  // and sequential execution produce identical numbers.
-  std::vector<u64> virtio_seeds;
-  {
-    sim::SplitMix64 seeder{config.seed};
-    for (std::size_t i = 0; i < config.payloads.size(); ++i) {
-      virtio_seeds.push_back(seeder.next());
-    }
-  }
-  std::vector<u64> xdma_seeds;
-  {
-    sim::SplitMix64 seeder{config.seed ^ 0xdadau};
-    for (std::size_t i = 0; i < config.payloads.size(); ++i) {
-      xdma_seeds.push_back(seeder.next());
-    }
-  }
-
+  // Cell i's seed is element i of the sequential runners' SplitMix64
+  // stream, so parallel and sequential execution produce identical
+  // numbers.
   std::vector<std::function<void()>> tasks;
   for (std::size_t i = 0; i < config.payloads.size(); ++i) {
     tasks.emplace_back([&, i] {
-      virtio.cells[i] =
-          run_virtio_cell(config, config.payloads[i], virtio_seeds[i]);
+      virtio.cells[i] = run_virtio_cell(config, config.payloads[i],
+                                        sim::derive_seed(config.seed, i));
     });
     tasks.emplace_back([&, i] {
-      xdma.cells[i] = run_xdma_cell(config, config.payloads[i], xdma_seeds[i]);
+      xdma.cells[i] = run_xdma_cell(config, config.payloads[i],
+                                    sim::derive_seed(config.seed ^ 0xdadau, i));
     });
   }
   run_parallel(std::move(tasks), worker_threads(tasks.size()));

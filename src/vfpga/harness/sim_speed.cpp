@@ -7,6 +7,7 @@
 
 #include "vfpga/common/contract.hpp"
 #include "vfpga/core/testbed.hpp"
+#include "vfpga/harness/multi_flow.hpp"
 #include "vfpga/harness/parallel.hpp"
 #include "vfpga/sim/rng.hpp"
 #include "vfpga/stats/sharded.hpp"
@@ -170,32 +171,14 @@ class Runner {
   /// One echo round trip through the lane's own testbed; true when the
   /// payload came back intact.
   bool echo(LaneContext& ctx, u32 slot, u32 payload_bytes, u8 tag) {
-    hostos::HostThread& t = *ctx.thread;
-    core::VirtioNetTestbed& bed = *ctx.bed;
-    t.exec(bed.options().costs.app_iteration);
     Bytes payload(payload_bytes, tag);
     payload[0] = static_cast<u8>(ctx.packets_done & 0xff);
-
-    const sim::SimTime start = t.now();
-    hostos::UdpSocket& socket = *ctx.sockets[slot];
-    if (!socket.sendto(t, bed.fpga_ip(), bed.options().fpga_udp_port,
-                       payload)) {
-      return false;
+    const std::optional<sim::Duration> latency = echo_with_retry(
+        *ctx.bed, *ctx.thread, *ctx.sockets[slot], payload, kEchoAttempts);
+    if (latency.has_value()) {
+      ctx.samples->add(*latency);
     }
-    for (u32 attempt = 0; attempt < kEchoAttempts; ++attempt) {
-      const auto reply = socket.recvfrom(t);
-      if (reply.has_value()) {
-        if (reply->payload.size() != payload.size() ||
-            !std::equal(payload.begin(), payload.end(),
-                        reply->payload.begin())) {
-          return false;
-        }
-        ctx.samples->add(t.now() - start);
-        return true;
-      }
-      bed.stack().poll_rx(t);
-    }
-    return false;
+    return latency.has_value();
   }
 
   /// Scheduler event: the slot's next packet departs now.

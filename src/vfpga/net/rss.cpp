@@ -1,9 +1,5 @@
 #include "vfpga/net/rss.hpp"
 
-#include <algorithm>
-
-#include "vfpga/common/contract.hpp"
-
 namespace vfpga::net {
 
 namespace {
@@ -81,18 +77,6 @@ u32 rss_flow_hash(Ipv4Addr src_ip, u16 src_port, Ipv4Addr dst_ip,
     hash ^= kToeplitzTables[i][tuple[i]];
   }
   return hash;
-}
-
-u16 search_source_port(Ipv4Addr src_ip, Ipv4Addr dst_ip, u16 dst_port,
-                       u16 active_pairs, u16 want_pair, u16 from) {
-  VFPGA_EXPECTS(want_pair < std::max<u16>(active_pairs, 1));
-  for (u16 port = from;; ++port) {
-    VFPGA_ASSERT(port >= from);  // no wraparound before a hit
-    if (steer(rss_flow_hash(src_ip, port, dst_ip, dst_port), active_pairs) ==
-        want_pair) {
-      return port;
-    }
-  }
 }
 
 }  // namespace vfpga::net

@@ -46,17 +46,4 @@ inline constexpr u16 kSteeringTableSize = 128;
   return active_pairs <= 1 ? u16{0} : static_cast<u16>(slot % active_pairs);
 }
 
-/// Find the first source port >= `from` whose symmetric flow hash
-/// steers (src_ip, port) -> (dst_ip, dst_port) onto queue pair
-/// `want_pair` out of `active_pairs`. Deterministic (walks upward from
-/// `from`) so flow identities are stable across trials, and guaranteed
-/// to terminate before wrapping: the Toeplitz hash varies with every
-/// port bit, covering all pair residues within a handful of candidates.
-/// Shared by the multi-flow harness and the flowgen traffic generator —
-/// both must agree with the device's steering or affinity claims are
-/// meaningless.
-[[nodiscard]] u16 search_source_port(Ipv4Addr src_ip, Ipv4Addr dst_ip,
-                                     u16 dst_port, u16 active_pairs,
-                                     u16 want_pair, u16 from);
-
 }  // namespace vfpga::net

@@ -30,6 +30,15 @@ class SplitMix64 {
   u64 state_;
 };
 
+/// Element `index` of the SplitMix64 stream seeded with `base`, in O(1):
+/// the decorrelated seed of child `index` (trial, cell, run) of one
+/// base seed. Linear in `base` before the mix, so
+/// derive_seed(b + k·γ, i) == derive_seed(b, k + i) with γ the golden
+/// increment.
+[[nodiscard]] constexpr u64 derive_seed(u64 base, u64 index) {
+  return SplitMix64{base + index * 0x9e3779b97f4a7c15ull}.next();
+}
+
 /// xoshiro256++ engine. Satisfies std::uniform_random_bit_generator.
 class Xoshiro256 {
  public:

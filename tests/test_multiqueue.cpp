@@ -308,6 +308,27 @@ TEST(MultiFlow, CompletesEveryFlowWithoutLossOrDiversion) {
   EXPECT_GT(r.all_latency_us.percentile(99), 0.0);
 }
 
+// With no warm-up every echo is measured, and residency covers only the
+// flows' own time, not the testbed's bring-up.
+TEST(MultiFlow, ZeroWarmupMeasuresEveryEcho) {
+  harness::MultiFlowConfig config;
+  config.queue_pairs = 2;
+  config.flows = 2;
+  config.payload_bytes = 64;
+  config.packets_per_flow = 20;
+  config.warmup_per_flow = 0;
+  config.trials = 2;
+  config.rx_mode = hostos::RxMode::kBusyPoll;
+  config.pacing_gap = sim::microseconds(25);
+  const harness::MultiFlowResult r = harness::run_multi_flow(config);
+
+  EXPECT_EQ(r.all_latency_us.count(), 2u * 20 * 2);  // flows x packets x trials
+  EXPECT_EQ(r.failures, 0u);
+  EXPECT_GT(r.cpu_residency, 0.0);
+  EXPECT_LE(r.cpu_residency, 1.0);
+  EXPECT_GT(r.poll_share, 0.0);
+}
+
 // ---- Multi-queue fault classes ---------------------------------------------------
 
 TEST(MultiQueueFaults, SteeringCorruptionRepairedWithoutDeviceReset) {

@@ -106,6 +106,17 @@ TEST(Rng, SplitStreamsAreIndependentish) {
   EXPECT_EQ(same, 0);
 }
 
+TEST(Rng, DeriveSeedIsTheSplitMix64Stream) {
+  for (const u64 base : {u64{0}, u64{2024}, ~u64{0}}) {
+    SplitMix64 stream{base};
+    for (u64 i = 0; i < 64; ++i) {
+      EXPECT_EQ(derive_seed(base, i), stream.next())
+          << "base " << base << " index " << i;
+    }
+  }
+  static_assert(derive_seed(7, 3) == derive_seed(7 + 0x9e3779b97f4a7c15ull, 2));
+}
+
 // ---- distributions (statistical property tests) ------------------------------
 
 TEST(Distributions, LognormalMedianIsMedian) {

@@ -5,11 +5,31 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 #include "vfpga/harness/blk_bench.hpp"
 #include "vfpga/harness/multi_flow.hpp"
 #include "vfpga/harness/streaming.hpp"
+
+namespace vfpga::hostos {
+
+// Names the parameter in gtest's test names and failure messages.
+static void PrintTo(RxMode mode, std::ostream* os) {
+  switch (mode) {
+    case RxMode::kInterrupt:
+      *os << "interrupt";
+      return;
+    case RxMode::kBusyPoll:
+      *os << "busy_poll";
+      return;
+    case RxMode::kAdaptive:
+      *os << "adaptive";
+      return;
+  }
+}
+
+}  // namespace vfpga::hostos
 
 namespace vfpga::harness {
 namespace {
@@ -170,7 +190,12 @@ TEST(SweepHarness, StreamingSweepDeterministicAcrossThreads) {
   }
 }
 
-TEST(SweepHarness, MultiFlowDeterministicAcrossThreads) {
+// The three receive paths, paced: pure poll spins the gap, the others
+// sleep it, so each mode's residency and driver counters are checked too.
+class SweepHarnessMultiFlow : public ::testing::TestWithParam<hostos::RxMode> {
+};
+
+TEST_P(SweepHarnessMultiFlow, DeterministicAcrossThreads) {
   MultiFlowConfig config;
   config.queue_pairs = 2;
   config.flows = 4;
@@ -178,6 +203,8 @@ TEST(SweepHarness, MultiFlowDeterministicAcrossThreads) {
   config.warmup_per_flow = 2;
   config.trials = 4;
   config.seed = 913;
+  config.rx_mode = GetParam();
+  config.pacing_gap = sim::microseconds(25);
   MultiFlowResult one;
   {
     ScopedThreadsEnv env{"1"};
@@ -203,8 +230,22 @@ TEST(SweepHarness, MultiFlowDeterministicAcrossThreads) {
   EXPECT_EQ(one.aggregate_mpps, four.aggregate_mpps);  // kpps, bitwise
   EXPECT_EQ(one.mean_makespan_us, four.mean_makespan_us);
   EXPECT_EQ(one.cross_pair_rx, four.cross_pair_rx);
+  EXPECT_EQ(one.cpu_residency, four.cpu_residency);  // bitwise
+  EXPECT_EQ(one.poll_share, four.poll_share);
+  EXPECT_EQ(one.busy_polls, four.busy_polls);
+  EXPECT_EQ(one.busy_poll_harvested, four.busy_poll_harvested);
+  EXPECT_EQ(one.busy_poll_spins, four.busy_poll_spins);
+  EXPECT_EQ(one.tx_kicks, four.tx_kicks);
+  EXPECT_EQ(one.tx_packets, four.tx_packets);
   EXPECT_GT(one.all_latency_us.count(), 0u);
+  EXPECT_GT(one.cpu_residency, 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    RxModes, SweepHarnessMultiFlow,
+    ::testing::Values(hostos::RxMode::kInterrupt, hostos::RxMode::kBusyPoll,
+                      hostos::RxMode::kAdaptive),
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace vfpga::harness
