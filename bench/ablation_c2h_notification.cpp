@@ -13,6 +13,8 @@
 
 #include "bench_cli.hpp"
 #include "vfpga/core/testbed.hpp"
+#include "vfpga/harness/virtio_bench.hpp"
+#include "vfpga/harness/xdma_bench.hpp"
 #include "vfpga/stats/summary.hpp"
 
 namespace {
@@ -39,34 +41,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kPayload));
   const u64 wire = core::virtio_wire_bytes(kPayload);
 
-  {
-    core::TestbedOptions options;
-    options.seed = seed;
-    core::VirtioNetTestbed bed{options};
-    stats::SampleSet samples;
-    Bytes payload(kPayload, 1);
-    for (u64 i = 0; i < n; ++i) {
-      payload[0] = static_cast<u8>(i);
-      const auto rt = bed.udp_round_trip(payload);
-      if (rt.ok) {
-        samples.add(rt.total);
-      }
-    }
-    report("virtio device-push", samples);
-  }
-  {
-    core::TestbedOptions options;
-    options.seed = seed + 1;
-    core::XdmaTestbed bed{options};
-    stats::SampleSet samples;
-    for (u64 i = 0; i < n; ++i) {
-      const auto rt = bed.write_read_round_trip(wire);
-      if (rt.ok) {
-        samples.add(rt.total);
-      }
-    }
-    report("xdma back-to-back", samples);
-  }
+  const harness::ExperimentConfig config = bench::cell_config(n);
+  report("virtio device-push",
+         harness::run_virtio_cell(config, kPayload, seed).total_us);
+  report("xdma back-to-back",
+         harness::run_xdma_cell(config, kPayload, seed + 1).total_us);
   {
     core::TestbedOptions options;
     options.seed = seed + 2;

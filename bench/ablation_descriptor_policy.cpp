@@ -16,7 +16,8 @@
 
 #include "bench_cli.hpp"
 #include "vfpga/core/testbed.hpp"
-#include "vfpga/stats/summary.hpp"
+#include "vfpga/harness/virtio_bench.hpp"
+#include "vfpga/harness/xdma_bench.hpp"
 
 namespace {
 
@@ -24,25 +25,17 @@ using namespace vfpga;
 
 constexpr u64 kPayload = 256;
 
+void report(const char* name, const harness::CellResult& cell) {
+  std::printf("%-28s hw %6.2f us   total mean %6.2f us   p95 %6.2f us\n",
+              name, cell.hardware_us.mean(), cell.total_us.mean(),
+              cell.total_us.percentile(95));
+}
+
 void run_virtio(const char* name, core::ControllerPolicy policy, u64 n,
                 u64 seed) {
-  core::TestbedOptions options;
-  options.seed = seed;
-  options.controller.policy = policy;
-  core::VirtioNetTestbed bed{options};
-  stats::SampleSet hw;
-  stats::SampleSet total;
-  Bytes payload(kPayload, 1);
-  for (u64 i = 0; i < n; ++i) {
-    payload[0] = static_cast<u8>(i);
-    const auto rt = bed.udp_round_trip(payload);
-    if (rt.ok) {
-      hw.add(rt.hardware);
-      total.add(rt.total);
-    }
-  }
-  std::printf("%-28s hw %6.2f us   total mean %6.2f us   p95 %6.2f us\n",
-              name, hw.mean(), total.mean(), total.percentile(95));
+  harness::ExperimentConfig config = bench::cell_config(n);
+  config.testbed.controller.policy = policy;
+  report(name, harness::run_virtio_cell(config, kPayload, seed));
 }
 
 }  // namespace
@@ -71,24 +64,8 @@ int main(int argc, char** argv) {
   all.trust_cached_credits = true;
   run_virtio("virtio all optimizations", all, n, seed);
 
-  {
-    core::TestbedOptions options;
-    options.seed = seed + 1;
-    core::XdmaTestbed bed{options};
-    stats::SampleSet hw;
-    stats::SampleSet total;
-    const u64 wire = core::virtio_wire_bytes(kPayload);
-    for (u64 i = 0; i < n; ++i) {
-      const auto rt = bed.write_read_round_trip(wire);
-      if (rt.ok) {
-        hw.add(rt.hardware);
-        total.add(rt.total);
-      }
-    }
-    std::printf("%-28s hw %6.2f us   total mean %6.2f us   p95 %6.2f us\n",
-                "xdma per-transfer descs", hw.mean(), total.mean(),
-                total.percentile(95));
-  }
+  report("xdma per-transfer descs",
+         harness::run_xdma_cell(bench::cell_config(n), kPayload, seed + 1));
 
   std::puts(
       "\nReading: every avoided descriptor/ring DMA read removes a full\n"

@@ -9,8 +9,7 @@
 #include <cstdio>
 
 #include "bench_cli.hpp"
-#include "vfpga/core/testbed.hpp"
-#include "vfpga/stats/summary.hpp"
+#include "vfpga/harness/virtio_bench.hpp"
 
 namespace {
 
@@ -20,28 +19,15 @@ void run_format(bool packed, u64 n, u64 seed) {
   std::printf("%s rings:\n", packed ? "packed" : "split ");
   std::printf("  %-8s %10s %10s %12s %10s\n", "payload", "hw (us)",
               "sw (us)", "total (us)", "p95 (us)");
+  harness::ExperimentConfig config = bench::cell_config(n);
+  config.testbed.use_packed_rings = packed;
   for (u64 payload : {u64{64}, u64{256}, u64{1024}}) {
-    core::TestbedOptions options;
-    options.seed = seed + payload;
-    options.use_packed_rings = packed;
-    core::VirtioNetTestbed bed{options};
-    stats::SampleSet hw;
-    stats::SampleSet sw;
-    stats::SampleSet total;
-    Bytes buffer(payload, 1);
-    for (u64 i = 0; i < n; ++i) {
-      buffer[0] = static_cast<u8>(i);
-      const auto rt = bed.udp_round_trip(buffer);
-      if (!rt.ok) {
-        continue;
-      }
-      hw.add(rt.hardware);
-      sw.add(rt.total - rt.hardware - rt.response_gen);
-      total.add(rt.total);
-    }
+    const harness::CellResult cell =
+        harness::run_virtio_cell(config, payload, seed + payload);
     std::printf("  %-8llu %10.2f %10.2f %12.2f %10.2f\n",
-                static_cast<unsigned long long>(payload), hw.mean(),
-                sw.mean(), total.mean(), total.percentile(95));
+                static_cast<unsigned long long>(payload),
+                cell.hardware_us.mean(), cell.software_us.mean(),
+                cell.total_us.mean(), cell.total_us.percentile(95));
   }
 }
 

@@ -18,7 +18,6 @@
 // on top, so distinct configs keep distinct RNG streams.
 #pragma once
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -26,8 +25,12 @@
 
 #include "vfpga/common/types.hpp"
 #include "vfpga/harness/experiment.hpp"
+#include "vfpga/harness/parallel.hpp"
 
 namespace vfpga::bench {
+
+using harness::parse_thread_count;
+using harness::parse_u64;
 
 /// The shared flags; a bench passes the ones it takes to parse_args.
 enum Flag : unsigned {
@@ -54,33 +57,6 @@ struct Args {
   std::optional<u32> campaign_ops;      ///< VFPGA_CAMPAIGN_OPS
   std::optional<double> campaign_rate;  ///< VFPGA_CAMPAIGN_RATE
 };
-
-/// An unsigned integer with an optional C base prefix and nothing else:
-/// no sign, no whitespace, no trailing characters, no overflow.
-[[nodiscard]] inline std::optional<u64> parse_u64(const char* text) {
-  if (text == nullptr || *text < '0' || *text > '9') {
-    return std::nullopt;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 0);
-  if (errno != 0 || *end != '\0') {
-    return std::nullopt;
-  }
-  return static_cast<u64>(value);
-}
-
-/// Parse a `--threads` operand: a positive integer up to 65536. Returns
-/// nullopt for everything else — zero, negatives, "4x", "", overflow —
-/// so a typo cannot silently become threads=0 ("pick for me").
-[[nodiscard]] inline std::optional<unsigned> parse_thread_count(
-    const char* text) {
-  const std::optional<u64> value = parse_u64(text);
-  if (!value.has_value() || *value == 0 || *value > 65'536) {
-    return std::nullopt;
-  }
-  return static_cast<unsigned>(*value);
-}
 
 namespace detail {
 
@@ -176,7 +152,8 @@ inline Args parse_args(int argc, char** argv, unsigned accepted) {
     }
   }
 
-  // Validated only: harness::worker_threads reads VFPGA_THREADS itself.
+  // Validated only: harness::worker_threads reads VFPGA_THREADS itself,
+  // by the same parse_thread_count rule, but aborts instead of exiting 2.
   detail::env<unsigned>("VFPGA_THREADS", parse_thread_count,
                         "is not a positive integer (1..65536)");
   args.seed = detail::env<u64>("VFPGA_SEED", parse_u64,
@@ -204,6 +181,15 @@ inline harness::ExperimentConfig paper_config(const Args& args) {
   harness::ExperimentConfig config;
   config.iterations = args.iterations.value_or(config.iterations);
   config.seed = args.seed.value_or(config.seed);
+  return config;
+}
+
+/// The ablation and portability benches' cell experiment: `iterations`
+/// measured round trips on the default testbed, without warm-up.
+inline harness::ExperimentConfig cell_config(u64 iterations) {
+  harness::ExperimentConfig config;
+  config.iterations = iterations;
+  config.warmup = 0;
   return config;
 }
 

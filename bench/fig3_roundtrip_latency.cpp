@@ -8,14 +8,16 @@
 #include <cstdio>
 
 #include "bench_cli.hpp"
-#include "vfpga/harness/parallel.hpp"
 #include "vfpga/harness/report.hpp"
+#include "vfpga/harness/virtio_bench.hpp"
+#include "vfpga/harness/xdma_bench.hpp"
 
 int main(int argc, char** argv) {
   using namespace vfpga;
   const harness::ExperimentConfig config =
       bench::paper_config(bench::parse_args(argc, argv, 0));
-  const auto [virtio, xdma] = harness::run_both_sweeps_parallel(config);
+  const harness::SweepResult virtio = harness::run_virtio_sweep(config);
+  const harness::SweepResult xdma = harness::run_xdma_sweep(config);
   std::fputs(harness::render_fig3(virtio, xdma, /*with_histograms=*/true)
                  .c_str(),
              stdout);

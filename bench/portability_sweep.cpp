@@ -12,6 +12,8 @@
 
 #include "bench_cli.hpp"
 #include "vfpga/core/testbed.hpp"
+#include "vfpga/harness/virtio_bench.hpp"
+#include "vfpga/harness/xdma_bench.hpp"
 #include "vfpga/stats/summary.hpp"
 
 namespace {
@@ -87,37 +89,16 @@ int main(int argc, char** argv) {
   };
 
   for (const Platform& platform : platforms) {
-    core::TestbedOptions options;
-    options.seed = 61;
-    options.link = platform.link;
+    harness::ExperimentConfig config = bench::cell_config(n);
+    config.testbed.link = platform.link;
     if (platform.tuned_host) {
-      options.costs = tuned_server_costs();
-      options.noise = tuned_server_noise();
+      config.testbed.costs = tuned_server_costs();
+      config.testbed.noise = tuned_server_noise();
     }
-
-    stats::SampleSet virtio;
-    {
-      core::VirtioNetTestbed bed{options};
-      Bytes buffer(payload, 1);
-      for (u64 i = 0; i < n; ++i) {
-        buffer[0] = static_cast<u8>(i);
-        const auto rt = bed.udp_round_trip(buffer);
-        if (rt.ok) {
-          virtio.add(rt.total);
-        }
-      }
-    }
-    stats::SampleSet xdma;
-    {
-      core::XdmaTestbed bed{options};
-      const u64 wire = core::virtio_wire_bytes(payload);
-      for (u64 i = 0; i < n; ++i) {
-        const auto rt = bed.write_read_round_trip(wire);
-        if (rt.ok) {
-          xdma.add(rt.total);
-        }
-      }
-    }
+    const stats::SampleSet virtio =
+        harness::run_virtio_cell(config, payload, 61).total_us;
+    const stats::SampleSet xdma =
+        harness::run_xdma_cell(config, payload, 61).total_us;
     char virtio_col[32];
     char xdma_col[32];
     std::snprintf(virtio_col, sizeof virtio_col, "%.1f / %.1f",

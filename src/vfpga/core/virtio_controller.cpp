@@ -650,7 +650,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
       ++interrupts_suppressed_;
     }
     if (response.has_value()) {
-      t = deliver_response_train(*response, chain, queue, t);
+      t = deliver_response_train(*response, t);
     }
     t = replenish_credits(eng, queue, t);
   }
@@ -674,10 +674,7 @@ sim::SimTime VirtioDeviceFunction::replenish_credits(IQueueEngine& eng,
 }
 
 sim::SimTime VirtioDeviceFunction::deliver_response(
-    const UserLogic::Response& response, const FetchedChain& source_chain,
-    u16 source_queue, sim::SimTime t) {
-  (void)source_chain;
-  (void)source_queue;
+    const UserLogic::Response& response, sim::SimTime t) {
   const u16 target = response.target_queue;
   VFPGA_EXPECTS(target < queue_state_.size());
   if (!queue_state_[target].enabled) {
@@ -794,14 +791,13 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
 }
 
 sim::SimTime VirtioDeviceFunction::deliver_response_train(
-    const UserLogic::Response& response, const FetchedChain& source_chain,
-    u16 source_queue, sim::SimTime t) {
-  t = deliver_response(response, source_chain, source_queue, t);
+    const UserLogic::Response& response, sim::SimTime t) {
+  t = deliver_response(response, t);
   for (const Bytes& frame : response.trailing_frames) {
     UserLogic::Response follow;
     follow.payload = frame;
     follow.target_queue = response.target_queue;
-    t = deliver_response(follow, source_chain, source_queue, t);
+    t = deliver_response(follow, t);
   }
   return t;
 }

@@ -181,16 +181,14 @@ class VirtioDeviceFunction : public pcie::Function {
 
   // ---- datapath ----
   void process_notify(u16 queue, sim::SimTime at);
-  /// Deliver a response: scatter into an RX-style chain on target_queue
-  /// (or the same chain for block-style), update used, maybe interrupt.
+  /// Deliver a response: scatter into the RX-style chains of its
+  /// target_queue, update used, maybe interrupt.
   sim::SimTime deliver_response(const UserLogic::Response& response,
-                                const FetchedChain& source_chain,
-                                u16 source_queue, sim::SimTime t);
+                                sim::SimTime t);
   /// Deliver the primary response plus any trailing frames (a device
   /// GSO engine emitting a segment train) back-to-back on its target.
   sim::SimTime deliver_response_train(const UserLogic::Response& response,
-                                      const FetchedChain& source_chain,
-                                      u16 source_queue, sim::SimTime t);
+                                      sim::SimTime t);
   void fire_queue_interrupt(u16 queue, sim::SimTime at);
   /// Interrupt-moderation gate for RX deliveries: consult the user
   /// logic's per-queue window and withhold the MSI-X message until the

@@ -2,13 +2,36 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #include "vfpga/sim/rng.hpp"
 
 namespace vfpga::harness {
+
+std::optional<u64> parse_u64(const char* text) {
+  if (text == nullptr || *text < '0' || *text > '9') {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 0);
+  if (errno != 0 || *end != '\0') {
+    return std::nullopt;
+  }
+  return static_cast<u64>(value);
+}
+
+std::optional<unsigned> parse_thread_count(const char* text) {
+  const std::optional<u64> value = parse_u64(text);
+  if (!value.has_value() || *value == 0 || *value > 65'536) {
+    return std::nullopt;
+  }
+  return static_cast<unsigned>(*value);
+}
 
 unsigned worker_threads(std::size_t cells) {
   return worker_threads(cells, 0);
@@ -23,10 +46,15 @@ unsigned worker_threads(std::size_t cells, unsigned cli_request) {
     threads = cli_request;
   }
   if (const char* env = std::getenv("VFPGA_THREADS")) {
-    const long v = std::atol(env);
-    if (v > 0) {
-      threads = static_cast<unsigned>(v);
+    const std::optional<unsigned> v = parse_thread_count(env);
+    if (!v.has_value()) {
+      std::fprintf(stderr,
+                   "error: VFPGA_THREADS=%s is not a positive integer "
+                   "(1..65536)\n",
+                   env);
+      std::abort();
     }
+    threads = *v;
   }
   // Clamp AFTER the env override: VFPGA_THREADS=64 with 4 cells must
   // still yield 4 workers — spawning threads with no work to claim only
@@ -65,31 +93,22 @@ void run_parallel(std::vector<std::function<void()>> tasks,
   }
 }
 
-std::pair<SweepResult, SweepResult> run_both_sweeps_parallel(
-    const ExperimentConfig& config) {
-  SweepResult virtio;
-  virtio.driver_name = "VirtIO";
-  virtio.cells.resize(config.payloads.size());
-  SweepResult xdma;
-  xdma.driver_name = "XDMA";
-  xdma.cells.resize(config.payloads.size());
-
-  // Cell i's seed is element i of the sequential runners' SplitMix64
-  // stream, so parallel and sequential execution produce identical
-  // numbers.
+SweepResult run_sweep(std::string driver_name, const ExperimentConfig& config,
+                      u64 seed_base, CellRunner run) {
+  SweepResult sweep;
+  sweep.driver_name = std::move(driver_name);
+  sweep.cells.resize(config.payloads.size());
   std::vector<std::function<void()>> tasks;
+  tasks.reserve(config.payloads.size());
   for (std::size_t i = 0; i < config.payloads.size(); ++i) {
     tasks.emplace_back([&, i] {
-      virtio.cells[i] = run_virtio_cell(config, config.payloads[i],
-                                        sim::derive_seed(config.seed, i));
-    });
-    tasks.emplace_back([&, i] {
-      xdma.cells[i] = run_xdma_cell(config, config.payloads[i],
-                                    sim::derive_seed(config.seed ^ 0xdadau, i));
+      sweep.cells[i] =
+          run(config, config.payloads[i], sim::derive_seed(seed_base, i));
     });
   }
-  run_parallel(std::move(tasks), worker_threads(tasks.size()));
-  return {std::move(virtio), std::move(xdma)};
+  const unsigned threads = worker_threads(tasks.size());
+  run_parallel(std::move(tasks), threads);
+  return sweep;
 }
 
 }  // namespace vfpga::harness

@@ -70,7 +70,6 @@ class Runner {
             .lanes = config.lanes, .window = kEchoWindow, .adaptive = {}}),
         shards_(config.lanes, config.packets_per_lane),
         smallfn_baseline_(sim::SmallFn::heap_allocations()) {
-    sim::SplitMix64 seeder{config_.seed};
     contexts_.reserve(config_.lanes);
     for (u32 i = 0; i < config_.lanes; ++i) {
       auto ctx = std::make_unique<LaneContext>();
@@ -80,7 +79,9 @@ class Runner {
       ctx->quota = config_.packets_per_lane;
 
       core::TestbedOptions options;
-      options.seed = seeder.next();
+      // Lane i takes elements 2i and 2i+1 of the SplitMix64 stream
+      // seeded with config_.seed: testbed, then flow generator.
+      options.seed = sim::derive_seed(config_.seed, 2 * u64{i});
       options.requested_queue_pairs = 1;
       options.net.max_queue_pairs = 1;
       ctx->bed = std::make_unique<core::VirtioNetTestbed>(options);
@@ -102,7 +103,7 @@ class Runner {
       gen_config.size_max_packets = config_.size_max_packets;
       gen_config.payload_min = kEchoPayloadMin;
       gen_config.payload_max = kEchoPayloadMax;
-      gen_config.seed = seeder.next();
+      gen_config.seed = sim::derive_seed(config_.seed, 2 * u64{i} + 1);
       ctx->gen = std::make_unique<net::FlowGen>(gen_config);
 
       ctx->sockets.resize(config_.flows_per_lane);
@@ -270,7 +271,6 @@ class SoakRunner {
                                              .min_window = kSoakWindow,
                                              .max_window = kSoakMaxWindow}}),
         shards_(config.lanes) {
-    sim::SplitMix64 seeder{config_.seed};
     for (u32 l = 0; l < config_.lanes; ++l) {
       net::FlowGenConfig gc;
       // Disjoint client-IP ranges per lane: shard l owns
@@ -285,7 +285,7 @@ class SoakRunner {
       gc.flows = config_.flows_per_lane;
       gc.size_max_packets = config_.size_max_packets;
       gc.mean_gap_us = kSoakMeanGapUs;
-      gc.seed = seeder.next();
+      gc.seed = sim::derive_seed(config_.seed, l);
       shards_[l].gen = std::make_unique<net::FlowGen>(gc);
 
       // Stagger first ticks so the opening window is not one aligned

@@ -1,6 +1,6 @@
 #include "vfpga/harness/virtio_bench.hpp"
 
-#include "vfpga/common/contract.hpp"
+#include "vfpga/harness/parallel.hpp"
 #include "vfpga/sim/rng.hpp"
 
 namespace vfpga::harness {
@@ -41,13 +41,7 @@ CellResult run_virtio_cell(const ExperimentConfig& config, u64 payload,
 }
 
 SweepResult run_virtio_sweep(const ExperimentConfig& config) {
-  SweepResult sweep;
-  sweep.driver_name = "VirtIO";
-  sim::SplitMix64 seeder{config.seed};
-  for (u64 payload : config.payloads) {
-    sweep.cells.push_back(run_virtio_cell(config, payload, seeder.next()));
-  }
-  return sweep;
+  return run_sweep("VirtIO", config, config.seed, run_virtio_cell);
 }
 
 }  // namespace vfpga::harness

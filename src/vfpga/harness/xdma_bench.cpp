@@ -1,6 +1,6 @@
 #include "vfpga/harness/xdma_bench.hpp"
 
-#include "vfpga/sim/rng.hpp"
+#include "vfpga/harness/parallel.hpp"
 
 namespace vfpga::harness {
 
@@ -32,13 +32,7 @@ CellResult run_xdma_cell(const ExperimentConfig& config, u64 payload,
 }
 
 SweepResult run_xdma_sweep(const ExperimentConfig& config) {
-  SweepResult sweep;
-  sweep.driver_name = "XDMA";
-  sim::SplitMix64 seeder{config.seed ^ 0xdadau};
-  for (u64 payload : config.payloads) {
-    sweep.cells.push_back(run_xdma_cell(config, payload, seeder.next()));
-  }
-  return sweep;
+  return run_sweep("XDMA", config, config.seed ^ 0xdadau, run_xdma_cell);
 }
 
 }  // namespace vfpga::harness

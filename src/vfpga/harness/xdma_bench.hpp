@@ -11,6 +11,8 @@ namespace vfpga::harness {
 CellResult run_xdma_cell(const ExperimentConfig& config, u64 payload,
                          u64 seed);
 
+/// Full payload sweep, one cell per payload on the worker pool;
+/// identical at any VFPGA_THREADS.
 SweepResult run_xdma_sweep(const ExperimentConfig& config);
 
 }  // namespace vfpga::harness

@@ -58,18 +58,8 @@ bool KernelNetstack::udp_sendmsg(HostThread& thread, u16 src_port,
 std::optional<KernelNetstack::MsgRecv> KernelNetstack::udp_recvmsg(
     HostThread& thread, u16 local_port, std::span<ByteSpan> iov, RxMode mode,
     sim::Duration budget) {
-  std::optional<Datagram> dgram;
-  switch (mode) {
-    case RxMode::kInterrupt:
-      dgram = udp_receive_blocking(thread, local_port);
-      break;
-    case RxMode::kBusyPoll:
-      dgram = udp_receive_busy_poll(thread, local_port, budget);
-      break;
-    case RxMode::kAdaptive:
-      dgram = udp_receive_adaptive(thread, local_port, budget);
-      break;
-  }
+  const std::optional<Datagram> dgram =
+      udp_receive(thread, local_port, mode, budget);
   if (!dgram.has_value()) {
     return std::nullopt;
   }
@@ -329,97 +319,55 @@ void KernelNetstack::demux_frames(HostThread& thread, u16 pair) {
   }
 }
 
-std::optional<KernelNetstack::Datagram> KernelNetstack::udp_receive_blocking(
-    HostThread& thread, u16 local_port) {
-  thread.exec(thread.costs().syscall_entry);
-
+std::optional<KernelNetstack::Datagram> KernelNetstack::udp_receive(
+    HostThread& thread, u16 local_port, RxMode mode, sim::Duration budget) {
   // The flow's queue-pair affinity decides which RX vector the receiver
-  // sleeps on — with one pair this is the paper's single rx_vector().
+  // polls and sleeps on — with one pair this is the paper's single
+  // rx_vector(). The adaptive controller is asked before the syscall.
   const u16 pair = flow_pair(local_port);
-  auto& queue = socket_queues_[local_port];
-  if (queue.empty()) {
-    // Task blocks; the next RX interrupt wakes it. In the transaction-
-    // level flow the device has already computed the delivery time.
-    if (!irq_->pending(driver_->rx_vector(pair))) {
-      thread.exec(thread.costs().syscall_exit);
-      return std::nullopt;  // would block forever: timeout analogue
-    }
-    service_rx_interrupt(thread, irq_->consume(driver_->rx_vector(pair)),
-                         pair);
-    thread.exec(thread.costs().wakeup);  // scheduler wakes the receiver
-  }
-  if (queue.empty()) {
-    thread.exec(thread.costs().syscall_exit);
-    return std::nullopt;
-  }
-  Datagram dgram = std::move(queue.front());
-  queue.pop_front();
-  thread.exec(thread.costs().socket_recv);
-  thread.copy(dgram.payload.size());
-  thread.exec(thread.costs().syscall_exit);
-  return dgram;
-}
-
-std::optional<KernelNetstack::Datagram> KernelNetstack::udp_receive_busy_poll(
-    HostThread& thread, u16 local_port, sim::Duration budget) {
+  const bool adaptive = mode == RxMode::kAdaptive;
+  const bool spin = mode == RxMode::kBusyPoll ||
+                    (adaptive && driver_->should_busy_poll(pair));
   thread.exec(thread.costs().syscall_entry);
-
-  const u16 pair = flow_pair(local_port);
+  const sim::SimTime enter = thread.now();
   auto& queue = socket_queues_[local_port];
-  if (queue.empty()) {
+  if (spin && queue.empty()) {
     // sk_busy_loop: spin in the driver until data lands or the budget
-    // runs out. No irq_entry, no scheduler wakeup on the hit path.
+    // runs out. No irq_entry, no scheduler wake-up on the hit path.
     if (driver_->busy_poll(thread, pair, budget) > 0) {
       demux_frames(thread, pair);
     }
   }
   if (queue.empty()) {
-    // Poll missed. busy_poll re-armed the vector on exit, so a
-    // completion it declined to wait for (past the budget) still has —
-    // or will get — its interrupt queued: finish as the blocking path.
-    if (!irq_->pending(driver_->rx_vector(pair))) {
-      thread.exec(thread.costs().syscall_exit);
-      return std::nullopt;
+    // Task blocks; the next RX interrupt wakes it. After a poll miss
+    // busy_poll re-armed the vector, so a completion it declined to
+    // wait for still has — or will get — its interrupt queued.
+    const std::optional<sim::SimTime> irq_time = sleep_on_rx(thread, pair);
+    if (irq_time.has_value() && adaptive && !spin) {
+      // The controller chose to sleep: feed the observed wait back so
+      // it can switch to spinning when the arrival pattern tightens.
+      driver_->note_rx_wait(
+          pair, *irq_time > enter ? *irq_time - enter : sim::Duration{});
     }
-    service_rx_interrupt(thread, irq_->consume(driver_->rx_vector(pair)),
-                         pair);
-    thread.exec(thread.costs().wakeup);
   }
-  if (queue.empty()) {
-    thread.exec(thread.costs().syscall_exit);
-    return std::nullopt;
-  }
-  Datagram dgram = std::move(queue.front());
-  queue.pop_front();
-  thread.exec(thread.costs().socket_recv);
-  thread.copy(dgram.payload.size());
-  thread.exec(thread.costs().syscall_exit);
-  return dgram;
+  return dequeue(thread, queue);
 }
 
-std::optional<KernelNetstack::Datagram> KernelNetstack::udp_receive_adaptive(
-    HostThread& thread, u16 local_port, sim::Duration budget) {
-  const u16 pair = flow_pair(local_port);
-  if (driver_->should_busy_poll(pair)) {
-    return udp_receive_busy_poll(thread, local_port, budget);
+std::optional<sim::SimTime> KernelNetstack::sleep_on_rx(HostThread& thread,
+                                                        u16 pair) {
+  // In the transaction-level flow the device has already computed the
+  // delivery time of the interrupt the task sleeps on.
+  if (!irq_->pending(driver_->rx_vector(pair))) {
+    return std::nullopt;
   }
-  // Predicted wait too long to burn a core on: classic interrupt path,
-  // with the observed sleep fed back so the controller can switch to
-  // spinning when the arrival pattern tightens.
-  thread.exec(thread.costs().syscall_entry);
-  const sim::SimTime enter = thread.now();
-  auto& queue = socket_queues_[local_port];
-  if (queue.empty()) {
-    if (!irq_->pending(driver_->rx_vector(pair))) {
-      thread.exec(thread.costs().syscall_exit);
-      return std::nullopt;
-    }
-    const sim::SimTime irq_time = irq_->consume(driver_->rx_vector(pair));
-    driver_->note_rx_wait(
-        pair, irq_time > enter ? irq_time - enter : sim::Duration{});
-    service_rx_interrupt(thread, irq_time, pair);
-    thread.exec(thread.costs().wakeup);
-  }
+  const sim::SimTime irq_time = irq_->consume(driver_->rx_vector(pair));
+  service_rx_interrupt(thread, irq_time, pair);
+  thread.exec(thread.costs().wakeup);  // scheduler wakes the receiver
+  return irq_time;
+}
+
+std::optional<KernelNetstack::Datagram> KernelNetstack::dequeue(
+    HostThread& thread, std::deque<Datagram>& queue) {
   if (queue.empty()) {
     thread.exec(thread.costs().syscall_exit);
     return std::nullopt;
@@ -463,12 +411,7 @@ std::optional<sim::Duration> KernelNetstack::icmp_ping(
 
   // Block for the reply.
   if (icmp_replies_.empty()) {
-    if (!irq_->pending(driver_->rx_vector())) {
-      thread.exec(thread.costs().syscall_exit);
-      return std::nullopt;
-    }
-    service_rx_interrupt(thread, irq_->consume(driver_->rx_vector()));
-    thread.exec(thread.costs().wakeup);
+    sleep_on_rx(thread, 0);
   }
   if (icmp_replies_.empty()) {
     thread.exec(thread.costs().syscall_exit);
@@ -514,17 +457,7 @@ std::optional<KernelNetstack::Datagram> KernelNetstack::udp_receive_poll(
       service_rx_interrupt(thread, irq_->consume(driver_->rx_vector(p)), p);
     }
   }
-  auto& queue = socket_queues_[local_port];
-  if (queue.empty()) {
-    thread.exec(thread.costs().syscall_exit);
-    return std::nullopt;
-  }
-  Datagram dgram = std::move(queue.front());
-  queue.pop_front();
-  thread.exec(thread.costs().socket_recv);
-  thread.copy(dgram.payload.size());
-  thread.exec(thread.costs().syscall_exit);
-  return dgram;
+  return dequeue(thread, socket_queues_[local_port]);
 }
 
 namespace {

@@ -95,33 +95,24 @@ class KernelNetstack {
     Bytes payload;
   };
 
-  /// recvfrom(2) with blocking semantics: sleep until the RX interrupt,
-  /// run the NAPI/IP/UDP receive path, return the datagram for
-  /// `local_port`. Nullopt when no interrupt is (or becomes) pending —
-  /// the sequential-simulation analogue of a receive timeout.
-  std::optional<Datagram> udp_receive_blocking(HostThread& thread,
-                                               u16 local_port);
+  /// recvfrom(2): receive the next datagram for `local_port` by `mode`.
+  /// kInterrupt sleeps until the RX interrupt, then runs the
+  /// NAPI/IP/UDP receive path. kBusyPoll (SO_BUSY_POLL) first spins on
+  /// the flow's RX queue for `budget` (zero = the driver's default),
+  /// harvesting completions as their used-ring writes become visible
+  /// and skipping the IRQ entry and the scheduler wake-up on the hit
+  /// path; a miss falls back to the sleep (busy_poll re-armed the
+  /// vector). kAdaptive asks the driver's per-pair EWMA controller
+  /// whether to spin, and feeds the wait back when it sleeps. Nullopt
+  /// when no interrupt is (or becomes) pending — the sequential-
+  /// simulation analogue of a receive timeout.
+  std::optional<Datagram> udp_receive(HostThread& thread, u16 local_port,
+                                      RxMode mode,
+                                      sim::Duration budget = sim::Duration{});
 
   /// Non-blocking variant: only drains already-delivered interrupts.
   std::optional<Datagram> udp_receive_poll(HostThread& thread,
                                            u16 local_port);
-
-  /// SO_BUSY_POLL receive: spin on the flow's RX queue for `budget`
-  /// (zero = the driver's default) harvesting completions as their
-  /// used-ring writes become visible, skipping the IRQ entry and the
-  /// scheduler wakeup entirely on the hit path. Falls back to the
-  /// blocking path when the budget expires with the data still in
-  /// flight (busy_poll re-armed the vector before returning).
-  std::optional<Datagram> udp_receive_busy_poll(
-      HostThread& thread, u16 local_port,
-      sim::Duration budget = sim::Duration{});
-
-  /// Adaptive hybrid: consult the driver's per-pair EWMA controller and
-  /// take the busy-poll path when the predicted wait is short, the
-  /// interrupt path (feeding the observed wait back) otherwise.
-  std::optional<Datagram> udp_receive_adaptive(
-      HostThread& thread, u16 local_port,
-      sim::Duration budget = sim::Duration{});
 
   /// Interrupt-less receive servicing: run the NAPI poll + demux even
   /// when no RX interrupt fired. This is the recovery path for a lost
@@ -179,6 +170,14 @@ class KernelNetstack {
   void service_rx_interrupt(HostThread& thread, sim::SimTime irq_time,
                             u16 pair = 0);
   void demux_frames(HostThread& thread, u16 pair = 0);
+  /// Block on `pair`'s RX vector: service the interrupt, then wake the
+  /// sleeping task. Returns the interrupt time, or nullopt when none is
+  /// pending (the receive would block forever).
+  std::optional<sim::SimTime> sleep_on_rx(HostThread& thread, u16 pair);
+  /// The receive tail: pop the queue's head and copy it out to the user
+  /// (nullopt when empty), then charge the syscall exit.
+  std::optional<Datagram> dequeue(HostThread& thread,
+                                   std::deque<Datagram>& queue);
 
   VirtioNetDriver* driver_;
   InterruptController* irq_;

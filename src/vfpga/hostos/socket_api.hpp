@@ -21,12 +21,8 @@ class UdpSocket {
   /// per-call spin budget (zero budget = driver default). kInterrupt
   /// keeps recvfrom() on the classic blocking path, byte for byte.
   void set_rx_mode(RxMode mode) { rx_mode_ = mode; }
-  [[nodiscard]] RxMode rx_mode() const { return rx_mode_; }
   void set_busy_poll_budget(sim::Duration budget) {
     busy_poll_budget_ = budget;
-  }
-  [[nodiscard]] sim::Duration busy_poll_budget() const {
-    return busy_poll_budget_;
   }
 
   /// sendto(2): returns false on EHOSTUNREACH. `more_coming` is the
@@ -58,17 +54,8 @@ class UdpSocket {
 
   /// recvfrom(2), blocking — or busy-polling/adaptive per set_rx_mode.
   std::optional<KernelNetstack::Datagram> recvfrom(HostThread& thread) {
-    switch (rx_mode_) {
-      case RxMode::kBusyPoll:
-        return stack_->udp_receive_busy_poll(thread, local_port_,
-                                             busy_poll_budget_);
-      case RxMode::kAdaptive:
-        return stack_->udp_receive_adaptive(thread, local_port_,
-                                            busy_poll_budget_);
-      case RxMode::kInterrupt:
-        break;
-    }
-    return stack_->udp_receive_blocking(thread, local_port_);
+    return stack_->udp_receive(thread, local_port_, rx_mode_,
+                               busy_poll_budget_);
   }
 
   /// recvfrom(2) with MSG_DONTWAIT.

@@ -1,6 +1,6 @@
 // Harness-level tests: parallel sweep determinism (the "same seed, same
-// tables at any thread count" guarantee), the JSON writer behind every
-// BENCH_*.json, and the timeline renderer.
+// tables at any thread count" guarantee), the VFPGA_THREADS rule, the
+// JSON writer behind every BENCH_*.json, and the timeline renderer.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,11 +12,14 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vfpga/fpga/timeline.hpp"
 #include "vfpga/harness/parallel.hpp"
 #include "vfpga/harness/report.hpp"
+#include "vfpga/harness/virtio_bench.hpp"
+#include "vfpga/harness/xdma_bench.hpp"
 
 namespace vfpga::harness {
 namespace {
@@ -30,22 +33,51 @@ ExperimentConfig tiny_config() {
   return config;
 }
 
-TEST(ParallelHarness, MatchesSequentialBitForBit) {
+/// Both driver sweeps with VFPGA_THREADS pinned to `threads`.
+std::pair<SweepResult, SweepResult> sweeps_on(const char* threads) {
   const ExperimentConfig config = tiny_config();
-  const SweepResult seq_virtio = run_virtio_sweep(config);
-  const SweepResult seq_xdma = run_xdma_sweep(config);
+  ::setenv("VFPGA_THREADS", threads, 1);
+  std::pair<SweepResult, SweepResult> sweeps{run_virtio_sweep(config),
+                                             run_xdma_sweep(config)};
+  ::unsetenv("VFPGA_THREADS");
+  return sweeps;
+}
 
-  const auto [par_virtio, par_xdma] = run_both_sweeps_parallel(config);
-
-  ASSERT_EQ(par_virtio.cells.size(), seq_virtio.cells.size());
-  for (std::size_t i = 0; i < seq_virtio.cells.size(); ++i) {
-    EXPECT_EQ(par_virtio.cells[i].total_us.values_us(),
-              seq_virtio.cells[i].total_us.values_us())
-        << "virtio cell " << i;
-    EXPECT_EQ(par_xdma.cells[i].total_us.values_us(),
-              seq_xdma.cells[i].total_us.values_us())
-        << "xdma cell " << i;
+void expect_same_cells(const SweepResult& a, const SweepResult& b) {
+  EXPECT_EQ(a.driver_name, b.driver_name);
+  ASSERT_EQ(a.cells.size(), b.cells.size());
+  for (std::size_t i = 0; i < a.cells.size(); ++i) {
+    EXPECT_EQ(a.cells[i].payload, b.cells[i].payload);
+    EXPECT_EQ(a.cells[i].total_us.values_us(), b.cells[i].total_us.values_us())
+        << a.driver_name << " cell " << i;
+    EXPECT_EQ(a.cells[i].hardware_us.values_us(),
+              b.cells[i].hardware_us.values_us())
+        << a.driver_name << " cell " << i;
+    EXPECT_EQ(a.cells[i].failures, b.cells[i].failures);
   }
+}
+
+// Every sweep runs its cells on the pool; each cell's seed depends only
+// on its index, so one worker and four give the same samples.
+TEST(ParallelHarness, SweepsIndependentOfThreadCount) {
+  const auto [virtio1, xdma1] = sweeps_on("1");
+  const auto [virtio4, xdma4] = sweeps_on("4");
+  EXPECT_EQ(virtio1.driver_name, "VirtIO");
+  EXPECT_EQ(xdma1.driver_name, "XDMA");
+  expect_same_cells(virtio1, virtio4);
+  expect_same_cells(xdma1, xdma4);
+}
+
+// A set VFPGA_THREADS is read by the same rule as --threads; anything
+// that rule rejects aborts instead of silently picking a count.
+TEST(ParallelHarness, WorkerThreadsRejectsMalformedEnv) {
+  for (const char* bad : {"4x", "0", "99999999999999999999"}) {
+    ::setenv("VFPGA_THREADS", bad, 1);
+    EXPECT_DEATH(worker_threads(16),
+                 std::string("error: VFPGA_THREADS=") + bad)
+        << bad;
+  }
+  ::unsetenv("VFPGA_THREADS");
 }
 
 TEST(ParallelHarness, RunParallelExecutesEveryTaskOnce) {
