@@ -120,12 +120,13 @@ int main(int argc, char** argv) {
         BlkCellResult& r = per_mode[m];
         r = sweep.cells[cell_index++];
         if (r.reactor_iterations > 0) {
+          // Share of the cell's simulated time the reactor spent outside
+          // dry windows: iterations that found work plus the loop cost.
           std::printf(
               "%8u %9s %6u | %10.0f %9.2f %9.2f %10.2f | %9.1f%%\n", payload,
               mode_name(mode), depth, r.iops, r.latency_us.percentile(50),
               r.latency_us.percentile(99), r.latency_us.percentile(99.9),
-              100.0 * static_cast<double>(r.reactor_busy_iterations) /
-                  static_cast<double>(r.reactor_iterations));
+              100.0 * (1.0 - r.reactor_dry_time.micros() / r.span.micros()));
         } else {
           std::printf("%8u %9s %6u | %10.0f %9.2f %9.2f %10.2f | %10s\n",
                       payload, mode_name(mode), depth, r.iops,

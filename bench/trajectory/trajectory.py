@@ -4,7 +4,7 @@
 Usage, from the repository root:
 
     python3 bench/trajectory/trajectory.py record
-    python3 bench/trajectory/trajectory.py compare A B
+    python3 bench/trajectory/trajectory.py compare A B [--model-change W]...
 
 record runs `perfbench/run.py --trace 0` for every workload that
 BENCHMARK.json lists, over seeds 1-5 at 3 s each, and appends one row to
@@ -15,13 +15,19 @@ bench/trajectory/ is recorded as "<HEAD>+".
 
 compare looks up the rows labelled A and B (a label or a unique prefix
 of one) and prints every metric side by side. It exits 1 when any sim_*
-value differs, since those are a pure function of the seed. It warns,
+value differs, since those are a pure function of the seed. A change
+that alters the simulated model on purpose names each workload it
+affects with --model-change: there, sim_* differences print as
+declared, and exit 1 only when a median moves the wrong way by more
+than its BENCHMARK.json bound; every other workload keeps the identity
+check. It warns,
 without failing, when a wall-clock median moves the wrong way by more
 than its BENCHMARK.json bound or a larger share of ops fails; wall
 metrics depend on the host and its load, so one row pair cannot decide
 a regression.
 """
 
+import argparse
 import json
 import os
 import statistics
@@ -99,14 +105,20 @@ def find_row(rows, label):
     return found[0]
 
 
-def compare(label_a, label_b):
+def compare(label_a, label_b, declared):
     if not os.path.isfile(ROWS):
         fail(f"no {os.path.relpath(ROWS, ROOT)}; run record first")
     with open(ROWS, encoding="utf-8") as f:
         rows = [json.loads(line) for line in f if line.strip()]
     a, b = find_row(rows, label_a), find_row(rows, label_b)
-    metrics = spec()["end_to_end"]
+    bench = spec()
+    unknown = set(declared) - {w["name"] for w in bench["workloads"]}
+    if unknown:
+        fail(f"--model-change names no workload: {', '.join(sorted(unknown))}")
+    metrics = bench["end_to_end"]
     sim_diffs = 0
+    declared_diffs = 0
+    past_bound = 0
     print(f"{'workload':<12} {'metric':<18} {a['commit']:>12} "
           f"{b['commit']:>12} {'change':>8}")
     for w in sorted(set(a["workloads"]) & set(b["workloads"])):
@@ -117,15 +129,22 @@ def compare(label_a, label_b):
                 continue
             va, vb = wa[name]["median"], wb[name]["median"]
             change = (vb - va) / va if va else 0.0
+            worse = change if m["better"] == "lower" else -change
             note = ""
             if name.startswith("sim_"):
-                if wa[name] != wb[name]:
+                if wa[name] == wb[name]:
+                    pass
+                elif w not in declared:
                     sim_diffs += 1
                     note = "  SIM DIFF"
-            else:
-                worse = change if m["better"] == "lower" else -change
-                if worse > m["bound"]:
-                    note = f"  warn: worse than the {m['bound']:.0%} bound"
+                elif worse > m["bound"]:
+                    past_bound += 1
+                    note = f"  declared, worse than the {m['bound']:.0%} bound"
+                else:
+                    declared_diffs += 1
+                    note = "  declared"
+            elif worse > m["bound"]:
+                note = f"  warn: worse than the {m['bound']:.0%} bound"
             print(f"{w:<12} {name:<18} {va:>12.4g} {vb:>12.4g} "
                   f"{change:>+8.1%}{note}")
         share_a = wa["failed"] / max(1, wa["attempted"])
@@ -133,19 +152,36 @@ def compare(label_a, label_b):
         if share_b > share_a:
             print(f"{w:<12} warn: failed share {share_a:.3%} -> {share_b:.3%}")
     if sim_diffs:
-        print(f"trajectory: {sim_diffs} sim_* value(s) differ")
+        print(f"trajectory: {sim_diffs} undeclared sim_* value(s) differ")
+    if past_bound:
+        print(f"trajectory: {past_bound} declared sim_* change(s) past "
+              "their bound")
+    if sim_diffs or past_bound:
         sys.exit(1)
-    print("trajectory: every sim_* value is identical")
+    if declared_diffs:
+        print(f"trajectory: {declared_diffs} declared sim_* change(s) within "
+              "their bounds; every other sim_* value is identical")
+    else:
+        print("trajectory: every sim_* value is identical")
 
 
 def main():
-    args = sys.argv[1:]
-    if args == ["record"]:
+    parser = argparse.ArgumentParser(
+        description="Record and compare the performance trajectory.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("record")
+    cmp = sub.add_parser("compare")
+    cmp.add_argument("a")
+    cmp.add_argument("b")
+    cmp.add_argument("--model-change", action="append", default=[],
+                     metavar="WORKLOAD",
+                     help="a workload whose simulated model changes on "
+                          "purpose (repeatable)")
+    args = parser.parse_args()
+    if args.command == "record":
         record()
-    elif len(args) == 3 and args[0] == "compare":
-        compare(args[1], args[2])
     else:
-        fail("usage: trajectory.py record | compare A B")
+        compare(args.a, args.b, args.model_change)
 
 
 if __name__ == "__main__":

@@ -105,9 +105,8 @@ BlkCellResult run_blk_cell(const BlkBenchConfig& config, BlkCompletionMode mode,
   } else {
     // A submission poller keeps the queue at depth, a completion poller
     // reaps whatever the visibility gate admits. When both poll dry the
-    // loop itself advances the clock (the calibrated
-    // reactor_poll_iteration cost) until the next completion surfaces —
-    // the reactor never sleeps.
+    // reactor spins to the next completion the harvest noted — it never
+    // sleeps.
     drv.set_polled(0, true);
     reactor::Reactor reactor{reactor::ReactorConfig{.id = 0}, t};
     // SPDK-style batched submission: refill to full depth only once the
@@ -134,13 +133,16 @@ BlkCellResult run_blk_cell(const BlkBenchConfig& config, BlkCompletionMode mode,
     }
     reactor.unregister_poller(submit_poller);
     reactor.unregister_poller(complete_poller);
-    result.reactor_iterations = reactor.stats().iterations;
-    result.reactor_busy_iterations = reactor.stats().busy_iterations;
+    const reactor::Reactor::Stats& stats = reactor.stats();
+    result.reactor_iterations = stats.iterations;
+    result.reactor_busy_iterations = stats.busy_iterations;
+    result.reactor_dry_windows = stats.dry_windows;
+    result.reactor_dry_time = stats.dry_time;
   }
 
   VFPGA_ASSERT(result.ops == config.ops_per_cell);
-  const sim::Duration span = t.now() - start;
-  result.iops = static_cast<double>(total) / (span.micros() * 1e-6);
+  result.span = t.now() - start;
+  result.iops = static_cast<double>(total) / (result.span.micros() * 1e-6);
   // Ordering point on the way out: everything the cell wrote is durable
   // and the queue is quiescent (exercises the barrier path per cell).
   VFPGA_ASSERT(drv.flush(t));

@@ -51,10 +51,15 @@ struct BlkCellResult {
   u64 failures = 0;  ///< completions with a non-OK status byte
   stats::SampleSet latency_us;
   double iops = 0.0;
-  /// Reactor-polled mode only: loop iterations and the share that found
-  /// work (harvest or submit) — the spin overhead of the model.
+  /// Reactor-polled mode only: loop iterations, those that found work
+  /// (harvest or submit), and the dry windows spun to the next
+  /// completion with their simulated length.
   u64 reactor_iterations = 0;
   u64 reactor_busy_iterations = 0;
+  u64 reactor_dry_windows = 0;
+  sim::Duration reactor_dry_time{};
+  /// Simulated length of the measured closed loop (warmup included).
+  sim::Duration span{};
 };
 
 /// Run one (mode, payload, depth) cell. The testbed seed depends on

@@ -14,6 +14,10 @@
 // model inputs, not measurements — EXPERIMENTS.md discusses the match.
 #pragma once
 
+#include <algorithm>
+#include <optional>
+#include <utility>
+
 #include "vfpga/sim/distributions.hpp"
 #include "vfpga/sim/noise.hpp"
 #include "vfpga/sim/rng.hpp"
@@ -136,6 +140,19 @@ class HostThread {
   /// Copy `bytes` across the user/kernel boundary.
   void copy(u64 bytes);
 
+  /// Next-work hint for a polling loop: a code path that polled dry but
+  /// knows when its work becomes visible (a completion not yet landed)
+  /// notes that time; the earliest noted time wins. The hint is not part
+  /// of the timeline: the reactor takes it once per loop iteration
+  /// (reactor/reactor.hpp) and it never survives that iteration.
+  void note_next_work(sim::SimTime t) {
+    next_work_ = next_work_.has_value() ? std::min(*next_work_, t) : t;
+  }
+  /// The earliest hint noted since the last take, clearing it.
+  std::optional<sim::SimTime> take_next_work() {
+    return std::exchange(next_work_, std::nullopt);
+  }
+
   /// CPU stalled on a non-posted MMIO read (not software, not blocked).
   void mmio_stall(sim::Duration d);
 
@@ -158,6 +175,7 @@ class HostThread {
   sim::Duration software_{};
   sim::Duration mmio_stall_{};
   sim::Duration poll_{};
+  std::optional<sim::SimTime> next_work_;  ///< not snapshot state
 };
 
 }  // namespace vfpga::hostos

@@ -131,19 +131,18 @@ std::optional<u32> VirtioBlkDriver::submit_io(HostThread& thread, u16 queue,
     memory.write(slot.data_addr, out_data);
   }
 
-  std::vector<virtio::ChainBuffer> chain;
-  chain.reserve(2 + data_segments);
-  chain.push_back({slot.header_addr, virtio::blk::kRequestHeaderBytes,
-                   false});
+  chain_.clear();
+  chain_.push_back({slot.header_addr, virtio::blk::kRequestHeaderBytes,
+                    false});
   const bool writable =
       type == RequestType::In || type == RequestType::GetId;
   for (u32 seg = 0; seg < data_segments; ++seg) {
     const u32 offset = seg * seg_bytes;
     const u32 len = std::min(seg_bytes, data_len - offset);
     thread.exec(thread.costs().dma_map_segment);
-    chain.push_back({slot.data_addr + offset, len, writable});
+    chain_.push_back({slot.data_addr + offset, len, writable});
   }
-  chain.push_back({slot.status_addr, 1, true});
+  chain_.push_back({slot.status_addr, 1, true});
 
   auto& ring = transport_.queue(queue);
   std::optional<u16> handle;
@@ -151,9 +150,9 @@ std::optional<u32> VirtioBlkDriver::submit_io(HostThread& thread, u16 queue,
       transport_.negotiated().has(virtio::feature::kRingIndirectDesc) &&
       !transport_.using_packed_rings()) {
     auto& split = static_cast<virtio::VirtqueueDriver&>(ring);
-    handle = split.add_chain_indirect(chain, /*token=*/slot_index);
+    handle = split.add_chain_indirect(chain_, /*token=*/slot_index);
   } else {
-    handle = ring.add_chain(chain, /*token=*/slot_index);
+    handle = ring.add_chain(chain_, /*token=*/slot_index);
   }
   if (!handle.has_value()) {
     return std::nullopt;  // ring full
@@ -232,7 +231,12 @@ u32 VirtioBlkDriver::harvest_now(HostThread& thread, u16 queue) {
     thread.exec_poll(thread.costs().busy_poll_iteration);
     const auto visible =
         device->completion_visible_time(queue, rt.harvest_seq);
-    if (!visible.has_value() || *visible > thread.now()) {
+    if (!visible.has_value()) {
+      break;
+    }
+    if (*visible > thread.now()) {
+      // Not landed yet, but known: a polling loop may spin to it.
+      thread.note_next_work(*visible);
       break;
     }
     if (!drain_one(thread, queue)) {

@@ -99,7 +99,9 @@ class VirtioBlkDriver {
   std::optional<u32> submit_flush(HostThread& thread, u16 queue);
 
   /// Drain every completion already visible to this core (polled path;
-  /// does not advance the clock). Returns how many were reaped.
+  /// advances the clock only by its poll and harvest costs). When it
+  /// stops at a completion that lands later, it notes that time with
+  /// HostThread::note_next_work. Returns how many were reaped.
   u32 harvest_now(HostThread& thread, u16 queue);
   /// Spin until the next in-flight completion becomes visible, then
   /// drain (polled path). False when nothing is in flight.
@@ -184,6 +186,8 @@ class VirtioBlkDriver {
   u32 seg_max_ = 1;
   bool use_indirect_ = false;
   std::vector<QueueRt> queues_;
+  /// submit_io's descriptor list, reused so a request allocates nothing.
+  std::vector<virtio::ChainBuffer> chain_;
   u64 requests_completed_ = 0;
   u64 requests_failed_ = 0;
   u64 irq_recoveries_ = 0;

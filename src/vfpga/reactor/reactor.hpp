@@ -9,6 +9,26 @@
 // The simulation keeps the model cooperative: poll_once() advances the
 // reactor's HostThread by the calibrated reactor_poll_iteration cost
 // segment and every poller runs on the reactor's own simulated timeline.
+//
+// Dry windows are charged in closed form. A poller that polls dry but
+// knows when its work becomes visible (the blk completion poller knows
+// its next completion's used-ring visibility time) leaves that time on
+// the thread with HostThread::note_next_work. When every poller comes
+// up dry and the earliest hint lies after now(), the iteration ends
+// with one HostThread::spin_until(hint): on-core poll residency whose
+// end the arrival pins, the model VirtioBlkDriver::wait_polled uses
+// too. The next iteration is an ordinary one and finds the work.
+// Without a hint the loop iterates, each iteration paying its own cost.
+//
+// Contract: a poller that polls dry without leaving a hint stays dry
+// until some other poller finds work (a submit poller gated only on
+// completions qualifies). A poller whose work can appear on its own,
+// without a hint, would be skipped over by another poller's spin.
+//
+// The hint lives for one poll_once at most: poll_once discards whatever
+// a caller outside the loop left (wait_polled leaves one) before it
+// walks the pollers, and takes the walk's hint after it. So the hint is
+// never state between iterations, and snapshots do not carry it.
 #pragma once
 
 #include <functional>
@@ -57,9 +77,12 @@ class Reactor {
   }
 
   /// One loop iteration: charge the loop overhead, then run every live
-  /// poller in registration order. Returns true when any found work.
+  /// poller in registration order. When all poll dry and one left a
+  /// next-work hint after now(), spin to it. Returns true when any
+  /// poller found work.
   bool poll_once() {
     hostos::HostThread& t = *thread_;
+    t.take_next_work();  // a hint from outside this iteration is stale
     t.exec_poll(t.costs().reactor_poll_iteration);
     ++stats_.iterations;
     bool busy = false;
@@ -81,6 +104,10 @@ class Reactor {
     }
     if (busy) {
       ++stats_.busy_iterations;
+    } else if (const auto next = t.take_next_work(); next && *next > t.now()) {
+      const sim::SimTime from = t.now();
+      ++stats_.dry_windows;
+      stats_.dry_time += t.spin_until(*next) - from;
     }
     return busy;
   }
@@ -90,6 +117,10 @@ class Reactor {
   struct Stats {
     u64 iterations = 0;
     u64 busy_iterations = 0;
+    /// Dry iterations that ended in a spin to a next-work hint, and the
+    /// simulated time those spins covered.
+    u64 dry_windows = 0;
+    sim::Duration dry_time{};
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

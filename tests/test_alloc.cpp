@@ -1,9 +1,10 @@
 // Allocation caps on the steady-state round trips. This binary replaces
 // the global allocation functions with counting ones, so a test can
 // count the heap allocations of one VirtIO UDP echo (split and packed
-// rings, checksum offload on and off) or one XDMA loop-back. The caps
-// are the counts today's datapath reaches; lowering them towards zero
-// is the way forward, raising one is a regression.
+// rings, checksum offload on and off), one XDMA loop-back or one polled
+// virtio-blk request. The caps are the counts today's datapath reaches;
+// lowering them towards zero is the way forward, raising one is a
+// regression.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "vfpga/core/testbed.hpp"
+#include "vfpga/virtio/blk_defs.hpp"
 
 namespace {
 
@@ -84,9 +86,13 @@ constexpr int kMeasured = 64;
 // reused buffers. Every 16th op adds two std::deque blocks (RX backlog
 // and socket queue), every 64th one for the interrupt controller's
 // queue. An XDMA loop-back makes none, except every 64th op, which adds
-// a block to each of its two interrupt vectors' queues.
+// a block to each of its two interrupt vectors' queues. A polled blk
+// request makes one for a read (the user logic's response payload) and
+// none for a write; the driver's descriptor list is a reused buffer.
+// Now and then a std::deque block adds one more.
 constexpr u64 kEchoCap = 6;
 constexpr u64 kXdmaCap = 2;
+constexpr u64 kBlkCap = 2;
 
 /// Most allocations any one of kMeasured steady-state ops made.
 template <typename Op>
@@ -155,6 +161,34 @@ TEST(XdmaAllocations, SteadyStateLoopBackStaysUnderCap) {
   });
   EXPECT_TRUE(ok);
   EXPECT_LE(worst, kXdmaCap);
+}
+
+TEST(BlkAllocations, PolledRequestStaysUnderCap) {
+  core::TestbedOptions options;
+  options.attach_blk = true;
+  options.blk.capacity_sectors = 256;
+  options.blk_driver.max_io_bytes = 1024;
+  core::VirtioNetTestbed bed{options};
+  hostos::HostThread& t = bed.thread();
+  hostos::VirtioBlkDriver& drv = bed.blk_driver();
+  drv.set_polled(0, true);
+  const Bytes pattern(1024, 0x3c);
+  u64 op = 0;
+  bool ok = true;
+  const u64 worst = worst_allocations([&](u64 size) {
+    // Alternate writes and reads; sizes are whole sectors.
+    const u64 bytes = (size + 511) / 512 * 512;
+    const u64 sector = (op * 7) % 128;
+    const auto slot =
+        op++ % 2 == 0
+            ? drv.submit_write(t, 0, sector, ConstByteSpan{pattern}.first(bytes))
+            : drv.submit_read(t, 0, sector, static_cast<u32>(bytes));
+    ok = ok && slot.has_value() && drv.wait_polled(t, 0);
+    const auto c = drv.pop_completion(0);
+    ok = ok && c.has_value() && c->status == virtio::blk::kStatusOk;
+  });
+  EXPECT_TRUE(ok);
+  EXPECT_LE(worst, kBlkCap);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // enforcement on both sides of the bus, error isolation (IOERR status
 // bytes without DEVICE_NEEDS_RESET), FLUSH write-barrier ordering
 // against simulated power loss, DISCARD semantics, packed rings,
-// multi-queue completion, the polled completion path, and the three blk
-// fault classes through the recovery paths.
+// multi-queue completion, the polled completion path (direct and hosted
+// on a reactor), and the three blk fault classes through the recovery
+// paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "support/test_driver.hpp"
 #include "vfpga/core/blk_device.hpp"
 #include "vfpga/core/testbed.hpp"
+#include "vfpga/harness/blk_bench.hpp"
 #include "vfpga/pcie/enumeration.hpp"
 #include "vfpga/virtio/blk_defs.hpp"
 #include "vfpga/virtio/features.hpp"
@@ -301,6 +303,22 @@ TEST(BlkDatapath, PolledQueueNeverArmsItsVector) {
   EXPECT_EQ(c->status, virtio::blk::kStatusOk);
   EXPECT_GE(c->completed_at, c->submitted_at);
   EXPECT_FALSE(bed.irq().pending(drv.queue_vector(0)));
+}
+
+TEST(BlkDatapath, ReactorSpinsDryWindowsToTheNextCompletion) {
+  // The completion poller notes each not-yet-visible completion, so a
+  // dry walk spins straight to it: a request costs about one iteration
+  // that finds its completion and one that spins, not one per loop
+  // cost of waiting.
+  harness::BlkBenchConfig config;
+  const harness::BlkCellResult r = harness::run_blk_cell(
+      config, harness::BlkCompletionMode::kReactorPolled, 4096, 16);
+  EXPECT_EQ(r.ops, config.ops_per_cell);
+  EXPECT_EQ(r.failures, 0u);
+  const u64 requests = u64{config.warmup_ops} + config.ops_per_cell;
+  EXPECT_LE(r.reactor_iterations, 4 * requests);
+  EXPECT_GT(r.reactor_dry_windows, 0u);
+  EXPECT_LT(r.reactor_dry_time, r.span);
 }
 
 TEST(BlkDatapath, DriverRefusesUnsplittableRequests) {

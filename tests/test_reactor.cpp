@@ -1,5 +1,5 @@
 // Reactor subsystem tests: the message ring's visibility/drop
-// semantics and poller dispatch.
+// semantics, poller dispatch, and dry windows spun to a next-work hint.
 #include <gtest/gtest.h>
 
 #include "vfpga/core/testbed.hpp"
@@ -15,6 +15,13 @@ struct ReactorFixture : ::testing::Test {
   hostos::CostModelConfig costs = hostos::CostModelConfig::fedora_defaults();
   hostos::HostThread thread{rng, costs, quiet};
   Reactor reactor{{.id = 1}, thread};
+
+  /// What the next reactor_poll_iteration costs (quiet noise adds
+  /// nothing), drawn from a copy of the thread's stream.
+  [[nodiscard]] sim::Duration next_iteration_cost() const {
+    sim::Xoshiro256 copy = rng;
+    return costs.reactor_poll_iteration.sample(copy);
+  }
 };
 
 // ---- message ring ---------------------------------------------------------
@@ -123,6 +130,64 @@ TEST_F(ReactorFixture, DeadPollersAreCompactedAfterTheIteration) {
   // Registering between iterations stays allowed.
   reactor.register_poller("late", [](sim::SimTime) { return true; });
   EXPECT_TRUE(reactor.poll_once());
+}
+
+// ---- dry windows ------------------------------------------------------------
+
+TEST_F(ReactorFixture, DryWalkSpinsToTheEarliestHint) {
+  const sim::SimTime early = thread.now() + sim::microseconds(50);
+  const sim::SimTime late = thread.now() + sim::microseconds(80);
+  reactor.register_poller("late", [&](sim::SimTime) {
+    thread.note_next_work(late);
+    return false;
+  });
+  reactor.register_poller("early", [&](sim::SimTime) {
+    thread.note_next_work(early);
+    return false;
+  });
+  const sim::SimTime walked = thread.now() + next_iteration_cost();
+  EXPECT_FALSE(reactor.poll_once());
+  EXPECT_EQ(thread.now(), early);
+  EXPECT_EQ(reactor.stats().iterations, 1u);
+  EXPECT_EQ(reactor.stats().dry_windows, 1u);
+  EXPECT_EQ(reactor.stats().dry_time, early - walked);
+}
+
+TEST_F(ReactorFixture, DryWalkWithoutHintPaysOnlyTheIteration) {
+  reactor.register_poller("dry", [](sim::SimTime) { return false; });
+  const sim::SimTime expected = thread.now() + next_iteration_cost();
+  EXPECT_FALSE(reactor.poll_once());
+  EXPECT_EQ(thread.now(), expected);
+  EXPECT_EQ(reactor.stats().dry_windows, 0u);
+  EXPECT_EQ(reactor.stats().dry_time, sim::Duration{});
+}
+
+TEST_F(ReactorFixture, HintAtOrBeforeNowIsIgnored) {
+  // First walk: a hint exactly at the poller's now(); second walk: one
+  // picosecond before it. The loop cost already passed both.
+  i64 back = 0;
+  reactor.register_poller("past", [&](sim::SimTime now) {
+    thread.note_next_work(sim::SimTime{now.picos() - back});
+    return false;
+  });
+  for (; back <= 1; ++back) {
+    const sim::SimTime expected = thread.now() + next_iteration_cost();
+    EXPECT_FALSE(reactor.poll_once());
+    EXPECT_EQ(thread.now(), expected) << back << " ps before now";
+  }
+  EXPECT_EQ(reactor.stats().dry_windows, 0u);
+}
+
+TEST_F(ReactorFixture, HintLeftBeforeTheIterationIsDiscarded) {
+  // wait_polled's harvest can leave a hint on the thread outside any
+  // reactor iteration; the next walk must not spin to it.
+  thread.note_next_work(thread.now() + sim::microseconds(100));
+  reactor.register_poller("dry", [](sim::SimTime) { return false; });
+  const sim::SimTime expected = thread.now() + next_iteration_cost();
+  EXPECT_FALSE(reactor.poll_once());
+  EXPECT_EQ(thread.now(), expected);
+  EXPECT_EQ(reactor.stats().dry_windows, 0u);
+  EXPECT_FALSE(thread.take_next_work().has_value());
 }
 
 }  // namespace

@@ -77,6 +77,9 @@ void expect_cells_equal(const BlkCellResult& a, const BlkCellResult& b,
   EXPECT_EQ(a.latency_us.values_us(), b.latency_us.values_us()) << label;
   EXPECT_EQ(a.reactor_iterations, b.reactor_iterations) << label;
   EXPECT_EQ(a.reactor_busy_iterations, b.reactor_busy_iterations) << label;
+  EXPECT_EQ(a.reactor_dry_windows, b.reactor_dry_windows) << label;
+  EXPECT_EQ(a.reactor_dry_time, b.reactor_dry_time) << label;
+  EXPECT_EQ(a.span, b.span) << label;
 }
 
 TEST(SweepHarness, BlkSweepMatchesStandaloneCells) {
