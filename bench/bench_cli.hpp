@@ -36,16 +36,14 @@ using harness::parse_u64;
 enum Flag : unsigned {
   kSmoke = 1u << 0,      ///< --smoke: trimmed workload for CI
   kStatsOnly = 1u << 1,  ///< --stats-only: print the deterministic JSON
-  kSoak = 1u << 2,       ///< --soak: sim_speed's million-flow soak
-  kSeed = 1u << 3,       ///< --seed N / --seed=N
-  kThreads = 1u << 4,    ///< --threads N / --threads=N
+  kSeed = 1u << 2,       ///< --seed N / --seed=N
+  kThreads = 1u << 3,    ///< --threads N / --threads=N
 };
 
 /// What one bench run was asked for: its flags, then the environment.
 struct Args {
   bool smoke = false;
   bool stats_only = false;
-  bool soak = false;
   std::optional<u64> seed;  ///< --seed, else VFPGA_SEED
   /// --threads; 0 = not given. Feeds harness::worker_threads, where
   /// VFPGA_THREADS still wins (CI pins determinism oracles with it).
@@ -132,8 +130,6 @@ inline Args parse_args(int argc, char** argv, unsigned accepted) {
       args.smoke = true;
     } else if (flag == "--stats-only" && (accepted & kStatsOnly) != 0) {
       args.stats_only = true;
-    } else if (flag == "--soak" && (accepted & kSoak) != 0) {
-      args.soak = true;
     } else if (flag == "--seed" && (accepted & kSeed) != 0) {
       cli_seed = parse_u64(operand.c_str());
       if (!cli_seed.has_value()) {

@@ -15,19 +15,11 @@
 // non-zero on any gate violation or failed write, and 2 on an unknown
 // argument.
 //
-// `--soak` switches to the flow-table soak instead: a million-slot
-// FlowGen table (8 lanes x 125k slots) churned through tick-driven
-// batch rounds under the adaptive window controller, gated on tuple/
-// flow bookkeeping conservation and the DESIGN.md §15 bytes/flow
-// budget. Writes BENCH_sim_soak.json, likewise the soak's --stats-only
-// document plus `wall_seconds` and `ok`.
-//
-//   --smoke                trimmed workload for CI (composes with --soak)
-//   --soak                 run the million-flow churn soak
+//   --smoke                trimmed workload for CI
 //   --stats-only           print ONLY the deterministic stats JSON to
 //                          stdout (no file, no wall-clock fields; gate
 //                          failures go to stderr) — CI byte-diffs this
-//                          across VFPGA_THREADS, with and without --soak
+//                          across VFPGA_THREADS
 //   --threads N            worker pool request (env > this > hardware)
 //   --seed N               base seed (beats VFPGA_SEED)
 //   VFPGA_THREADS=N        worker pool size for the parallel run
@@ -66,8 +58,6 @@ Json stats_json(const SimSpeedConfig& config, const SimSpeedResult& r) {
       .field("flows_created", r.flows_created)
       .field("flows_completed", r.flows_completed)
       .field("flows_abandoned", r.flows_abandoned)
-      .field("window_growths", r.window_growths)
-      .field("window_shrinks", r.window_shrinks)
       .field("arena_nodes", r.arena_nodes)
       .field("smallfn_heap_fallbacks", r.smallfn_heap_fallbacks)
       .field("sim_makespan_us", r.sim_makespan_us)
@@ -93,121 +83,13 @@ Json stats_json(const SimSpeedConfig& config, const SimSpeedResult& r) {
   return doc;
 }
 
-/// DESIGN.md §15: flow-table bytes per slot at the million-slot scale.
-constexpr double kSoakBytesPerFlowBudget = 48.0;
-
-int run_soak(const vfpga::bench::Args& args) {
-  using vfpga::harness::FlowSoakConfig;
-  using vfpga::harness::FlowSoakResult;
-  FlowSoakConfig config;
-  // The soak shares the echo fleet's default seed.
-  config.seed = args.seed.value_or(SimSpeedConfig{}.seed);
-  config.threads = vfpga::harness::worker_threads(config.lanes, args.threads);
-  if (args.smoke) {
-    config.flows_per_lane = 2048;
-    config.host_ips_per_lane = 2;
-    config.ticks = 16;
-    config.slots_per_tick = 1024;
-  }
-
-  // Under --stats-only stdout carries only the document; the table is
-  // skipped and gate failures go to stderr.
-  std::FILE* const gate_out = args.stats_only ? stderr : stdout;
-  const FlowSoakResult r = vfpga::harness::run_flow_soak(config);
-  if (!args.stats_only) {
-    std::printf("sim_speed --soak: %u lanes x %u slots (%s table)%s\n",
-                config.lanes, config.flows_per_lane,
-                args.smoke ? "trimmed" : "million-slot",
-                args.smoke ? " (smoke)" : "");
-    std::printf(
-        "  slots %llu  packets %llu  flows created %llu (completed %llu, "
-        "live %llu)\n"
-        "  windows %llu over %llu barriers (+%llu grow, -%llu shrink)  "
-        "msgs %llu\n"
-        "  footprint %.1f MiB = %.1f B/flow  wall %.2fs (%.0f pkt/s at "
-        "%u threads)\n",
-        static_cast<unsigned long long>(r.table_slots),
-        static_cast<unsigned long long>(r.packets),
-        static_cast<unsigned long long>(r.flows_created),
-        static_cast<unsigned long long>(r.flows_completed),
-        static_cast<unsigned long long>(r.flows_open),
-        static_cast<unsigned long long>(r.windows),
-        static_cast<unsigned long long>(r.barriers),
-        static_cast<unsigned long long>(r.window_growths),
-        static_cast<unsigned long long>(r.window_shrinks),
-        static_cast<unsigned long long>(r.cross_lane_messages),
-        static_cast<double>(r.footprint_bytes) / (1024.0 * 1024.0),
-        r.bytes_per_flow, r.wall_seconds, r.packets_per_wall_second,
-        r.threads_used);
-  }
-
-  bool ok = true;
-  // Real churn: the table turned over (identities exceed slots) and the
-  // population stayed level to the end.
-  if (r.flows_created <= r.table_slots || r.flows_open != r.table_slots) {
-    std::fprintf(gate_out,
-                 "  FAIL: churn did not turn the table over "
-                 "(created %llu, live %llu, slots %llu)\n",
-                 static_cast<unsigned long long>(r.flows_created),
-                 static_cast<unsigned long long>(r.flows_open),
-                 static_cast<unsigned long long>(r.table_slots));
-    ok = false;
-  }
-  if (r.cross_lane_received != r.cross_lane_messages ||
-      r.cross_lane_messages == 0) {
-    std::fprintf(gate_out,
-                 "  FAIL: cross-lane delivery %llu routed, %llu ran\n",
-                 static_cast<unsigned long long>(r.cross_lane_messages),
-                 static_cast<unsigned long long>(r.cross_lane_received));
-    ok = false;
-  }
-  // The bytes/flow budget is calibrated at the million-slot table; the
-  // smoke table is too small to amortize the fixed per-IP steer caches,
-  // so there the number is printed but informational.
-  if (!args.smoke && r.bytes_per_flow > kSoakBytesPerFlowBudget) {
-    std::fprintf(gate_out,
-                 "  FAIL: %.1f bytes/flow exceeds the %.0f B budget\n",
-                 r.bytes_per_flow, kSoakBytesPerFlowBudget);
-    ok = false;
-  }
-
-  Json doc;
-  doc.begin_object()
-      .field("source", "sim_soak")
-      .field("seed", config.seed)
-      .field("lanes", r.lanes)
-      .field("table_slots", r.table_slots)
-      .field("packets", r.packets)
-      .field("flows_created", r.flows_created)
-      .field("flows_completed", r.flows_completed)
-      .field("flows_open", r.flows_open)
-      .field("windows", r.windows)
-      .field("barriers", r.barriers)
-      .field("window_growths", r.window_growths)
-      .field("cross_lane_messages", r.cross_lane_messages)
-      .field("footprint_bytes", r.footprint_bytes)
-      .field("bytes_per_flow", r.bytes_per_flow);
-  if (args.stats_only) {
-    std::fputs(doc.end_object().str().c_str(), stdout);
-    return ok ? 0 : 1;
-  }
-  doc.field("wall_seconds", r.wall_seconds).field("ok", ok).end_object();
-  ok = vfpga::harness::write_bench_json("BENCH_sim_soak.json", doc.str()) &&
-       ok;
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace vfpga;
   const bench::Args args = bench::parse_args(
       argc, argv,
-      bench::kSmoke | bench::kStatsOnly | bench::kSoak | bench::kSeed |
-          bench::kThreads);
-  if (args.soak) {
-    return run_soak(args);
-  }
+      bench::kSmoke | bench::kStatsOnly | bench::kSeed | bench::kThreads);
   SimSpeedConfig config;
   config.seed = args.seed.value_or(config.seed);
   if (args.smoke) {

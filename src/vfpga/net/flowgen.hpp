@@ -1,9 +1,9 @@
 // Flow-table-driven traffic generation.
 //
 // The multi-flow harness hand-builds a handful of long-lived flows; the
-// scale experiments need the opposite: tens of thousands to millions of
-// concurrent UDP flows with realistic population dynamics. FlowGen is
-// that population model —
+// lane-sharded simulator self-benchmark (harness/sim_speed) needs the
+// opposite: thousands of concurrent UDP flows with realistic population
+// dynamics. FlowGen is that population model —
 //
 //  * flow sizes are heavy-tailed (bounded Pareto over packets-per-flow:
 //    most flows are mice, a fat tail of elephants carries most packets,
@@ -17,23 +17,18 @@
 //    steering the device uses (net/rss), so a generated flow's packets
 //    really do land where the multi-queue data plane will process them.
 //
-// The table is built for the million-slot soak: state is struct-of-
-// arrays (17 bytes/slot of per-flow state), 4-tuples come from per-pair
-// index freelists fed by a single carve cursor over (client IP, port)
-// space, and RSS steering is computed lazily — one cached steer table
-// per client IP, built on the first carve that touches the IP, instead
-// of a Toeplitz hash per allocation probe. One client IP bounds the
-// live population by the source-port band (~44k flows); host_ip_count
-// widens the tuple space for bigger populations. footprint_bytes()
-// reports the actual allocated bytes so benches can gate a bytes/flow
-// budget (DESIGN.md §15 documents 48 B/flow at a million slots).
+// State is struct-of-arrays (15 bytes/slot of per-flow state), and
+// source ports come from per-pair freelists fed by a carve cursor over
+// one client IP's source-port band: each carved port is RSS-hashed once
+// and filed under the pair it steers to. The band bounds the live
+// population (~44k flows across all pairs); a table that outgrows it
+// aborts.
 //
 // FlowGen is a deterministic state machine over its own RNG stream: the
 // caller (one event lane, typically) drives it slot by slot, and the
 // same seed and call sequence reproduce the same traffic bit for bit.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "vfpga/net/addr.hpp"
@@ -48,13 +43,9 @@ enum class ArrivalProcess : u8 {
 };
 
 struct FlowGenConfig {
-  /// Endpoint identity: flows are (client ip, searched src port) ->
-  /// (fpga_ip, fpga_port) UDP 4-tuples. Client IPs are host_ip ..
-  /// host_ip + host_ip_count - 1; one IP caps the live population at
-  /// the source-port band, so the million-flow soak spreads the table
-  /// over dozens of IPs.
+  /// Endpoint identity: flows are (host_ip, searched src port) ->
+  /// (fpga_ip, fpga_port) UDP 4-tuples.
   Ipv4Addr host_ip{};
-  u16 host_ip_count = 1;
   Ipv4Addr fpga_ip{};
   u16 fpga_port = 9000;
 
@@ -86,12 +77,8 @@ struct FlowGenConfig {
   /// Mean packets between MMPP state flips (geometric holding time).
   double mmpp_mean_state_packets = 32.0;
 
-  /// Refill a finished flow's slot with a fresh flow (new 4-tuple, same
-  /// pair). Off = slots close when their flow completes.
-  bool churn = true;
-
-  /// Source-port carving starts here per client IP; released tuples are
-  /// reused through the freelists before the cursor advances.
+  /// Source-port carving starts here; released ports are reused through
+  /// the freelists before the cursor advances.
   u16 first_port = 20'000;
 
   u64 seed = 20'25;
@@ -105,14 +92,16 @@ struct FlowGenConfig {
 
 class FlowGen {
  public:
+  /// The carve cursor's band is [first_port, kPortBandEnd). Released
+  /// ports re-enter circulation through the freelists, so the cursor
+  /// never wraps.
+  static constexpr u32 kPortBandEnd = 64'000;
+
   /// Read-only view of one slot, assembled from the SoA columns.
   struct Flow {
     u64 id = 0;  ///< unique across churn generations
-    Ipv4Addr src_ip{};
     u16 src_port = 0;
     u16 pair = 0;
-    u64 remaining_packets = 0;
-    bool burst = false;  ///< MMPP state
     bool open = false;
   };
 
@@ -137,37 +126,24 @@ class FlowGen {
   /// Next packet from the slot's open flow. Precondition: slot is open.
   [[nodiscard]] Departure next_packet(u32 slot);
 
-  /// Retire a finished (remaining == 0) flow. With churn on, installs a
-  /// fresh flow on the same pair and returns its arrival delay; with
-  /// churn off, closes the slot and returns nullopt.
-  std::optional<sim::Duration> churn_slot(u32 slot);
+  /// Retire a finished (remaining == 0) flow: install a fresh flow (new
+  /// source port, same pair) in its slot and return its arrival delay.
+  sim::Duration churn_slot(u32 slot);
 
   /// Close an unfinished flow (the harness reached its packet quota).
   /// Counts as abandoned, not completed.
   void close_slot(u32 slot);
 
-  /// Tear down and re-establish the slot's flow with the SAME 4-tuple
-  /// (a reconnect). The flow gets a fresh id and size, but its source
-  /// tuple — and therefore its RSS pair — is preserved.
-  void reconnect_slot(u32 slot);
-
   // ---- bookkeeping (the churn-leak test audits these) ------------------------
   [[nodiscard]] u64 flows_created() const { return created_; }
   [[nodiscard]] u64 flows_completed() const { return completed_; }
   [[nodiscard]] u64 flows_abandoned() const { return abandoned_; }
-  [[nodiscard]] u64 packets_emitted() const { return packets_; }
   /// Open flow-table entries; created == completed + abandoned + open
   /// always holds, or entries leaked.
   [[nodiscard]] u64 open_flows() const { return open_; }
-  /// Live (ip, port) tuples held by open flows — must equal
-  /// open_flows(), or tuple bookkeeping leaked.
-  [[nodiscard]] u64 live_ports() const { return live_tuples_; }
-
-  /// Bytes of flow-table state actually allocated: the SoA columns,
-  /// every lazily built per-IP steer table, and the tuple freelists.
-  /// The soak bench divides this by slots() to gate the bytes/flow
-  /// budget.
-  [[nodiscard]] u64 footprint_bytes() const;
+  /// Source ports held by open flows — must equal open_flows(), or port
+  /// bookkeeping leaked.
+  [[nodiscard]] u64 live_ports() const { return live_ports_; }
 
  private:
   // flags_ bits.
@@ -175,21 +151,15 @@ class FlowGen {
   static constexpr u8 kBurst = 0x2;
 
   [[nodiscard]] u16 pair_for_slot(u32 slot) const;
-  [[nodiscard]] Ipv4Addr client_ip(u32 ip_index) const {
-    return Ipv4Addr{config_.host_ip.value + ip_index};
-  }
-  /// RSS pair of (client_ip(ip_index), port) — served from the IP's
-  /// cached steer table, built on first touch.
-  [[nodiscard]] u16 steer_pair(u32 ip_index, u16 port);
-  /// Pop a tuple steering to `pair`, carving fresh (ip, port) space as
-  /// needed. Packed as (ip_index << 16) | port.
-  [[nodiscard]] u32 allocate_tuple(u16 pair);
-  /// Classify the tuple under the carve cursor into its pair's freelist
-  /// (or discard it if the pair is outside the population).
-  void carve_tuple();
-  void release_tuple(u16 pair, u32 tuple);
-  /// Install a fresh flow in `slot` holding `tuple`.
-  void open_slot(u32 slot, u32 tuple);
+  /// Pop a source port steering to `pair`, carving fresh ports as
+  /// needed.
+  [[nodiscard]] u16 allocate_port(u16 pair);
+  /// File the port under the carve cursor into its pair's freelist (or
+  /// discard it if the pair is outside the population).
+  void carve_port();
+  void release_port(u16 pair, u16 port);
+  /// Install a fresh flow in `slot` holding `port`.
+  void open_slot(u32 slot, u16 port);
   void release_slot(u32 slot);
   [[nodiscard]] u32 sample_size();
   [[nodiscard]] sim::Duration sample_gap(u32 slot);
@@ -197,30 +167,24 @@ class FlowGen {
   FlowGenConfig config_;
   sim::Xoshiro256 rng_;
 
-  // ---- per-slot state, struct of arrays (17 bytes per slot) ------------------
+  // ---- per-slot state, struct of arrays (15 bytes per slot) ------------------
   std::vector<u64> ids_;
   std::vector<u32> remaining_;  ///< packets left (size_max fits u32)
   std::vector<u16> ports_;
-  std::vector<u16> ip_index_;
   std::vector<u8> flags_;
 
-  // ---- tuple allocator -------------------------------------------------------
-  /// steer_[ip_index][port] -> pair; empty until the carve cursor first
-  /// enters the IP. u8 entries (pairs <= 256 enforced for caching).
-  std::vector<std::vector<u8>> steer_;
-  /// Released / pre-carved tuples per pair, LIFO. Only pairs in the
+  // ---- port allocator --------------------------------------------------------
+  /// Released / pre-carved ports per pair, LIFO. Only pairs in the
   /// population (pair_set, or all pairs) ever hold entries.
-  std::vector<std::vector<u32>> free_by_pair_;
+  std::vector<std::vector<u16>> free_by_pair_;
   std::vector<u8> pair_active_;
-  u32 carve_ip_ = 0;
   u32 carve_port_ = 0;
-  u64 live_tuples_ = 0;
+  u64 live_ports_ = 0;
 
   u64 next_id_ = 1;
   u64 created_ = 0;
   u64 completed_ = 0;
   u64 abandoned_ = 0;
-  u64 packets_ = 0;
   u64 open_ = 0;
 };
 

@@ -133,11 +133,6 @@ u32 ConfigSpace::read32(u16 offset) const {
   return load_le32(ConstByteSpan{space_}, offset);
 }
 
-void ConfigSpace::write8(u16 offset, u8 value) {
-  VFPGA_EXPECTS(offset < kSize);
-  space_[offset] = value;
-}
-
 void ConfigSpace::write16(u16 offset, u16 value) {
   VFPGA_EXPECTS(u32{offset} + 2 <= kSize);
   store_le16(ByteSpan{space_}, offset, value);

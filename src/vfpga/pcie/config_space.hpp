@@ -96,7 +96,6 @@ class ConfigSpace {
   [[nodiscard]] u8 read8(u16 offset) const;
   [[nodiscard]] u16 read16(u16 offset) const;
   [[nodiscard]] u32 read32(u16 offset) const;
-  void write8(u16 offset, u8 value);
   void write16(u16 offset, u16 value);
   /// 32-bit config write; implements BAR sizing/programming semantics.
   void write32(u16 offset, u32 value);

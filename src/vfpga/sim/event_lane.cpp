@@ -10,22 +10,6 @@
 
 namespace vfpga::sim {
 
-namespace {
-
-// Adaptive window controller thresholds.
-/// EWMA messages/window at or above this: halve the window (the lanes
-/// are talking — tighten the lookahead immediately).
-constexpr i64 kHighMessages = 8;
-/// EWMA messages/window at or below this counts as a quiet window.
-constexpr i64 kLowMessages = 1;
-/// Consecutive quiet windows before the window doubles. Hysteresis:
-/// growth is patient, shrink is immediate.
-constexpr u32 kGrowPatience = 4;
-static_assert(kGrowPatience >= 1);
-static_assert(kHighMessages > kLowMessages);
-
-}  // namespace
-
 EventLane::EventLane(u32 id, u32 sources) : id_(id) {
   inbox_.reserve(sources);
   for (u32 s = 0; s < sources; ++s) {
@@ -36,12 +20,6 @@ EventLane::EventLane(u32 id, u32 sources) : id_(id) {
 LaneSet::LaneSet(LaneSetConfig config) : config_(config) {
   VFPGA_EXPECTS(config_.lanes >= 1);
   VFPGA_EXPECTS(config_.window > Duration{});
-  if (config_.adaptive.enabled) {
-    VFPGA_EXPECTS(config_.adaptive.min_window > Duration{});
-    VFPGA_EXPECTS(config_.adaptive.min_window <= config_.window);
-    VFPGA_EXPECTS(config_.window <= config_.adaptive.max_window);
-  }
-  window_ = config_.window;
   lanes_.reserve(config_.lanes);
   for (u32 i = 0; i < config_.lanes; ++i) {
     lanes_.push_back(std::unique_ptr<EventLane>(
@@ -84,57 +62,6 @@ void LaneSet::step_lane(EventLane& lane) {
   lane.window_busy_ = lane.sched_.executed() != before;
 }
 
-void LaneSet::retune_window() {
-  const LaneSetConfig::AdaptiveWindow& a = config_.adaptive;
-  if (!a.enabled || lanes_.size() <= 1) {
-    return;  // fixed window, or a single lane with no peer to sync with
-  }
-  u32 busy_lanes = 0;
-  for (const std::unique_ptr<EventLane>& lane : lanes_) {
-    busy_lanes += lane->window_busy_ ? 1u : 0u;
-  }
-  const i64 window_messages =
-      static_cast<i64>(stats_.messages - messages_at_retune_);
-  messages_at_retune_ = stats_.messages;
-
-  // x256 fixed-point EWMAs with alpha = 1/4 — integer arithmetic only,
-  // so every thread count computes the identical trajectory.
-  message_ewma_x256_ += (window_messages * 256 - message_ewma_x256_) / 4;
-  const i64 busy_x256 = static_cast<i64>(busy_lanes) * 256;
-  busy_ewma_x256_ += (busy_x256 - busy_ewma_x256_) / 4;
-
-  if (message_ewma_x256_ >= kHighMessages * 256) {
-    // Chatty: messages are waiting a whole window for delivery. Shrink
-    // immediately — latency is paid per message, barriers per window.
-    quiet_streak_ = 0;
-    const Duration halved{window_.picos() / 2};
-    const Duration next = std::max(halved, a.min_window);
-    if (next < window_) {
-      window_ = next;
-      ++stats_.window_shrinks;
-    }
-    return;
-  }
-  if (message_ewma_x256_ > kLowMessages * 256) {
-    quiet_streak_ = 0;  // middle band: hold
-    return;
-  }
-  // Quiet window. Mostly-idle lane sets (under half the lanes executed
-  // anything) count double toward the patience threshold: an all-idle
-  // fleet reaches the max window twice as fast as a busy-but-silent one.
-  const i64 half_busy_x256 = static_cast<i64>(lanes_.size()) * 128;
-  quiet_streak_ += busy_ewma_x256_ <= half_busy_x256 ? 2u : 1u;
-  if (quiet_streak_ < kGrowPatience) {
-    return;
-  }
-  quiet_streak_ = 0;
-  const Duration next = std::min(window_ * 2, a.max_window);
-  if (next > window_) {
-    window_ = next;
-    ++stats_.window_growths;
-  }
-}
-
 bool LaneSet::begin_window() {
   std::optional<SimTime> earliest;
   for (const std::unique_ptr<EventLane>& lane : lanes_) {
@@ -160,9 +87,8 @@ bool LaneSet::begin_window() {
   // stretches cost one barrier, not one barrier per empty window. The
   // pending work is never behind the finished horizon (executed events
   // are gone, posts and undelivered ring entries are at or past it), so
-  // the new horizon strictly grows even when the adaptive controller
-  // just changed the width.
-  const i64 w = window_.picos();
+  // the new horizon strictly grows.
+  const i64 w = config_.window.picos();
   const i64 base = std::max(earliest->picos(), horizon_.picos());
   horizon_ = SimTime{(base / w + 1) * w};
   ++stats_.barriers;
@@ -197,7 +123,6 @@ void LaneSet::finish_window() {
       ++res.barrier_waits;
     }
   }
-  retune_window();
   begin_window();
 }
 
@@ -209,11 +134,6 @@ LaneSet::RunStats LaneSet::run(unsigned threads) {
   stats_ = RunStats{};
   stats_.residency.assign(lanes_.size(), LaneResidency{});
   done_ = false;
-  window_ = config_.window;
-  message_ewma_x256_ = 0;
-  busy_ewma_x256_ = 0;
-  messages_at_retune_ = 0;
-  quiet_streak_ = 0;
 
   if (!begin_window()) {
     return stats_;

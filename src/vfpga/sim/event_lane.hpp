@@ -39,26 +39,7 @@ struct LaneSetConfig {
   u32 lanes = 1;
   /// Window length == conservative lookahead: the minimum cross-lane
   /// latency. Larger windows barrier less often but delay messages more.
-  /// With the adaptive controller enabled this is only the STARTING
-  /// width; the controller retunes it between windows.
   Duration window = microseconds(100);
-
-  /// Self-tuning window controller. The fixed window trades barrier
-  /// frequency against cross-lane latency once, at configuration time;
-  /// the controller re-makes that trade every window from two observed
-  /// simulated-time quantities — cross-lane messages routed per window
-  /// and the fraction of lanes that executed any event — so chatty
-  /// phases keep messages prompt while idle-heavy phases stop paying a
-  /// barrier per window. It runs entirely in the single-threaded
-  /// barrier phase on integer fixed-point EWMAs, so the retuned
-  /// schedule is exactly as thread-count-independent as the fixed one.
-  struct AdaptiveWindow {
-    bool enabled = false;
-    /// Clamp bounds for the retuned window. min_window is also the
-    /// cross-lane latency floor the controller may never trade away.
-    Duration min_window = microseconds(25);
-    Duration max_window = milliseconds(5);
-  } adaptive;
 };
 
 class LaneSet;
@@ -94,7 +75,7 @@ class EventLane {
   /// Sends staged during this window, routed at the barrier.
   std::vector<Outgoing> outbox_;
   u64 received_ = 0;
-  /// Whether this window fired any event (residency + controller input).
+  /// Whether this window fired any event (the residency input).
   bool window_busy_ = false;
 };
 
@@ -108,10 +89,6 @@ class LaneSet {
 
   [[nodiscard]] u32 size() const { return static_cast<u32>(lanes_.size()); }
   [[nodiscard]] EventLane& lane(u32 i) { return *lanes_.at(i); }
-  /// Current window width — the configured value, or whatever the
-  /// adaptive controller last retuned it to.
-  [[nodiscard]] Duration window() const { return window_; }
-
   /// End of the window currently executing. Stable for the whole
   /// parallel phase.
   [[nodiscard]] SimTime horizon() const { return horizon_; }
@@ -139,9 +116,6 @@ class LaneSet {
     u64 events = 0;    ///< lane scheduler events fired
     u64 messages = 0;  ///< cross-lane messages routed into rings
     u64 dropped = 0;   ///< sends lost to a full ring (0 in a sane setup)
-    /// Adaptive controller decisions (0 with the fixed window).
-    u64 window_growths = 0;
-    u64 window_shrinks = 0;
     std::vector<LaneResidency> residency;  ///< one entry per lane
   };
 
@@ -163,11 +137,6 @@ class LaneSet {
   /// Barrier phase: open the window containing the earliest pending
   /// work; returns false (and latches done_) at global quiescence.
   bool begin_window();
-  /// Barrier phase: fold the finished window's message count and
-  /// busy-lane fraction into the EWMAs and resize window_ under
-  /// hysteresis. Pure integer arithmetic over simulated-time
-  /// observations — deterministic at any thread count.
-  void retune_window();
 
   LaneSetConfig config_;
   std::vector<std::unique_ptr<EventLane>> lanes_;
@@ -176,13 +145,6 @@ class LaneSet {
   SimTime horizon_{};
   bool done_ = false;
   RunStats stats_;
-  /// Current window width (== config_.window when not adaptive).
-  Duration window_{};
-  // Controller state, x256 fixed point (reset by run()).
-  i64 message_ewma_x256_ = 0;
-  i64 busy_ewma_x256_ = 0;
-  u64 messages_at_retune_ = 0;
-  u32 quiet_streak_ = 0;
 };
 
 }  // namespace vfpga::sim

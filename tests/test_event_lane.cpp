@@ -115,22 +115,17 @@ struct WorkloadSnapshot {
   u64 events = 0;
   u64 messages = 0;
   u64 dropped = 0;
-  u64 window_growths = 0;
-  u64 window_shrinks = 0;
 
   bool operator==(const WorkloadSnapshot&) const = default;
 };
 
 /// Four lanes, 200 local steps each, a cross-lane message every third
-/// step; a 25us window, fixed or retuned between 25us and 2ms.
-WorkloadSnapshot run_workload(unsigned threads, bool adaptive = false,
+/// step; a 25us window.
+WorkloadSnapshot run_workload(unsigned threads,
                               LaneSet::RunStats* stats_out = nullptr) {
   LaneSetConfig config;
   config.lanes = 4;
   config.window = microseconds(25);
-  config.adaptive.enabled = adaptive;
-  config.adaptive.min_window = microseconds(25);
-  config.adaptive.max_window = milliseconds(2);
   LaneSet set(config);
   std::vector<LaneWork> work(config.lanes);
   for (u32 i = 0; i < config.lanes; ++i) {
@@ -150,8 +145,6 @@ WorkloadSnapshot run_workload(unsigned threads, bool adaptive = false,
   snap.events = stats.events;
   snap.messages = stats.messages;
   snap.dropped = stats.dropped;
-  snap.window_growths = stats.window_growths;
-  snap.window_shrinks = stats.window_shrinks;
   if (stats_out != nullptr) {
     *stats_out = stats;
   }
@@ -202,143 +195,13 @@ TEST(EventLane, IdleStretchesCostOneWindowNotMany) {
   EXPECT_EQ(stats.windows, 2u);
 }
 
-// ---- adaptive window controller ----------------------------------------------
-
-TEST(EventLane, AllIdleLanesGrowWindowToMax) {
-  LaneSetConfig config;
-  config.lanes = 2;
-  config.window = microseconds(10);
-  config.adaptive.enabled = true;
-  config.adaptive.min_window = microseconds(10);
-  config.adaptive.max_window = milliseconds(1);
-  LaneSet set(config);
-  // Sparse periodic work on one lane, nothing cross-lane: the quietest
-  // fleet there is. The controller must widen to the cap and stay there.
-  struct Ticker {
-    LaneSet* set;
-    u32 left;
-    void fire() {
-      if (--left == 0) {
-        return;
-      }
-      set->lane(0).scheduler().schedule_after(microseconds(200),
-                                              [this] { fire(); });
-    }
-  };
-  Ticker ticker{&set, 100};
-  set.lane(0).scheduler().schedule_at(SimTime{} + microseconds(1),
-                                      [&ticker] { ticker.fire(); });
-  const LaneSet::RunStats stats = set.run(1);
-  EXPECT_GT(stats.window_growths, 0u);
-  EXPECT_EQ(stats.window_shrinks, 0u);
-  EXPECT_EQ(set.window(), config.adaptive.max_window);
-  // ~20ms of makespan: a fixed 10us window would need ~2000 barriers
-  // even with skip-ahead (an event every 200us). The controller must
-  // collapse that by an order of magnitude, and skip-ahead keeps
-  // operating on top (bounded: windows never exceed the event count).
-  EXPECT_LT(stats.windows, 200u);
-  EXPECT_LE(stats.windows, stats.events + 2);
-}
-
-TEST(EventLane, ChattyLanesCollapseWindowToMinWithoutLivelock) {
-  LaneSetConfig config;
-  config.lanes = 2;
-  config.window = microseconds(200);
-  config.adaptive.enabled = true;
-  config.adaptive.min_window = microseconds(25);
-  config.adaptive.max_window = milliseconds(1);
-  LaneSet set(config);
-  // Both lanes blast a burst of messages at each other every 50us: far
-  // over the high-water EWMA. The controller must shrink to the floor
-  // and hold it there — and the run must still terminate (shrinking
-  // never re-executes or starves a window).
-  struct Blaster {
-    LaneSet* set;
-    u32 id;
-    u32 left;
-    u64 delivered = 0;
-    void fire() {
-      const u32 dst = 1 - id;
-      for (int m = 0; m < 24; ++m) {
-        u64* counter = &delivered;
-        set->post(id, dst, set->horizon(), [counter] { ++*counter; });
-      }
-      if (--left > 0) {
-        set->lane(id).scheduler().schedule_after(microseconds(50),
-                                                 [this] { fire(); });
-      }
-    }
-  };
-  std::vector<Blaster> blasters;
-  blasters.push_back({&set, 0, 120, 0});
-  blasters.push_back({&set, 1, 120, 0});
-  for (u32 i = 0; i < 2; ++i) {
-    set.lane(i).scheduler().schedule_at(SimTime{} + nanoseconds(i + 1),
-                                        [&blasters, i] { blasters[i].fire(); });
-  }
-  const LaneSet::RunStats stats = set.run(2);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_GT(stats.window_shrinks, 0u);
-  EXPECT_EQ(set.window(), config.adaptive.min_window);
-  EXPECT_EQ(blasters[0].delivered + blasters[1].delivered, 2u * 120u * 24u);
-}
-
-TEST(EventLane, SingleLaneControllerIsANoOp) {
-  LaneSetConfig config;
-  config.lanes = 1;
-  config.window = microseconds(50);
-  config.adaptive.enabled = true;
-  config.adaptive.min_window = microseconds(10);
-  config.adaptive.max_window = milliseconds(5);
-  LaneSet set(config);
-  int fired = 0;
-  for (int i = 1; i <= 20; ++i) {
-    set.lane(0).scheduler().schedule_at(SimTime{} + microseconds(i * 300),
-                                        [&fired] { ++fired; });
-  }
-  const LaneSet::RunStats stats = set.run(1);
-  // One lane has no peers to synchronize with: retuning is skipped
-  // entirely, the window never moves, skip-ahead does all the work.
-  EXPECT_EQ(fired, 20);
-  EXPECT_EQ(stats.window_growths, 0u);
-  EXPECT_EQ(stats.window_shrinks, 0u);
-  EXPECT_EQ(set.window(), config.window);
-}
-
-TEST(EventLane, AdaptiveControllerIsDeterministicAcrossThreadCounts) {
-  // The controller feeds only on per-window event/message counts, which
-  // are themselves deterministic — so its decisions (and everything
-  // downstream of them) must be too.
-  const WorkloadSnapshot one = run_workload(1, /*adaptive=*/true);
-  EXPECT_EQ(one.fired, (std::vector<u32>{200, 200, 200, 200}));
-  EXPECT_EQ(one.dropped, 0u);
-  EXPECT_EQ(run_workload(2, /*adaptive=*/true), one);
-  EXPECT_EQ(run_workload(4, /*adaptive=*/true), one);
-}
-
-TEST(EventLane, AdaptiveWindowCutsBarriersWithoutChangingResults) {
-  // Local steps draw their gaps from the lane's own stream and messages
-  // only fold into checksums, so the window width decides when a
-  // message lands but not what any lane does. The controller must leave
-  // every event, message and lane clock as the fixed window has them,
-  // while spending fewer windows on this sparse-message workload.
-  const WorkloadSnapshot fixed = run_workload(2);
-  const WorkloadSnapshot adaptive = run_workload(2, /*adaptive=*/true);
-  EXPECT_EQ(adaptive.fired, fixed.fired);
-  EXPECT_EQ(adaptive.clocks, fixed.clocks);
-  EXPECT_EQ(adaptive.events, fixed.events);
-  EXPECT_EQ(adaptive.messages, fixed.messages);
-  EXPECT_EQ(adaptive.dropped, 0u);
-  EXPECT_EQ(fixed.window_growths, 0u);
-  EXPECT_GT(adaptive.window_growths, 0u);
-  EXPECT_LT(adaptive.windows, fixed.windows);
-}
+// ---- residency ---------------------------------------------------------------
 
 TEST(EventLane, ResidencyPartitionsCommittedWindowsDeterministically) {
   LaneSet::RunStats one;
   LaneSet::RunStats four;
-  run_workload(1, /*adaptive=*/false, &one);
-  run_workload(4, /*adaptive=*/false, &four);
+  run_workload(1, &one);
+  run_workload(4, &four);
   ASSERT_EQ(one.residency.size(), 4u);
   u64 total_busy = 0;
   for (u32 i = 0; i < 4; ++i) {

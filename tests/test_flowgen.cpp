@@ -1,10 +1,9 @@
 // Flow-table traffic generator: heavy-tailed sizes, churn bookkeeping,
-// RSS pair affinity, pair-set restriction, determinism.
+// RSS pair affinity, pair-set restriction, determinism, port freelists.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "vfpga/net/flowgen.hpp"
@@ -72,7 +71,7 @@ TEST(FlowGen, ChurnLeaksNoTableEntriesOrPorts) {
     const u32 slot = static_cast<u32>(step) % gen.slots();
     const FlowGen::Departure d = gen.next_packet(slot);
     if (d.fin) {
-      EXPECT_TRUE(gen.churn_slot(slot).has_value());
+      gen.churn_slot(slot);
     }
   }
 
@@ -110,27 +109,19 @@ TEST(FlowGen, EveryFlowSteersToItsAssignedPair) {
   }
 }
 
-TEST(FlowGen, ReconnectPreservesPortAndPairChurnPreservesPair) {
+TEST(FlowGen, ChurnPreservesPair) {
   FlowGenConfig config = tiny_config();
   FlowGen gen(config);
   const u32 slot = 5;
-  const u16 port_before = gen.flow(slot).src_port;
   const u16 pair_before = gen.flow(slot).pair;
   const u64 id_before = gen.flow(slot).id;
 
-  gen.reconnect_slot(slot);
-  EXPECT_EQ(gen.flow(slot).src_port, port_before);  // same 4-tuple
-  EXPECT_EQ(gen.flow(slot).pair, pair_before);
-  EXPECT_NE(gen.flow(slot).id, id_before);  // but a new flow
-
-  // Run the slot's flow to completion, then churn: fresh port, same pair.
-  while (true) {
-    const FlowGen::Departure d = gen.next_packet(slot);
-    if (d.fin) {
-      break;
-    }
+  // Run the slot's flow to completion, then churn: a new flow on the
+  // same pair, through a port that steers there.
+  while (!gen.next_packet(slot).fin) {
   }
-  ASSERT_TRUE(gen.churn_slot(slot).has_value());
+  gen.churn_slot(slot);
+  EXPECT_NE(gen.flow(slot).id, id_before);
   EXPECT_EQ(gen.flow(slot).pair, pair_before);
   EXPECT_EQ(pair_of(config, gen.flow(slot).src_port), pair_before);
 }
@@ -162,89 +153,47 @@ TEST(FlowGen, IdenticalSeedsYieldIdenticalTraffic) {
     ASSERT_EQ(da.gap.picos(), db.gap.picos());
     ASSERT_EQ(da.fin, db.fin);
     if (da.fin) {
-      const auto ga = a.churn_slot(slot);
-      const auto gb = b.churn_slot(slot);
-      ASSERT_EQ(ga.has_value(), gb.has_value());
-      ASSERT_EQ(ga->picos(), gb->picos());
+      ASSERT_EQ(a.churn_slot(slot).picos(), b.churn_slot(slot).picos());
     }
   }
 }
 
-// ---- multi-IP tuple space, freelist reuse, footprint -------------------------
-
-TEST(FlowGen, MultiIpWidensTheTupleSpaceAndSteersCorrectly) {
-  FlowGenConfig config = tiny_config();
-  config.host_ip_count = 8;
-  // Shrink each IP's port band (carving stops at 64k) so a modest
-  // population must spill across client IPs, as the million-flow soak
-  // does at full scale with the default band.
-  config.first_port = 63'980;
-  config.flows = 64;
-  FlowGen gen(config);
-  std::set<u32> ips_seen;
-  for (u32 slot = 0; slot < gen.slots(); ++slot) {
-    const FlowGen::Flow flow = gen.flow(slot);
-    ASSERT_GE(flow.src_ip.value, config.host_ip.value);
-    ASSERT_LT(flow.src_ip.value, config.host_ip.value + config.host_ip_count);
-    ips_seen.insert(flow.src_ip.value);
-    // RSS affinity must hold per actual source IP, not just the base.
-    EXPECT_EQ(steer(rss_flow_hash(flow.src_ip, flow.src_port, config.fpga_ip,
-                                  config.fpga_port),
-                    config.pairs),
-              flow.pair)
-        << "slot " << slot;
-  }
-  // Carving walks the port band before moving to the next IP, but a
-  // population this size with per-pair classification must spill past
-  // the first client IP.
-  EXPECT_GT(ips_seen.size(), 1u);
-}
+// ---- port freelists ---------------------------------------------------------
 
 TEST(FlowGen, ChurnReusesTuplesThroughFreelistsWithoutCarving) {
   FlowGenConfig config = tiny_config();
   config.flows = 32;
   FlowGen gen(config);
-  std::set<std::pair<u32, u16>> tuples;
+  std::set<u16> ports;
   for (u32 slot = 0; slot < gen.slots(); ++slot) {
-    const FlowGen::Flow flow = gen.flow(slot);
-    tuples.insert({flow.src_ip.value, flow.src_port});
+    ports.insert(gen.flow(slot).src_port);
   }
-  ASSERT_EQ(tuples.size(), gen.slots());  // distinct tuples at open
-  const u64 footprint_before = gen.footprint_bytes();
+  ASSERT_EQ(ports.size(), gen.slots());  // distinct ports at open
   // Drive every slot through several full churn generations. Each churn
-  // releases the slot's tuple into its pair's freelist and the fresh
+  // releases the slot's port into its pair's freelist and the fresh
   // flow pops from that same freelist — the carve cursor never
-  // advances, so no tuple outside the original working set appears and
-  // the footprint cannot grow.
+  // advances, so no port outside the original working set appears.
   for (int generation = 0; generation < 8; ++generation) {
     for (u32 slot = 0; slot < gen.slots(); ++slot) {
       while (!gen.next_packet(slot).fin) {
       }
-      ASSERT_TRUE(gen.churn_slot(slot).has_value());
-      const FlowGen::Flow flow = gen.flow(slot);
-      EXPECT_TRUE(tuples.count({flow.src_ip.value, flow.src_port}) == 1)
-          << "slot " << slot << " carved a fresh tuple during churn";
+      gen.churn_slot(slot);
+      EXPECT_EQ(ports.count(gen.flow(slot).src_port), 1u)
+          << "slot " << slot << " carved a fresh port during churn";
     }
   }
-  EXPECT_EQ(gen.footprint_bytes(), footprint_before);
+  EXPECT_EQ(gen.live_ports(), gen.open_flows());
   EXPECT_EQ(gen.flows_created(),
             gen.flows_completed() + gen.flows_abandoned() + gen.open_flows());
 }
 
-TEST(FlowGen, FootprintCountsLazySteerTablesAndMeetsTheBudget) {
+TEST(FlowGenDeathTest, LiveFlowsBeyondThePortBandAbort) {
+  // One pair takes every port in [first_port, kPortBandEnd), so one
+  // more live flow than the band holds has no source port left.
   FlowGenConfig config = tiny_config();
-  config.host_ip_count = 2;
-  config.flows = 65'536;
-  FlowGen gen(config);
-  const u64 footprint = gen.footprint_bytes();
-  // More than the bare SoA columns (17 B/slot): the lazily built per-IP
-  // steer tables and the freelists are real memory and must be counted.
-  EXPECT_GT(footprint, static_cast<u64>(gen.slots()) * 17);
-  // And still inside the soak budget once the steer tables amortize
-  // over a large table (DESIGN.md §15: 48 B/flow at a million slots).
-  const double bytes_per_flow =
-      static_cast<double>(footprint) / static_cast<double>(gen.slots());
-  EXPECT_LE(bytes_per_flow, 48.0);
+  config.pairs = 1;
+  config.flows = FlowGen::kPortBandEnd - config.first_port + 1;
+  EXPECT_DEATH(FlowGen{config}, "exhausted the client IP's source-port band");
 }
 
 }  // namespace
