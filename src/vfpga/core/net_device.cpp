@@ -33,9 +33,9 @@ virtio::FeatureSet NetDeviceLogic::device_features() const {
   if (config_.offer_csum) {
     f.set(virtio::feature::net::kCsum);
   }
-  if (config_.offer_guest_csum) {
-    f.set(virtio::feature::net::kGuestCsum);
-  }
+  // The echo logic always produces full checksums, so GUEST_CSUM and the
+  // RX offloads that depend on it are safe to offer unconditionally.
+  f.set(virtio::feature::net::kGuestCsum);
   // MRG_RXBUF lets a negotiating driver post small RX buffers and let
   // one frame span several of them, with the header's num_buffers
   // carrying the span (§5.1.6.4). Like it, the segmentation offloads
@@ -49,16 +49,10 @@ virtio::FeatureSet NetDeviceLogic::device_features() const {
     f.set(virtio::feature::net::kHostTso4);
     f.set(virtio::feature::net::kHostUfo);
   }
-  if (config_.offer_guest_csum) {
-    f.set(virtio::feature::net::kGuestTso4);
-    f.set(virtio::feature::net::kGuestUfo);
-  }
+  f.set(virtio::feature::net::kGuestTso4);
+  f.set(virtio::feature::net::kGuestUfo);
   if (config_.max_queue_pairs > 1) {
     f.set(virtio::feature::net::kMq);
-    f.set(virtio::feature::net::kCtrlVq);
-  }
-  if (config_.offer_notf_coal) {
-    f.set(virtio::feature::net::kNotfCoal);
     f.set(virtio::feature::net::kCtrlVq);
   }
   return f;
@@ -75,9 +69,9 @@ void NetDeviceLogic::on_driver_ready(virtio::FeatureSet negotiated) {
       virtio::FeatureSet{negotiated.bits() & ~kTransportBits}.subset_of(
           device_features()));
   // Spec feature dependencies (§5.1.3.1): a driver accepting a
-  // segmentation offload without the matching checksum offload — or
-  // notification coalescing without a control queue — negotiated a
-  // combination whose RX/ctrl semantics are undefined. Fail loudly.
+  // segmentation offload without the matching checksum offload
+  // negotiated a combination whose RX semantics are undefined. Fail
+  // loudly.
   namespace nf = virtio::feature::net;
   VFPGA_EXPECTS(!negotiated.has(nf::kGuestTso4) ||
                 negotiated.has(nf::kGuestCsum));
@@ -85,10 +79,7 @@ void NetDeviceLogic::on_driver_ready(virtio::FeatureSet negotiated) {
                 negotiated.has(nf::kGuestCsum));
   VFPGA_EXPECTS(!negotiated.has(nf::kHostTso4) || negotiated.has(nf::kCsum));
   VFPGA_EXPECTS(!negotiated.has(nf::kHostUfo) || negotiated.has(nf::kCsum));
-  VFPGA_EXPECTS(!negotiated.has(nf::kNotfCoal) ||
-                negotiated.has(nf::kCtrlVq));
   negotiated_ = negotiated;
-  rx_coal_ = {};  // moderation defaults to immediate interrupts
   // §5.1.5: the device comes up with one active pair regardless of what
   // it supports; more are enabled only by a later
   // VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET on the control queue.
@@ -148,35 +139,8 @@ std::optional<UserLogic::Response> NetDeviceLogic::process_ctrl(
     reset_steering_table();
     return ctrl_response(queue, virtio::net::kCtrlOk, cycles);
   }
-  if (payload[0] == virtio::net::kCtrlClassNotfCoal &&
-      payload[1] == virtio::net::kCtrlNotfCoalRxSet &&
-      payload.size() >= 2 + virtio::net::CoalRxParams::kSize) {
-    if (!negotiated_.has(virtio::feature::net::kNotfCoal)) {
-      ++ctrl_rejected_;
-      return ctrl_response(queue, virtio::net::kCtrlErr, cycles);
-    }
-    rx_coal_.max_usecs = load_le32(payload, 2);
-    rx_coal_.max_packets = load_le32(payload, 6);
-    return ctrl_response(queue, virtio::net::kCtrlOk, cycles);
-  }
   ++ctrl_rejected_;
   return ctrl_response(queue, virtio::net::kCtrlErr, cycles);
-}
-
-UserLogic::InterruptModeration NetDeviceLogic::interrupt_moderation(
-    u16 queue) const {
-  // Moderation applies to RX deliveries only; TX/ctrl completions keep
-  // immediate interrupts, as does everything until the driver actually
-  // negotiates NOTF_COAL and programs a window.
-  if (!negotiated_.has(virtio::feature::net::kNotfCoal) ||
-      virtio::net::is_tx_queue(queue) ||
-      (has_ctrl_queue() && queue == ctrl_queue())) {
-    return {};
-  }
-  InterruptModeration m;
-  m.max_frames = std::max<u32>(1, rx_coal_.max_packets);
-  m.holdoff_ns = static_cast<u64>(rx_coal_.max_usecs) * 1000;
-  return m;
 }
 
 u8 NetDeviceLogic::device_config_read(u32 offset) const {
@@ -549,8 +513,6 @@ void NetDeviceLogic::transfer(migrate::StateIo& io) {
   io.u64(gso_superframes_);
   io.u64(gso_segments_out_);
   io.u64(gro_coalesced_);
-  io.u32(rx_coal_.max_usecs);
-  io.u32(rx_coal_.max_packets);
 }
 
 }  // namespace vfpga::core

@@ -31,14 +31,6 @@ struct NetDeviceConfig {
   u16 mtu = 1500;
   /// Offer TX checksum offload (VIRTIO_NET_F_CSUM).
   bool offer_csum = true;
-  /// Offer VIRTIO_NET_F_GUEST_CSUM (we always produce full checksums, so
-  /// offering it is safe).
-  bool offer_guest_csum = true;
-  /// Offer VIRTIO_NET_F_NOTF_COAL (adaptive interrupt moderation via
-  /// control-queue commands). Default OFF: the offer adds a control
-  /// queue to the single-pair personality, which changes queue_count and
-  /// therefore the probe-time RNG stream the paper-figure benches pin.
-  bool offer_notf_coal = false;
 
   /// RX/TX queue pairs the fabric instantiates. 1 (the paper's device)
   /// keeps the two-queue personality with no control queue; >1 offers
@@ -76,9 +68,8 @@ class NetDeviceLogic final : public UserLogic {
   }
   [[nodiscard]] virtio::FeatureSet device_features() const override;
   [[nodiscard]] u16 queue_count() const override {
-    // Single-pair keeps the paper's two-queue personality; multiqueue —
-    // or a single-pair device offering NOTF_COAL — adds the control
-    // queue after the last supported pair (§5.1.2).
+    // Single-pair keeps the paper's two-queue personality; multiqueue
+    // adds the control queue after the last supported pair (§5.1.2).
     return has_ctrl_queue()
                ? static_cast<u16>(2 * config_.max_queue_pairs + 1)
                : u16{2};
@@ -93,14 +84,12 @@ class NetDeviceLogic final : public UserLogic {
   [[nodiscard]] u8 device_config_read(u32 offset) const override;
   std::optional<Response> process(u16 queue, ConstByteSpan payload,
                                   u32 writable_capacity) override;
-  [[nodiscard]] InterruptModeration interrupt_moderation(
-      u16 queue) const override;
 
   // ---- multiqueue ---------------------------------------------------------------
   [[nodiscard]] u16 max_queue_pairs() const { return config_.max_queue_pairs; }
   [[nodiscard]] u16 active_queue_pairs() const { return active_pairs_; }
   [[nodiscard]] bool has_ctrl_queue() const {
-    return config_.max_queue_pairs > 1 || config_.offer_notf_coal;
+    return config_.max_queue_pairs > 1;
   }
   [[nodiscard]] u16 ctrl_queue() const {
     return virtio::net::ctrl_queue_index(config_.max_queue_pairs);
@@ -119,9 +108,6 @@ class NetDeviceLogic final : public UserLogic {
   [[nodiscard]] u64 gso_superframes() const { return gso_superframes_; }
   [[nodiscard]] u64 gso_segments_out() const { return gso_segments_out_; }
   [[nodiscard]] u64 gro_coalesced() const { return gro_coalesced_; }
-  [[nodiscard]] virtio::net::CoalRxParams rx_coalesce() const {
-    return rx_coal_;
-  }
   [[nodiscard]] u64 pair_echoes(u16 pair) const {
     return pair_echoes_.at(pair);
   }
@@ -131,8 +117,8 @@ class NetDeviceLogic final : public UserLogic {
   [[nodiscard]] virtio::FeatureSet negotiated() const { return negotiated_; }
 
   /// Snapshot/restore of the fabric personality's dynamic state:
-  /// negotiated features, active pairs, the RSS indirection table,
-  /// NOTF_COAL parameters and counters.
+  /// negotiated features, active pairs, the RSS indirection table and
+  /// counters.
   void transfer(migrate::StateIo& io);
 
  private:
@@ -165,7 +151,6 @@ class NetDeviceLogic final : public UserLogic {
   u64 gso_superframes_ = 0;
   u64 gso_segments_out_ = 0;
   u64 gro_coalesced_ = 0;
-  virtio::net::CoalRxParams rx_coal_{};
 };
 
 }  // namespace vfpga::core

@@ -127,7 +127,6 @@ void VirtioNetTestbed::quiesce() {
   for (u16 pair = 0; pair < driver_.queue_pairs(); ++pair) {
     driver_.flush_tx(*thread_, pair);
   }
-  device_->quiesce(thread_->now());
   if (blk_device_) {
     // Drain the storage datapath: reap every in-flight request and pop
     // the results so the driver's slot tables are empty at snapshot.
@@ -141,7 +140,6 @@ void VirtioNetTestbed::quiesce() {
       while (blk_driver_.pop_completion(q).has_value()) {
       }
     }
-    blk_device_->quiesce(thread_->now());
   }
 }
 

@@ -103,10 +103,10 @@ class VirtioNetTestbed {
   [[nodiscard]] std::unique_ptr<hostos::HostThread> spawn_thread();
 
   /// Park the testbed for a crash-consistent snapshot: flush coalesced
-  /// TX kicks on every pair and fire any moderated-interrupt holdoff
-  /// windows — the only time-deferred device state. Everything else
-  /// (unharvested used entries, queued MSI deliveries, mid-span
-  /// mergeable-RX reassembly) serializes as-is.
+  /// TX kicks on every pair (the only time-deferred net state) and drain
+  /// any in-flight blk requests. Everything else (unharvested used
+  /// entries, queued MSI deliveries, mid-span mergeable-RX reassembly)
+  /// serializes as-is.
   void quiesce();
 
   /// Serialize/restore every layer's dynamic state except host memory

@@ -85,20 +85,6 @@ class UserLogic {
     std::vector<Bytes> trailing_frames;
   };
 
-  /// Per-queue interrupt-moderation window (VIRTIO_NET_CTRL_NOTF_COAL
-  /// model): the controller withholds a completion interrupt until
-  /// `max_frames` deliveries accumulate or `holdoff_ns` elapses from the
-  /// first withheld one. The default {1, 0} fires every interrupt
-  /// immediately — bit-identical to a device without the feature.
-  struct InterruptModeration {
-    u32 max_frames = 1;
-    u64 holdoff_ns = 0;
-  };
-  [[nodiscard]] virtual InterruptModeration interrupt_moderation(
-      u16 /*queue*/) const {
-    return {};
-  }
-
   /// Process one buffer the host made available on `queue`. `payload`
   /// is the gathered device-readable bytes of the chain;
   /// `writable_capacity` is the total size of the chain's

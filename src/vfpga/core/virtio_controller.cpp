@@ -59,8 +59,7 @@ VirtioDeviceFunction::VirtioDeviceFunction(UserLogic& user_logic,
       engines_(user_logic.queue_count()),
       credits_(user_logic.queue_count(), 0),
       total_drained_(user_logic.queue_count(), 0),
-      queue_busy_until_(user_logic.queue_count()),
-      moderation_(user_logic.queue_count()) {
+      queue_busy_until_(user_logic.queue_count()) {
   const virtio::DeviceType type = user_logic.device_type();
   auto& cfg = this->config();
   cfg.set_ids(virtio::kVirtioPciVendorId, virtio::modern_pci_device_id(type),
@@ -393,10 +392,8 @@ void VirtioDeviceFunction::device_reset() {
   std::fill(total_drained_.begin(), total_drained_.end(), u16{0});
   std::fill(queue_busy_until_.begin(), queue_busy_until_.end(),
             sim::SimTime{});
-  std::fill(moderation_.begin(), moderation_.end(), ModerationState{});
   frames_processed_ = 0;
   interrupts_suppressed_ = 0;
-  interrupts_moderated_ = 0;
   ++config_generation_;
 }
 
@@ -441,43 +438,6 @@ void VirtioDeviceFunction::fire_queue_interrupt(u16 queue, sim::SimTime at) {
   isr_status_ |= virtio::isr::kQueueInterrupt;
   msix_->fire(vector, at, *port_);
   counters_.capture(fpga::CounterEvent::kIrqSent, at);
-}
-
-void VirtioDeviceFunction::moderated_queue_interrupt(u16 queue,
-                                                     sim::SimTime at) {
-  const UserLogic::InterruptModeration window =
-      user_logic_->interrupt_moderation(queue);
-  if (window.max_frames <= 1 && window.holdoff_ns == 0) {
-    fire_queue_interrupt(queue, at);
-    return;
-  }
-  ModerationState& st = moderation_[queue];
-  if (!st.armed) {
-    st.armed = true;
-    st.withheld = 0;
-    st.deadline = at + sim::nanoseconds(static_cast<i64>(window.holdoff_ns));
-  }
-  ++st.withheld;
-  if (st.withheld >= window.max_frames || at >= st.deadline) {
-    st = ModerationState{};
-    fire_queue_interrupt(queue, at);
-  } else {
-    ++interrupts_moderated_;
-  }
-}
-
-void VirtioDeviceFunction::flush_moderated_interrupts(sim::SimTime now) {
-  for (u16 q = 0; q < moderation_.size(); ++q) {
-    ModerationState& st = moderation_[q];
-    if (st.armed && st.withheld > 0) {
-      // The holdoff timer expires on its own in real hardware; here the
-      // burst that opened the window has drained, so close it at the
-      // deadline (never earlier than now's ordering allows).
-      const sim::SimTime fire_at = std::max(now, st.deadline);
-      st = ModerationState{};
-      fire_queue_interrupt(q, fire_at);
-    }
-  }
 }
 
 void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
@@ -654,7 +614,6 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
     }
     t = replenish_credits(eng, queue, t);
   }
-  flush_moderated_interrupts(t);
   queue_busy_until_[queue] = t;
 }
 
@@ -782,7 +741,7 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
     VFPGA_WARN("virtio-ctl", "RX capacity exhausted: response truncated");
   }
   if (want_interrupt) {
-    moderated_queue_interrupt(target, t);
+    fire_queue_interrupt(target, t);
   } else {
     ++interrupts_suppressed_;
   }
@@ -905,15 +864,11 @@ void VirtioDeviceFunction::transfer(migrate::StateIo& io) {
     io.u16(credits_[q]);
     io.u16(total_drained_[q]);
     io.time(queue_busy_until_[q]);
-    io.boolean(moderation_[q].armed);
-    io.u32(moderation_[q].withheld);
-    io.time(moderation_[q].deadline);
   }
 
   io.duration(last_response_generation_);
   io.u64(frames_processed_);
   io.u64(interrupts_suppressed_);
-  io.u64(interrupts_moderated_);
   io.u64(queue_irqs_lost_);
   io.u64(device_errors_);
 

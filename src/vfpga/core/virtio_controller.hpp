@@ -84,17 +84,8 @@ class VirtioDeviceFunction : public pcie::Function {
   void device_error(sim::SimTime at);
   [[nodiscard]] u64 device_errors() const { return device_errors_; }
 
-  /// Quiesce for snapshot: the synchronous datapath finishes inside each
-  /// doorbell, so the only time-deferred device state is the NOTF_COAL
-  /// holdoff window — fire any withheld interrupts so no wakeup is
-  /// parked outside the serialized state. Everything still in flight
-  /// after this (unharvested used entries, queued MSI deliveries) is
-  /// captured by the snapshot itself.
-  void quiesce(sim::SimTime at) { flush_moderated_interrupts(at); }
-
   /// Serialize every register and FSM the driver can observe: config
-  /// space, negotiated features, per-queue ring engines, moderation
-  /// windows, counters. A restore recreates the queue engines in the
+  /// space, negotiated features, per-queue ring engines, counters. A restore recreates the queue engines in the
   /// serialized ring format WITHOUT touching host memory (the memory
   /// image is restored separately) and fails the reader on structural
   /// mismatch (queue count / ring format).
@@ -129,13 +120,6 @@ class VirtioDeviceFunction : public pcie::Function {
   /// Interrupts the controller chose to suppress via EVENT_IDX.
   [[nodiscard]] u64 interrupts_suppressed() const {
     return interrupts_suppressed_;
-  }
-  /// RX deliveries whose interrupt was withheld by the NOTF_COAL
-  /// moderation window (fired later, batched, or at the holdoff
-  /// deadline) — distinct from EVENT_IDX suppression, where the driver
-  /// asked for no interrupt at all.
-  [[nodiscard]] u64 interrupts_moderated() const {
-    return interrupts_moderated_;
   }
   /// Per-queue MSI-X messages dropped by the fault plane.
   [[nodiscard]] u64 queue_irqs_lost() const { return queue_irqs_lost_; }
@@ -190,16 +174,6 @@ class VirtioDeviceFunction : public pcie::Function {
   sim::SimTime deliver_response_train(const UserLogic::Response& response,
                                       sim::SimTime t);
   void fire_queue_interrupt(u16 queue, sim::SimTime at);
-  /// Interrupt-moderation gate for RX deliveries: consult the user
-  /// logic's per-queue window and withhold the MSI-X message until the
-  /// batch count or the holdoff deadline is reached.
-  void moderated_queue_interrupt(u16 queue, sim::SimTime at);
-  /// Fire any still-withheld interrupts at their holdoff deadline. The
-  /// notify-driven simulation has no free-running timer, so the window
-  /// closes when the burst that opened it finishes processing — no
-  /// wakeup is ever lost, and cross-burst traffic degenerates to one
-  /// (deadline-delayed) interrupt per burst.
-  void flush_moderated_interrupts(sim::SimTime now);
   /// Packed rings: re-peek for more work when the drain estimate runs
   /// out (split polls are exact and never replenish here).
   sim::SimTime replenish_credits(IQueueEngine& eng, u16 queue,
@@ -235,14 +209,6 @@ class VirtioDeviceFunction : public pcie::Function {
   /// still busy waits for it, while other queues proceed in parallel —
   /// the contention model the multi-queue scaling bench measures.
   std::vector<sim::SimTime> queue_busy_until_;
-  /// Per-queue NOTF_COAL window state: how many interrupt-worthy
-  /// deliveries are withheld and when the holdoff expires.
-  struct ModerationState {
-    bool armed = false;
-    u32 withheld = 0;
-    sim::SimTime deadline{};
-  };
-  std::vector<ModerationState> moderation_;
 
   // Datapath scratch, reused so a steady-state echo allocates nothing
   // here: the chain a notify consumes, its gathered payload and gather
@@ -256,7 +222,6 @@ class VirtioDeviceFunction : public pcie::Function {
   sim::Duration last_response_generation_{};
   u64 frames_processed_ = 0;
   u64 interrupts_suppressed_ = 0;
-  u64 interrupts_moderated_ = 0;
   u64 queue_irqs_lost_ = 0;
   u64 device_errors_ = 0;
   fault::FaultPlane* fault_ = nullptr;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "vfpga/common/contract.hpp"
-#include "vfpga/common/endian.hpp"
 #include "vfpga/core/virtio_controller.hpp"
 #include "vfpga/hostos/interrupt.hpp"
 #include "vfpga/migrate/state_io.hpp"
@@ -43,6 +42,10 @@ virtio::DriverRing& VirtioNetDriver::tx_queue(u16 pair) {
   return transport_.queue(virtio::net::tx_queue_index(pair));
 }
 
+u16 VirtioNetDriver::ctrl_queue_index() const {
+  return virtio::net::ctrl_queue_index(max_device_pairs_);
+}
+
 bool VirtioNetDriver::initialize_device(HostThread& thread) {
   // Device-class features the Linux virtio-net driver would accept.
   virtio::FeatureSet wanted;
@@ -59,10 +62,6 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
     wanted.set(virtio::feature::net::kHostUfo);
     wanted.set(virtio::feature::net::kGuestTso4);
     wanted.set(virtio::feature::net::kGuestUfo);
-  }
-  if (datapath_.want_rx_moderation) {
-    wanted.set(virtio::feature::net::kCtrlVq);
-    wanted.set(virtio::feature::net::kNotfCoal);
   }
   if (requested_pairs_ > 1) {
     wanted.set(virtio::feature::net::kCtrlVq);
@@ -94,15 +93,11 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
   // but that only affects what lands in the backlog.
   tso_active_ = transport_.negotiated().has(virtio::feature::net::kHostUfo) &&
                 transport_.negotiated().has(virtio::feature::net::kCsum);
-  rx_moderation_active_ =
-      transport_.negotiated().has(virtio::feature::net::kNotfCoal) &&
-      transport_.negotiated().has(virtio::feature::net::kCtrlVq);
 
   // Multiqueue: MQ requires the control queue to enable the pairs
   // (§5.1.5.1.1); without both negotiated, fall back to a single pair.
   mq_active_ = transport_.negotiated().has(virtio::feature::net::kMq) &&
                transport_.negotiated().has(virtio::feature::net::kCtrlVq);
-  ctrl_active_ = mq_active_ || rx_moderation_active_;
   if (mq_active_) {
     max_device_pairs_ = transport_.device_config_read16(
         virtio::net::NetConfigLayout::kMaxPairsOffset, thread);
@@ -110,15 +105,9 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
       return false;
     }
     pairs_ = std::min(requested_pairs_, max_device_pairs_);
-    ctrl_queue_index_ = virtio::net::ctrl_queue_index(max_device_pairs_);
   } else {
     max_device_pairs_ = 1;
     pairs_ = 1;
-    if (ctrl_active_) {
-      // NOTF_COAL without MQ: the control queue still sits after the
-      // last pair (§5.1.2) — index 2 on the single-pair personality.
-      ctrl_queue_index_ = virtio::net::ctrl_queue_index(1);
-    }
   }
   configured_pairs_ = pairs_;
   if (pair_state_.size() < pairs_) {
@@ -133,9 +122,6 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
     ps.rx_partial.clear();
     ps.rx_partial_remaining = 0;
     ps.rx_partial_meta = RxFrame{};
-    // A reset device forgets its NOTF_COAL window; start the DIM
-    // controller from the low-latency profile again.
-    ps.dim_profile_high = false;
   }
 
   // MSI-X: entry 0 = config changes, then per pair RX = 1+2p, TX = 2+2p
@@ -178,10 +164,10 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
     }
   }
 
-  if (ctrl_active_) {
+  if (mq_active_) {
     // The control queue is polled, not interrupt-driven: no MSI-X entry.
     auto& ctrl =
-        transport_.setup_queue(ctrl_queue_index_, virtio::kNoVector, thread);
+        transport_.setup_queue(ctrl_queue_index(), virtio::kNoVector, thread);
     ctrl.disable_interrupts();
     if (ctrl_cmd_addr_ == 0) {
       ctrl_cmd_addr_ = memory.allocate(16, 64);
@@ -241,7 +227,8 @@ void VirtioNetDriver::post_initial_rx_buffers(u16 pair) {
 std::optional<u8> VirtioNetDriver::send_ctrl(HostThread& thread, u8 cls,
                                              u8 cmd, ConstByteSpan payload) {
   VFPGA_EXPECTS(payload.size() + 2 <= 16);  // ctrl_cmd_addr_ allocation
-  auto& ctrl = transport_.queue(ctrl_queue_index_);
+  const u16 ctrl_index = ctrl_queue_index();
+  auto& ctrl = transport_.queue(ctrl_index);
   auto& memory = transport_.memory();
 
   // Command layout (§5.1.6.5): {class, command, payload} readable, one
@@ -264,7 +251,7 @@ std::optional<u8> VirtioNetDriver::send_ctrl(HostThread& thread, u8 cls,
   VFPGA_ASSERT(handle.has_value());
   ctrl.publish();
   ++ctrl_commands_sent_;
-  transport_.notify(ctrl_queue_index_, thread);
+  transport_.notify(ctrl_index, thread);
 
   // The control queue has no MSI-X vector: poll for the completion with
   // a bounded spin (the device handles the doorbell long before the
@@ -299,47 +286,6 @@ std::optional<u8> VirtioNetDriver::set_queue_pairs(HostThread& thread,
     pairs_ = pairs;
   }
   return ack;
-}
-
-bool VirtioNetDriver::send_rx_coalesce(HostThread& thread, u32 max_usecs,
-                                       u32 max_frames) {
-  if (!rx_moderation_active_) {
-    return false;
-  }
-  std::array<u8, virtio::net::CoalRxParams::kSize> arg{};
-  store_le32(arg, 0, max_usecs);
-  store_le32(arg, 4, max_frames);
-  const auto ack = send_ctrl(thread, virtio::net::kCtrlClassNotfCoal,
-                             virtio::net::kCtrlNotfCoalRxSet, arg);
-  return ack.has_value() && *ack == virtio::net::kCtrlOk;
-}
-
-void VirtioNetDriver::update_dim(HostThread& thread, u16 pair, u32 batch) {
-  PairState& ps = pair_state_.at(pair);
-  if (ps.rx_rate_ewma < 0.0) {
-    ps.rx_rate_ewma = batch;
-  } else {
-    const double a = kDimPolicy.ewma_alpha;
-    ps.rx_rate_ewma = a * batch + (1.0 - a) * ps.rx_rate_ewma;
-  }
-  // Hysteretic profile switch: reprogramming the device costs a control
-  // command round-trip, so only threshold crossings act. The NOTF_COAL
-  // window is device-global in this personality; with several pairs the
-  // first pair to cross a watermark reprograms it for all of them.
-  if (!ps.dim_profile_high &&
-      ps.rx_rate_ewma >= kDimPolicy.high_watermark) {
-    if (send_rx_coalesce(thread, kDimPolicy.coalesce_usecs,
-                         kDimPolicy.coalesce_frames)) {
-      ps.dim_profile_high = true;
-      ++dim_updates_;
-    }
-  } else if (ps.dim_profile_high &&
-             ps.rx_rate_ewma <= kDimPolicy.low_watermark) {
-    if (send_rx_coalesce(thread, 0, 1)) {
-      ps.dim_profile_high = false;
-      ++dim_updates_;
-    }
-  }
 }
 
 bool VirtioNetDriver::reset_steering(HostThread& thread) {
@@ -656,13 +602,6 @@ u32 VirtioNetDriver::napi_poll(HostThread& thread, u16 pair) {
     ps.tx_free.push_back(static_cast<u32>(completion->token));
   }
   tx.disable_interrupts();
-
-  // DIM step: this poll's batch size is the arrival-rate sample. Only
-  // non-empty polls count — NAPI runs off an interrupt, so an empty
-  // harvest is a spurious wake, not a rate observation.
-  if (rx_moderation_active_ && harvested > 0) {
-    update_dim(thread, pair, harvested);
-  }
   return harvested;
 }
 
@@ -830,10 +769,15 @@ void VirtioNetDriver::transfer(migrate::StateIo& io) {
     io.fail();
   }
   io.boolean(mq_active_);
-  io.boolean(ctrl_active_);
+  // Control chains go to the queue after the device's last pair: that
+  // must be a queue this transport built, past every data queue and
+  // inside the u16 queue numbering.
+  if (mq_active_ && (max_device_pairs_ < configured_pairs_ ||
+                     max_device_pairs_ >= virtio::net::kMqPairsMax ||
+                     !transport_.has_queue(ctrl_queue_index()))) {
+    io.fail();
+  }
   io.boolean(tso_active_);
-  io.boolean(rx_moderation_active_);
-  io.u16(ctrl_queue_index_);
   io.u64(ctrl_cmd_addr_);
   io.u64(ctrl_ack_addr_);
   io.u32(rx_buffer_bytes_);
@@ -873,8 +817,6 @@ void VirtioNetDriver::transfer(migrate::StateIo& io) {
     io.blob(ps.rx_partial);
     io.u16(ps.rx_partial_remaining);
     transfer_rx_frame(io, ps.rx_partial_meta);
-    io.f64(ps.rx_rate_ewma);
-    io.boolean(ps.dim_profile_high);
   }
 
   io.u64(tx_packets_);
@@ -893,7 +835,6 @@ void VirtioNetDriver::transfer(migrate::StateIo& io) {
   io.u64(ctrl_commands_sent_);
   io.u64(tx_gso_frames_);
   io.u64(rx_gro_frames_);
-  io.u64(dim_updates_);
 }
 
 }  // namespace vfpga::hostos

@@ -69,11 +69,6 @@ class VirtioNetDriver {
     /// GSO superframes up to kGsoMaxBytes and the RX backlog carries
     /// the device's DATA_VALID / coalescing metadata.
     bool want_offload = false;
-    /// Request VIRTIO_NET_F_NOTF_COAL (+ CTRL_VQ) and run the DIM-style
-    /// adaptive interrupt-moderation controller: napi_poll tracks a
-    /// per-pair EWMA of the completion batch size and reprograms the
-    /// device's RX coalescing window on threshold crossings.
-    bool want_rx_moderation = false;
   };
   /// Set the datapath and size the TX/RX pools for a device of `mtu`
   /// (probe reads the MTU from config space only after the pools exist).
@@ -158,11 +153,6 @@ class VirtioNetDriver {
   /// True when the device segments UDP superframes for us (HOST_UFO +
   /// CSUM negotiated on the last probe).
   [[nodiscard]] bool tso_active() const { return tso_active_; }
-  /// True when NOTF_COAL was negotiated and the DIM controller may
-  /// reprogram the device's RX interrupt-moderation window.
-  [[nodiscard]] bool rx_moderation_active() const {
-    return rx_moderation_active_;
-  }
 
   /// Publish any coalesced-but-unpublished TX chains on `pair` and ring
   /// the doorbell if the device asked for it (one EVENT_IDX decision for
@@ -202,29 +192,6 @@ class VirtioNetDriver {
   /// TX doorbell coalescing: frames batched per kick under the
   /// xmit_more hint. 1 = kick per frame (the interrupt path's shape).
   void set_kick_coalesce(u32 frames) { kick_coalesce_ = frames; }
-
-  /// DIM-style adaptive interrupt moderation (cf. Linux net_dim): track
-  /// an EWMA of completions harvested per napi_poll and flip the
-  /// device's NOTF_COAL RX window between a low-latency and a batching
-  /// profile on (hysteretic) threshold crossings.
-  struct DimPolicy {
-    /// EWMA smoothing for the per-poll batch size.
-    double ewma_alpha;
-    /// EWMA at or above this arms the batching profile.
-    double high_watermark;
-    /// EWMA at or below this returns to the low-latency profile
-    /// (< high_watermark: the gap is the hysteresis band).
-    double low_watermark;
-    /// Batching profile: fire after this many withheld completions ...
-    u32 coalesce_frames;
-    /// ... or when the holdoff window (microseconds) expires.
-    u32 coalesce_usecs;
-  };
-  static constexpr DimPolicy kDimPolicy{.ewma_alpha = 0.25,
-                                        .high_watermark = 4.0,
-                                        .low_watermark = 1.5,
-                                        .coalesce_frames = 8,
-                                        .coalesce_usecs = 32};
 
   /// Poll-mode RX for one pair: flush any coalesced TX kicks, disarm
   /// the pair's RX vector, and spin on the used ring — harvesting
@@ -345,34 +312,25 @@ class VirtioNetDriver {
   [[nodiscard]] u64 tx_gso_frames() const { return tx_gso_frames_; }
   /// RX frames that arrived as device-coalesced (GRO) superframes.
   [[nodiscard]] u64 rx_gro_frames() const { return rx_gro_frames_; }
-  /// NOTF_COAL RX_SET commands the DIM controller issued.
-  [[nodiscard]] u64 dim_updates() const { return dim_updates_; }
-  /// The DIM controller's current per-pair batch-size EWMA (negative =
-  /// no observation yet). Exposed for tests and diagnostics.
-  [[nodiscard]] double rx_rate_ewma(u16 pair = 0) const {
-    return pair_state_.at(pair).rx_rate_ewma;
-  }
 
   /// Snapshot/restore of the driver's dynamic state: transport + rings,
   /// per-pair buffer pools, RX backlogs (including a mid-span mergeable
-  /// reassembly), NAPI/watchdog/DIM controllers and counters. Policies
-  /// (busy-poll, watchdog, DIM, datapath options) are configuration the
-  /// restore target already applied identically.
+  /// reassembly), NAPI/watchdog state and counters. Policies (busy-poll,
+  /// watchdog, datapath options) are configuration the restore target
+  /// already applied identically. The control-queue index is derived
+  /// from max_device_pairs, and a restore fails when it names a queue
+  /// the transport did not build.
   void transfer(migrate::StateIo& io);
 
  private:
   bool initialize_device(HostThread& thread);
   void post_initial_rx_buffers(u16 pair);
   /// Submit one {class, command, payload} chain on the control queue and
-  /// poll for the device's ack byte (shared by MQ and NOTF_COAL).
+  /// poll for the device's ack byte.
   std::optional<u8> send_ctrl(HostThread& thread, u8 cls, u8 cmd,
                               ConstByteSpan payload);
-  /// DIM step after a poll harvested `batch` frames on `pair`: update
-  /// the rate EWMA and reprogram the device's RX coalescing window when
-  /// a watermark is crossed.
-  void update_dim(HostThread& thread, u16 pair, u32 batch);
-  /// Program the device's RX NOTF_COAL window for the current profile.
-  bool send_rx_coalesce(HostThread& thread, u32 max_usecs, u32 max_frames);
+  /// The control queue sits after the device's last supported pair.
+  [[nodiscard]] u16 ctrl_queue_index() const;
 
   /// RX buffer bookkeeping: token -> buffer address (single-buffer
   /// layout: virtio_net_hdr + frame in one descriptor, as modern
@@ -416,10 +374,6 @@ class VirtioNetDriver {
     Bytes rx_partial;
     u16 rx_partial_remaining = 0;
     RxFrame rx_partial_meta{};
-    /// DIM controller: EWMA of completions per napi_poll (negative =
-    /// no observation yet) and whether the batching profile is armed.
-    double rx_rate_ewma = -1.0;
-    bool dim_profile_high = false;
   };
 
   /// Harvest exactly one RX completion and recycle its buffer (shared
@@ -439,11 +393,8 @@ class VirtioNetDriver {
   u16 pairs_ = 1;            ///< pairs currently enabled via the ctrl queue
   u16 configured_pairs_ = 1;  ///< pairs with rings + vectors set up
   u16 max_device_pairs_ = 1;
-  bool mq_active_ = false;
-  bool ctrl_active_ = false;  ///< CTRL_VQ negotiated (MQ and/or NOTF_COAL)
+  bool mq_active_ = false;  ///< MQ + CTRL_VQ negotiated
   bool tso_active_ = false;
-  bool rx_moderation_active_ = false;
-  u16 ctrl_queue_index_ = 0;
   HostAddr ctrl_cmd_addr_ = 0;
   HostAddr ctrl_ack_addr_ = 0;
 
@@ -475,7 +426,6 @@ class VirtioNetDriver {
   u64 ctrl_commands_sent_ = 0;
   u64 tx_gso_frames_ = 0;
   u64 rx_gro_frames_ = 0;
-  u64 dim_updates_ = 0;
 
   u32 kick_coalesce_ = 1;
 };

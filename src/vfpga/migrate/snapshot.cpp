@@ -27,8 +27,6 @@ void encode_fingerprint(const core::TestbedOptions& o, StateWriter& w) {
   w.put_u32(o.net.ip.value);
   w.put_u16(o.net.mtu);
   w.put_bool(o.net.offer_csum);
-  w.put_bool(o.net.offer_guest_csum);
-  w.put_bool(o.net.offer_notf_coal);
   w.put_u16(o.net.max_queue_pairs);
   w.put_bool(o.controller.policy.batched_chain_fetch);
   w.put_bool(o.controller.policy.use_event_idx);
@@ -41,7 +39,6 @@ void encode_fingerprint(const core::TestbedOptions& o, StateWriter& w) {
   w.put_bool(o.datapath.want_mrg_rxbuf);
   w.put_u32(o.datapath.mrg_buffer_bytes);
   w.put_bool(o.datapath.want_offload);
-  w.put_bool(o.datapath.want_rx_moderation);
   w.put_u64(o.fault.seed);
   for (double rate : o.fault.rate) {
     w.put_f64(rate);

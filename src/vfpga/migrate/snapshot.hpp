@@ -32,7 +32,7 @@ namespace vfpga::migrate {
 
 inline constexpr u8 kSnapshotMagic[8] = {'V', 'F', 'P', 'G',
                                          'A', 'S', 'N', 'P'};
-inline constexpr u32 kSnapshotVersion = 3;
+inline constexpr u32 kSnapshotVersion = 4;
 /// flags bit 0: the image carries a host-memory section.
 inline constexpr u32 kSnapshotFlagMemory = 1u << 0;
 
@@ -55,8 +55,8 @@ enum class RestoreStatus : u8 {
 
 /// Serialize the testbed. Call testbed.quiesce() first for a snapshot
 /// that restores to bit-identical forward behaviour; without it,
-/// moderated-interrupt holdoffs and coalesced TX kicks are still
-/// captured faithfully but remain pending across the restore.
+/// coalesced TX kicks are still captured faithfully but remain pending
+/// across the restore.
 /// include_memory=false omits the page section (live migration ships
 /// pages separately and snapshots only device/driver state in the
 /// blackout window).

@@ -36,7 +36,7 @@ inline constexpr u32 kMrgRxbuf = 15;   ///< driver can merge receive buffers
 inline constexpr u32 kStatus = 16;     ///< config status field is valid
 inline constexpr u32 kCtrlVq = 17;     ///< control virtqueue present
 inline constexpr u32 kMq = 22;         ///< multiqueue with automatic steering
-inline constexpr u32 kNotfCoal = 53;   ///< notification coalescing via ctrl vq
+inline constexpr u32 kNotfCoal = 53;   ///< notification coalescing (not offered)
 inline constexpr u32 kSpeedDuplex = 63;
 }  // namespace net
 

@@ -88,16 +88,8 @@ inline constexpr u16 kCtrlQueue = 2;
 /// device-writable ack byte.
 inline constexpr u8 kCtrlClassMq = 4;        ///< VIRTIO_NET_CTRL_MQ
 inline constexpr u8 kCtrlMqVqPairsSet = 0;   ///< ..._MQ_VQ_PAIRS_SET
-inline constexpr u8 kCtrlClassNotfCoal = 6;  ///< VIRTIO_NET_CTRL_NOTF_COAL
-inline constexpr u8 kCtrlNotfCoalRxSet = 1;  ///< ..._NOTF_COAL_RX_SET
 inline constexpr u8 kCtrlOk = 0;             ///< VIRTIO_NET_OK
 inline constexpr u8 kCtrlErr = 1;            ///< VIRTIO_NET_ERR
-/// virtio_net_ctrl_coal_rx command data (§5.1.6.5.6.1): two le32 fields.
-struct CoalRxParams {
-  u32 max_usecs = 0;    ///< holdoff window before an RX interrupt fires
-  u32 max_packets = 0;  ///< frame count that fires the interrupt early
-  static constexpr u64 kSize = 8;
-};
 /// Legal bounds for VQ_PAIRS_SET argument (§5.1.6.5.5).
 inline constexpr u16 kMqPairsMin = 1;
 inline constexpr u16 kMqPairsMax = 0x8000;

@@ -49,7 +49,6 @@ FeatureSet implemented_net() {
   f.set(feature::net::kStatus);
   f.set(feature::net::kCtrlVq);
   f.set(feature::net::kMq);
-  f.set(feature::net::kNotfCoal);
   return f;
 }
 
@@ -85,6 +84,7 @@ FeatureSet unimplemented_transport() {
 FeatureSet unimplemented_net() {
   FeatureSet f = unimplemented_transport();
   f.set(feature::net::kSpeedDuplex);
+  f.set(feature::net::kNotfCoal);
   return f;
 }
 
@@ -107,12 +107,12 @@ TEST(FeatureAudit, NetLogicOffersOnlyImplementedBits) {
       NetDeviceConfig config;
       config.max_queue_pairs = pairs;
       config.offer_csum = csum;
-      config.offer_guest_csum = csum;
       NetDeviceLogic logic{config};
       const FeatureSet offered = logic.device_features();
       EXPECT_TRUE(offered.subset_of(implemented_net()))
           << "pairs=" << pairs << " csum=" << csum
           << " offered=" << std::hex << offered.bits();
+      EXPECT_EQ(offered.intersect(unimplemented_net()), FeatureSet{});
       // MQ + CTRL_VQ come and go together: steering without a control
       // queue (or vice versa) is not a personality this device has.
       EXPECT_EQ(offered.has(feature::net::kMq),
@@ -121,31 +121,20 @@ TEST(FeatureAudit, NetLogicOffersOnlyImplementedBits) {
       // Mergeable RX buffers ride the default personality (the zero-copy
       // datapath depends on the offer being present).
       EXPECT_TRUE(offered.has(feature::net::kMrgRxbuf));
-      // Segmentation offloads follow their checksum prerequisites
-      // (§5.1.3.1): the TX-side segmenter writes per-segment checksums,
-      // the RX-side coalescer vouches for them via DATA_VALID.
+      // The TX segmentation offloads follow the CSUM offer (§5.1.3.1:
+      // the segmenter writes per-segment checksums). The echo logic
+      // always produces full checksums, so GUEST_CSUM and the RX-side
+      // coalescer that vouches for them via DATA_VALID are always
+      // offered.
       EXPECT_EQ(offered.has(feature::net::kHostTso4), csum);
       EXPECT_EQ(offered.has(feature::net::kHostUfo), csum);
-      EXPECT_EQ(offered.has(feature::net::kGuestTso4), csum);
-      EXPECT_EQ(offered.has(feature::net::kGuestUfo), csum);
-      // NOTF_COAL stays off the default personality: offering it would
-      // grow a control queue onto the paper's two-queue device.
-      EXPECT_FALSE(offered.has(feature::net::kNotfCoal));
+      EXPECT_TRUE(offered.has(feature::net::kGuestCsum));
+      EXPECT_TRUE(offered.has(feature::net::kGuestTso4));
+      EXPECT_TRUE(offered.has(feature::net::kGuestUfo));
+      // The control queue exists only with multiqueue.
+      EXPECT_EQ(logic.queue_count(), pairs > 1 ? 2 * pairs + 1 : 2);
     }
   }
-}
-
-// NOTF_COAL rides only on an explicit opt-in, and brings the control
-// queue with it even on a single-pair device.
-TEST(FeatureAudit, NotfCoalOfferGrowsCtrlQueue) {
-  NetDeviceConfig config;
-  config.offer_notf_coal = true;
-  NetDeviceLogic logic{config};
-  const FeatureSet offered = logic.device_features();
-  EXPECT_TRUE(offered.subset_of(implemented_net()));
-  EXPECT_TRUE(offered.has(feature::net::kNotfCoal));
-  EXPECT_TRUE(offered.has(feature::net::kCtrlVq));
-  EXPECT_EQ(logic.queue_count(), 3);  // 1 pair + ctrl
 }
 
 TEST(FeatureAudit, BlkAndConsoleOfferOnlyImplementedBits) {

@@ -1,9 +1,8 @@
 // Snapshot/restore and live-migration tests: state-io substrate safety,
 // the perf-counter bank's state section, crash-consistent round trips
 // on both ring formats (including snapshots taken mid-mergeable-RX
-// span, mid-GSO superframe, and with DIM moderation armed), rejection
-// of version-skewed/corrupted images, and the two-host migration
-// harness end to end.
+// span and mid-GSO superframe), rejection of version-skewed/corrupted
+// images, and the two-host migration harness end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -383,7 +382,7 @@ TEST(Snapshot, RoundTripMultiQueue) {
 /// Warm up, then send a `payload_bytes` echo request and leave its
 /// reply unharvested.
 bool drive_mid_flight(core::VirtioNetTestbed& bed, u64 payload_bytes) {
-  (void)run_trace(bed, 4, 256);  // warm pools, arm moderation if enabled
+  (void)run_trace(bed, 4, 256);  // warm the pools
   return bed.socket().sendto(bed.thread(), bed.fpga_ip(),
                              bed.options().fpga_udp_port,
                              echo_payload(payload_bytes, 0xf0));
@@ -439,19 +438,6 @@ TEST(Snapshot, MidGsoSuperframe) {
   // Payload far above the MTU: the stack hands the device one GSO
   // superframe and the echo comes back as a GRO-coalesced span.
   expect_mid_flight_round_trip(options, 6000);
-}
-
-core::TestbedOptions dim_options() {
-  core::TestbedOptions options;
-  options.seed = 0xd13;
-  options.net.offer_notf_coal = true;
-  options.datapath.want_rx_moderation = true;
-  return options;
-}
-constexpr u64 kDimPayload = 512;
-
-TEST(Snapshot, DimModerationArmed) {
-  expect_mid_flight_round_trip(dim_options(), kDimPayload);
 }
 
 /// Snapshot with the blk function attached and a write-back layer in a
@@ -557,24 +543,19 @@ TEST(Snapshot, ImagesArePinned) {
     return true;
   };
   const Pin pins[] = {
-      {"split", split_options(), quiesced, 0xa34f20a1, 74263, 0x9b393c52,
-       37307},
-      {"packed", packed_options(), quiesced, 0xaa704c4c, 70659, 0x8f052882,
-       37807},
-      {"multi-queue", multi_queue_options(), quiesced, 0x0aca5b9a, 153287,
-       0x803aacc3, 87603},
-      {"blk", blk_options(), drive_blk, 0x841de516, 359257, 0x12b5310d,
-       314093},
+      {"split", split_options(), quiesced, 0xea74f2e2, 74197, 0xdfc3bd36,
+       37241},
+      {"packed", packed_options(), quiesced, 0x82920e7a, 70593, 0xfb07ff07,
+       37741},
+      {"multi-queue", multi_queue_options(), quiesced, 0x91de58c9, 153173,
+       0x7c25cc56, 87489},
+      {"blk", blk_options(), drive_blk, 0xcae24acb, 359170, 0xc5a816de,
+       314006},
       {"mid-mergeable", mid_mergeable_options(),
        [](core::VirtioNetTestbed& bed) {
          return drive_mid_flight(bed, kMidMergeablePayload);
        },
-       0xe0e94e7b, 70163, 0x77b494bf, 37311},
-      {"dim", dim_options(),
-       [](core::VirtioNetTestbed& bed) {
-         return drive_mid_flight(bed, kDimPayload);
-       },
-       0x241dae0f, 88259, 0x59f501dc, 51303},
+       0x3ff8853a, 70097, 0x8dd26b2d, 37245},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.setup);
@@ -701,8 +682,9 @@ TEST(SnapshotReject, VersionSkew) {
   core::TestbedOptions options;
   const Bytes current = snapshot_of(options);
   // Version 1 serialized the counter bank's whole capture log; version
-  // 2 fingerprinted options that are now constants.
-  for (const u8 version : {u8{1}, u8{2}, u8{99}}) {
+  // 2 fingerprinted options that are now constants; version 3 carried
+  // interrupt-moderation state.
+  for (const u8 version : {u8{1}, u8{2}, u8{3}, u8{99}}) {
     SCOPED_TRACE(static_cast<int>(version));
     Bytes image = current;
     image[8] = version;  // version field, checked before the checksum
@@ -869,21 +851,35 @@ Poison packed_next_used(ConstByteSpan state, core::VirtioNetTestbed& bed) {
   return {packed_cursors_at(state, ring) + 5, 2, load_le(state, ring, 2)};
 }
 
-/// Pair 0's first free TX slot. The driver's MAC opens the fields after
-/// the transport; 45 bytes of scalars later come the RX buffers (12
-/// bytes each), the TX buffers (16 bytes each) and the free TX slots,
-/// each list behind a u32 count.
-Poison net_tx_free_slot(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+/// Where the driver's own fields start: its MAC opens them, after the
+/// transport.
+std::size_t net_driver_fields_at(ConstByteSpan state,
+                                 core::VirtioNetTestbed& bed) {
   const auto mac = bed.driver().mac().octets;
   const auto it =
       std::search(state.begin(), state.end(), mac.begin(), mac.end());
   EXPECT_NE(it, state.end());
-  std::size_t at = static_cast<std::size_t>(it - state.begin()) + 45;
+  return static_cast<std::size_t>(it - state.begin());
+}
+
+/// Pair 0's first free TX slot. 41 bytes of scalars after the MAC come
+/// the RX buffers (12 bytes each), the TX buffers (16 bytes each) and
+/// the free TX slots, each list behind a u32 count.
+Poison net_tx_free_slot(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  std::size_t at = net_driver_fields_at(state, bed) + 41;
   at += 4 + 12 * load_le(state, at, 4);
   const u64 tx_buffers = load_le(state, at, 4);
   at += 4 + 16 * tx_buffers;
   EXPECT_GT(load_le(state, at, 4), 0u);
   return {at + 4, 4, tx_buffers};
+}
+
+/// The driver's max_device_pairs follows the MAC, MTU and three pair
+/// counts. The control queue index derives from it, so 3 on the
+/// two-pair bed names queue 6, which the transport never built.
+Poison net_max_device_pairs(ConstByteSpan state,
+                            core::VirtioNetTestbed& bed) {
+  return {net_driver_fields_at(state, bed) + 14, 2, 3};
 }
 
 /// Where queue 1's ring addresses next occur in the device state at or
@@ -1014,6 +1010,12 @@ TEST(RestoredIndex, PackedNextUsedSlot) {
 
 TEST(RestoredIndex, NetTxFreeSlot) {
   EXPECT_EQ(expect_poison_rejected(split_options(), net_tx_free_slot), 0u);
+}
+
+TEST(RestoredIndex, NetCtrlQueueFromMaxDevicePairs) {
+  EXPECT_EQ(expect_poison_rejected(multi_queue_options(),
+                                   net_max_device_pairs),
+            0u);
 }
 
 // The device-side poisons fail before the MSI-X table is read: the

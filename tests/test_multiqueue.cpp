@@ -1,10 +1,12 @@
 // Multi-queue data plane tests: RSS hashing/steering, control-virtqueue
-// negotiation bounds, per-queue MSI-X isolation, MSI-X table capacity,
-// the multi-flow load generator, and the multi-queue fault classes.
+// negotiation bounds and hostile commands, per-queue MSI-X isolation,
+// MSI-X table capacity, the multi-flow load generator, and the
+// multi-queue fault classes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "support/net_oracle.hpp"
 #include "support/test_driver.hpp"
@@ -12,7 +14,10 @@
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/harness/multi_flow.hpp"
+#include "vfpga/net/ethernet.hpp"
+#include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/rss.hpp"
+#include "vfpga/net/udp.hpp"
 #include "vfpga/pcie/enumeration.hpp"
 #include "vfpga/pcie/msix.hpp"
 #include "vfpga/sim/rng.hpp"
@@ -201,6 +206,94 @@ TEST(MultiQueue, CtrlVqPairsSetEnforcesBounds) {
 
   // Traffic still flows after the renegotiations.
   EXPECT_TRUE(bed.udp_round_trip(Bytes(128, 0x11)).ok);
+}
+
+/// VQ_PAIRS_SET for `pairs`, as a driver writes it on the control queue.
+Bytes pairs_set_command(u16 pairs) {
+  return {virtio::net::kCtrlClassMq, virtio::net::kCtrlMqVqPairsSet,
+          static_cast<u8>(pairs & 0xff), static_cast<u8>(pairs >> 8)};
+}
+
+/// The RX queue the device echoes each of 64 UDP flows to (distinct
+/// source ports): the observable form of its steering state.
+std::vector<u16> echo_queues(core::NetDeviceLogic& logic) {
+  const auto host_ip = net::Ipv4Addr::from_octets(10, 42, 0, 1);
+  const net::MacAddr host_mac{{2, 0, 0, 0, 0, 1}};
+  const core::NetDeviceConfig& config = logic.device_config();
+  std::vector<u16> queues;
+  for (u16 port = 40000; port < 40064; ++port) {
+    const Bytes udp = net_oracle::build_udp_datagram(
+        net::UdpHeader{port, 9000}, host_ip, config.ip, Bytes(32, 0x5a));
+    const Bytes frame = net::build_ethernet_frame(
+        net::EthernetHeader{config.mac, host_mac, net::EtherType::Ipv4},
+        net::build_ipv4_packet(
+            net::Ipv4Header{host_ip, config.ip, net::IpProtocol::Udp}, udp));
+    Bytes request(virtio::net::NetHeader::kSize, 0);
+    request.insert(request.end(), frame.begin(), frame.end());
+    const auto echo =
+        logic.process(virtio::net::tx_queue_index(0), request, 2048);
+    queues.push_back(echo.has_value() ? echo->target_queue
+                                      : virtio::kNoVector);
+  }
+  return queues;
+}
+
+// Driver-written control commands are untrusted input: on a device
+// shared between guests, any bytes can arrive on the control queue. A
+// malformed or unknown command is answered VIRTIO_NET_ERR (or dropped
+// when the chain has no byte for the ack) and changes neither the
+// active pairs nor the flow steering.
+TEST(MultiQueue, CtrlQueueRejectsHostileCommands) {
+  core::NetDeviceConfig config;
+  config.max_queue_pairs = 4;
+  core::NetDeviceLogic logic{config};
+  logic.on_driver_ready(logic.device_features());
+  const u16 ctrl = logic.ctrl_queue();
+  const auto enabled = logic.process(ctrl, pairs_set_command(3), 1);
+  ASSERT_TRUE(enabled.has_value());
+  ASSERT_EQ(enabled->payload, Bytes{virtio::net::kCtrlOk});
+  const std::vector<u16> steering = echo_queues(logic);
+  ASSERT_EQ(std::set<u16>(steering.begin(), steering.end()).size(), 3u);
+
+  struct Hostile {
+    const char* what;
+    Bytes payload;
+    u32 writable_capacity;
+  };
+  const Hostile commands[] = {
+      {"empty", {}, 1},
+      {"class byte only", {virtio::net::kCtrlClassMq}, 1},
+      {"VQ_PAIRS_SET without its argument",
+       {virtio::net::kCtrlClassMq, virtio::net::kCtrlMqVqPairsSet}, 1},
+      {"VQ_PAIRS_SET with a 1-byte argument",
+       {virtio::net::kCtrlClassMq, virtio::net::kCtrlMqVqPairsSet, 1}, 1},
+      {"unknown MQ command", {virtio::net::kCtrlClassMq, 1, 1, 0}, 1},
+      // Class 6 is VIRTIO_NET_CTRL_NOTF_COAL, a feature this device does
+      // not offer: a well-formed NOTF_COAL_RX_SET is still unknown here.
+      {"NOTF_COAL class", {6, 1, 32, 0, 0, 0, 8, 0, 0, 0}, 1},
+      {"unknown class", {0xff, 0, 1, 0}, 1},
+      {"no writable ack byte", pairs_set_command(1), 0},
+  };
+  for (const Hostile& command : commands) {
+    SCOPED_TRACE(command.what);
+    const u64 rejected = logic.ctrl_rejected();
+    const u64 dropped = logic.dropped();
+    const auto ack =
+        logic.process(ctrl, command.payload, command.writable_capacity);
+    if (command.writable_capacity == 0) {
+      EXPECT_FALSE(ack.has_value());
+      EXPECT_EQ(logic.dropped(), dropped + 1);
+      EXPECT_EQ(logic.ctrl_rejected(), rejected);
+    } else {
+      ASSERT_TRUE(ack.has_value());
+      EXPECT_EQ(ack->payload, Bytes{virtio::net::kCtrlErr});
+      EXPECT_EQ(ack->target_queue, ctrl);
+      EXPECT_EQ(logic.ctrl_rejected(), rejected + 1);
+      EXPECT_EQ(logic.dropped(), dropped);
+    }
+    EXPECT_EQ(logic.active_queue_pairs(), 3);
+    EXPECT_EQ(echo_queues(logic), steering);
+  }
 }
 
 TEST(MultiQueue, NoCtrlCommandWithoutNegotiatedCtrlVq) {

@@ -1,7 +1,6 @@
 // Segmentation & checksum offload datapath: GSO/GRO frame surgery, the
-// RFC 1624 incremental checksum helpers, the end-to-end HOST_UFO /
-// GUEST_UFO round trip, and DIM-style adaptive interrupt moderation
-// over the NOTF_COAL control command.
+// RFC 1624 incremental checksum helpers, and the end-to-end HOST_UFO /
+// GUEST_UFO round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -381,88 +380,6 @@ TEST(OffloadDatapath, SoftwareGsoFallbackWithoutNegotiation) {
   EXPECT_EQ(bed.stack().tx_superframes(), 0u);
   EXPECT_EQ(bed.net_logic().gso_superframes(), 0u);
   EXPECT_EQ(bed.net_logic().gro_coalesced(), 0u);
-}
-
-// ---- adaptive interrupt moderation (DIM) --------------------------------
-
-TEST(AdaptiveModeration, DimProgramsAndRelaxesCoalescing) {
-  constexpr const auto& kDim = hostos::VirtioNetDriver::kDimPolicy;
-  for (const bool packed : {false, true}) {
-    TestbedOptions options;
-    options.seed = 0xd1a0 + (packed ? 1 : 0);
-    options.use_packed_rings = packed;
-    options.net.offer_notf_coal = true;
-    options.datapath.want_rx_moderation = true;
-    VirtioNetTestbed bed{options};
-
-    ASSERT_TRUE(bed.driver().rx_moderation_active());
-    EXPECT_TRUE(
-        bed.device().negotiated_features().has(feature::net::kNotfCoal));
-    // Before any traffic the device fires interrupts immediately.
-    EXPECT_EQ(bed.net_logic().interrupt_moderation(0).max_frames, 1u);
-
-    // An 8-deep burst lands in one napi poll: the completion-rate EWMA
-    // seeds above the high watermark and DIM programs the coalescing
-    // window via the NOTF_COAL control command.
-    hostos::HostThread& t = bed.thread();
-    const Bytes payload = make_payload(256);
-    constexpr int kBurst = 8;
-    for (int i = 0; i < kBurst; ++i) {
-      const std::array<ConstByteSpan, 1> iov = {ConstByteSpan{payload}};
-      ASSERT_TRUE(bed.socket().sendmsg(t, bed.fpga_ip(),
-                                       bed.options().fpga_udp_port,
-                                       std::span{iov.data(), iov.size()},
-                                       /*more_coming=*/i + 1 < kBurst,
-                                       /*zerocopy=*/false));
-    }
-    Bytes rx(payload.size());
-    for (int i = 0; i < kBurst; ++i) {
-      std::array<ByteSpan, 1> rx_iov = {ByteSpan{rx}};
-      ASSERT_TRUE(
-          bed.socket().recvmsg(t, std::span{rx_iov.data(), rx_iov.size()})
-              .has_value());
-    }
-    EXPECT_GE(bed.driver().dim_updates(), 1u);
-    EXPECT_GE(bed.driver().rx_rate_ewma(0), kDim.high_watermark);
-    const virtio::net::CoalRxParams high = bed.net_logic().rx_coalesce();
-    EXPECT_EQ(high.max_packets, kDim.coalesce_frames);
-    EXPECT_EQ(high.max_usecs, kDim.coalesce_usecs);
-    EXPECT_EQ(bed.net_logic().interrupt_moderation(0).max_frames,
-              kDim.coalesce_frames);
-
-    // One-at-a-time traffic decays the EWMA through the hysteresis band
-    // until DIM reverts the device to immediate interrupts. The echoes
-    // still complete while moderated (the holdoff timer flushes them).
-    const u64 before = bed.driver().dim_updates();
-    for (int i = 0; i < 24; ++i) {
-      const std::array<ConstByteSpan, 1> iov = {ConstByteSpan{payload}};
-      ASSERT_TRUE(bed.socket().sendmsg(t, bed.fpga_ip(),
-                                       bed.options().fpga_udp_port,
-                                       std::span{iov.data(), iov.size()},
-                                       /*more_coming=*/false,
-                                       /*zerocopy=*/false));
-      std::array<ByteSpan, 1> rx_iov = {ByteSpan{rx}};
-      ASSERT_TRUE(
-          bed.socket().recvmsg(t, std::span{rx_iov.data(), rx_iov.size()})
-              .has_value());
-    }
-    EXPECT_GE(bed.driver().dim_updates(), before + 1);
-    EXPECT_LE(bed.driver().rx_rate_ewma(0), kDim.low_watermark);
-    EXPECT_EQ(bed.net_logic().rx_coalesce().max_packets, 1u);
-    EXPECT_EQ(bed.net_logic().interrupt_moderation(0).max_frames, 1u);
-  }
-}
-
-TEST(AdaptiveModeration, InactiveWithoutDeviceOffer) {
-  TestbedOptions options;
-  options.seed = 0xd1a2;
-  options.datapath.want_rx_moderation = true;  // device never offers it
-  VirtioNetTestbed bed{options};
-  EXPECT_FALSE(bed.driver().rx_moderation_active());
-  EXPECT_FALSE(
-      bed.device().negotiated_features().has(feature::net::kNotfCoal));
-  EXPECT_TRUE(bed.udp_round_trip(make_payload(512)).ok);
-  EXPECT_EQ(bed.driver().dim_updates(), 0u);
 }
 
 }  // namespace
