@@ -9,14 +9,10 @@
 namespace vfpga::core {
 
 using virtio::blk::BlkConfigLayout;
-using virtio::blk::DiscardSegment;
 using virtio::blk::RequestHeader;
 using virtio::blk::RequestType;
 
 namespace {
-
-/// GET_ID answer, zero-padded to kDeviceIdBytes on the wire.
-constexpr char kDeviceId[] = "vfpga-blk0";
 
 constexpr u64 kTransportBits = ((1ull << 42) - 1) & ~((1ull << 24) - 1);
 
@@ -41,7 +37,6 @@ virtio::FeatureSet BlkDeviceLogic::device_features() const {
   if (config_.num_queues > 1) {
     f.set(virtio::feature::blk::kMq);
   }
-  f.set(virtio::feature::blk::kDiscard);
   return f;
 }
 
@@ -82,20 +77,6 @@ u8 BlkDeviceLogic::device_config_read(u32 offset) const {
   if (offset >= BlkConfigLayout::kNumQueuesOffset &&
       offset < BlkConfigLayout::kNumQueuesOffset + 2) {
     return field8(BlkConfigLayout::kNumQueuesOffset, config_.num_queues);
-  }
-  if (offset >= BlkConfigLayout::kMaxDiscardSectorsOffset &&
-      offset < BlkConfigLayout::kMaxDiscardSectorsOffset + 4) {
-    return field8(BlkConfigLayout::kMaxDiscardSectorsOffset,
-                  kMaxDiscardSectors);
-  }
-  if (offset >= BlkConfigLayout::kMaxDiscardSegOffset &&
-      offset < BlkConfigLayout::kMaxDiscardSegOffset + 4) {
-    return field8(BlkConfigLayout::kMaxDiscardSegOffset, kMaxDiscardSeg);
-  }
-  if (offset >= BlkConfigLayout::kDiscardAlignmentOffset &&
-      offset < BlkConfigLayout::kDiscardAlignmentOffset + 4) {
-    return field8(BlkConfigLayout::kDiscardAlignmentOffset,
-                  kDiscardAlignment);
   }
   return 0;
 }
@@ -272,59 +253,6 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
       ++flushes_;
       return status_only(virtio::blk::kStatusOk, cycles, queue);
     }
-    case RequestType::GetId: {
-      Response response =
-          status_only(virtio::blk::kStatusOk, kBlkTiming.fixed_cycles, queue);
-      const u64 id_len =
-          std::min<u64>(virtio::blk::kDeviceIdBytes, writable_capacity - 1);
-      response.payload.assign(id_len, 0);
-      for (u64 i = 0; i < id_len && kDeviceId[i] != '\0'; ++i) {
-        response.payload[i] = static_cast<u8>(kDeviceId[i]);
-      }
-      ++get_ids_;
-      return response;
-    }
-    case RequestType::Discard: {
-      if (!negotiated_.has(virtio::feature::blk::kDiscard)) {
-        return status_only(virtio::blk::kStatusUnsupported,
-                           kBlkTiming.fixed_cycles, queue);
-      }
-      const ConstByteSpan data =
-          payload.subspan(virtio::blk::kRequestHeaderBytes);
-      const u64 count = data.size() / DiscardSegment::kBytes;
-      if (data.size() % DiscardSegment::kBytes != 0 || count == 0 ||
-          count > kMaxDiscardSeg) {
-        return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
-                           queue);
-      }
-      // Validate every segment before touching the medium: a DISCARD is
-      // all-or-nothing.
-      for (u64 i = 0; i < count; ++i) {
-        const DiscardSegment seg =
-            DiscardSegment::decode(data.subspan(i * DiscardSegment::kBytes));
-        if (seg.flags != 0 || seg.num_sectors > kMaxDiscardSectors ||
-            seg.sector > config_.capacity_sectors ||
-            seg.num_sectors > config_.capacity_sectors - seg.sector) {
-          return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
-                             queue);
-        }
-      }
-      u64 cycles = kBlkTiming.fixed_cycles;
-      for (u64 i = 0; i < count; ++i) {
-        const DiscardSegment seg =
-            DiscardSegment::decode(data.subspan(i * DiscardSegment::kBytes));
-        const u64 off = seg.sector * virtio::blk::kSectorBytes;
-        const u64 len = u64{seg.num_sectors} * virtio::blk::kSectorBytes;
-        std::fill(storage_.begin() + static_cast<std::ptrdiff_t>(off),
-                  storage_.begin() + static_cast<std::ptrdiff_t>(off + len),
-                  u8{0});
-        mark_dirty(off, len);
-        cycles += seek_cycles(seg.sector);
-        head_sector_ = seg.sector + seg.num_sectors;
-      }
-      ++discards_;
-      return status_only(virtio::blk::kStatusOk, cycles, queue);
-    }
   }
   return status_only(virtio::blk::kStatusUnsupported, kBlkTiming.fixed_cycles,
                      queue);
@@ -350,8 +278,6 @@ void BlkDeviceLogic::transfer(migrate::StateIo& io) {
   io.u64(reads_);
   io.u64(writes_);
   io.u64(flushes_);
-  io.u64(discards_);
-  io.u64(get_ids_);
   io.u64(errors_);
   io.u64(header_faults_);
   io.u64(timeout_faults_);

@@ -2,11 +2,11 @@
 //
 // The third device type ("Added support for more VirtIO device types",
 // paper contribution 1), grown from a single-queue stub into a full
-// storage datapath: IN/OUT/FLUSH/GET_ID/DISCARD request parsing with a
-// per-request status byte, seg_max/size_max limits enforced device-side
-// (the driver enforces them host-side), multi-queue under
-// VIRTIO_BLK_F_MQ, and a backing-store model with seek/transfer/flush
-// cost segments.
+// storage datapath: IN/OUT/FLUSH request parsing with a per-request
+// status byte (any other type is answered UNSUPP), seg_max/size_max
+// limits enforced device-side (the driver enforces them host-side),
+// multi-queue under VIRTIO_BLK_F_MQ, and a backing-store model with
+// seek/transfer/flush cost segments.
 //
 // Durability follows the spec's write-barrier contract (§5.2.6.1 with
 // VIRTIO_BLK_F_FLUSH): a completed OUT lands in the volatile write-back
@@ -38,13 +38,9 @@ struct BlkDeviceConfig {
   u64 backing_timeout_cycles = 2'000'000;
 };
 
-/// Limits the personality always advertises: optimal logical block size
-/// (F_BLK_SIZE) and the DISCARD limits (F_DISCARD is always offered).
-/// Discard alignment is one sector, so any sector may start a range.
+/// Optimal logical block size the personality always advertises
+/// (F_BLK_SIZE).
 inline constexpr u32 kBlkSize = 512;
-inline constexpr u32 kMaxDiscardSectors = 4096;
-inline constexpr u32 kMaxDiscardSeg = 8;
-inline constexpr u32 kDiscardAlignment = 1;  ///< in sectors
 
 /// Request pipeline and backing-store cost model (fabric cycles).
 struct BlkTiming {
@@ -97,8 +93,6 @@ class BlkDeviceLogic final : public UserLogic {
   [[nodiscard]] u64 reads() const { return reads_; }
   [[nodiscard]] u64 writes() const { return writes_; }
   [[nodiscard]] u64 flushes() const { return flushes_; }
-  [[nodiscard]] u64 discards() const { return discards_; }
-  [[nodiscard]] u64 get_ids() const { return get_ids_; }
   [[nodiscard]] u64 errors() const { return errors_; }
   [[nodiscard]] u64 header_faults() const { return header_faults_; }
   [[nodiscard]] u64 timeout_faults() const { return timeout_faults_; }
@@ -137,8 +131,6 @@ class BlkDeviceLogic final : public UserLogic {
   u64 reads_ = 0;
   u64 writes_ = 0;
   u64 flushes_ = 0;
-  u64 discards_ = 0;
-  u64 get_ids_ = 0;
   u64 errors_ = 0;
   u64 header_faults_ = 0;
   u64 timeout_faults_ = 0;

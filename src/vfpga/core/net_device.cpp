@@ -5,7 +5,6 @@
 #include "vfpga/common/contract.hpp"
 #include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/migrate/state_io.hpp"
-#include "vfpga/net/arp.hpp"
 #include "vfpga/net/gso.hpp"
 #include "vfpga/net/icmp.hpp"
 #include "vfpga/net/ethernet.hpp"
@@ -200,42 +199,11 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
     return process_gso_udp(vhdr, frame);
   }
 
+  // Only IPv4 parses: an ARP or any other non-IP frame is dropped.
   const auto parsed_eth = net::parse_ethernet_frame(frame);
   if (!parsed_eth.has_value()) {
     ++dropped_;
     return std::nullopt;
-  }
-
-  // ---- ARP: answer requests for our address ----------------------------------
-  if (parsed_eth->header.type == net::EtherType::Arp) {
-    const auto arp = net::parse_arp_message(frame.subspan(
-        parsed_eth->payload_offset, parsed_eth->payload_length));
-    if (!arp.has_value() || arp->op != net::ArpOp::Request ||
-        arp->target_ip != config_.ip) {
-      ++dropped_;
-      return std::nullopt;
-    }
-    net::ArpMessage reply;
-    reply.op = net::ArpOp::Reply;
-    reply.sender_mac = config_.mac;
-    reply.sender_ip = config_.ip;
-    reply.target_mac = arp->sender_mac;
-    reply.target_ip = arp->sender_ip;
-    const Bytes reply_frame = net::build_ethernet_frame(
-        net::EthernetHeader{arp->sender_mac, config_.mac, net::EtherType::Arp},
-        net::build_arp_message(reply));
-
-    Response response;
-    response.payload.resize(NetHeader::kSize + reply_frame.size());
-    NetHeader out_hdr;
-    out_hdr.num_buffers = 1;
-    out_hdr.encode(response.payload);
-    std::copy(reply_frame.begin(), reply_frame.end(),
-              response.payload.begin() + NetHeader::kSize);
-    response.target_queue = rx_of_pair;
-    response.processing_cycles = processing_cycles(reply_frame.size(), false);
-    ++arp_replies_;
-    return response;
   }
 
   // ---- IPv4 ---------------------------------------------------------------------
@@ -505,7 +473,6 @@ void NetDeviceLogic::transfer(migrate::StateIo& io) {
   }
   io.u64(udp_echoes_);
   io.u64(icmp_echoes_);
-  io.u64(arp_replies_);
   io.u64(checksums_offloaded_);
   io.u64(dropped_);
   io.u64(ctrl_commands_);

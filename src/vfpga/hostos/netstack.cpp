@@ -20,7 +20,7 @@ KernelNetstack::KernelNetstack(VirtioNetDriver& driver,
 void KernelNetstack::configure_fpga_route(net::Ipv4Addr fpga_ip,
                                           net::MacAddr fpga_mac) {
   routes_.add(net::Route{fpga_ip, 32, kVirtioIfindex, std::nullopt});
-  arp_.insert(fpga_ip, fpga_mac, /*permanent=*/true);
+  neighbours_[fpga_ip.value] = fpga_mac;
 }
 
 bool KernelNetstack::udp_send(HostThread& thread, u16 src_port,
@@ -90,7 +90,7 @@ bool KernelNetstack::send_built(HostThread& thread, u16 src_port,
     thread.exec(thread.costs().syscall_exit);
     return false;
   }
-  const auto neighbour = arp_.lookup(next_hop->address);
+  const auto neighbour = neighbour_of(next_hop->address);
   if (!neighbour.has_value()) {
     thread.exec(thread.costs().syscall_exit);
     return false;
@@ -174,34 +174,18 @@ bool KernelNetstack::send_built(HostThread& thread, u16 src_port,
   return true;
 }
 
+std::optional<net::MacAddr> KernelNetstack::neighbour_of(
+    net::Ipv4Addr ip) const {
+  const auto it = neighbours_.find(ip.value);
+  if (it == neighbours_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
 u16 KernelNetstack::flow_pair(u16 local_port) const {
   const auto it = flow_affinity_.find(local_port);
   return it == flow_affinity_.end() ? u16{0} : it->second;
-}
-
-std::optional<net::MacAddr> KernelNetstack::arp_resolve(HostThread& thread,
-                                                        net::Ipv4Addr ip) {
-  if (const auto cached = arp_.lookup(ip)) {
-    return cached;
-  }
-  net::ArpMessage request;
-  request.op = net::ArpOp::Request;
-  request.sender_mac = driver_->mac();
-  request.sender_ip = kHostIp;
-  request.target_mac = net::MacAddr{};
-  request.target_ip = ip;
-  const Bytes frame = net::build_ethernet_frame(
-      net::EthernetHeader{net::kBroadcastMac, driver_->mac(),
-                          net::EtherType::Arp},
-      net::build_arp_message(request));
-  thread.exec(thread.costs().udp_tx_stack);  // neigh xmit path
-  driver_->xmit_frame(thread, frame, false);
-
-  if (!irq_->pending(driver_->rx_vector())) {
-    return std::nullopt;  // nobody answered
-  }
-  service_rx_interrupt(thread, irq_->consume(driver_->rx_vector()));
-  return arp_.lookup(ip);
 }
 
 void KernelNetstack::service_rx_interrupt(HostThread& thread,
@@ -215,20 +199,11 @@ void KernelNetstack::service_rx_interrupt(HostThread& thread,
 void KernelNetstack::demux_frames(HostThread& thread, u16 pair) {
   while (const auto rx = driver_->pop_rx_frame(pair)) {
     const Bytes& raw = rx->frame;
+    // Only IPv4 parses: any other EtherType is dropped before the UDP
+    // stack's cost is charged.
     const auto eth = net::parse_ethernet_frame(raw);
     if (!eth.has_value()) {
       ++frames_dropped_;
-      continue;
-    }
-    if (eth->header.type == net::EtherType::Arp) {
-      const auto arp = net::parse_arp_message(ConstByteSpan{raw}.subspan(
-          eth->payload_offset, eth->payload_length));
-      if (arp.has_value()) {
-        arp_.observe(*arp, kHostIp, driver_->mac());
-        ++frames_demuxed_;
-      } else {
-        ++frames_dropped_;
-      }
       continue;
     }
     thread.exec(thread.costs().udp_rx_stack);
@@ -392,7 +367,7 @@ std::optional<sim::Duration> KernelNetstack::icmp_ping(
   if (!next_hop.has_value()) {
     return std::nullopt;
   }
-  const auto neighbour = arp_.lookup(next_hop->address);
+  const auto neighbour = neighbour_of(next_hop->address);
   if (!neighbour.has_value()) {
     return std::nullopt;
   }

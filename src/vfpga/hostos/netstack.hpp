@@ -1,7 +1,7 @@
 // Kernel UDP/IP network stack model.
 //
 // The glue between the socket API and the virtio-net driver: routing
-// (FIB) and neighbour (ARP) lookups on transmit, frame
+// (FIB) and static-neighbour lookups on transmit, frame
 // construction/validation with real checksums, NAPI-driven receive
 // demultiplexing to per-port socket queues, and blocking receive that
 // sleeps on the RX interrupt. The paper's test setup — "entries are
@@ -15,7 +15,6 @@
 #include <optional>
 
 #include "vfpga/hostos/virtio_net_driver.hpp"
-#include "vfpga/net/arp.hpp"
 #include "vfpga/net/icmp.hpp"
 #include "vfpga/net/routing.hpp"
 #include "vfpga/net/udp.hpp"
@@ -43,17 +42,9 @@ class KernelNetstack {
 
   KernelNetstack(VirtioNetDriver& driver, InterruptController& irq);
 
-  [[nodiscard]] net::RoutingTable& routes() { return routes_; }
-  [[nodiscard]] net::ArpCache& arp() { return arp_; }
-
   /// The paper's static setup: host route to the FPGA through the
   /// virtio-net interface plus a permanent neighbour entry.
   void configure_fpga_route(net::Ipv4Addr fpga_ip, net::MacAddr fpga_mac);
-
-  /// Dynamic neighbour resolution: ARP request/reply round trip through
-  /// the device. Returns the resolved MAC.
-  std::optional<net::MacAddr> arp_resolve(HostThread& thread,
-                                          net::Ipv4Addr ip);
 
   /// sendto(2) semantics: route, resolve, build, transmit. Returns false
   /// on EHOSTUNREACH (no route / no neighbour). `more_coming` is the
@@ -151,8 +142,8 @@ class KernelNetstack {
   [[nodiscard]] u16 flow_pair(u16 local_port) const;
 
   /// Snapshot/restore of the stack's dynamic state: socket queues, flow
-  /// affinities, queued ICMP replies, IP-id counter, counters. Routing
-  /// and ARP tables are configuration (configure_fpga_route) and are
+  /// affinities, queued ICMP replies, IP-id counter, counters. Routes
+  /// and neighbours are configuration (configure_fpga_route) and are
   /// rebuilt by the restore target's own setup.
   void transfer(migrate::StateIo& io);
 
@@ -160,6 +151,10 @@ class KernelNetstack {
   /// Consecutive diverted datagrams tolerated before the stack asks the
   /// driver to reset the device's steering table.
   static constexpr u32 kSteeringRepairThreshold = 4;
+
+  /// The static neighbour entry for `ip`; nullopt is EHOSTUNREACH.
+  [[nodiscard]] std::optional<net::MacAddr> neighbour_of(
+      net::Ipv4Addr ip) const;
 
   /// Route + resolve + frame build + transmit for an already-charged
   /// payload (the tail shared by udp_send and udp_sendmsg).
@@ -182,7 +177,9 @@ class KernelNetstack {
   VirtioNetDriver* driver_;
   InterruptController* irq_;
   net::RoutingTable routes_;
-  net::ArpCache arp_;
+  /// Static neighbours (ip neigh add ... PERMANENT), keyed by IPv4
+  /// address; nothing resolves or learns entries at run time.
+  std::map<u32, net::MacAddr> neighbours_;
   u16 next_ip_id_ = 1;
   /// send_built's frame, reused so a steady send allocates nothing.
   Bytes tx_frame_;

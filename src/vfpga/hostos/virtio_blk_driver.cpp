@@ -10,7 +10,6 @@
 namespace vfpga::hostos {
 
 using virtio::blk::BlkConfigLayout;
-using virtio::blk::DiscardSegment;
 using virtio::blk::RequestHeader;
 using virtio::blk::RequestType;
 
@@ -20,7 +19,6 @@ bool VirtioBlkDriver::probe(const BindContext& ctx, HostThread& thread) {
   wanted.set(virtio::feature::blk::kFlush);
   wanted.set(virtio::feature::blk::kSizeMax);
   wanted.set(virtio::feature::blk::kSegMax);
-  wanted.set(virtio::feature::blk::kDiscard);
   if (options_.requested_queues > 1) {
     wanted.set(virtio::feature::blk::kMq);
   }
@@ -94,9 +92,9 @@ std::optional<u32> VirtioBlkDriver::submit_io(HostThread& thread, u16 queue,
                                               u32 in_bytes) {
   VFPGA_EXPECTS(bound());
   QueueRt& rt = queues_.at(queue);
-  const u32 data_len = type == RequestType::In || type == RequestType::GetId
-                           ? in_bytes
-                           : static_cast<u32>(out_data.size());
+  const bool writable = type == RequestType::In;
+  const u32 data_len =
+      writable ? in_bytes : static_cast<u32>(out_data.size());
   VFPGA_EXPECTS(data_len <= options_.max_io_bytes);
 
   // Host-side limit enforcement: the same seg_max/size_max the device
@@ -127,15 +125,13 @@ std::optional<u32> VirtioBlkDriver::submit_io(HostThread& thread, u16 queue,
   header.encode(raw);
   memory.write(slot.header_addr, raw);
   memory.write_u8(slot.status_addr, 0xaa);  // poison: device must overwrite
-  if (type == RequestType::Out || type == RequestType::Discard) {
+  if (type == RequestType::Out) {
     memory.write(slot.data_addr, out_data);
   }
 
   chain_.clear();
   chain_.push_back({slot.header_addr, virtio::blk::kRequestHeaderBytes,
                     false});
-  const bool writable =
-      type == RequestType::In || type == RequestType::GetId;
   for (u32 seg = 0; seg < data_segments; ++seg) {
     const u32 offset = seg * seg_bytes;
     const u32 len = std::min(seg_bytes, data_len - offset);
@@ -374,46 +370,6 @@ bool VirtioBlkDriver::flush(HostThread& thread) {
   thread.exec(thread.costs().syscall_entry);
   bool ok = false;
   const auto slot = submit_flush(thread, /*queue=*/0);
-  if (slot.has_value()) {
-    ok = wait_for_slot(thread, 0, *slot) == virtio::blk::kStatusOk;
-  }
-  thread.exec(thread.costs().syscall_exit);
-  return ok;
-}
-
-std::optional<std::string> VirtioBlkDriver::get_id(HostThread& thread) {
-  thread.exec(thread.costs().syscall_entry);
-  std::optional<std::string> id;
-  const auto slot =
-      submit_io(thread, /*queue=*/0, RequestType::GetId, 0, {},
-                static_cast<u32>(virtio::blk::kDeviceIdBytes));
-  if (slot.has_value() &&
-      wait_for_slot(thread, 0, *slot) == virtio::blk::kStatusOk) {
-    Bytes raw(virtio::blk::kDeviceIdBytes, 0);
-    read_payload(0, *slot, raw);
-    const auto end = std::find(raw.begin(), raw.end(), u8{0});
-    id.emplace(raw.begin(), end);
-  }
-  thread.exec(thread.costs().syscall_exit);
-  return id;
-}
-
-bool VirtioBlkDriver::discard(
-    HostThread& thread,
-    std::span<const virtio::blk::DiscardSegment> segments) {
-  if (!negotiated().has(virtio::feature::blk::kDiscard) ||
-      segments.empty()) {
-    return false;
-  }
-  thread.exec(thread.costs().syscall_entry);
-  Bytes payload(segments.size() * DiscardSegment::kBytes, 0);
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    segments[i].encode(
-        ByteSpan{payload}.subspan(i * DiscardSegment::kBytes));
-  }
-  bool ok = false;
-  const auto slot =
-      submit_io(thread, /*queue=*/0, RequestType::Discard, 0, payload, 0);
   if (slot.has_value()) {
     ok = wait_for_slot(thread, 0, *slot) == virtio::blk::kStatusOk;
   }

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <deque>
-#include <string>
 
 #include "vfpga/hostos/virtio_transport.hpp"
 #include "vfpga/virtio/blk_defs.hpp"
@@ -133,12 +132,6 @@ class VirtioBlkDriver {
   bool read_sectors(HostThread& thread, u64 sector, ByteSpan out);
   bool write_sectors(HostThread& thread, u64 sector, ConstByteSpan data);
   bool flush(HostThread& thread);
-  /// VIRTIO_BLK_T_GET_ID: the device's id string (nullopt on error).
-  std::optional<std::string> get_id(HostThread& thread);
-  /// VIRTIO_BLK_T_DISCARD over the given ranges; false when the feature
-  /// was not negotiated or the device rejected the request.
-  bool discard(HostThread& thread,
-               std::span<const virtio::blk::DiscardSegment> segments);
 
   [[nodiscard]] u64 requests_completed() const {
     return requests_completed_;

@@ -33,12 +33,9 @@ std::optional<ParsedEthernet> parse_ethernet_frame(ConstByteSpan frame) {
   ParsedEthernet out;
   std::copy_n(frame.begin(), 6, out.header.dst.octets.begin());
   std::copy_n(frame.begin() + 6, 6, out.header.src.octets.begin());
-  const u16 type = load_be16(frame, 12);
-  if (type != static_cast<u16>(EtherType::Ipv4) &&
-      type != static_cast<u16>(EtherType::Arp)) {
+  if (load_be16(frame, 12) != static_cast<u16>(EtherType::Ipv4)) {
     return std::nullopt;
   }
-  out.header.type = static_cast<EtherType>(type);
   out.payload_offset = EthernetHeader::kSize;
   out.payload_length = frame.size() - EthernetHeader::kSize;
   return out;

@@ -7,9 +7,10 @@
 
 namespace vfpga::net {
 
+/// The one EtherType the stack and the device personalities carry: the
+/// FPGA is reached through a static neighbour entry, so no ARP runs.
 enum class EtherType : u16 {
   Ipv4 = 0x0800,
-  Arp = 0x0806,
 };
 
 struct EthernetHeader {
@@ -40,7 +41,7 @@ struct ParsedEthernet {
   u64 payload_length = 0;
 };
 
-/// Parse and validate a frame; nullopt for runts/unknown layouts.
+/// Parse and validate a frame; nullopt for runts and non-IPv4 frames.
 [[nodiscard]] std::optional<ParsedEthernet> parse_ethernet_frame(
     ConstByteSpan frame);
 

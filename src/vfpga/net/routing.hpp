@@ -23,7 +23,7 @@ struct Route {
 };
 
 struct NextHop {
-  Ipv4Addr address{};  ///< neighbour to ARP for
+  Ipv4Addr address{};  ///< neighbour the frame is addressed to
   u32 interface_id = 0;
 };
 

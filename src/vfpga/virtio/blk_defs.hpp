@@ -11,27 +11,26 @@
 
 namespace vfpga::virtio::blk {
 
-/// virtio_blk_config field offsets (§5.2.4). Fields past blk_size are
-/// only valid under their gating feature bit (MQ, DISCARD).
+/// virtio_blk_config field offsets (§5.2.4). num_queues is only valid
+/// under VIRTIO_BLK_F_MQ. The structure keeps the spec's size up to the
+/// discard fields (offsets 36-47), which read as 0: F_DISCARD is never
+/// offered.
 struct BlkConfigLayout {
   static constexpr u32 kCapacityOffset = 0;   // le64, in 512-byte sectors
   static constexpr u32 kSizeMaxOffset = 8;    // le32, bytes per segment
   static constexpr u32 kSegMaxOffset = 12;    // le32, data segments/request
   static constexpr u32 kBlkSizeOffset = 20;   // le32
   static constexpr u32 kNumQueuesOffset = 34; // le16 (VIRTIO_BLK_F_MQ)
-  static constexpr u32 kMaxDiscardSectorsOffset = 36;  // le32 (F_DISCARD)
-  static constexpr u32 kMaxDiscardSegOffset = 40;      // le32 (F_DISCARD)
-  static constexpr u32 kDiscardAlignmentOffset = 44;   // le32 (F_DISCARD)
   static constexpr u32 kSize = 48;
 };
 
-/// Request types (§5.2.6).
+/// The request types the device serves (§5.2.6). Every other type,
+/// GET_ID (8) and DISCARD (11) included, completes with
+/// kStatusUnsupported.
 enum class RequestType : u32 {
   In = 0,       ///< read from device
   Out = 1,      ///< write to device
   Flush = 4,    ///< write barrier: everything completed before is durable
-  GetId = 8,    ///< 20-byte device id string into the data buffer
-  Discard = 11, ///< free ranges (virtio_blk_discard_write_zeroes segments)
 };
 
 /// Status byte the device writes into the last descriptor.
@@ -41,8 +40,6 @@ inline constexpr u8 kStatusUnsupported = 2;
 
 inline constexpr u64 kSectorBytes = 512;
 inline constexpr u64 kRequestHeaderBytes = 16;
-/// GET_ID answers exactly VIRTIO_BLK_ID_BYTES of device-writable data.
-inline constexpr u64 kDeviceIdBytes = 20;
 
 /// Decode the request header from the first descriptor's bytes.
 struct RequestHeader {
@@ -63,31 +60,6 @@ struct RequestHeader {
     store_le32(out, 0, static_cast<u32>(type));
     store_le32(out, 4, reserved);
     store_le64(out, 8, sector);
-  }
-};
-
-/// One range of a DISCARD request's data payload
-/// (struct virtio_blk_discard_write_zeroes, §5.2.6).
-struct DiscardSegment {
-  u64 sector = 0;
-  u32 num_sectors = 0;
-  u32 flags = 0;  ///< bit 0 = unmap (write-zeroes only); must be 0 here
-
-  static constexpr u64 kBytes = 16;
-
-  static DiscardSegment decode(ConstByteSpan raw) {
-    VFPGA_EXPECTS(raw.size() >= kBytes);
-    DiscardSegment s;
-    s.sector = load_le64(raw, 0);
-    s.num_sectors = load_le32(raw, 8);
-    s.flags = load_le32(raw, 12);
-    return s;
-  }
-  void encode(ByteSpan out) const {
-    VFPGA_EXPECTS(out.size() >= kBytes);
-    store_le64(out, 0, sector);
-    store_le32(out, 8, num_sectors);
-    store_le32(out, 12, flags);
   }
 };
 

@@ -48,7 +48,7 @@ inline constexpr u32 kRo = 5;       ///< read-only device (unimplemented)
 inline constexpr u32 kBlkSize = 6;
 inline constexpr u32 kFlush = 9;
 inline constexpr u32 kMq = 12;      ///< num_queues config field is valid
-inline constexpr u32 kDiscard = 13; ///< DISCARD requests + config fields
+inline constexpr u32 kDiscard = 13; ///< DISCARD requests (unimplemented)
 inline constexpr u32 kWriteZeroes = 14;  ///< WRITE_ZEROES (unimplemented)
 }  // namespace blk
 

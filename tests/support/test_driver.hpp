@@ -22,9 +22,11 @@ class TestDriver {
              hostos::InterruptController& irq)
       : rc_(&rc), device_(&device), irq_(&irq) {}
 
-  /// Full §3.1.1 bring-up: reset, negotiate everything offered, program
-  /// one MSI-X vector per queue (+config), build and enable all queues.
-  void initialize(u16 queue_count, u16 queue_size = 16) {
+  /// Full §3.1.1 bring-up: reset, negotiate everything offered except
+  /// the bits in `decline`, program one MSI-X vector per queue
+  /// (+config), build and enable all queues.
+  void initialize(u16 queue_count, u16 queue_size = 16,
+                  virtio::FeatureSet decline = {}) {
     using namespace virtio;
     wr32(commoncfg::kDeviceStatus, 0);
     wr32(commoncfg::kDeviceStatus, status::kAcknowledge);
@@ -35,7 +37,7 @@ class TestDriver {
     offered.set_window(0, rd32(commoncfg::kDeviceFeature));
     wr32(commoncfg::kDeviceFeatureSelect, 1);
     offered.set_window(1, rd32(commoncfg::kDeviceFeature));
-    negotiated_ = offered;  // accept everything
+    negotiated_ = virtio::FeatureSet{offered.bits() & ~decline.bits()};
 
     wr32(commoncfg::kDriverFeatureSelect, 0);
     wr32(commoncfg::kDriverFeature, negotiated_.window(0));

@@ -59,7 +59,6 @@ FeatureSet implemented_blk() {
   f.set(feature::blk::kBlkSize);
   f.set(feature::blk::kFlush);
   f.set(feature::blk::kMq);
-  f.set(feature::blk::kDiscard);
   return f;
 }
 
@@ -91,6 +90,7 @@ FeatureSet unimplemented_net() {
 FeatureSet unimplemented_blk() {
   FeatureSet f = unimplemented_transport();
   f.set(feature::blk::kRo);
+  f.set(feature::blk::kDiscard);
   f.set(feature::blk::kWriteZeroes);
   return f;
 }

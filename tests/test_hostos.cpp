@@ -221,17 +221,6 @@ TEST_F(StackFixture, EchoCarriesExactDatagramMetadata) {
   EXPECT_EQ(reply->dst_port, bed.options().udp_port);
 }
 
-TEST_F(StackFixture, ArpResolveRoundTripsThroughDevice) {
-  core::VirtioNetTestbed bed{options};
-  // Forget the static neighbour entry by resolving a fresh stack.
-  KernelNetstack fresh{bed.driver(), bed.irq()};
-  fresh.routes().add(net::Route{bed.fpga_ip(), 32, 2, std::nullopt});
-  const auto mac = fresh.arp_resolve(bed.thread(), bed.fpga_ip());
-  ASSERT_TRUE(mac.has_value());
-  EXPECT_EQ(*mac, bed.net_logic().device_config().mac);
-  EXPECT_EQ(bed.net_logic().arp_replies(), 1u);
-}
-
 TEST_F(StackFixture, ChecksumOffloadNegotiatedAndExercised) {
   core::VirtioNetTestbed bed{options};
   ASSERT_TRUE(

@@ -543,19 +543,19 @@ TEST(Snapshot, ImagesArePinned) {
     return true;
   };
   const Pin pins[] = {
-      {"split", split_options(), quiesced, 0xea74f2e2, 74197, 0xdfc3bd36,
-       37241},
-      {"packed", packed_options(), quiesced, 0x82920e7a, 70593, 0xfb07ff07,
-       37741},
-      {"multi-queue", multi_queue_options(), quiesced, 0x91de58c9, 153173,
-       0x7c25cc56, 87489},
-      {"blk", blk_options(), drive_blk, 0xcae24acb, 359170, 0xc5a816de,
-       314006},
+      {"split", split_options(), quiesced, 0x7001bbd6, 74189, 0x1124bb25,
+       37233},
+      {"packed", packed_options(), quiesced, 0x7559ab24, 70585, 0x0c7f1e49,
+       37733},
+      {"multi-queue", multi_queue_options(), quiesced, 0x31b4247f, 153165,
+       0x5fe05090, 87481},
+      {"blk", blk_options(), drive_blk, 0xc1776b51, 359146, 0x4b321d7a,
+       313982},
       {"mid-mergeable", mid_mergeable_options(),
        [](core::VirtioNetTestbed& bed) {
          return drive_mid_flight(bed, kMidMergeablePayload);
        },
-       0x3ff8853a, 70097, 0x8dd26b2d, 37245},
+       0xe2391009, 70089, 0xa2323657, 37237},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.setup);
@@ -683,8 +683,9 @@ TEST(SnapshotReject, VersionSkew) {
   const Bytes current = snapshot_of(options);
   // Version 1 serialized the counter bank's whole capture log; version
   // 2 fingerprinted options that are now constants; version 3 carried
-  // interrupt-moderation state.
-  for (const u8 version : {u8{1}, u8{2}, u8{3}, u8{99}}) {
+  // interrupt-moderation state; version 4 carried the ARP-reply,
+  // GET_ID and DISCARD counters.
+  for (const u8 version : {u8{1}, u8{2}, u8{3}, u8{4}, u8{99}}) {
     SCOPED_TRACE(static_cast<int>(version));
     Bytes image = current;
     image[8] = version;  // version field, checked before the checksum

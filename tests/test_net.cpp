@@ -6,7 +6,6 @@
 
 #include "support/net_oracle.hpp"
 #include "vfpga/common/endian.hpp"
-#include "vfpga/net/arp.hpp"
 #include "vfpga/net/checksum.hpp"
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/icmp.hpp"
@@ -212,6 +211,8 @@ TEST(Ethernet, RejectsRuntsAndUnknownEthertype) {
   Bytes frame = build_ethernet_frame(
       EthernetHeader{kFpgaMac, kHostMac, EtherType::Ipv4}, Bytes(46, 0));
   store_be16(ByteSpan{frame}, 12, 0x86dd);  // IPv6: unsupported
+  EXPECT_FALSE(parse_ethernet_frame(frame).has_value());
+  store_be16(ByteSpan{frame}, 12, 0x0806);  // ARP: neighbours are static
   EXPECT_FALSE(parse_ethernet_frame(frame).has_value());
 }
 
@@ -456,64 +457,6 @@ TEST(Icmp, RejectsNonEchoTypes) {
   message[0] = 3;  // destination unreachable
   EXPECT_FALSE(parse_icmp_echo(message).has_value());
   EXPECT_FALSE(parse_icmp_echo(Bytes(4, 0)).has_value());
-}
-
-// ---- arp --------------------------------------------------------------------------
-
-TEST(Arp, MessageRoundTrip) {
-  ArpMessage msg;
-  msg.op = ArpOp::Request;
-  msg.sender_mac = kHostMac;
-  msg.sender_ip = kHostIp;
-  msg.target_ip = kFpgaIp;
-  const auto parsed = parse_arp_message(build_arp_message(msg));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->op, ArpOp::Request);
-  EXPECT_EQ(parsed->sender_mac, kHostMac);
-  EXPECT_EQ(parsed->sender_ip, kHostIp);
-  EXPECT_EQ(parsed->target_ip, kFpgaIp);
-}
-
-TEST(Arp, RejectsNonEthernetIpv4) {
-  Bytes raw = build_arp_message(ArpMessage{});
-  store_be16(ByteSpan{raw}, 0, 6);  // HTYPE: IEEE 802
-  EXPECT_FALSE(parse_arp_message(raw).has_value());
-}
-
-TEST(ArpCache, ObserveLearnsAndReplies) {
-  ArpCache cache;
-  ArpMessage request;
-  request.op = ArpOp::Request;
-  request.sender_mac = kHostMac;
-  request.sender_ip = kHostIp;
-  request.target_ip = kFpgaIp;
-  const auto reply = cache.observe(request, kFpgaIp, kFpgaMac);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->op, ArpOp::Reply);
-  EXPECT_EQ(reply->sender_mac, kFpgaMac);
-  EXPECT_EQ(reply->target_mac, kHostMac);
-  // Learned the requester.
-  EXPECT_EQ(cache.lookup(kHostIp), kHostMac);
-}
-
-TEST(ArpCache, NoReplyForOtherTargets) {
-  ArpCache cache;
-  ArpMessage request;
-  request.op = ArpOp::Request;
-  request.sender_ip = kHostIp;
-  request.target_ip = Ipv4Addr::from_octets(10, 42, 0, 99);
-  EXPECT_FALSE(cache.observe(request, kFpgaIp, kFpgaMac).has_value());
-}
-
-TEST(ArpCache, PermanentEntriesSurviveDynamicUpdates) {
-  ArpCache cache;
-  cache.insert(kFpgaIp, kFpgaMac, /*permanent=*/true);
-  ArpMessage spoof;
-  spoof.op = ArpOp::Reply;
-  spoof.sender_ip = kFpgaIp;
-  spoof.sender_mac = kHostMac;  // attacker claims the FPGA's IP
-  cache.observe(spoof, kHostIp, kHostMac);
-  EXPECT_EQ(cache.lookup(kFpgaIp), kFpgaMac);
 }
 
 // ---- routing -----------------------------------------------------------------------

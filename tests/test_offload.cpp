@@ -137,7 +137,7 @@ TEST(GsoSegmentation, RejectsNonUdpAndZeroGsoSize) {
   const Bytes super = build_superframe(make_payload(3000));
   EXPECT_TRUE(net::gso_segment_udp(super, 0).empty());
   Bytes not_ipv4 = super;
-  store_be16(ByteSpan{not_ipv4}, 12, 0x0806);  // EtherType::Arp
+  store_be16(ByteSpan{not_ipv4}, 12, 0x0806);  // ARP
   EXPECT_TRUE(net::gso_segment_udp(not_ipv4, 1472).empty());
   EXPECT_TRUE(net::gso_segment_udp(ConstByteSpan{}, 1472).empty());
 }

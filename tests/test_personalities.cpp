@@ -4,15 +4,14 @@
 // device-specific structure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <cstring>
-#include <string>
+#include <vector>
 
 #include "support/net_oracle.hpp"
 #include "support/test_driver.hpp"
 #include "vfpga/core/blk_device.hpp"
 #include "vfpga/core/net_device.hpp"
-#include "vfpga/net/arp.hpp"
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/udp.hpp"
@@ -48,6 +47,89 @@ struct NetLogicFixture : ::testing::Test {
                             net::EtherType::Ipv4},
         packet);
   }
+
+  /// A HOST_UFO request: one UDP superframe carrying `payload` behind
+  /// the GSO header a driver writes for it.
+  Bytes gso_request(ConstByteSpan payload) {
+    const Bytes frame = make_udp_frame(payload);
+    Bytes request(NetHeader::kSize + frame.size());
+    NetHeader hdr;
+    hdr.flags = NetHeader::kNeedsCsum;
+    hdr.gso_type = NetHeader::kGsoUdp;
+    hdr.gso_size = kGsoSize;
+    hdr.hdr_len = static_cast<u16>(net::EthernetHeader::kSize +
+                                   net::Ipv4Header::kSize +
+                                   net::UdpHeader::kSize);
+    hdr.csum_start = net::EthernetHeader::kSize + net::Ipv4Header::kSize;
+    hdr.csum_offset = 6;
+    hdr.encode(request);
+    std::copy(frame.begin(), frame.end(), request.begin() + NetHeader::kSize);
+    return request;
+  }
+
+  /// Expects `frames` (net header + wire frame each) to be the echo of
+  /// gso_request(payload) cut into kGsoSize segments, in order: each a
+  /// valid UDP datagram from the device back to the host, with
+  /// DATA_VALID set exactly when `data_valid`.
+  void expect_segment_train(const std::vector<Bytes>& frames,
+                            ConstByteSpan payload, bool data_valid) {
+    u64 offset = 0;
+    for (const Bytes& raw : frames) {
+      const NetHeader hdr = NetHeader::decode(raw);
+      EXPECT_EQ(hdr.flags & NetHeader::kDataValid,
+                data_valid ? NetHeader::kDataValid : 0);
+      EXPECT_EQ(hdr.gso_type, NetHeader::kGsoNone);
+      const ConstByteSpan frame = ConstByteSpan{raw}.subspan(NetHeader::kSize);
+      const auto eth = net::parse_ethernet_frame(frame);
+      ASSERT_TRUE(eth.has_value());
+      EXPECT_EQ(eth->header.dst, host_mac);
+      const auto ip = net::parse_ipv4_packet(
+          frame.subspan(eth->payload_offset, eth->payload_length));
+      ASSERT_TRUE(ip.has_value());
+      EXPECT_TRUE(ip->checksum_ok);
+      EXPECT_EQ(ip->header.src, logic.device_config().ip);
+      EXPECT_EQ(ip->header.dst, host_ip);
+      const ConstByteSpan ip_payload = frame.subspan(
+          eth->payload_offset + ip->payload_offset, ip->payload_length);
+      const auto udp =
+          net::parse_udp_datagram(ip_payload, ip->header.src, ip->header.dst);
+      ASSERT_TRUE(udp.has_value());
+      EXPECT_TRUE(udp->checksum_ok);
+      EXPECT_EQ(udp->header.src_port, 9000);
+      EXPECT_EQ(udp->header.dst_port, 4791);
+      EXPECT_LE(udp->payload_length, kGsoSize);
+      const ConstByteSpan segment =
+          ip_payload.subspan(udp->payload_offset, udp->payload_length);
+      ASSERT_LE(offset + segment.size(), payload.size());
+      EXPECT_TRUE(std::equal(segment.begin(), segment.end(),
+                             payload.begin() +
+                                 static_cast<std::ptrdiff_t>(offset)));
+      offset += segment.size();
+    }
+    EXPECT_EQ(offset, payload.size());
+  }
+
+  /// An Ethernet/IPv4 ARP request (RFC 826) from the host for `target`.
+  Bytes arp_request_frame(net::Ipv4Addr target) {
+    Bytes body(28, 0);
+    store_be16(ByteSpan{body}, 0, 1);       // HTYPE: Ethernet
+    store_be16(ByteSpan{body}, 2, 0x0800);  // PTYPE: IPv4
+    body[4] = 6;                            // HLEN
+    body[5] = 4;                            // PLEN
+    store_be16(ByteSpan{body}, 6, 1);       // OPER: request
+    std::copy(host_mac.octets.begin(), host_mac.octets.end(),
+              body.begin() + 8);
+    store_be32(ByteSpan{body}, 14, host_ip.value);
+    store_be32(ByteSpan{body}, 24, target.value);
+    Bytes frame = net::build_ethernet_frame(
+        net::EthernetHeader{net::kBroadcastMac, host_mac,
+                            net::EtherType::Ipv4},
+        body);
+    store_be16(ByteSpan{frame}, 12, 0x0806);  // EtherType: ARP
+    return frame;
+  }
+
+  static constexpr u16 kGsoSize = 1472;
 
   Bytes with_net_header(ConstByteSpan frame, u8 flags = 0) {
     Bytes payload(NetHeader::kSize + frame.size());
@@ -276,42 +358,54 @@ TEST_F(EchoOracleFixture, MangledUdpLengthEchoesWhatTheLengthCovers) {
   }
 }
 
-TEST_F(NetLogicFixture, ArpRequestForOurIpGetsReply) {
-  net::ArpMessage request;
-  request.op = net::ArpOp::Request;
-  request.sender_mac = host_mac;
-  request.sender_ip = host_ip;
-  request.target_ip = logic.device_config().ip;
-  const Bytes frame = net::build_ethernet_frame(
-      net::EthernetHeader{net::kBroadcastMac, host_mac, net::EtherType::Arp},
-      net::build_arp_message(request));
-  const auto response =
-      logic.process(virtio::net::kTxQueue, with_net_header(frame), 2048);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(logic.arp_replies(), 1u);
-  const auto eth = net::parse_ethernet_frame(
-      ConstByteSpan{response->payload}.subspan(NetHeader::kSize));
-  ASSERT_TRUE(eth.has_value());
-  EXPECT_EQ(eth->header.type, net::EtherType::Arp);
-  const auto reply = net::parse_arp_message(
-      ConstByteSpan{response->payload}.subspan(
-          NetHeader::kSize + eth->payload_offset, eth->payload_length));
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->op, net::ArpOp::Reply);
-  EXPECT_EQ(reply->sender_mac, logic.device_config().mac);
+TEST_F(NetLogicFixture, ArpForSomeoneElseIgnored) {
+  // The host reaches the device through a static neighbour entry, so
+  // the device has no ARP responder: a request for another address and
+  // one for its own are both dropped, counted and left unanswered.
+  for (const net::Ipv4Addr target :
+       {net::Ipv4Addr::from_octets(10, 42, 0, 200),
+        logic.device_config().ip}) {
+    SCOPED_TRACE(target.value);
+    const u64 dropped = logic.dropped();
+    EXPECT_FALSE(logic
+                     .process(virtio::net::kTxQueue,
+                              with_net_header(arp_request_frame(target)), 2048)
+                     .has_value());
+    EXPECT_EQ(logic.dropped(), dropped + 1);
+  }
 }
 
-TEST_F(NetLogicFixture, ArpForSomeoneElseIgnored) {
-  net::ArpMessage request;
-  request.op = net::ArpOp::Request;
-  request.sender_ip = host_ip;
-  request.target_ip = net::Ipv4Addr::from_octets(10, 42, 0, 200);
-  const Bytes frame = net::build_ethernet_frame(
-      net::EthernetHeader{net::kBroadcastMac, host_mac, net::EtherType::Arp},
-      net::build_arp_message(request));
-  EXPECT_FALSE(logic.process(virtio::net::kTxQueue, with_net_header(frame),
-                             2048)
-                   .has_value());
+TEST_F(NetLogicFixture, GsoWithoutGuestUfoEchoesOneFramePerSegment) {
+  // A driver may negotiate HOST_UFO without GUEST_UFO: the device then
+  // cannot coalesce the echoed train, so it delivers every segment as
+  // its own wire frame (the first in the response, the rest trailing).
+  Bytes payload(4000);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<u8>(i * 7 + 3);
+  }
+  for (const bool guest_csum : {false, true}) {
+    SCOPED_TRACE(guest_csum);
+    virtio::FeatureSet negotiated = virtio::FeatureSet{}
+                                        .set(virtio::feature::kVersion1)
+                                        .set(virtio::feature::net::kCsum)
+                                        .set(virtio::feature::net::kHostUfo);
+    if (guest_csum) {
+      negotiated.set(virtio::feature::net::kGuestCsum);
+    }
+    logic.on_driver_ready(negotiated);
+    const auto response =
+        logic.process(virtio::net::kTxQueue, gso_request(payload), 2048);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->target_queue, virtio::net::kRxQueue);
+    std::vector<Bytes> frames{response->payload};
+    frames.insert(frames.end(), response->trailing_frames.begin(),
+                  response->trailing_frames.end());
+    EXPECT_EQ(frames.size(), 3u);  // 1472 + 1472 + 1056 payload bytes
+    expect_segment_train(frames, payload, guest_csum);
+  }
+  EXPECT_EQ(logic.gso_superframes(), 2u);
+  EXPECT_EQ(logic.gso_segments_out(), 6u);
+  EXPECT_EQ(logic.gro_coalesced(), 0u);
 }
 
 TEST_F(NetLogicFixture, RuntPayloadDropped) {
@@ -332,6 +426,67 @@ TEST_F(NetLogicFixture, DeviceConfigStructureLayout) {
       logic.device_config_read(NetConfigLayout::kMtuOffset) |
       logic.device_config_read(NetConfigLayout::kMtuOffset + 1) << 8);
   EXPECT_EQ(mtu, 1500);
+}
+
+// ---- NetDeviceLogic through the controller ------------------------------------------
+
+struct NetControllerFixture : NetLogicFixture {
+  mem::HostMemory memory;
+  pcie::RootComplex rc{memory, pcie::LinkModel{}};
+  std::optional<VirtioDeviceFunction> device;
+  hostos::InterruptController irq;
+  std::optional<testing_support::TestDriver> driver;
+
+  void SetUp() override {
+    device.emplace(logic, ControllerConfig{});
+    rc.set_irq_sink([&](u32 data, sim::SimTime at) { irq.deliver(data, at); });
+    rc.attach(*device);
+    device->connect(rc);
+    ASSERT_EQ(pcie::enumerate_bus(rc).size(), 1u);
+    driver.emplace(rc, *device, irq);
+  }
+};
+
+TEST_F(NetControllerFixture, SegmentTrainFillsOneRxChainPerFrame) {
+  driver->initialize(
+      2, 16, virtio::FeatureSet{}.set(virtio::feature::net::kGuestUfo));
+  ASSERT_TRUE(logic.negotiated().has(virtio::feature::net::kHostUfo));
+  ASSERT_TRUE(logic.negotiated().has(virtio::feature::net::kGuestCsum));
+  ASSERT_FALSE(logic.negotiated().has(virtio::feature::net::kGuestUfo));
+
+  auto& rxq = driver->vq(virtio::net::kRxQueue);
+  std::vector<HostAddr> rx_bufs;
+  for (u64 token = 0; token < 4; ++token) {
+    rx_bufs.push_back(memory.allocate(2048));
+    const virtio::ChainBuffer rx{rx_bufs.back(), 2048, true};
+    ASSERT_TRUE(rxq.add_chain(std::span{&rx, 1}, token).has_value());
+  }
+  rxq.publish();
+
+  Bytes payload(4000);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<u8>(i * 13 + 5);
+  }
+  const Bytes request = gso_request(payload);
+  const HostAddr tx_buf = memory.allocate(request.size());
+  memory.write(tx_buf, request);
+  const virtio::ChainBuffer tx{tx_buf, static_cast<u32>(request.size()),
+                               false};
+  auto& txq = driver->vq(virtio::net::kTxQueue);
+  ASSERT_TRUE(txq.add_chain(std::span{&tx, 1}, 99).has_value());
+  txq.publish();
+  driver->notify(virtio::net::kTxQueue);
+
+  // Each segment landed in its own RX chain, in order; the fourth chain
+  // stays posted.
+  std::vector<Bytes> frames;
+  while (const auto used = rxq.harvest_used()) {
+    frames.push_back(memory.read_bytes(rx_bufs.at(used->token), used->written));
+  }
+  EXPECT_EQ(frames.size(), 3u);
+  expect_segment_train(frames, payload, /*data_valid=*/true);
+  EXPECT_EQ(logic.gso_superframes(), 1u);
+  EXPECT_EQ(logic.gro_coalesced(), 0u);
 }
 
 // ---- BlkDeviceLogic through the controller (same-chain responses) -----------------
@@ -369,7 +524,7 @@ struct BlkFixture : ::testing::Test {
     std::vector<virtio::ChainBuffer> chain;
     chain.push_back({hdr_addr, kRequestHeaderBytes, false});
     HostAddr data_addr = 0;
-    if (type == virtio::blk::RequestType::Out) {
+    if (!out_data.empty()) {
       data_addr = memory.allocate(out_data.size());
       memory.write(data_addr, out_data);
       chain.push_back({data_addr, static_cast<u32>(out_data.size()), false});
@@ -427,15 +582,32 @@ TEST_F(BlkFixture, UnsupportedRequestTypeReported) {
             virtio::blk::kStatusUnsupported);
 }
 
-TEST_F(BlkFixture, GetIdReturnsDeviceId) {
-  Bytes id(virtio::blk::kDeviceIdBytes, 0xff);
-  EXPECT_EQ(submit(virtio::blk::RequestType::GetId, 0, {}, &id),
-            virtio::blk::kStatusOk);
-  const std::string name(id.begin(),
-                         id.begin() + static_cast<std::ptrdiff_t>(
-                                          std::strlen("vfpga-blk0")));
-  EXPECT_EQ(name, "vfpga-blk0");
-  EXPECT_EQ(blk.get_ids(), 1u);
+TEST_F(BlkFixture, RetiredAndUndefinedRequestTypesAreUnsupported) {
+  // GET_ID (8) and DISCARD (11) are spec request types the device does
+  // not serve; 200 is undefined. Each is refused with UNSUPP in the
+  // shape a driver would send it (a writable id buffer, a readable
+  // discard range), the device stays healthy, and I/O still
+  // round-trips after it.
+  Bytes range(16, 0);  // virtio_blk_discard_write_zeroes: sector 4, 1 sector
+  store_le64(ByteSpan{range}, 0, 4);
+  store_le32(ByteSpan{range}, 8, 1);
+  const Bytes data(512, 0x5e);
+  for (const u32 type : {8u, 11u, 200u}) {
+    SCOPED_TRACE(type);
+    const auto request_type = static_cast<virtio::blk::RequestType>(type);
+    Bytes id(20, 0);
+    EXPECT_EQ(submit(request_type, 0, {}, &id),
+              virtio::blk::kStatusUnsupported);
+    EXPECT_EQ(submit(request_type, 0, range),
+              virtio::blk::kStatusUnsupported);
+    EXPECT_EQ(device->device_status() & virtio::status::kDeviceNeedsReset, 0);
+    EXPECT_EQ(submit(virtio::blk::RequestType::Out, 4, data),
+              virtio::blk::kStatusOk);
+    Bytes readback(512, 0);
+    EXPECT_EQ(submit(virtio::blk::RequestType::In, 4, {}, &readback),
+              virtio::blk::kStatusOk);
+    EXPECT_EQ(readback, data);
+  }
 }
 
 TEST_F(BlkFixture, CapacityVisibleInDeviceConfig) {
