@@ -7,7 +7,6 @@
 
 #include "vfpga/core/blk_device.hpp"
 #include "vfpga/core/console_device.hpp"
-#include "vfpga/core/device_spec.hpp"
 #include "vfpga/core/net_device.hpp"
 #include "vfpga/core/virtio_controller.hpp"
 #include "vfpga/pcie/enumeration.hpp"
@@ -55,24 +54,6 @@ int main() {
   describe(net, "net");
   describe(console, "console");
   describe(blk, "blk");
-
-  // The DISL front door (paper SVI): the same endpoints, generated from
-  // a declarative specification instead of C++ construction.
-  std::puts("\nfrom a DISL-style specification:");
-  const char* spec_text =
-      "# storage tile for the acceleration fabric\n"
-      "device           = blk\n"
-      "capacity_sectors = 65536\n"
-      "queue_size       = 64\n"
-      "packed_ring      = on\n";
-  std::string error;
-  const auto spec = core::DeviceSpec::parse(spec_text, &error);
-  if (!spec.has_value()) {
-    std::printf("spec error: %s\n", error.c_str());
-    return 1;
-  }
-  core::BuiltDevice generated = core::build_device(*spec);
-  describe(*generated.logic, "spec:blk");
 
   std::puts("\nEach personality binds a different in-kernel driver\n"
             "(virtio_net / virtio_console / virtio_blk) — none of which\n"

@@ -52,7 +52,6 @@ void BlkDeviceLogic::on_driver_ready(virtio::FeatureSet negotiated) {
   // about how many rings exist. Fail loudly at DRIVER_OK.
   VFPGA_EXPECTS(!negotiated.has(virtio::feature::blk::kMq) ||
                 config_.num_queues > 1);
-  negotiated_ = negotiated;
 }
 
 u8 BlkDeviceLogic::device_config_read(u32 offset) const {
@@ -121,17 +120,6 @@ UserLogic::Response BlkDeviceLogic::status_only(u8 status, u64 cycles,
 }
 
 std::optional<UserLogic::Response> BlkDeviceLogic::process(
-    u16 queue, ConstByteSpan payload, u32 writable_capacity) {
-  // Direct byte-level entry (unit tests): synthesize the minimal chain
-  // shape a [header][data][status] request would have.
-  ChainMeta meta;
-  meta.readable_descriptors =
-      payload.size() > virtio::blk::kRequestHeaderBytes ? 2u : 1u;
-  meta.writable_descriptors = writable_capacity > 1 ? 2u : 1u;
-  return process_chain(queue, payload, writable_capacity, meta);
-}
-
-std::optional<UserLogic::Response> BlkDeviceLogic::process_chain(
     u16 queue, ConstByteSpan payload, u32 writable_capacity,
     const ChainMeta& meta) {
   VFPGA_EXPECTS(queue < config_.num_queues);
@@ -265,7 +253,6 @@ void BlkDeviceLogic::simulate_power_loss() {
 }
 
 void BlkDeviceLogic::transfer(migrate::StateIo& io) {
-  io.features(negotiated_);
   // The three layers are sized by the capacity: written as blobs, read
   // back only into a target of the same size.
   for (Bytes* layer : {&storage_, &durable_, &dirty_}) {

@@ -84,10 +84,8 @@ class BlkDeviceLogic final : public UserLogic {
   }
   [[nodiscard]] u8 device_config_read(u32 offset) const override;
   std::optional<Response> process(u16 queue, ConstByteSpan payload,
-                                  u32 writable_capacity) override;
-  std::optional<Response> process_chain(u16 queue, ConstByteSpan payload,
-                                        u32 writable_capacity,
-                                        const ChainMeta& meta) override;
+                                  u32 writable_capacity,
+                                  const ChainMeta& meta) override;
 
   // ---- stats -------------------------------------------------------------------
   [[nodiscard]] u64 reads() const { return reads_; }
@@ -121,7 +119,6 @@ class BlkDeviceLogic final : public UserLogic {
 
   BlkDeviceConfig config_;
   fault::FaultPlane* fault_ = nullptr;
-  virtio::FeatureSet negotiated_;
   Bytes storage_;
   Bytes durable_;
   std::vector<u8> dirty_;  ///< per-sector write-back flag

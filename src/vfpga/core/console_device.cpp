@@ -9,13 +9,13 @@ using virtio::console::ConsoleConfigLayout;
 u8 ConsoleDeviceLogic::device_config_read(u32 offset) const {
   switch (offset) {
     case ConsoleConfigLayout::kColsOffset:
-      return static_cast<u8>(config_.cols & 0xff);
+      return static_cast<u8>(kConsoleCols & 0xff);
     case ConsoleConfigLayout::kColsOffset + 1:
-      return static_cast<u8>(config_.cols >> 8);
+      return static_cast<u8>(kConsoleCols >> 8);
     case ConsoleConfigLayout::kRowsOffset:
-      return static_cast<u8>(config_.rows & 0xff);
+      return static_cast<u8>(kConsoleRows & 0xff);
     case ConsoleConfigLayout::kRowsOffset + 1:
-      return static_cast<u8>(config_.rows >> 8);
+      return static_cast<u8>(kConsoleRows >> 8);
     case ConsoleConfigLayout::kMaxPortsOffset:
       return 1;
     default:
@@ -24,7 +24,8 @@ u8 ConsoleDeviceLogic::device_config_read(u32 offset) const {
 }
 
 std::optional<UserLogic::Response> ConsoleDeviceLogic::process(
-    u16 queue, ConstByteSpan payload, u32 /*writable_capacity*/) {
+    u16 queue, ConstByteSpan payload, u32 /*writable_capacity*/,
+    const ChainMeta& /*meta*/) {
   VFPGA_EXPECTS(queue == virtio::console::kTxQueue);
   Response response;
   response.payload.assign(payload.begin(), payload.end());

@@ -9,10 +9,9 @@
 
 namespace vfpga::core {
 
-struct ConsoleDeviceConfig {
-  u16 cols = 80;
-  u16 rows = 25;
-};
+/// Console geometry the personality always advertises (F_SIZE).
+inline constexpr u16 kConsoleCols = 80;
+inline constexpr u16 kConsoleRows = 25;
 
 /// Echo pipeline cost: fixed cycles + cycles per 8-byte beat.
 inline constexpr u64 kConsoleFixedCycles = 24;
@@ -20,9 +19,6 @@ inline constexpr u64 kConsoleCyclesPerBeat = 1;
 
 class ConsoleDeviceLogic final : public UserLogic {
  public:
-  explicit ConsoleDeviceLogic(ConsoleDeviceConfig config = {})
-      : config_(config) {}
-
   [[nodiscard]] virtio::DeviceType device_type() const override {
     return virtio::DeviceType::Console;
   }
@@ -37,12 +33,12 @@ class ConsoleDeviceLogic final : public UserLogic {
   }
   [[nodiscard]] u8 device_config_read(u32 offset) const override;
   std::optional<Response> process(u16 queue, ConstByteSpan payload,
-                                  u32 writable_capacity) override;
+                                  u32 writable_capacity,
+                                  const ChainMeta& meta) override;
 
   [[nodiscard]] u64 bytes_echoed() const { return bytes_echoed_; }
 
  private:
-  ConsoleDeviceConfig config_;
   u64 bytes_echoed_ = 0;
 };
 

@@ -150,7 +150,7 @@ u8 NetDeviceLogic::device_config_read(u32 offset) const {
     case NetConfigLayout::kMacOffset + 3:
     case NetConfigLayout::kMacOffset + 4:
     case NetConfigLayout::kMacOffset + 5:
-      return config_.mac.octets[offset - NetConfigLayout::kMacOffset];
+      return kFpgaMac.octets[offset - NetConfigLayout::kMacOffset];
     case NetConfigLayout::kStatusOffset:
       return static_cast<u8>(virtio::net::kNetStatusLinkUp);
     case NetConfigLayout::kStatusOffset + 1:
@@ -180,7 +180,8 @@ u64 NetDeviceLogic::processing_cycles(u64 frame_bytes,
 }
 
 std::optional<UserLogic::Response> NetDeviceLogic::process(
-    u16 queue, ConstByteSpan payload, u32 writable_capacity) {
+    u16 queue, ConstByteSpan payload, u32 writable_capacity,
+    const ChainMeta& /*meta*/) {
   if (has_ctrl_queue() && queue == ctrl_queue()) {
     return process_ctrl(queue, payload, writable_capacity);
   }
@@ -221,7 +222,7 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
         parsed_ip->payload_offset, parsed_ip->payload_length));
     if (!icmp.has_value() || !icmp->checksum_ok ||
         icmp->header.type != net::IcmpType::EchoRequest ||
-        parsed_ip->header.dst != config_.ip) {
+        parsed_ip->header.dst != kFpgaIp) {
       ++dropped_;
       return std::nullopt;
     }
@@ -234,13 +235,13 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
         icmp->payload_length);
     const Bytes reply_icmp = net::build_icmp_echo(reply_hdr, icmp_payload);
     net::Ipv4Header reply_ip;
-    reply_ip.src = config_.ip;
+    reply_ip.src = kFpgaIp;
     reply_ip.dst = parsed_ip->header.src;
     reply_ip.protocol = net::IpProtocol::Icmp;
     reply_ip.identification = parsed_ip->header.identification;
     const Bytes reply_packet = net::build_ipv4_packet(reply_ip, reply_icmp);
     const Bytes reply_frame = net::build_ethernet_frame(
-        net::EthernetHeader{parsed_eth->header.src, config_.mac,
+        net::EthernetHeader{parsed_eth->header.src, kFpgaMac,
                             net::EtherType::Ipv4},
         reply_packet);
 
@@ -312,7 +313,7 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   // Write the echo once: same payload, endpoints swapped.
   net::UdpFrameHeader echo;
   echo.eth.dst = parsed_eth->header.src;
-  echo.eth.src = config_.mac;
+  echo.eth.src = kFpgaMac;
   echo.ip.src = dst_ip;
   echo.ip.dst = src_ip;
   echo.ip.identification = parsed_ip->header.identification;

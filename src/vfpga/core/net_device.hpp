@@ -27,8 +27,6 @@ class StateIo;
 namespace vfpga::core {
 
 struct NetDeviceConfig {
-  net::MacAddr mac{{0x02, 0xfa, 0xde, 0x00, 0x00, 0x01}};
-  net::Ipv4Addr ip = net::Ipv4Addr::from_octets(10, 42, 0, 2);
   u16 mtu = 1500;
   /// Offer TX checksum offload (VIRTIO_NET_F_CSUM).
   bool offer_csum = true;
@@ -61,6 +59,11 @@ inline constexpr NetPipelineTiming kNetPipelineTiming{
 
 class NetDeviceLogic final : public UserLogic {
  public:
+  /// The FPGA's addresses on the point-to-point link to the host.
+  static constexpr net::MacAddr kFpgaMac{{0x02, 0xfa, 0xde, 0x00, 0x00, 0x01}};
+  static constexpr net::Ipv4Addr kFpgaIp =
+      net::Ipv4Addr::from_octets(10, 42, 0, 2);
+
   explicit NetDeviceLogic(NetDeviceConfig config = {});
 
   // ---- UserLogic ---------------------------------------------------------------
@@ -84,7 +87,8 @@ class NetDeviceLogic final : public UserLogic {
   }
   [[nodiscard]] u8 device_config_read(u32 offset) const override;
   std::optional<Response> process(u16 queue, ConstByteSpan payload,
-                                  u32 writable_capacity) override;
+                                  u32 writable_capacity,
+                                  const ChainMeta& meta) override;
 
   // ---- multiqueue ---------------------------------------------------------------
   [[nodiscard]] u16 max_queue_pairs() const { return config_.max_queue_pairs; }

@@ -99,7 +99,8 @@ VirtioNetTestbed::VirtioNetTestbed(TestbedOptions options)
   VFPGA_ASSERT(driver_.using_packed_rings() == options_.use_packed_rings);
 
   stack_ = std::make_unique<hostos::KernelNetstack>(driver_, irq_);
-  stack_->configure_fpga_route(options_.net.ip, options_.net.mac);
+  stack_->configure_fpga_route(NetDeviceLogic::kFpgaIp,
+                               NetDeviceLogic::kFpgaMac);
   socket_ =
       std::make_unique<hostos::UdpSocket>(*stack_, TestbedOptions::udp_port);
 
@@ -185,8 +186,8 @@ VirtioNetTestbed::RoundTrip VirtioNetTestbed::udp_round_trip(
 
   const sim::SimTime start = t.now();
   RoundTrip rt;
-  if (!socket_->sendto(t, options_.net.ip, TestbedOptions::fpga_udp_port,
-                       payload)) {
+  if (!socket_->sendto(t, NetDeviceLogic::kFpgaIp,
+                       TestbedOptions::fpga_udp_port, payload)) {
     return rt;
   }
   const auto reply = socket_->recvfrom(t);

@@ -77,7 +77,9 @@ class VirtioNetTestbed {
   [[nodiscard]] hostos::InterruptController& irq() { return irq_; }
   [[nodiscard]] pcie::RootComplex& root_complex() { return *rc_; }
   [[nodiscard]] mem::HostMemory& memory() { return *memory_; }
-  [[nodiscard]] net::Ipv4Addr fpga_ip() const { return options_.net.ip; }
+  [[nodiscard]] net::Ipv4Addr fpga_ip() const {
+    return NetDeviceLogic::kFpgaIp;
+  }
   [[nodiscard]] const TestbedOptions& options() const { return options_; }
   /// Block-device accessors — valid only when options.attach_blk.
   [[nodiscard]] bool blk_attached() const { return blk_device_ != nullptr; }
@@ -141,10 +143,6 @@ class VirtioNetTestbed {
 
 class XdmaTestbed {
  public:
-  /// BRAM behind the example design's AXI-MM port, sized like the
-  /// VirtIO controller's staging buffer.
-  static constexpr u64 kBramBytes = 128 * 1024;
-
   explicit XdmaTestbed(TestbedOptions options = {});
 
   [[nodiscard]] hostos::HostThread& thread() { return *thread_; }

@@ -51,9 +51,9 @@ class UserLogic {
   virtual void attach_fault_plane(fault::FaultPlane* /*plane*/) {}
 
   // ---- device-specific configuration structure -------------------------------
+  /// Read-only to the driver: the controller ignores its writes.
   [[nodiscard]] virtual u32 device_config_size() const = 0;
   [[nodiscard]] virtual u8 device_config_read(u32 offset) const = 0;
-  virtual void device_config_write(u32 /*offset*/, u8 /*value*/) {}
 
   // ---- datapath ----------------------------------------------------------------
 
@@ -85,18 +85,9 @@ class UserLogic {
     std::vector<Bytes> trailing_frames;
   };
 
-  /// Process one buffer the host made available on `queue`. `payload`
-  /// is the gathered device-readable bytes of the chain;
-  /// `writable_capacity` is the total size of the chain's
-  /// device-writable buffers (a same-chain response must fit in it —
-  /// block-style requests derive their read length from it).
-  virtual std::optional<Response> process(u16 queue, ConstByteSpan payload,
-                                          u32 writable_capacity) = 0;
-
   /// Descriptor-level shape of the chain being processed, for
   /// personalities that enforce per-request segment limits (virtio-blk
-  /// seg_max) — the byte-level process() signature cannot see segment
-  /// boundaries.
+  /// seg_max) — the gathered bytes cannot show segment boundaries.
   struct ChainMeta {
     u32 readable_descriptors = 0;
     u32 writable_descriptors = 0;
@@ -105,18 +96,18 @@ class UserLogic {
     /// that direction).
     u32 largest_readable_bytes = 0;
     u32 largest_writable_bytes = 0;
-    bool via_indirect = false;
   };
 
-  /// Chain-aware entry point the controller actually calls. The default
-  /// forwards to process(), so byte-oriented personalities (net,
-  /// console) are untouched.
-  virtual std::optional<Response> process_chain(u16 queue,
-                                                ConstByteSpan payload,
-                                                u32 writable_capacity,
-                                                const ChainMeta& /*meta*/) {
-    return process(queue, payload, writable_capacity);
-  }
+  /// Process one buffer the host made available on `queue`. `payload`
+  /// is the gathered device-readable bytes of the chain;
+  /// `writable_capacity` is the total size of the chain's
+  /// device-writable buffers (a same-chain response must fit in it —
+  /// block-style requests derive their read length from it); `meta` is
+  /// the chain's descriptor shape, which byte-oriented personalities
+  /// (net, console) ignore.
+  virtual std::optional<Response> process(u16 queue, ConstByteSpan payload,
+                                          u32 writable_capacity,
+                                          const ChainMeta& meta) = 0;
 };
 
 }  // namespace vfpga::core

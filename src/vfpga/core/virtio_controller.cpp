@@ -54,7 +54,7 @@ VirtioDeviceFunction::VirtioDeviceFunction(UserLogic& user_logic,
                                            ControllerConfig config)
     : user_logic_(&user_logic),
       config_(config),
-      bram_(config.bram_bytes),
+      bram_(kBramBytes),
       queue_state_(user_logic.queue_count()),
       engines_(user_logic.queue_count()),
       credits_(user_logic.queue_count(), 0),
@@ -174,12 +174,7 @@ void VirtioDeviceFunction::bar_write(u32 bar, BarOffset offset, u64 value,
   }
   if (offset >= kDeviceCfgOffset &&
       offset < kDeviceCfgOffset + user_logic_->device_config_size()) {
-    for (u32 i = 0; i < size; ++i) {
-      user_logic_->device_config_write(
-          static_cast<u32>(offset - kDeviceCfgOffset) + i,
-          static_cast<u8>(value >> (8 * i)));
-    }
-    return;
+    return;  // every personality's config structure is read-only
   }
   if (offset >= kNotifyOffset &&
       offset <
@@ -515,7 +510,6 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
 
     u32 writable_capacity = 0;
     UserLogic::ChainMeta meta;
-    meta.via_indirect = chain.via_indirect;
     for (const virtio::Descriptor& d : chain.descriptors) {
       if ((d.flags & virtio::descflags::kWrite) != 0) {
         writable_capacity += d.len;
@@ -531,7 +525,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
 
     counters_.capture(fpga::CounterEvent::kUlStart, t);
     std::optional<UserLogic::Response> response =
-        user_logic_->process_chain(queue, payload_, writable_capacity, meta);
+        user_logic_->process(queue, payload_, writable_capacity, meta);
     if (response.has_value()) {
       const sim::Duration processing =
           kQueueTiming.clock.cycles(response->processing_cycles);

@@ -51,13 +51,14 @@ inline constexpr u32 kNotifyOffMultiplier = 4;
 inline constexpr BarOffset kMsixTableOffset = 0x2000;
 inline constexpr BarOffset kMsixPbaOffset = 0x3000;
 inline constexpr u64 kBar0Size = 0x4000;
+/// BRAM staging buffer for frames (Fig. 2: "BRAM or external DRAM"); the
+/// XDMA example design's AXI-MM BRAM has the same size.
+inline constexpr u64 kBramBytes = 128 * 1024;
 
 struct ControllerConfig {
   ControllerPolicy policy{};
   /// Queue size the device advertises.
   u16 max_queue_size = 256;
-  /// BRAM staging buffer for frames (Fig. 2: "BRAM or external DRAM").
-  u64 bram_bytes = 128 * 1024;
 };
 
 class VirtioDeviceFunction : public pcie::Function {

@@ -23,8 +23,6 @@ void encode_fingerprint(const core::TestbedOptions& o, StateWriter& w) {
   w.put_u64(o.seed);
   w.put_bool(o.use_packed_rings);
   w.put_u16(o.requested_queue_pairs);
-  w.put_bytes(o.net.mac.octets);
-  w.put_u32(o.net.ip.value);
   w.put_u16(o.net.mtu);
   w.put_bool(o.net.offer_csum);
   w.put_u16(o.net.max_queue_pairs);

@@ -18,14 +18,6 @@ SampleSet& ShardedSamples::shard(std::size_t index) {
   return shards_[index];
 }
 
-std::size_t ShardedSamples::total_count() const {
-  std::size_t total = 0;
-  for (const SampleSet& s : shards_) {
-    total += s.count();
-  }
-  return total;
-}
-
 SampleSet ShardedSamples::merged() const {
   SampleSet all;
   for (const SampleSet& s : shards_) {

@@ -21,12 +21,6 @@ class ShardedSamples {
   /// Shard `index` — exclusive to one worker while the pool runs.
   [[nodiscard]] SampleSet& shard(std::size_t index);
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-
-  /// Total samples across all shards — a cheap progress/size probe that
-  /// does not force the merge. Call only after the workers joined.
-  [[nodiscard]] std::size_t total_count() const;
-
   /// Combine all shards. Call only after the workers joined.
   [[nodiscard]] SampleSet merged() const;
 

@@ -1,47 +1,61 @@
 #!/usr/bin/env python3
-"""Per-file line coverage of src/ from a --coverage build.
+"""Per-file line coverage of src/ from one or more --coverage builds.
 
-Usage: python3 tests/coverage_summary.py BUILD_DIR
+Usage: python3 tests/coverage_summary.py BUILD_DIR [BUILD_DIR ...]
 
-Configure BUILD_DIR with -DCMAKE_CXX_FLAGS=--coverage
--DCMAKE_EXE_LINKER_FLAGS=--coverage, run whatever should count (ctest
-runs every bench and example through the goldens), then run this. It
-asks gcov for line counts of the library's objects (writing no .gcov
-files) and prints one row per src/**/*.cpp, lowest coverage first, and
-the total. It sets no threshold: it exits 1 only when BUILD_DIR holds
-no coverage data.
+Configure each BUILD_DIR with "-DCMAKE_CXX_FLAGS=--coverage
+-fprofile-update=atomic" -DCMAKE_EXE_LINKER_FLAGS=--coverage (threaded
+runs corrupt non-atomic counters), run whatever should count (ctest
+runs every bench and example through the goldens; a build of perfbench/
+runs the benchmark's workloads), then run this. It asks gcov for the
+line counts of every object under each BUILD_DIR (gcov --json-format,
+writing no files), sums them per line of each src/**/*.cpp across the
+builds, and prints one row per file, lowest coverage first, and the
+total. A line counts as executable when any build compiled it and as
+run when any build ran it. It sets no threshold: it exits 1 only when
+some BUILD_DIR holds no coverage data.
 """
+import collections
+import json
+import os
 import pathlib
-import re
 import subprocess
 import sys
 
 
+def line_counts(build_dir, counts):
+    """Adds BUILD_DIR's per-line execution counts of src/vfpga/**/*.cpp
+    to counts[source][line]. Returns False when it holds no .gcda."""
+    gcda = sorted(str(p) for p in pathlib.Path(build_dir).rglob("*.gcda"))
+    if not gcda:
+        print(f"error: no .gcda files under {build_dir}", file=sys.stderr)
+        return False
+    out = subprocess.run(["gcov", "--json-format", "--stdout", *gcda],
+                         capture_output=True, text=True, check=True).stdout
+    for document in out.splitlines():
+        if not document.strip():
+            continue
+        for entry in json.loads(document)["files"]:
+            source = os.path.normpath(entry["file"])
+            if "/src/vfpga/" not in source or not source.endswith(".cpp"):
+                continue
+            name = source.split("/src/", 1)[1]
+            for line in entry["lines"]:
+                counts[name][line["line_number"]] += line["count"]
+    return True
+
+
 def main() -> int:
-    if len(sys.argv) != 2:
+    if len(sys.argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    lib = pathlib.Path(sys.argv[1]) / "src"
-    gcda = sorted(str(p) for p in lib.rglob("*.gcda"))
-    if not gcda:
-        print(f"error: no .gcda files under {lib}", file=sys.stderr)
-        return 1
-    out = subprocess.run(["gcov", "-n", *gcda], capture_output=True,
-                         text=True, check=True).stdout
+    counts = collections.defaultdict(collections.Counter)
+    for build_dir in sys.argv[1:]:
+        if not line_counts(build_dir, counts):
+            return 1
 
-    rows = {}
-    source = None
-    for line in out.splitlines():
-        if m := re.match(r"File '(.*)'", line):
-            source = m.group(1)
-        elif (m := re.match(r"Lines executed:([\d.]+)% of (\d+)", line)) \
-                and source is not None:
-            total = int(m.group(2))
-            if "/src/vfpga/" in source and source.endswith(".cpp") and total:
-                hit = round(float(m.group(1)) * total / 100)
-                rows[source.split("/src/", 1)[1]] = (hit, total)
-            source = None
-
+    rows = {name: (sum(1 for c in lines.values() if c > 0), len(lines))
+            for name, lines in counts.items() if lines}
     print(f"{'lines':>6} {'cover':>7}  file")
     for name, (hit, total) in sorted(rows.items(),
                                      key=lambda r: (r[1][0] / r[1][1], r[0])):

@@ -16,6 +16,35 @@ namespace {
 
 using testing_support::TestDriver;
 
+/// The device-specific config window as the driver reads it, byte by byte.
+Bytes read_device_config(VirtioDeviceFunction& device, sim::SimTime at) {
+  Bytes bytes(device.user_logic().device_config_size());
+  for (u32 i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<u8>(device.bar_read(0, kDeviceCfgOffset + i, 1, at));
+  }
+  return bytes;
+}
+
+/// Writes the bitwise complement of every 1-, 2- and 4-byte field of the
+/// device-specific config window, then checks that every byte reads back
+/// unchanged and that the device did not latch DEVICE_NEEDS_RESET.
+void expect_config_writes_ignored(VirtioDeviceFunction& device,
+                                  sim::SimTime at) {
+  const Bytes before = read_device_config(device, at);
+  for (const u32 width : {1u, 2u, 4u}) {
+    for (u32 offset = 0; offset + width <= before.size(); offset += width) {
+      u64 complement = 0;
+      for (u32 i = 0; i < width; ++i) {
+        complement |= static_cast<u64>(static_cast<u8>(~before[offset + i]))
+                      << (8 * i);
+      }
+      device.bar_write(0, kDeviceCfgOffset + offset, complement, width, at);
+    }
+  }
+  EXPECT_EQ(read_device_config(device, at), before);
+  EXPECT_EQ(device.device_status() & virtio::status::kDeviceNeedsReset, 0);
+}
+
 struct ControllerFixture : ::testing::Test {
   mem::HostMemory memory;
   pcie::RootComplex rc{memory, pcie::LinkModel{}};
@@ -173,6 +202,42 @@ TEST_F(ControllerFixture, DeviceConfigExposesConsoleGeometry) {
   using virtio::console::ConsoleConfigLayout;
   EXPECT_EQ(driver->device_cfg16(ConsoleConfigLayout::kColsOffset), 80);
   EXPECT_EQ(driver->device_cfg16(ConsoleConfigLayout::kRowsOffset), 25);
+}
+
+TEST_F(ControllerFixture, DeviceConfigWritesAreIgnored) {
+  driver->initialize(2);
+  expect_config_writes_ignored(*device, sim::SimTime{});
+
+  const HostAddr rx_buf = memory.allocate(64);
+  const virtio::ChainBuffer rx{rx_buf, 64, true};
+  driver->vq(virtio::console::kRxQueue).add_chain(std::span{&rx, 1}, 1);
+  driver->vq(virtio::console::kRxQueue).publish();
+  const HostAddr tx_buf = memory.allocate(8);
+  const Bytes message{'c', 'f', 'g'};
+  memory.write(tx_buf, message);
+  const virtio::ChainBuffer tx{tx_buf, 3, false};
+  driver->vq(virtio::console::kTxQueue).add_chain(std::span{&tx, 1}, 2);
+  driver->vq(virtio::console::kTxQueue).publish();
+  driver->notify(virtio::console::kTxQueue);
+  const auto completion =
+      driver->vq(virtio::console::kRxQueue).harvest_used();
+  ASSERT_TRUE(completion.has_value());
+  EXPECT_EQ(memory.read_bytes(rx_buf, 3), message);
+}
+
+TEST(DeviceConfigWrites, NetAndBlkIgnoreThemAndKeepServing) {
+  TestbedOptions options;
+  options.attach_blk = true;
+  VirtioNetTestbed bed{options};
+  expect_config_writes_ignored(bed.device(), bed.thread().now());
+  expect_config_writes_ignored(bed.blk_device(), bed.thread().now());
+
+  EXPECT_TRUE(bed.udp_round_trip(Bytes(64, 0x3c)).ok);
+  const Bytes sector(virtio::blk::kSectorBytes, 0x5e);
+  ASSERT_TRUE(bed.blk_driver().write_sectors(bed.thread(), 0, sector));
+  Bytes back(sector.size());
+  ASSERT_TRUE(bed.blk_driver().read_sectors(bed.thread(), 0, back));
+  EXPECT_EQ(back, sector);
 }
 
 TEST_F(ControllerFixture, PerfCountersRecordNotifyAndIrq) {

@@ -10,7 +10,6 @@
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/harness/fault_campaign.hpp"
-#include "vfpga/hostos/virtio_console_driver.hpp"
 #include "vfpga/pcie/enumeration.hpp"
 #include "vfpga/virtio/packed_driver.hpp"
 #include "vfpga/virtio/packed_layout.hpp"
@@ -166,91 +165,6 @@ TEST(FaultVirtio, MaskedVectorDefersInterruptUntilUnmask) {
   rig.device.bar_write(0, entry1 + pcie::kMsixEntryControl, 0, 4,
                        sim::SimTime{} + sim::microseconds(500));
   EXPECT_TRUE(rig.irq.pending(rx_vector));
-}
-
-// ---- console driver end-to-end (also covers the third personality's
-// host-side driver) ---------------------------------------------------------------------
-
-TEST(ConsoleDriver, EchoBytesThroughFullStack) {
-  mem::HostMemory memory;
-  pcie::RootComplex rc{memory, pcie::LinkModel{}};
-  core::ConsoleDeviceLogic logic;
-  core::VirtioDeviceFunction device{logic};
-  hostos::InterruptController irq;
-  rc.set_irq_sink([&](u32 d, sim::SimTime at) { irq.deliver(d, at); });
-  rc.attach(device);
-  device.connect(rc);
-  const auto enumerated = pcie::enumerate_bus(rc);
-  ASSERT_EQ(enumerated.size(), 1u);
-
-  sim::Xoshiro256 rng{9};
-  sim::NoiseModel noise{sim::NoiseConfig{.enabled = false}};
-  const auto costs = hostos::CostModelConfig::fedora_defaults();
-  hostos::HostThread thread{rng, costs, noise};
-
-  hostos::VirtioConsoleDriver driver;
-  hostos::VirtioPciTransport::BindContext ctx;
-  ctx.rc = &rc;
-  ctx.device = &device;
-  ctx.enumerated = &enumerated.front();
-  ctx.irq = &irq;
-  ASSERT_TRUE(driver.probe(ctx, thread));
-  EXPECT_EQ(driver.cols(), 80);
-  EXPECT_EQ(driver.rows(), 25);
-
-  const Bytes message{'D', 'I', 'S', 'L'};
-  ASSERT_TRUE(driver.write(thread, message));
-  Bytes out(16);
-  const auto count = driver.read(thread, out);
-  ASSERT_TRUE(count.has_value());
-  EXPECT_EQ(*count, 4u);
-  EXPECT_TRUE(std::equal(message.begin(), message.end(), out.begin()));
-  EXPECT_EQ(logic.bytes_echoed(), 4u);
-
-  // Nothing more to read: timeout analogue.
-  EXPECT_FALSE(driver.read(thread, out).has_value());
-}
-
-TEST(ConsoleDriver, LongStreamSplitsAcrossRxBuffers) {
-  mem::HostMemory memory;
-  pcie::RootComplex rc{memory, pcie::LinkModel{}};
-  core::ConsoleDeviceLogic logic;
-  core::VirtioDeviceFunction device{logic};
-  hostos::InterruptController irq;
-  rc.set_irq_sink([&](u32 d, sim::SimTime at) { irq.deliver(d, at); });
-  rc.attach(device);
-  device.connect(rc);
-  const auto enumerated = pcie::enumerate_bus(rc);
-  ASSERT_EQ(enumerated.size(), 1u);
-  sim::Xoshiro256 rng{10};
-  sim::NoiseModel noise{sim::NoiseConfig{.enabled = false}};
-  const auto costs = hostos::CostModelConfig::fedora_defaults();
-  hostos::HostThread thread{rng, costs, noise};
-  hostos::VirtioConsoleDriver driver;
-  hostos::VirtioPciTransport::BindContext ctx;
-  ctx.rc = &rc;
-  ctx.device = &device;
-  ctx.enumerated = &enumerated.front();
-  ctx.irq = &irq;
-  ASSERT_TRUE(driver.probe(ctx, thread));
-
-  Bytes stream(2000);
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    stream[i] = static_cast<u8>(i);
-  }
-  // Write in chunks below the TX buffer limit.
-  for (std::size_t off = 0; off < stream.size(); off += 400) {
-    const auto chunk = ConstByteSpan{stream}.subspan(
-        off, std::min<std::size_t>(400, stream.size() - off));
-    ASSERT_TRUE(driver.write(thread, chunk));
-  }
-  Bytes received;
-  Bytes buffer(256);
-  while (const auto n = driver.read(thread, buffer)) {
-    received.insert(received.end(), buffer.begin(),
-                    buffer.begin() + static_cast<std::ptrdiff_t>(*n));
-  }
-  EXPECT_EQ(received, stream);
 }
 
 // ---- FaultPlane unit behaviour -----------------------------------------------------

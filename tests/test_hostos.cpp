@@ -263,7 +263,7 @@ TEST_F(StackFixture, SentFrameMatchesBuilderChain) {
       ASSERT_TRUE(bed.socket().recvfrom(bed.thread()).has_value());
 
       net::UdpFrameHeader h;
-      h.eth.dst = bed.options().net.mac;
+      h.eth.dst = core::NetDeviceLogic::kFpgaMac;
       h.eth.src = bed.driver().mac();
       h.ip.src = KernelNetstack::kHostIp;
       h.ip.dst = bed.fpga_ip();

@@ -20,7 +20,7 @@ TEST(VirtioTestbed, BindsAndNegotiates) {
   EXPECT_TRUE(negotiated.has(virtio::feature::kRingEventIdx));
   EXPECT_TRUE(negotiated.has(virtio::feature::net::kMac));
   // The driver read the MAC out of the device-specific config structure.
-  EXPECT_EQ(bed.driver().mac(), bed.net_logic().device_config().mac);
+  EXPECT_EQ(bed.driver().mac(), core::NetDeviceLogic::kFpgaMac);
   EXPECT_EQ(bed.driver().mtu(), 1500);
 }
 
@@ -247,11 +247,11 @@ TEST(MultiDevice, ThreeEndpointsShareOneRootComplex) {
   ASSERT_TRUE(blk_driver.write_sectors(thread, 0, sectors));
 
   hostos::KernelNetstack stack{net_driver, irq};
-  stack.configure_fpga_route(net_logic.device_config().ip,
-                             net_logic.device_config().mac);
+  stack.configure_fpga_route(core::NetDeviceLogic::kFpgaIp,
+                             core::NetDeviceLogic::kFpgaMac);
   hostos::UdpSocket socket{stack, 5555};
   const Bytes payload(96, 0x7e);
-  ASSERT_TRUE(socket.sendto(thread, net_logic.device_config().ip, 9000,
+  ASSERT_TRUE(socket.sendto(thread, core::NetDeviceLogic::kFpgaIp, 9000,
                             payload));
 
   Bytes loopback(512, 0x11);

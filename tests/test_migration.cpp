@@ -543,19 +543,19 @@ TEST(Snapshot, ImagesArePinned) {
     return true;
   };
   const Pin pins[] = {
-      {"split", split_options(), quiesced, 0x7001bbd6, 74189, 0x1124bb25,
-       37233},
-      {"packed", packed_options(), quiesced, 0x7559ab24, 70585, 0x0c7f1e49,
-       37733},
-      {"multi-queue", multi_queue_options(), quiesced, 0x31b4247f, 153165,
-       0x5fe05090, 87481},
-      {"blk", blk_options(), drive_blk, 0xc1776b51, 359146, 0x4b321d7a,
-       313982},
+      {"split", split_options(), quiesced, 0x19a6dd90, 74179, 0x01910f42,
+       37223},
+      {"packed", packed_options(), quiesced, 0x33a57531, 70575, 0xcf4d7ac9,
+       37723},
+      {"multi-queue", multi_queue_options(), quiesced, 0xc04ac55a, 153155,
+       0xe876b815, 87471},
+      {"blk", blk_options(), drive_blk, 0x76207bb4, 359128, 0x839611a4,
+       313964},
       {"mid-mergeable", mid_mergeable_options(),
        [](core::VirtioNetTestbed& bed) {
          return drive_mid_flight(bed, kMidMergeablePayload);
        },
-       0xe2391009, 70089, 0xa2323657, 37237},
+       0x59d84916, 70079, 0x5ad58886, 37227},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.setup);
@@ -684,8 +684,9 @@ TEST(SnapshotReject, VersionSkew) {
   // Version 1 serialized the counter bank's whole capture log; version
   // 2 fingerprinted options that are now constants; version 3 carried
   // interrupt-moderation state; version 4 carried the ARP-reply,
-  // GET_ID and DISCARD counters.
-  for (const u8 version : {u8{1}, u8{2}, u8{3}, u8{4}, u8{99}}) {
+  // GET_ID and DISCARD counters; version 5 fingerprinted the device's
+  // MAC and IP and carried the blk personality's negotiated features.
+  for (const u8 version : {u8{1}, u8{2}, u8{3}, u8{4}, u8{5}, u8{99}}) {
     SCOPED_TRACE(static_cast<int>(version));
     Bytes image = current;
     image[8] = version;  // version field, checked before the checksum

@@ -219,19 +219,20 @@ Bytes pairs_set_command(u16 pairs) {
 std::vector<u16> echo_queues(core::NetDeviceLogic& logic) {
   const auto host_ip = net::Ipv4Addr::from_octets(10, 42, 0, 1);
   const net::MacAddr host_mac{{2, 0, 0, 0, 0, 1}};
-  const core::NetDeviceConfig& config = logic.device_config();
+  constexpr net::Ipv4Addr fpga_ip = core::NetDeviceLogic::kFpgaIp;
   std::vector<u16> queues;
   for (u16 port = 40000; port < 40064; ++port) {
     const Bytes udp = net_oracle::build_udp_datagram(
-        net::UdpHeader{port, 9000}, host_ip, config.ip, Bytes(32, 0x5a));
+        net::UdpHeader{port, 9000}, host_ip, fpga_ip, Bytes(32, 0x5a));
     const Bytes frame = net::build_ethernet_frame(
-        net::EthernetHeader{config.mac, host_mac, net::EtherType::Ipv4},
+        net::EthernetHeader{core::NetDeviceLogic::kFpgaMac, host_mac,
+                            net::EtherType::Ipv4},
         net::build_ipv4_packet(
-            net::Ipv4Header{host_ip, config.ip, net::IpProtocol::Udp}, udp));
+            net::Ipv4Header{host_ip, fpga_ip, net::IpProtocol::Udp}, udp));
     Bytes request(virtio::net::NetHeader::kSize, 0);
     request.insert(request.end(), frame.begin(), frame.end());
     const auto echo =
-        logic.process(virtio::net::tx_queue_index(0), request, 2048);
+        logic.process(virtio::net::tx_queue_index(0), request, 2048, {});
     queues.push_back(echo.has_value() ? echo->target_queue
                                       : virtio::kNoVector);
   }
@@ -249,7 +250,7 @@ TEST(MultiQueue, CtrlQueueRejectsHostileCommands) {
   core::NetDeviceLogic logic{config};
   logic.on_driver_ready(logic.device_features());
   const u16 ctrl = logic.ctrl_queue();
-  const auto enabled = logic.process(ctrl, pairs_set_command(3), 1);
+  const auto enabled = logic.process(ctrl, pairs_set_command(3), 1, {});
   ASSERT_TRUE(enabled.has_value());
   ASSERT_EQ(enabled->payload, Bytes{virtio::net::kCtrlOk});
   const std::vector<u16> steering = echo_queues(logic);
@@ -279,7 +280,7 @@ TEST(MultiQueue, CtrlQueueRejectsHostileCommands) {
     const u64 rejected = logic.ctrl_rejected();
     const u64 dropped = logic.dropped();
     const auto ack =
-        logic.process(ctrl, command.payload, command.writable_capacity);
+        logic.process(ctrl, command.payload, command.writable_capacity, {});
     if (command.writable_capacity == 0) {
       EXPECT_FALSE(ack.has_value());
       EXPECT_EQ(logic.dropped(), dropped + 1);

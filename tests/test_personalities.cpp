@@ -33,17 +33,17 @@ struct NetLogicFixture : ::testing::Test {
 
   Bytes make_udp_frame(ConstByteSpan payload, bool valid_udp_csum = true) {
     const Bytes udp = net_oracle::build_udp_datagram(
-        net::UdpHeader{4791, 9000}, host_ip, logic.device_config().ip,
+        net::UdpHeader{4791, 9000}, host_ip, NetDeviceLogic::kFpgaIp,
         payload);
     Bytes packet = net::build_ipv4_packet(
-        net::Ipv4Header{host_ip, logic.device_config().ip,
+        net::Ipv4Header{host_ip, NetDeviceLogic::kFpgaIp,
                         net::IpProtocol::Udp},
         udp);
     if (!valid_udp_csum) {
       packet[net::Ipv4Header::kSize + 6] ^= 0x55;
     }
     return net::build_ethernet_frame(
-        net::EthernetHeader{logic.device_config().mac, host_mac,
+        net::EthernetHeader{NetDeviceLogic::kFpgaMac, host_mac,
                             net::EtherType::Ipv4},
         packet);
   }
@@ -87,7 +87,7 @@ struct NetLogicFixture : ::testing::Test {
           frame.subspan(eth->payload_offset, eth->payload_length));
       ASSERT_TRUE(ip.has_value());
       EXPECT_TRUE(ip->checksum_ok);
-      EXPECT_EQ(ip->header.src, logic.device_config().ip);
+      EXPECT_EQ(ip->header.src, NetDeviceLogic::kFpgaIp);
       EXPECT_EQ(ip->header.dst, host_ip);
       const ConstByteSpan ip_payload = frame.subspan(
           eth->payload_offset + ip->payload_offset, ip->payload_length);
@@ -147,7 +147,8 @@ struct NetLogicFixture : ::testing::Test {
 TEST_F(NetLogicFixture, UdpEchoSwapsEndpointsAndRevalidates) {
   const Bytes payload(200, 0x3c);
   const auto response = logic.process(
-      virtio::net::kTxQueue, with_net_header(make_udp_frame(payload)), 2048);
+      virtio::net::kTxQueue, with_net_header(make_udp_frame(payload)), 2048,
+      {});
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->target_queue, virtio::net::kRxQueue);
   EXPECT_GT(response->processing_cycles, 0u);
@@ -159,12 +160,12 @@ TEST_F(NetLogicFixture, UdpEchoSwapsEndpointsAndRevalidates) {
   const auto eth = net::parse_ethernet_frame(frame);
   ASSERT_TRUE(eth.has_value());
   EXPECT_EQ(eth->header.dst, host_mac);
-  EXPECT_EQ(eth->header.src, logic.device_config().mac);
+  EXPECT_EQ(eth->header.src, NetDeviceLogic::kFpgaMac);
   const auto ip = net::parse_ipv4_packet(
       frame.subspan(eth->payload_offset, eth->payload_length));
   ASSERT_TRUE(ip.has_value());
   EXPECT_TRUE(ip->checksum_ok);
-  EXPECT_EQ(ip->header.src, logic.device_config().ip);
+  EXPECT_EQ(ip->header.src, NetDeviceLogic::kFpgaIp);
   EXPECT_EQ(ip->header.dst, host_ip);
   const auto udp = net::parse_udp_datagram(
       frame.subspan(eth->payload_offset + ip->payload_offset,
@@ -180,7 +181,7 @@ TEST_F(NetLogicFixture, UdpEchoSwapsEndpointsAndRevalidates) {
 TEST_F(NetLogicFixture, CorruptUdpChecksumIsDropped) {
   const auto response = logic.process(
       virtio::net::kTxQueue,
-      with_net_header(make_udp_frame(Bytes(64, 1), false)), 2048);
+      with_net_header(make_udp_frame(Bytes(64, 1), false)), 2048, {});
   EXPECT_FALSE(response.has_value());
   EXPECT_EQ(logic.dropped(), 1u);
 }
@@ -196,7 +197,7 @@ TEST_F(NetLogicFixture, OffloadedChecksumIsCompletedNotDropped) {
              net::EthernetHeader::kSize + net::Ipv4Header::kSize + 6, 0);
   const auto response =
       logic.process(virtio::net::kTxQueue,
-                    with_net_header(frame, NetHeader::kNeedsCsum), 2048);
+                    with_net_header(frame, NetHeader::kNeedsCsum), 2048, {});
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(logic.checksums_offloaded(), 1u);
   // Response carries DATA_VALID when GUEST_CSUM negotiated.
@@ -213,10 +214,10 @@ constexpr u64 kUdpOff = kIpOff + net::Ipv4Header::kSize;
 struct EchoOracleFixture : NetLogicFixture {
   net::UdpFrameHeader request_header(u16 ip_id) {
     net::UdpFrameHeader h;
-    h.eth = net::EthernetHeader{logic.device_config().mac, host_mac,
+    h.eth = net::EthernetHeader{NetDeviceLogic::kFpgaMac, host_mac,
                                 net::EtherType::Ipv4};
     h.ip.src = host_ip;
-    h.ip.dst = logic.device_config().ip;
+    h.ip.dst = NetDeviceLogic::kFpgaIp;
     h.ip.identification = ip_id;
     h.udp = net::UdpHeader{4791, 9000};
     return h;
@@ -228,7 +229,7 @@ struct EchoOracleFixture : NetLogicFixture {
   Bytes chain_echo(ConstByteSpan request, bool data_valid) {
     net::UdpFrameHeader h;
     std::copy_n(request.begin() + 6, 6, h.eth.dst.octets.begin());
-    h.eth.src = logic.device_config().mac;
+    h.eth.src = NetDeviceLogic::kFpgaMac;
     h.ip.src = net::Ipv4Addr{load_be32(request, kIpOff + 16)};
     h.ip.dst = net::Ipv4Addr{load_be32(request, kIpOff + 12)};
     h.ip.identification = load_be16(request, kIpOff + 4);
@@ -261,7 +262,7 @@ struct EchoOracleFixture : NetLogicFixture {
     return logic.process(
         virtio::net::kTxQueue,
         with_net_header(request, offload ? NetHeader::kNeedsCsum : u8{0}),
-        2048);
+        2048, {});
   }
 
   Bytes payload_bytes(u64 size) {
@@ -364,12 +365,13 @@ TEST_F(NetLogicFixture, ArpForSomeoneElseIgnored) {
   // one for its own are both dropped, counted and left unanswered.
   for (const net::Ipv4Addr target :
        {net::Ipv4Addr::from_octets(10, 42, 0, 200),
-        logic.device_config().ip}) {
+        NetDeviceLogic::kFpgaIp}) {
     SCOPED_TRACE(target.value);
     const u64 dropped = logic.dropped();
     EXPECT_FALSE(logic
                      .process(virtio::net::kTxQueue,
-                              with_net_header(arp_request_frame(target)), 2048)
+                              with_net_header(arp_request_frame(target)), 2048,
+                              {})
                      .has_value());
     EXPECT_EQ(logic.dropped(), dropped + 1);
   }
@@ -394,7 +396,7 @@ TEST_F(NetLogicFixture, GsoWithoutGuestUfoEchoesOneFramePerSegment) {
     }
     logic.on_driver_ready(negotiated);
     const auto response =
-        logic.process(virtio::net::kTxQueue, gso_request(payload), 2048);
+        logic.process(virtio::net::kTxQueue, gso_request(payload), 2048, {});
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->target_queue, virtio::net::kRxQueue);
     std::vector<Bytes> frames{response->payload};
@@ -410,7 +412,7 @@ TEST_F(NetLogicFixture, GsoWithoutGuestUfoEchoesOneFramePerSegment) {
 
 TEST_F(NetLogicFixture, RuntPayloadDropped) {
   EXPECT_FALSE(
-      logic.process(virtio::net::kTxQueue, Bytes(4, 0), 2048).has_value());
+      logic.process(virtio::net::kTxQueue, Bytes(4, 0), 2048, {}).has_value());
   EXPECT_EQ(logic.dropped(), 1u);
 }
 
@@ -418,7 +420,7 @@ TEST_F(NetLogicFixture, DeviceConfigStructureLayout) {
   using virtio::net::NetConfigLayout;
   for (u32 i = 0; i < 6; ++i) {
     EXPECT_EQ(logic.device_config_read(NetConfigLayout::kMacOffset + i),
-              logic.device_config().mac.octets[i]);
+              NetDeviceLogic::kFpgaMac.octets[i]);
   }
   EXPECT_EQ(logic.device_config_read(NetConfigLayout::kStatusOffset),
             virtio::net::kNetStatusLinkUp);
