@@ -2,18 +2,26 @@
 //
 // IQueueEngine is the format-independent contract the controller drives;
 // QueueEngine implements it over the split ring (the paper's format) and
-// PackedQueueEngine (packed_queue_engine.hpp) over the packed ring. The
-// controller selects per queue at enable time from the negotiated
-// VIRTIO_F_RING_PACKED bit, so a single device binary serves both driver
-// generations — the same property the Intel P-Tile hard IP advertises.
+// PackedQueueEngine (packed_queue_engine.hpp) over the packed ring. Each
+// engine is the device's whole view of one queue: it latches the ring
+// addresses once at queue enable (§IV-A: from then on a single doorbell
+// write starts a transfer), keeps the ring cursors, and reads and writes
+// the rings over DMA, every access a PCIe transaction timed by the link
+// model. The controller selects the format per queue at enable time from
+// the negotiated VIRTIO_F_RING_PACKED bit, so a single device binary
+// serves both driver generations — the same property the Intel P-Tile
+// hard IP advertises.
 #pragma once
 
 #include <array>
 #include <optional>
+#include <vector>
 
 #include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/fpga/clock.hpp"
-#include "vfpga/virtio/virtqueue_device.hpp"
+#include "vfpga/pcie/root_complex.hpp"
+#include "vfpga/virtio/features.hpp"
+#include "vfpga/virtio/ring_layout.hpp"
 
 namespace vfpga::migrate {
 class StateIo;
@@ -40,27 +48,27 @@ inline constexpr QueueTiming kQueueTiming{.clock = fpga::kUserClock,
                                           .irq_decision_cycles = 10};
 
 struct ControllerPolicy {
-  /// Fetch two adjacent descriptors in one PCIe read when the chain is
-  /// laid out contiguously (ablation: ABL-DESC).
+  /// Widen the first descriptor read of a split chain to a two-entry
+  /// burst: driver free lists lay chains out contiguously, so the second
+  /// entry is usually the continuation (ablation: ABL-DESC).
   bool batched_chain_fetch = false;
-  /// Offer and honour VIRTIO_F_EVENT_IDX.
-  bool use_event_idx = true;
   /// Consume RX buffers against a cached avail-idx snapshot instead of
   /// re-reading avail.idx before every response (ablation: the paper's
   /// conservative FSM re-polls each time).
   bool trust_cached_credits = false;
-  /// Offer VIRTIO_F_INDIRECT_DESC (the device side handles indirect
-  /// tables transparently; drivers with long chains fetch them in one
-  /// DMA read).
-  bool offer_indirect = true;
   /// Offer VIRTIO_F_RING_PACKED; a packed-aware driver then gets the
   /// one-read-per-buffer ring format (ablation: ABL-RING).
   bool offer_packed = false;
 };
 
-/// Largest descriptor length the FSM's bounds check accepts; anything
-/// above it is treated as a corrupted descriptor table.
-inline constexpr u32 kMaxSaneDescriptorLen = 1u << 20;
+/// BRAM staging buffer for frames (Fig. 2: "BRAM or external DRAM"); the
+/// XDMA example design's AXI-MM BRAM has the same size. A chain's
+/// device-readable bytes are staged here whole, so it bounds them.
+inline constexpr u64 kBramBytes = 128 * 1024;
+
+/// Most descriptors one burst read fetches: one 64-byte cacheline of
+/// the descriptor table (the speculative chain-continuation window).
+inline constexpr u16 kDescFetchWindow = 4;
 
 /// A fully-fetched buffer chain ready for data movement. The controller
 /// owns these and hands them to consume_chain for refilling, so the
@@ -69,11 +77,13 @@ struct FetchedChain {
   /// Completion handle: split = head descriptor index, packed = buffer id.
   u16 handle = 0;
   /// Ring slots the chain occupies (packed completion bookkeeping; for
-  /// split chains through an indirect table this is 1).
+  /// split chains this is 1).
   u16 ring_slots = 0;
-  /// The fetched descriptors failed the FSM's bounds check (corrupted
-  /// table): the controller must not touch the chain's buffers and
-  /// should enter the error state (DEVICE_NEEDS_RESET).
+  /// The fetch is driver (or fault-plane) misbehaviour the FSM must
+  /// survive: an index past the queue, an indirect descriptor mid-chain
+  /// or with a bad table length, a chain that never ends, or a failed
+  /// bounds check. The controller must not touch the chain's buffers
+  /// and enters the error state (DEVICE_NEEDS_RESET).
   bool error = false;
   /// The chain arrived through an indirect descriptor table (one
   /// table-sized DMA read) rather than a per-descriptor walk.
@@ -81,18 +91,33 @@ struct FetchedChain {
   std::vector<virtio::Descriptor> descriptors;
 };
 
-/// The FSM's descriptor bounds check, run on every fetched chain: a
-/// zero/oversized length or null address means the table read returned
-/// garbage.
+/// The FSM's bounds check, run on every fetched chain: no descriptors,
+/// more than the queue holds, a null address, an empty device-readable
+/// buffer, or more device-readable bytes than the staging BRAM holds
+/// means the table read returned garbage. Device-writable length is
+/// only a capacity: drivers may legitimately post huge buffers.
 [[nodiscard]] bool chain_within_bounds(const FetchedChain& chain,
                                        u16 queue_size);
 
+/// What a poll found: the chains available, and when the read returned.
+struct Poll {
+  u16 available = 0;
+  sim::SimTime done{};
+};
+
 class IQueueEngine {
  public:
-  IQueueEngine() = default;
+  IQueueEngine(pcie::DmaPort port, fault::FaultPlane* fault)
+      : port_(port), fault_(fault) {}
   IQueueEngine(const IQueueEngine&) = delete;
   IQueueEngine& operator=(const IQueueEngine&) = delete;
   virtual ~IQueueEngine() = default;
+
+  /// Latch the ring addresses and size the driver programmed through
+  /// common config (queue enable) and reset the cursors. `at` is when
+  /// the enable lands, for a format that writes its rings then.
+  virtual void configure(const virtio::RingAddresses& rings, u16 queue_size,
+                         virtio::FeatureSet negotiated, sim::SimTime at) = 0;
 
   /// Completions this engine has published to the used ring (used-ring
   /// writes the fault plane swallowed are NOT counted — the driver can
@@ -123,12 +148,13 @@ class IQueueEngine {
   /// (poll_is_exact() == true); packed rings can only see whether the
   /// *next* slot is available (0 or 1) and must be re-polled after
   /// draining.
-  virtual virtio::Timed<u16> poll_available(sim::SimTime start) = 0;
+  virtual Poll poll_available(sim::SimTime start) = 0;
   [[nodiscard]] virtual bool poll_is_exact() const = 0;
 
   /// Consume the next available chain into `chain`, overwriting every
   /// field (requires a prior poll that reported availability). Returns
-  /// the time the chain is fetched.
+  /// the time the chain is fetched. A malformed chain sets
+  /// `chain.error`; it is never asserted.
   virtual sim::SimTime consume_chain(sim::SimTime start,
                                      FetchedChain& chain) = 0;
 
@@ -170,6 +196,24 @@ class IQueueEngine {
     ++completions_;
   }
 
+  /// The end of every consume: charge the per-descriptor stage, run the
+  /// fetch-side fault hooks (an indirect table read, then any descriptor
+  /// read, returning garbage) and the bounds check. Latches
+  /// `chain.error` when the walk failed or the check does.
+  sim::SimTime finish_fetch(FetchedChain& chain, bool walk_error,
+                            u16 queue_size, sim::SimTime t);
+
+  /// The completion-side fault hook: the used-ring update is lost before
+  /// it reaches host memory, so the cursor must not advance and the
+  /// driver never sees the completion (its buffers stay in flight until
+  /// the driver resets the device).
+  [[nodiscard]] bool used_write_lost() {
+    return fault_ != nullptr &&
+           fault_->should_inject(fault::FaultClass::kUsedWriteFail);
+  }
+
+  pcie::DmaPort port_;
+
  private:
   /// Retained visibility timestamps. Larger than any queue size we
   /// configure (max_queue_size caps at 256), so every in-flight
@@ -178,28 +222,33 @@ class IQueueEngine {
   static constexpr u64 kVisibilityWindow = 1024;
   std::array<sim::SimTime, kVisibilityWindow> visible_at_{};
   u64 completions_ = 0;
+  fault::FaultPlane* fault_ = nullptr;
 };
 
 /// Split-ring engine — the paper's controller FSM.
 class QueueEngine final : public IQueueEngine {
  public:
-  QueueEngine(virtio::VirtqueueDevice vq, ControllerPolicy policy,
+  QueueEngine(pcie::DmaPort port, ControllerPolicy policy,
               fault::FaultPlane* fault = nullptr)
-      : vq_(std::move(vq)), policy_(policy), fault_(fault) {}
+      : IQueueEngine(port, fault), policy_(policy) {}
 
-  [[nodiscard]] virtio::VirtqueueDevice& vq() { return vq_; }
-  [[nodiscard]] const virtio::VirtqueueDevice& vq() const { return vq_; }
-
-  virtio::Timed<u16> poll_available(sim::SimTime start) override;
+  void configure(const virtio::RingAddresses& rings, u16 queue_size,
+                 virtio::FeatureSet negotiated, sim::SimTime at) override;
+  /// One read of avail.idx: exactly how many chains are published and
+  /// not yet consumed.
+  Poll poll_available(sim::SimTime start) override;
   [[nodiscard]] bool poll_is_exact() const override { return true; }
+  /// Read the head from the next avail slot, then walk its chain.
   sim::SimTime consume_chain(sim::SimTime start, FetchedChain& chain) override;
+  /// Write the used element, then used.idx (two ordered posted writes).
+  /// With EVENT_IDX negotiated, interrupt iff this update passed the
+  /// driver's used_event; without it, always (§2.7.7).
   Completion complete_chain(const FetchedChain& chain, u32 written,
                             sim::SimTime start,
                             bool refresh_suppression) override;
+  /// With EVENT_IDX negotiated, write avail_event = `drained_through`.
   sim::SimTime post_drain_update(u16 drained_through,
                                  sim::SimTime start) override;
-
-  [[nodiscard]] const ControllerPolicy& policy() const { return policy_; }
 
   [[nodiscard]] virtio::RingFormat ring_format() const override {
     return virtio::RingFormat::kSplit;
@@ -207,15 +256,31 @@ class QueueEngine final : public IQueueEngine {
   void transfer(migrate::StateIo& io, u16 queue_size) override;
 
  private:
-  virtio::VirtqueueDevice vq_;
+  /// Walk the chain at `head` into `chain`. The first read fetches the
+  /// head alone, or with batched_chain_fetch a two-entry burst; every
+  /// later read fetches a continuation window of up to kDescFetchWindow
+  /// entries, and entries already in the window cost nothing. An
+  /// INDIRECT head instead fetches its whole table in one read. Returns
+  /// false on an index past the queue, a bad indirect descriptor or a
+  /// chain longer than the queue.
+  bool walk_chain(u16 head, sim::SimTime& t, FetchedChain& chain);
+  [[nodiscard]] bool event_idx() const {
+    return negotiated_.has(virtio::feature::kRingEventIdx);
+  }
+
   ControllerPolicy policy_;
-  fault::FaultPlane* fault_ = nullptr;
+  virtio::RingAddresses addrs_{};
+  u16 queue_size_ = 0;
+  virtio::FeatureSet negotiated_{};
+  u16 avail_cursor_ = 0;  ///< next avail position to consume
+  u16 used_idx_ = 0;      ///< next used idx to publish
   std::optional<u16> cached_used_event_;
   /// Used entries pushed with a stale suppression snapshot since the
   /// last fresh used_event read: the next fresh decision widens its
   /// crossing window over them (a mergeable RX span must interrupt if
   /// ANY of its entries passed used_event, not just the last).
   u16 stale_completions_ = 0;
+  Bytes table_;  ///< staging for indirect-table reads
 };
 
 }  // namespace vfpga::core

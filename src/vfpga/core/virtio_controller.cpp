@@ -93,12 +93,8 @@ VirtioDeviceFunction::VirtioDeviceFunction(UserLogic& user_logic,
 
   offered_ = user_logic.device_features();
   offered_.set(virtio::feature::kVersion1);
-  if (config_.policy.use_event_idx) {
-    offered_.set(virtio::feature::kRingEventIdx);
-  }
-  if (config_.policy.offer_indirect) {
-    offered_.set(virtio::feature::kRingIndirectDesc);
-  }
+  offered_.set(virtio::feature::kRingEventIdx);
+  offered_.set(virtio::feature::kRingIndirectDesc);
   if (config_.policy.offer_packed) {
     offered_.set(virtio::feature::kRingPacked);
   }
@@ -124,6 +120,18 @@ const VirtioDeviceFunction::QueueState& VirtioDeviceFunction::queue_state(
     u16 q) const {
   VFPGA_EXPECTS(q < queue_state_.size());
   return queue_state_[q];
+}
+
+std::unique_ptr<IQueueEngine> VirtioDeviceFunction::make_engine(
+    virtio::RingFormat format) const {
+  switch (format) {
+    case virtio::RingFormat::kSplit:
+      return std::make_unique<QueueEngine>(*port_, config_.policy, fault_);
+    case virtio::RingFormat::kPacked:
+      return std::make_unique<PackedQueueEngine>(*port_, fault_);
+    default:
+      return nullptr;
+  }
 }
 
 IQueueEngine& VirtioDeviceFunction::engine(u16 q) {
@@ -158,8 +166,7 @@ u64 VirtioDeviceFunction::bar_read(u32 bar, BarOffset offset, u32 size,
     return value;
   }
   if (offset >= kMsixTableOffset && offset < kMsixPbaOffset) {
-    VFPGA_EXPECTS(size == 4);
-    return msix_->aperture_read(offset - kMsixTableOffset);
+    return msix_->aperture_read(offset - kMsixTableOffset, size);
   }
   return 0;
 }
@@ -185,9 +192,8 @@ void VirtioDeviceFunction::bar_write(u32 bar, BarOffset offset, u64 value,
     return;
   }
   if (offset >= kMsixTableOffset && offset < kMsixPbaOffset) {
-    VFPGA_EXPECTS(size == 4);
     msix_->aperture_write(offset - kMsixTableOffset, static_cast<u32>(value),
-                          at, *port_);
+                          size, at, *port_);
     return;
   }
 }
@@ -316,20 +322,11 @@ void VirtioDeviceFunction::common_write(BarOffset offset, u64 value, u32 size,
         // the queue FSM flavour.
         const virtio::FeatureSet negotiated =
             offered_.intersect(driver_features_);
-        if (negotiated.has(virtio::feature::kRingPacked)) {
-          virtio::PackedVirtqueueDevice vq{*port_};
-          vq.configure(q.rings, q.size, negotiated);
-          // Kick suppression is flags-only: leave notifications enabled.
-          vq.write_device_event_flags(virtio::packed::event::kEnable,
-                                      at);
-          engines_[queue_select_] = std::make_unique<PackedQueueEngine>(
-              std::move(vq), config_.policy, fault_);
-        } else {
-          virtio::VirtqueueDevice vq{*port_};
-          vq.configure(q.rings, q.size, negotiated);
-          engines_[queue_select_] = std::make_unique<QueueEngine>(
-              std::move(vq), config_.policy, fault_);
-        }
+        engines_[queue_select_] =
+            make_engine(negotiated.has(virtio::feature::kRingPacked)
+                            ? virtio::RingFormat::kPacked
+                            : virtio::RingFormat::kSplit);
+        engines_[queue_select_]->configure(q.rings, q.size, negotiated, at);
         credits_[queue_select_] = 0;
       }
       break;
@@ -457,7 +454,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
   // determine how many new buffers were exposed" (§IV-A).
   auto poll = eng.poll_available(t);
   t = poll.done;
-  credits_[queue] = poll.value;
+  credits_[queue] = poll.available;
   total_drained_[queue] = static_cast<u16>(total_drained_[queue] +
                                            credits_[queue]);
   // Advance the kick-suppression threshold past what we are about to
@@ -619,9 +616,9 @@ sim::SimTime VirtioDeviceFunction::replenish_credits(IQueueEngine& eng,
   if (credits_[queue] == 0 && !eng.poll_is_exact()) {
     const auto poll = eng.poll_available(t);
     t = poll.done;
-    credits_[queue] = poll.value;
+    credits_[queue] = poll.available;
     total_drained_[queue] =
-        static_cast<u16>(total_drained_[queue] + poll.value);
+        static_cast<u16>(total_drained_[queue] + poll.available);
   }
   return t;
 }
@@ -657,7 +654,7 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
     if (credits_[target] == 0 || !config_.policy.trust_cached_credits) {
       const auto poll = eng.poll_available(t);
       t = poll.done;
-      credits_[target] = poll.value;
+      credits_[target] = poll.available;
       if (credits_[target] == 0) {
         if (count == 0) {
           VFPGA_WARN("virtio-ctl",
@@ -827,28 +824,18 @@ void VirtioDeviceFunction::transfer(migrate::StateIo& io) {
     io.u64(qs.rings.used);
 
     // Recreate the engine in the serialized ring format, then overwrite
-    // its registers. Unlike the kQueueEnable path this must NOT write
-    // the packed device-event flags: host memory already holds the
-    // source's ring bytes.
+    // its registers. Unlike the kQueueEnable path this does not call
+    // configure, which writes the packed device-event flags: host
+    // memory already holds the source's ring bytes.
     auto format = static_cast<u8>(engines_[q] ? engines_[q]->ring_format()
                                               : virtio::RingFormat::kNone);
     io.u8(format);
     if (io.loading()) {
-      switch (static_cast<virtio::RingFormat>(format)) {
-        case virtio::RingFormat::kNone:
-          engines_[q].reset();
-          break;
-        case virtio::RingFormat::kSplit:
-          engines_[q] = std::make_unique<QueueEngine>(
-              virtio::VirtqueueDevice{*port_}, config_.policy, fault_);
-          break;
-        case virtio::RingFormat::kPacked:
-          engines_[q] = std::make_unique<PackedQueueEngine>(
-              virtio::PackedVirtqueueDevice{*port_}, config_.policy, fault_);
-          break;
-        default:
-          io.fail();
-          return;
+      const auto tag = static_cast<virtio::RingFormat>(format);
+      engines_[q] = make_engine(tag);
+      if (!engines_[q] && tag != virtio::RingFormat::kNone) {
+        io.fail();
+        return;
       }
     }
     if (engines_[q]) {

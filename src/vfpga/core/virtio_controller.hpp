@@ -51,9 +51,6 @@ inline constexpr u32 kNotifyOffMultiplier = 4;
 inline constexpr BarOffset kMsixTableOffset = 0x2000;
 inline constexpr BarOffset kMsixPbaOffset = 0x3000;
 inline constexpr u64 kBar0Size = 0x4000;
-/// BRAM staging buffer for frames (Fig. 2: "BRAM or external DRAM"); the
-/// XDMA example design's AXI-MM BRAM has the same size.
-inline constexpr u64 kBramBytes = 128 * 1024;
 
 struct ControllerConfig {
   ControllerPolicy policy{};
@@ -180,6 +177,10 @@ class VirtioDeviceFunction : public pcie::Function {
   sim::SimTime replenish_credits(IQueueEngine& eng, u16 queue,
                                  sim::SimTime t);
   [[nodiscard]] IQueueEngine& engine(u16 q);
+  /// The one place queue engines are built, at queue enable and at
+  /// restore: nullptr for kNone or a tag no format has.
+  [[nodiscard]] std::unique_ptr<IQueueEngine> make_engine(
+      virtio::RingFormat format) const;
 
   UserLogic* user_logic_;
   ControllerConfig config_;

@@ -27,9 +27,7 @@ void encode_fingerprint(const core::TestbedOptions& o, StateWriter& w) {
   w.put_bool(o.net.offer_csum);
   w.put_u16(o.net.max_queue_pairs);
   w.put_bool(o.controller.policy.batched_chain_fetch);
-  w.put_bool(o.controller.policy.use_event_idx);
   w.put_bool(o.controller.policy.trust_cached_credits);
-  w.put_bool(o.controller.policy.offer_indirect);
   w.put_bool(o.controller.policy.offer_packed);
   w.put_u16(o.controller.max_queue_size);
   w.put_u8(static_cast<u8>(o.datapath.tx_path));

@@ -17,17 +17,6 @@ std::optional<EnumeratedBar> EnumeratedDevice::bar(u32 index) const {
   return *it;
 }
 
-std::optional<u16> EnumeratedDevice::capability_offset(CapabilityId id) const {
-  const auto it = std::find_if(capabilities.begin(), capabilities.end(),
-                               [&](const EnumeratedCapability& c) {
-                                 return c.id == id;
-                               });
-  if (it == capabilities.end()) {
-    return std::nullopt;
-  }
-  return it->config_offset;
-}
-
 std::vector<EnumeratedDevice> enumerate_bus(RootComplex& rc,
                                             EnumerationOptions options) {
   std::vector<EnumeratedDevice> devices;

@@ -45,7 +45,6 @@ struct EnumeratedDevice {
   sim::Duration enumeration_time{};
 
   [[nodiscard]] std::optional<EnumeratedBar> bar(u32 index) const;
-  [[nodiscard]] std::optional<u16> capability_offset(CapabilityId id) const;
 };
 
 struct EnumerationOptions {

@@ -5,6 +5,7 @@
 
 #include "vfpga/common/contract.hpp"
 #include "vfpga/common/endian.hpp"
+#include "vfpga/common/log.hpp"
 #include "vfpga/migrate/state_io.hpp"
 
 namespace vfpga::pcie {
@@ -13,32 +14,44 @@ MsixTable::MsixTable(u32 vector_count) : entries_(vector_count) {
   VFPGA_EXPECTS(vector_count >= 1 && vector_count <= 2048);
 }
 
-u32 MsixTable::aperture_read(BarOffset offset) const {
-  const u64 index = offset / kMsixEntryBytes;
-  const u64 field = offset % kMsixEntryBytes;
-  VFPGA_EXPECTS(index < entries_.size());
-  const Entry& e = entries_[index];
-  switch (field) {
+std::optional<u32> MsixTable::entry_index(BarOffset offset, u32 size) const {
+  if (size != 4 || offset % 4 != 0) {
+    VFPGA_WARN("msix", "MSI-X table access not an aligned dword: ignored");
+    return std::nullopt;
+  }
+  if (offset / kMsixEntryBytes >= entries_.size()) {
+    VFPGA_WARN("msix", "MSI-X table access past the last entry: ignored");
+    return std::nullopt;
+  }
+  return static_cast<u32>(offset / kMsixEntryBytes);
+}
+
+u32 MsixTable::aperture_read(BarOffset offset, u32 size) const {
+  const std::optional<u32> index = entry_index(offset, size);
+  if (!index) {
+    return 0;
+  }
+  const Entry& e = entries_[*index];
+  switch (offset % kMsixEntryBytes) {
     case kMsixEntryAddrLo:
       return static_cast<u32>(e.address & 0xffffffffu);
     case kMsixEntryAddrHi:
       return static_cast<u32>(e.address >> 32);
     case kMsixEntryData:
       return e.data;
-    case kMsixEntryControl:
+    default:  // kMsixEntryControl
       return e.masked ? kMsixControlMasked : 0;
-    default:
-      VFPGA_UNREACHABLE("misaligned MSI-X table access");
   }
 }
 
-void MsixTable::aperture_write(BarOffset offset, u32 value, sim::SimTime at,
-                               const DmaPort& port) {
-  const u64 index = offset / kMsixEntryBytes;
-  const u64 field = offset % kMsixEntryBytes;
-  VFPGA_EXPECTS(index < entries_.size());
-  Entry& e = entries_[index];
-  switch (field) {
+void MsixTable::aperture_write(BarOffset offset, u32 value, u32 size,
+                               sim::SimTime at, const DmaPort& port) {
+  const std::optional<u32> index = entry_index(offset, size);
+  if (!index) {
+    return;
+  }
+  Entry& e = entries_[*index];
+  switch (offset % kMsixEntryBytes) {
     case kMsixEntryAddrLo:
       e.address = (e.address & ~0xffffffffull) | value;
       break;
@@ -48,17 +61,15 @@ void MsixTable::aperture_write(BarOffset offset, u32 value, sim::SimTime at,
     case kMsixEntryData:
       e.data = value;
       break;
-    case kMsixEntryControl: {
+    default: {  // kMsixEntryControl
       const bool was_masked = e.masked;
       e.masked = (value & kMsixControlMasked) != 0;
       if (was_masked && !e.masked && e.pending) {
         e.pending = false;
-        fire(static_cast<u32>(index), at, port);
+        fire(*index, at, port);
       }
       break;
     }
-    default:
-      VFPGA_UNREACHABLE("misaligned MSI-X table access");
   }
 }
 
@@ -77,11 +88,6 @@ sim::SimTime MsixTable::fire(u32 index, sim::SimTime at, const DmaPort& port) {
 bool MsixTable::pending(u32 index) const {
   VFPGA_EXPECTS(index < entries_.size());
   return entries_[index].pending;
-}
-
-bool MsixTable::masked(u32 index) const {
-  VFPGA_EXPECTS(index < entries_.size());
-  return entries_[index].masked;
 }
 
 Bytes make_msix_capability_body(u16 table_size, u8 table_bar, u32 table_offset,

@@ -9,6 +9,7 @@
 // the Linux irqchip relies on.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "vfpga/pcie/root_complex.hpp"
@@ -37,8 +38,11 @@ class MsixTable {
   }
 
   /// Table-aperture accesses (routed from the owning function's BAR).
-  [[nodiscard]] u32 aperture_read(BarOffset offset) const;
-  void aperture_write(BarOffset offset, u32 value, sim::SimTime at,
+  /// Only aligned 4-byte accesses to an entry of the table are
+  /// implemented; any other access reads 0 or is dropped, with a
+  /// warning.
+  [[nodiscard]] u32 aperture_read(BarOffset offset, u32 size) const;
+  void aperture_write(BarOffset offset, u32 value, u32 size, sim::SimTime at,
                       const DmaPort& port);
 
   /// Device-side: fire vector `index` at time `at`; a posted write goes
@@ -47,7 +51,6 @@ class MsixTable {
   sim::SimTime fire(u32 index, sim::SimTime at, const DmaPort& port);
 
   [[nodiscard]] bool pending(u32 index) const;
-  [[nodiscard]] bool masked(u32 index) const;
 
   /// Aperture size in bytes (for BAR layout).
   [[nodiscard]] u64 aperture_bytes() const {
@@ -66,6 +69,11 @@ class MsixTable {
     bool masked = true;  // spec: vectors come up masked
     bool pending = false;
   };
+
+  /// The index of the entry an aperture access names, or nullopt (with
+  /// a warning) for an access that is not implemented.
+  [[nodiscard]] std::optional<u32> entry_index(BarOffset offset,
+                                               u32 size) const;
 
   std::vector<Entry> entries_;
 };

@@ -50,8 +50,7 @@ u64 XdmaIpFunction::bar_read(u32 bar, BarOffset offset, u32 size,
                              sim::SimTime at) {
   VFPGA_EXPECTS(bar == 0);
   if (offset >= kMsixTableOffset && offset < kMsixPbaOffset) {
-    VFPGA_EXPECTS(size == 4);
-    return msix_->aperture_read(offset - kMsixTableOffset);
+    return msix_->aperture_read(offset - kMsixTableOffset, size);
   }
   VFPGA_EXPECTS(size == 4);
   return register_read(offset, at);
@@ -61,9 +60,8 @@ void XdmaIpFunction::bar_write(u32 bar, BarOffset offset, u64 value, u32 size,
                                sim::SimTime at) {
   VFPGA_EXPECTS(bar == 0);
   if (offset >= kMsixTableOffset && offset < kMsixPbaOffset) {
-    VFPGA_EXPECTS(size == 4);
     msix_->aperture_write(offset - kMsixTableOffset,
-                          static_cast<u32>(value), at, *port_);
+                          static_cast<u32>(value), size, at, *port_);
     return;
   }
   VFPGA_EXPECTS(size == 4);

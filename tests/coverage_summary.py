@@ -12,8 +12,10 @@ line counts of every object under each BUILD_DIR (gcov --json-format,
 writing no files), sums them per line of each src/**/*.cpp across the
 builds, and prints one row per file, lowest coverage first, and the
 total. A line counts as executable when any build compiled it and as
-run when any build ran it. It sets no threshold: it exits 1 only when
-some BUILD_DIR holds no coverage data.
+run when any build ran it. Then it lists every function of those files
+that no build ran, by file and line: each is a candidate to delete or
+to cover. It sets no threshold: it exits 1 only when some BUILD_DIR
+holds no coverage data.
 """
 import collections
 import json
@@ -23,9 +25,11 @@ import subprocess
 import sys
 
 
-def line_counts(build_dir, counts):
+def line_counts(build_dir, counts, calls):
     """Adds BUILD_DIR's per-line execution counts of src/vfpga/**/*.cpp
-    to counts[source][line]. Returns False when it holds no .gcda."""
+    to counts[source][line], and its per-function counts to
+    calls[(source, start line, demangled name)]. Returns False when it
+    holds no .gcda."""
     gcda = sorted(str(p) for p in pathlib.Path(build_dir).rglob("*.gcda"))
     if not gcda:
         print(f"error: no .gcda files under {build_dir}", file=sys.stderr)
@@ -42,6 +46,10 @@ def line_counts(build_dir, counts):
             name = source.split("/src/", 1)[1]
             for line in entry["lines"]:
                 counts[name][line["line_number"]] += line["count"]
+            for function in entry.get("functions", []):
+                key = (name, function["start_line"],
+                       function.get("demangled_name", function["name"]))
+                calls[key] += function["execution_count"]
     return True
 
 
@@ -50,8 +58,9 @@ def main() -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     counts = collections.defaultdict(collections.Counter)
+    calls = collections.Counter()
     for build_dir in sys.argv[1:]:
-        if not line_counts(build_dir, counts):
+        if not line_counts(build_dir, counts, calls):
             return 1
 
     rows = {name: (sum(1 for c in lines.values() if c > 0), len(lines))
@@ -63,6 +72,11 @@ def main() -> int:
     hit = sum(h for h, _ in rows.values())
     total = sum(t for _, t in rows.values())
     print(f"{total:6d} {100 * hit / total:6.1f}%  total ({len(rows)} files)")
+
+    never = sorted(key for key, count in calls.items() if count == 0)
+    print(f"\nfunctions never run: {len(never)}")
+    for name, line, function in never:
+        print(f"  {name}:{line}  {function}")
     return 0
 
 

@@ -24,10 +24,13 @@ class TestDriver {
 
   /// Full §3.1.1 bring-up: reset, negotiate everything offered except
   /// the bits in `decline`, program one MSI-X vector per queue
-  /// (+config), build and enable all queues.
+  /// (+config), build and enable all queues. A second call re-initializes
+  /// the device with fresh rings.
   void initialize(u16 queue_count, u16 queue_size = 16,
                   virtio::FeatureSet decline = {}) {
     using namespace virtio;
+    vqs_.clear();
+    queue_vectors_.clear();
     wr32(commoncfg::kDeviceStatus, 0);
     wr32(commoncfg::kDeviceStatus, status::kAcknowledge);
     wr32(commoncfg::kDeviceStatus, status::kAcknowledge | status::kDriver);

@@ -149,30 +149,24 @@ TEST(FeatureAudit, BlkAndConsoleOfferOnlyImplementedBits) {
 }
 
 // The controller adds the transport bits on top of the device-class
-// offer; sweep the policy switches and check the composed set.
+// offer: EVENT_IDX and INDIRECT_DESC always, RING_PACKED when the policy
+// offers it.
 TEST(FeatureAudit, ControllerOfferMatchesPolicyExactly) {
-  for (const bool event_idx : {false, true}) {
-    for (const bool indirect : {false, true}) {
-      for (const bool packed : {false, true}) {
-        NetDeviceLogic logic{{}};
-        ControllerConfig config;
-        config.policy.use_event_idx = event_idx;
-        config.policy.offer_indirect = indirect;
-        config.policy.offer_packed = packed;
-        VirtioDeviceFunction device{logic, config};
+  for (const bool packed : {false, true}) {
+    NetDeviceLogic logic{{}};
+    ControllerConfig config;
+    config.policy.offer_packed = packed;
+    VirtioDeviceFunction device{logic, config};
 
-        const FeatureSet offered = device.offered_features();
-        const FeatureSet implemented{implemented_transport().bits() |
-                                     implemented_net().bits()};
-        EXPECT_TRUE(offered.subset_of(implemented))
-            << std::hex << offered.bits();
-        EXPECT_TRUE(offered.has(feature::kVersion1));
-        EXPECT_EQ(offered.has(feature::kRingEventIdx), event_idx);
-        EXPECT_EQ(offered.has(feature::kRingIndirectDesc), indirect);
-        EXPECT_EQ(offered.has(feature::kRingPacked), packed);
-        EXPECT_EQ(offered.intersect(unimplemented_net()), FeatureSet{});
-      }
-    }
+    const FeatureSet offered = device.offered_features();
+    const FeatureSet implemented{implemented_transport().bits() |
+                                 implemented_net().bits()};
+    EXPECT_TRUE(offered.subset_of(implemented)) << std::hex << offered.bits();
+    EXPECT_TRUE(offered.has(feature::kVersion1));
+    EXPECT_TRUE(offered.has(feature::kRingEventIdx));
+    EXPECT_TRUE(offered.has(feature::kRingIndirectDesc));
+    EXPECT_EQ(offered.has(feature::kRingPacked), packed);
+    EXPECT_EQ(offered.intersect(unimplemented_net()), FeatureSet{});
   }
 }
 

@@ -543,19 +543,19 @@ TEST(Snapshot, ImagesArePinned) {
     return true;
   };
   const Pin pins[] = {
-      {"split", split_options(), quiesced, 0x19a6dd90, 74179, 0x01910f42,
-       37223},
-      {"packed", packed_options(), quiesced, 0x33a57531, 70575, 0xcf4d7ac9,
-       37723},
-      {"multi-queue", multi_queue_options(), quiesced, 0xc04ac55a, 153155,
-       0xe876b815, 87471},
-      {"blk", blk_options(), drive_blk, 0x76207bb4, 359128, 0x839611a4,
-       313964},
+      {"split", split_options(), quiesced, 0x63791d64, 74177, 0x66ef6828,
+       37221},
+      {"packed", packed_options(), quiesced, 0xbbf60ba4, 70571, 0x3174166a,
+       37719},
+      {"multi-queue", multi_queue_options(), quiesced, 0xbd2b2339, 153153,
+       0x8bdaeb79, 87469},
+      {"blk", blk_options(), drive_blk, 0xc74a3088, 359126, 0x61dd0fb9,
+       313962},
       {"mid-mergeable", mid_mergeable_options(),
        [](core::VirtioNetTestbed& bed) {
          return drive_mid_flight(bed, kMidMergeablePayload);
        },
-       0x59d84916, 70079, 0x5ad58886, 37227},
+       0x29571031, 70077, 0x3a061131, 37225},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.setup);
@@ -685,8 +685,11 @@ TEST(SnapshotReject, VersionSkew) {
   // 2 fingerprinted options that are now constants; version 3 carried
   // interrupt-moderation state; version 4 carried the ARP-reply,
   // GET_ID and DISCARD counters; version 5 fingerprinted the device's
-  // MAC and IP and carried the blk personality's negotiated features.
-  for (const u8 version : {u8{1}, u8{2}, u8{3}, u8{4}, u8{5}, u8{99}}) {
+  // MAC and IP and carried the blk personality's negotiated features;
+  // version 6 fingerprinted the EVENT_IDX and INDIRECT_DESC offer
+  // switches and carried the packed engine's copy of its head register.
+  for (const u8 version :
+       {u8{1}, u8{2}, u8{3}, u8{4}, u8{5}, u8{6}, u8{99}}) {
     SCOPED_TRACE(static_cast<int>(version));
     Bytes image = current;
     image[8] = version;  // version field, checked before the checksum
@@ -911,13 +914,13 @@ Poison device_queue_size(ConstByteSpan state, core::VirtioNetTestbed& bed) {
   return {device_ring_size_at(state, bed), 2, 0};
 }
 
-Poison packed_device_avail_cursor(ConstByteSpan state,
+Poison packed_engine_avail_cursor(ConstByteSpan state,
                                   core::VirtioNetTestbed& bed) {
   const std::size_t at = device_ring_size_at(state, bed);
   return {at + 2, 2, load_le(state, at, 2)};
 }
 
-Poison packed_device_used_cursor(ConstByteSpan state,
+Poison packed_engine_used_cursor(ConstByteSpan state,
                                  core::VirtioNetTestbed& bed) {
   const std::size_t at = device_ring_size_at(state, bed);
   return {at + 5, 2, load_le(state, at, 2)};
@@ -1036,14 +1039,14 @@ TEST(RestoredIndex, PackedDeviceQueueSize) {
 
 TEST(RestoredIndex, PackedDeviceAvailCursor) {
   EXPECT_EQ(expect_poison_rejected(packed_options(),
-                                   packed_device_avail_cursor,
+                                   packed_engine_avail_cursor,
                                    transfer_device),
             0u);
 }
 
 TEST(RestoredIndex, PackedDeviceUsedCursor) {
   EXPECT_EQ(expect_poison_rejected(packed_options(),
-                                   packed_device_used_cursor,
+                                   packed_engine_used_cursor,
                                    transfer_device),
             0u);
 }

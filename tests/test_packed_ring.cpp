@@ -6,10 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 
+#include "vfpga/core/packed_queue_engine.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/pcie/enumeration.hpp"
-#include "vfpga/virtio/packed_device.hpp"
 #include "vfpga/virtio/packed_driver.hpp"
 
 namespace vfpga::virtio {
@@ -39,7 +40,7 @@ struct PackedFixture : ::testing::Test {
   FeatureSet features{(1ull << feature::kVersion1) |
                       (1ull << feature::kRingPacked)};
   /// Where the device side consumes chains into.
-  std::vector<Descriptor> descriptors;
+  core::FetchedChain fetched;
 
   /// Endpoint stub so the device side has a bus-mastering port.
   struct Stub : pcie::Function {
@@ -53,10 +54,20 @@ struct PackedFixture : ::testing::Test {
     void bar_write(u32, BarOffset, u64, u32, sim::SimTime) override {}
   } stub;
 
-  PackedVirtqueueDevice make_device(const PackedVirtqueueDriver& drv) {
-    PackedVirtqueueDevice vq{rc.dma_port(stub)};
-    vq.configure(drv.ring_addresses(), drv.size(), features);
-    return vq;
+  std::unique_ptr<core::PackedQueueEngine> make_engine(
+      const PackedVirtqueueDriver& drv) {
+    auto engine =
+        std::make_unique<core::PackedQueueEngine>(rc.dma_port(stub));
+    engine->configure(drv.ring_addresses(), drv.size(), features,
+                      sim::SimTime{});
+    return engine;
+  }
+  /// Poll (which must find a chain), consume into `chain`, and return
+  /// when the consume is done.
+  sim::SimTime poll_and_consume(core::IQueueEngine& engine) {
+    const core::Poll poll = engine.poll_available(sim::SimTime{});
+    EXPECT_EQ(poll.available, 1);
+    return engine.consume_chain(poll.done, fetched);
   }
 };
 
@@ -92,11 +103,11 @@ TEST_F(PackedFixture, AddChainEncodesOwnershipAndId) {
 
 TEST_F(PackedFixture, DeviceConsumesAndCompletesThroughDma) {
   PackedVirtqueueDriver drv{memory, 8, features};
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
 
   // Nothing available on a fresh ring.
-  auto peek = dev.peek_available(sim::SimTime{});
-  EXPECT_FALSE(peek.value);
+  const core::Poll empty = engine->poll_available(sim::SimTime{});
+  EXPECT_EQ(empty.available, 0);
 
   const HostAddr buf = memory.allocate(64);
   memory.fill(buf, 0x3d, 64);
@@ -104,15 +115,15 @@ TEST_F(PackedFixture, DeviceConsumesAndCompletesThroughDma) {
   const auto id = drv.add_chain(std::span{&cb, 1}, 42);
   drv.publish();
 
-  peek = dev.peek_available(peek.done);
-  ASSERT_TRUE(peek.value);
-  auto chain = dev.consume_chain(peek.done, descriptors);
-  EXPECT_EQ(chain.value.id, *id);
-  EXPECT_EQ(chain.value.descriptor_count, 1);
-  ASSERT_EQ(descriptors.size(), 1u);
-  EXPECT_EQ(descriptors[0].addr, buf);
+  const core::Poll poll = engine->poll_available(empty.done);
+  ASSERT_EQ(poll.available, 1);
+  const sim::SimTime t = engine->consume_chain(poll.done, fetched);
+  EXPECT_EQ(fetched.handle, *id);
+  EXPECT_EQ(fetched.ring_slots, 1);
+  ASSERT_EQ(fetched.descriptors.size(), 1u);
+  EXPECT_EQ(fetched.descriptors[0].addr, buf);
 
-  dev.push_used(chain.value, 0, chain.done);
+  engine->complete_chain(fetched, 0, t, true);
   ASSERT_TRUE(drv.used_pending());
   const auto completion = drv.harvest();
   ASSERT_TRUE(completion.has_value());
@@ -125,33 +136,29 @@ TEST_F(PackedFixture, SingleBufferCostsOneReadVsSplitsThree) {
   // arrive in ONE DMA read. Compare against the split ring's
   // avail-idx + avail-entry + descriptor sequence.
   PackedVirtqueueDriver packed_drv{memory, 8, features};
-  auto packed_dev = make_device(packed_drv);
+  auto packed_engine = make_engine(packed_drv);
   const ChainBuffer cb{memory.allocate(64), 64, false};
   packed_drv.add_chain(std::span{&cb, 1}, 1);
   packed_drv.publish();
-  const auto peek = packed_dev.peek_available(sim::SimTime{});
-  const auto chain = packed_dev.consume_chain(peek.done, descriptors);
-  const sim::Duration packed_cost = chain.done - sim::SimTime{};
+  const sim::Duration packed_cost =
+      poll_and_consume(*packed_engine) - sim::SimTime{};
 
   const FeatureSet split_features{1ull << feature::kVersion1};
   VirtqueueDriver split_drv{memory, 8, split_features};
-  VirtqueueDevice split_dev{rc.dma_port(stub)};
-  split_dev.configure(split_drv.addresses(), split_drv.size(),
-                      split_features);
+  core::QueueEngine split_engine{rc.dma_port(stub), core::ControllerPolicy{}};
+  split_engine.configure(split_drv.addresses(), split_drv.size(),
+                         split_features, sim::SimTime{});
   split_drv.add_chain(std::span{&cb, 1}, 1);
   split_drv.publish();
-  const auto idx = split_dev.fetch_avail_idx(sim::SimTime{});
-  const auto entry = split_dev.fetch_avail_entry(0, idx.done);
-  const auto split_chain =
-      split_dev.fetch_chain(entry.value, entry.done, descriptors);
-  const sim::Duration split_cost = split_chain.done - sim::SimTime{};
+  const sim::Duration split_cost =
+      poll_and_consume(split_engine) - sim::SimTime{};
 
   EXPECT_LT(packed_cost.picos() * 2, split_cost.picos());
 }
 
 TEST_F(PackedFixture, RingRecyclesAcrossManyWraps) {
   PackedVirtqueueDriver drv{memory, 4, features};
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   for (u64 i = 0; i < 23; ++i) {  // several wraps of a 4-deep ring
     const HostAddr buf = memory.allocate(16);
     memory.write_u8(buf, static_cast<u8>(i));
@@ -159,13 +166,11 @@ TEST_F(PackedFixture, RingRecyclesAcrossManyWraps) {
     ASSERT_TRUE(drv.add_chain(std::span{&cb, 1}, i).has_value()) << i;
     drv.publish();
 
-    const auto peek = dev.peek_available(sim::SimTime{});
-    ASSERT_TRUE(peek.value) << i;
-    auto chain = dev.consume_chain(peek.done, descriptors);
+    const sim::SimTime t = poll_and_consume(*engine);
     Bytes data(1);
-    memory.read(descriptors[0].addr, data);
+    memory.read(fetched.descriptors[0].addr, data);
     EXPECT_EQ(data[0], static_cast<u8>(i));
-    dev.push_used(chain.value, 0, chain.done);
+    engine->complete_chain(fetched, 0, t, true);
 
     const auto completion = drv.harvest();
     ASSERT_TRUE(completion.has_value()) << i;
@@ -175,30 +180,26 @@ TEST_F(PackedFixture, RingRecyclesAcrossManyWraps) {
 
 TEST_F(PackedFixture, ChainSpanningWrapBoundary) {
   PackedVirtqueueDriver drv{memory, 4, features};
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   // Consume 3 singles to park the cursor at slot 3.
   for (u64 i = 0; i < 3; ++i) {
     const ChainBuffer cb{memory.allocate(8), 8, false};
     drv.add_chain(std::span{&cb, 1}, i);
-    const auto peek = dev.peek_available(sim::SimTime{});
-    ASSERT_TRUE(peek.value);
-    auto chain = dev.consume_chain(peek.done, descriptors);
-    dev.push_used(chain.value, 0, chain.done);
+    const sim::SimTime t = poll_and_consume(*engine);
+    engine->complete_chain(fetched, 0, t, true);
     ASSERT_TRUE(drv.harvest().has_value());
   }
   // A 2-descriptor chain now spans slots 3 and 0 (wrap inside the chain).
-  const std::array<ChainBuffer, 2> chain{
+  const std::array<ChainBuffer, 2> buffers{
       ChainBuffer{memory.allocate(8), 8, false},
       ChainBuffer{memory.allocate(8), 8, true},
   };
-  const auto id = drv.add_chain(chain, 99);
+  const auto id = drv.add_chain(buffers, 99);
   ASSERT_TRUE(id.has_value());
-  const auto peek = dev.peek_available(sim::SimTime{});
-  ASSERT_TRUE(peek.value);
-  auto consumed = dev.consume_chain(peek.done, descriptors);
-  EXPECT_EQ(consumed.value.descriptor_count, 2);
-  EXPECT_EQ(consumed.value.id, *id);
-  dev.push_used(consumed.value, 8, consumed.done);
+  const sim::SimTime t = poll_and_consume(*engine);
+  EXPECT_EQ(fetched.ring_slots, 2);
+  EXPECT_EQ(fetched.handle, *id);
+  engine->complete_chain(fetched, 8, t, true);
   const auto completion = drv.harvest();
   ASSERT_TRUE(completion.has_value());
   EXPECT_EQ(completion->token, 99u);
@@ -207,17 +208,25 @@ TEST_F(PackedFixture, ChainSpanningWrapBoundary) {
 
 TEST_F(PackedFixture, InterruptSuppressionFlags) {
   PackedVirtqueueDriver drv{memory, 8, features};
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
+  const auto complete_one = [&] {
+    const ChainBuffer cb{memory.allocate(8), 8, false};
+    drv.add_chain(std::span{&cb, 1}, 1);
+    const sim::SimTime t = poll_and_consume(*engine);
+    const bool interrupt = engine->complete_chain(fetched, 0, t, true).interrupt;
+    EXPECT_TRUE(drv.harvest().has_value());
+    return interrupt;
+  };
   drv.enable_interrupts();
-  EXPECT_EQ(dev.read_driver_event_flags(sim::SimTime{}).value,
-            pk::event::kEnable);
+  EXPECT_TRUE(complete_one());
   drv.disable_interrupts();
-  EXPECT_EQ(dev.read_driver_event_flags(sim::SimTime{}).value,
-            pk::event::kDisable);
-  // Kick suppression the other way.
-  dev.write_device_event_flags(pk::event::kDisable, sim::SimTime{});
+  EXPECT_FALSE(complete_one());
+  // Kick suppression the other way: configure enables kicks.
+  memory.write_le16(drv.ring_addresses().used + pk::event::kFlagsOffset,
+                    pk::event::kDisable);
   EXPECT_FALSE(drv.should_kick());
-  dev.write_device_event_flags(pk::event::kEnable, sim::SimTime{});
+  engine->configure(drv.ring_addresses(), drv.size(), features,
+                    sim::SimTime{});
   EXPECT_TRUE(drv.should_kick());
 }
 

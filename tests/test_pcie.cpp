@@ -5,11 +5,14 @@
 #include <array>
 #include <map>
 
+#include "vfpga/core/console_device.hpp"
+#include "vfpga/core/virtio_controller.hpp"
 #include "vfpga/pcie/capabilities.hpp"
 #include "vfpga/pcie/enumeration.hpp"
 #include "vfpga/pcie/link_model.hpp"
 #include "vfpga/pcie/msix.hpp"
 #include "vfpga/pcie/root_complex.hpp"
+#include "vfpga/xdma/xdma_ip.hpp"
 
 namespace vfpga::pcie {
 namespace {
@@ -263,15 +266,15 @@ TEST_F(RcFixture, MsixMaskedVectorSetsPendingThenDeliversOnUnmask) {
   MsixTable table{2};
 
   // Program vector 0 but leave it masked (the reset state).
-  table.aperture_write(kMsixEntryAddrLo, static_cast<u32>(kMsiWindowBase),
+  table.aperture_write(kMsixEntryAddrLo, static_cast<u32>(kMsiWindowBase), 4,
                        sim::SimTime{}, port);
-  table.aperture_write(kMsixEntryData, 7, sim::SimTime{}, port);
+  table.aperture_write(kMsixEntryData, 7, 4, sim::SimTime{}, port);
   table.fire(0, sim::SimTime{}, port);
   EXPECT_EQ(count, 0u);
   EXPECT_TRUE(table.pending(0));
 
   // Unmasking flushes the pending interrupt.
-  table.aperture_write(kMsixEntryControl, 0, sim::SimTime{}, port);
+  table.aperture_write(kMsixEntryControl, 0, 4, sim::SimTime{}, port);
   EXPECT_EQ(count, 1u);
   EXPECT_FALSE(table.pending(0));
 }
@@ -284,14 +287,72 @@ TEST_F(RcFixture, MsixUnmaskedVectorFiresImmediately) {
   for (u32 v = 0; v < 4; ++v) {
     const BarOffset base = v * kMsixEntryBytes;
     table.aperture_write(base + kMsixEntryAddrLo,
-                         static_cast<u32>(kMsiWindowBase), sim::SimTime{},
+                         static_cast<u32>(kMsiWindowBase), 4, sim::SimTime{},
                          port);
-    table.aperture_write(base + kMsixEntryData, 100 + v, sim::SimTime{}, port);
-    table.aperture_write(base + kMsixEntryControl, 0, sim::SimTime{}, port);
+    table.aperture_write(base + kMsixEntryData, 100 + v, 4, sim::SimTime{},
+                         port);
+    table.aperture_write(base + kMsixEntryControl, 0, 4, sim::SimTime{},
+                         port);
   }
   table.fire(2, sim::SimTime{}, port);
   table.fire(0, sim::SimTime{}, port);
   EXPECT_EQ(seen, (std::vector<u32>{102, 100}));
+}
+
+/// Programs the last entry of a function's MSI-X table through bar_write
+/// and reads every field back through bar_read. Then makes the accesses
+/// the window does not implement (past the last entry, misaligned, not
+/// 4 bytes wide): each reads 0 or is dropped, and the entry is unchanged.
+void expect_msix_window(Function& fn, BarOffset table, u32 entries) {
+  const sim::SimTime t{};
+  const BarOffset last = table + (entries - 1) * kMsixEntryBytes;
+  const auto read = [&](BarOffset at, u32 size = 4) {
+    return fn.bar_read(0, at, size, t);
+  };
+  EXPECT_EQ(read(last + kMsixEntryControl), kMsixControlMasked);
+  fn.bar_write(0, last + kMsixEntryAddrLo, 0xfee0'1230u, 4, t);
+  fn.bar_write(0, last + kMsixEntryAddrHi, 0x1u, 4, t);
+  fn.bar_write(0, last + kMsixEntryData, 0x2au, 4, t);
+  fn.bar_write(0, last + kMsixEntryControl, 0, 4, t);
+  const auto expect_entry = [&] {
+    EXPECT_EQ(read(last + kMsixEntryAddrLo), 0xfee0'1230u);
+    EXPECT_EQ(read(last + kMsixEntryAddrHi), 0x1u);
+    EXPECT_EQ(read(last + kMsixEntryData), 0x2au);
+    EXPECT_EQ(read(last + kMsixEntryControl), 0u);
+  };
+  expect_entry();
+
+  const BarOffset past = table + entries * kMsixEntryBytes;
+  EXPECT_EQ(read(past), 0u);
+  fn.bar_write(0, past + kMsixEntryData, 0x77u, 4, t);
+  EXPECT_EQ(read(last + kMsixEntryData + 2), 0u);
+  fn.bar_write(0, last + kMsixEntryAddrLo + 2, 0xffffu, 4, t);
+  EXPECT_EQ(read(last + kMsixEntryData, 2), 0u);
+  fn.bar_write(0, last + kMsixEntryData, 0x77u, 2, t);
+  fn.bar_write(0, last + kMsixEntryAddrLo, 0x77u, 8, t);
+  expect_entry();
+}
+
+TEST(MsixWindow, EntriesReadBackAndUnimplementedAccessesAreIgnored) {
+  mem::HostMemory memory;
+  RootComplex rc{memory, LinkModel{}};
+  core::ConsoleDeviceLogic console;
+  core::VirtioDeviceFunction virtio_fn{console};
+  xdma::XdmaIpFunction xdma_fn{64 * 1024};
+  rc.attach(virtio_fn);
+  rc.attach(xdma_fn);
+  virtio_fn.connect(rc);
+  xdma_fn.connect(rc);
+  {
+    SCOPED_TRACE("virtio");
+    expect_msix_window(virtio_fn, core::kMsixTableOffset,
+                       virtio_fn.msix().size());
+  }
+  {
+    SCOPED_TRACE("xdma");
+    expect_msix_window(xdma_fn, xdma::kMsixTableOffset,
+                       xdma_fn.msix().size());
+  }
 }
 
 }  // namespace

@@ -5,15 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <vector>
 
+#include "support/chain_io.hpp"
+#include "vfpga/core/packed_queue_engine.hpp"
+#include "vfpga/core/queue_engine.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/pcie/root_complex.hpp"
 #include "vfpga/virtio/ids.hpp"
-#include "vfpga/virtio/packed_device.hpp"
 #include "vfpga/virtio/packed_driver.hpp"
 #include "vfpga/virtio/ring_layout.hpp"
-#include "vfpga/virtio/virtqueue_device.hpp"
 #include "vfpga/virtio/virtqueue_driver.hpp"
 
 namespace vfpga::virtio {
@@ -45,10 +47,22 @@ struct SplitSgFixture : ::testing::Test {
   VirtqueueDriver make_driver(u16 size = 8) {
     return VirtqueueDriver{memory, size, features};
   }
-  VirtqueueDevice make_device(const VirtqueueDriver& drv) {
-    VirtqueueDevice vq{rc.dma_port(fn)};
-    vq.configure(drv.addresses(), drv.size(), features);
-    return vq;
+  std::unique_ptr<core::QueueEngine> make_engine(
+      const VirtqueueDriver& drv, core::ControllerPolicy policy = {}) {
+    auto engine =
+        std::make_unique<core::QueueEngine>(rc.dma_port(fn), policy);
+    engine->configure(drv.addresses(), drv.size(), features, sim::SimTime{});
+    return engine;
+  }
+
+  /// Publish `head` in the next avail slot straight into ring memory
+  /// (for heads of descriptor tables the driver would never build).
+  void publish_raw_head(const VirtqueueDriver& drv, u16 head) {
+    const HostAddr avail = drv.addresses().avail;
+    const u16 idx = memory.read_le16(avail + kAvailIdxOffset);
+    memory.write_le16(
+        avail + avail_entry_offset(static_cast<u16>(idx % drv.size())), head);
+    memory.write_le16(avail + kAvailIdxOffset, static_cast<u16>(idx + 1));
   }
 };
 
@@ -57,7 +71,7 @@ TEST_F(SplitSgFixture, ZeroLengthWritableSegmentRoundTrips) {
   // (length is only a capacity): the device must skip it when
   // scattering, not write through it or bail out.
   auto drv = make_driver();
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   const HostAddr empty_buf = memory.allocate(8);
   const HostAddr data_buf = memory.allocate(64);
   const std::array<ChainBuffer, 3> chain{
@@ -69,20 +83,17 @@ TEST_F(SplitSgFixture, ZeroLengthWritableSegmentRoundTrips) {
   ASSERT_TRUE(head.has_value());
   drv.publish();
 
-  const auto entry = dev.fetch_avail_entry(0, sim::SimTime{});
-  dev.advance_avail_cursor();
-  std::vector<Descriptor> descriptors;
-  const auto fetched = dev.fetch_chain(entry.value, entry.done, descriptors);
-  ASSERT_FALSE(fetched.value.error);
-  ASSERT_EQ(descriptors.size(), 3u);
-  EXPECT_EQ(descriptors[1].len, 0u);
+  core::FetchedChain fetched;
+  const sim::SimTime t = engine->consume_chain(sim::SimTime{}, fetched);
+  ASSERT_FALSE(fetched.error);
+  ASSERT_EQ(fetched.descriptors.size(), 3u);
+  EXPECT_EQ(fetched.descriptors[1].len, 0u);
 
   Bytes message(72, 0xab);
-  u32 written = 0;
-  const auto timing =
-      dev.scatter_payload(descriptors, message, fetched.done, written);
-  EXPECT_EQ(written, 72u);
-  dev.push_used(entry.value, written, timing.issuer_free);
+  const auto scatter = testing_support::scatter(
+      rc.dma_port(fn), fetched.descriptors, message, t);
+  EXPECT_EQ(scatter.written, 72u);
+  engine->complete_chain(fetched, scatter.written, scatter.issuer_free, true);
 
   const auto completion = drv.harvest_used();
   ASSERT_TRUE(completion.has_value());
@@ -93,7 +104,7 @@ TEST_F(SplitSgFixture, ZeroLengthWritableSegmentRoundTrips) {
 
 TEST_F(SplitSgFixture, ZeroLengthSegmentInsideIndirectTable) {
   auto drv = make_driver();
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   const HostAddr data_buf = memory.allocate(32);
   const std::array<ChainBuffer, 3> chain{
       ChainBuffer{memory.allocate(8), 8, true},
@@ -104,20 +115,17 @@ TEST_F(SplitSgFixture, ZeroLengthSegmentInsideIndirectTable) {
   ASSERT_TRUE(head.has_value());
   drv.publish();
 
-  const auto entry = dev.fetch_avail_entry(0, sim::SimTime{});
-  dev.advance_avail_cursor();
-  std::vector<Descriptor> descriptors;
-  const auto fetched = dev.fetch_chain(entry.value, entry.done, descriptors);
-  ASSERT_FALSE(fetched.value.error);
-  EXPECT_TRUE(fetched.value.via_indirect);
-  ASSERT_EQ(descriptors.size(), 3u);
+  core::FetchedChain fetched;
+  const sim::SimTime t = engine->consume_chain(sim::SimTime{}, fetched);
+  ASSERT_FALSE(fetched.error);
+  EXPECT_TRUE(fetched.via_indirect);
+  ASSERT_EQ(fetched.descriptors.size(), 3u);
 
   Bytes message(40, 0x5d);
-  u32 written = 0;
-  const auto timing =
-      dev.scatter_payload(descriptors, message, fetched.done, written);
-  EXPECT_EQ(written, 40u);
-  dev.push_used(entry.value, written, timing.issuer_free);
+  const auto scatter = testing_support::scatter(
+      rc.dma_port(fn), fetched.descriptors, message, t);
+  EXPECT_EQ(scatter.written, 40u);
+  engine->complete_chain(fetched, scatter.written, scatter.issuer_free, true);
   const auto completion = drv.harvest_used();
   ASSERT_TRUE(completion.has_value());
   EXPECT_EQ(memory.read_bytes(data_buf, 32), Bytes(32, 0x5d));
@@ -140,42 +148,51 @@ TEST_F(SplitSgFixture, DeviceFlagsEndlessChainAsError) {
   // A descriptor whose NEXT points back at itself models a corrupted
   // table: the walk must terminate with the error flag, not spin.
   auto drv = make_driver();
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   const HostAddr d0 = drv.addresses().desc + desc_offset(0);
   memory.write_le64(d0 + kDescAddrOffset, memory.allocate(8));
   memory.write_le32(d0 + kDescLenOffset, 8);
   memory.write_le16(d0 + kDescFlagsOffset, descflags::kNext);
   memory.write_le16(d0 + kDescNextOffset, 0);
+  publish_raw_head(drv, 0);
 
-  std::vector<Descriptor> descriptors;
-  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}, descriptors).value.error);
+  core::FetchedChain fetched;
+  (void)engine->consume_chain(sim::SimTime{}, fetched);
+  EXPECT_TRUE(fetched.error);
 }
 
 TEST_F(SplitSgFixture, IndirectTableWithBadGeometryIsError) {
   auto drv = make_driver();
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   const HostAddr table = memory.allocate(kDescSize * 16, kDescAlign);
   const HostAddr d0 = drv.addresses().desc + desc_offset(0);
   memory.write_le64(d0 + kDescAddrOffset, table);
   memory.write_le16(d0 + kDescFlagsOffset, descflags::kIndirect);
-  std::vector<Descriptor> descriptors;
+  const auto consume = [&] {
+    publish_raw_head(drv, 0);
+    core::FetchedChain fetched;
+    (void)engine->consume_chain(sim::SimTime{}, fetched);
+    return fetched;
+  };
 
   // Length not a whole number of descriptor entries.
   memory.write_le32(d0 + kDescLenOffset, kDescSize + 4);
-  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}, descriptors).value.error);
+  EXPECT_TRUE(consume().error);
   // Zero-length table.
   memory.write_le32(d0 + kDescLenOffset, 0);
-  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}, descriptors).value.error);
+  EXPECT_TRUE(consume().error);
   // More entries than the queue size (§2.7.5.3.1 cap).
   memory.write_le32(d0 + kDescLenOffset,
                     static_cast<u32>(kDescSize * (drv.size() + 1)));
-  EXPECT_TRUE(dev.fetch_chain(0, sim::SimTime{}, descriptors).value.error);
+  EXPECT_TRUE(consume().error);
   // Sanity: a one-entry table with the same ring descriptor is fine.
   memory.write_le64(table + kDescAddrOffset, memory.allocate(8));
   memory.write_le32(table + kDescLenOffset, 8);
   memory.write_le16(table + kDescFlagsOffset, 0);
   memory.write_le32(d0 + kDescLenOffset, static_cast<u32>(kDescSize));
-  EXPECT_FALSE(dev.fetch_chain(0, sim::SimTime{}, descriptors).value.error);
+  const core::FetchedChain good = consume();
+  EXPECT_FALSE(good.error);
+  EXPECT_TRUE(good.via_indirect);
 }
 
 struct PackedSgFixture : ::testing::Test {
@@ -189,10 +206,24 @@ struct PackedSgFixture : ::testing::Test {
   PackedVirtqueueDriver make_driver(u16 size = 8) {
     return PackedVirtqueueDriver{memory, size, features};
   }
-  PackedVirtqueueDevice make_device(const PackedVirtqueueDriver& drv) {
-    PackedVirtqueueDevice vq{rc.dma_port(fn)};
-    vq.configure(drv.ring_addresses(), drv.size(), features);
-    return vq;
+  std::unique_ptr<core::PackedQueueEngine> make_engine(
+      const PackedVirtqueueDriver& drv) {
+    auto engine = std::make_unique<core::PackedQueueEngine>(rc.dma_port(fn));
+    engine->configure(drv.ring_addresses(), drv.size(), features,
+                      sim::SimTime{});
+    return engine;
+  }
+  /// Poll for the chain at the avail cursor, then consume it.
+  core::FetchedChain poll_and_consume(core::PackedQueueEngine& engine,
+                                      sim::SimTime* done = nullptr) {
+    const core::Poll poll = engine.poll_available(sim::SimTime{});
+    EXPECT_EQ(poll.available, 1);
+    core::FetchedChain chain;
+    const sim::SimTime t = engine.consume_chain(poll.done, chain);
+    if (done != nullptr) {
+      *done = t;
+    }
+    return chain;
   }
 
   /// Write one raw packed descriptor straight into the ring (for
@@ -209,7 +240,7 @@ struct PackedSgFixture : ::testing::Test {
 
 TEST_F(PackedSgFixture, ZeroLengthWritableSegmentRoundTrips) {
   auto drv = make_driver();
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   const std::array<ChainBuffer, 3> chain{
       ChainBuffer{memory.allocate(8), 8, true},
       ChainBuffer{memory.allocate(8), 0, true},
@@ -218,15 +249,13 @@ TEST_F(PackedSgFixture, ZeroLengthWritableSegmentRoundTrips) {
   ASSERT_TRUE(drv.add_chain(chain, 3).has_value());
   drv.publish();
 
-  const auto avail = dev.peek_available(sim::SimTime{});
-  ASSERT_TRUE(avail.value);
-  std::vector<Descriptor> descriptors;
-  const auto consumed = dev.consume_chain(avail.done, descriptors);
-  ASSERT_FALSE(consumed.value.error);
-  ASSERT_EQ(descriptors.size(), 3u);
-  EXPECT_EQ(descriptors[1].len, 0u);
+  sim::SimTime t;
+  const core::FetchedChain consumed = poll_and_consume(*engine, &t);
+  ASSERT_FALSE(consumed.error);
+  ASSERT_EQ(consumed.descriptors.size(), 3u);
+  EXPECT_EQ(consumed.descriptors[1].len, 0u);
 
-  dev.push_used(consumed.value, 72, consumed.done);
+  engine->complete_chain(consumed, 72, t, true);
   const auto completion = drv.harvest();
   ASSERT_TRUE(completion.has_value());
   EXPECT_EQ(completion->token, 3u);
@@ -245,16 +274,13 @@ TEST_F(PackedSgFixture, DeviceFlagsEndlessChainAsError) {
   // Every slot claims a continuation: the walk must stop at queue_size
   // with the error flag (a conformant driver can never produce this).
   auto drv = make_driver();
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   const HostAddr buf = memory.allocate(8);
   for (u16 slot = 0; slot < drv.size(); ++slot) {
     write_raw(drv, slot, buf, 8, slot,
               static_cast<u16>(pk::flags::kNext | pk::avail_flags(true)));
   }
-  const auto avail = dev.peek_available(sim::SimTime{});
-  ASSERT_TRUE(avail.value);
-  std::vector<Descriptor> descriptors;
-  EXPECT_TRUE(dev.consume_chain(avail.done, descriptors).value.error);
+  EXPECT_TRUE(poll_and_consume(*engine).error);
 }
 
 TEST_F(PackedSgFixture, IndirectTableWithBadGeometryIsError) {
@@ -262,36 +288,20 @@ TEST_F(PackedSgFixture, IndirectTableWithBadGeometryIsError) {
   const HostAddr table = memory.allocate(pk::kDescSize * 16, 16);
   const u16 indirect_avail =
       static_cast<u16>(pk::flags::kIndirect | pk::avail_flags(true));
-  std::vector<Descriptor> descriptors;
 
   // Length not a whole number of entries.
-  {
-    auto dev = make_device(drv);
-    write_raw(drv, 0, table, static_cast<u32>(pk::kDescSize + 4), 0,
-              indirect_avail);
-    const auto avail = dev.peek_available(sim::SimTime{});
-    ASSERT_TRUE(avail.value);
-    EXPECT_TRUE(dev.consume_chain(avail.done, descriptors).value.error);
-  }
+  write_raw(drv, 0, table, static_cast<u32>(pk::kDescSize + 4), 0,
+            indirect_avail);
+  EXPECT_TRUE(poll_and_consume(*make_engine(drv)).error);
   // More entries than the queue size.
-  {
-    auto dev = make_device(drv);
-    write_raw(drv, 0, table,
-              static_cast<u32>(pk::kDescSize * (drv.size() + 1)), 0,
-              indirect_avail);
-    const auto avail = dev.peek_available(sim::SimTime{});
-    ASSERT_TRUE(avail.value);
-    EXPECT_TRUE(dev.consume_chain(avail.done, descriptors).value.error);
-  }
+  write_raw(drv, 0, table,
+            static_cast<u32>(pk::kDescSize * (drv.size() + 1)), 0,
+            indirect_avail);
+  EXPECT_TRUE(poll_and_consume(*make_engine(drv)).error);
   // INDIRECT combined with NEXT (§2.8.8 forbids chaining them).
-  {
-    auto dev = make_device(drv);
-    write_raw(drv, 0, table, static_cast<u32>(pk::kDescSize), 0,
-              static_cast<u16>(indirect_avail | pk::flags::kNext));
-    const auto avail = dev.peek_available(sim::SimTime{});
-    ASSERT_TRUE(avail.value);
-    EXPECT_TRUE(dev.consume_chain(avail.done, descriptors).value.error);
-  }
+  write_raw(drv, 0, table, static_cast<u32>(pk::kDescSize), 0,
+            static_cast<u16>(indirect_avail | pk::flags::kNext));
+  EXPECT_TRUE(poll_and_consume(*make_engine(drv)).error);
 }
 
 // ---- mergeable RX spanning exactly N buffers (end-to-end) --------------------

@@ -1,17 +1,19 @@
 // Split-virtqueue tests: layout constants, driver-side ring operations,
-// device-side DMA access, and the driver<->device protocol round trip —
-// the core invariant being that both halves agree on every byte purely
-// through shared memory.
+// the device-side queue engine's DMA access, and the driver<->device
+// protocol round trip — the core invariant being that both halves agree
+// on every byte purely through shared memory.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <map>
+#include <memory>
 
+#include "support/chain_io.hpp"
+#include "vfpga/core/queue_engine.hpp"
 #include "vfpga/pcie/root_complex.hpp"
 #include "vfpga/sim/rng.hpp"
 #include "vfpga/virtio/ids.hpp"
 #include "vfpga/virtio/ring_layout.hpp"
-#include "vfpga/virtio/virtqueue_device.hpp"
 #include "vfpga/virtio/virtqueue_driver.hpp"
 
 namespace vfpga::virtio {
@@ -53,10 +55,20 @@ struct RingFixture : ::testing::Test {
   VirtqueueDriver make_driver(u16 size = 8) {
     return VirtqueueDriver{memory, size, features};
   }
-  VirtqueueDevice make_device(const VirtqueueDriver& drv) {
-    VirtqueueDevice vq{rc.dma_port(fn)};
-    vq.configure(drv.addresses(), drv.size(), features);
-    return vq;
+  std::unique_ptr<core::QueueEngine> make_engine(
+      const VirtqueueDriver& drv, core::ControllerPolicy policy = {}) {
+    auto engine =
+        std::make_unique<core::QueueEngine>(rc.dma_port(fn), policy);
+    engine->configure(drv.addresses(), drv.size(), features, sim::SimTime{});
+    return engine;
+  }
+  /// Consume the next chain and complete it at once with `written`
+  /// bytes; returns the interrupt decision.
+  bool consume_and_complete(core::QueueEngine& engine, u32 written = 0) {
+    core::FetchedChain chain;
+    const sim::SimTime t = engine.consume_chain(sim::SimTime{}, chain);
+    EXPECT_FALSE(chain.error);
+    return engine.complete_chain(chain, written, t, true).interrupt;
   }
 };
 
@@ -112,36 +124,36 @@ TEST_F(RingFixture, ChainTooLargeIsRefusedWithoutSideEffects) {
 
 TEST_F(RingFixture, DeviceSeesDriverDescriptorsThroughDma) {
   auto drv = make_driver();
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   const HostAddr buf = memory.allocate(32);
   memory.fill(buf, 0x77, 32);
   const ChainBuffer cb{buf, 32, false};
   const auto head = drv.add_chain(std::span{&cb, 1}, 5);
   drv.publish();
 
-  const auto idx = dev.fetch_avail_idx(sim::SimTime{});
-  EXPECT_EQ(idx.value, 1);
-  EXPECT_GT(idx.done.nanos(), 0.0);
+  const core::Poll poll = engine->poll_available(sim::SimTime{});
+  EXPECT_EQ(poll.available, 1);
+  EXPECT_GT(poll.done.nanos(), 0.0);
 
-  const auto entry = dev.fetch_avail_entry(0, idx.done);
-  EXPECT_EQ(entry.value, *head);
-
-  std::vector<Descriptor> descriptors;
-  const auto chain = dev.fetch_chain(entry.value, entry.done, descriptors);
-  EXPECT_FALSE(chain.value.error);
-  ASSERT_EQ(descriptors.size(), 1u);
-  EXPECT_EQ(descriptors[0].addr, buf);
-  EXPECT_EQ(descriptors[0].len, 32u);
+  core::FetchedChain chain;
+  const sim::SimTime fetched = engine->consume_chain(poll.done, chain);
+  EXPECT_EQ(chain.handle, *head);
+  EXPECT_FALSE(chain.error);
+  ASSERT_EQ(chain.descriptors.size(), 1u);
+  EXPECT_EQ(chain.descriptors[0].addr, buf);
+  EXPECT_EQ(chain.descriptors[0].len, 32u);
 
   Bytes payload;
-  const auto done = dev.gather_payload(descriptors, payload, chain.done);
+  const auto done = testing_support::gather(rc.dma_port(fn),
+                                            chain.descriptors, payload,
+                                            fetched);
   EXPECT_EQ(payload, Bytes(32, 0x77));
-  EXPECT_GT(done, chain.done);
+  EXPECT_GT(done, fetched);
 }
 
 TEST_F(RingFixture, FullProtocolRoundTrip) {
   auto drv = make_driver();
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
 
   // Driver exposes one writable buffer (an RX buffer).
   const HostAddr rx_buf = memory.allocate(64);
@@ -150,16 +162,14 @@ TEST_F(RingFixture, FullProtocolRoundTrip) {
   drv.publish();
 
   // Device consumes it, scatters a payload, pushes a used entry.
-  const auto entry = dev.fetch_avail_entry(0, sim::SimTime{});
-  dev.advance_avail_cursor();
-  std::vector<Descriptor> descriptors;
-  const auto chain = dev.fetch_chain(entry.value, entry.done, descriptors);
+  core::FetchedChain chain;
+  const sim::SimTime fetched = engine->consume_chain(sim::SimTime{}, chain);
+  EXPECT_EQ(chain.handle, *head);
   const Bytes message{'v', 'i', 'r', 't', 'i', 'o'};
-  u32 written = 0;
-  const auto scatter =
-      dev.scatter_payload(descriptors, message, chain.done, written);
-  EXPECT_EQ(written, message.size());
-  dev.push_used(entry.value, written, scatter.issuer_free);
+  const auto scatter = testing_support::scatter(
+      rc.dma_port(fn), chain.descriptors, message, fetched);
+  EXPECT_EQ(scatter.written, message.size());
+  engine->complete_chain(chain, scatter.written, scatter.issuer_free, true);
 
   // Driver harvests: token, length, bytes all round-trip.
   ASSERT_TRUE(drv.used_pending());
@@ -175,17 +185,14 @@ TEST_F(RingFixture, FullProtocolRoundTrip) {
 
 TEST_F(RingFixture, DescriptorsRecycleThroughFullRing) {
   auto drv = make_driver(4);
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   // Push 3x the ring size of single-buffer chains through.
   for (u64 i = 0; i < 12; ++i) {
     const ChainBuffer cb{memory.allocate(8), 8, false};
     const auto head = drv.add_chain(std::span{&cb, 1}, i);
     ASSERT_TRUE(head.has_value()) << i;
     drv.publish();
-    const auto entry =
-        dev.fetch_avail_entry(dev.next_avail_position(), sim::SimTime{});
-    dev.advance_avail_cursor();
-    dev.push_used(entry.value, 0, entry.done);
+    consume_and_complete(*engine);
     const auto completion = drv.harvest_used();
     ASSERT_TRUE(completion.has_value());
     EXPECT_EQ(completion->token, i);
@@ -194,10 +201,10 @@ TEST_F(RingFixture, DescriptorsRecycleThroughFullRing) {
 
 TEST_F(RingFixture, EventIdxKickSuppression) {
   auto drv = make_driver();
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
 
   // Device asks to be kicked for the first publish.
-  dev.write_avail_event(0, sim::SimTime{});
+  engine->post_drain_update(0, sim::SimTime{});
   const ChainBuffer cb{memory.allocate(8), 8, false};
   drv.add_chain(std::span{&cb, 1}, 1);
   drv.publish();
@@ -210,7 +217,7 @@ TEST_F(RingFixture, EventIdxKickSuppression) {
   EXPECT_FALSE(drv.should_kick());
 
   // Device catches up and requests the next one.
-  dev.write_avail_event(2, sim::SimTime{});
+  engine->post_drain_update(2, sim::SimTime{});
   drv.add_chain(std::span{&cb, 1}, 3);
   drv.publish();
   EXPECT_TRUE(drv.should_kick());
@@ -222,28 +229,43 @@ TEST_F(RingFixture, UsedEventControlsDeviceVisibleField) {
   EXPECT_EQ(
       memory.read_le16(drv.addresses().avail + used_event_offset(drv.size())),
       7);
-  auto dev = make_device(drv);
-  EXPECT_EQ(dev.read_used_event(sim::SimTime{}).value, 7);
+  // The device reads 7: only the update that moves used.idx past it
+  // (the eighth, 7 -> 8) interrupts.
+  auto engine = make_engine(drv);
+  for (u64 i = 0; i < 9; ++i) {
+    const ChainBuffer cb{memory.allocate(8), 8, false};
+    ASSERT_TRUE(drv.add_chain(std::span{&cb, 1}, i).has_value());
+    drv.publish();
+    EXPECT_EQ(consume_and_complete(*engine), i == 7) << i;
+    ASSERT_TRUE(drv.harvest_used().has_value());
+  }
 }
 
 TEST_F(RingFixture, BatchedDescriptorFetchMatchesSingles) {
   auto drv = make_driver();
-  auto dev = make_device(drv);
   const std::array<ChainBuffer, 2> chain{
       ChainBuffer{memory.allocate(16), 16, false},
       ChainBuffer{memory.allocate(16), 16, true},
   };
-  const auto head = drv.add_chain(chain, 1);
+  drv.add_chain(chain, 1);
   drv.publish();
-  std::array<Descriptor, 2> burst{};
-  const auto burst_done = dev.fetch_descriptors(*head, burst, sim::SimTime{});
-  const auto single0 = dev.fetch_descriptor(*head, sim::SimTime{});
-  EXPECT_EQ(burst[0].addr, single0.value.addr);
-  EXPECT_EQ(burst[0].flags, single0.value.flags);
-  // One burst read is cheaper than two single reads.
-  const auto two_singles =
-      dev.fetch_descriptor(single0.value.next, single0.done).done;
-  EXPECT_LT(burst_done.picos(), two_singles.picos());
+  core::ControllerPolicy batched;
+  batched.batched_chain_fetch = true;
+  core::FetchedChain burst;
+  const auto burst_done =
+      make_engine(drv, batched)->consume_chain(sim::SimTime{}, burst);
+  core::FetchedChain singles;
+  const auto singles_done =
+      make_engine(drv)->consume_chain(sim::SimTime{}, singles);
+  ASSERT_EQ(burst.descriptors.size(), 2u);
+  ASSERT_EQ(singles.descriptors.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(burst.descriptors[i].addr, singles.descriptors[i].addr);
+    EXPECT_EQ(burst.descriptors[i].len, singles.descriptors[i].len);
+    EXPECT_EQ(burst.descriptors[i].flags, singles.descriptors[i].flags);
+  }
+  // One burst read is cheaper than a head read plus a continuation read.
+  EXPECT_LT(burst_done.picos(), singles_done.picos());
 }
 
 // Property sweep over queue sizes: in-flight + free == size always.
@@ -309,19 +331,14 @@ TEST_F(RingFixture, SurvivesU16IndexWraparound) {
   // queue crosses the 65536 wrap after 16384 laps. Push enough chains
   // through that both counters wrap and verify tokens stay exact.
   auto drv = make_driver(4);
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   constexpr u64 kChains = 70'000;  // > 65536: full counter wrap
   for (u64 i = 0; i < kChains; ++i) {
     const ChainBuffer cb{memory.allocate(8), 8, false};
     ASSERT_TRUE(drv.add_chain(std::span{&cb, 1}, i).has_value()) << i;
     drv.publish();
-    const auto idx = dev.fetch_avail_idx(sim::SimTime{});
-    ASSERT_EQ(static_cast<u16>(idx.value - dev.next_avail_position()), 1)
-        << i;
-    const auto entry =
-        dev.fetch_avail_entry(dev.next_avail_position(), sim::SimTime{});
-    dev.advance_avail_cursor();
-    dev.push_used(entry.value, 0, entry.done);
+    ASSERT_EQ(engine->poll_available(sim::SimTime{}).available, 1) << i;
+    consume_and_complete(*engine);
     const auto completion = drv.harvest_used();
     ASSERT_TRUE(completion.has_value()) << i;
     ASSERT_EQ(completion->token, i) << i;
@@ -333,34 +350,28 @@ TEST_F(RingFixture, EventIdxSuppressionCorrectAcrossWrap) {
   // The §2.7.10 wrap-safe comparison must hold when used_event and
   // used.idx straddle the 16-bit boundary.
   auto drv = make_driver(4);
-  auto dev = make_device(drv);
+  auto engine = make_engine(drv);
   // Drive the counters close to the wrap point.
   for (u64 i = 0; i < 65'530; ++i) {
     const ChainBuffer cb{memory.allocate(8), 8, false};
     ASSERT_TRUE(drv.add_chain(std::span{&cb, 1}, i).has_value());
     drv.publish();
-    const auto entry =
-        dev.fetch_avail_entry(dev.next_avail_position(), sim::SimTime{});
-    dev.advance_avail_cursor();
-    dev.push_used(entry.value, 0, entry.done);
+    consume_and_complete(*engine);
     ASSERT_TRUE(drv.harvest_used().has_value());
   }
   // Device asks for a kick exactly at the pre-wrap index...
-  dev.write_avail_event(static_cast<u16>(65'530), sim::SimTime{});
+  engine->post_drain_update(static_cast<u16>(65'530), sim::SimTime{});
   const ChainBuffer cb{memory.allocate(8), 8, false};
   drv.add_chain(std::span{&cb, 1}, 1);
   drv.publish();  // avail idx 65531: passes event 65530
   EXPECT_TRUE(drv.should_kick());
   // ...and for one past the wrap: publishes at 65532..65535 suppressed,
   // the one that lands on 0 (post-wrap) kicks.
-  dev.write_avail_event(static_cast<u16>(65'535), sim::SimTime{});
+  engine->post_drain_update(static_cast<u16>(65'535), sim::SimTime{});
   // Publishes at idx 65532..65535 are suppressed; the publish whose idx
   // wraps to 0 passes event 65535 and kicks.
   for (int i = 0; i < 5; ++i) {
-    const auto entry =
-        dev.fetch_avail_entry(dev.next_avail_position(), sim::SimTime{});
-    dev.advance_avail_cursor();
-    dev.push_used(entry.value, 0, entry.done);
+    consume_and_complete(*engine);
     drv.harvest_used();
     drv.add_chain(std::span{&cb, 1}, 2);
     drv.publish();

@@ -171,11 +171,11 @@ TEST_F(EngineFixture, CompletionInterruptFiresWhenEnabled) {
   const u32 vector = irq.allocate_vector();
   auto port = rc.dma_port(device);
   device.msix().aperture_write(pcie::kMsixEntryAddrLo,
-                               static_cast<u32>(pcie::kMsiWindowBase),
+                               static_cast<u32>(pcie::kMsiWindowBase), 4,
                                sim::SimTime{}, port);
-  device.msix().aperture_write(pcie::kMsixEntryData, vector, sim::SimTime{},
-                               port);
-  device.msix().aperture_write(pcie::kMsixEntryControl, 0, sim::SimTime{},
+  device.msix().aperture_write(pcie::kMsixEntryData, vector, 4,
+                               sim::SimTime{}, port);
+  device.msix().aperture_write(pcie::kMsixEntryControl, 0, 4, sim::SimTime{},
                                port);
   device.h2c().set_interrupt_enable(true);
 
