@@ -5,7 +5,6 @@
 #include "vfpga/common/contract.hpp"
 #include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/migrate/state_io.hpp"
-#include "vfpga/net/gso.hpp"
 #include "vfpga/net/icmp.hpp"
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
@@ -32,24 +31,10 @@ virtio::FeatureSet NetDeviceLogic::device_features() const {
   if (config_.offer_csum) {
     f.set(virtio::feature::net::kCsum);
   }
-  // The echo logic always produces full checksums, so GUEST_CSUM and the
-  // RX offloads that depend on it are safe to offer unconditionally.
+  // The echo logic always produces full checksums, so GUEST_CSUM is safe
+  // to offer unconditionally. No segmentation offload and no mergeable
+  // RX buffers: every frame fits one buffer at the device MTU.
   f.set(virtio::feature::net::kGuestCsum);
-  // MRG_RXBUF lets a negotiating driver post small RX buffers and let
-  // one frame span several of them, with the header's num_buffers
-  // carrying the span (§5.1.6.4). Like it, the segmentation offloads
-  // (HOST_TSO4/HOST_UFO on TX, GUEST_TSO4/GUEST_UFO on RX) are free to
-  // offer: the GSO/GRO engines engage only when a driver negotiates the
-  // bits AND stamps a gso_type on a submitted frame.
-  f.set(virtio::feature::net::kMrgRxbuf);
-  if (config_.offer_csum) {
-    // The segmenter writes per-segment checksums, so the HOST offloads
-    // ride the CSUM offer (§5.1.3.1: HOST_TSO/UFO require CSUM).
-    f.set(virtio::feature::net::kHostTso4);
-    f.set(virtio::feature::net::kHostUfo);
-  }
-  f.set(virtio::feature::net::kGuestTso4);
-  f.set(virtio::feature::net::kGuestUfo);
   if (config_.max_queue_pairs > 1) {
     f.set(virtio::feature::net::kMq);
     f.set(virtio::feature::net::kCtrlVq);
@@ -67,17 +52,6 @@ void NetDeviceLogic::on_driver_ready(virtio::FeatureSet negotiated) {
   VFPGA_EXPECTS(
       virtio::FeatureSet{negotiated.bits() & ~kTransportBits}.subset_of(
           device_features()));
-  // Spec feature dependencies (§5.1.3.1): a driver accepting a
-  // segmentation offload without the matching checksum offload
-  // negotiated a combination whose RX semantics are undefined. Fail
-  // loudly.
-  namespace nf = virtio::feature::net;
-  VFPGA_EXPECTS(!negotiated.has(nf::kGuestTso4) ||
-                negotiated.has(nf::kGuestCsum));
-  VFPGA_EXPECTS(!negotiated.has(nf::kGuestUfo) ||
-                negotiated.has(nf::kGuestCsum));
-  VFPGA_EXPECTS(!negotiated.has(nf::kHostTso4) || negotiated.has(nf::kCsum));
-  VFPGA_EXPECTS(!negotiated.has(nf::kHostUfo) || negotiated.has(nf::kCsum));
   negotiated_ = negotiated;
   // §5.1.5: the device comes up with one active pair regardless of what
   // it supports; more are enabled only by a later
@@ -160,9 +134,9 @@ u8 NetDeviceLogic::device_config_read(u32 offset) const {
     case NetConfigLayout::kMaxPairsOffset + 1:
       return static_cast<u8>(config_.max_queue_pairs >> 8);
     case NetConfigLayout::kMtuOffset:
-      return static_cast<u8>(config_.mtu & 0xff);
+      return static_cast<u8>(virtio::net::kDeviceMtu & 0xff);
     case NetConfigLayout::kMtuOffset + 1:
-      return static_cast<u8>(config_.mtu >> 8);
+      return static_cast<u8>(virtio::net::kDeviceMtu >> 8);
     default:
       return 0;
   }
@@ -197,7 +171,9 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   const ConstByteSpan frame = payload.subspan(NetHeader::kSize);
 
   if (vhdr.gso_type != NetHeader::kGsoNone) {
-    return process_gso_udp(vhdr, frame);
+    // A segmentation request the device never offered: hostile input.
+    ++dropped_;
+    return std::nullopt;
   }
 
   // Only IPv4 parses: an ARP or any other non-IP frame is dropped.
@@ -271,8 +247,7 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   const auto parsed_udp = net::parse_udp_datagram(udp_span, src_ip, dst_ip);
 
   // One checksum pass per hop. The echo swaps endpoints, which leaves
-  // every ones'-complement sum unchanged (as in process_gso_udp), so the
-  // checksum the device completes or verifies here is already the
+  // every ones'-complement sum unchanged, so the checksum the device completes or verifies here is already the
   // echo's: it is recomputed only when the wire carried none, or when
   // the completed one covered more than the UDP length.
   std::optional<u16> echo_csum;
@@ -348,115 +323,6 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   return response;
 }
 
-std::optional<UserLogic::Response> NetDeviceLogic::process_gso_udp(
-    const NetHeader& vhdr, ConstByteSpan frame) {
-  // Fixed frame layout (no IP options): eth 0..13, IP 14..33, UDP 34..41.
-  constexpr u64 kIpSrcOff = 26;
-  constexpr u64 kIpDstOff = 30;
-  constexpr u64 kUdpSrcPortOff = 34;
-  constexpr u64 kUdpDstPortOff = 36;
-
-  // Only the UDP (USO) segmenter exists; a TSO_TCPV4 frame — or a
-  // gso_type arriving without the negotiated HOST offload / the
-  // NEEDS_CSUM flag §5.1.6.2 mandates — is garbage in, drop.
-  if (vhdr.gso_type != NetHeader::kGsoUdp ||
-      !negotiated_.has(virtio::feature::net::kHostUfo) ||
-      (vhdr.flags & NetHeader::kNeedsCsum) == 0 ||
-      frame.size() < kUdpDstPortOff + 2) {
-    ++dropped_;
-    return std::nullopt;
-  }
-  std::vector<Bytes> segments =
-      net::gso_segment_udp(frame, vhdr.gso_size, /*fill_checksums=*/true);
-  if (segments.empty()) {
-    ++dropped_;
-    return std::nullopt;
-  }
-  ++gso_superframes_;
-  gso_segments_out_ += segments.size();
-  checksums_offloaded_ += segments.size();
-
-  // Steer by the symmetric flow hash of the original 4-tuple, exactly
-  // like the per-packet path.
-  const u16 echo_pair = steer_flow(net::rss_flow_hash(
-      net::Ipv4Addr{load_be32(frame, kIpSrcOff)},
-      load_be16(frame, kUdpSrcPortOff),
-      net::Ipv4Addr{load_be32(frame, kIpDstOff)},
-      load_be16(frame, kUdpDstPortOff)));
-  const u16 rx_queue = virtio::net::rx_queue_index(echo_pair);
-
-  // Echo transform: swap MACs, IP addresses and UDP ports in place.
-  // Ones'-complement sums are term-order-invariant, so the IP header
-  // checksum and the per-segment UDP checksums survive the swaps — the
-  // echo rewrite costs no checksum passes.
-  for (Bytes& seg : segments) {
-    for (u64 i = 0; i < 6; ++i) {
-      std::swap(seg[i], seg[6 + i]);
-    }
-    for (u64 i = 0; i < 4; ++i) {
-      std::swap(seg[kIpSrcOff + i], seg[kIpDstOff + i]);
-    }
-    for (u64 i = 0; i < 2; ++i) {
-      std::swap(seg[kUdpSrcPortOff + i], seg[kUdpDstPortOff + i]);
-    }
-  }
-
-  // Single shared pass over the payload (the checksum unit is fused
-  // into the segmenter) plus a per-segment header-rewrite stage.
-  const u64 beats = (frame.size() + 7) / 8;
-  u64 cycles = kNetPipelineTiming.fixed_cycles +
-               beats * kNetPipelineTiming.cycles_per_beat +
-               segments.size() * kNetPipelineTiming.gso_segment_cycles;
-
-  udp_echoes_ += segments.size();
-  pair_echoes_[echo_pair] += segments.size();
-
-  if (negotiated_.has(virtio::feature::net::kGuestUfo)) {
-    // GRO: merge the echoed train back into one superframe; the driver
-    // sees a single large frame with a device-vouched checksum.
-    auto gro = net::gro_coalesce_udp(segments);
-    if (gro.has_value()) {
-      cycles += segments.size() * kNetPipelineTiming.gro_merge_cycles;
-      ++gro_coalesced_;
-      Response response;
-      response.payload.resize(NetHeader::kSize + gro->frame.size());
-      NetHeader out_hdr;
-      out_hdr.flags = NetHeader::kDataValid;  // each segment was verified
-      out_hdr.gso_type = NetHeader::kGsoUdp;
-      out_hdr.gso_size = gro->gso_size;
-      out_hdr.num_buffers = 1;
-      out_hdr.encode(response.payload);
-      std::copy(gro->frame.begin(), gro->frame.end(),
-                response.payload.begin() + NetHeader::kSize);
-      response.target_queue = rx_queue;
-      response.processing_cycles = cycles;
-      return response;
-    }
-  }
-
-  // No GUEST offload (or an incoherent train): deliver the wire frames
-  // individually — first one in the Response, the rest trailing.
-  Response response;
-  response.target_queue = rx_queue;
-  response.processing_cycles = cycles;
-  const bool data_valid = negotiated_.has(virtio::feature::net::kGuestCsum);
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    Bytes out(NetHeader::kSize + segments[i].size(), 0);
-    NetHeader out_hdr;
-    out_hdr.flags = data_valid ? NetHeader::kDataValid : u8{0};
-    out_hdr.num_buffers = 1;
-    out_hdr.encode(out);
-    std::copy(segments[i].begin(), segments[i].end(),
-              out.begin() + NetHeader::kSize);
-    if (i == 0) {
-      response.payload = std::move(out);
-    } else {
-      response.trailing_frames.push_back(std::move(out));
-    }
-  }
-  return response;
-}
-
 void NetDeviceLogic::transfer(migrate::StateIo& io) {
   io.features(negotiated_);
   // Steering reduces a table entry modulo the active pairs and indexes
@@ -478,9 +344,6 @@ void NetDeviceLogic::transfer(migrate::StateIo& io) {
   io.u64(dropped_);
   io.u64(ctrl_commands_);
   io.u64(ctrl_rejected_);
-  io.u64(gso_superframes_);
-  io.u64(gso_segments_out_);
-  io.u64(gro_coalesced_);
 }
 
 }  // namespace vfpga::core

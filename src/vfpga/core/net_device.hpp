@@ -27,7 +27,6 @@ class StateIo;
 namespace vfpga::core {
 
 struct NetDeviceConfig {
-  u16 mtu = 1500;
   /// Offer TX checksum offload (VIRTIO_NET_F_CSUM).
   bool offer_csum = true;
 
@@ -44,18 +43,9 @@ struct NetPipelineTiming {
   /// when a checksum must be computed in the slow path.
   u64 fixed_cycles;
   u64 cycles_per_beat;
-  /// GSO engine: per-segment header-rewrite cost on top of the single
-  /// shared per-beat payload pass (the checksum unit is fused into the
-  /// segmenter, so no second pass), and per-segment cost of the GRO
-  /// coalescer merging the echoed train back together.
-  u64 gso_segment_cycles;
-  u64 gro_merge_cycles;
 };
-inline constexpr NetPipelineTiming kNetPipelineTiming{
-    .fixed_cycles = 52,
-    .cycles_per_beat = 1,
-    .gso_segment_cycles = 24,
-    .gro_merge_cycles = 12};
+inline constexpr NetPipelineTiming kNetPipelineTiming{.fixed_cycles = 52,
+                                                      .cycles_per_beat = 1};
 
 class NetDeviceLogic final : public UserLogic {
  public:
@@ -109,9 +99,6 @@ class NetDeviceLogic final : public UserLogic {
   [[nodiscard]] u64 dropped() const { return dropped_; }
   [[nodiscard]] u64 ctrl_commands() const { return ctrl_commands_; }
   [[nodiscard]] u64 ctrl_rejected() const { return ctrl_rejected_; }
-  [[nodiscard]] u64 gso_superframes() const { return gso_superframes_; }
-  [[nodiscard]] u64 gso_segments_out() const { return gso_segments_out_; }
-  [[nodiscard]] u64 gro_coalesced() const { return gro_coalesced_; }
   [[nodiscard]] u64 pair_echoes(u16 pair) const {
     return pair_echoes_.at(pair);
   }
@@ -134,10 +121,6 @@ class NetDeviceLogic final : public UserLogic {
   [[nodiscard]] Response ctrl_response(u16 queue, u8 ack, u64 cycles);
   std::optional<Response> process_ctrl(u16 queue, ConstByteSpan payload,
                                        u32 writable_capacity);
-  /// GSO fast path: segment one offloaded superframe, echo the train,
-  /// and coalesce it back when the guest accepts large RX frames.
-  std::optional<Response> process_gso_udp(const virtio::net::NetHeader& vhdr,
-                                          ConstByteSpan frame);
 
   NetDeviceConfig config_;
   virtio::FeatureSet negotiated_{};
@@ -151,9 +134,6 @@ class NetDeviceLogic final : public UserLogic {
   u64 dropped_ = 0;
   u64 ctrl_commands_ = 0;
   u64 ctrl_rejected_ = 0;
-  u64 gso_superframes_ = 0;
-  u64 gso_segments_out_ = 0;
-  u64 gro_coalesced_ = 0;
 };
 
 }  // namespace vfpga::core

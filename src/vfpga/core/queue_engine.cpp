@@ -202,8 +202,8 @@ IQueueEngine::Completion QueueEngine::complete_chain(
   const u16 event_value = *cached_used_event_;
   // §2.7.10: interrupt iff used_event was passed by this update. A
   // fresh decision extends the crossing window back over completions
-  // pushed against the stale snapshot (a mergeable RX span can cross
-  // used_event at any of its entries, not just the final one).
+  // pushed against the stale snapshot (used_event can fall at any of
+  // those entries, not just the final one).
   u16 old_used = static_cast<u16>(used_idx_ - 1);
   if (fresh) {
     old_used = static_cast<u16>(old_used - stale_completions_);

@@ -277,8 +277,8 @@ class QueueEngine final : public IQueueEngine {
   std::optional<u16> cached_used_event_;
   /// Used entries pushed with a stale suppression snapshot since the
   /// last fresh used_event read: the next fresh decision widens its
-  /// crossing window over them (a mergeable RX span must interrupt if
-  /// ANY of its entries passed used_event, not just the last).
+  /// crossing window over them (the batch must interrupt if ANY of its
+  /// entries passed used_event, not just the last).
   u16 stale_completions_ = 0;
   Bytes table_;  ///< staging for indirect-table reads
 };

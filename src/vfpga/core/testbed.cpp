@@ -92,7 +92,7 @@ VirtioNetTestbed::VirtioNetTestbed(TestbedOptions options)
   ctx.prefer_packed = options_.use_packed_rings;
   // Size the driver's buffer pools for the device's MTU: the driver
   // reads the MTU from config space only after its pools exist.
-  driver_.set_datapath(options_.datapath, options_.net.mtu);
+  driver_.set_datapath(options_.datapath);
   const bool bound =
       driver_.probe(ctx, *thread_, options_.requested_queue_pairs);
   VFPGA_ASSERT(bound);

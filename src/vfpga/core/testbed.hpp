@@ -39,9 +39,7 @@ struct TestbedOptions {
   /// acceptance). Default off: the paper's controller uses split rings.
   bool use_packed_rings = false;
   /// Driver datapath: TX descriptor strategy (bounce copy vs zero-copy
-  /// scatter-gather vs indirect) and mergeable-RX opt-in. The pools are
-  /// sized for net.mtu; the all-default struct reproduces the legacy
-  /// driver bit for bit.
+  /// indirect scatter-gather). The default is the paper's driver.
   hostos::VirtioNetDriver::DatapathOptions datapath{};
   /// The test socket's port and the FPGA's echo port.
   static constexpr u16 udp_port = 4791;
@@ -107,8 +105,7 @@ class VirtioNetTestbed {
   /// Park the testbed for a crash-consistent snapshot: flush coalesced
   /// TX kicks on every pair (the only time-deferred net state) and drain
   /// any in-flight blk requests. Everything else (unharvested used
-  /// entries, queued MSI deliveries, mid-span mergeable-RX reassembly)
-  /// serializes as-is.
+  /// entries, queued MSI deliveries) serializes as-is.
   void quiesce();
 
   /// Serialize/restore every layer's dynamic state except host memory

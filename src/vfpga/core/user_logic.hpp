@@ -77,12 +77,6 @@ class UserLogic {
     /// "time to generate the response packet", measured by its own
     /// perf counter and deducted from the latency breakdown (§IV-B).
     u64 processing_cycles = 0;
-    /// Additional frames to deliver on `target_queue` after `payload`
-    /// (each a full response including the device-type header). A GSO
-    /// device answering one offloaded superframe with a wire-MTU
-    /// segment train emits the train here; the controller delivers the
-    /// frames back-to-back with no extra user-logic dispatch.
-    std::vector<Bytes> trailing_frames;
   };
 
   /// Descriptor-level shape of the chain being processed, for

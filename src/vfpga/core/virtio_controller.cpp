@@ -8,7 +8,6 @@
 #include "vfpga/common/log.hpp"
 #include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/migrate/state_io.hpp"
-#include "vfpga/virtio/net_defs.hpp"
 
 namespace vfpga::core {
 namespace {
@@ -46,6 +45,14 @@ ClassCode class_code_for(virtio::DeviceType type) {
     default:
       return {0xff, 0x00, 0x00};
   }
+}
+
+/// What the split queue engine can walk (§2.7): a power-of-two size, a
+/// 16-byte aligned descriptor table and a 4-byte aligned used ring.
+bool split_ring_walkable(u16 size, const virtio::RingAddresses& rings) {
+  return size != 0 && (size & (size - 1)) == 0 &&
+         rings.desc % virtio::kDescAlign == 0 &&
+         rings.used % virtio::kUsedAlign == 0;
 }
 
 }  // namespace
@@ -201,6 +208,12 @@ void VirtioDeviceFunction::bar_write(u32 bar, BarOffset offset, u64 value,
 // ---- common configuration ------------------------------------------------------
 
 u64 VirtioDeviceFunction::common_read(BarOffset offset, u32 size) {
+  // A queue_select naming no queue selects an absent one: its queue_size
+  // reads 0, "unavailable" (§4.1.4.3).
+  static const QueueState kAbsentQueue{};
+  const QueueState& q = queue_select_ < queue_state_.size()
+                            ? queue_state_[queue_select_]
+                            : kAbsentQueue;
   switch (offset) {
     case kDeviceFeatureSelect:
       return device_feature_select_;
@@ -221,28 +234,25 @@ u64 VirtioDeviceFunction::common_read(BarOffset offset, u32 size) {
     case kQueueSelect:
       return queue_select_;
     case kQueueSize:
-      return queue_state_[queue_select_].size;
+      return q.size;
     case kQueueMsixVector:
-      return queue_state_[queue_select_].msix_vector;
+      return q.msix_vector;
     case kQueueEnable:
-      return queue_state_[queue_select_].enabled ? 1 : 0;
+      return q.enabled ? 1 : 0;
     case kQueueNotifyOff:
       return queue_select_;  // notify offset == queue index
     case kQueueDesc:
-      return size == 8 ? queue_state_[queue_select_].rings.desc
-                       : queue_state_[queue_select_].rings.desc & 0xffffffffu;
+      return size == 8 ? q.rings.desc : q.rings.desc & 0xffffffffu;
     case kQueueDesc + 4:
-      return queue_state_[queue_select_].rings.desc >> 32;
+      return q.rings.desc >> 32;
     case kQueueDriver:
-      return size == 8 ? queue_state_[queue_select_].rings.avail
-                       : queue_state_[queue_select_].rings.avail & 0xffffffffu;
+      return size == 8 ? q.rings.avail : q.rings.avail & 0xffffffffu;
     case kQueueDriver + 4:
-      return queue_state_[queue_select_].rings.avail >> 32;
+      return q.rings.avail >> 32;
     case kQueueDevice:
-      return size == 8 ? queue_state_[queue_select_].rings.used
-                       : queue_state_[queue_select_].rings.used & 0xffffffffu;
+      return size == 8 ? q.rings.used : q.rings.used & 0xffffffffu;
     case kQueueDevice + 4:
-      return queue_state_[queue_select_].rings.used >> 32;
+      return q.rings.used >> 32;
     default:
       return 0;
   }
@@ -256,7 +266,15 @@ void VirtioDeviceFunction::common_write(BarOffset offset, u64 value, u32 size,
   const auto set_hi = [](u64& field, u64 v) {
     field = (field & 0xffffffffull) | (v << 32);
   };
-  QueueState& q = queue_state_[queue_select_];
+  QueueState* const q = queue_select_ < queue_state_.size()
+                            ? &queue_state_[queue_select_]
+                            : nullptr;
+  if (offset > kQueueSelect && q == nullptr) {
+    // Every register after queue_select belongs to the selected queue,
+    // and an absent queue has none to write.
+    VFPGA_WARN("virtio-ctl", "write to an absent queue's register: ignored");
+    return;
+  }
   switch (offset) {
     case kDeviceFeatureSelect:
       device_feature_select_ = static_cast<u32>(value);
@@ -296,69 +314,76 @@ void VirtioDeviceFunction::common_write(BarOffset offset, u64 value, u32 size,
       break;
     }
     case kQueueSelect:
-      VFPGA_EXPECTS(value < queue_state_.size());
       queue_select_ = static_cast<u16>(value);
       break;
     case kQueueSize:
-      VFPGA_EXPECTS(value != 0 && value <= config_.max_queue_size);
-      q.size = static_cast<u16>(value);
+      if (value == 0 || value > config_.max_queue_size) {
+        VFPGA_WARN("virtio-ctl", "queue size out of range: ignored");
+        break;
+      }
+      q->size = static_cast<u16>(value);
       break;
     case kQueueMsixVector: {
       const u16 v = static_cast<u16>(value);
       const u16 table_size = static_cast<u16>(queue_state_.size() + 1);
       if (v != virtio::kNoVector && v >= table_size) {
         VFPGA_WARN("virtio-ctl", "queue MSI-X vector out of range: rejected");
-        q.msix_vector = virtio::kNoVector;
+        q->msix_vector = virtio::kNoVector;
       } else {
-        q.msix_vector = v;
+        q->msix_vector = v;
       }
       break;
     }
     case kQueueEnable:
-      if (value == 1 && !q.enabled) {
-        q.enabled = true;
+      if (value == 1 && !q->enabled) {
         // Latch the rings: from here on a single doorbell suffices to
         // start a transfer (§IV-A). The negotiated ring format selects
         // the queue FSM flavour.
         const virtio::FeatureSet negotiated =
             offered_.intersect(driver_features_);
-        engines_[queue_select_] =
-            make_engine(negotiated.has(virtio::feature::kRingPacked)
-                            ? virtio::RingFormat::kPacked
-                            : virtio::RingFormat::kSplit);
-        engines_[queue_select_]->configure(q.rings, q.size, negotiated, at);
+        const bool packed = negotiated.has(virtio::feature::kRingPacked);
+        if (!packed && !split_ring_walkable(q->size, q->rings)) {
+          // A split ring the engine cannot walk (§2.7): the enable does
+          // not take, and the device needs a reset to recover.
+          device_error(at);
+          break;
+        }
+        q->enabled = true;
+        engines_[queue_select_] = make_engine(
+            packed ? virtio::RingFormat::kPacked : virtio::RingFormat::kSplit);
+        engines_[queue_select_]->configure(q->rings, q->size, negotiated, at);
         credits_[queue_select_] = 0;
       }
       break;
     case kQueueDesc:
       if (size == 8) {
-        q.rings.desc = value;
+        q->rings.desc = value;
       } else {
-        set_lo(q.rings.desc, value);
+        set_lo(q->rings.desc, value);
       }
       break;
     case kQueueDesc + 4:
-      set_hi(q.rings.desc, value);
+      set_hi(q->rings.desc, value);
       break;
     case kQueueDriver:
       if (size == 8) {
-        q.rings.avail = value;
+        q->rings.avail = value;
       } else {
-        set_lo(q.rings.avail, value);
+        set_lo(q->rings.avail, value);
       }
       break;
     case kQueueDriver + 4:
-      set_hi(q.rings.avail, value);
+      set_hi(q->rings.avail, value);
       break;
     case kQueueDevice:
       if (size == 8) {
-        q.rings.used = value;
+        q->rings.used = value;
       } else {
-        set_lo(q.rings.used, value);
+        set_lo(q->rings.used, value);
       }
       break;
     case kQueueDevice + 4:
-      set_hi(q.rings.used, value);
+      set_hi(q->rings.used, value);
       break;
     default:
       break;
@@ -601,7 +626,7 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
       ++interrupts_suppressed_;
     }
     if (response.has_value()) {
-      t = deliver_response_train(*response, t);
+      t = deliver_response(*response, t);
     }
     t = replenish_credits(eng, queue, t);
   }
@@ -635,120 +660,57 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
     t = queue_busy_until_[target];
   }
 
-  // §5.1.6.4: with VIRTIO_NET_F_MRG_RXBUF negotiated a received frame
-  // may span several RX buffer chains, each getting its own used entry,
-  // with the first chain's net header carrying the span count. Without
-  // the bit the frame must fit one chain.
-  const virtio::FeatureSet negotiated = offered_.intersect(driver_features_);
-  const bool mergeable =
-      negotiated.has(virtio::feature::net::kMrgRxbuf) &&
-      user_logic_->device_type() == virtio::DeviceType::Net &&
-      response.payload.size() >= virtio::net::NetHeader::kSize;
-
-  // Consume chains until their writable capacity covers the payload
-  // (exactly one without MRG_RXBUF), into the first `count` entries of
-  // the reused rx_chains_ pool.
-  std::size_t count = 0;
-  u64 capacity = 0;
-  while (true) {
-    if (credits_[target] == 0 || !config_.policy.trust_cached_credits) {
-      const auto poll = eng.poll_available(t);
-      t = poll.done;
-      credits_[target] = poll.available;
-      if (credits_[target] == 0) {
-        if (count == 0) {
-          VFPGA_WARN("virtio-ctl",
-                     "no RX buffer available: dropping response");
-          queue_busy_until_[target] = t;
-          return t;
-        }
-        break;  // partial span: deliver what fits below
-      }
-    }
-    --credits_[target];
-
-    if (count == rx_chains_.size()) {
-      rx_chains_.emplace_back();
-    }
-    FetchedChain& chain = rx_chains_[count];
-    t = eng.consume_chain(t, chain);
-    if (chain.error) {
-      device_error(t);
+  // Every response is one frame in one RX chain.
+  if (credits_[target] == 0 || !config_.policy.trust_cached_credits) {
+    const auto poll = eng.poll_available(t);
+    t = poll.done;
+    credits_[target] = poll.available;
+    if (credits_[target] == 0) {
+      VFPGA_WARN("virtio-ctl", "no RX buffer available: dropping response");
       queue_busy_until_[target] = t;
       return t;
     }
-    for (const virtio::Descriptor& d : chain.descriptors) {
-      if ((d.flags & virtio::descflags::kWrite) != 0) {
-        capacity += d.len;
-      }
-    }
-    ++count;
-    if (!mergeable || capacity >= response.payload.size()) {
-      break;
-    }
   }
-  const std::span<const FetchedChain> chains{rx_chains_.data(), count};
+  --credits_[target];
+  FetchedChain& chain = rx_chain_;
+  t = eng.consume_chain(t, chain);
+  if (chain.error) {
+    device_error(t);
+    queue_busy_until_[target] = t;
+    return t;
+  }
 
-  // Stage the response in BRAM — patching the span count into the net
-  // header there — then scatter into the chains' writable buffers via
-  // the C2H engine, one used entry per chain.
+  // Stage the response in BRAM, then scatter it into the chain's
+  // writable buffers via the C2H engine.
   const Bytes& payload = response.payload;
   bram_.write(0, payload);
-  if (mergeable) {
-    std::array<u8, 2> num_buffers{};
-    store_le16(num_buffers, 0, static_cast<u16>(count));
-    bram_.write(virtio::net::NetHeader::kNumBuffersOffset, num_buffers);
-  }
   std::size_t off = 0;
-  bool want_interrupt = false;
-  for (std::size_t ci = 0; ci < chains.size(); ++ci) {
-    u32 written = 0;
-    for (const virtio::Descriptor& d : chains[ci].descriptors) {
-      if ((d.flags & virtio::descflags::kWrite) == 0) {
-        continue;
-      }
-      if (off >= payload.size()) {
-        break;
-      }
-      const u32 chunk =
-          static_cast<u32>(std::min<std::size_t>(d.len, payload.size() - off));
-      t = c2h_->transfer(t, d.addr, off, chunk);
-      off += chunk;
-      written += chunk;
+  for (const virtio::Descriptor& d : chain.descriptors) {
+    if ((d.flags & virtio::descflags::kWrite) == 0) {
+      continue;
     }
-    // Refresh the suppression snapshot only on the frame's last
-    // completion — the one whose interrupt decision is acted on.
-    const bool last = ci + 1 == chains.size();
-    const auto completion =
-        eng.complete_chain(chains[ci], written, t,
-                           /*refresh_suppression=*/last);
-    t = completion.engine_free;
-    want_interrupt = want_interrupt || completion.interrupt;
+    if (off >= payload.size()) {
+      break;
+    }
+    const u32 chunk =
+        static_cast<u32>(std::min<std::size_t>(d.len, payload.size() - off));
+    t = c2h_->transfer(t, d.addr, off, chunk);
+    off += chunk;
   }
   if (off < payload.size()) {
-    // The ring ran out of buffers mid-span (or a lone chain was too
-    // small without MRG_RXBUF): a NIC truncates/drops rather than
+    // A chain too small for the frame: a NIC truncates rather than
     // halting — the driver sees the short `written` total.
     VFPGA_WARN("virtio-ctl", "RX capacity exhausted: response truncated");
   }
-  if (want_interrupt) {
+  const auto completion = eng.complete_chain(
+      chain, static_cast<u32>(off), t, /*refresh_suppression=*/true);
+  t = completion.engine_free;
+  if (completion.interrupt) {
     fire_queue_interrupt(target, t);
   } else {
     ++interrupts_suppressed_;
   }
   queue_busy_until_[target] = t;
-  return t;
-}
-
-sim::SimTime VirtioDeviceFunction::deliver_response_train(
-    const UserLogic::Response& response, sim::SimTime t) {
-  t = deliver_response(response, t);
-  for (const Bytes& frame : response.trailing_frames) {
-    UserLogic::Response follow;
-    follow.payload = frame;
-    follow.target_queue = response.target_queue;
-    t = deliver_response(follow, t);
-  }
   return t;
 }
 
@@ -805,7 +767,7 @@ void VirtioDeviceFunction::transfer(migrate::StateIo& io) {
   io.u32(device_feature_select_);
   io.u32(driver_feature_select_);
   transfer_vector(io, msix_config_vector_, msix_->size());
-  io.index(queue_select_, queue_state_.size());
+  io.u16(queue_select_);  // any value: an absent queue is selectable
   io.u8(config_generation_);
   io.u8(isr_status_);
 

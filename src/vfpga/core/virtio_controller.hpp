@@ -163,14 +163,10 @@ class VirtioDeviceFunction : public pcie::Function {
 
   // ---- datapath ----
   void process_notify(u16 queue, sim::SimTime at);
-  /// Deliver a response: scatter into the RX-style chains of its
+  /// Deliver a response: scatter it into one RX-style chain of its
   /// target_queue, update used, maybe interrupt.
   sim::SimTime deliver_response(const UserLogic::Response& response,
                                 sim::SimTime t);
-  /// Deliver the primary response plus any trailing frames (a device
-  /// GSO engine emitting a segment train) back-to-back on its target.
-  sim::SimTime deliver_response_train(const UserLogic::Response& response,
-                                      sim::SimTime t);
   void fire_queue_interrupt(u16 queue, sim::SimTime at);
   /// Packed rings: re-peek for more work when the drain estimate runs
   /// out (split polls are exact and never replenish here).
@@ -214,12 +210,12 @@ class VirtioDeviceFunction : public pcie::Function {
 
   // Datapath scratch, reused so a steady-state echo allocates nothing
   // here: the chain a notify consumes, its gathered payload and gather
-  // list, and the RX chains a response spans (entries are refilled in
-  // place, keeping their descriptor capacity).
+  // list, and the RX chain a response fills (refilled in place, keeping
+  // its descriptor capacity).
   FetchedChain notify_chain_;
   Bytes payload_;
   std::vector<xdma::DmaChannel::GatherSegment> gather_;
-  std::vector<FetchedChain> rx_chains_;
+  FetchedChain rx_chain_;
 
   sim::Duration last_response_generation_{};
   u64 frames_processed_ = 0;

@@ -54,11 +54,6 @@ CostModelConfig CostModelConfig::fedora_defaults() {
   // plus the sg entry build). Cheap relative to copying a page.
   c.dma_map_segment = {nanoseconds(80), 0.20, nanoseconds(40), {}};
 
-  // Software GSO: per-segment header clone + fixup + checksum slice
-  // (~MTU of payload summed per segment dominates; cf. the kernel's
-  // skb_segment + csum_partial on a 1500-byte slice).
-  c.gso_segment_host = {nanoseconds(650), 0.18, nanoseconds(300), {}};
-
   // virtio-blk request path: header+chain build per bio on submit,
   // used-entry decode + bio end on completion. Cheaper than the net
   // xmit path (no skb, no protocol headers), costlier than a bare ring

@@ -54,13 +54,6 @@ struct CostModelConfig {
   /// trades one memcpy for one of these per descriptor segment.
   sim::JitteredSegment dma_map_segment;
 
-  // ---- segmentation offload ----
-  /// Per-wire-frame cost of the software-GSO fallback: clone the
-  /// header, rewrite IP length/id, slice the payload and compute the
-  /// segment's UDP checksum. This is exactly the per-segment host work
-  /// HOST_UFO moves onto the fabric.
-  sim::JitteredSegment gso_segment_host;
-
   // ---- virtio-blk request path ----
   /// Per-request submission work: bio -> request header + chain build +
   /// publish (virtio_blk's virtblk_add_req analogue).
@@ -89,8 +82,8 @@ struct CostModelConfig {
   /// byte past the threshold additionally pays the cold rate below
   /// (memory-bandwidth-bound memcpy with both ends uncached plus page
   /// walks). Baseline round-trip payloads (<= 1 KiB) never cross it,
-  /// keeping the paper's figures untouched; the streaming workload's
-  /// jumbo bounce copies do.
+  /// keeping the paper's figures untouched; the blk driver's 4 KiB
+  /// copies do.
   u64 copy_cold_threshold_bytes = 1024;
   /// Extra nanoseconds per KiB for bytes beyond the cold threshold
   /// (combined with the hot rate: ~3 GB/s effective cold-copy speed).

@@ -6,10 +6,8 @@
 #include "vfpga/common/endian.hpp"
 #include "vfpga/migrate/state_io.hpp"
 #include "vfpga/net/ethernet.hpp"
-#include "vfpga/net/gso.hpp"
 #include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/rss.hpp"
-#include "vfpga/virtio/net_defs.hpp"
 
 namespace vfpga::hostos {
 
@@ -85,6 +83,14 @@ std::optional<KernelNetstack::MsgRecv> KernelNetstack::udp_recvmsg(
 bool KernelNetstack::send_built(HostThread& thread, u16 src_port,
                                 net::Ipv4Addr dst, u16 dst_port,
                                 ConstByteSpan payload, bool more_coming) {
+  // EMSGSIZE: the datagram must fit one frame at the device's MTU. The
+  // stack neither fragments nor segments.
+  if (payload.size() + net::Ipv4Header::kSize + net::UdpHeader::kSize >
+      driver_->mtu()) {
+    ++tx_oversized_;
+    thread.exec(thread.costs().syscall_exit);
+    return false;
+  }
   const auto next_hop = routes_.lookup(dst);
   if (!next_hop.has_value()) {
     thread.exec(thread.costs().syscall_exit);
@@ -122,49 +128,6 @@ bool KernelNetstack::send_built(HostThread& thread, u16 src_port,
       net::rss_flow_hash(kHostIp, src_port, dst, dst_port),
       driver_->queue_pairs());
   flow_affinity_[src_port] = pair;
-
-  const u16 mtu = driver_->mtu();
-  const u16 seg_payload =
-      static_cast<u16>(mtu - net::Ipv4Header::kSize - net::UdpHeader::kSize);
-  if (payload.size() > seg_payload) {
-    // Over-MTU datagram. With HOST_UFO the whole thing goes down as ONE
-    // superframe and the device's GSO engine segments it on the fabric;
-    // otherwise fall back to software GSO — the host slices, fixes up
-    // headers and checksums per wire frame, and transmits the train.
-    if (driver_->tso_active()) {
-      VirtioNetDriver::TxOffload off;
-      off.needs_csum = true;
-      off.csum_start = net::EthernetHeader::kSize + net::Ipv4Header::kSize;
-      off.csum_offset = 6;
-      off.gso_type = virtio::net::NetHeader::kGsoUdp;
-      off.gso_size = seg_payload;
-      off.hdr_len = static_cast<u16>(net::EthernetHeader::kSize +
-                                     net::Ipv4Header::kSize +
-                                     net::UdpHeader::kSize);
-      ++tx_superframes_;
-      driver_->xmit_frame(thread, frame, off, pair, more_coming);
-      // The device's segmenter stamps consecutive IP ids; keep the
-      // stack's counter in step (as the kernel does for GSO skbs).
-      next_ip_id_ = static_cast<u16>(
-          next_ip_id_ + (payload.size() + seg_payload - 1) / seg_payload - 1);
-    } else {
-      const std::vector<Bytes> segments =
-          net::gso_segment_udp(frame, seg_payload, /*fill_checksums=*/true);
-      for (u64 i = 0; i < segments.size(); ++i) {
-        // Per-segment host cost: header clone + fixup + checksum slice
-        // (the work the device's segmenter absorbs on the TSO path).
-        thread.exec(thread.costs().gso_segment_host);
-        const bool more = more_coming || i + 1 < segments.size();
-        driver_->xmit_frame(thread, segments[i], /*needs_csum=*/false,
-                            0, 0, pair, more);
-      }
-      sw_gso_segments_ += segments.size();
-      next_ip_id_ =
-          static_cast<u16>(next_ip_id_ + segments.size() - 1);
-    }
-    thread.exec(thread.costs().syscall_exit);
-    return true;
-  }
 
   driver_->xmit_frame(thread, frame, offload_csum,
                       /*csum_start=*/net::EthernetHeader::kSize +
@@ -252,9 +215,8 @@ void KernelNetstack::demux_frames(HostThread& thread, u16 pair) {
     }
     if (!udp->checksum_ok) {
       // VIRTIO_NET_HDR_F_DATA_VALID: the device already verified the L4
-      // checksum. A GRO-coalesced superframe legitimately carries the
-      // first segment's (now stale) checksum, so the promise — not the
-      // wire field — is what admits it.
+      // checksum (Linux's CHECKSUM_UNNECESSARY), so the promise — not the
+      // wire field — is what admits the datagram.
       if (!rx->csum_valid) {
         ++frames_dropped_;
         continue;
@@ -483,8 +445,7 @@ void KernelNetstack::transfer(migrate::StateIo& io) {
   }
   io.u64(frames_demuxed_);
   io.u64(frames_dropped_);
-  io.u64(tx_superframes_);
-  io.u64(sw_gso_segments_);
+  io.u64(tx_oversized_);
   io.u64(csum_rescued_);
 }
 

@@ -47,7 +47,8 @@ class KernelNetstack {
   void configure_fpga_route(net::Ipv4Addr fpga_ip, net::MacAddr fpga_mac);
 
   /// sendto(2) semantics: route, resolve, build, transmit. Returns false
-  /// on EHOSTUNREACH (no route / no neighbour). `more_coming` is the
+  /// on EMSGSIZE (the datagram does not fit the device MTU) and on
+  /// EHOSTUNREACH (no route / no neighbour). `more_coming` is the
   /// MSG_MORE hint, forwarded to the driver's xmit_more TX kick
   /// coalescing.
   bool udp_send(HostThread& thread, u16 src_port, net::Ipv4Addr dst,
@@ -120,15 +121,11 @@ class KernelNetstack {
 
   [[nodiscard]] u64 frames_demuxed() const { return frames_demuxed_; }
   [[nodiscard]] u64 frames_dropped() const { return frames_dropped_; }
-  /// Over-MTU sends handed to the device as one GSO superframe
-  /// (HOST_UFO negotiated) instead of a pre-segmented packet train.
-  [[nodiscard]] u64 tx_superframes() const { return tx_superframes_; }
-  /// Wire frames produced by the software-GSO fallback (the host-side
-  /// segmentation loop that runs when the device offload is absent).
-  [[nodiscard]] u64 sw_gso_segments() const { return sw_gso_segments_; }
+  /// Sends refused with EMSGSIZE: the datagram did not fit the MTU.
+  [[nodiscard]] u64 tx_oversized() const { return tx_oversized_; }
   /// Datagrams accepted on the device's DATA_VALID promise although the
-  /// on-wire checksum did not verify (GRO superframes keep the first
-  /// segment's checksum, so this is the coalescing path's fingerprint).
+  /// on-wire checksum did not verify (a frame corrupted after the
+  /// device checked it).
   [[nodiscard]] u64 csum_rescued() const { return csum_rescued_; }
   /// UDP datagrams that arrived on a different queue pair than the one
   /// the flow's hash steers to — the symptom of device steering-table
@@ -197,8 +194,7 @@ class KernelNetstack {
   std::deque<IcmpReply> icmp_replies_;
   u64 frames_demuxed_ = 0;
   u64 frames_dropped_ = 0;
-  u64 tx_superframes_ = 0;
-  u64 sw_gso_segments_ = 0;
+  u64 tx_oversized_ = 0;
   u64 csum_rescued_ = 0;
 };
 

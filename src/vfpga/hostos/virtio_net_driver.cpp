@@ -54,15 +54,6 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
   wanted.set(virtio::feature::net::kMac);
   wanted.set(virtio::feature::net::kMtu);
   wanted.set(virtio::feature::net::kStatus);
-  if (datapath_.want_mrg_rxbuf) {
-    wanted.set(virtio::feature::net::kMrgRxbuf);
-  }
-  if (datapath_.want_offload) {
-    wanted.set(virtio::feature::net::kHostTso4);
-    wanted.set(virtio::feature::net::kHostUfo);
-    wanted.set(virtio::feature::net::kGuestTso4);
-    wanted.set(virtio::feature::net::kGuestUfo);
-  }
   if (requested_pairs_ > 1) {
     wanted.set(virtio::feature::net::kCtrlVq);
     wanted.set(virtio::feature::net::kMq);
@@ -70,29 +61,6 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
   if (!transport_.begin_probe(ctx_, virtio::DeviceType::Net, wanted, thread)) {
     return false;
   }
-
-  // RX pool sizing: single-buffer layout holds hdr + a full frame;
-  // mergeable posts small buffers and lets frames span several. With a
-  // GUEST_* offload but no MRG_RXBUF the device may hand us a coalesced
-  // superframe, so single-buffer mode sizes for it (virtio-net's
-  // "big packets" mode).
-  mrg_active_ = transport_.negotiated().has(virtio::feature::net::kMrgRxbuf);
-  const bool guest_gso =
-      transport_.negotiated().has(virtio::feature::net::kGuestTso4) ||
-      transport_.negotiated().has(virtio::feature::net::kGuestUfo);
-  const u32 rx_frame_area =
-      guest_gso ? std::max(frame_capacity_, kGsoMaxBytes) : frame_capacity_;
-  rx_buffer_bytes_ = mrg_active_
-                         ? datapath_.mrg_buffer_bytes
-                         : static_cast<u32>(NetHeader::kSize) + rx_frame_area;
-  VFPGA_EXPECTS(rx_buffer_bytes_ > NetHeader::kSize);
-
-  // Offload state: the device segments our UDP superframes only with
-  // HOST_UFO (and CSUM, which the segmenter's per-segment checksums
-  // depend on); coalesced RX superframes additionally need GUEST_UFO,
-  // but that only affects what lands in the backlog.
-  tso_active_ = transport_.negotiated().has(virtio::feature::net::kHostUfo) &&
-                transport_.negotiated().has(virtio::feature::net::kCsum);
 
   // Multiqueue: MQ requires the control queue to enable the pairs
   // (§5.1.5.1.1); without both negotiated, fall back to a single pair.
@@ -115,13 +83,9 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
   }
   for (PairState& ps : pair_state_) {
     // Rings are rebuilt below: the device's completion log restarts at
-    // zero, and any coalesced-but-unpublished TX frames are forfeit —
-    // as is a mergeable span caught mid-reassembly.
+    // zero, and any coalesced-but-unpublished TX frames are forfeit.
     ps.rx_harvest_seq = 0;
     ps.tx_pending_kick = 0;
-    ps.rx_partial.clear();
-    ps.rx_partial_remaining = 0;
-    ps.rx_partial_meta = RxFrame{};
   }
 
   // MSI-X: entry 0 = config changes, then per pair RX = 1+2p, TX = 2+2p
@@ -144,19 +108,16 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
                                       static_cast<u16>(2 + 2 * p), thread);
 
     // TX buffers, one per ring slot: virtio_net_hdr headroom immediately
-    // followed by the frame area (single-buffer transmission; sized for
-    // a full GSO superframe when the offload is requested). Allocated
+    // followed by the frame area (single-buffer transmission). Allocated
     // once; a recovery cycle reuses the same memory and just rebuilds
     // the free list.
-    const u32 tx_area = datapath_.want_offload
-                            ? std::max(frame_capacity_, kGsoMaxBytes)
-                            : frame_capacity_;
     PairState& ps = pair_state_[p];
     ps.tx_buffers.resize(tx.size());
     ps.tx_free.clear();
     for (u16 i = 0; i < tx.size(); ++i) {
       if (ps.tx_buffers[i].hdr_addr == 0) {
-        const HostAddr base = memory.allocate(NetHeader::kSize + tx_area, 64);
+        const HostAddr base =
+            memory.allocate(NetHeader::kSize + kFrameCapacity, 64);
         ps.tx_buffers[i].hdr_addr = base;
         ps.tx_buffers[i].frame_addr = base + NetHeader::kSize;
       }
@@ -206,6 +167,9 @@ bool VirtioNetDriver::initialize_device(HostThread& thread) {
 }
 
 void VirtioNetDriver::post_initial_rx_buffers(u16 pair) {
+  // Single-buffer layout: virtio_net_hdr and a full frame in one
+  // descriptor, as modern virtio-net posts them.
+  constexpr u32 kRxBufferBytes = NetHeader::kSize + kFrameCapacity;
   auto& rx = rx_queue(pair);
   auto& memory = transport_.memory();
   const u16 size = rx.size();
@@ -213,10 +177,10 @@ void VirtioNetDriver::post_initial_rx_buffers(u16 pair) {
   ps.rx_buffers.resize(size);
   for (u16 i = 0; i < size; ++i) {
     if (ps.rx_buffers[i].addr == 0) {
-      ps.rx_buffers[i].addr = memory.allocate(rx_buffer_bytes_, 64);
+      ps.rx_buffers[i].addr = memory.allocate(kRxBufferBytes, 64);
     }
-    ps.rx_buffers[i].len = rx_buffer_bytes_;
-    const virtio::ChainBuffer buf{ps.rx_buffers[i].addr, rx_buffer_bytes_,
+    ps.rx_buffers[i].len = kRxBufferBytes;
+    const virtio::ChainBuffer buf{ps.rx_buffers[i].addr, kRxBufferBytes,
                                   /*device_writable=*/true};
     const auto handle = rx.add_chain(std::span{&buf, 1}, i);
     VFPGA_ASSERT(handle.has_value());
@@ -362,25 +326,8 @@ bool VirtioNetDriver::xmit_frame(HostThread& thread, ConstByteSpan frame,
                                  bool needs_csum, u16 csum_start,
                                  u16 csum_offset, u16 pair,
                                  bool more_coming) {
-  TxOffload offload;
-  offload.needs_csum = needs_csum;
-  offload.csum_start = csum_start;
-  offload.csum_offset = csum_offset;
-  return xmit_frame(thread, frame, offload, pair, more_coming);
-}
-
-bool VirtioNetDriver::xmit_frame(HostThread& thread, ConstByteSpan frame,
-                                 const TxOffload& offload, u16 pair,
-                                 bool more_coming) {
   VFPGA_EXPECTS(bound());
-  const bool gso = offload.gso_type != NetHeader::kGsoNone;
-  // Superframes need the device-side segmenter: submitting one without
-  // the negotiated offload (or the mandatory checksum request,
-  // §5.1.6.2) is a driver bug, not a runtime condition.
-  VFPGA_EXPECTS(!gso || (tso_active_ && offload.needs_csum));
-  VFPGA_EXPECTS(frame.size() <=
-                (gso ? std::max(frame_capacity_, kGsoMaxBytes)
-                     : frame_capacity_));
+  VFPGA_EXPECTS(frame.size() <= kFrameCapacity);
   VFPGA_EXPECTS(pair < pairs_);
   thread.exec(thread.costs().virtio_xmit);
 
@@ -403,17 +350,10 @@ bool VirtioNetDriver::xmit_frame(HostThread& thread, ConstByteSpan frame,
   ps.tx_free.pop_front();
 
   NetHeader hdr;
-  if (offload.needs_csum &&
-      transport_.negotiated().has(virtio::feature::net::kCsum)) {
+  if (needs_csum && transport_.negotiated().has(virtio::feature::net::kCsum)) {
     hdr.flags = NetHeader::kNeedsCsum;
-    hdr.csum_start = offload.csum_start;
-    hdr.csum_offset = offload.csum_offset;
-  }
-  if (gso) {
-    hdr.gso_type = offload.gso_type;
-    hdr.gso_size = offload.gso_size;
-    hdr.hdr_len = offload.hdr_len;
-    ++tx_gso_frames_;
+    hdr.csum_start = csum_start;
+    hdr.csum_offset = csum_offset;
   }
   std::array<u8, NetHeader::kSize> hdr_bytes{};
   hdr.encode(hdr_bytes);
@@ -424,36 +364,25 @@ bool VirtioNetDriver::xmit_frame(HostThread& thread, ConstByteSpan frame,
   std::optional<u16> handle;
   if (datapath_.tx_path == TxPath::kBounceCopy) {
     // Contiguous bounce buffer, one descriptor. The calibrated
-    // virtio_xmit segment covers the sub-MTU memcpy; jumbo payloads
-    // charge it explicitly when asked to.
-    if (datapath_.charge_tx_copy) {
-      thread.copy(NetHeader::kSize + frame.size());
-    }
+    // virtio_xmit segment covers the sub-MTU memcpy.
     const virtio::ChainBuffer chain{
         ps.tx_buffers[slot].hdr_addr,
         static_cast<u32>(NetHeader::kSize + frame.size()), false};
     handle = tx.add_chain(std::span{&chain, 1}, slot);
   } else {
-    // Zero-copy: the header and the frame's pages go out as separate
+    // Zero-copy: the header and the frame go out as separate
     // descriptors — no bounce memcpy; the charge is one DMA mapping per
-    // segment (dma_map_single / sg-entry build).
-    std::vector<virtio::ChainBuffer> sg;
-    sg.reserve(2 + frame.size() / kSgSegmentBytes);
-    sg.push_back(virtio::ChainBuffer{ps.tx_buffers[slot].hdr_addr,
-                                     static_cast<u32>(NetHeader::kSize),
-                                     false});
-    for (u64 off = 0; off < frame.size(); off += kSgSegmentBytes) {
-      const u32 chunk = static_cast<u32>(
-          std::min<u64>(kSgSegmentBytes, frame.size() - off));
-      sg.push_back(virtio::ChainBuffer{ps.tx_buffers[slot].frame_addr + off,
-                                       chunk, false});
-    }
+    // segment (dma_map_single / sg-entry build). A frame of at most
+    // kFrameCapacity bytes fits one page, so it is one segment.
+    const std::array<virtio::ChainBuffer, 2> sg = {
+        virtio::ChainBuffer{ps.tx_buffers[slot].hdr_addr,
+                            static_cast<u32>(NetHeader::kSize), false},
+        virtio::ChainBuffer{ps.tx_buffers[slot].frame_addr,
+                            static_cast<u32>(frame.size()), false}};
     for (u64 i = 0; i < sg.size(); ++i) {
       thread.exec(thread.costs().dma_map_segment);
     }
-    tx_sg_segments_ += sg.size();
     const bool indirect =
-        datapath_.tx_path == TxPath::kScatterGatherIndirect &&
         transport_.negotiated().has(virtio::feature::kRingIndirectDesc);
     const std::span<const virtio::ChainBuffer> list{sg.data(), sg.size()};
     handle = indirect ? tx.add_chain_indirect(list, slot)
@@ -507,73 +436,30 @@ bool VirtioNetDriver::flush_tx(HostThread& thread, u16 pair) {
   return true;
 }
 
-bool VirtioNetDriver::harvest_one_rx(virtio::DriverRing& rx, PairState& ps) {
+void VirtioNetDriver::harvest_one_rx(virtio::DriverRing& rx, PairState& ps) {
   const auto completion = rx.harvest();
   VFPGA_ASSERT(completion.has_value());
   const RxBuffer& buf = ps.rx_buffers[completion->token];
   const auto& memory = transport_.memory();
-  // Frame bytes go straight from the buffer into their destination
-  // vector, with no intermediate copy.
-  const auto read_append = [&](Bytes& out, HostAddr addr, u64 length) {
-    const u64 at = out.size();
-    out.resize(at + length);
-    memory.read(addr, ByteSpan{out}.subspan(at));
-  };
-  bool frame_done = false;
-  if (ps.rx_partial_remaining > 0) {
-    // Continuation buffer of a mergeable span: raw frame bytes, no
-    // header (§5.1.6.4 — only the first buffer carries virtio_net_hdr).
-    read_append(ps.rx_partial, buf.addr, completion->written);
-    if (--ps.rx_partial_remaining == 0) {
-      RxFrame done = std::move(ps.rx_partial_meta);
-      done.frame = std::move(ps.rx_partial);
-      if (done.gso_type != NetHeader::kGsoNone) {
-        ++rx_gro_frames_;
-      }
-      ps.rx_backlog.push_back(std::move(done));
-      ps.rx_partial = Bytes{};
-      ps.rx_partial_meta = RxFrame{};
-      ++rx_packets_;
-      ++ps.rx_packets;
-      ++rx_merged_frames_;
-      frame_done = true;
-    }
-  } else {
-    VFPGA_ASSERT(completion->written >= NetHeader::kSize);
-    std::array<u8, NetHeader::kSize> hdr_bytes{};
-    memory.read(buf.addr, hdr_bytes);
-    const NetHeader vhdr = NetHeader::decode(hdr_bytes);
-    const HostAddr frame_addr = buf.addr + NetHeader::kSize;
-    const u64 frame_len = completion->written - NetHeader::kSize;
-    RxFrame meta;
-    meta.csum_valid = (vhdr.flags & NetHeader::kDataValid) != 0;
-    meta.gso_type = vhdr.gso_type;
-    meta.gso_size = vhdr.gso_size;
-    const u16 num_buffers =
-        mrg_active_ ? std::max<u16>(vhdr.num_buffers, 1) : u16{1};
-    if (num_buffers <= 1) {
-      read_append(meta.frame, frame_addr, frame_len);
-      if (meta.gso_type != NetHeader::kGsoNone) {
-        ++rx_gro_frames_;
-      }
-      ps.rx_backlog.push_back(std::move(meta));
-      ++rx_packets_;
-      ++ps.rx_packets;
-      frame_done = true;
-    } else {
-      ps.rx_partial.clear();
-      read_append(ps.rx_partial, frame_addr, frame_len);
-      ps.rx_partial_remaining = static_cast<u16>(num_buffers - 1);
-      ps.rx_partial_meta = std::move(meta);
-    }
-  }
+  VFPGA_ASSERT(completion->written >= NetHeader::kSize);
+  std::array<u8, NetHeader::kSize> hdr_bytes{};
+  memory.read(buf.addr, hdr_bytes);
+  const NetHeader vhdr = NetHeader::decode(hdr_bytes);
+  RxFrame received;
+  received.csum_valid = (vhdr.flags & NetHeader::kDataValid) != 0;
+  // Frame bytes go straight from the buffer into the backlog entry,
+  // with no intermediate copy.
+  received.frame.resize(completion->written - NetHeader::kSize);
+  memory.read(buf.addr + NetHeader::kSize, ByteSpan{received.frame});
+  ps.rx_backlog.push_back(std::move(received));
+  ++rx_packets_;
+  ++ps.rx_packets;
   ++ps.rx_harvest_seq;
 
   // Recycle the buffer straight back into the avail ring.
   const virtio::ChainBuffer chain{buf.addr, buf.len, true};
   const auto handle = rx.add_chain(std::span{&chain, 1}, completion->token);
   VFPGA_ASSERT(handle.has_value());
-  return frame_done;
 }
 
 u32 VirtioNetDriver::napi_poll(HostThread& thread, u16 pair) {
@@ -584,12 +470,11 @@ u32 VirtioNetDriver::napi_poll(HostThread& thread, u16 pair) {
   auto& rx = rx_queue(pair);
   PairState& ps = pair_state_[pair];
   u32 harvested = 0;
-  u32 buffers = 0;
   while (rx.used_pending()) {
-    harvested += harvest_one_rx(rx, ps) ? 1u : 0u;
-    ++buffers;
+    harvest_one_rx(rx, ps);
+    ++harvested;
   }
-  if (buffers > 0) {
+  if (harvested > 0) {
     rx.publish();
     thread.exec(thread.costs().virtio_rx_refill);
     // Re-enable RX interrupts: ask for one when the next entry lands.
@@ -630,7 +515,6 @@ u32 VirtioNetDriver::busy_poll(HostThread& thread, u16 pair,
   const sim::SimTime deadline = enter + budget;
   const u16 rx_index = virtio::net::rx_queue_index(pair);
   u32 harvested = 0;
-  u32 buffers = 0;
   u64 spins = 0;
   for (;;) {
     VFPGA_ASSERT(spins < kBusyPollPolicy.max_spin_iterations);
@@ -653,29 +537,29 @@ u32 VirtioNetDriver::busy_poll(HostThread& thread, u16 pair,
       // interference accrual) until the used-ring write lands.
       thread.spin_until(*visible);
     }
-    if (buffers == 0) {
+    if (harvested == 0) {
       note_rx_wait(pair, thread.now() - enter);
     }
     // Batched harvest: the one used-idx read this iteration paid for
     // covers every completion whose used-ring write is already visible,
     // not just the one the spin ended on — drain them all before the
     // next poll charge.
-    harvested += harvest_one_rx(rx, ps) ? 1u : 0u;
-    ++buffers;
+    harvest_one_rx(rx, ps);
+    ++harvested;
     for (;;) {
       const auto next = ctx_.device->completion_visible_time(
           rx_index, ps.rx_harvest_seq);
       if (!next.has_value() || *next > thread.now()) {
         break;
       }
-      harvested += harvest_one_rx(rx, ps) ? 1u : 0u;
-      ++buffers;
+      harvest_one_rx(rx, ps);
+      ++harvested;
     }
   }
   busy_poll_spins_ += spins;
   busy_poll_harvested_ += harvested;
 
-  if (buffers > 0) {
+  if (harvested > 0) {
     rx.publish();  // repost the recycled buffers
     thread.exec(thread.costs().virtio_rx_refill);
     // Retire the interrupts our harvests made moot: deliveries up to
@@ -742,16 +626,6 @@ std::optional<VirtioNetDriver::RxFrame> VirtioNetDriver::pop_rx_frame(
   return frame;
 }
 
-namespace {
-
-void transfer_rx_frame(migrate::StateIo& io, VirtioNetDriver::RxFrame& f) {
-  io.blob(f.frame);
-  io.boolean(f.csum_valid);
-  io.u8(f.gso_type);
-  io.u16(f.gso_size);
-}
-
-}  // namespace
 
 void VirtioNetDriver::transfer(migrate::StateIo& io) {
   transport_.transfer(io);
@@ -777,11 +651,8 @@ void VirtioNetDriver::transfer(migrate::StateIo& io) {
                      !transport_.has_queue(ctrl_queue_index()))) {
     io.fail();
   }
-  io.boolean(tso_active_);
   io.u64(ctrl_cmd_addr_);
   io.u64(ctrl_ack_addr_);
-  io.u32(rx_buffer_bytes_);
-  io.boolean(mrg_active_);
 
   io.expect<u16>(static_cast<u16>(pair_state_.size()));
   for (PairState& ps : pair_state_) {
@@ -804,7 +675,8 @@ void VirtioNetDriver::transfer(migrate::StateIo& io) {
     }
     ps.rx_backlog.resize(io.count<u32>(ps.rx_backlog.size()));
     for (RxFrame& f : ps.rx_backlog) {
-      transfer_rx_frame(io, f);
+      io.blob(f.frame);
+      io.boolean(f.csum_valid);
     }
     io.u32(ps.rx_vector);
     io.u32(ps.tx_vector);
@@ -814,9 +686,6 @@ void VirtioNetDriver::transfer(migrate::StateIo& io) {
     io.u64(ps.rx_harvest_seq);
     io.u32(ps.tx_pending_kick);
     io.f64(ps.rx_wait_ewma_us);
-    io.blob(ps.rx_partial);
-    io.u16(ps.rx_partial_remaining);
-    transfer_rx_frame(io, ps.rx_partial_meta);
   }
 
   io.u64(tx_packets_);
@@ -824,8 +693,6 @@ void VirtioNetDriver::transfer(migrate::StateIo& io) {
   io.u64(tx_kicks_);
   io.u64(tx_kicks_coalesced_);
   io.u64(tx_dropped_);
-  io.u64(tx_sg_segments_);
-  io.u64(rx_merged_frames_);
   io.u64(busy_polls_);
   io.u64(busy_poll_harvested_);
   io.u64(busy_poll_spins_);
@@ -833,8 +700,6 @@ void VirtioNetDriver::transfer(migrate::StateIo& io) {
   io.u64(watchdog_kicks_);
   io.u64(steering_repairs_);
   io.u64(ctrl_commands_sent_);
-  io.u64(tx_gso_frames_);
-  io.u64(rx_gro_frames_);
 }
 
 }  // namespace vfpga::hostos

@@ -25,6 +25,7 @@
 
 #include "vfpga/hostos/virtio_transport.hpp"
 #include "vfpga/net/addr.hpp"
+#include "vfpga/virtio/net_defs.hpp"
 
 namespace vfpga::hostos {
 
@@ -37,55 +38,25 @@ class VirtioNetDriver {
     /// The paper's driver: memcpy the frame into a contiguous bounce
     /// buffer, post one descriptor. Default — exactly the legacy shape.
     kBounceCopy,
-    /// Zero-copy: describe the header and the frame's pages as a
-    /// descriptor chain. No bounce memcpy; charges per-segment DMA
-    /// mapping instead.
-    kScatterGather,
-    /// Zero-copy with the whole sg-list in a one-slot indirect table
-    /// (VIRTIO_RING_F_INDIRECT_DESC): the ring carries one descriptor
-    /// regardless of segment count and the device fetches the table in
-    /// a single DMA read.
+    /// Zero-copy: the header and the frame go out as two descriptors in
+    /// a one-slot indirect table (VIRTIO_RING_F_INDIRECT_DESC), so the
+    /// device fetches both in a single DMA read. No bounce memcpy; a
+    /// per-segment DMA mapping is charged instead. Without the
+    /// negotiated bit the two descriptors are chained in the ring.
     kScatterGatherIndirect,
   };
 
-  /// Datapath configuration. Must be set before probe(); the buffer
-  /// pools and the feature request are derived from it during
-  /// initialization. Defaults reproduce the legacy driver bit for bit.
+  /// Datapath configuration. Must be set before probe(). The default
+  /// is the paper's driver.
   struct DatapathOptions {
     TxPath tx_path = TxPath::kBounceCopy;
-    /// Model the bounce memcpy explicitly (thread.copy of hdr+frame) on
-    /// the kBounceCopy path. Off by default: the calibrated virtio_xmit
-    /// segment already folds in the sub-MTU memcpy the paper's figures
-    /// run with; jumbo streaming payloads leave that regime and must
-    /// charge the copy to be comparable with the sg paths.
-    bool charge_tx_copy = false;
-    /// Request VIRTIO_NET_F_MRG_RXBUF: post mrg_buffer_bytes RX buffers
-    /// and let one frame span several (§5.1.6.4).
-    bool want_mrg_rxbuf = false;
-    /// Per-RX-buffer size when mergeable is negotiated.
-    u32 mrg_buffer_bytes = 2048;
-    /// Request the segmentation offloads (HOST_TSO4/HOST_UFO on TX,
-    /// GUEST_TSO4/GUEST_UFO on RX). When negotiated, xmit_frame accepts
-    /// GSO superframes up to kGsoMaxBytes and the RX backlog carries
-    /// the device's DATA_VALID / coalescing metadata.
-    bool want_offload = false;
   };
-  /// Set the datapath and size the TX/RX pools for a device of `mtu`
-  /// (probe reads the MTU from config space only after the pools exist).
-  void set_datapath(const DatapathOptions& options, u16 mtu) {
-    datapath_ = options;
-    frame_capacity_ = frame_capacity_for_mtu(mtu);
-  }
+  void set_datapath(const DatapathOptions& options) { datapath_ = options; }
   [[nodiscard]] const DatapathOptions& datapath() const { return datapath_; }
 
-  /// Page granularity of zero-copy TX segments (dma_map_single is
-  /// page-granular on real hardware).
-  static constexpr u32 kSgSegmentBytes = 4096;
-  /// Largest GSO superframe (hdr excluded) the TX pool is sized for
-  /// when want_offload is set: the kernel's GSO_LEGACY_MAX_SIZE.
-  static constexpr u32 kGsoMaxBytes = 65535;
-  /// True when VIRTIO_NET_F_MRG_RXBUF was negotiated on the last probe.
-  [[nodiscard]] bool mergeable_rx_active() const { return mrg_active_; }
+  /// Largest Ethernet frame the TX and RX buffers hold: the 1526-byte
+  /// frame area of the device's 1500-byte MTU.
+  static constexpr u32 kFrameCapacity = 14 + virtio::net::kDeviceMtu + 12;
 
   /// Probe and initialize the device (§3.1.1 init sequence). `thread`
   /// pays the MMIO costs. `requested_pairs` > 1 asks for multiqueue;
@@ -117,8 +88,9 @@ class VirtioNetDriver {
     return transport_.using_packed_rings();
   }
 
-  /// Transmit one Ethernet frame on `pair`'s TX queue (virtio_net_hdr
-  /// is prepended here, in the driver, as virtio-net does). `needs_csum`
+  /// Transmit one Ethernet frame of at most kFrameCapacity bytes on
+  /// `pair`'s TX queue (virtio_net_hdr is prepended here, in the
+  /// driver, as virtio-net does). `needs_csum`
   /// marks a frame whose L4 checksum was left for the device
   /// (VIRTIO_NET_F_CSUM negotiated); csum_start/csum_offset follow the
   /// UDP convention. `more_coming` is the xmit_more/MSG_MORE hint: the
@@ -129,30 +101,6 @@ class VirtioNetDriver {
   bool xmit_frame(HostThread& thread, ConstByteSpan frame, bool needs_csum,
                   u16 csum_start = 0, u16 csum_offset = 0, u16 pair = 0,
                   bool more_coming = false);
-
-  /// Full virtio_net_hdr control block for one transmission — the
-  /// skb_shared_info fields virtio-net copies into the header. A
-  /// gso_type other than kGsoNone marks a superframe the device must
-  /// segment (needs_csum is then mandatory per §5.1.6.2).
-  struct TxOffload {
-    bool needs_csum = false;
-    u16 csum_start = 0;
-    u16 csum_offset = 0;
-    u8 gso_type = 0;  ///< virtio::net::NetHeader::kGso*
-    u16 gso_size = 0;
-    u16 hdr_len = 0;
-  };
-
-  /// Transmit with the full offload control block. Superframes (gso_type
-  /// set) may exceed the frame capacity up to kGsoMaxBytes when the
-  /// offload was negotiated.
-  bool xmit_frame(HostThread& thread, ConstByteSpan frame,
-                  const TxOffload& offload, u16 pair = 0,
-                  bool more_coming = false);
-
-  /// True when the device segments UDP superframes for us (HOST_UFO +
-  /// CSUM negotiated on the last probe).
-  [[nodiscard]] bool tso_active() const { return tso_active_; }
 
   /// Publish any coalesced-but-unpublished TX chains on `pair` and ring
   /// the doorbell if the device asked for it (one EVENT_IDX decision for
@@ -264,13 +212,10 @@ class VirtioNetDriver {
   /// One received frame plus the virtio_net_hdr metadata the device
   /// attached to it. csum_valid mirrors VIRTIO_NET_HDR_F_DATA_VALID:
   /// the device vouches for the L4 checksum, so the stack may skip
-  /// verification even when the on-wire checksum field is stale (a
-  /// GRO-coalesced superframe keeps the first segment's checksum).
+  /// verification even when the on-wire checksum field does not verify.
   struct RxFrame {
     Bytes frame;
     bool csum_valid = false;
-    u8 gso_type = 0;   ///< kGso* of a coalesced RX superframe
-    u16 gso_size = 0;  ///< segment size the coalesced train used
   };
 
   /// Pop one received frame from `pair`'s backlog (after napi_poll
@@ -292,11 +237,6 @@ class VirtioNetDriver {
   /// accounts for every transmitted frame.
   [[nodiscard]] u64 tx_kicks_coalesced() const { return tx_kicks_coalesced_; }
   [[nodiscard]] u64 tx_dropped() const { return tx_dropped_; }
-  /// Descriptor segments posted by the zero-copy TX paths (0 on the
-  /// bounce-copy path, which posts one contiguous buffer per frame).
-  [[nodiscard]] u64 tx_sg_segments() const { return tx_sg_segments_; }
-  /// RX frames that spanned more than one mergeable buffer.
-  [[nodiscard]] u64 rx_merged_frames() const { return rx_merged_frames_; }
   /// busy_poll() invocations / frames harvested in poll mode / spin
   /// iterations spent across all calls.
   [[nodiscard]] u64 busy_polls() const { return busy_polls_; }
@@ -308,14 +248,10 @@ class VirtioNetDriver {
   [[nodiscard]] u64 watchdog_kicks() const { return watchdog_kicks_; }
   [[nodiscard]] u64 steering_repairs() const { return steering_repairs_; }
   [[nodiscard]] u64 ctrl_commands_sent() const { return ctrl_commands_sent_; }
-  /// GSO superframes handed to the device for segmentation.
-  [[nodiscard]] u64 tx_gso_frames() const { return tx_gso_frames_; }
-  /// RX frames that arrived as device-coalesced (GRO) superframes.
-  [[nodiscard]] u64 rx_gro_frames() const { return rx_gro_frames_; }
 
   /// Snapshot/restore of the driver's dynamic state: transport + rings,
-  /// per-pair buffer pools, RX backlogs (including a mid-span mergeable
-  /// reassembly), NAPI/watchdog state and counters. Policies (busy-poll,
+  /// per-pair buffer pools, RX backlogs, NAPI/watchdog state and
+  /// counters. Policies (busy-poll,
   /// watchdog, datapath options) are configuration the restore target
   /// already applied identically. The control-queue index is derived
   /// from max_device_pairs, and a restore fails when it names a queue
@@ -367,20 +303,11 @@ class VirtioNetDriver {
     /// Adaptive controller: EWMA of observed data-arrival waits, in
     /// microseconds (negative = no observation yet -> spin first).
     double rx_wait_ewma_us = -1.0;
-    /// Mergeable-RX reassembly: frame bytes accumulated so far and the
-    /// continuation buffers still outstanding (§5.1.6.4 num_buffers).
-    /// The header metadata (csum_valid/gso) comes from the span's first
-    /// buffer and is held in rx_partial_meta until the frame completes.
-    Bytes rx_partial;
-    u16 rx_partial_remaining = 0;
-    RxFrame rx_partial_meta{};
   };
 
-  /// Harvest exactly one RX completion and recycle its buffer (shared
-  /// by napi_poll and busy_poll). Returns true when a complete frame
-  /// landed in the backlog (a mergeable span completes only on its last
-  /// buffer).
-  bool harvest_one_rx(virtio::DriverRing& rx, PairState& ps);
+  /// Harvest exactly one RX completion into the backlog and recycle its
+  /// buffer (shared by napi_poll and busy_poll).
+  void harvest_one_rx(virtio::DriverRing& rx, PairState& ps);
 
   [[nodiscard]] virtio::DriverRing& rx_queue(u16 pair);
   [[nodiscard]] virtio::DriverRing& tx_queue(u16 pair);
@@ -394,29 +321,17 @@ class VirtioNetDriver {
   u16 configured_pairs_ = 1;  ///< pairs with rings + vectors set up
   u16 max_device_pairs_ = 1;
   bool mq_active_ = false;  ///< MQ + CTRL_VQ negotiated
-  bool tso_active_ = false;
   HostAddr ctrl_cmd_addr_ = 0;
   HostAddr ctrl_ack_addr_ = 0;
 
   std::vector<PairState> pair_state_{1};
-  u32 rx_buffer_bytes_ = 12 + 1526;  ///< hdr + max frame
   DatapathOptions datapath_{};
-  /// Largest Ethernet frame the TX/RX pools are sized for, given the
-  /// device MTU. The constant slack is the legacy 1526-byte frame area
-  /// at the default MTU of 1500.
-  static constexpr u32 frame_capacity_for_mtu(u32 mtu) {
-    return 14 + mtu + 12;
-  }
-  u32 frame_capacity_ = frame_capacity_for_mtu(1500);
-  bool mrg_active_ = false;
 
   u64 tx_packets_ = 0;
   u64 rx_packets_ = 0;
   u64 tx_kicks_ = 0;
   u64 tx_kicks_coalesced_ = 0;
   u64 tx_dropped_ = 0;
-  u64 tx_sg_segments_ = 0;
-  u64 rx_merged_frames_ = 0;
   u64 busy_polls_ = 0;
   u64 busy_poll_harvested_ = 0;
   u64 busy_poll_spins_ = 0;
@@ -424,8 +339,6 @@ class VirtioNetDriver {
   u64 watchdog_kicks_ = 0;
   u64 steering_repairs_ = 0;
   u64 ctrl_commands_sent_ = 0;
-  u64 tx_gso_frames_ = 0;
-  u64 rx_gro_frames_ = 0;
 
   u32 kick_coalesce_ = 1;
 };

@@ -17,13 +17,11 @@ constexpr std::size_t kTrailerBytes = 4;         // crc32
 /// and target both encode through this; byte inequality means the target
 /// testbed would have laid out rings/pools differently and the snapshot
 /// cannot apply. Uses the post-normalization options (testbed.options()).
-/// Constants need no entry, and the driver's frame capacity is derived
-/// from net.mtu.
+/// Constants need no entry.
 void encode_fingerprint(const core::TestbedOptions& o, StateWriter& w) {
   w.put_u64(o.seed);
   w.put_bool(o.use_packed_rings);
   w.put_u16(o.requested_queue_pairs);
-  w.put_u16(o.net.mtu);
   w.put_bool(o.net.offer_csum);
   w.put_u16(o.net.max_queue_pairs);
   w.put_bool(o.controller.policy.batched_chain_fetch);
@@ -31,10 +29,6 @@ void encode_fingerprint(const core::TestbedOptions& o, StateWriter& w) {
   w.put_bool(o.controller.policy.offer_packed);
   w.put_u16(o.controller.max_queue_size);
   w.put_u8(static_cast<u8>(o.datapath.tx_path));
-  w.put_bool(o.datapath.charge_tx_copy);
-  w.put_bool(o.datapath.want_mrg_rxbuf);
-  w.put_u32(o.datapath.mrg_buffer_bytes);
-  w.put_bool(o.datapath.want_offload);
   w.put_u64(o.fault.seed);
   for (double rate : o.fault.rate) {
     w.put_f64(rate);

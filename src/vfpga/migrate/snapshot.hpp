@@ -32,7 +32,7 @@ namespace vfpga::migrate {
 
 inline constexpr u8 kSnapshotMagic[8] = {'V', 'F', 'P', 'G',
                                          'A', 'S', 'N', 'P'};
-inline constexpr u32 kSnapshotVersion = 7;
+inline constexpr u32 kSnapshotVersion = 8;
 /// flags bit 0: the image carries a host-memory section.
 inline constexpr u32 kSnapshotFlagMemory = 1u << 0;
 

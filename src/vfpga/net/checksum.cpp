@@ -91,21 +91,4 @@ bool checksum_valid(ConstByteSpan data) {
   return internet_checksum(data) == 0;
 }
 
-u16 checksum_update_u16(u16 checksum, u16 old_word, u16 new_word) {
-  u64 s = static_cast<u16>(~checksum) & 0xffffu;
-  s += static_cast<u16>(~old_word) & 0xffffu;
-  s += new_word;
-  while (s >> 16) {
-    s = (s & 0xffff) + (s >> 16);
-  }
-  return static_cast<u16>(~s & 0xffff);
-}
-
-u16 checksum_update_u32(u16 checksum, u32 old_value, u32 new_value) {
-  u16 c = checksum_update_u16(checksum, static_cast<u16>(old_value >> 16),
-                              static_cast<u16>(new_value >> 16));
-  return checksum_update_u16(c, static_cast<u16>(old_value & 0xffff),
-                             static_cast<u16>(new_value & 0xffff));
-}
-
 }  // namespace vfpga::net

@@ -33,16 +33,4 @@ class ChecksumAccumulator {
 /// Verify: data (with embedded checksum field) sums to 0xffff.
 [[nodiscard]] bool checksum_valid(ConstByteSpan data);
 
-/// RFC 1624 (eqn. 3) incremental update: the checksum of a block after
-/// one aligned 16-bit word changes from `old_word` to `new_word`,
-/// without re-summing the block: HC' = ~(~HC + ~m + m'). The GSO
-/// engine's per-segment header fixup (IP id/total_length rewrites)
-/// relies on this instead of recomputing the 10-word header sum.
-[[nodiscard]] u16 checksum_update_u16(u16 checksum, u16 old_word,
-                                      u16 new_word);
-
-/// Incremental update for an aligned 32-bit field (two adjacent words).
-[[nodiscard]] u16 checksum_update_u32(u16 checksum, u32 old_value,
-                                      u32 new_value);
-
 }  // namespace vfpga::net

@@ -33,12 +33,4 @@ u64 Xoshiro256::uniform_below(u64 bound) noexcept {
   return static_cast<u64>(m >> 64);
 }
 
-Xoshiro256 Xoshiro256::split() noexcept {
-  // Use two outputs of this stream to seed a SplitMix64 chain; the child
-  // stream is statistically independent for our purposes.
-  const u64 a = (*this)();
-  const u64 b = (*this)();
-  return Xoshiro256{a ^ rotl(b, 32) ^ 0xd3833e804f4c574bull};
-}
-
 }  // namespace vfpga::sim

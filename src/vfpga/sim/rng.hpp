@@ -70,9 +70,6 @@ class Xoshiro256 {
   /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
   u64 uniform_below(u64 bound) noexcept;
 
-  /// Derive an independent child stream (for per-experiment RNGs).
-  [[nodiscard]] Xoshiro256 split() noexcept;
-
   /// Raw engine state, for snapshot/restore — a restored engine must
   /// continue the exact stream the source would have produced.
   [[nodiscard]] const std::array<u64, 4>& state() const noexcept {

@@ -29,26 +29,6 @@ u8 DeviceStatusMachine::driver_writes_status(u8 new_status, FeatureSet offered,
 
 void DeviceStatusMachine::reset() { status_ = 0; }
 
-std::string describe_status(u8 status_byte) {
-  if (status_byte == 0) {
-    return "RESET";
-  }
-  std::string out;
-  const auto append = [&out](const char* name) {
-    if (!out.empty()) {
-      out += '|';
-    }
-    out += name;
-  };
-  if (status_byte & status::kAcknowledge) append("ACKNOWLEDGE");
-  if (status_byte & status::kDriver) append("DRIVER");
-  if (status_byte & status::kFeaturesOk) append("FEATURES_OK");
-  if (status_byte & status::kDriverOk) append("DRIVER_OK");
-  if (status_byte & status::kDeviceNeedsReset) append("NEEDS_RESET");
-  if (status_byte & status::kFailed) append("FAILED");
-  return out;
-}
-
 std::string describe_net_features(FeatureSet features) {
   std::string out;
   const auto append = [&out](const char* name) {

@@ -10,8 +10,6 @@
 // producing silent nonsense timings.
 #pragma once
 
-#include <string>
-
 #include "vfpga/virtio/features.hpp"
 #include "vfpga/virtio/ids.hpp"
 
@@ -59,8 +57,5 @@ class DeviceStatusMachine {
 /// modern driver must select VERSION_1.
 [[nodiscard]] bool feature_selection_acceptable(FeatureSet offered,
                                                 FeatureSet selected);
-
-/// Render a status byte for logs: "ACKNOWLEDGE|DRIVER|FEATURES_OK".
-[[nodiscard]] std::string describe_status(u8 status_byte);
 
 }  // namespace vfpga::virtio

@@ -28,17 +28,13 @@ struct NetHeader {
   u16 num_buffers = 0;
 
   static constexpr u64 kSize = 12;
-  /// Byte offset of num_buffers within the encoded header — the field a
-  /// MRG_RXBUF device patches after it knows how many RX buffers the
-  /// frame consumed (§5.1.6.4).
-  static constexpr u64 kNumBuffersOffset = 10;
 
   /// flags bits.
   static constexpr u8 kNeedsCsum = 1;   ///< csum_start/offset are valid
   static constexpr u8 kDataValid = 2;   ///< device validated the checksum
-  /// gso_type values.
+  /// gso_type values. The device segments nothing: a TX header with any
+  /// type but kGsoNone is dropped.
   static constexpr u8 kGsoNone = 0;
-  static constexpr u8 kGsoTcpV4 = 1;  ///< VIRTIO_NET_HDR_GSO_TCPV4
   static constexpr u8 kGsoUdp = 3;    ///< VIRTIO_NET_HDR_GSO_UDP
 
   void encode(ByteSpan out) const;
@@ -55,6 +51,10 @@ struct NetConfigLayout {
   static constexpr u32 kDuplexOffset = 16;   // u8
   static constexpr u32 kSize = 20;
 };
+
+/// The MTU the FPGA's net personality advertises in its config space,
+/// the 1500-byte Ethernet MTU the paper measures at (§III-B).
+inline constexpr u16 kDeviceMtu = 1500;
 
 /// Status field bits.
 inline constexpr u16 kNetStatusLinkUp = 1;

@@ -1,6 +1,7 @@
 #include "vfpga/xdma/xdma_ip.hpp"
 
 #include "vfpga/common/contract.hpp"
+#include "vfpga/common/log.hpp"
 
 namespace vfpga::xdma {
 
@@ -52,7 +53,12 @@ u64 XdmaIpFunction::bar_read(u32 bar, BarOffset offset, u32 size,
   if (offset >= kMsixTableOffset && offset < kMsixPbaOffset) {
     return msix_->aperture_read(offset - kMsixTableOffset, size);
   }
-  VFPGA_EXPECTS(size == 4);
+  if (size != 4) {
+    // The register file decodes 32-bit accesses only: any other width
+    // reads 0, as the MSI-X window does.
+    VFPGA_WARN("xdma", "register read not 4 bytes wide: reads 0");
+    return 0;
+  }
   return register_read(offset, at);
 }
 
@@ -64,7 +70,10 @@ void XdmaIpFunction::bar_write(u32 bar, BarOffset offset, u64 value, u32 size,
                           static_cast<u32>(value), size, at, *port_);
     return;
   }
-  VFPGA_EXPECTS(size == 4);
+  if (size != 4) {
+    VFPGA_WARN("xdma", "register write not 4 bytes wide: dropped");
+    return;
+  }
   register_write(offset, static_cast<u32>(value), at);
 }
 

@@ -100,8 +100,7 @@ TEST_F(BlkDriverFixture, IndirectChainsWorkAndSaveHardwareTime) {
   // table), so the two are a near-tie — the indirect table moves fewer
   // descriptor bytes, so it must never be meaningfully slower. The big
   // indirect win (one table read versus repeated window fetches) only
-  // appears on chains longer than the window; the streaming bench
-  // covers that regime.
+  // appears on chains longer than the window.
   EXPECT_LT(indirect_hw, direct_hw + sim::nanoseconds(500));
 }
 

@@ -94,6 +94,70 @@ TEST_F(ControllerFixture, QueueSizeNegotiationShrinks) {
   EXPECT_EQ(driver->rd16(virtio::commoncfg::kQueueSize), 32);
 }
 
+// §4.1.4.3: a queue_select past the device's queues selects an absent
+// queue. Its queue_size reads 0 ("unavailable") and writes to its
+// registers are ignored; the real queues keep their state.
+TEST_F(ControllerFixture, QueueSelectPastTheQueuesSelectsAnAbsentQueue) {
+  using namespace virtio::commoncfg;
+  driver->wr16(kQueueSelect, 2);
+  EXPECT_EQ(driver->rd16(kQueueSelect), 2);
+  EXPECT_EQ(driver->rd16(kQueueSize), 0);
+  driver->wr16(kQueueSize, 16);
+  driver->wr64(kQueueDesc, 0x1000);
+  driver->wr16(kQueueEnable, 1);
+  EXPECT_EQ(driver->rd16(kQueueSize), 0);
+  EXPECT_EQ(driver->rd16(kQueueEnable), 0);
+  for (u16 q = 0; q < 2; ++q) {
+    EXPECT_EQ(device->queue_state(q).size, 256);
+    EXPECT_EQ(device->queue_state(q).rings.desc, 0u);
+    EXPECT_FALSE(device->queue_state(q).enabled);
+  }
+  driver->initialize(2);
+  EXPECT_TRUE(device->queue_state(1).enabled);
+}
+
+// A queue_size of 0 or past the maximum does not take.
+TEST_F(ControllerFixture, QueueSizeOutOfRangeIsIgnored) {
+  using namespace virtio::commoncfg;
+  driver->wr16(kQueueSelect, 0);
+  driver->wr16(kQueueSize, 0);
+  EXPECT_EQ(driver->rd16(kQueueSize), 256);
+  driver->wr16(kQueueSize, 512);
+  EXPECT_EQ(driver->rd16(kQueueSize), 256);
+  driver->wr16(kQueueSize, 32);
+  EXPECT_EQ(driver->rd16(kQueueSize), 32);
+  EXPECT_EQ(device->device_errors(), 0u);
+}
+
+// A split ring the queue engine cannot walk (§2.7: a size that is not a
+// power of two, or a misaligned descriptor table) does not enable, and
+// the device latches DEVICE_NEEDS_RESET; a reset recovers it.
+TEST_F(ControllerFixture, EnablingAnUnwalkableSplitRingLatchesNeedsReset) {
+  using namespace virtio::commoncfg;
+  const HostAddr rings = memory.allocate(64 * 1024, 4096);
+  const auto enable_queue0 = [&](u16 size, HostAddr desc) {
+    driver->wr32(kDeviceStatus, 0);
+    driver->wr16(kQueueSelect, 0);
+    driver->wr16(kQueueSize, size);
+    driver->wr64(kQueueDesc, desc);
+    driver->wr64(kQueueDriver, rings + 32 * 1024);
+    driver->wr64(kQueueDevice, rings + 48 * 1024);
+    driver->wr16(kQueueEnable, 1);
+  };
+  enable_queue0(24, rings);
+  EXPECT_FALSE(device->queue_state(0).enabled);
+  EXPECT_NE(device->device_status() & virtio::status::kDeviceNeedsReset, 0);
+  EXPECT_EQ(device->device_errors(), 1u);
+
+  enable_queue0(16, rings + 8);
+  EXPECT_FALSE(device->queue_state(0).enabled);
+  EXPECT_EQ(device->device_errors(), 2u);
+
+  enable_queue0(16, rings);
+  EXPECT_TRUE(device->queue_state(0).enabled);
+  EXPECT_EQ(device->device_status() & virtio::status::kDeviceNeedsReset, 0);
+}
+
 TEST_F(ControllerFixture, NumQueuesReflectsPersonality) {
   EXPECT_EQ(driver->rd16(virtio::commoncfg::kNumQueues), 2);
 }

@@ -39,13 +39,8 @@ FeatureSet implemented_net() {
   FeatureSet f;
   f.set(feature::net::kCsum);
   f.set(feature::net::kGuestCsum);
-  f.set(feature::net::kGuestTso4);
-  f.set(feature::net::kGuestUfo);
-  f.set(feature::net::kHostTso4);
-  f.set(feature::net::kHostUfo);
   f.set(feature::net::kMtu);
   f.set(feature::net::kMac);
-  f.set(feature::net::kMrgRxbuf);
   f.set(feature::net::kStatus);
   f.set(feature::net::kCtrlVq);
   f.set(feature::net::kMq);
@@ -84,6 +79,13 @@ FeatureSet unimplemented_net() {
   FeatureSet f = unimplemented_transport();
   f.set(feature::net::kSpeedDuplex);
   f.set(feature::net::kNotfCoal);
+  // The segmentation offloads and mergeable RX buffers: every frame
+  // fits one buffer at the device MTU, and the device segments nothing.
+  f.set(feature::net::kGuestTso4);
+  f.set(feature::net::kGuestUfo);
+  f.set(feature::net::kHostTso4);
+  f.set(feature::net::kHostUfo);
+  f.set(feature::net::kMrgRxbuf);
   return f;
 }
 
@@ -113,24 +115,24 @@ TEST(FeatureAudit, NetLogicOffersOnlyImplementedBits) {
           << "pairs=" << pairs << " csum=" << csum
           << " offered=" << std::hex << offered.bits();
       EXPECT_EQ(offered.intersect(unimplemented_net()), FeatureSet{});
-      // MQ + CTRL_VQ come and go together: steering without a control
-      // queue (or vice versa) is not a personality this device has.
-      EXPECT_EQ(offered.has(feature::net::kMq),
-                offered.has(feature::net::kCtrlVq));
-      EXPECT_EQ(offered.has(feature::net::kMq), pairs > 1);
-      // Mergeable RX buffers ride the default personality (the zero-copy
-      // datapath depends on the offer being present).
-      EXPECT_TRUE(offered.has(feature::net::kMrgRxbuf));
-      // The TX segmentation offloads follow the CSUM offer (§5.1.3.1:
-      // the segmenter writes per-segment checksums). The echo logic
-      // always produces full checksums, so GUEST_CSUM and the RX-side
-      // coalescer that vouches for them via DATA_VALID are always
-      // offered.
-      EXPECT_EQ(offered.has(feature::net::kHostTso4), csum);
-      EXPECT_EQ(offered.has(feature::net::kHostUfo), csum);
-      EXPECT_TRUE(offered.has(feature::net::kGuestCsum));
-      EXPECT_TRUE(offered.has(feature::net::kGuestTso4));
-      EXPECT_TRUE(offered.has(feature::net::kGuestUfo));
+      // The whole offer, pinned: MAC, STATUS, MTU and GUEST_CSUM (the
+      // echo logic always produces full checksums) always; CSUM with
+      // the checksum offer; MQ + CTRL_VQ together with multiqueue, as
+      // steering without a control queue is not a personality this
+      // device has.
+      FeatureSet expected;
+      expected.set(feature::net::kMac);
+      expected.set(feature::net::kStatus);
+      expected.set(feature::net::kMtu);
+      expected.set(feature::net::kGuestCsum);
+      if (csum) {
+        expected.set(feature::net::kCsum);
+      }
+      if (pairs > 1) {
+        expected.set(feature::net::kMq);
+        expected.set(feature::net::kCtrlVq);
+      }
+      EXPECT_EQ(offered, expected) << "pairs=" << pairs << " csum=" << csum;
       // The control queue exists only with multiqueue.
       EXPECT_EQ(logic.queue_count(), pairs > 1 ? 2 * pairs + 1 : 2);
     }
@@ -193,9 +195,9 @@ TEST(FeatureAudit, NegotiatedSetMatchesImplementedBehavior) {
   }
 }
 
-// The new datapath features are offered AND negotiable end-to-end: a
-// driver asking for MRG_RXBUF + INDIRECT_DESC gets both, and traffic
-// still flows through the mergeable/indirect paths.
+// The zero-copy datapath's feature is offered AND negotiable end to
+// end: a driver on the indirect sg path gets INDIRECT_DESC, and traffic
+// flows through it.
 TEST(FeatureAudit, ZeroCopyFeaturesNegotiateEndToEnd) {
   for (const bool packed : {false, true}) {
     TestbedOptions options;
@@ -203,13 +205,10 @@ TEST(FeatureAudit, ZeroCopyFeaturesNegotiateEndToEnd) {
     options.use_packed_rings = packed;
     options.datapath.tx_path =
         hostos::VirtioNetDriver::TxPath::kScatterGatherIndirect;
-    options.datapath.want_mrg_rxbuf = true;
     VirtioNetTestbed bed{options};
 
     const FeatureSet negotiated = bed.device().negotiated_features();
-    EXPECT_TRUE(negotiated.has(feature::net::kMrgRxbuf));
     EXPECT_TRUE(negotiated.has(feature::kRingIndirectDesc));
-    EXPECT_TRUE(bed.driver().mergeable_rx_active());
 
     Bytes payload(128, 9);
     EXPECT_TRUE(bed.udp_round_trip(payload).ok);
@@ -218,30 +217,20 @@ TEST(FeatureAudit, ZeroCopyFeaturesNegotiateEndToEnd) {
 
 // A negotiated-but-unoffered device-class bit must abort at DRIVER_OK:
 // some layer invented a feature nothing implements, and the device
-// logic's audit is the last line of defense.
+// logic's audit is the last line of defense. The segmentation offloads
+// and MRG_RXBUF are such bits.
 TEST(FeatureAuditDeathTest, UnofferedNegotiatedBitFailsLoudly) {
-  NetDeviceLogic logic{{}};
-  FeatureSet bogus = logic.device_features();
-  ASSERT_FALSE(logic.device_features().has(feature::net::kSpeedDuplex));
-  bogus.set(feature::net::kSpeedDuplex);
-  EXPECT_DEATH(logic.on_driver_ready(bogus), "");
-}
-
-// Spec dependency (§5.1.3.1): a driver selecting GUEST_TSO4/GUEST_UFO
-// without GUEST_CSUM (or the HOST variants without CSUM) violated the
-// negotiation rules; the device audit must refuse to run that way.
-TEST(FeatureAuditDeathTest, OffloadWithoutChecksumPrerequisiteDies) {
-  NetDeviceLogic logic{{}};
-  FeatureSet selected = logic.device_features();
-  ASSERT_TRUE(selected.has(feature::net::kGuestTso4));
-  selected.clear(feature::net::kGuestCsum);
-  EXPECT_DEATH(logic.on_driver_ready(selected), "");
-
-  NetDeviceLogic host_side{{}};
-  FeatureSet host_sel = host_side.device_features();
-  ASSERT_TRUE(host_sel.has(feature::net::kHostUfo));
-  host_sel.clear(feature::net::kCsum);
-  EXPECT_DEATH(host_side.on_driver_ready(host_sel), "");
+  for (const u32 bit :
+       {feature::net::kSpeedDuplex, feature::net::kGuestTso4,
+        feature::net::kGuestUfo, feature::net::kHostTso4,
+        feature::net::kHostUfo, feature::net::kMrgRxbuf}) {
+    SCOPED_TRACE(bit);
+    NetDeviceLogic logic{{}};
+    FeatureSet bogus = logic.device_features();
+    ASSERT_FALSE(bogus.has(bit));
+    bogus.set(bit);
+    EXPECT_DEATH(logic.on_driver_ready(bogus), "");
+  }
 }
 
 // Config-space consistency for virtio-blk multi-queue: a driver that

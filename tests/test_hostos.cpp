@@ -8,6 +8,8 @@
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/hostos/cost_model.hpp"
 #include "vfpga/hostos/interrupt.hpp"
+#include "vfpga/net/ipv4.hpp"
+#include "vfpga/net/udp.hpp"
 
 namespace vfpga::hostos {
 namespace {
@@ -201,6 +203,30 @@ TEST_F(StackFixture, SendtoUnroutableFailsCleanly) {
   EXPECT_FALSE(bed.socket().sendto(bed.thread(),
                                    net::Ipv4Addr::from_octets(8, 8, 8, 8),
                                    53, payload));
+}
+
+// EMSGSIZE: a datagram one byte past what a 1500-byte MTU frame holds
+// is refused before the driver sees it; the largest that fits echoes.
+TEST_F(StackFixture, SendtoPastTheMtuFailsWithoutTouchingTheRing) {
+  core::VirtioNetTestbed bed{options};
+  ASSERT_EQ(bed.driver().mtu(), 1500);
+  const u64 largest = 1500 - net::Ipv4Header::kSize - net::UdpHeader::kSize;
+  const Bytes oversized(largest + 1, 0x3c);
+  EXPECT_FALSE(bed.socket().sendto(bed.thread(), bed.fpga_ip(),
+                                   bed.options().fpga_udp_port, oversized));
+  EXPECT_EQ(bed.stack().tx_oversized(), 1u);
+  EXPECT_EQ(bed.driver().tx_packets(), 0u);
+  EXPECT_EQ(bed.driver().tx_kicks(), 0u);
+  EXPECT_EQ(bed.net_logic().udp_echoes(), 0u);
+
+  const Bytes fits(largest, 0x3c);
+  ASSERT_TRUE(bed.socket().sendto(bed.thread(), bed.fpga_ip(),
+                                  bed.options().fpga_udp_port, fits));
+  const auto reply = bed.socket().recvfrom(bed.thread());
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->payload, fits);
+  EXPECT_EQ(bed.driver().tx_packets(), 1u);
+  EXPECT_EQ(bed.stack().tx_oversized(), 1u);
 }
 
 TEST_F(StackFixture, ReceiveWithoutTrafficTimesOut) {

@@ -1,8 +1,8 @@
 // Snapshot/restore and live-migration tests: state-io substrate safety,
 // the perf-counter bank's state section, crash-consistent round trips
-// on both ring formats (including snapshots taken mid-mergeable-RX
-// span and mid-GSO superframe), rejection of version-skewed/corrupted
-// images, and the two-host migration harness end to end.
+// on both ring formats (including a snapshot taken with a reply still
+// unharvested), rejection of version-skewed/corrupted images, and the
+// two-host migration harness end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -376,8 +376,8 @@ TEST(Snapshot, RoundTripMultiQueue) {
 }
 
 /// Send a request and snapshot BEFORE harvesting the reply, so the
-/// in-flight state (used-ring entries, pending interrupts, partially
-/// consumed spans) must survive the restore. Both testbeds then receive
+/// in-flight state (used-ring entries, pending interrupts) must survive
+/// the restore. Both testbeds then receive
 /// and must produce the identical datagram at the identical clock.
 /// Warm up, then send a `payload_bytes` echo request and leave its
 /// reply unharvested.
@@ -413,31 +413,15 @@ void expect_mid_flight_round_trip(core::TestbedOptions options,
   EXPECT_EQ(migrate::save_snapshot(a), migrate::save_snapshot(b));
 }
 
-core::TestbedOptions mid_mergeable_options() {
+core::TestbedOptions mid_flight_options() {
   core::TestbedOptions options;
   options.seed = 0x36b;
-  options.datapath.want_mrg_rxbuf = true;
-  // Small buffers so a full-size frame spans several of them and the
-  // snapshot catches a genuinely multi-buffer span in flight.
-  options.datapath.mrg_buffer_bytes = 512;
   return options;
 }
-constexpr u64 kMidMergeablePayload = 1200;
+constexpr u64 kMidFlightPayload = 1200;
 
-TEST(Snapshot, MidMergeableRxSpan) {
-  expect_mid_flight_round_trip(mid_mergeable_options(), kMidMergeablePayload);
-}
-
-TEST(Snapshot, MidGsoSuperframe) {
-  core::TestbedOptions options;
-  options.seed = 0x650;
-  options.datapath.tx_path =
-      hostos::VirtioNetDriver::TxPath::kScatterGather;
-  options.datapath.want_offload = true;
-  options.datapath.want_mrg_rxbuf = true;
-  // Payload far above the MTU: the stack hands the device one GSO
-  // superframe and the echo comes back as a GRO-coalesced span.
-  expect_mid_flight_round_trip(options, 6000);
+TEST(Snapshot, MidFlightReply) {
+  expect_mid_flight_round_trip(mid_flight_options(), kMidFlightPayload);
 }
 
 /// Snapshot with the blk function attached and a write-back layer in a
@@ -543,19 +527,19 @@ TEST(Snapshot, ImagesArePinned) {
     return true;
   };
   const Pin pins[] = {
-      {"split", split_options(), quiesced, 0x63791d64, 74177, 0x66ef6828,
-       37221},
-      {"packed", packed_options(), quiesced, 0xbbf60ba4, 70571, 0x3174166a,
-       37719},
-      {"multi-queue", multi_queue_options(), quiesced, 0xbd2b2339, 153153,
-       0x8bdaeb79, 87469},
-      {"blk", blk_options(), drive_blk, 0xc74a3088, 359126, 0x61dd0fb9,
-       313962},
-      {"mid-mergeable", mid_mergeable_options(),
+      {"split", split_options(), quiesced, 0xa13892b5, 74076, 0x3d662dbe,
+       37120},
+      {"packed", packed_options(), quiesced, 0xd289ff31, 70470, 0x7584d466,
+       37618},
+      {"multi-queue", multi_queue_options(), quiesced, 0x2abb92c4, 153030,
+       0x1cc06059, 87346},
+      {"blk", blk_options(), drive_blk, 0xce1eec30, 359025, 0x58048133,
+       313861},
+      {"mid-flight", mid_flight_options(),
        [](core::VirtioNetTestbed& bed) {
-         return drive_mid_flight(bed, kMidMergeablePayload);
+         return drive_mid_flight(bed, kMidFlightPayload);
        },
-       0x29571031, 70077, 0x3a061131, 37225},
+       0x73e051ff, 74080, 0x3e93f5a9, 37124},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.setup);
@@ -687,9 +671,11 @@ TEST(SnapshotReject, VersionSkew) {
   // GET_ID and DISCARD counters; version 5 fingerprinted the device's
   // MAC and IP and carried the blk personality's negotiated features;
   // version 6 fingerprinted the EVENT_IDX and INDIRECT_DESC offer
-  // switches and carried the packed engine's copy of its head register.
+  // switches and carried the packed engine's copy of its head register;
+  // version 7 fingerprinted the MTU and the mergeable-RX and offload
+  // options and carried the segmentation and span-reassembly state.
   for (const u8 version :
-       {u8{1}, u8{2}, u8{3}, u8{4}, u8{5}, u8{6}, u8{99}}) {
+       {u8{1}, u8{2}, u8{3}, u8{4}, u8{5}, u8{6}, u8{7}, u8{99}}) {
     SCOPED_TRACE(static_cast<int>(version));
     Bytes image = current;
     image[8] = version;  // version field, checked before the checksum
@@ -722,10 +708,10 @@ TEST(SnapshotReject, IncompatibleOptions) {
       {"seed", false, [](core::TestbedOptions& o) { o.seed = 0xbbbb; }},
       {"use_packed_rings", false,
        [](core::TestbedOptions& o) { o.use_packed_rings = true; }},
-      {"net.mtu", false, [](core::TestbedOptions& o) { o.net.mtu = 9000; }},
       {"datapath.tx_path", false,
        [](core::TestbedOptions& o) {
-         o.datapath.tx_path = hostos::VirtioNetDriver::TxPath::kScatterGather;
+         o.datapath.tx_path =
+             hostos::VirtioNetDriver::TxPath::kScatterGatherIndirect;
        }},
       {"controller.policy.batched_chain_fetch", false,
        [](core::TestbedOptions& o) {
@@ -867,11 +853,11 @@ std::size_t net_driver_fields_at(ConstByteSpan state,
   return static_cast<std::size_t>(it - state.begin());
 }
 
-/// Pair 0's first free TX slot. 41 bytes of scalars after the MAC come
+/// Pair 0's first free TX slot. 35 bytes of scalars after the MAC come
 /// the RX buffers (12 bytes each), the TX buffers (16 bytes each) and
 /// the free TX slots, each list behind a u32 count.
 Poison net_tx_free_slot(ConstByteSpan state, core::VirtioNetTestbed& bed) {
-  std::size_t at = net_driver_fields_at(state, bed) + 41;
+  std::size_t at = net_driver_fields_at(state, bed) + 35;
   at += 4 + 12 * load_le(state, at, 4);
   const u64 tx_buffers = load_le(state, at, 4);
   at += 4 + 16 * tx_buffers;

@@ -394,6 +394,29 @@ TEST(UdpFrame, MatchesBuilderChainAtEveryPayloadSize) {
   }
 }
 
+TEST(ChecksumEdgeCases, ZeroUdpChecksumTransmitsAsAllOnes) {
+  // Find a payload whose checksum folds to zero: RFC 768 requires the
+  // sender substitute 0xffff (zero on the wire means "no checksum"),
+  // and the receiver must accept the substituted value.
+  const UdpFrameHeader header = host_to_fpga(UdpHeader{4791, 9000});
+  Bytes payload(2, 0);
+  Bytes frame(udp_frame_size(payload.size()));
+  const ConstByteSpan datagram =
+      ConstByteSpan{frame}.subspan(kUdpOff, UdpHeader::kSize + 2);
+  bool found = false;
+  for (u32 w = 0; w < 0x10000 && !found; ++w) {
+    store_be16(ByteSpan{payload}, 0, static_cast<u16>(w));
+    write_udp_frame(frame, header, payload, std::nullopt);
+    if (load_be16(datagram, 6) == 0xffff) {
+      found = true;
+      const auto parsed = parse_udp_datagram(datagram, kHostIp, kFpgaIp);
+      ASSERT_TRUE(parsed.has_value());
+      EXPECT_TRUE(parsed->checksum_ok);
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST(UdpFrame, StoresAGivenChecksumAsIs) {
   const Bytes payload(20, 0x11);
   Bytes frame(udp_frame_size(payload.size()));

@@ -12,6 +12,7 @@
 #include "vfpga/pcie/link_model.hpp"
 #include "vfpga/pcie/msix.hpp"
 #include "vfpga/pcie/root_complex.hpp"
+#include "vfpga/xdma/registers.hpp"
 #include "vfpga/xdma/xdma_ip.hpp"
 
 namespace vfpga::pcie {
@@ -353,6 +354,28 @@ TEST(MsixWindow, EntriesReadBackAndUnimplementedAccessesAreIgnored) {
     expect_msix_window(xdma_fn, xdma::kMsixTableOffset,
                        xdma_fn.msix().size());
   }
+}
+
+// The XDMA register file decodes 32-bit accesses only. Any other width
+// outside the MSI-X window reads 0 or is dropped, and the register is
+// unchanged.
+TEST(MsixWindow, XdmaRegistersIgnoreAccessesNotFourBytesWide) {
+  mem::HostMemory memory;
+  RootComplex rc{memory, LinkModel{}};
+  xdma::XdmaIpFunction xdma_fn{64 * 1024};
+  rc.attach(xdma_fn);
+  xdma_fn.connect(rc);
+  const sim::SimTime t{};
+  EXPECT_EQ(xdma_fn.bar_read(0, 0, 2, t), 0u);
+  EXPECT_EQ(xdma_fn.bar_read(0, 0, 4, t),
+            xdma::regs::channel_identifier(false, 0));
+
+  const BarOffset desc_lo = xdma::regs::kH2cSgdmaBase + xdma::regs::kSgDescLo;
+  xdma_fn.bar_write(0, desc_lo, 0x1000u, 4, t);
+  xdma_fn.bar_write(0, desc_lo, 0x2000u, 2, t);
+  xdma_fn.bar_write(0, desc_lo, 0x3000u, 8, t);
+  EXPECT_EQ(xdma_fn.bar_read(0, desc_lo, 8, t), 0u);
+  EXPECT_EQ(xdma_fn.bar_read(0, desc_lo, 4, t), 0x1000u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "support/test_driver.hpp"
 #include "vfpga/core/blk_device.hpp"
 #include "vfpga/core/net_device.hpp"
+#include "vfpga/core/testbed.hpp"
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/udp.hpp"
@@ -48,67 +49,6 @@ struct NetLogicFixture : ::testing::Test {
         packet);
   }
 
-  /// A HOST_UFO request: one UDP superframe carrying `payload` behind
-  /// the GSO header a driver writes for it.
-  Bytes gso_request(ConstByteSpan payload) {
-    const Bytes frame = make_udp_frame(payload);
-    Bytes request(NetHeader::kSize + frame.size());
-    NetHeader hdr;
-    hdr.flags = NetHeader::kNeedsCsum;
-    hdr.gso_type = NetHeader::kGsoUdp;
-    hdr.gso_size = kGsoSize;
-    hdr.hdr_len = static_cast<u16>(net::EthernetHeader::kSize +
-                                   net::Ipv4Header::kSize +
-                                   net::UdpHeader::kSize);
-    hdr.csum_start = net::EthernetHeader::kSize + net::Ipv4Header::kSize;
-    hdr.csum_offset = 6;
-    hdr.encode(request);
-    std::copy(frame.begin(), frame.end(), request.begin() + NetHeader::kSize);
-    return request;
-  }
-
-  /// Expects `frames` (net header + wire frame each) to be the echo of
-  /// gso_request(payload) cut into kGsoSize segments, in order: each a
-  /// valid UDP datagram from the device back to the host, with
-  /// DATA_VALID set exactly when `data_valid`.
-  void expect_segment_train(const std::vector<Bytes>& frames,
-                            ConstByteSpan payload, bool data_valid) {
-    u64 offset = 0;
-    for (const Bytes& raw : frames) {
-      const NetHeader hdr = NetHeader::decode(raw);
-      EXPECT_EQ(hdr.flags & NetHeader::kDataValid,
-                data_valid ? NetHeader::kDataValid : 0);
-      EXPECT_EQ(hdr.gso_type, NetHeader::kGsoNone);
-      const ConstByteSpan frame = ConstByteSpan{raw}.subspan(NetHeader::kSize);
-      const auto eth = net::parse_ethernet_frame(frame);
-      ASSERT_TRUE(eth.has_value());
-      EXPECT_EQ(eth->header.dst, host_mac);
-      const auto ip = net::parse_ipv4_packet(
-          frame.subspan(eth->payload_offset, eth->payload_length));
-      ASSERT_TRUE(ip.has_value());
-      EXPECT_TRUE(ip->checksum_ok);
-      EXPECT_EQ(ip->header.src, NetDeviceLogic::kFpgaIp);
-      EXPECT_EQ(ip->header.dst, host_ip);
-      const ConstByteSpan ip_payload = frame.subspan(
-          eth->payload_offset + ip->payload_offset, ip->payload_length);
-      const auto udp =
-          net::parse_udp_datagram(ip_payload, ip->header.src, ip->header.dst);
-      ASSERT_TRUE(udp.has_value());
-      EXPECT_TRUE(udp->checksum_ok);
-      EXPECT_EQ(udp->header.src_port, 9000);
-      EXPECT_EQ(udp->header.dst_port, 4791);
-      EXPECT_LE(udp->payload_length, kGsoSize);
-      const ConstByteSpan segment =
-          ip_payload.subspan(udp->payload_offset, udp->payload_length);
-      ASSERT_LE(offset + segment.size(), payload.size());
-      EXPECT_TRUE(std::equal(segment.begin(), segment.end(),
-                             payload.begin() +
-                                 static_cast<std::ptrdiff_t>(offset)));
-      offset += segment.size();
-    }
-    EXPECT_EQ(offset, payload.size());
-  }
-
   /// An Ethernet/IPv4 ARP request (RFC 826) from the host for `target`.
   Bytes arp_request_frame(net::Ipv4Addr target) {
     Bytes body(28, 0);
@@ -128,8 +68,6 @@ struct NetLogicFixture : ::testing::Test {
     store_be16(ByteSpan{frame}, 12, 0x0806);  // EtherType: ARP
     return frame;
   }
-
-  static constexpr u16 kGsoSize = 1472;
 
   Bytes with_net_header(ConstByteSpan frame, u8 flags = 0) {
     Bytes payload(NetHeader::kSize + frame.size());
@@ -377,39 +315,6 @@ TEST_F(NetLogicFixture, ArpForSomeoneElseIgnored) {
   }
 }
 
-TEST_F(NetLogicFixture, GsoWithoutGuestUfoEchoesOneFramePerSegment) {
-  // A driver may negotiate HOST_UFO without GUEST_UFO: the device then
-  // cannot coalesce the echoed train, so it delivers every segment as
-  // its own wire frame (the first in the response, the rest trailing).
-  Bytes payload(4000);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<u8>(i * 7 + 3);
-  }
-  for (const bool guest_csum : {false, true}) {
-    SCOPED_TRACE(guest_csum);
-    virtio::FeatureSet negotiated = virtio::FeatureSet{}
-                                        .set(virtio::feature::kVersion1)
-                                        .set(virtio::feature::net::kCsum)
-                                        .set(virtio::feature::net::kHostUfo);
-    if (guest_csum) {
-      negotiated.set(virtio::feature::net::kGuestCsum);
-    }
-    logic.on_driver_ready(negotiated);
-    const auto response =
-        logic.process(virtio::net::kTxQueue, gso_request(payload), 2048, {});
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(response->target_queue, virtio::net::kRxQueue);
-    std::vector<Bytes> frames{response->payload};
-    frames.insert(frames.end(), response->trailing_frames.begin(),
-                  response->trailing_frames.end());
-    EXPECT_EQ(frames.size(), 3u);  // 1472 + 1472 + 1056 payload bytes
-    expect_segment_train(frames, payload, guest_csum);
-  }
-  EXPECT_EQ(logic.gso_superframes(), 2u);
-  EXPECT_EQ(logic.gso_segments_out(), 6u);
-  EXPECT_EQ(logic.gro_coalesced(), 0u);
-}
-
 TEST_F(NetLogicFixture, RuntPayloadDropped) {
   EXPECT_FALSE(
       logic.process(virtio::net::kTxQueue, Bytes(4, 0), 2048, {}).has_value());
@@ -430,66 +335,60 @@ TEST_F(NetLogicFixture, DeviceConfigStructureLayout) {
   EXPECT_EQ(mtu, 1500);
 }
 
-// ---- NetDeviceLogic through the controller ------------------------------------------
+// ---- NetDeviceLogic end to end, on both ring formats ----------------------------
 
-struct NetControllerFixture : NetLogicFixture {
-  mem::HostMemory memory;
-  pcie::RootComplex rc{memory, pcie::LinkModel{}};
-  std::optional<VirtioDeviceFunction> device;
-  hostos::InterruptController irq;
-  std::optional<testing_support::TestDriver> driver;
+// The device segments nothing, so a TX virtio_net_hdr that asks for UDP
+// segmentation is driver-written input the device never offered to
+// accept: the device consumes the TX chain, drops and counts the frame,
+// consumes no RX buffer, and the queue pair keeps echoing.
+class GsoTxHeader : public ::testing::TestWithParam<bool> {};
 
-  void SetUp() override {
-    device.emplace(logic, ControllerConfig{});
-    rc.set_irq_sink([&](u32 data, sim::SimTime at) { irq.deliver(data, at); });
-    rc.attach(*device);
-    device->connect(rc);
-    ASSERT_EQ(pcie::enumerate_bus(rc).size(), 1u);
-    driver.emplace(rc, *device, irq);
-  }
-};
+TEST_P(GsoTxHeader, IsDroppedAndCounted) {
+  TestbedOptions options;
+  options.use_packed_rings = GetParam();
+  VirtioNetTestbed bed{options};
+  hostos::HostThread& thread = bed.thread();
+  const Bytes payload(256, 0x5a);
 
-TEST_F(NetControllerFixture, SegmentTrainFillsOneRxChainPerFrame) {
-  driver->initialize(
-      2, 16, virtio::FeatureSet{}.set(virtio::feature::net::kGuestUfo));
-  ASSERT_TRUE(logic.negotiated().has(virtio::feature::net::kHostUfo));
-  ASSERT_TRUE(logic.negotiated().has(virtio::feature::net::kGuestCsum));
-  ASSERT_FALSE(logic.negotiated().has(virtio::feature::net::kGuestUfo));
+  // A deferred doorbell leaves the posted frame in its TX buffer, where
+  // the header is rewritten before the device reads it. The first frame
+  // sits in descriptor 0 of either ring format, whose address field
+  // comes first.
+  bed.driver().set_kick_coalesce(2);
+  ASSERT_TRUE(bed.stack().udp_send(thread, TestbedOptions::udp_port,
+                                   bed.fpga_ip(), TestbedOptions::fpga_udp_port,
+                                   payload, /*more_coming=*/true));
+  const HostAddr hdr_addr = bed.memory().read_le64(
+      bed.device().queue_state(virtio::net::kTxQueue).rings.desc);
+  NetHeader hdr =
+      NetHeader::decode(bed.memory().read_bytes(hdr_addr, NetHeader::kSize));
+  ASSERT_EQ(hdr.gso_type, NetHeader::kGsoNone);
+  ASSERT_EQ(hdr.flags, NetHeader::kNeedsCsum);
+  hdr.gso_type = NetHeader::kGsoUdp;
+  hdr.gso_size = 128;
+  std::array<u8, NetHeader::kSize> raw{};
+  hdr.encode(raw);
+  bed.memory().write(hdr_addr, raw);
+  bed.driver().flush_tx(thread);
 
-  auto& rxq = driver->vq(virtio::net::kRxQueue);
-  std::vector<HostAddr> rx_bufs;
-  for (u64 token = 0; token < 4; ++token) {
-    rx_bufs.push_back(memory.allocate(2048));
-    const virtio::ChainBuffer rx{rx_bufs.back(), 2048, true};
-    ASSERT_TRUE(rxq.add_chain(std::span{&rx, 1}, token).has_value());
-  }
-  rxq.publish();
+  EXPECT_EQ(bed.device().frames_processed(), 1u);
+  EXPECT_EQ(bed.net_logic().dropped(), 1u);
+  EXPECT_EQ(bed.net_logic().udp_echoes(), 0u);
+  EXPECT_EQ(bed.net_logic().checksums_offloaded(), 0u);
+  EXPECT_EQ(bed.stack().poll_rx(thread), 0u);
+  EXPECT_EQ(bed.driver().rx_packets(), 0u);
+  EXPECT_EQ(bed.device().device_errors(), 0u);
 
-  Bytes payload(4000);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<u8>(i * 13 + 5);
-  }
-  const Bytes request = gso_request(payload);
-  const HostAddr tx_buf = memory.allocate(request.size());
-  memory.write(tx_buf, request);
-  const virtio::ChainBuffer tx{tx_buf, static_cast<u32>(request.size()),
-                               false};
-  auto& txq = driver->vq(virtio::net::kTxQueue);
-  ASSERT_TRUE(txq.add_chain(std::span{&tx, 1}, 99).has_value());
-  txq.publish();
-  driver->notify(virtio::net::kTxQueue);
-
-  // Each segment landed in its own RX chain, in order; the fourth chain
-  // stays posted.
-  std::vector<Bytes> frames;
-  while (const auto used = rxq.harvest_used()) {
-    frames.push_back(memory.read_bytes(rx_bufs.at(used->token), used->written));
-  }
-  EXPECT_EQ(frames.size(), 3u);
-  expect_segment_train(frames, payload, /*data_valid=*/true);
-  EXPECT_EQ(logic.gso_superframes(), 1u);
-  EXPECT_EQ(logic.gro_coalesced(), 0u);
+  bed.driver().set_kick_coalesce(1);
+  EXPECT_TRUE(bed.udp_round_trip(payload).ok);
+  EXPECT_EQ(bed.net_logic().udp_echoes(), 1u);
+  EXPECT_EQ(bed.net_logic().dropped(), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(RingFormats, GsoTxHeader, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "packed" : "split";
+                         });
 
 // ---- BlkDeviceLogic through the controller (same-chain responses) -----------------
 

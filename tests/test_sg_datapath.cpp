@@ -1,7 +1,6 @@
 // Edge cases of the zero-copy scatter-gather datapath, on both ring
-// formats: zero-length segments, chains that exceed the queue, indirect
-// tables with out-of-bounds geometry, and mergeable RX frames that span
-// exactly N buffers (the off-by-one magnet of §5.1.6.4).
+// formats: zero-length segments, chains that exceed the queue and
+// indirect tables with out-of-bounds geometry.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -304,64 +303,12 @@ TEST_F(PackedSgFixture, IndirectTableWithBadGeometryIsError) {
   EXPECT_TRUE(poll_and_consume(*make_engine(drv)).error);
 }
 
-// ---- mergeable RX spanning exactly N buffers (end-to-end) --------------------
-
-/// Frame bytes preceding the UDP payload as the RX completion sees it:
-/// virtio-net header + Ethernet + IPv4 + UDP.
-constexpr u64 kRxOverhead = 12 + 14 + 20 + 8;
-
-class MergeableSpanTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(MergeableSpanTest, FrameSpanningExactlyNBuffersReassembles) {
-  const bool packed = GetParam();
-  core::TestbedOptions options;
-  options.seed = 0x3a9 + (packed ? 1 : 0);
-  options.use_packed_rings = packed;
-  options.net.mtu = 4000;
-  options.datapath.tx_path =
-      hostos::VirtioNetDriver::TxPath::kScatterGatherIndirect;
-  options.datapath.want_mrg_rxbuf = true;
-  options.datapath.mrg_buffer_bytes = 1024;
-  core::VirtioNetTestbed bed{options};
-  ASSERT_TRUE(bed.driver().mergeable_rx_active());
-
-  // Payload sized so the RX completion is an exact multiple of the
-  // buffer size: the device must report exactly N buffers, not N+1 with
-  // a zero-length tail, and the driver must finish reassembly at N.
-  const u64 exact2 = 2 * 1024 - kRxOverhead;
-  Bytes payload(exact2);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<u8>(i * 131 + 5);
-  }
-  const u64 merged_before = bed.driver().rx_merged_frames();
-  EXPECT_TRUE(bed.udp_round_trip(payload).ok);
-  EXPECT_EQ(bed.driver().rx_merged_frames(), merged_before + 1);
-
-  // One byte past the boundary spans one more buffer; one byte short
-  // stays at two. Both must reassemble bit-exactly.
-  payload.push_back(0x7e);
-  EXPECT_TRUE(bed.udp_round_trip(payload).ok);
-  payload.resize(exact2 - 1);
-  EXPECT_TRUE(bed.udp_round_trip(payload).ok);
-
-  // A frame that fits one buffer is not a merged frame.
-  const u64 merged_mid = bed.driver().rx_merged_frames();
-  Bytes small(1024 - kRxOverhead, 0x42);
-  EXPECT_TRUE(bed.udp_round_trip(small).ok);
-  EXPECT_EQ(bed.driver().rx_merged_frames(), merged_mid);
-}
-
-INSTANTIATE_TEST_SUITE_P(RingFormats, MergeableSpanTest,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& p) {
-                           return p.param ? "packed" : "split";
-                         });
-
 // ---- zero-length iovec segments through the socket surface -------------------
 
 TEST(SgSocketTest, ZeroLengthIovSegmentsSendAndReceive) {
   core::TestbedOptions options;
-  options.datapath.tx_path = hostos::VirtioNetDriver::TxPath::kScatterGather;
+  options.datapath.tx_path =
+      hostos::VirtioNetDriver::TxPath::kScatterGatherIndirect;
   core::VirtioNetTestbed bed{options};
 
   Bytes a(100, 0x11);

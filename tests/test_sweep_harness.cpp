@@ -10,7 +10,6 @@
 
 #include "vfpga/harness/blk_bench.hpp"
 #include "vfpga/harness/multi_flow.hpp"
-#include "vfpga/harness/streaming.hpp"
 
 namespace vfpga::hostos {
 
@@ -117,74 +116,6 @@ TEST(SweepHarness, BlkSweepDeterministicAcrossThreads) {
   {
     ScopedThreadsEnv env{"4"};
     four = run_blk_sweep(config);
-  }
-  ASSERT_EQ(one.cells.size(), four.cells.size());
-  for (std::size_t i = 0; i < one.cells.size(); ++i) {
-    expect_cells_equal(one.cells[i], four.cells[i],
-                       "cell " + std::to_string(i));
-  }
-}
-
-StreamingConfig tiny_streaming_config() {
-  StreamingConfig config;
-  config.iterations = 24;
-  config.warmup = 4;
-  config.seed = 3307;
-  config.payloads = {1024, 16384};
-  return config;
-}
-
-void expect_cells_equal(const StreamingCellResult& a,
-                        const StreamingCellResult& b,
-                        const std::string& label) {
-  EXPECT_EQ(a.mode, b.mode) << label;
-  EXPECT_EQ(a.packed, b.packed) << label;
-  EXPECT_EQ(a.payload, b.payload) << label;
-  EXPECT_EQ(a.gbps, b.gbps) << label;  // bitwise: same simulated span
-  EXPECT_EQ(a.rtt_us.values_us(), b.rtt_us.values_us()) << label;
-  EXPECT_EQ(a.failures, b.failures) << label;
-  EXPECT_EQ(a.tx_sg_segments, b.tx_sg_segments) << label;
-  EXPECT_EQ(a.rx_merged_frames, b.rx_merged_frames) << label;
-  EXPECT_EQ(a.tx_superframes, b.tx_superframes) << label;
-  EXPECT_EQ(a.sw_gso_segments, b.sw_gso_segments) << label;
-  EXPECT_EQ(a.gro_coalesced, b.gro_coalesced) << label;
-  EXPECT_EQ(a.rx_gro_frames, b.rx_gro_frames) << label;
-}
-
-TEST(SweepHarness, StreamingSweepMatchesStandaloneCells) {
-  const StreamingConfig config = tiny_streaming_config();
-  const StreamingSweepResult sweep = run_streaming_sweep(config);
-  constexpr StreamMode kModes[] = {
-      StreamMode::kCopy,        StreamMode::kChained,
-      StreamMode::kIndirect,    StreamMode::kMergeable,
-      StreamMode::kSegmentedSw, StreamMode::kOffload};
-  ASSERT_EQ(sweep.cells.size(), 2 * config.payloads.size() * 6);
-
-  std::size_t i = 0;
-  for (const bool packed : {false, true}) {
-    for (const u64 payload : config.payloads) {
-      for (const StreamMode mode : kModes) {
-        const StreamingCellResult standalone =
-            run_streaming_cell(config, mode, packed, payload);
-        expect_cells_equal(sweep.cells[i], standalone,
-                           "cell " + std::to_string(i));
-        ++i;
-      }
-    }
-  }
-}
-
-TEST(SweepHarness, StreamingSweepDeterministicAcrossThreads) {
-  const StreamingConfig config = tiny_streaming_config();
-  StreamingSweepResult one;
-  {
-    ScopedThreadsEnv env{"1"};
-    one = run_streaming_sweep(config);
-  }
-  StreamingSweepResult four;
-  {
-    ScopedThreadsEnv env{"4"};
-    four = run_streaming_sweep(config);
   }
   ASSERT_EQ(one.cells.size(), four.cells.size());
   for (std::size_t i = 0; i < one.cells.size(); ++i) {

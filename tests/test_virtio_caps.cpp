@@ -154,13 +154,6 @@ TEST(StatusMachine, ZeroWriteResets) {
   EXPECT_EQ(machine.status(), 0);
 }
 
-TEST(StatusMachine, DescribeStatusNames) {
-  EXPECT_EQ(describe_status(0), "RESET");
-  EXPECT_EQ(describe_status(status::kAcknowledge | status::kDriver),
-            "ACKNOWLEDGE|DRIVER");
-  EXPECT_EQ(describe_status(status::kFailed), "FAILED");
-}
-
 TEST(Features, DescribeNetFeatures) {
   FeatureSet f;
   f.set(feature::kVersion1).set(feature::net::kMac);
