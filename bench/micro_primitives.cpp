@@ -244,8 +244,8 @@ void BM_CounterCapture(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterCapture);
 
-// A quiesced echo testbed's snapshot: device and driver state only (arg
-// 0, the migration blackout) or with every resident page (arg 1).
+// A quiesced echo testbed's snapshot: device and driver state and every
+// resident page.
 void BM_SnapshotWrite(benchmark::State& state) {
   core::TestbedOptions options;
   options.seed = 97;
@@ -253,15 +253,14 @@ void BM_SnapshotWrite(benchmark::State& state) {
   const Bytes payload(256, 1);
   (void)bed.udp_round_trip(payload);
   bed.quiesce();
-  const bool include_memory = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(migrate::save_snapshot(bed, include_memory));
+    benchmark::DoNotOptimize(migrate::save_snapshot(bed));
   }
 }
-BENCHMARK(BM_SnapshotWrite)->ArgName("memory")->Arg(0)->Arg(1);
+BENCHMARK(BM_SnapshotWrite);
 
 // Restoring that snapshot into a testbed built from the same options:
-// validation, every layer's state and (arg 1) the pages. Each iteration
+// validation, the pages and every layer's state. Each iteration
 // restores over the previous one; construction is not timed.
 void BM_SnapshotRestore(benchmark::State& state) {
   core::TestbedOptions options;
@@ -270,7 +269,7 @@ void BM_SnapshotRestore(benchmark::State& state) {
   const Bytes payload(256, 1);
   (void)source.udp_round_trip(payload);
   source.quiesce();
-  const Bytes image = migrate::save_snapshot(source, state.range(0) != 0);
+  const Bytes image = migrate::save_snapshot(source);
   core::VirtioNetTestbed target{options};
   for (auto _ : state) {
     if (migrate::restore_snapshot(target, image) !=
@@ -280,7 +279,7 @@ void BM_SnapshotRestore(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_SnapshotRestore)->ArgName("memory")->Arg(0)->Arg(1);
+BENCHMARK(BM_SnapshotRestore);
 
 }  // namespace
 

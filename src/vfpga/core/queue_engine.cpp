@@ -192,27 +192,17 @@ IQueueEngine::Completion QueueEngine::complete_chain(
   if (!event_idx()) {
     return Completion{t, true};
   }
-  const bool fresh = refresh_suppression || !cached_used_event_.has_value();
-  if (fresh) {
+  if (refresh_suppression || !cached_used_event_.has_value()) {
     std::array<u8, 2> raw{};
     t = port_.read(t, addrs_.avail + virtio::used_event_offset(queue_size_),
                    raw);
     cached_used_event_ = load_le16(raw);
   }
-  const u16 event_value = *cached_used_event_;
-  // §2.7.10: interrupt iff used_event was passed by this update. A
-  // fresh decision extends the crossing window back over completions
-  // pushed against the stale snapshot (used_event can fall at any of
-  // those entries, not just the final one).
-  u16 old_used = static_cast<u16>(used_idx_ - 1);
-  if (fresh) {
-    old_used = static_cast<u16>(old_used - stale_completions_);
-    stale_completions_ = 0;
-  } else {
-    ++stale_completions_;
-  }
-  const bool interrupt = static_cast<u16>(used_idx_ - event_value - 1) <
-                         static_cast<u16>(used_idx_ - old_used);
+  // §2.7.10: interrupt iff this update passed used_event, i.e. the
+  // entry just published sits at used_event (vring_need_event with one
+  // new entry).
+  const bool interrupt =
+      *cached_used_event_ == static_cast<u16>(used_idx_ - 1);
   return Completion{t, interrupt};
 }
 
@@ -251,7 +241,6 @@ void QueueEngine::transfer(migrate::StateIo& io, u16 queue_size) {
   io.u16(avail_cursor_);
   io.u16(used_idx_);
   io.optional(cached_used_event_);
-  io.u16(stale_completions_);
 }
 
 }  // namespace vfpga::core

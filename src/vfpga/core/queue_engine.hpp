@@ -275,11 +275,6 @@ class QueueEngine final : public IQueueEngine {
   u16 avail_cursor_ = 0;  ///< next avail position to consume
   u16 used_idx_ = 0;      ///< next used idx to publish
   std::optional<u16> cached_used_event_;
-  /// Used entries pushed with a stale suppression snapshot since the
-  /// last fresh used_event read: the next fresh decision widens its
-  /// crossing window over them (the batch must interrupt if ANY of its
-  /// entries passed used_event, not just the last).
-  u16 stale_completions_ = 0;
   Bytes table_;  ///< staging for indirect-table reads
 };
 

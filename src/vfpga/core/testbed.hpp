@@ -109,8 +109,7 @@ class VirtioNetTestbed {
   void quiesce();
 
   /// Serialize/restore every layer's dynamic state except host memory
-  /// pages, which the snapshot container streams separately so live
-  /// migration can copy them iteratively while traffic flows. The
+  /// pages, which the snapshot container carries in its own section. The
   /// restore target must be constructed from identical TestbedOptions
   /// (the deterministic bring-up yields identical DMA addresses);
   /// a restore then overwrites all dynamic state without touching

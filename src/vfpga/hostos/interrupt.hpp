@@ -31,6 +31,9 @@ class InterruptController {
   /// message with no allocated vector is dropped as spurious.
   void deliver(u32 message_data, sim::SimTime at);
 
+  /// Vectors allocated so far; every allocated vector is below it.
+  [[nodiscard]] std::size_t vector_count() const { return queues_.size(); }
+
   /// True when `vector` has an undelivered (unconsumed) interrupt.
   [[nodiscard]] bool pending(u32 vector) const;
 

@@ -655,6 +655,9 @@ void VirtioNetDriver::transfer(migrate::StateIo& io) {
   io.u64(ctrl_ack_addr_);
 
   io.expect<u16>(static_cast<u16>(pair_state_.size()));
+  // The vectors index the host's interrupt queues, restored before the
+  // driver.
+  const std::size_t vectors = ctx_.irq->vector_count();
   for (PairState& ps : pair_state_) {
     if (io.failed()) {
       return;
@@ -678,8 +681,8 @@ void VirtioNetDriver::transfer(migrate::StateIo& io) {
       io.blob(f.frame);
       io.boolean(f.csum_valid);
     }
-    io.u32(ps.rx_vector);
-    io.u32(ps.tx_vector);
+    io.index(ps.rx_vector, vectors);
+    io.index(ps.tx_vector, vectors);
     io.u32(ps.kick_retries);
     io.optional(ps.tx_stall_since);
     io.u64(ps.rx_packets);

@@ -1,7 +1,5 @@
 #include "vfpga/mem/bram.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cstring>
 
 #include "vfpga/common/contract.hpp"
@@ -22,23 +20,6 @@ void Bram::read(FpgaAddr addr, ByteSpan out) const {
 void Bram::write(FpgaAddr addr, ConstByteSpan data) {
   VFPGA_EXPECTS(addr + data.size() <= storage_.size());
   std::memcpy(storage_.data() + addr, data.data(), data.size());
-}
-
-u8 Bram::read_u8(FpgaAddr addr) const {
-  VFPGA_EXPECTS(addr < storage_.size());
-  return storage_[addr];
-}
-
-u32 Bram::read_le32(FpgaAddr addr) const {
-  std::array<u8, 4> buf{};
-  read(addr, buf);
-  return load_le32(buf);
-}
-
-void Bram::write_le32(FpgaAddr addr, u32 v) {
-  std::array<u8, 4> buf{};
-  store_le32(buf, 0, v);
-  write(addr, buf);
 }
 
 }  // namespace vfpga::mem

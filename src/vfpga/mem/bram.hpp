@@ -7,7 +7,6 @@
 // data-bus width used by the timing model to charge cycles per beat.
 #pragma once
 
-#include "vfpga/common/endian.hpp"
 #include "vfpga/common/types.hpp"
 
 namespace vfpga::mem {
@@ -23,10 +22,6 @@ class Bram {
 
   void read(FpgaAddr addr, ByteSpan out) const;
   void write(FpgaAddr addr, ConstByteSpan data);
-
-  [[nodiscard]] u8 read_u8(FpgaAddr addr) const;
-  [[nodiscard]] u32 read_le32(FpgaAddr addr) const;
-  void write_le32(FpgaAddr addr, u32 v);
 
   /// Beats (bus cycles) to stream `bytes` through the BRAM port.
   [[nodiscard]] u64 beats_for(u64 bytes) const {

@@ -33,10 +33,6 @@ const u8* HostMemory::page_for_read(u64 page_index) const {
 }
 
 u8* HostMemory::page_for_write(u64 page_index) {
-  // Before the cache check: dirty tracking must see every write.
-  if (dirty_tracking_) {
-    dirty_pages_.insert(page_index);
-  }
   if (last_page_ != nullptr && page_index == last_index_) {
     return last_page_;
   }
@@ -155,7 +151,7 @@ std::optional<RegionView> HostMemory::view(HostAddr base, u64 length) {
   if (length == 0 || base > ~u64{0} - (length - 1)) {
     return std::nullopt;
   }
-  RegionView view{*this, base, length};
+  RegionView view{base, length};
   const u64 last = (base + length - 1) / kPageSize;
   for (u64 index = base / kPageSize; index <= last; ++index) {
     const auto it = pages_.find(index);
@@ -165,18 +161,6 @@ std::optional<RegionView> HostMemory::view(HostAddr base, u64 length) {
     view.pages_.push_back(it->second.get());
   }
   return view;
-}
-
-void HostMemory::set_dirty_tracking(bool enabled) {
-  dirty_tracking_ = enabled;
-  dirty_pages_.clear();
-}
-
-std::vector<u64> HostMemory::drain_dirty_pages() {
-  std::vector<u64> out(dirty_pages_.begin(), dirty_pages_.end());
-  std::sort(out.begin(), out.end());
-  dirty_pages_.clear();
-  return out;
 }
 
 std::vector<u64> HostMemory::resident_page_indices() const {

@@ -25,7 +25,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "vfpga/common/endian.hpp"
@@ -91,21 +90,13 @@ class HostMemory {
   /// Total bytes handed out by the allocator.
   [[nodiscard]] u64 allocated_bytes() const { return bump_ - alloc_base_; }
 
-  // ---- snapshot / migration support ---------------------------------------
-
-  /// Enable (or disable) dirty-page logging for migration pre-copy.
-  /// Enabling clears the current dirty set.
-  void set_dirty_tracking(bool enabled);
-  [[nodiscard]] bool dirty_tracking() const { return dirty_tracking_; }
-
-  /// Take the set of page indices written since the last drain, sorted
-  /// ascending (determinism), and clear the log.
-  [[nodiscard]] std::vector<u64> drain_dirty_pages();
+  // ---- snapshot support ----------------------------------------------------
 
   /// Resident page indices, sorted ascending.
   [[nodiscard]] std::vector<u64> resident_page_indices() const;
 
-  /// Copy-out / copy-in of one whole page by index (migration transport).
+  /// Copy-out / copy-in of one whole page by index (the snapshot image's
+  /// memory section).
   void read_page(u64 page_index, ByteSpan out) const;
   void write_page(u64 page_index, ConstByteSpan data);
 
@@ -115,7 +106,6 @@ class HostMemory {
   void set_allocator_cursor(HostAddr cursor) { bump_ = cursor; }
 
  private:
-  friend class RegionView;
   using Page = std::unique_ptr<u8[]>;
 
   [[nodiscard]] const u8* page_for_read(u64 page_index) const;
@@ -130,16 +120,13 @@ class HostMemory {
   HostAddr alloc_base_;
   HostAddr bump_;
   fault::FaultPlane* fault_ = nullptr;
-  bool dirty_tracking_ = false;
-  std::unordered_set<u64> dirty_pages_;
 };
 
 /// A fixed range of host memory resolved to page pointers once. Offsets
 /// are relative to base(); the typed accessors take naturally aligned
 /// offsets (base() + offset a multiple of the width), so an access never
-/// straddles a page. Writes log their page in the owning HostMemory's
-/// dirty set exactly as HostMemory::write does. Built by
-/// HostMemory::view(); valid while that HostMemory lives. A
+/// straddles a page. Built by HostMemory::view(); valid while that
+/// HostMemory lives. A
 /// default-constructed view is empty and fails every access.
 class RegionView {
  public:
@@ -159,21 +146,17 @@ class RegionView {
   }
   void write_le16(u64 offset, u16 v) {
     store_le16(ByteSpan{at(offset, 2), 2}, 0, v);
-    log_write(offset);
   }
   void write_le32(u64 offset, u32 v) {
     store_le32(ByteSpan{at(offset, 4), 4}, 0, v);
-    log_write(offset);
   }
   void write_le64(u64 offset, u64 v) {
     store_le64(ByteSpan{at(offset, 8), 8}, 0, v);
-    log_write(offset);
   }
 
  private:
   friend class HostMemory;
-  RegionView(HostMemory& memory, HostAddr base, u64 size)
-      : memory_(&memory), base_(base), size_(size) {}
+  RegionView(HostAddr base, u64 size) : base_(base), size_(size) {}
 
   [[nodiscard]] u8* at(u64 offset, u64 width) const {
     const u64 pos = base_ % HostMemory::kPageSize + offset;
@@ -181,13 +164,6 @@ class RegionView {
                   pos % width == 0);
     return pages_[pos / HostMemory::kPageSize] + pos % HostMemory::kPageSize;
   }
-  void log_write(u64 offset) {
-    if (memory_->dirty_tracking_) {
-      memory_->dirty_pages_.insert((base_ + offset) / HostMemory::kPageSize);
-    }
-  }
-
-  HostMemory* memory_ = nullptr;
   HostAddr base_ = 0;
   u64 size_ = 0;
   std::vector<u8*> pages_;  ///< one per page the range spans, in order

@@ -10,8 +10,8 @@ namespace vfpga::migrate {
 
 namespace {
 
-constexpr std::size_t kHeaderBytes = 8 + 4 + 4;  // magic + version + flags
-constexpr std::size_t kTrailerBytes = 4;         // crc32
+constexpr std::size_t kHeaderBytes = 8 + 4;  // magic + version
+constexpr std::size_t kTrailerBytes = 4;     // crc32
 
 /// Every settable option that shapes the deterministic bring-up. Source
 /// and target both encode through this; byte inequality means the target
@@ -67,13 +67,12 @@ const char* restore_status_name(RestoreStatus status) {
   return "unknown";
 }
 
-Bytes save_snapshot(core::VirtioNetTestbed& testbed, bool include_memory) {
+Bytes save_snapshot(core::VirtioNetTestbed& testbed) {
   StateWriter w;
   for (u8 c : kSnapshotMagic) {
     w.put_u8(c);
   }
   w.put_u32(kSnapshotVersion);
-  w.put_u32(include_memory ? kSnapshotFlagMemory : 0u);
 
   w.begin_section(kSectionFingerprint);
   encode_fingerprint(testbed.options(), w);
@@ -84,19 +83,17 @@ Bytes save_snapshot(core::VirtioNetTestbed& testbed, bool include_memory) {
   testbed.transfer(io);
   w.end_section();
 
-  if (include_memory) {
-    w.begin_section(kSectionMemory);
-    mem::HostMemory& memory = testbed.memory();
-    const std::vector<u64> pages = memory.resident_page_indices();
-    w.put_u64(pages.size());
-    std::array<u8, mem::HostMemory::kPageSize> page{};
-    for (u64 index : pages) {
-      w.put_u64(index);
-      memory.read_page(index, page);
-      w.put_bytes(page);
-    }
-    w.end_section();
+  w.begin_section(kSectionMemory);
+  mem::HostMemory& memory = testbed.memory();
+  const std::vector<u64> pages = memory.resident_page_indices();
+  w.put_u64(pages.size());
+  std::array<u8, mem::HostMemory::kPageSize> page{};
+  for (u64 index : pages) {
+    w.put_u64(index);
+    memory.read_page(index, page);
+    w.put_bytes(page);
   }
+  w.end_section();
 
   Bytes image = w.take();
   const u32 crc = crc32(image);
@@ -121,7 +118,6 @@ RestoreStatus restore_snapshot(core::VirtioNetTestbed& testbed,
   if (version != kSnapshotVersion) {
     return RestoreStatus::kBadVersion;
   }
-  const u32 flags = header.get_u32();
 
   StateReader trailer{image.subspan(image.size() - kTrailerBytes)};
   if (crc32(body) != trailer.get_u32()) {
@@ -156,41 +152,28 @@ RestoreStatus restore_snapshot(core::VirtioNetTestbed& testbed,
   StateReader state{body.subspan(kHeaderBytes + r.position(), r.remaining())};
   r.exit_section();
 
+  constexpr u64 kPerPage = 8 + mem::HostMemory::kPageSize;
+  if (!r.enter_section(kSectionMemory)) {
+    return RestoreStatus::kMalformed;
+  }
+  const u64 count = r.get_u64();
+  if (r.failed() || count > r.remaining() / kPerPage) {
+    return RestoreStatus::kMalformed;
+  }
+
   // Mutation begins here: a structural failure past this point cannot be
   // rolled back, so it latches DEVICE_NEEDS_RESET instead.
-  if (flags & kSnapshotFlagMemory) {
-    constexpr u64 kPerPage = 8 + mem::HostMemory::kPageSize;
-    if (!r.enter_section(kSectionMemory) ||
-        [&] {
-          const u64 count = r.get_u64();
-          if (count > r.remaining() / kPerPage) {
-            return true;
-          }
-          std::array<u8, mem::HostMemory::kPageSize> page{};
-          for (u64 i = 0; i < count; ++i) {
-            const u64 index = r.get_u64();
-            r.get_bytes(page);
-            if (r.failed()) {
-              return true;
-            }
-            testbed.memory().write_page(index, page);
-          }
-          return false;
-        }()) {
-      testbed.device().device_error(testbed.thread().now());
-      return RestoreStatus::kMalformed;
-    }
-    r.exit_section();
+  std::array<u8, mem::HostMemory::kPageSize> page{};
+  for (u64 i = 0; i < count; ++i) {
+    const u64 index = r.get_u64();
+    r.get_bytes(page);
+    testbed.memory().write_page(index, page);
   }
+  r.exit_section();
 
   StateIo io{state};
   testbed.transfer(io);
   if (state.failed()) {
-    testbed.device().device_error(testbed.thread().now());
-    return RestoreStatus::kMalformed;
-  }
-
-  if (r.failed()) {
     testbed.device().device_error(testbed.thread().now());
     return RestoreStatus::kMalformed;
   }

@@ -2,23 +2,19 @@
 //
 // A snapshot is a self-describing binary image:
 //
-//   magic "VFPGASNP" | version u32 | flags u32
+//   magic "VFPGASNP" | version u32
 //   section {id, len} kFingerprint — TestbedOptions compatibility digest
 //   section {id, len} kState       — every layer's dynamic state
-//  [section {id, len} kMemory]     — resident host-memory pages (flag bit 0)
+//   section {id, len} kMemory      — resident host-memory pages
 //   crc32 over all preceding bytes
 //
-// restore_snapshot validates magic, version, checksum and the options
-// fingerprint BEFORE mutating anything; a version-skewed, truncated or
-// bit-flipped image is rejected with the testbed untouched. A
-// structural failure discovered mid-apply (a corrupt count that passed
-// the CRC because the producer itself was broken) cannot be undone, so
-// it latches DEVICE_NEEDS_RESET via the controller's device_error path
-// — never undefined behaviour.
-//
-// The memory section is optional so live migration can stream pages
-// iteratively (mem::HostMemory dirty tracking) while traffic flows and
-// ship only the tiny no-memory state image inside the blackout window.
+// restore_snapshot validates magic, version, checksum, the options
+// fingerprint and the presence of every section BEFORE mutating
+// anything; a version-skewed, truncated or bit-flipped image is
+// rejected with the testbed untouched. A structural failure discovered
+// mid-apply (a corrupt count that passed the CRC because the producer
+// itself was broken) cannot be undone, so it latches DEVICE_NEEDS_RESET
+// via the controller's device_error path — never undefined behaviour.
 #pragma once
 
 #include "vfpga/common/types.hpp"
@@ -32,9 +28,7 @@ namespace vfpga::migrate {
 
 inline constexpr u8 kSnapshotMagic[8] = {'V', 'F', 'P', 'G',
                                          'A', 'S', 'N', 'P'};
-inline constexpr u32 kSnapshotVersion = 8;
-/// flags bit 0: the image carries a host-memory section.
-inline constexpr u32 kSnapshotFlagMemory = 1u << 0;
+inline constexpr u32 kSnapshotVersion = 9;
 
 /// Section ids, in on-disk order.
 inline constexpr u32 kSectionFingerprint = 1;
@@ -57,11 +51,7 @@ enum class RestoreStatus : u8 {
 /// that restores to bit-identical forward behaviour; without it,
 /// coalesced TX kicks are still captured faithfully but remain pending
 /// across the restore.
-/// include_memory=false omits the page section (live migration ships
-/// pages separately and snapshots only device/driver state in the
-/// blackout window).
-[[nodiscard]] Bytes save_snapshot(core::VirtioNetTestbed& testbed,
-                                  bool include_memory = true);
+[[nodiscard]] Bytes save_snapshot(core::VirtioNetTestbed& testbed);
 
 /// Validate `image` and apply it to `testbed`, which must be freshly
 /// constructed from the same TestbedOptions as the snapshot source (the

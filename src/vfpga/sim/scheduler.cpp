@@ -83,14 +83,4 @@ std::size_t Scheduler::run_until(SimTime deadline) {
   return executed;
 }
 
-std::size_t Scheduler::run_until_stopped() {
-  stop_requested_ = false;
-  std::size_t executed = 0;
-  while (!heap_.empty() && !stop_requested_) {
-    fire(pop_next());
-    ++executed;
-  }
-  return executed;
-}
-
 }  // namespace vfpga::sim

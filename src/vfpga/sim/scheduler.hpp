@@ -54,14 +54,6 @@ class Scheduler {
   /// even if the queue drains early. Returns events executed.
   std::size_t run_until(SimTime deadline);
 
-  /// Run events until `stop()` is called from inside an action or the
-  /// queue drains. Returns events executed.
-  std::size_t run_until_stopped();
-
-  /// Request that the innermost run_until_stopped() loop exits after the
-  /// current action returns.
-  void stop() { stop_requested_ = true; }
-
   /// Lifetime total of events executed.
   [[nodiscard]] u64 executed() const { return executed_; }
 
@@ -80,7 +72,6 @@ class Scheduler {
   SimTime now_{};
   u64 next_seq_ = 0;
   u64 executed_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace vfpga::sim

@@ -35,12 +35,11 @@ class DriverRing {
 
   /// Expose a chain through an indirect descriptor table: one ring slot
   /// regardless of chain length, and the device fetches the whole table
-  /// in a single DMA read. Rings whose negotiated feature set lacks
-  /// VIRTIO_F_INDIRECT_DESC fall back to a plain chain.
+  /// in a single DMA read. Requires VIRTIO_F_INDIRECT_DESC: the caller
+  /// (VirtioNetDriver, VirtioBlkDriver) chooses add_chain when it was not
+  /// negotiated.
   virtual std::optional<u16> add_chain_indirect(
-      std::span<const ChainBuffer> buffers, u64 token) {
-    return add_chain(buffers, token);
-  }
+      std::span<const ChainBuffer> buffers, u64 token) = 0;
 
   /// Make everything added since the last publish device-visible.
   virtual u16 publish() = 0;

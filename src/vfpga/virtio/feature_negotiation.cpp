@@ -44,14 +44,8 @@ std::string describe_net_features(FeatureSet features) {
   if (features.has(feature::net::kGuestCsum)) append("GUEST_CSUM");
   if (features.has(feature::net::kMtu)) append("MTU");
   if (features.has(feature::net::kMac)) append("MAC");
-  if (features.has(feature::net::kGuestTso4)) append("GUEST_TSO4");
-  if (features.has(feature::net::kGuestUfo)) append("GUEST_UFO");
-  if (features.has(feature::net::kHostTso4)) append("HOST_TSO4");
-  if (features.has(feature::net::kHostUfo)) append("HOST_UFO");
-  if (features.has(feature::net::kMrgRxbuf)) append("MRG_RXBUF");
   if (features.has(feature::net::kStatus)) append("STATUS");
   if (features.has(feature::net::kCtrlVq)) append("CTRL_VQ");
-  if (features.has(feature::net::kNotfCoal)) append("NOTF_COAL");
   return out.empty() ? "(none)" : out;
 }
 

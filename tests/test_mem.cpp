@@ -87,17 +87,6 @@ TEST(HostMemory, AlternatingPagesReadTheirOwnData) {
   EXPECT_EQ(memory.resident_bytes(), 2 * HostMemory::kPageSize);
 }
 
-TEST(HostMemory, DirtyTrackingSeesCachedPageWrites) {
-  HostMemory memory;
-  memory.set_dirty_tracking(true);
-  const HostAddr a = 5 * HostMemory::kPageSize;
-  memory.write_u8(a, 1);
-  EXPECT_EQ(memory.drain_dirty_pages(), std::vector<u64>{5});
-  memory.write_u8(a + 1, 2);  // same page as the last access
-  EXPECT_EQ(memory.drain_dirty_pages(), std::vector<u64>{5});
-  EXPECT_TRUE(memory.drain_dirty_pages().empty());
-}
-
 TEST(HostMemory, WholePageCopyRoundTripsThroughTheCache) {
   HostMemory memory;
   std::array<u8, HostMemory::kPageSize> in{};
@@ -241,47 +230,6 @@ TEST(RegionView, MatchesHostMemoryTypedAccessors) {
             direct.read_bytes(kViewBase, kViewLength));
 }
 
-/// Migration's dirty set stays exact: writes through a view dirty the
-/// same pages as the same bytes written with HostMemory::write.
-TEST(RegionView, WritesDirtyTheSamePagesAsHostMemoryWrite) {
-  HostMemory through_view;
-  HostMemory direct;
-  through_view.fill(kViewBase, 0, kViewLength);
-  direct.fill(kViewBase, 0, kViewLength);
-  auto view = through_view.view(kViewBase, kViewLength);
-  ASSERT_TRUE(view.has_value());
-  through_view.set_dirty_tracking(true);
-  direct.set_dirty_tracking(true);
-  sim::Xoshiro256 rng{0xd1e7};
-  bool saw_both_pages = false;
-  for (int round = 0; round < 200; ++round) {
-    const u64 writes = rng.uniform_below(3);  // 0, 1 or 2 per drain
-    for (u64 w = 0; w < writes; ++w) {
-      const Access a = next_access(rng);
-      std::array<u8, 8> bytes{};
-      store_le64(bytes, 0, a.value);
-      direct.write(kViewBase + a.offset, ConstByteSpan{bytes}.first(a.width));
-      switch (a.width) {
-        case 2:
-          view->write_le16(a.offset, static_cast<u16>(a.value));
-          break;
-        case 4:
-          view->write_le32(a.offset, static_cast<u32>(a.value));
-          break;
-        default:
-          view->write_le64(a.offset, a.value);
-          break;
-      }
-    }
-    const std::vector<u64> dirty = through_view.drain_dirty_pages();
-    EXPECT_EQ(dirty, direct.drain_dirty_pages());
-    saw_both_pages = saw_both_pages || dirty == std::vector<u64>{4, 5};
-  }
-  EXPECT_TRUE(saw_both_pages);
-  EXPECT_EQ(through_view.read_bytes(kViewBase, kViewLength),
-            direct.read_bytes(kViewBase, kViewLength));
-}
-
 TEST(Bram, RoundTripAndBounds) {
   Bram bram{1024, 8};
   const Bytes data{9, 8, 7, 6};
@@ -290,13 +238,6 @@ TEST(Bram, RoundTripAndBounds) {
   bram.read(100, out);
   EXPECT_EQ(out, data);
   EXPECT_EQ(bram.size(), 1024u);
-}
-
-TEST(Bram, Le32Accessors) {
-  Bram bram{256, 8};
-  bram.write_le32(16, 0xcafef00d);
-  EXPECT_EQ(bram.read_le32(16), 0xcafef00du);
-  EXPECT_EQ(bram.read_u8(16), 0x0d);
 }
 
 TEST(Bram, BeatsForBusWidth) {

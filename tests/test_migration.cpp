@@ -1,19 +1,21 @@
-// Snapshot/restore and live-migration tests: state-io substrate safety,
-// the perf-counter bank's state section, crash-consistent round trips
-// on both ring formats (including a snapshot taken with a reply still
-// unharvested), rejection of version-skewed/corrupted images, and the
-// two-host migration harness end to end.
+// Snapshot/restore tests: state-io substrate safety, the perf-counter
+// bank's state section, crash-consistent round trips on both ring
+// formats (including a snapshot taken with a reply still unharvested
+// and one taken under an armed fault plane), and rejection of
+// version-skewed, corrupted and hostile images.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/fpga/perf_counter.hpp"
-#include "vfpga/harness/migration.hpp"
+#include "vfpga/harness/fault_campaign.hpp"
+#include "vfpga/harness/multi_flow.hpp"
 #include "vfpga/migrate/snapshot.hpp"
 #include "vfpga/migrate/state_io.hpp"
 #include "vfpga/virtio/ids.hpp"
@@ -508,63 +510,120 @@ u32 body_crc(const Bytes& image) {
   return migrate::crc32(ConstByteSpan{image}.first(image.size() - 4));
 }
 
-/// The snapshot format pinned: the CRC-32 and size of the full and the
-/// no-memory image of every round-trip setup above. A refactor of the
-/// state layout must leave every value as it is; a deliberate format
-/// change bumps kSnapshotVersion and updates them in the same commit.
+/// The snapshot format pinned: the CRC-32 and size of the image of
+/// every round-trip setup above. A refactor of the state layout must
+/// leave every value as it is; a deliberate format change bumps
+/// kSnapshotVersion and updates them in the same commit.
 TEST(Snapshot, ImagesArePinned) {
   struct Pin {
     const char* setup;
     core::TestbedOptions options;
     bool (*drive)(core::VirtioNetTestbed&);
-    u32 crc_full;
-    std::size_t size_full;
-    u32 crc_state;
-    std::size_t size_state;
+    u32 crc;
+    std::size_t size;
   };
   const auto quiesced = [](core::VirtioNetTestbed& bed) {
     drive_quiesced(bed);
     return true;
   };
   const Pin pins[] = {
-      {"split", split_options(), quiesced, 0xa13892b5, 74076, 0x3d662dbe,
-       37120},
-      {"packed", packed_options(), quiesced, 0xd289ff31, 70470, 0x7584d466,
-       37618},
-      {"multi-queue", multi_queue_options(), quiesced, 0x2abb92c4, 153030,
-       0x1cc06059, 87346},
-      {"blk", blk_options(), drive_blk, 0xce1eec30, 359025, 0x58048133,
-       313861},
+      {"split", split_options(), quiesced, 0x6b9473b0, 74068},
+      {"packed", packed_options(), quiesced, 0x8a5cbb8d, 70466},
+      {"multi-queue", multi_queue_options(), quiesced, 0xb0bbacdb, 153016},
+      {"blk", blk_options(), drive_blk, 0x5ed894e9, 359015},
       {"mid-flight", mid_flight_options(),
        [](core::VirtioNetTestbed& bed) {
          return drive_mid_flight(bed, kMidFlightPayload);
        },
-       0x73e051ff, 74080, 0x3e93f5a9, 37124},
+       0x61f2e50b, 74072},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.setup);
     core::VirtioNetTestbed bed{pin.options};
     ASSERT_TRUE(pin.drive(bed));
-    const Bytes full = migrate::save_snapshot(bed, true);
-    const Bytes state = migrate::save_snapshot(bed, false);
-    EXPECT_EQ(body_crc(full), pin.crc_full);
-    EXPECT_EQ(full.size(), pin.size_full);
-    EXPECT_EQ(body_crc(state), pin.crc_state);
-    EXPECT_EQ(state.size(), pin.size_state);
+    const Bytes image = migrate::save_snapshot(bed);
+    EXPECT_EQ(body_crc(image), pin.crc);
+    EXPECT_EQ(image.size(), pin.size);
   }
 }
 
-TEST(Snapshot, NoMemoryImageIsSmall) {
+// ---- round trip under an armed fault plane ---------------------------------
+
+/// One faulted echo's outcome: whether an intact echo came back, whether
+/// the recovery ladder had to act, and the clock after it. The clock
+/// folds in every cost-model charge and noise draw of the op, so a
+/// diverged ring index, recovery counter or RNG stream shows up here.
+struct FaultedOp {
+  bool ok = false;
+  bool recovered = false;
+  i64 end_picos = 0;
+
+  bool operator==(const FaultedOp&) const = default;
+};
+
+constexpr u16 kFaultedFlows = 4;
+
+/// Echo ops [first, first + count) round-robin over the steered flows,
+/// each through the fault campaign's recovery ladder.
+std::vector<FaultedOp> faulted_echoes(
+    core::VirtioNetTestbed& bed,
+    const std::vector<std::unique_ptr<hostos::UdpSocket>>& socks, u32 first,
+    u32 count) {
+  std::vector<FaultedOp> ops;
+  for (u32 op = first; op < first + count; ++op) {
+    const Bytes payload = harness::make_payload(256, bed.options().seed, op);
+    const harness::EchoOutcome echo = harness::recovering_udp_echo(
+        bed, *socks[op % kFaultedFlows], payload, 8, sim::milliseconds(50));
+    ops.push_back({echo.ok, echo.first_failure.has_value(),
+                   bed.thread().now().picos()});
+  }
+  return ops;
+}
+
+/// Two pairs and four steered flows with TLP drops, lost notifies and
+/// lost used writes each at 2%: drive faulted echoes on A, quiesce,
+/// snapshot and restore into a fresh B. The image restores exactly, and
+/// an identical faulted op sequence then plays out identically on both
+/// (the fault plane's RNG stream and every recovery counter crossed the
+/// restore), ending in byte-identical snapshots.
+void expect_round_trip_under_faults(bool packed, u64 seed) {
   core::TestbedOptions options;
+  options.seed = seed;
+  options.use_packed_rings = packed;
+  options.net.max_queue_pairs = 2;
+  options.requested_queue_pairs = 2;
+  options.fault.seed = seed * 7919 + 1;
+  for (const fault::FaultClass cls :
+       {fault::FaultClass::kTlpDrop, fault::FaultClass::kNotifyLost,
+        fault::FaultClass::kUsedWriteFail}) {
+    options.fault.set_rate(cls, 0.02);
+  }
   core::VirtioNetTestbed a{options};
-  (void)run_trace(a, 4, 256);
+  core::VirtioNetTestbed b{options};
+  const auto socks_a = harness::steered_sockets(a, kFaultedFlows, 30'000);
+  const auto socks_b = harness::steered_sockets(b, kFaultedFlows, 30'000);
+
+  (void)faulted_echoes(a, socks_a, 0, 24);
   a.quiesce();
-  const Bytes with_memory = migrate::save_snapshot(a);
-  const Bytes without = migrate::save_snapshot(a, /*include_memory=*/false);
-  EXPECT_LT(without.size(), with_memory.size());
-  // The blackout image must stay far below one memory page per queue —
-  // that is what keeps the switchover window tiny.
-  EXPECT_LT(without.size(), 64u * 1024u);
+  const u64 injected_before = a.fault_plane()->total_injected();
+  EXPECT_GT(injected_before, 0u);
+  const Bytes image = migrate::save_snapshot(a);
+  ASSERT_EQ(migrate::restore_snapshot(b, image), RestoreStatus::kOk);
+  EXPECT_EQ(migrate::save_snapshot(b), image);
+
+  const auto ops_a = faulted_echoes(a, socks_a, 1000, 24);
+  const auto ops_b = faulted_echoes(b, socks_b, 1000, 24);
+  EXPECT_EQ(ops_a, ops_b);
+  EXPECT_GT(a.fault_plane()->total_injected(), injected_before);
+  EXPECT_EQ(migrate::save_snapshot(a), migrate::save_snapshot(b));
+}
+
+TEST(Snapshot, RoundTripUnderFaultsSplit) {
+  expect_round_trip_under_faults(false, 0x6161);
+}
+
+TEST(Snapshot, RoundTripUnderFaultsPacked) {
+  expect_round_trip_under_faults(true, 0x6162);
 }
 
 // ---- counter bank ---------------------------------------------------------
@@ -618,12 +677,23 @@ Bytes snapshot_of(core::TestbedOptions options) {
   return migrate::save_snapshot(bed);
 }
 
+/// An image's magic and version; each section then opens with a u32 id
+/// and a u64 length.
+constexpr std::size_t kImageHeader = 8 + 4;
+
 u64 read_le64(const Bytes& b, std::size_t off) {
   u64 v = 0;
   for (int i = 7; i >= 0; --i) {
     v = (v << 8) | b[off + static_cast<std::size_t>(i)];
   }
   return v;
+}
+
+/// Where an image's state section ({u32 id, u64 length}, then the
+/// payload) starts: after the header and the fingerprint section.
+std::size_t state_section_at(const Bytes& image) {
+  return kImageHeader + 12 +
+         static_cast<std::size_t>(read_le64(image, kImageHeader + 4));
 }
 
 void patch_crc(Bytes& image) {
@@ -673,9 +743,11 @@ TEST(SnapshotReject, VersionSkew) {
   // version 6 fingerprinted the EVENT_IDX and INDIRECT_DESC offer
   // switches and carried the packed engine's copy of its head register;
   // version 7 fingerprinted the MTU and the mergeable-RX and offload
-  // options and carried the segmentation and span-reassembly state.
-  for (const u8 version :
-       {u8{1}, u8{2}, u8{3}, u8{4}, u8{5}, u8{6}, u8{7}, u8{99}}) {
+  // options and carried the segmentation and span-reassembly state;
+  // version 8 had a flags word whose bit 0 made the memory section
+  // optional, and carried the split engine's stale-completion count.
+  for (const u8 version : {u8{1}, u8{2}, u8{3}, u8{4}, u8{5}, u8{6}, u8{7},
+                           u8{8}, u8{99}}) {
     SCOPED_TRACE(static_cast<int>(version));
     Bytes image = current;
     image[8] = version;  // version field, checked before the checksum
@@ -736,6 +808,23 @@ TEST(SnapshotReject, IncompatibleOptions) {
   }
 }
 
+/// Every image carries its memory section: one cut off after the state
+/// section (and re-sealed) is malformed before anything is applied.
+TEST(SnapshotReject, MissingMemorySection) {
+  core::TestbedOptions options;
+  Bytes image = snapshot_of(options);
+  const std::size_t state_header = state_section_at(image);
+  const u64 state_len = read_le64(image, state_header + 4);
+  image.resize(state_header + 12 + state_len + 4);
+  patch_crc(image);
+  core::VirtioNetTestbed bed{options};
+  const u64 resident = bed.memory().resident_bytes();
+  EXPECT_EQ(migrate::restore_snapshot(bed, image),
+            RestoreStatus::kMalformed);
+  EXPECT_EQ(bed.memory().resident_bytes(), resident);
+  expect_unharmed(bed);
+}
+
 TEST(SnapshotReject, MalformedStateLatchesDeviceNeedsReset) {
   core::TestbedOptions options;
   Bytes image = snapshot_of(options);
@@ -744,8 +833,7 @@ TEST(SnapshotReject, MalformedStateLatchesDeviceNeedsReset) {
   // section — the interrupt controller's vector count, which sits right
   // after the 32-byte host-thread record — and re-seal the checksum, so
   // the image passes every transit check and fails only mid-apply.
-  const std::size_t fp_len = static_cast<std::size_t>(read_le64(image, 20));
-  const std::size_t state_payload = 16 + 12 + fp_len + 12;
+  const std::size_t state_payload = state_section_at(image) + 12;
   image[state_payload + 32] ^= 0xff;
   patch_crc(image);
 
@@ -865,6 +953,33 @@ Poison net_tx_free_slot(ConstByteSpan state, core::VirtioNetTestbed& bed) {
   return {at + 4, 4, tx_buffers};
 }
 
+/// Pair 0's interrupt vectors follow its free TX slots and its RX
+/// backlog (each frame a blob and a checksum flag). A vector past the
+/// host's vector count names an interrupt queue that was never
+/// allocated: the first echo after the restore would index it.
+std::size_t net_vectors_at(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  std::size_t at = net_driver_fields_at(state, bed) + 35;
+  at += 4 + 12 * load_le(state, at, 4);
+  at += 4 + 16 * load_le(state, at, 4);
+  at += 4 + 4 * load_le(state, at, 4);
+  const u64 backlog = load_le(state, at, 4);
+  at += 4;
+  for (u64 i = 0; i < backlog; ++i) {
+    at += 8 + load_le(state, at, 8) + 1;
+  }
+  EXPECT_EQ(load_le(state, at, 4), bed.driver().rx_vector());
+  EXPECT_EQ(load_le(state, at + 4, 4), bed.driver().tx_vector());
+  return at;
+}
+
+Poison net_rx_vector(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  return {net_vectors_at(state, bed), 4, bed.irq().vector_count()};
+}
+
+Poison net_tx_vector(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  return {net_vectors_at(state, bed) + 4, 4, bed.irq().vector_count()};
+}
+
 /// The driver's max_device_pairs follows the MAC, MTU and three pair
 /// counts. The control queue index derives from it, so 3 on the
 /// two-pair bed names queue 6, which the transport never built.
@@ -925,8 +1040,10 @@ void transfer_device(core::VirtioNetTestbed& bed, migrate::StateIo& io) {
 /// poison the same field in a snapshot image, re-seal the CRC and
 /// restore it into a fresh testbed: the restore is malformed and
 /// latches DEVICE_NEEDS_RESET. Returns how many bytes of host memory the
-/// failed restore made resident: none, since a failed restore must not
-/// post the config interrupt through unrestored MSI-X entries.
+/// failed restore made resident beyond the image's own memory section
+/// (the source's pages, a superset of the target's after bring-up):
+/// none, since a failed restore must not post the config interrupt
+/// through unrestored MSI-X entries.
 u64 expect_poison_rejected(
     core::TestbedOptions options,
     Poison (*locate)(ConstByteSpan, core::VirtioNetTestbed&),
@@ -938,7 +1055,8 @@ u64 expect_poison_rejected(
   migrate::StateIo save{w};
   transfer(bed, save);
   const Bytes state = w.take();
-  Bytes image = migrate::save_snapshot(bed, false);
+  Bytes image = migrate::save_snapshot(bed);
+  const u64 image_resident = bed.memory().resident_bytes();
   const Poison poison = locate(state, bed);
 
   {
@@ -965,14 +1083,13 @@ u64 expect_poison_rejected(
            poison.width, poison.value);
   patch_crc(image);
   core::VirtioNetTestbed target{options};
-  const u64 resident = target.memory().resident_bytes();
   EXPECT_EQ(migrate::restore_snapshot(target, image),
             RestoreStatus::kMalformed);
   EXPECT_GE(target.device().device_errors(), 1u);
   EXPECT_NE(target.device().device_status() &
                 virtio::status::kDeviceNeedsReset,
             0);
-  return target.memory().resident_bytes() - resident;
+  return target.memory().resident_bytes() - image_resident;
 }
 
 TEST(RestoredIndex, SplitFreeHead) {
@@ -1001,6 +1118,14 @@ TEST(RestoredIndex, PackedNextUsedSlot) {
 
 TEST(RestoredIndex, NetTxFreeSlot) {
   EXPECT_EQ(expect_poison_rejected(split_options(), net_tx_free_slot), 0u);
+}
+
+TEST(RestoredIndex, NetRxVector) {
+  EXPECT_EQ(expect_poison_rejected(split_options(), net_rx_vector), 0u);
+}
+
+TEST(RestoredIndex, NetTxVector) {
+  EXPECT_EQ(expect_poison_rejected(split_options(), net_tx_vector), 0u);
 }
 
 TEST(RestoredIndex, NetCtrlQueueFromMaxDevicePairs) {
@@ -1047,7 +1172,7 @@ TEST(RestoredIndex, QueueSizeRegister) {
   migrate::StateIo save{w};
   bed.device().transfer(save);
   const Bytes state = w.take();
-  Bytes image = migrate::save_snapshot(bed, false);
+  Bytes image = migrate::save_snapshot(bed);
   const std::size_t size_register = device_rings_at(state, bed, 0) - 5;
   const std::size_t ring_size = device_ring_size_at(state, bed);
   const auto poison = [&](ByteSpan bytes, std::size_t at) {
@@ -1109,8 +1234,7 @@ TEST(RestoredRing, PackedDeviceEventNotResident) {
 void expect_state_mutations_contained(core::TestbedOptions options,
                                       u64 seed) {
   const Bytes image = snapshot_of(options);
-  const std::size_t fp_len = static_cast<std::size_t>(read_le64(image, 20));
-  const std::size_t state_header = 16 + 12 + fp_len;
+  const std::size_t state_header = state_section_at(image);
   const std::size_t state_at = state_header + 12;
   const u64 state_len = read_le64(image, state_header + 4);
   sim::Xoshiro256 rng{seed};
@@ -1180,42 +1304,6 @@ TEST(SnapshotReject, StatusNames) {
                "bad-checksum");
   EXPECT_STREQ(migrate::restore_status_name(RestoreStatus::kIncompatible),
                "incompatible");
-}
-
-// ---- live migration harness ----------------------------------------------
-
-TEST(Migration, LiveMigrationUnderFaultsSplit) {
-  harness::MigrationConfig config;
-  config.seed = 0x6161;
-  config.ops_per_round = 8;
-  config.max_precopy_rounds = 3;
-  config.post_ops = 12;
-  config.clean_ops = 4;
-  const harness::MigrationResult result = harness::run_migration(config);
-  EXPECT_TRUE(result.restore_ok);
-  EXPECT_TRUE(result.snapshot_identical);
-  EXPECT_TRUE(result.final_snapshot_identical);
-  EXPECT_TRUE(result.blackout_bounded);
-  EXPECT_EQ(result.divergent_ops, 0u);
-  EXPECT_EQ(result.steady_state_failures, 0u);
-  EXPECT_TRUE(result.ok());
-  EXPECT_GT(result.pages_full_copy, 0u);
-  EXPECT_GT(result.faults_injected, 0u);
-  // Loss is bounded by the blackout window at the observed rate.
-  EXPECT_LE(result.modeled_lost_packets, result.loss_bound_packets);
-}
-
-TEST(Migration, LiveMigrationUnderFaultsPacked) {
-  harness::MigrationConfig config;
-  config.seed = 0x6162;
-  config.testbed.use_packed_rings = true;
-  config.ops_per_round = 8;
-  config.max_precopy_rounds = 3;
-  config.post_ops = 12;
-  config.clean_ops = 4;
-  const harness::MigrationResult result = harness::run_migration(config);
-  EXPECT_TRUE(result.ok());
-  EXPECT_GT(result.faults_injected, 0u);
 }
 
 }  // namespace

@@ -380,18 +380,6 @@ TEST(Scheduler, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Scheduler, StopExitsRunLoop) {
-  Scheduler sched;
-  int fired = 0;
-  sched.schedule_at(SimTime{1}, [&] {
-    ++fired;
-    sched.stop();
-  });
-  sched.schedule_at(SimTime{2}, [&] { ++fired; });
-  EXPECT_EQ(sched.run_until_stopped(), 1u);
-  EXPECT_EQ(fired, 1);
-}
-
 // ---- SmallFn + event arena ---------------------------------------------------
 
 TEST(SmallFn, InlineCaptureAllocatesNothing) {

@@ -11,6 +11,12 @@
 namespace vfpga::xdma {
 namespace {
 
+u8 bram_byte(const mem::Bram& bram, FpgaAddr addr) {
+  std::array<u8, 1> byte{};
+  bram.read(addr, byte);
+  return byte[0];
+}
+
 TEST(XdmaDescriptor, EncodeDecodeRoundTrip) {
   XdmaDescriptor desc;
   desc.control_flags = descctl::kStop | descctl::kEop;
@@ -131,8 +137,8 @@ TEST_F(EngineFixture, DescriptorChainsFollowNextPointers) {
   const auto result = device.h2c().run(sim::SimTime{});
   EXPECT_EQ(result.descriptors_processed, 2u);
   EXPECT_EQ(result.bytes_moved, 128u);
-  EXPECT_EQ(device.bram().read_u8(0), 0x11);
-  EXPECT_EQ(device.bram().read_u8(64), 0x22);
+  EXPECT_EQ(bram_byte(device.bram(), 0), 0x11);
+  EXPECT_EQ(bram_byte(device.bram(), 64), 0x22);
 }
 
 TEST_F(EngineFixture, BadMagicStopsEngineWithError) {
@@ -161,7 +167,7 @@ TEST_F(EngineFixture, FabricTransferSkipsDescriptorFetch) {
   const auto fabric_done =
       device.h2c().transfer(sim::SimTime{}, src, 0x1000, 512);
   EXPECT_LT(fabric_done.micros() + 1.0, hosted.complete.micros());
-  EXPECT_EQ(device.bram().read_u8(0x1000), 0x99);
+  EXPECT_EQ(bram_byte(device.bram(), 0x1000), 0x99);
 }
 
 TEST_F(EngineFixture, CompletionInterruptFiresWhenEnabled) {
