@@ -1,6 +1,7 @@
 #include "vfpga/core/blk_device.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "vfpga/common/contract.hpp"
 #include "vfpga/fault/fault_plane.hpp"
@@ -16,13 +17,30 @@ namespace {
 
 constexpr u64 kTransportBits = ((1ull << 42) - 1) & ~((1ull << 24) - 1);
 
+using Store = std::unique_ptr<mem::HostMemory>;
+
+/// A store holding the non-zero pages of `flat` (byte 0 at offset 0).
+Store store_of(ConstByteSpan flat) {
+  auto store = std::make_unique<mem::HostMemory>();
+  for (u64 at = 0; at < flat.size(); at += mem::HostMemory::kPageSize) {
+    const ConstByteSpan page = flat.subspan(
+        at, std::min<u64>(mem::HostMemory::kPageSize, flat.size() - at));
+    if (std::any_of(page.begin(), page.end(), [](u8 b) { return b != 0; })) {
+      store->write(at, page);
+    }
+  }
+  return store;
+}
+
 }  // namespace
 
 BlkDeviceLogic::BlkDeviceLogic(BlkDeviceConfig config)
     : config_(config),
-      storage_(config.capacity_sectors * virtio::blk::kSectorBytes, 0),
-      durable_(config.capacity_sectors * virtio::blk::kSectorBytes, 0),
+      storage_(std::make_unique<mem::HostMemory>()),
+      durable_(std::make_unique<mem::HostMemory>()),
       dirty_(config.capacity_sectors, 0) {
+  VFPGA_EXPECTS(config_.capacity_sectors <=
+                ~u64{0} / virtio::blk::kSectorBytes);
   VFPGA_EXPECTS(config_.num_queues >= 1);
   VFPGA_EXPECTS(config_.seg_max >= 1);
   VFPGA_EXPECTS(config_.size_max >= virtio::blk::kRequestHeaderBytes);
@@ -78,6 +96,14 @@ u8 BlkDeviceLogic::device_config_read(u32 offset) const {
     return field8(BlkConfigLayout::kNumQueuesOffset, config_.num_queues);
   }
   return 0;
+}
+
+bool BlkDeviceLogic::in_store(u64 sector, u64 bytes) const {
+  // The sector is compared before it is scaled to bytes, so a hostile
+  // one cannot wrap around onto a low sector.
+  return sector <= config_.capacity_sectors &&
+         bytes <= (config_.capacity_sectors - sector) *
+                      virtio::blk::kSectorBytes;
 }
 
 u64 BlkDeviceLogic::seek_cycles(u64 sector) {
@@ -176,21 +202,18 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process(
                        queue);
   }
 
-  const u64 byte_offset = header.sector * virtio::blk::kSectorBytes;
-
   switch (header.type) {
     case RequestType::Out: {  // host -> device write
       const ConstByteSpan data =
           payload.subspan(virtio::blk::kRequestHeaderBytes);
-      if (byte_offset > storage_.size() ||
-          data.size() > storage_.size() - byte_offset) {
+      if (!in_store(header.sector, data.size())) {
         return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                            queue);
       }
+      const u64 byte_offset = header.sector * virtio::blk::kSectorBytes;
       const u64 cycles = kBlkTiming.fixed_cycles + seek_cycles(header.sector) +
                          transfer_cycles(data.size());
-      std::copy(data.begin(), data.end(),
-                storage_.begin() + static_cast<std::ptrdiff_t>(byte_offset));
+      storage_->write(byte_offset, data);
       mark_dirty(byte_offset, data.size());
       head_sector_ =
           header.sector + data.size() / virtio::blk::kSectorBytes;
@@ -199,8 +222,7 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process(
     }
     case RequestType::In: {  // device -> host read
       const u64 data_len = writable_capacity - 1;  // minus status byte
-      if (byte_offset > storage_.size() ||
-          data_len > storage_.size() - byte_offset) {
+      if (!in_store(header.sector, data_len)) {
         return status_only(virtio::blk::kStatusIoErr, kBlkTiming.fixed_cycles,
                            queue);
       }
@@ -209,10 +231,9 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process(
                                           seek_cycles(header.sector) +
                                           transfer_cycles(data_len),
                                       queue);
-      const auto first =
-          storage_.begin() + static_cast<std::ptrdiff_t>(byte_offset);
-      response.payload.assign(first,
-                              first + static_cast<std::ptrdiff_t>(data_len));
+      response.payload.resize(data_len);
+      storage_->read(header.sector * virtio::blk::kSectorBytes,
+                     response.payload);
       head_sector_ = header.sector + data_len / virtio::blk::kSectorBytes;
       ++reads_;
       return response;
@@ -225,16 +246,13 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process(
       const u64 cycles = kBlkTiming.fixed_cycles +
                          kBlkTiming.flush_base_cycles +
                          dirty_kib * kBlkTiming.flush_cycles_per_dirty_kib;
+      std::array<u8, virtio::blk::kSectorBytes> sector{};
       for (u64 s = 0; s < dirty_.size(); ++s) {
         if (dirty_[s] == 0) {
           continue;
         }
-        const auto off =
-            static_cast<std::ptrdiff_t>(s * virtio::blk::kSectorBytes);
-        std::copy(storage_.begin() + off,
-                  storage_.begin() + off +
-                      static_cast<std::ptrdiff_t>(virtio::blk::kSectorBytes),
-                  durable_.begin() + off);
+        storage_->read(s * virtio::blk::kSectorBytes, sector);
+        durable_->write(s * virtio::blk::kSectorBytes, sector);
         dirty_[s] = 0;
       }
       dirty_count_ = 0;
@@ -246,19 +264,41 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process(
                      queue);
 }
 
+Bytes BlkDeviceLogic::durable_storage() const {
+  Bytes out(capacity_bytes());
+  durable_->read(0, out);
+  return out;
+}
+
 void BlkDeviceLogic::simulate_power_loss() {
-  storage_ = durable_;
+  storage_ = std::make_unique<mem::HostMemory>();
+  std::array<u8, mem::HostMemory::kPageSize> page{};
+  for (u64 index : durable_->resident_page_indices()) {
+    durable_->read_page(index, page);
+    storage_->write_page(index, page);
+  }
   std::fill(dirty_.begin(), dirty_.end(), u8{0});
   dirty_count_ = 0;
 }
 
 void BlkDeviceLogic::transfer(migrate::StateIo& io) {
-  // The three layers are sized by the capacity: written as blobs, read
-  // back only into a target of the same size.
-  for (Bytes* layer : {&storage_, &durable_, &dirty_}) {
-    io.expect<u64>(layer->size());
-    io.bytes(*layer);
+  // The three layers are sized by the capacity: written as flat blobs,
+  // read back only into a target of the same size. A data layer is
+  // replaced only once its whole blob has been read, and keeps only the
+  // blob's non-zero pages.
+  for (Store* layer : {&storage_, &durable_}) {
+    Bytes flat(capacity_bytes());
+    io.expect<u64>(flat.size());
+    if (!io.loading()) {
+      (*layer)->read(0, flat);
+    }
+    io.bytes(flat);
+    if (io.loading() && !io.failed()) {
+      *layer = store_of(flat);
+    }
   }
+  io.expect<u64>(dirty_.size());
+  io.bytes(dirty_);
   io.u64(dirty_count_);
   io.u64(dirty_high_water_);
   io.u64(head_sector_);

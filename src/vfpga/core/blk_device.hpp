@@ -13,9 +13,16 @@
 // layer; only a completed FLUSH makes everything completed before it
 // durable. simulate_power_loss() reverts the volatile layer to the
 // durable copy so tests can assert the barrier semantics directly.
+//
+// Both layers are sparse mem::HostMemory page stores addressed by byte
+// offset: a page never written reads as zeroes and costs nothing, so a
+// device costs what its requests touch, not its capacity.
 #pragma once
 
+#include <memory>
+
 #include "vfpga/core/user_logic.hpp"
+#include "vfpga/mem/host_memory.hpp"
 #include "vfpga/virtio/blk_defs.hpp"
 
 namespace vfpga::migrate {
@@ -97,11 +104,12 @@ class BlkDeviceLogic final : public UserLogic {
   [[nodiscard]] u64 dirty_sectors() const { return dirty_count_; }
   [[nodiscard]] u64 dirty_high_water() const { return dirty_high_water_; }
 
-  /// Direct backing-store access for test verification.
-  [[nodiscard]] ConstByteSpan storage() const { return storage_; }
-  /// The durable layer: what survives power loss (== storage() only
-  /// after a FLUSH with nothing written since).
-  [[nodiscard]] ConstByteSpan durable_storage() const { return durable_; }
+  /// A copy of the durable layer: what survives power loss.
+  [[nodiscard]] Bytes durable_storage() const;
+  /// Bytes backed by pages in the volatile and durable layers together.
+  [[nodiscard]] u64 resident_bytes() const {
+    return storage_->resident_bytes() + durable_->resident_bytes();
+  }
   /// Revert the volatile layer to the durable copy — the storage the
   /// host would observe after a crash. Tests use it to assert FLUSH
   /// barrier ordering.
@@ -112,6 +120,10 @@ class BlkDeviceLogic final : public UserLogic {
   void transfer(migrate::StateIo& io);
 
  private:
+  [[nodiscard]] u64 capacity_bytes() const {
+    return config_.capacity_sectors * virtio::blk::kSectorBytes;
+  }
+  [[nodiscard]] bool in_store(u64 sector, u64 bytes) const;
   [[nodiscard]] u64 seek_cycles(u64 sector);
   [[nodiscard]] u64 transfer_cycles(u64 bytes) const;
   void mark_dirty(u64 byte_offset, u64 bytes);
@@ -119,8 +131,9 @@ class BlkDeviceLogic final : public UserLogic {
 
   BlkDeviceConfig config_;
   fault::FaultPlane* fault_ = nullptr;
-  Bytes storage_;
-  Bytes durable_;
+  // Replaced wholesale by power loss and by a restore, hence the pointers.
+  std::unique_ptr<mem::HostMemory> storage_;  ///< volatile write-back layer
+  std::unique_ptr<mem::HostMemory> durable_;
   std::vector<u8> dirty_;  ///< per-sector write-back flag
   u64 dirty_count_ = 0;
   u64 dirty_high_water_ = 0;

@@ -54,6 +54,8 @@ struct RawBlkHarness {
   std::optional<core::VirtioDeviceFunction> device;
   hostos::InterruptController irq;
   std::optional<testing_support::TestDriver> driver;
+  /// The writable data segments of the last request, in chain order.
+  Bytes read_data;
 
   explicit RawBlkHarness(core::BlkDeviceConfig config) : blk(config) {
     device.emplace(blk, core::ControllerConfig{});
@@ -98,6 +100,13 @@ struct RawBlkHarness {
     vq.publish();
     driver->notify(virtio::blk::kRequestQueue);
     EXPECT_TRUE(vq.harvest_used().has_value());
+    read_data.clear();
+    for (const virtio::ChainBuffer& b : chain) {
+      if (b.device_writable && b.addr != status_addr) {
+        const Bytes got = memory.read_bytes(b.addr, b.len);
+        read_data.insert(read_data.end(), got.begin(), got.end());
+      }
+    }
     return memory.read_u8(status_addr);
   }
 
@@ -165,9 +174,31 @@ TEST(BlkRawChain, OutOfCapacityIsIoErrorNotReset) {
             virtio::blk::kStatusIoErr);
   EXPECT_EQ(h.blk.errors(), 2u);
   EXPECT_FALSE(h.needs_reset());
-  // The device keeps serving: the very next in-range request is OK.
+  // The device keeps serving: the very next in-range request is OK,
+  // and a sector never written reads as zeroes.
   EXPECT_EQ(h.submit(RequestType::In, 63, {{kSectorBytes, true}}),
             virtio::blk::kStatusOk);
+  EXPECT_EQ(h.read_data, Bytes(kSectorBytes, 0));
+}
+
+TEST(BlkRawChain, SectorPastCapacityIsRefused) {
+  RawBlkHarness h{core::BlkDeviceConfig{.capacity_sectors = 64}};
+  ASSERT_EQ(h.submit(RequestType::Out, 0, {{kSectorBytes, false, 0x3c}}),
+            virtio::blk::kStatusOk);
+  // 2^55 sectors is 2^64 bytes: scaled before the check, it would wrap
+  // onto byte 0. Just past the end must be refused the same way.
+  for (const u64 sector : {u64{1} << 55, u64{65}}) {
+    SCOPED_TRACE(sector);
+    EXPECT_EQ(h.submit(RequestType::Out, sector, {{kSectorBytes, false, 0xee}}),
+              virtio::blk::kStatusIoErr);
+    EXPECT_EQ(h.submit(RequestType::In, sector + 1, {{kSectorBytes, true}}),
+              virtio::blk::kStatusIoErr);
+  }
+  EXPECT_EQ(h.blk.writes(), 1u);
+  EXPECT_FALSE(h.needs_reset());
+  EXPECT_EQ(h.submit(RequestType::In, 0, {{kSectorBytes, true}}),
+            virtio::blk::kStatusOk);
+  EXPECT_EQ(h.read_data, Bytes(kSectorBytes, 0x3c));
 }
 
 TEST(BlkRawChain, ShortHeaderRefused) {
@@ -209,15 +240,22 @@ TEST(BlkDatapath, FlushBarrierOrdersWritesAcrossPowerLoss) {
   EXPECT_EQ(bed.blk_logic().dirty_sectors(), 0u);
   ASSERT_TRUE(bed.blk_driver().write_sectors(t, 3, volatile_data));
   EXPECT_EQ(bed.blk_logic().dirty_sectors(), 1u);
+  // Overwrite the flushed sector, and write a block no FLUSH ever saw.
+  ASSERT_TRUE(bed.blk_driver().write_sectors(t, 2, volatile_data));
+  ASSERT_TRUE(bed.blk_driver().write_sectors(t, 100, volatile_data));
+  EXPECT_EQ(bed.blk_logic().dirty_sectors(), 3u);
 
-  // Crash: the flushed write survives, the post-barrier write is gone.
+  // Crash: the flushed bytes survive, every post-barrier write is gone.
   bed.blk_logic().simulate_power_loss();
   Bytes sector2(kSectorBytes, 0xff);
   Bytes sector3(kSectorBytes, 0xff);
+  Bytes sector100(kSectorBytes, 0xff);
   ASSERT_TRUE(bed.blk_driver().read_sectors(t, 2, sector2));
   ASSERT_TRUE(bed.blk_driver().read_sectors(t, 3, sector3));
+  ASSERT_TRUE(bed.blk_driver().read_sectors(t, 100, sector100));
   EXPECT_EQ(sector2, durable_data);
   EXPECT_EQ(sector3, Bytes(kSectorBytes, 0));
+  EXPECT_EQ(sector100, Bytes(kSectorBytes, 0));
   EXPECT_EQ(bed.blk_logic().dirty_sectors(), 0u);
 }
 
@@ -243,9 +281,10 @@ TEST(BlkDatapath, AsyncFlushCompletesAfterPrecedingWrites) {
   // The queue is serial, so the flush ran after every write it trailed:
   // all three sectors are in the durable layer.
   EXPECT_EQ(bed.blk_logic().dirty_sectors(), 0u);
-  const ConstByteSpan durable = bed.blk_logic().durable_storage();
+  const Bytes durable = bed.blk_logic().durable_storage();
   for (u64 s = 10; s < 13; ++s) {
-    const ConstByteSpan got = durable.subspan(s * kSectorBytes, kSectorBytes);
+    const ConstByteSpan got =
+        ConstByteSpan{durable}.subspan(s * kSectorBytes, kSectorBytes);
     EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin()));
   }
 }
@@ -263,6 +302,12 @@ TEST(BlkDatapath, PackedRingRoundTrip) {
   Bytes readback(data.size(), 0);
   ASSERT_TRUE(bed.blk_driver().read_sectors(t, 8, readback));
   EXPECT_EQ(readback, data);
+  // 4 KiB at a sector off the 8-sector grid spans two store pages.
+  const Bytes straddling = pattern(8 * kSectorBytes, 0x19);
+  ASSERT_TRUE(bed.blk_driver().write_sectors(t, 13, straddling));
+  readback.assign(straddling.size(), 0);
+  ASSERT_TRUE(bed.blk_driver().read_sectors(t, 13, readback));
+  EXPECT_EQ(readback, straddling);
   EXPECT_TRUE(bed.blk_driver().flush(t));
 }
 

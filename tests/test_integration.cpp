@@ -8,6 +8,7 @@
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/hostos/virtio_blk_driver.hpp"
 #include "vfpga/migrate/state_io.hpp"
+#include "vfpga/sim/rng.hpp"
 
 namespace vfpga {
 namespace {
@@ -123,6 +124,79 @@ TEST(FlatMemory, TenTimesTheTrafficKeepsTheSameFootprint) {
     EXPECT_EQ(small.bank_bytes, large.bank_bytes);
     EXPECT_EQ(small.resident_bytes, large.resident_bytes);
   }
+}
+
+constexpr u64 kBlkPage = mem::HostMemory::kPageSize;
+constexpr u64 kSectorsPerPage = kBlkPage / virtio::blk::kSectorBytes;
+
+/// One polled 4 KiB request on queue 0; every fourth one drains the
+/// queue.
+void polled_request(core::VirtioNetTestbed& bed, u64 block, bool write) {
+  hostos::VirtioBlkDriver& drv = bed.blk_driver();
+  hostos::HostThread& t = bed.thread();
+  const u64 sector = block * kSectorsPerPage;
+  const auto slot =
+      write ? drv.submit_write(t, 0, sector, Bytes(kBlkPage, 0xa5))
+            : drv.submit_read(t, 0, sector, kBlkPage);
+  ASSERT_TRUE(slot.has_value());
+  if (drv.in_flight(0) < 4) {
+    return;
+  }
+  while (drv.in_flight(0) > 0) {
+    ASSERT_TRUE(drv.wait_polled(t, 0));
+  }
+  while (const auto c = drv.pop_completion(0)) {
+    EXPECT_EQ(c->status, virtio::blk::kStatusOk);
+  }
+}
+
+TEST(FlatMemory, BlkStoreHoldsOnlyWrittenPages) {
+  {
+    core::TestbedOptions options;
+    options.attach_blk = true;
+    options.blk.capacity_sectors = 1024 * kSectorsPerPage;  // 4 MiB
+    core::VirtioNetTestbed bed{options};
+    hostos::HostThread& t = bed.thread();
+    hostos::VirtioBlkDriver& drv = bed.blk_driver();
+    const core::BlkDeviceLogic& blk = bed.blk_logic();
+    EXPECT_EQ(blk.resident_bytes(), 0u);
+
+    const Bytes block(kBlkPage, 0x6b);
+    for (const u64 b : {u64{3}, u64{500}, u64{1023}}) {
+      ASSERT_TRUE(drv.write_sectors(t, b * kSectorsPerPage, block));
+    }
+    EXPECT_EQ(blk.resident_bytes(), 3 * kBlkPage);
+    Bytes readback(kBlkPage);
+    for (u64 b = 600; b < 700; ++b) {
+      ASSERT_TRUE(drv.read_sectors(t, b * kSectorsPerPage, readback));
+    }
+    EXPECT_EQ(readback, Bytes(kBlkPage, 0));
+    EXPECT_EQ(blk.resident_bytes(), 3 * kBlkPage);
+    // FLUSH copies the 24 dirty sectors: three durable pages.
+    ASSERT_TRUE(drv.flush(t));
+    EXPECT_EQ(blk.resident_bytes(), 6 * kBlkPage);
+  }
+
+  // Once every block of the default 1 MiB store is written, ten times
+  // that many polled requests add no page to the store or host memory.
+  core::TestbedOptions options;
+  options.attach_blk = true;
+  core::VirtioNetTestbed bed{options};
+  bed.blk_driver().set_polled(0, true);
+  const u64 blocks = options.blk.capacity_sectors / kSectorsPerPage;
+  for (u64 b = 0; b < blocks; ++b) {
+    polled_request(bed, b, true);
+  }
+  const u64 store = bed.blk_logic().resident_bytes();
+  const u64 memory = bed.memory().resident_bytes();
+  EXPECT_EQ(store, blocks * kBlkPage);
+
+  sim::Xoshiro256 rng{0xf1a7};
+  for (u64 i = 0; i < 10 * blocks; ++i) {
+    polled_request(bed, rng.uniform_below(blocks), rng.uniform_below(2) == 0);
+  }
+  EXPECT_EQ(bed.blk_logic().resident_bytes(), store);
+  EXPECT_EQ(bed.memory().resident_bytes(), memory);
 }
 
 TEST(Determinism, SameSeedSameLatencies) {
