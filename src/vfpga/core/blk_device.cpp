@@ -127,10 +127,10 @@ void BlkDeviceLogic::mark_dirty(u64 byte_offset, u64 bytes) {
   for (u64 s = first; s <= last; ++s) {
     if (dirty_[s] == 0) {
       dirty_[s] = 1;
-      ++dirty_count_;
+      dirty_list_.push_back(s);
     }
   }
-  dirty_high_water_ = std::max(dirty_high_water_, dirty_count_);
+  dirty_high_water_ = std::max<u64>(dirty_high_water_, dirty_list_.size());
 }
 
 UserLogic::Response BlkDeviceLogic::status_only(u8 status, u64 cycles,
@@ -242,20 +242,16 @@ std::optional<UserLogic::Response> BlkDeviceLogic::process(
       // Write barrier: every OUT completed before this FLUSH becomes
       // durable. Cost scales with the dirty span being drained.
       const u64 dirty_kib =
-          dirty_count_ * virtio::blk::kSectorBytes / 1024;
+          dirty_list_.size() * virtio::blk::kSectorBytes / 1024;
       const u64 cycles = kBlkTiming.fixed_cycles +
                          kBlkTiming.flush_base_cycles +
                          dirty_kib * kBlkTiming.flush_cycles_per_dirty_kib;
       std::array<u8, virtio::blk::kSectorBytes> sector{};
-      for (u64 s = 0; s < dirty_.size(); ++s) {
-        if (dirty_[s] == 0) {
-          continue;
-        }
+      for (const u64 s : dirty_list_) {
         storage_->read(s * virtio::blk::kSectorBytes, sector);
         durable_->write(s * virtio::blk::kSectorBytes, sector);
-        dirty_[s] = 0;
       }
-      dirty_count_ = 0;
+      clear_dirty();
       ++flushes_;
       return status_only(virtio::blk::kStatusOk, cycles, queue);
     }
@@ -277,8 +273,14 @@ void BlkDeviceLogic::simulate_power_loss() {
     durable_->read_page(index, page);
     storage_->write_page(index, page);
   }
-  std::fill(dirty_.begin(), dirty_.end(), u8{0});
-  dirty_count_ = 0;
+  clear_dirty();
+}
+
+void BlkDeviceLogic::clear_dirty() {
+  for (const u64 s : dirty_list_) {
+    dirty_[s] = 0;
+  }
+  dirty_list_.clear();
 }
 
 void BlkDeviceLogic::transfer(migrate::StateIo& io) {
@@ -299,7 +301,22 @@ void BlkDeviceLogic::transfer(migrate::StateIo& io) {
   }
   io.expect<u64>(dirty_.size());
   io.bytes(dirty_);
-  io.u64(dirty_count_);
+  u64 dirty_count = dirty_list_.size();
+  io.u64(dirty_count);
+  if (io.loading() && !io.failed()) {
+    // The image holds the flags and their count; the list is rebuilt
+    // from the flags, and a count that disagrees with them (it would
+    // price the next FLUSH) is malformed.
+    dirty_list_.clear();
+    for (u64 s = 0; s < dirty_.size(); ++s) {
+      if (dirty_[s] != 0) {
+        dirty_list_.push_back(s);
+      }
+    }
+    if (dirty_list_.size() != dirty_count) {
+      io.fail();
+    }
+  }
   io.u64(dirty_high_water_);
   io.u64(head_sector_);
   io.u64(reads_);

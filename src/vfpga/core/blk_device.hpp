@@ -101,7 +101,7 @@ class BlkDeviceLogic final : public UserLogic {
   [[nodiscard]] u64 errors() const { return errors_; }
   [[nodiscard]] u64 header_faults() const { return header_faults_; }
   [[nodiscard]] u64 timeout_faults() const { return timeout_faults_; }
-  [[nodiscard]] u64 dirty_sectors() const { return dirty_count_; }
+  [[nodiscard]] u64 dirty_sectors() const { return dirty_list_.size(); }
   [[nodiscard]] u64 dirty_high_water() const { return dirty_high_water_; }
 
   /// A copy of the durable layer: what survives power loss.
@@ -127,6 +127,7 @@ class BlkDeviceLogic final : public UserLogic {
   [[nodiscard]] u64 seek_cycles(u64 sector);
   [[nodiscard]] u64 transfer_cycles(u64 bytes) const;
   void mark_dirty(u64 byte_offset, u64 bytes);
+  void clear_dirty();
   Response status_only(u8 status, u64 cycles, u16 queue);
 
   BlkDeviceConfig config_;
@@ -135,7 +136,9 @@ class BlkDeviceLogic final : public UserLogic {
   std::unique_ptr<mem::HostMemory> storage_;  ///< volatile write-back layer
   std::unique_ptr<mem::HostMemory> durable_;
   std::vector<u8> dirty_;  ///< per-sector write-back flag
-  u64 dirty_count_ = 0;
+  /// The sectors whose flag is set, in the order they were dirtied: FLUSH
+  /// and power loss visit these rather than every sector.
+  std::vector<u64> dirty_list_;
   u64 dirty_high_water_ = 0;
   u64 head_sector_ = 0;  ///< backing-store position for the seek model
   u64 reads_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
 
 #include "vfpga/common/contract.hpp"
 
@@ -38,7 +39,9 @@ u8* HostMemory::page_for_write(u64 page_index) {
   }
   auto& page = pages_[page_index];
   if (!page) {
-    page = std::make_unique<u8[]>(kPageSize);
+    // Allocated without value-initialisation: the memset is the one
+    // zeroing a new page gets.
+    page = std::make_unique_for_overwrite<u8[]>(kPageSize);
     std::memset(page.get(), 0, kPageSize);
   }
   last_index_ = page_index;

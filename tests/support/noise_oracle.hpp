@@ -1,9 +1,10 @@
 // Reference implementations the library's noise sampling is checked
 // against: Box–Muller and the lognormal-to-Duration chain evaluated with
-// libm's cos, and the noise model with its interference and rare-stall
-// Poisson draws as two separate calls. Each is the straightforward libm
-// form, independent of the table cosine and rounding guard it checks, so
-// a test can compare Durations and generator states draw for draw.
+// libm's log, cos and exp, and the noise model with its interference and
+// rare-stall Poisson draws as two separate calls. Each is the
+// straightforward libm form, independent of the sim/fpmath chain it
+// checks, so a test can compare Durations and generator states draw for
+// draw.
 #pragma once
 
 #include <algorithm>

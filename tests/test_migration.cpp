@@ -18,6 +18,7 @@
 #include "vfpga/harness/multi_flow.hpp"
 #include "vfpga/migrate/snapshot.hpp"
 #include "vfpga/migrate/state_io.hpp"
+#include "vfpga/virtio/blk_defs.hpp"
 #include "vfpga/virtio/ids.hpp"
 
 namespace vfpga {
@@ -1165,6 +1166,27 @@ TEST(RestoredIndex, PackedDeviceUsedCursor) {
 /// A queue-size register of 0 over a ring restored with size 0 passes
 /// the ring's own check, so the register is checked the way a register
 /// write is (non-zero, at most the advertised maximum).
+void transfer_blk(core::VirtioNetTestbed& bed, migrate::StateIo& io) {
+  bed.blk_logic().transfer(io);
+}
+
+/// The blk state's dirty-sector count, after the two data layers and the
+/// per-sector flags (each layer a u64 size and its bytes): one more than
+/// the flags hold, which would misprice the next FLUSH.
+Poison blk_dirty_count(ConstByteSpan state, core::VirtioNetTestbed& bed) {
+  const core::BlkDeviceConfig& config = bed.blk_logic().config();
+  const std::size_t layer =
+      8 + config.capacity_sectors * virtio::blk::kSectorBytes;
+  const std::size_t at = 2 * layer + 8 + config.capacity_sectors;
+  return {at, 8, load_le(state, at, 8) + 1};
+}
+
+TEST(RestoredIndex, BlkDirtyCountDisagreesWithFlags) {
+  EXPECT_EQ(
+      expect_poison_rejected(blk_options(), blk_dirty_count, transfer_blk),
+      0u);
+}
+
 TEST(RestoredIndex, QueueSizeRegister) {
   core::VirtioNetTestbed bed{split_options()};
   drive_quiesced(bed);

@@ -4,14 +4,15 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "support/noise_oracle.hpp"
 #include "vfpga/hostos/cost_model.hpp"
 #include "vfpga/sim/distributions.hpp"
+#include "vfpga/sim/fpmath.hpp"
 #include "vfpga/sim/noise.hpp"
 #include "vfpga/sim/rng.hpp"
 #include "vfpga/sim/scheduler.hpp"
@@ -109,10 +110,11 @@ TEST(Rng, DeriveSeedIsTheSplitMix64Stream) {
 
 TEST(Distributions, LognormalMedianIsMedian) {
   Xoshiro256 rng{5};
+  const JitteredSegment segment{nanoseconds(100), 0.5, {}, {}};
   int below = 0;
   constexpr int kN = 20'000;
   for (int i = 0; i < kN; ++i) {
-    if (sample_lognormal(rng, 100.0, 0.5) < 100.0) {
+    if (segment.sample(rng) < nanoseconds(100)) {
       ++below;
     }
   }
@@ -186,7 +188,7 @@ TEST(Distributions, PoissonZeroCutoffStaysBelowExp) {
   // The shortcut is exact when every draw below the cutoff is <= exp(-m)
   // as computed; the cutoff must also survive an exp one ulp low.
   for (double m = 1e-12; m <= 1.0; m *= 1.01) {
-    const double e = std::exp(-m);
+    const double e = fpmath::exp(-m);
     ASSERT_GE(e, 1.0 - m - 0x1p-48) << "m " << m;
     ASSERT_LE(poisson_zero_cutoff(m), std::nextafter(e, 0.0)) << "m " << m;
   }
@@ -227,43 +229,12 @@ TEST(Distributions, MixtureSelectsAllComponents) {
   EXPECT_NEAR(static_cast<double>(fast) / kN, 0.5, 0.03);
 }
 
-// ---- table cosine and its rounding guard -----------------------------------
-
-TEST(FastCos, WithinBoundOfLibm) {
-  constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
-  double worst = 0.0;
-  double worst_u = 0.0;
-  const auto check = [&](double u) {
-    const double error = std::fabs(fast_cos_2pi(u) - std::cos(kTwoPi * u));
-    if (error > worst) {
-      worst = error;
-      worst_u = u;
-    }
-  };
-  Xoshiro256 rng{2024};
-  for (int i = 0; i < 10'000'000; ++i) {
-    check(rng.uniform01());
-  }
-  // Each knot and each midpoint between knots (the largest remainder),
-  // a few ulps either side; the ends of the domain.
-  for (int half_steps = 0; half_steps <= 512; ++half_steps) {
-    const double centre = half_steps / 512.0;
-    double below = centre;
-    double above = centre;
-    for (int k = 0; k < 4; ++k) {
-      check(below);
-      check(above);
-      below = std::nextafter(below, 0.0);
-      above = std::nextafter(above, 1.0);
-    }
-  }
-  EXPECT_LE(worst, 0x1p-50) << "at u = " << worst_u;
-}
+// ---- the lognormal segment against the libm chain ---------------------------
 
 // Every segment the cost model and testbeds sample, plus sigma = 0 and
-// clamping cases: the table cosine and its guard must return the libm
-// chain's Duration and leave the generator in the same state, draw for
-// draw.
+// clamping cases: the fpmath chain in integer picoseconds must return the
+// libm chain's Duration and leave the generator in the same state, draw
+// for draw.
 TEST(Distributions, JitteredSegmentMatchesOracleDrawForDraw) {
   const auto c = hostos::CostModelConfig::fedora_defaults();
   std::vector<JitteredSegment> segments = {
@@ -298,37 +269,22 @@ TEST(Distributions, JitteredSegmentMatchesOracleDrawForDraw) {
   }
 }
 
-// A median chosen so the libm chain's ns * 1e3 + 0.5 lies within 2^-52
-// of itself from an integer: the picosecond count flips inside any
-// interval the guard could draw, so the fast path must decline and the
-// std::cos recomputation must give the libm answer.
-TEST(Distributions, JitteredSegmentFallsBackNearARoundingBoundary) {
-  constexpr double kU1 = 0.3;
-  constexpr double kU2 = 0.1;
-  constexpr double kSigma = 0.5;
-  int boundaries = 0;
-  int fast = 0;
-  for (i64 picos = 1'000'000'000'000; boundaries < 3; ++picos) {
-    ASSERT_LT(picos, 1'000'010'000'000) << "no boundary found";
-    const JitteredSegment segment{Duration{picos}, kSigma, {}, {}};
-    const double z = std::sqrt(-2.0 * std::log(kU1)) *
-                     std::cos(2.0 * 3.14159265358979323846 * kU2);
-    const double ns = segment.median.nanos() * std::exp(kSigma * z);
-    const double v = ns * 1e3 + 0.5;
-    const Duration want = from_nanos(ns);
-    if (std::fabs(v - std::nearbyint(v)) > v * 0x1p-52) {
-      if (segment.fast_from_uniforms(kU1, kU2) == want) {
-        ++fast;
-      }
-      continue;
+// A median near the top of the picosecond range: about one draw in 10^5
+// lands past 2^63 ps and must saturate rather than wrap negative. Two of
+// this seed's draws do; a cast without the saturation returned INT64_MIN.
+TEST(Distributions, JitteredSegmentSaturatesPastThePicosecondRange) {
+  Xoshiro256 rng{3};
+  const JitteredSegment segment{Duration{1'000'000'000'000'000'000}, 0.5, {},
+                                {}};
+  int saturated = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    const Duration d = segment.sample(rng);
+    ASSERT_GE(d, Duration{}) << "draw " << i;
+    if (d == Duration{std::numeric_limits<i64>::max()}) {
+      ++saturated;
     }
-    ++boundaries;
-    EXPECT_EQ(segment.fast_from_uniforms(kU1, kU2), std::nullopt)
-        << "median " << picos << " ps";
-    EXPECT_EQ(segment.from_uniforms(kU1, kU2), want)
-        << "median " << picos << " ps";
   }
-  EXPECT_GT(fast, 100);  // away from a boundary the table path decides
+  EXPECT_GT(saturated, 0);
 }
 
 // ---- scheduler ---------------------------------------------------------------
