@@ -714,29 +714,6 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
   return t;
 }
 
-// ---- driver-bypass DMA (§III-A) ---------------------------------------------------
-
-sim::SimTime VirtioDeviceFunction::bypass_to_host(sim::SimTime start,
-                                                  HostAddr host_addr,
-                                                  ConstByteSpan data,
-                                                  FpgaAddr card_addr) {
-  VFPGA_EXPECTS(card_addr + data.size() <= bram_.size());
-  bram_.write(card_addr, data);
-  return c2h_->transfer(start, host_addr, card_addr,
-                        static_cast<u32>(data.size()));
-}
-
-sim::SimTime VirtioDeviceFunction::bypass_from_host(sim::SimTime start,
-                                                    HostAddr host_addr,
-                                                    ByteSpan out,
-                                                    FpgaAddr card_addr) {
-  VFPGA_EXPECTS(card_addr + out.size() <= bram_.size());
-  const sim::SimTime done =
-      h2c_->transfer(start, host_addr, card_addr, static_cast<u32>(out.size()));
-  bram_.read(card_addr, out);
-  return done;
-}
-
 // ---- snapshot ---------------------------------------------------------------------
 
 namespace {

@@ -8,11 +8,11 @@
 //
 // Internally (paper Fig. 2) the controller implements the virtqueue
 // FSMs (QueueEngine), controls the DMA engine of the XDMA IP for bulk
-// payload movement, exposes virtqueue-semantics RX/TX interfaces to the
-// attached UserLogic personality, and provides the driver-bypass DMA
-// port (§III-A). Supported personalities: net, console, blk — "the
-// modifications required to support different device types are minimal"
-// (§IV-B): swap the UserLogic and the device-specific config structure.
+// payload movement, and exposes virtqueue-semantics RX/TX interfaces to
+// the attached UserLogic personality. Supported personalities: net,
+// console, blk — "the modifications required to support different
+// device types are minimal" (§IV-B): swap the UserLogic and the
+// device-specific config structure.
 //
 // BAR0 layout (all structure locations advertised via capabilities):
 //   0x0000 common config     0x0040 ISR
@@ -121,15 +121,6 @@ class VirtioDeviceFunction : public pcie::Function {
   }
   /// Per-queue MSI-X messages dropped by the fault plane.
   [[nodiscard]] u64 queue_irqs_lost() const { return queue_irqs_lost_; }
-
-  /// The driver-bypass DMA interface (§III-A): lets user logic move data
-  /// to/from host memory without involving the VirtIO driver. `card_addr`
-  /// selects the BRAM staging region (callers running concurrent streams
-  /// use disjoint regions).
-  sim::SimTime bypass_to_host(sim::SimTime start, HostAddr host_addr,
-                              ConstByteSpan data, FpgaAddr card_addr = 0);
-  sim::SimTime bypass_from_host(sim::SimTime start, HostAddr host_addr,
-                                ByteSpan out, FpgaAddr card_addr = 0);
 
   /// Poll-mode visibility gate: simulated time at which completion
   /// `seq` (0-based since queue enable) on `queue` became observable in

@@ -27,62 +27,6 @@ bool KernelNetstack::udp_send(HostThread& thread, u16 src_port,
   thread.exec(thread.costs().syscall_entry);
   thread.copy(payload.size());
   thread.exec(thread.costs().udp_tx_stack);
-  return send_built(thread, src_port, dst, dst_port, payload, more_coming);
-}
-
-bool KernelNetstack::udp_sendmsg(HostThread& thread, u16 src_port,
-                                 net::Ipv4Addr dst, u16 dst_port,
-                                 std::span<const ConstByteSpan> iov,
-                                 bool more_coming, bool zerocopy) {
-  thread.exec(thread.costs().syscall_entry);
-  Bytes payload;
-  u64 total = 0;
-  for (const ConstByteSpan frag : iov) {
-    total += frag.size();
-  }
-  payload.reserve(total);
-  for (const ConstByteSpan frag : iov) {
-    payload.insert(payload.end(), frag.begin(), frag.end());
-  }
-  if (!zerocopy) {
-    // copy_from_user of every fragment; MSG_ZEROCOPY pins the pages
-    // instead and leaves the per-segment mapping charge to the driver.
-    thread.copy(total);
-  }
-  thread.exec(thread.costs().udp_tx_stack);
-  return send_built(thread, src_port, dst, dst_port, payload, more_coming);
-}
-
-std::optional<KernelNetstack::MsgRecv> KernelNetstack::udp_recvmsg(
-    HostThread& thread, u16 local_port, std::span<ByteSpan> iov, RxMode mode,
-    sim::Duration budget) {
-  const std::optional<Datagram> dgram =
-      udp_receive(thread, local_port, mode, budget);
-  if (!dgram.has_value()) {
-    return std::nullopt;
-  }
-  MsgRecv msg;
-  msg.src = dgram->src;
-  msg.src_port = dgram->src_port;
-  msg.dst_port = dgram->dst_port;
-  msg.datagram_bytes = dgram->payload.size();
-  u64 off = 0;
-  for (const ByteSpan frag : iov) {
-    if (off >= dgram->payload.size()) {
-      break;
-    }
-    const u64 chunk = std::min<u64>(frag.size(), dgram->payload.size() - off);
-    std::copy_n(dgram->payload.begin() + static_cast<std::ptrdiff_t>(off),
-                chunk, frag.begin());
-    off += chunk;
-  }
-  msg.bytes = off;  // copy_to_user already charged by the receive path
-  return msg;
-}
-
-bool KernelNetstack::send_built(HostThread& thread, u16 src_port,
-                                net::Ipv4Addr dst, u16 dst_port,
-                                ConstByteSpan payload, bool more_coming) {
   // EMSGSIZE: the datagram must fit one frame at the device's MTU. The
   // stack neither fragments nor segments.
   if (payload.size() + net::Ipv4Header::kSize + net::UdpHeader::kSize >

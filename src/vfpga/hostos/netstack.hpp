@@ -55,31 +55,6 @@ class KernelNetstack {
                 u16 dst_port, ConstByteSpan payload,
                 bool more_coming = false);
 
-  /// sendmsg(2) with an iovec payload. With `zerocopy` (the
-  /// MSG_ZEROCOPY analogue) the per-byte copy_from_user charge is
-  /// elided — the fragments are pinned where they are and the driver's
-  /// scatter-gather path charges per-segment DMA mapping instead; the
-  /// classic path charges the same copy as udp_send.
-  bool udp_sendmsg(HostThread& thread, u16 src_port, net::Ipv4Addr dst,
-                   u16 dst_port, std::span<const ConstByteSpan> iov,
-                   bool more_coming = false, bool zerocopy = false);
-
-  /// What udp_recvmsg scattered into the caller's iovec.
-  struct MsgRecv {
-    net::Ipv4Addr src{};
-    u16 src_port = 0;
-    u16 dst_port = 0;
-    u64 bytes = 0;           ///< bytes written across the iovec
-    u64 datagram_bytes = 0;  ///< full datagram size (detects truncation)
-  };
-
-  /// recvmsg(2): receive one datagram for `local_port` via the selected
-  /// RX mode and scatter its payload across `iov` (short iovecs
-  /// truncate, as recvmsg without MSG_TRUNC does).
-  std::optional<MsgRecv> udp_recvmsg(HostThread& thread, u16 local_port,
-                                     std::span<ByteSpan> iov, RxMode mode,
-                                     sim::Duration budget = sim::Duration{});
-
   struct Datagram {
     net::Ipv4Addr src{};
     u16 src_port = 0;
@@ -153,11 +128,6 @@ class KernelNetstack {
   [[nodiscard]] std::optional<net::MacAddr> neighbour_of(
       net::Ipv4Addr ip) const;
 
-  /// Route + resolve + frame build + transmit for an already-charged
-  /// payload (the tail shared by udp_send and udp_sendmsg).
-  bool send_built(HostThread& thread, u16 src_port, net::Ipv4Addr dst,
-                  u16 dst_port, ConstByteSpan payload, bool more_coming);
-
   /// Service one RX interrupt: irq entry, NAPI poll, IP/UDP demux.
   void service_rx_interrupt(HostThread& thread, sim::SimTime irq_time,
                             u16 pair = 0);
@@ -178,7 +148,7 @@ class KernelNetstack {
   /// address; nothing resolves or learns entries at run time.
   std::map<u32, net::MacAddr> neighbours_;
   u16 next_ip_id_ = 1;
-  /// send_built's frame, reused so a steady send allocates nothing.
+  /// udp_send's frame, reused so a steady send allocates nothing.
   Bytes tx_frame_;
   std::map<u16, std::deque<Datagram>> socket_queues_;
   /// local port -> queue pair its flow hashes to (set on transmit).

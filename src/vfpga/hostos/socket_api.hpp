@@ -34,24 +34,6 @@ class UdpSocket {
                             more_coming);
   }
 
-  /// sendmsg(2) with an iovec payload; `zerocopy` is the MSG_ZEROCOPY
-  /// flag (elides the copy_from_user charge — pair it with the driver's
-  /// scatter-gather TX path).
-  bool sendmsg(HostThread& thread, net::Ipv4Addr dst, u16 dst_port,
-               std::span<const ConstByteSpan> iov, bool more_coming = false,
-               bool zerocopy = false) {
-    return stack_->udp_sendmsg(thread, local_port_, dst, dst_port, iov,
-                               more_coming, zerocopy);
-  }
-
-  /// recvmsg(2): scatter the next datagram's payload across `iov`,
-  /// receiving via the socket's configured RX mode.
-  std::optional<KernelNetstack::MsgRecv> recvmsg(HostThread& thread,
-                                                 std::span<ByteSpan> iov) {
-    return stack_->udp_recvmsg(thread, local_port_, iov, rx_mode_,
-                               busy_poll_budget_);
-  }
-
   /// recvfrom(2), blocking — or busy-polling/adaptive per set_rx_mode.
   std::optional<KernelNetstack::Datagram> recvfrom(HostThread& thread) {
     return stack_->udp_receive(thread, local_port_, rx_mode_,

@@ -105,21 +105,24 @@ Duration JitteredSegment::sample(Xoshiro256& rng) const {
   return Duration{ps};
 }
 
-Duration MixtureSegment::sample(Xoshiro256& rng) const {
-  VFPGA_EXPECTS(!components.empty());
-  double total = 0.0;
-  for (const auto& c : components) {
-    total += c.weight;
+MixtureSegment::MixtureSegment(std::vector<Component> components)
+    : components_(std::move(components)) {
+  VFPGA_EXPECTS(!components_.empty());
+  for (const auto& c : components_) {
+    total_ += c.weight;
   }
-  VFPGA_EXPECTS(total > 0.0);
-  double pick = rng.uniform01() * total;
-  for (const auto& c : components) {
+  VFPGA_EXPECTS(total_ > 0.0);
+}
+
+Duration MixtureSegment::sample(Xoshiro256& rng) const {
+  double pick = rng.uniform01() * total_;
+  for (const auto& c : components_) {
     pick -= c.weight;
     if (pick <= 0.0) {
       return c.segment.sample(rng);
     }
   }
-  return components.back().segment.sample(rng);
+  return components_.back().segment.sample(rng);
 }
 
 }  // namespace vfpga::sim

@@ -11,6 +11,8 @@
 // DESIGN.md).
 #pragma once
 
+#include <vector>
+
 #include "vfpga/common/contract.hpp"
 #include "vfpga/sim/rng.hpp"
 #include "vfpga/sim/time.hpp"
@@ -84,14 +86,30 @@ struct JitteredSegment {
 
 /// Discrete mixture of jittered segments with weights; models multi-modal
 /// costs such as scheduler wake-ups (fast path / C1 exit / deep C-state).
-struct MixtureSegment {
+/// The weights need not sum to 1: construction sums them once, in
+/// component order, and sample() scales its selecting draw by that total.
+class MixtureSegment {
+ public:
   struct Component {
     double weight = 0.0;
     JitteredSegment segment;
   };
-  std::vector<Component> components;
+
+  /// One zero-cost component, the mixture counterpart of a default
+  /// JitteredSegment.
+  MixtureSegment() : MixtureSegment(std::vector<Component>{{1.0, {}}}) {}
+  /// Requires at least one component and a positive weight total.
+  explicit MixtureSegment(std::vector<Component> components);
+
+  [[nodiscard]] const std::vector<Component>& components() const {
+    return components_;
+  }
 
   [[nodiscard]] Duration sample(Xoshiro256& rng) const;
+
+ private:
+  std::vector<Component> components_;
+  double total_ = 0.0;
 };
 
 }  // namespace vfpga::sim

@@ -63,15 +63,6 @@ void Scheduler::fire(Event* event) {
   ++executed_;
 }
 
-std::size_t Scheduler::run_until_idle() {
-  std::size_t executed = 0;
-  while (!heap_.empty()) {
-    fire(pop_next());
-    ++executed;
-  }
-  return executed;
-}
-
 std::size_t Scheduler::run_until(SimTime deadline) {
   VFPGA_EXPECTS(deadline >= now_);
   std::size_t executed = 0;

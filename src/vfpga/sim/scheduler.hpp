@@ -1,12 +1,11 @@
 // Discrete-event scheduler.
 //
 // The round-trip experiments are transaction-level-modelled (each
-// hardware call takes a start time and returns a completion time), but
-// genuinely concurrent activity — the driver-bypass DMA port with
-// multiple outstanding transfers, or both XDMA channels active at once —
-// is sequenced through this scheduler. Events at equal timestamps fire
-// in FIFO order (a monotone sequence number breaks ties), so simulation
-// is deterministic.
+// hardware call takes a start time and returns a completion time) and
+// need no event queue. The event lanes (sim/event_lane.hpp) do: each
+// lane owns one Scheduler and runs it window by window with run_until.
+// Events at equal timestamps fire in FIFO order (a monotone sequence
+// number breaks ties), so simulation is deterministic.
 //
 // Internals are built for throughput, not just correctness: events are
 // intrusive arena-pooled nodes (sim/event.hpp) ordered by a flat binary
@@ -45,10 +44,6 @@ class Scheduler {
 
   /// Schedule `action` `delay` after the current time.
   void schedule_after(Duration delay, Action action);
-
-  /// Run events until the queue is empty. Returns the number of events
-  /// executed.
-  std::size_t run_until_idle();
 
   /// Run events with timestamp <= `deadline`; time advances to `deadline`
   /// even if the queue drains early. Returns events executed.

@@ -1,10 +1,10 @@
 // Reference implementations the library's noise sampling is checked
 // against: Box–Muller and the lognormal-to-Duration chain evaluated with
-// libm's log, cos and exp, and the noise model with its interference and
-// rare-stall Poisson draws as two separate calls. Each is the
-// straightforward libm form, independent of the sim/fpmath chain it
-// checks, so a test can compare Durations and generator states draw for
-// draw.
+// libm's log, cos and exp, the mixture draw that re-sums its weights on
+// every call, and the noise model with its interference and rare-stall
+// Poisson draws as two separate calls. Each is the straightforward form,
+// independent of the code it checks, so a test can compare Durations and
+// generator states draw for draw.
 #pragma once
 
 #include <algorithm>
@@ -52,6 +52,25 @@ inline Duration sample(const sim::JitteredSegment& segment, Xoshiro256& rng) {
     ns = segment.ceiling.nanos();
   }
   return sim::from_nanos(ns);
+}
+
+/// MixtureSegment::sample with the weight total summed on every draw.
+/// The chosen component samples through the library's JitteredSegment,
+/// so only the selection is under test.
+inline Duration sample(const sim::MixtureSegment& mixture, Xoshiro256& rng) {
+  const auto& components = mixture.components();
+  double total = 0.0;
+  for (const auto& c : components) {
+    total += c.weight;
+  }
+  double pick = rng.uniform01() * total;
+  for (const auto& c : components) {
+    pick -= c.weight;
+    if (pick <= 0.0) {
+      return c.segment.sample(rng);
+    }
+  }
+  return components.back().segment.sample(rng);
 }
 
 /// The noise model with every count loop in one function.

@@ -374,23 +374,6 @@ TEST_F(ControllerFixture, PerfCountersRecordNotifyAndIrq) {
   EXPECT_EQ(interval.picos() % 8000, 0);  // 8 ns counter resolution
 }
 
-TEST_F(ControllerFixture, BypassDmaMovesDataBothWays) {
-  driver->initialize(2);
-  const HostAddr host_buf = memory.allocate(4096);
-  Bytes pattern(4096);
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    pattern[i] = static_cast<u8>(i * 3);
-  }
-  const sim::SimTime sent =
-      device->bypass_to_host(sim::SimTime{}, host_buf, pattern);
-  EXPECT_EQ(memory.read_bytes(host_buf, pattern.size()), pattern);
-  EXPECT_GT(sent.micros(), 3.0);  // 4 KiB at ~1 B/ns + overheads
-
-  Bytes readback(4096);
-  device->bypass_from_host(sent, host_buf, readback);
-  EXPECT_EQ(readback, pattern);
-}
-
 // ---- driver-written split rings the FSM must survive ---------------------------
 
 /// A console device with 16-entry queues whose TX ring the test writes

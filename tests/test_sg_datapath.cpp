@@ -10,7 +10,6 @@
 #include "support/chain_io.hpp"
 #include "vfpga/core/packed_queue_engine.hpp"
 #include "vfpga/core/queue_engine.hpp"
-#include "vfpga/core/testbed.hpp"
 #include "vfpga/pcie/root_complex.hpp"
 #include "vfpga/virtio/ids.hpp"
 #include "vfpga/virtio/packed_driver.hpp"
@@ -301,35 +300,6 @@ TEST_F(PackedSgFixture, IndirectTableWithBadGeometryIsError) {
   write_raw(drv, 0, table, static_cast<u32>(pk::kDescSize), 0,
             static_cast<u16>(indirect_avail | pk::flags::kNext));
   EXPECT_TRUE(poll_and_consume(*make_engine(drv)).error);
-}
-
-// ---- zero-length iovec segments through the socket surface -------------------
-
-TEST(SgSocketTest, ZeroLengthIovSegmentsSendAndReceive) {
-  core::TestbedOptions options;
-  options.datapath.tx_path =
-      hostos::VirtioNetDriver::TxPath::kScatterGatherIndirect;
-  core::VirtioNetTestbed bed{options};
-
-  Bytes a(100, 0x11);
-  Bytes b(200, 0x22);
-  const std::array<ConstByteSpan, 4> iov{
-      ConstByteSpan{a}, ConstByteSpan{}, ConstByteSpan{b}, ConstByteSpan{}};
-  ASSERT_TRUE(bed.socket().sendmsg(bed.thread(), bed.fpga_ip(),
-                                   bed.options().fpga_udp_port, iov,
-                                   /*more_coming=*/false, /*zerocopy=*/true));
-
-  Bytes head(100);
-  Bytes hole;
-  Bytes tail(300);
-  std::array<ByteSpan, 3> rx_iov{ByteSpan{head}, ByteSpan{hole},
-                                 ByteSpan{tail}};
-  const auto msg = bed.socket().recvmsg(bed.thread(), rx_iov);
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->bytes, 300u);
-  EXPECT_EQ(msg->datagram_bytes, 300u);
-  EXPECT_EQ(head, Bytes(100, 0x11));
-  EXPECT_EQ(Bytes(tail.begin(), tail.begin() + 200), Bytes(200, 0x22));
 }
 
 }  // namespace

@@ -229,6 +229,32 @@ TEST(Distributions, MixtureSelectsAllComponents) {
   EXPECT_NEAR(static_cast<double>(fast) / kN, 0.5, 0.03);
 }
 
+// The Fedora wake-up mixture and one whose weights sum to 0.9: summing
+// the weights once at construction must select the same component as
+// re-summing them on every draw, draw for draw.
+TEST(Distributions, MixtureMatchesOracleDrawForDraw) {
+  const std::vector<MixtureSegment> mixtures = {
+      hostos::CostModelConfig::fedora_defaults().wakeup,
+      MixtureSegment{{
+          {0.3, {nanoseconds(100), 0.0, {}, {}}},
+          {0.3, {nanoseconds(900), 0.2, {}, {}}},
+          {0.3, {nanoseconds(5000), 0.4, {}, {}}},
+      }},
+  };
+  for (std::size_t m = 0; m < mixtures.size(); ++m) {
+    Xoshiro256 rng{2000 + m};
+    Xoshiro256 reference{2000 + m};
+    for (int i = 0; i < 1'000'000; ++i) {
+      const Duration got = mixtures[m].sample(rng);
+      const Duration want = noise_oracle::sample(mixtures[m], reference);
+      if (got != want || rng.state() != reference.state()) {
+        FAIL() << "mixture " << m << " draw " << i << ": " << got.picos()
+               << " ps vs " << want.picos() << " ps";
+      }
+    }
+  }
+}
+
 // ---- the lognormal segment against the libm chain ---------------------------
 
 // Every segment the cost model and testbeds sample, plus sigma = 0 and
@@ -252,7 +278,7 @@ TEST(Distributions, JitteredSegmentMatchesOracleDrawForDraw) {
       // Clamped on both sides about a third of the time each.
       {nanoseconds(1000), 0.8, nanoseconds(700), nanoseconds(1400)},
   };
-  for (const auto& component : c.wakeup.components) {
+  for (const auto& component : c.wakeup.components()) {
     segments.push_back(component.segment);  // incl. the 40 us ceiling
   }
   for (std::size_t s = 0; s < segments.size(); ++s) {
@@ -295,7 +321,8 @@ TEST(Scheduler, ExecutesInTimeOrder) {
   sched.schedule_at(SimTime{300}, [&] { order.push_back(3); });
   sched.schedule_at(SimTime{100}, [&] { order.push_back(1); });
   sched.schedule_at(SimTime{200}, [&] { order.push_back(2); });
-  EXPECT_EQ(sched.run_until_idle(), 3u);
+  EXPECT_EQ(sched.run_until(SimTime{300}), 3u);
+  EXPECT_TRUE(sched.idle());
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sched.now().picos(), 300);
 }
@@ -306,7 +333,7 @@ TEST(Scheduler, FifoTieBreakAtEqualTimes) {
   for (int i = 0; i < 5; ++i) {
     sched.schedule_at(SimTime{50}, [&, i] { order.push_back(i); });
   }
-  sched.run_until_idle();
+  sched.run_until(SimTime{50});
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -319,7 +346,8 @@ TEST(Scheduler, ActionsCanScheduleMore) {
     }
   };
   sched.schedule_at(SimTime{0}, chain);
-  sched.run_until_idle();
+  sched.run_until(SimTime{} + nanoseconds(90));
+  EXPECT_TRUE(sched.idle());
   EXPECT_EQ(fired, 10);
   EXPECT_EQ(sched.now(), SimTime{} + nanoseconds(90));
 }
@@ -332,7 +360,7 @@ TEST(Scheduler, RunUntilStopsAtDeadline) {
   EXPECT_EQ(sched.run_until(SimTime{150}), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sched.now(), SimTime{150});
-  sched.run_until_idle();
+  sched.run_until(SimTime{200});
   EXPECT_EQ(fired, 2);
 }
 
@@ -411,7 +439,8 @@ TEST(Scheduler, SteadyStateReschedulingAllocatesNothing) {
 
   const u64 nodes_before = sched.arena().node_allocations();
   const u64 heap_before = SmallFn::heap_allocations();
-  sched.run_until_idle();
+  sched.run_until(SimTime{} + nanoseconds(5 * 9'999));  // the last link
+  EXPECT_TRUE(sched.idle());
   EXPECT_EQ(fired, 10'000u);
   EXPECT_EQ(sched.arena().node_allocations(), nodes_before);
   EXPECT_EQ(SmallFn::heap_allocations(), heap_before);
@@ -427,7 +456,7 @@ TEST(Scheduler, ExecutedCountsLifetimeEvents) {
   EXPECT_EQ(sched.next_due(), SimTime{1});
   sched.run_until(SimTime{3});
   EXPECT_EQ(sched.executed(), 3u);
-  sched.run_until_idle();
+  sched.run_until(SimTime{5});
   EXPECT_EQ(sched.executed(), 5u);
   EXPECT_TRUE(sched.idle());
 }
