@@ -1,6 +1,7 @@
 // Unit tests: simulated host memory and BRAM.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -60,6 +61,59 @@ TEST(HostMemory, FillWorksAcrossPages) {
   }
   EXPECT_EQ(memory.read_u8(addr - 1), 0);
   EXPECT_EQ(memory.read_u8(addr + 20), 0);
+}
+
+// Every size class a libc memcpy/memset chooses between (tiny, vector,
+// loop, page-sized and multi-page), at offsets that put the copy on and
+// off alignment and across a page boundary. Guard bytes on both sides of
+// the target, in memory and in the read buffer, must not move.
+TEST(HostMemory, EveryLengthAndOffsetRoundTrips) {
+  constexpr u64 kGuard = 16;
+  const std::vector<u64> offsets{0, 1, 7, 8, 15, 4089, 4095};
+  std::vector<u64> lengths{1023, 1024, 1025, 4095, 4096, 4097, 8193};
+  for (u64 n = 0; n <= 256; ++n) {
+    lengths.push_back(n);
+  }
+  HostMemory memory;
+  sim::Xoshiro256 rng{0x3e3c};
+  const auto random_bytes = [&rng](u64 n) {
+    Bytes out(n);
+    for (u8& b : out) {
+      b = static_cast<u8>(rng());
+    }
+    return out;
+  };
+  for (const u64 offset : offsets) {
+    const HostAddr addr = 4 * HostMemory::kPageSize + offset;
+    for (const u64 length : lengths) {
+      SCOPED_TRACE(testing::Message() << "offset " << offset << " length "
+                                      << length);
+      // Background over [addr - guard, addr + length + guard).
+      Bytes expected = random_bytes(length + 2 * kGuard);
+      memory.write(addr - kGuard, expected);
+
+      const Bytes pattern = random_bytes(length);
+      memory.write(addr, pattern);
+      std::copy(pattern.begin(), pattern.end(),
+                expected.begin() + static_cast<std::ptrdiff_t>(kGuard));
+      EXPECT_EQ(memory.read_bytes(addr - kGuard, expected.size()), expected);
+
+      // read() into the middle of a guarded buffer.
+      const Bytes canary = random_bytes(length + 2 * kGuard);
+      Bytes out = canary;
+      memory.read(addr, ByteSpan{out}.subspan(kGuard, length));
+      Bytes want = canary;
+      std::copy(pattern.begin(), pattern.end(),
+                want.begin() + static_cast<std::ptrdiff_t>(kGuard));
+      EXPECT_EQ(out, want);
+
+      const u8 value = static_cast<u8>(rng());
+      memory.fill(addr, value, length);
+      std::fill_n(expected.begin() + static_cast<std::ptrdiff_t>(kGuard),
+                  length, value);
+      EXPECT_EQ(memory.read_bytes(addr - kGuard, expected.size()), expected);
+    }
+  }
 }
 
 // ---- last-page cache ------------------------------------------------------
