@@ -11,7 +11,7 @@
 //      engine status (MMIO reads).
 #include <cstdio>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/harness/virtio_bench.hpp"
 #include "vfpga/harness/xdma_bench.hpp"
@@ -31,8 +31,7 @@ void report(const char* name, const stats::SampleSet& samples) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+int vfpga::bench::ablation_c2h_notification(const Args& args) {
   const u64 seed = args.seed.value_or(11);
   const u64 n = args.iterations.value_or(20'000);
   std::printf("ABL-NOTIF -- C2H notification strategies, %llu round trips, "

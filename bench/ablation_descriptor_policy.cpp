@@ -14,7 +14,7 @@
 // against the XDMA engine's per-transfer descriptor fetch as reference.
 #include <cstdio>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/harness/virtio_bench.hpp"
 #include "vfpga/harness/xdma_bench.hpp"
@@ -40,8 +40,7 @@ void run_virtio(const char* name, core::ControllerPolicy policy, u64 n,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+int vfpga::bench::ablation_descriptor_policy(const Args& args) {
   const u64 seed = args.seed.value_or(21);
   const u64 n = args.iterations.value_or(20'000);
   std::printf("ABL-DESC -- descriptor policy ablation, %llu round trips, "

@@ -8,13 +8,11 @@
 // regime where driver choice stops mattering.
 #include <cstdio>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/stats/summary.hpp"
 
-int main(int argc, char** argv) {
-  using namespace vfpga;
-  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+int vfpga::bench::ablation_payload_sweep(const Args& args) {
   const u64 n = args.iterations ? *args.iterations / 2 + 1 : 8'000;
   std::printf("ABL-PAYLOAD -- bus-domination sweep, %llu round trips/point\n\n",
               static_cast<unsigned long long>(n));

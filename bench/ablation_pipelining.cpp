@@ -9,7 +9,7 @@
 // packet rate for both stacks.
 #include <cstdio>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/stats/summary.hpp"
 
@@ -21,8 +21,7 @@ constexpr u64 kPayload = 256;
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+int vfpga::bench::ablation_pipelining(const Args& args) {
   const u64 seed = args.seed.value_or(71);
   const u64 bursts = args.iterations ? *args.iterations / 4 + 1 : 4'000;
   std::printf("ABL-PIPE -- burst pipelining, %llu bursts/point, %llu B "

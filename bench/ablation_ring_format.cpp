@@ -8,7 +8,7 @@
 // formats with everything else identical.
 #include <cstdio>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/harness/virtio_bench.hpp"
 
 namespace {
@@ -33,8 +33,7 @@ void run_format(bool packed, u64 n, u64 seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+int vfpga::bench::ablation_ring_format(const Args& args) {
   const u64 seed = args.seed.value_or(51);
   const u64 n = args.iterations.value_or(20'000);
   std::printf("ABL-RING -- split vs packed virtqueue format, %llu round "

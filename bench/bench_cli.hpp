@@ -1,21 +1,21 @@
 // The bench front end: one reader for the command line and the VFPGA_*
-// environment variables, shared by every bench binary.
+// environment variables, shared by every experiment of vfpga-bench.
 //
-// Each bench names the subset of the shared flags it takes; anything
-// else — an unknown flag, a flag that bench does not take, a missing or
-// malformed operand — prints `error: unknown argument "<arg>"` and
-// exits 2, so a typo can never silently run the default workload.
+// Each experiment names the subset of the shared flags it takes;
+// anything else — an unknown flag, a flag that experiment does not take,
+// a missing or malformed operand — prints
+// `error: unknown argument "<arg>"` and exits 2, so a typo can never
+// silently run the default workload.
 //
 // The environment follows one strict rule: counts are positive integers
 // (up to 2^32 - 1), VFPGA_THREADS follows the --threads rule (1..65536),
-// seeds are any u64, and the fault rate lies in (0,1).
-// A set-but-invalid variable prints `error: VFPGA_X=<value> ...` and
-// exits 2. Numbers take C prefixes (`0x10`, `010`) but no sign or
-// surrounding whitespace.
+// and seeds are any u64. A set-but-invalid variable prints
+// `error: VFPGA_X=<value> ...` and exits 2. Numbers take C prefixes
+// (`0x10`, `010`) but no sign or surrounding whitespace.
 //
-// Seeds: `--seed N` beats VFPGA_SEED, which beats the bench's default.
-// Each bench keeps its own base; per-configuration offsets stay applied
-// on top, so distinct configs keep distinct RNG streams.
+// Seeds: `--seed N` beats VFPGA_SEED, which beats the experiment's
+// default. Each experiment keeps its own base; per-configuration offsets
+// stay applied on top, so distinct configs keep distinct RNG streams.
 #pragma once
 
 #include <cstdio>
@@ -32,15 +32,17 @@ namespace vfpga::bench {
 using harness::parse_thread_count;
 using harness::parse_u64;
 
-/// The shared flags; a bench passes the ones it takes to parse_args.
+/// The shared flags; an experiment's registry entry names the ones it
+/// takes (experiments.hpp).
 enum Flag : unsigned {
   kSmoke = 1u << 0,      ///< --smoke: trimmed workload for CI
-  kStatsOnly = 1u << 1,  ///< --stats-only: print the deterministic JSON
-  kSeed = 1u << 2,       ///< --seed N / --seed=N
-  kThreads = 1u << 3,    ///< --threads N / --threads=N
+  kStatsOnly = 1u << 1,  ///< --stats-only: print only the deterministic JSON
+  kSeed = 1u << 2,       ///< --seed N / --seed=N: the base seed
+  kThreads = 1u << 3,    ///< --threads N / --threads=N: worker threads
 };
 
-/// What one bench run was asked for: its flags, then the environment.
+/// What one experiment run was asked for: its flags, then the
+/// environment.
 struct Args {
   bool smoke = false;
   bool stats_only = false;
@@ -48,12 +50,8 @@ struct Args {
   /// --threads; 0 = not given. Feeds harness::worker_threads, where
   /// VFPGA_THREADS still wins (CI pins determinism oracles with it).
   unsigned threads = 0;
-  std::optional<u32> iterations;        ///< VFPGA_ITERATIONS
-  std::optional<u32> mq_trials;         ///< VFPGA_MQ_TRIALS
-  std::optional<u32> mq_packets;        ///< VFPGA_MQ_PACKETS
-  std::optional<u32> campaign_runs;     ///< VFPGA_CAMPAIGN_RUNS
-  std::optional<u32> campaign_ops;      ///< VFPGA_CAMPAIGN_OPS
-  std::optional<double> campaign_rate;  ///< VFPGA_CAMPAIGN_RATE
+  std::optional<u32> iterations;     ///< VFPGA_ITERATIONS
+  std::optional<u32> campaign_runs;  ///< VFPGA_CAMPAIGN_RUNS
 };
 
 namespace detail {
@@ -91,21 +89,12 @@ inline std::optional<u32> parse_count(const char* text) {
   return static_cast<u32>(*value);
 }
 
-inline std::optional<double> parse_rate(const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  const bool numeric = (*text >= '0' && *text <= '9') || *text == '.';
-  if (!numeric || *end != '\0' || !(value > 0.0 && value < 1.0)) {
-    return std::nullopt;
-  }
-  return value;
-}
-
 }  // namespace detail
 
 /// Parse argv against the `accepted` flags (an OR of Flag values), then
 /// read the environment. Exits 2 with a diagnostic on any bad input.
-/// A repeated flag takes its last value.
+/// A repeated flag takes its last value. argv[0], the experiment's name,
+/// is not a flag.
 inline Args parse_args(int argc, char** argv, unsigned accepted) {
   Args args;
   std::optional<u64> cli_seed;
@@ -162,12 +151,7 @@ inline Args parse_args(int argc, char** argv, unsigned accepted) {
                        "is not a positive integer (1..4294967295)");
   };
   args.iterations = count("VFPGA_ITERATIONS");
-  args.mq_trials = count("VFPGA_MQ_TRIALS");
-  args.mq_packets = count("VFPGA_MQ_PACKETS");
   args.campaign_runs = count("VFPGA_CAMPAIGN_RUNS");
-  args.campaign_ops = count("VFPGA_CAMPAIGN_OPS");
-  args.campaign_rate = detail::env("VFPGA_CAMPAIGN_RATE", detail::parse_rate,
-                                   "is not a probability in (0,1)");
   return args;
 }
 

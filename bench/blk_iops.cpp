@@ -17,17 +17,11 @@
 // numbers at any worker-thread count, in the canonical payload-major /
 // depth / {interrupt, reactor} order printed below.
 //
-//   --smoke                trimmed sweep for CI
-//   --stats-only           print ONLY the deterministic JSON document to
-//                          stdout — CI byte-diffs this across
-//                          VFPGA_THREADS (no gates, no file)
-//   --threads N            worker threads for the sweep's cells
-//                          (env > this > hardware; VFPGA_THREADS wins)
-//   --seed N               base seed (beats VFPGA_SEED)
-//   VFPGA_ITERATIONS=400   measured requests per cell
+// --stats-only prints only the deterministic JSON document (no gates, no
+// file). VFPGA_ITERATIONS sets the measured requests per cell (400).
 #include <cstdio>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/harness/blk_bench.hpp"
 #include "vfpga/harness/report.hpp"
 
@@ -69,11 +63,7 @@ vfpga::harness::Json sweep_json(const vfpga::harness::BlkBenchConfig& config,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace vfpga;
-  const bench::Args args = bench::parse_args(
-      argc, argv,
-      bench::kSmoke | bench::kStatsOnly | bench::kSeed | bench::kThreads);
+int vfpga::bench::blk_iops(const Args& args) {
   harness::BlkBenchConfig config;
   config.ops_per_cell = args.iterations.value_or(config.ops_per_cell);
   config.seed = args.seed.value_or(config.seed);

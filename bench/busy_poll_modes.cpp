@@ -14,14 +14,11 @@
 // A second section measures TX kick coalescing: MSG_MORE bursts against
 // EVENT_IDX on split and packed rings, doorbells per frame.
 // Exits non-zero on any gate violation.
-//
-//   --smoke                trimmed sweep for CI
-//   --seed N               base seed (beats VFPGA_SEED; default 45073)
-//   VFPGA_ITERATIONS=300   measured echoes per flow
+// Seed 45073; VFPGA_ITERATIONS sets the measured echoes per flow (300).
 #include <cstdio>
 #include <vector>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/harness/busy_poll_bench.hpp"
 #include "vfpga/harness/multi_flow.hpp"
 
@@ -41,10 +38,7 @@ const char* mode_name(vfpga::hostos::RxMode mode) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace vfpga;
-  const bench::Args args =
-      bench::parse_args(argc, argv, bench::kSmoke | bench::kSeed);
+int vfpga::bench::busy_poll_modes(const Args& args) {
   harness::MultiFlowConfig base;
   base.packets_per_flow = args.iterations.value_or(300);
   base.warmup_per_flow = 20;

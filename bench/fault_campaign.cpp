@@ -12,12 +12,12 @@
 //
 //   --seed N                 base seed (beats VFPGA_SEED; default 202408)
 //   VFPGA_CAMPAIGN_RUNS=200  seeded runs per (class, workload)
-//   VFPGA_CAMPAIGN_OPS=12    faulted operations per run
-//   VFPGA_CAMPAIGN_RATE=0.08 per-consult injection probability
+// Each run makes 12 faulted operations at a per-consult injection
+// probability of 0.08 (harness::CampaignConfig's defaults).
 #include <cstdio>
 #include <string>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/harness/fault_campaign.hpp"
 #include "vfpga/harness/report.hpp"
 
@@ -78,13 +78,9 @@ int report_failures(const vfpga::harness::CampaignResult& result) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace vfpga;
-  const bench::Args args = bench::parse_args(argc, argv, bench::kSeed);
+int vfpga::bench::fault_campaign(const Args& args) {
   harness::CampaignConfig config;
   config.runs_per_class = args.campaign_runs.value_or(config.runs_per_class);
-  config.ops_per_run = args.campaign_ops.value_or(config.ops_per_run);
-  config.fault_rate = args.campaign_rate.value_or(config.fault_rate);
   config.base_seed = args.seed.value_or(config.base_seed);
   std::printf(
       "fault campaign: %llu runs/class, %u ops/run, rate %.3f, seed %llu\n",

@@ -8,19 +8,13 @@
 // with the pair count (within a small tolerance) and that no echo was
 // lost or steered to the wrong pair — exits non-zero otherwise.
 //
-//   --smoke                  trimmed sweep for CI
-//   --stats-only             print ONLY the deterministic per-cell JSON
-//                            document to stdout — CI byte-diffs this
-//                            across VFPGA_THREADS (no gates, no table)
-//   --threads N              worker threads for the trials
-//                            (env > this > hardware; VFPGA_THREADS wins)
-//   --seed N                 base seed (beats VFPGA_SEED; default 2025)
-//   VFPGA_MQ_TRIALS=4        independent trials per cell
-//   VFPGA_MQ_PACKETS=200     measured echoes per flow
+// --stats-only prints only the deterministic per-cell JSON document (no
+// gates, no table). The full sweep runs 4 trials per cell of 200 measured
+// echoes per flow, seed 2025 (harness::MultiFlowConfig's defaults).
 #include <cstdio>
 #include <vector>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/harness/multi_flow.hpp"
 #include "vfpga/harness/report.hpp"
 
@@ -50,14 +44,8 @@ void add_cell(vfpga::harness::Json& doc,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace vfpga;
-  const bench::Args args = bench::parse_args(
-      argc, argv,
-      bench::kSmoke | bench::kStatsOnly | bench::kSeed | bench::kThreads);
+int vfpga::bench::mq_scaling(const Args& args) {
   harness::MultiFlowConfig base;
-  base.trials = args.mq_trials.value_or(base.trials);
-  base.packets_per_flow = args.mq_packets.value_or(base.packets_per_flow);
   base.seed = args.seed.value_or(base.seed);
   base.threads = args.threads;
   std::vector<u16> pair_counts = {1, 2, 4, 8};

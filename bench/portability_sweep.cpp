@@ -10,7 +10,7 @@
 // so it should hold on every platform.
 #include <cstdio>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/harness/virtio_bench.hpp"
 #include "vfpga/harness/xdma_bench.hpp"
@@ -71,8 +71,8 @@ sim::NoiseConfig tuned_server_noise() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const u64 n = bench::parse_args(argc, argv, 0).iterations.value_or(15'000);
+int vfpga::bench::portability_sweep(const Args& args) {
+  const u64 n = args.iterations.value_or(15'000);
   const u64 payload = 256;
   std::printf("PORTABILITY -- VirtIO vs XDMA across platform presets, "
               "%llu round trips, %llu B payload\n\n",

@@ -12,21 +12,15 @@
 //     but informational — one core cannot exhibit parallelism.
 // Writes BENCH_sim_speed.json ($VFPGA_JSON_DIR honoured): the
 // --stats-only document plus the wall-clock fields and `ok`. Exits
-// non-zero on any gate violation or failed write, and 2 on an unknown
-// argument.
+// non-zero on any gate violation or failed write.
 //
-//   --smoke                trimmed workload for CI
-//   --stats-only           print ONLY the deterministic stats JSON to
-//                          stdout (no file, no wall-clock fields; gate
-//                          failures go to stderr) — CI byte-diffs this
-//                          across VFPGA_THREADS
-//   --threads N            worker pool request (env > this > hardware)
-//   --seed N               base seed (beats VFPGA_SEED)
-//   VFPGA_THREADS=N        worker pool size for the parallel run
+// --stats-only prints only the deterministic stats JSON (no file, no
+// wall-clock fields; gate failures go to stderr), from one run at the
+// resolved thread count.
 #include <cstdio>
 #include <thread>
 
-#include "bench_cli.hpp"
+#include "experiments.hpp"
 #include "vfpga/harness/parallel.hpp"
 #include "vfpga/harness/report.hpp"
 #include "vfpga/harness/sim_speed.hpp"
@@ -85,11 +79,7 @@ Json stats_json(const SimSpeedConfig& config, const SimSpeedResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace vfpga;
-  const bench::Args args = bench::parse_args(
-      argc, argv,
-      bench::kSmoke | bench::kStatsOnly | bench::kSeed | bench::kThreads);
+int vfpga::bench::sim_speed(const Args& args) {
   SimSpeedConfig config;
   config.seed = args.seed.value_or(config.seed);
   if (args.smoke) {
@@ -102,8 +92,7 @@ int main(int argc, char** argv) {
   config.threads = harness::worker_threads(config.lanes, args.threads);
 
   if (args.stats_only) {
-    // One run at the resolved thread count; CI byte-diffs the output of
-    // VFPGA_THREADS=1 against VFPGA_THREADS=N.
+    // Its golden pins the output at any VFPGA_THREADS.
     const SimSpeedResult r = harness::run_sim_speed(config);
     std::fputs(stats_json(config, r).end_object().str().c_str(), stdout);
     return r.failures == 0 && r.dropped_messages == 0 ? 0 : 1;

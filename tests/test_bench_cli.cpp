@@ -1,13 +1,14 @@
 // The bench front end (bench/bench_cli.hpp): flag parsing against each
-// bench's accepted set, the strict environment rule, and the seed
-// precedence --seed > VFPGA_SEED > the bench's default.
+// experiment's accepted set, the strict environment rule, and the seed
+// precedence --seed > VFPGA_SEED > the experiment's default; and the
+// registry behind vfpga-bench (bench/experiments.hpp), entry by entry.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "../bench/bench_cli.hpp"
+#include "experiments.hpp"
 
 namespace vfpga::bench {
 namespace {
@@ -29,10 +30,8 @@ class BenchCli : public ::testing::Test {
 
  private:
   static void clear() {
-    for (const char* name :
-         {"VFPGA_ITERATIONS", "VFPGA_SEED", "VFPGA_MQ_TRIALS",
-          "VFPGA_MQ_PACKETS", "VFPGA_CAMPAIGN_RUNS", "VFPGA_CAMPAIGN_OPS",
-          "VFPGA_CAMPAIGN_RATE", "VFPGA_THREADS"}) {
+    for (const char* name : {"VFPGA_ITERATIONS", "VFPGA_SEED",
+                             "VFPGA_CAMPAIGN_RUNS", "VFPGA_THREADS"}) {
       ::unsetenv(name);
     }
   }
@@ -91,13 +90,11 @@ TEST_F(BenchCli, SeedFlagBeatsEnvironmentWhichBeatsDefault) {
   EXPECT_EQ(paper_config(parse({"bench", "--seed=9"})).seed, 9u);
 }
 
-TEST_F(BenchCli, EnvironmentCountsAndRateAreRead) {
-  ::setenv("VFPGA_MQ_TRIALS", "3", 1);
-  ::setenv("VFPGA_CAMPAIGN_RATE", "0.25", 1);
+TEST_F(BenchCli, EnvironmentCountsAreRead) {
+  ::setenv("VFPGA_CAMPAIGN_RUNS", "3", 1);
   const Args args = parse({"bench"});
-  EXPECT_EQ(args.mq_trials, 3u);
-  EXPECT_EQ(args.campaign_rate, 0.25);
-  EXPECT_FALSE(args.mq_packets.has_value());
+  EXPECT_EQ(args.campaign_runs, 3u);
+  EXPECT_FALSE(args.iterations.has_value());
 }
 
 TEST_F(BenchCli, ValidThreadsEnvironmentPassesAndLeavesCliThreadsUnset) {
@@ -160,15 +157,9 @@ TEST_F(BenchCliDeathTest, RejectsNonNumericIterations) {
 }
 
 TEST_F(BenchCliDeathTest, RejectsZeroTrials) {
-  ::setenv("VFPGA_MQ_TRIALS", "0", 1);
+  ::setenv("VFPGA_CAMPAIGN_RUNS", "0", 1);
   EXPECT_EXIT(parse({"bench"}), ::testing::ExitedWithCode(2),
-              "error: VFPGA_MQ_TRIALS=0 is not a positive integer");
-}
-
-TEST_F(BenchCliDeathTest, RejectsRateOutsideTheUnitInterval) {
-  ::setenv("VFPGA_CAMPAIGN_RATE", "2", 1);
-  EXPECT_EXIT(parse({"bench"}), ::testing::ExitedWithCode(2),
-              "error: VFPGA_CAMPAIGN_RATE=2 is not a probability");
+              "error: VFPGA_CAMPAIGN_RUNS=0 is not a positive integer");
 }
 
 TEST_F(BenchCliDeathTest, RejectsMalformedThreadsEnvironment) {
@@ -185,6 +176,50 @@ TEST_F(BenchCliDeathTest, RejectsMalformedEnvironmentSeed) {
   ::setenv("VFPGA_SEED", "-5", 1);
   EXPECT_EXIT(parse({"bench", "--seed", "1"}), ::testing::ExitedWithCode(2),
               "error: VFPGA_SEED=-5 is not an unsigned 64-bit integer");
+}
+
+/// vfpga-bench over a literal command line (the program name added).
+void run(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "vfpga-bench");
+  run_experiment(static_cast<int>(argv.size()),
+                 const_cast<char**>(argv.data()));
+}
+
+/// <entry>.RejectsUnknownArguments, registered below for every registry
+/// entry: the entry exits 2 on a flag no entry takes, before running.
+struct RejectsUnknownArguments : BenchCli {
+  explicit RejectsUnknownArguments(const char* entry) : name(entry) {}
+  void TestBody() override {
+    EXPECT_EXIT(run({name, "--no-such-flag"}), ::testing::ExitedWithCode(2),
+                "error: unknown argument \"--no-such-flag\"");
+  }
+  const char* name;
+};
+
+[[maybe_unused]] const bool kEntryTestsRegistered = [] {
+  for (const Experiment& experiment : kExperiments) {
+    ::testing::RegisterTest(experiment.name, "RejectsUnknownArguments",
+                            nullptr, nullptr, __FILE__, __LINE__,
+                            [name = experiment.name] {
+                              return new RejectsUnknownArguments(name);
+                            });
+  }
+  return true;
+}();
+
+TEST_F(BenchCliDeathTest, RejectsUnknownExperimentAndListsEveryName) {
+  std::string listing = "error: unknown experiment \"fig6\"";
+  for (const Experiment& experiment : kExperiments) {
+    listing += std::string("\n") + experiment.name;
+  }
+  EXPECT_EXIT(run({"fig6"}), ::testing::ExitedWithCode(2), listing);
+  EXPECT_EXIT(run({}), ::testing::ExitedWithCode(2),
+              "error: unknown experiment \"\"\nfig3\n");
+}
+
+TEST_F(BenchCliDeathTest, EntryRejectsAFlagItDoesNotTake) {
+  EXPECT_EXIT(run({"fig3", "--smoke"}), ::testing::ExitedWithCode(2),
+              "error: unknown argument \"--smoke\"");
 }
 
 }  // namespace
