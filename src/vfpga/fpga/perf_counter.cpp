@@ -13,7 +13,12 @@ void PerfCounterBank::capture(CounterEvent event, sim::SimTime at) {
   const auto id = static_cast<std::size_t>(event);
   latest_[id] = cycle;
   captured_ |= 1u << id;
-  window_[next_] = window_[next_ + kHistoryDepth] = Capture{event, cycle};
+  // One local for both slots: a chained assignment reloads the first
+  // slot as 16 bytes right after its two narrower stores, which stalls
+  // store forwarding.
+  const Capture entry{event, cycle};
+  window_[next_] = entry;
+  window_[next_ + kHistoryDepth] = entry;
   next_ = (next_ + 1) % kHistoryDepth;
   size_ = std::min(size_ + 1, kHistoryDepth);
 }

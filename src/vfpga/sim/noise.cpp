@@ -1,8 +1,45 @@
 #include "vfpga/sim/noise.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace vfpga::sim {
+
+PoissonZeroTest::PoissonZeroTest(double rate_per_us) {
+  if (!(rate_per_us >= 0x1p-900 && rate_per_us < 0x1p19)) {
+    return;  // NaN fails too
+  }
+  if (rate_per_us < 0x1p-60) {
+    slope_ = 1;  // rate·2^53/10^6 < 2^-27
+  } else {
+    // rate·2^53 = mant·2^exp exactly, with -59 ≤ exp ≤ 19, so the
+    // quotient mant·2^exp·(2^40+1) / (10^6·2^40) is rounded up in 128-bit
+    // integers: the numerator stays below 2^113, the divisor below 2^119.
+    int exp = 0;
+    const auto mant =
+        static_cast<u64>(std::ldexp(std::frexp(rate_per_us, &exp), 53));
+    using u128 = unsigned __int128;
+    u128 num = u128{mant} * ((u64{1} << 40) + 1);
+    u128 den = u128{1'000'000} << 40;
+    if (exp >= 0) {
+      num <<= exp;
+    } else {
+      den <<= -exp;
+    }
+    slope_ = static_cast<u64>((num + den - 1) / den);
+  }
+  max_picos_ = static_cast<i64>(kZeroBelow / slope_);  // ≥ 1: k < 2^52.1
+}
+
+u64 NoiseModel::count_past_zero_test(Xoshiro256& rng, double mean,
+                                     u64 bits) {
+  // uniform01's value of the same draw, then sample_poisson's path.
+  const double first = static_cast<double>(bits) * 0x1.0p-53;
+  if (first < poisson_zero_cutoff(mean)) {
+    return 0;
+  }
+  return sample_poisson_rest(rng, mean, first);
+}
 
 Duration NoiseModel::common_delays(Xoshiro256& rng, u64 events) const {
   double extra_ns = 0.0;

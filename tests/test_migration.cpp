@@ -650,6 +650,31 @@ TEST(PerfCounterBank, StateCarriesLatestCyclesButNotTheWindow) {
   EXPECT_TRUE(restored.history().empty());
 }
 
+// The window after every capture, from the first through three wraps:
+// the last min(n, depth) captures, oldest first.
+TEST(PerfCounterBank, HistoryKeepsTheLastDepthCapturesOldestFirst) {
+  constexpr std::size_t kDepth = fpga::PerfCounterBank::kHistoryDepth;
+  fpga::PerfCounterBank bank;
+  std::vector<fpga::PerfCounterBank::Capture> sent;
+  for (std::size_t n = 0; n < 3 * kDepth + 5; ++n) {
+    const auto event =
+        static_cast<fpga::CounterEvent>(n % fpga::kCounterEvents);
+    const sim::SimTime at =
+        sim::SimTime{} + sim::nanoseconds(static_cast<i64>(8 * (3 * n + 1)));
+    bank.capture(event, at);
+    sent.push_back({event, 3 * n + 1});
+
+    const auto history = bank.history();
+    const std::size_t want = std::min(sent.size(), kDepth);
+    ASSERT_EQ(history.size(), want) << "after capture " << n;
+    for (std::size_t i = 0; i < want; ++i) {
+      const auto& expected = sent[sent.size() - want + i];
+      ASSERT_EQ(history[i].event, expected.event) << n << ", entry " << i;
+      ASSERT_EQ(history[i].cycle, expected.cycle) << n << ", entry " << i;
+    }
+  }
+}
+
 TEST(PerfCounterBank, LoadStateRejectsUnknownEventBit) {
   migrate::StateWriter w;
   w.put_u32(1u | 1u << fpga::kCounterEvents);  // notify + one past the last

@@ -468,8 +468,12 @@ TEST(Noise, DisabledProducesNothing) {
   config.enabled = false;
   NoiseModel noise{config};
   Xoshiro256 rng{1};
+  const auto before = rng.state();
   EXPECT_EQ(noise.interference(rng, microseconds(1000)), Duration{});
   EXPECT_EQ(noise.rare_stall(rng, microseconds(1000)), Duration{});
+  EXPECT_EQ(noise.software_noise(rng, microseconds(1000)), Duration{});
+  EXPECT_EQ(noise.software_noise(rng, picoseconds(1)), Duration{});
+  EXPECT_EQ(rng.state(), before);
 }
 
 TEST(Noise, InterferenceScalesWithExposure) {
@@ -533,6 +537,236 @@ TEST(Noise, ExecFixedDrawsRareStallFirst) {
     }
   }
   EXPECT_GT(order_mattered, 100);
+}
+
+// ---- the integer zero test ------------------------------------------------
+//
+// NoiseModel decides a draw's zero-event case with PoissonZeroTest; the
+// oracle forms the double mean and calls sample_poisson on every check.
+// Each test compares the Duration and the generator state at every step.
+
+// HostThread's three noise paths against the oracle: exec_fixed (rare
+// stall, then interference over the segment), block_until and
+// spin_until (a rare stall over the wait). Segments run from 1 ps to
+// about 134 µs, log-spread, so they reach past both zero tests' bounds
+// at a rate of 0.3 and past the common one at the default rates.
+void expect_host_steps_match_oracle(const NoiseConfig& config, u64 seed,
+                                    int steps) {
+  const NoiseModel noise{config};
+  const noise_oracle::NoiseModel oracle{config};
+  const auto costs = hostos::CostModelConfig::fedora_defaults();
+  Xoshiro256 rng{seed};
+  Xoshiro256 reference{seed};
+  Xoshiro256 pick{seed + 1};
+  hostos::HostThread thread{rng, costs, noise};
+  SimTime want;
+  for (int i = 0; i < steps; ++i) {
+    const u64 r = pick();
+    const int width = static_cast<int>(r & 31) % 28;
+    const Duration d{
+        1 + static_cast<i64>((r >> 8) & ((u64{1} << width) - 1))};
+    switch (r >> 5 & 3) {
+      case 0:
+      case 1: {
+        thread.exec_fixed(d);
+        const Duration stall = oracle.rare_stall(reference, d);
+        want += d + oracle.interference(reference, d) + stall;
+        break;
+      }
+      case 2: {
+        // One wait in eight targets a time already passed.
+        const bool past = (r >> 40 & 7) == 0;
+        const SimTime t = past ? SimTime{want.picos() - d.picos()} : want + d;
+        thread.block_until(t);
+        const Duration slept = t > want ? t - want : Duration{};
+        want = std::max(want, t) + oracle.rare_stall(reference, slept);
+        break;
+      }
+      default: {
+        const bool past = (r >> 40 & 7) == 0;
+        const SimTime t = past ? SimTime{want.picos() - d.picos()} : want + d;
+        thread.spin_until(t);
+        if (t > want) {
+          want = t + oracle.rare_stall(reference, t - want);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(thread.now(), want) << "step " << i << ", " << d.picos()
+                                  << " ps";
+    ASSERT_EQ(rng.state(), reference.state()) << "step " << i;
+  }
+}
+
+TEST(NoiseZeroTest, HostStepsMatchOracleAtDefaultRates) {
+  expect_host_steps_match_oracle(NoiseConfig{}, 39, 1'000'000);
+}
+
+TEST(NoiseZeroTest, HostStepsMatchOracleWhereEventsAreCommon) {
+  NoiseConfig config;
+  config.common_rate_per_us = 0.3;
+  config.rare_rate_per_us = 0.3;
+  expect_host_steps_match_oracle(config, 40, 1'000'000);
+}
+
+// software_noise, rare_stall and interference over each segment, `draws`
+// times, against the oracle.
+void expect_model_matches_oracle(const NoiseConfig& config,
+                                 const std::vector<i64>& segments_ps,
+                                 int draws) {
+  const NoiseModel noise{config};
+  const noise_oracle::NoiseModel oracle{config};
+  Xoshiro256 rng{41};
+  Xoshiro256 reference{41};
+  for (const i64 ps : segments_ps) {
+    const Duration d{ps};
+    for (int i = 0; i < draws; ++i) {
+      const Duration stall = oracle.rare_stall(reference, d);
+      ASSERT_EQ(noise.software_noise(rng, d),
+                oracle.interference(reference, d) + stall)
+          << ps << " ps, draw " << i;
+      ASSERT_EQ(noise.rare_stall(rng, d), oracle.rare_stall(reference, d))
+          << ps << " ps, draw " << i;
+      ASSERT_EQ(noise.interference(rng, d), oracle.interference(reference, d))
+          << ps << " ps, draw " << i;
+      ASSERT_EQ(rng.state(), reference.state()) << ps << " ps, draw " << i;
+    }
+  }
+}
+
+TEST(NoiseZeroTest, ZeroRateDrawsNothing) {
+  EXPECT_EQ(PoissonZeroTest{0.0}.max_picos(), 0);
+  NoiseConfig config;
+  config.common_rate_per_us = 0.0;
+  config.rare_rate_per_us = 0.0;
+  const NoiseModel noise{config};
+  Xoshiro256 rng{42};
+  const auto before = rng.state();
+  for (const i64 ps : {i64{1}, i64{1'000}, i64{1'000'000}, i64{1} << 50}) {
+    EXPECT_EQ(noise.software_noise(rng, Duration{ps}), Duration{});
+    EXPECT_EQ(noise.rare_stall(rng, Duration{ps}), Duration{});
+    EXPECT_EQ(noise.interference(rng, Duration{ps}), Duration{});
+  }
+  EXPECT_EQ(rng.state(), before);
+
+  // One rate zero: only the other draws.
+  config.rare_rate_per_us = 0.3;
+  expect_model_matches_oracle(config, {1, 3'000'000, 200'000'000}, 2'000);
+  config.rare_rate_per_us = 0.0;
+  config.common_rate_per_us = 0.3;
+  expect_model_matches_oracle(config, {1, 3'000'000, 200'000'000}, 2'000);
+}
+
+// The bound is the longest segment the integer test decides: at it the
+// integer path runs (mean near 1, so often past the threshold), one past
+// it the double path.
+TEST(NoiseZeroTest, SegmentsAtAndPastTheBoundMatchOracle) {
+  for (const double rate : {0.012, 0.00004, 0.3}) {
+    const PoissonZeroTest zero{rate};
+    const i64 bound = zero.max_picos();
+    ASSERT_GT(bound, 0) << rate;
+    EXPECT_LE(static_cast<u64>(bound) * zero.slope(),
+              PoissonZeroTest::kZeroBelow);
+    EXPECT_GT(static_cast<u64>(bound + 1) * zero.slope(),
+              PoissonZeroTest::kZeroBelow);
+
+    NoiseConfig config;
+    config.common_rate_per_us = rate;
+    config.rare_rate_per_us = rate;
+    expect_model_matches_oracle(
+        config, {bound - 1, bound, bound + 1, bound + 2}, 20'000);
+  }
+}
+
+TEST(NoiseZeroTest, MeansOfThirtyAndAboveMatchOracle) {
+  NoiseConfig config;
+  config.common_rate_per_us = 0.3;
+  config.rare_rate_per_us = 0.3;
+  // Means 30, 60 and 300.
+  expect_model_matches_oracle(config,
+                              {100'000'000, 200'000'000, 1'000'000'000}, 500);
+}
+
+// Rates at and past where the test switches off: a mean that rounds to
+// 0 draws nothing, a subnormal one draws, and from 2^19 on every
+// segment takes the double path.
+TEST(NoiseZeroTest, ExtremeRatesMatchOracle) {
+  for (const double rate :
+       {4.9e-324, 0x1p-1000, 0x1p-900, 1e-300, 0x1p-61, 0x1p-60, 1e-9, 2.0,
+        5e5, 0x1p19, 1e6}) {
+    NoiseConfig config;
+    config.common_rate_per_us = rate;
+    config.rare_rate_per_us = rate;
+    const PoissonZeroTest zero{rate};
+    EXPECT_EQ(zero.max_picos() == 0, zero.slope() == 0) << rate;
+    EXPECT_EQ(zero.max_picos() > 0, rate >= 0x1p-900 && rate < 0x1p19)
+        << rate;
+    expect_model_matches_oracle(config, {1, 2, 1'000}, 200);
+  }
+}
+
+// Rates the zero tests below are run at: the model's, rates where
+// rate·2^53/10^6 is an exact integer j (the slope must still round up
+// past it), and log-spread rates from 10^-9 to 1.
+std::vector<double> zero_test_rates() {
+  std::vector<double> rates = {0.012, 0.00004, 0.3, 1.0, 1e-9};
+  Xoshiro256 pick{43};
+  for (int i = 0; i < 200; ++i) {
+    const u64 j = 1 + pick.uniform_below(9'000'000'000);
+    rates.push_back(static_cast<double>(j * 1'000'000) * 0x1p-53);
+  }
+  for (int i = 0; i < 1'000; ++i) {
+    rates.push_back(std::pow(10.0, -9.0 * pick.uniform01()));
+  }
+  return rates;
+}
+
+// For every decided segment, the largest draw the integer test calls
+// zero, threshold − 1, is below the double cutoff sample_poisson uses.
+TEST(NoiseZeroTest, LastZeroDrawPassesTheDoubleCutoff) {
+  Xoshiro256 pick{44};
+  for (const double rate : zero_test_rates()) {
+    const PoissonZeroTest zero{rate};
+    const i64 bound = zero.max_picos();
+    ASSERT_GT(bound, 0) << rate;
+    std::vector<i64> segments = {1, 2, 3, bound - 1, bound};
+    for (int i = 0; i < 500; ++i) {
+      // Log-spread over [1, bound].
+      const double f = std::pow(static_cast<double>(bound), pick.uniform01());
+      segments.push_back(std::clamp(static_cast<i64>(f), i64{1}, bound));
+    }
+    for (const i64 ps : segments) {
+      const u64 threshold = zero.threshold(ps);
+      if (threshold == 0) {
+        continue;
+      }
+      const double last = static_cast<double>(threshold - 1) * 0x1p-53;
+      const double mean = rate * Duration{ps}.micros();
+      ASSERT_LT(last, poisson_zero_cutoff(mean))
+          << "rate " << rate << ", " << ps << " ps";
+    }
+  }
+}
+
+// k·10^6·2^40 ≥ rate·2^53·(2^40 + 1) > (k − 1)·10^6·2^40, compared as
+// 128-bit integers with rate·2^53 = mant·2^exp.
+TEST(NoiseZeroTest, SlopeIsTheLeastIntegerAtOrAboveItsBound) {
+  using u128 = unsigned __int128;
+  for (const double rate : zero_test_rates()) {
+    const u64 k = PoissonZeroTest{rate}.slope();
+    int exp = 0;
+    const auto mant =
+        static_cast<u64>(std::ldexp(std::frexp(rate, &exp), 53));
+    u128 bound = u128{mant} * ((u64{1} << 40) + 1);
+    u128 unit = u128{1'000'000} << 40;
+    if (exp >= 0) {
+      bound <<= exp;
+    } else {
+      unit <<= -exp;
+    }
+    ASSERT_GE(u128{k} * unit, bound) << "rate " << rate;
+    ASSERT_LT(u128{k - 1} * unit, bound) << "rate " << rate;
+  }
 }
 
 }  // namespace
