@@ -1,43 +1,13 @@
 #include "vfpga/common/log.hpp"
 
-#include <atomic>
-#include <cstring>
+#include <cstdio>
 
 namespace vfpga::log {
-namespace {
 
-std::atomic<Level> g_threshold{Level::Warn};
-
-const char* level_name(Level level) noexcept {
-  switch (level) {
-    case Level::Trace:
-      return "TRACE";
-    case Level::Debug:
-      return "DEBUG";
-    case Level::Info:
-      return "INFO ";
-    case Level::Warn:
-      return "WARN ";
-    case Level::Error:
-      return "ERROR";
-  }
-  return "?????";
-}
-
-}  // namespace
-
-Level threshold() noexcept { return g_threshold.load(std::memory_order_relaxed); }
-
-void set_threshold(Level level) noexcept {
-  g_threshold.store(level, std::memory_order_relaxed);
-}
-
-void write(Level level, const char* subsystem, const std::string& message) {
+void warn(const char* subsystem, const std::string& message) {
   std::string line;
   line.reserve(message.size() + 32);
-  line += '[';
-  line += level_name(level);
-  line += "] ";
+  line += "[WARN ] ";
   line += subsystem;
   line += ": ";
   line += message;

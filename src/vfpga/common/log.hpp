@@ -1,44 +1,19 @@
-// Minimal leveled logger for the simulator.
+// Warning log for the simulator.
 //
-// Logging in the hot simulation path is compiled to a level check plus a
-// branch; benches run at Level::Warn so tracing costs nothing. The logger
-// is process-global and thread-safe (each line is a single fwrite).
+// Everything the simulator reports on its own is a warning: an input
+// it refused or a fault it detected. The logger is process-global and
+// thread-safe (each line is a single fwrite).
 #pragma once
 
-#include <cstdio>
 #include <string>
 
 namespace vfpga::log {
 
-enum class Level { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4 };
-
-/// Global threshold; messages below it are discarded.
-Level threshold() noexcept;
-void set_threshold(Level level) noexcept;
-
-/// Emit one log line (subsystem tag + message). Not printf-style on
-/// purpose: callers format with std::string/format helpers so the call
-/// site is type-safe.
-void write(Level level, const char* subsystem, const std::string& message);
-
-inline bool enabled(Level level) noexcept {
-  return static_cast<int>(level) >= static_cast<int>(threshold());
-}
+/// Emit one `[WARN ] <subsystem>: <message>` line to stderr. Not
+/// printf-style on purpose: callers format with std::string/format
+/// helpers so the call site is type-safe.
+void warn(const char* subsystem, const std::string& message);
 
 }  // namespace vfpga::log
 
-#define VFPGA_LOG(level, subsystem, message)                       \
-  do {                                                             \
-    if (::vfpga::log::enabled(level)) {                            \
-      ::vfpga::log::write(level, subsystem, message);              \
-    }                                                              \
-  } while (false)
-
-#define VFPGA_TRACE(subsystem, message) \
-  VFPGA_LOG(::vfpga::log::Level::Trace, subsystem, message)
-#define VFPGA_DEBUG(subsystem, message) \
-  VFPGA_LOG(::vfpga::log::Level::Debug, subsystem, message)
-#define VFPGA_INFO(subsystem, message) \
-  VFPGA_LOG(::vfpga::log::Level::Info, subsystem, message)
-#define VFPGA_WARN(subsystem, message) \
-  VFPGA_LOG(::vfpga::log::Level::Warn, subsystem, message)
+#define VFPGA_WARN(subsystem, message) ::vfpga::log::warn(subsystem, message)

@@ -1,11 +1,8 @@
 #include "vfpga/core/net_device.hpp"
 
-#include <algorithm>
-
 #include "vfpga/common/contract.hpp"
 #include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/migrate/state_io.hpp"
-#include "vfpga/net/icmp.hpp"
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/udp.hpp"
@@ -161,8 +158,6 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   }
   VFPGA_EXPECTS(virtio::net::is_tx_queue(queue) &&
                 virtio::net::queue_pair_of(queue) < config_.max_queue_pairs);
-  const u16 rx_of_pair =
-      virtio::net::rx_queue_index(virtio::net::queue_pair_of(queue));
   if (payload.size() < NetHeader::kSize) {
     ++dropped_;
     return std::nullopt;
@@ -190,49 +185,6 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   if (!parsed_ip.has_value() || !parsed_ip->checksum_ok) {
     ++dropped_;
     return std::nullopt;
-  }
-
-  // ---- ICMP echo (ping) -----------------------------------------------------------
-  if (parsed_ip->header.protocol == net::IpProtocol::Icmp) {
-    const auto icmp = net::parse_icmp_echo(ip_span.subspan(
-        parsed_ip->payload_offset, parsed_ip->payload_length));
-    if (!icmp.has_value() || !icmp->checksum_ok ||
-        icmp->header.type != net::IcmpType::EchoRequest ||
-        parsed_ip->header.dst != kFpgaIp) {
-      ++dropped_;
-      return std::nullopt;
-    }
-    net::IcmpEcho reply_hdr;
-    reply_hdr.type = net::IcmpType::EchoReply;
-    reply_hdr.identifier = icmp->header.identifier;
-    reply_hdr.sequence = icmp->header.sequence;
-    const auto icmp_payload = ip_span.subspan(
-        parsed_ip->payload_offset + icmp->payload_offset,
-        icmp->payload_length);
-    const Bytes reply_icmp = net::build_icmp_echo(reply_hdr, icmp_payload);
-    net::Ipv4Header reply_ip;
-    reply_ip.src = kFpgaIp;
-    reply_ip.dst = parsed_ip->header.src;
-    reply_ip.protocol = net::IpProtocol::Icmp;
-    reply_ip.identification = parsed_ip->header.identification;
-    const Bytes reply_packet = net::build_ipv4_packet(reply_ip, reply_icmp);
-    const Bytes reply_frame = net::build_ethernet_frame(
-        net::EthernetHeader{parsed_eth->header.src, kFpgaMac,
-                            net::EtherType::Ipv4},
-        reply_packet);
-
-    Response response;
-    response.payload.resize(NetHeader::kSize + reply_frame.size());
-    NetHeader out_hdr;
-    out_hdr.num_buffers = 1;
-    out_hdr.encode(response.payload);
-    std::copy(reply_frame.begin(), reply_frame.end(),
-              response.payload.begin() + NetHeader::kSize);
-    response.target_queue = rx_of_pair;
-    response.processing_cycles =
-        processing_cycles(reply_frame.size(), true);  // csum recompute
-    ++icmp_echoes_;
-    return response;
   }
 
   // ---- UDP echo ---------------------------------------------------------------------
@@ -339,7 +291,6 @@ void NetDeviceLogic::transfer(migrate::StateIo& io) {
     io.u64(e);
   }
   io.u64(udp_echoes_);
-  io.u64(icmp_echoes_);
   io.u64(checksums_offloaded_);
   io.u64(dropped_);
   io.u64(ctrl_commands_);

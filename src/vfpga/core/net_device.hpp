@@ -5,11 +5,11 @@
 // as is or perform additional tasks on behalf of the host, e.g., a
 // checksum calculation." The echo logic here implements the paper's
 // test workload: answer every UDP packet with a UDP packet of the same
-// size (addresses/ports swapped, checksums regenerated), answer ICMP
-// echo requests, and — when VIRTIO_NET_F_CSUM is negotiated — complete
-// checksums the driver offloaded. The host reaches the FPGA through a
-// static neighbour entry, so ARP and every other non-IPv4 frame is
-// dropped and counted.
+// size (addresses/ports swapped, checksums regenerated) and — when
+// VIRTIO_NET_F_CSUM is negotiated — complete checksums the driver
+// offloaded. The host reaches the FPGA through a static neighbour
+// entry, so ARP, every other non-IPv4 frame and every IPv4 protocol but
+// UDP are dropped and counted.
 #pragma once
 
 #include <array>
@@ -92,7 +92,6 @@ class NetDeviceLogic final : public UserLogic {
 
   // ---- stats ---------------------------------------------------------------------
   [[nodiscard]] u64 udp_echoes() const { return udp_echoes_; }
-  [[nodiscard]] u64 icmp_echoes() const { return icmp_echoes_; }
   [[nodiscard]] u64 checksums_offloaded() const {
     return checksums_offloaded_;
   }
@@ -129,7 +128,6 @@ class NetDeviceLogic final : public UserLogic {
   std::array<u8, net::kSteeringTableSize> steering_table_{};
   std::vector<u64> pair_echoes_;
   u64 udp_echoes_ = 0;
-  u64 icmp_echoes_ = 0;
   u64 checksums_offloaded_ = 0;
   u64 dropped_ = 0;
   u64 ctrl_commands_ = 0;

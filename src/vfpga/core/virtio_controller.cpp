@@ -417,10 +417,6 @@ void VirtioDeviceFunction::device_reset() {
 void VirtioDeviceFunction::on_driver_ok(sim::SimTime at) {
   (void)at;
   user_logic_->on_driver_ready(offered_.intersect(driver_features_));
-  VFPGA_DEBUG("virtio-ctl",
-              "driver ready, features=" + virtio::describe_net_features(
-                                              offered_.intersect(
-                                                  driver_features_)));
 }
 
 // ---- datapath ---------------------------------------------------------------------

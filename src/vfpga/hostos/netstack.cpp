@@ -1,7 +1,5 @@
 #include "vfpga/hostos/netstack.hpp"
 
-#include <algorithm>
-
 #include "vfpga/common/contract.hpp"
 #include "vfpga/common/endian.hpp"
 #include "vfpga/migrate/state_io.hpp"
@@ -17,8 +15,8 @@ KernelNetstack::KernelNetstack(VirtioNetDriver& driver,
 
 void KernelNetstack::configure_fpga_route(net::Ipv4Addr fpga_ip,
                                           net::MacAddr fpga_mac) {
-  routes_.add(net::Route{fpga_ip, 32, kVirtioIfindex, std::nullopt});
-  neighbours_[fpga_ip.value] = fpga_mac;
+  fpga_ip_ = fpga_ip;
+  fpga_mac_ = fpga_mac;
 }
 
 bool KernelNetstack::udp_send(HostThread& thread, u16 src_port,
@@ -35,13 +33,8 @@ bool KernelNetstack::udp_send(HostThread& thread, u16 src_port,
     thread.exec(thread.costs().syscall_exit);
     return false;
   }
-  const auto next_hop = routes_.lookup(dst);
-  if (!next_hop.has_value()) {
-    thread.exec(thread.costs().syscall_exit);
-    return false;
-  }
-  const auto neighbour = neighbour_of(next_hop->address);
-  if (!neighbour.has_value()) {
+  // EHOSTUNREACH: the FPGA's /32 is the only route.
+  if (!fpga_mac_.has_value() || dst != fpga_ip_) {
     thread.exec(thread.costs().syscall_exit);
     return false;
   }
@@ -54,7 +47,7 @@ bool KernelNetstack::udp_send(HostThread& thread, u16 src_port,
   const bool offload_csum =
       driver_->negotiated().has(virtio::feature::net::kCsum);
   net::UdpFrameHeader header;
-  header.eth.dst = *neighbour;
+  header.eth.dst = *fpga_mac_;
   header.eth.src = driver_->mac();
   header.ip.src = kHostIp;
   header.ip.dst = dst;
@@ -79,15 +72,6 @@ bool KernelNetstack::udp_send(HostThread& thread, u16 src_port,
                       /*csum_offset=*/6, pair, more_coming);
   thread.exec(thread.costs().syscall_exit);
   return true;
-}
-
-std::optional<net::MacAddr> KernelNetstack::neighbour_of(
-    net::Ipv4Addr ip) const {
-  const auto it = neighbours_.find(ip.value);
-  if (it == neighbours_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
 }
 
 u16 KernelNetstack::flow_pair(u16 local_port) const {
@@ -119,29 +103,6 @@ void KernelNetstack::demux_frames(HostThread& thread, u16 pair) {
     if (!ip.has_value() || !ip->checksum_ok ||
         ip->header.dst != kHostIp) {
       ++frames_dropped_;
-      continue;
-    }
-    if (ip->header.protocol == net::IpProtocol::Icmp) {
-      const auto icmp_span = ConstByteSpan{raw}.subspan(
-          eth->payload_offset + ip->payload_offset, ip->payload_length);
-      const auto icmp = net::parse_icmp_echo(icmp_span);
-      if (!icmp.has_value() || !icmp->checksum_ok ||
-          icmp->header.type != net::IcmpType::EchoReply) {
-        ++frames_dropped_;
-        continue;
-      }
-      IcmpReply reply;
-      reply.src = ip->header.src;
-      reply.identifier = icmp->header.identifier;
-      reply.sequence = icmp->header.sequence;
-      reply.payload.assign(
-          icmp_span.begin() +
-              static_cast<std::ptrdiff_t>(icmp->payload_offset),
-          icmp_span.begin() + static_cast<std::ptrdiff_t>(
-                                  icmp->payload_offset +
-                                  icmp->payload_length));
-      icmp_replies_.push_back(std::move(reply));
-      ++frames_demuxed_;
       continue;
     }
     if (ip->header.protocol != net::IpProtocol::Udp) {
@@ -261,59 +222,6 @@ std::optional<KernelNetstack::Datagram> KernelNetstack::dequeue(
   return dgram;
 }
 
-std::optional<sim::Duration> KernelNetstack::icmp_ping(
-    HostThread& thread, net::Ipv4Addr dst, u16 identifier, u16 sequence,
-    ConstByteSpan payload) {
-  const sim::SimTime start = thread.now();
-  thread.exec(thread.costs().syscall_entry);
-  thread.copy(payload.size());
-  thread.exec(thread.costs().udp_tx_stack);  // raw-socket TX path
-
-  const auto next_hop = routes_.lookup(dst);
-  if (!next_hop.has_value()) {
-    return std::nullopt;
-  }
-  const auto neighbour = neighbour_of(next_hop->address);
-  if (!neighbour.has_value()) {
-    return std::nullopt;
-  }
-  const Bytes icmp = net::build_icmp_echo(
-      net::IcmpEcho{net::IcmpType::EchoRequest, identifier, sequence},
-      payload);
-  net::Ipv4Header ip;
-  ip.src = kHostIp;
-  ip.dst = dst;
-  ip.protocol = net::IpProtocol::Icmp;
-  ip.identification = next_ip_id_++;
-  const Bytes frame = net::build_ethernet_frame(
-      net::EthernetHeader{*neighbour, driver_->mac(), net::EtherType::Ipv4},
-      net::build_ipv4_packet(ip, icmp));
-  driver_->xmit_frame(thread, frame, false);
-
-  // Block for the reply.
-  if (icmp_replies_.empty()) {
-    sleep_on_rx(thread, 0);
-  }
-  if (icmp_replies_.empty()) {
-    thread.exec(thread.costs().syscall_exit);
-    return std::nullopt;
-  }
-  const IcmpReply reply = std::move(icmp_replies_.front());
-  icmp_replies_.pop_front();
-  thread.copy(reply.payload.size());
-  thread.exec(thread.costs().syscall_exit);
-
-  const bool matches =
-      reply.src == dst && reply.identifier == identifier &&
-      reply.sequence == sequence &&
-      reply.payload.size() == payload.size() &&
-      std::equal(payload.begin(), payload.end(), reply.payload.begin());
-  if (!matches) {
-    return std::nullopt;
-  }
-  return thread.now() - start;
-}
-
 u32 KernelNetstack::poll_rx(HostThread& thread) {
   // Consume any pending interrupt first so a later blocking receive
   // doesn't double-service it; then poll unconditionally. Every pair is
@@ -380,13 +288,6 @@ void KernelNetstack::transfer(migrate::StateIo& io) {
   }
   io.u64(steering_mismatches_);
   io.u32(mismatches_since_repair_);
-  icmp_replies_.resize(io.count<u32>(icmp_replies_.size()));
-  for (IcmpReply& reply : icmp_replies_) {
-    io.u32(reply.src.value);
-    io.u16(reply.identifier);
-    io.u16(reply.sequence);
-    io.blob(reply.payload);
-  }
   io.u64(frames_demuxed_);
   io.u64(frames_dropped_);
   io.u64(tx_oversized_);

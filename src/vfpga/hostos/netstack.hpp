@@ -1,13 +1,14 @@
 // Kernel UDP/IP network stack model.
 //
-// The glue between the socket API and the virtio-net driver: routing
-// (FIB) and static-neighbour lookups on transmit, frame
-// construction/validation with real checksums, NAPI-driven receive
-// demultiplexing to per-port socket queues, and blocking receive that
-// sleeps on the RX interrupt. The paper's test setup — "entries are
-// added to the operating system's routing table and ARP cache to
-// facilitate routing packets from the test application to the FPGA"
-// (§III-B.1) — is configure_fpga_route().
+// The glue between the socket API and the virtio-net driver: the one
+// static route to the FPGA on transmit, frame construction/validation
+// with real checksums, NAPI-driven receive demultiplexing of UDP to
+// per-port socket queues, and blocking receive that sleeps on the RX
+// interrupt. The paper's test setup — "entries are added to the
+// operating system's routing table and ARP cache to facilitate routing
+// packets from the test application to the FPGA" (§III-B.1) — is
+// configure_fpga_route(): one host route and one permanent neighbour,
+// so every other destination is unreachable.
 #pragma once
 
 #include <deque>
@@ -15,8 +16,6 @@
 #include <optional>
 
 #include "vfpga/hostos/virtio_net_driver.hpp"
-#include "vfpga/net/icmp.hpp"
-#include "vfpga/net/routing.hpp"
 #include "vfpga/net/udp.hpp"
 
 namespace vfpga::hostos {
@@ -37,8 +36,6 @@ class KernelNetstack {
   static constexpr net::Ipv4Addr kHostIp =
       net::Ipv4Addr::from_octets(10, 42, 0, 1);
   static constexpr u8 kIpTtl = 64;
-  /// Interface id assigned to the virtio-net device in the FIB.
-  static constexpr u32 kVirtioIfindex = 2;
 
   KernelNetstack(VirtioNetDriver& driver, InterruptController& irq);
 
@@ -46,11 +43,11 @@ class KernelNetstack {
   /// virtio-net interface plus a permanent neighbour entry.
   void configure_fpga_route(net::Ipv4Addr fpga_ip, net::MacAddr fpga_mac);
 
-  /// sendto(2) semantics: route, resolve, build, transmit. Returns false
-  /// on EMSGSIZE (the datagram does not fit the device MTU) and on
-  /// EHOSTUNREACH (no route / no neighbour). `more_coming` is the
-  /// MSG_MORE hint, forwarded to the driver's xmit_more TX kick
-  /// coalescing.
+  /// sendto(2) semantics: route, build, transmit. Returns false on
+  /// EMSGSIZE (the datagram does not fit the device MTU) and on
+  /// EHOSTUNREACH (no route set, or `dst` is not the FPGA).
+  /// `more_coming` is the MSG_MORE hint, forwarded to the driver's
+  /// xmit_more TX kick coalescing.
   bool udp_send(HostThread& thread, u16 src_port, net::Ipv4Addr dst,
                 u16 dst_port, ConstByteSpan payload,
                 bool more_coming = false);
@@ -87,13 +84,6 @@ class KernelNetstack {
   /// a vector. Returns the number of frames harvested.
   u32 poll_rx(HostThread& thread);
 
-  /// ping(8): send an ICMP echo request and block for the matching
-  /// reply. Returns the application-measured round-trip time, or
-  /// nullopt on timeout/verification failure.
-  std::optional<sim::Duration> icmp_ping(HostThread& thread,
-                                         net::Ipv4Addr dst, u16 identifier,
-                                         u16 sequence, ConstByteSpan payload);
-
   [[nodiscard]] u64 frames_demuxed() const { return frames_demuxed_; }
   [[nodiscard]] u64 frames_dropped() const { return frames_dropped_; }
   /// Sends refused with EMSGSIZE: the datagram did not fit the MTU.
@@ -114,19 +104,15 @@ class KernelNetstack {
   [[nodiscard]] u16 flow_pair(u16 local_port) const;
 
   /// Snapshot/restore of the stack's dynamic state: socket queues, flow
-  /// affinities, queued ICMP replies, IP-id counter, counters. Routes
-  /// and neighbours are configuration (configure_fpga_route) and are
-  /// rebuilt by the restore target's own setup.
+  /// affinities, IP-id counter, counters. The route is configuration
+  /// (configure_fpga_route) and is rebuilt by the restore target's own
+  /// setup.
   void transfer(migrate::StateIo& io);
 
  private:
   /// Consecutive diverted datagrams tolerated before the stack asks the
   /// driver to reset the device's steering table.
   static constexpr u32 kSteeringRepairThreshold = 4;
-
-  /// The static neighbour entry for `ip`; nullopt is EHOSTUNREACH.
-  [[nodiscard]] std::optional<net::MacAddr> neighbour_of(
-      net::Ipv4Addr ip) const;
 
   /// Service one RX interrupt: irq entry, NAPI poll, IP/UDP demux.
   void service_rx_interrupt(HostThread& thread, sim::SimTime irq_time,
@@ -143,10 +129,11 @@ class KernelNetstack {
 
   VirtioNetDriver* driver_;
   InterruptController* irq_;
-  net::RoutingTable routes_;
-  /// Static neighbours (ip neigh add ... PERMANENT), keyed by IPv4
-  /// address; nothing resolves or learns entries at run time.
-  std::map<u32, net::MacAddr> neighbours_;
+  /// The one host route and its permanent neighbour entry; nullopt
+  /// until configure_fpga_route. Nothing resolves or learns entries at
+  /// run time.
+  net::Ipv4Addr fpga_ip_{};
+  std::optional<net::MacAddr> fpga_mac_;
   u16 next_ip_id_ = 1;
   /// udp_send's frame, reused so a steady send allocates nothing.
   Bytes tx_frame_;
@@ -155,13 +142,6 @@ class KernelNetstack {
   std::map<u16, u16> flow_affinity_;
   u64 steering_mismatches_ = 0;
   u32 mismatches_since_repair_ = 0;
-  struct IcmpReply {
-    net::Ipv4Addr src{};
-    u16 identifier = 0;
-    u16 sequence = 0;
-    Bytes payload;
-  };
-  std::deque<IcmpReply> icmp_replies_;
   u64 frames_demuxed_ = 0;
   u64 frames_dropped_ = 0;
   u64 tx_oversized_ = 0;

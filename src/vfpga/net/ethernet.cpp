@@ -15,17 +15,6 @@ void write_ethernet_header(ByteSpan frame, const EthernetHeader& header) {
   store_be16(frame, 12, static_cast<u16>(header.type));
 }
 
-Bytes build_ethernet_frame(const EthernetHeader& header,
-                           ConstByteSpan payload) {
-  const u64 payload_len =
-      std::max<u64>(payload.size(), kMinEthernetPayload);
-  Bytes frame(EthernetHeader::kSize + payload_len, 0);
-  write_ethernet_header(frame, header);
-  std::copy(payload.begin(), payload.end(),
-            frame.begin() + EthernetHeader::kSize);
-  return frame;
-}
-
 std::optional<ParsedEthernet> parse_ethernet_frame(ConstByteSpan frame) {
   if (frame.size() < EthernetHeader::kSize) {
     return std::nullopt;

@@ -27,13 +27,6 @@ inline constexpr u64 kMinEthernetPayload = 46;
 /// Write the 14-byte header at the start of `frame`.
 void write_ethernet_header(ByteSpan frame, const EthernetHeader& header);
 
-/// Build a frame: header + payload (+ zero padding to the Ethernet
-/// minimum). The 4-byte FCS is not materialized — link integrity is the
-/// PHY model's concern — but padding is, because it crosses the PCIe
-/// link and therefore costs wire time.
-[[nodiscard]] Bytes build_ethernet_frame(const EthernetHeader& header,
-                                         ConstByteSpan payload);
-
 struct ParsedEthernet {
   EthernetHeader header;
   /// Offset/length of the payload inside the frame.

@@ -1,7 +1,5 @@
 #include "vfpga/net/ipv4.hpp"
 
-#include <algorithm>
-
 #include "vfpga/common/contract.hpp"
 #include "vfpga/common/endian.hpp"
 #include "vfpga/net/checksum.hpp"
@@ -22,18 +20,6 @@ void write_ipv4_header(ByteSpan packet, const Ipv4Header& header) {
   store_be32(packet, 16, header.dst.value);
   store_be16(packet, 10,
              internet_checksum(ConstByteSpan{packet}.first(Ipv4Header::kSize)));
-}
-
-Bytes build_ipv4_packet(Ipv4Header header, ConstByteSpan payload) {
-  const u64 total = Ipv4Header::kSize + payload.size();
-  VFPGA_EXPECTS(total <= 0xffff);
-  header.total_length = static_cast<u16>(total);
-
-  Bytes packet(total, 0);
-  write_ipv4_header(packet, header);
-  std::copy(payload.begin(), payload.end(),
-            packet.begin() + Ipv4Header::kSize);
-  return packet;
 }
 
 std::optional<ParsedIpv4> parse_ipv4_packet(ConstByteSpan packet) {

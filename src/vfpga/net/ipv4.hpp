@@ -7,9 +7,9 @@
 
 namespace vfpga::net {
 
+/// The one protocol the stack and the device carry; any other is
+/// dropped and counted on both sides.
 enum class IpProtocol : u8 {
-  Icmp = 1,
-  Tcp = 6,
   Udp = 17,
 };
 
@@ -19,7 +19,7 @@ struct Ipv4Header {
   IpProtocol protocol = IpProtocol::Udp;
   u8 ttl = 64;
   u16 identification = 0;
-  u16 total_length = 0;  ///< filled by build
+  u16 total_length = 0;
 
   static constexpr u64 kSize = 20;  ///< no options in this stack
 };
@@ -27,9 +27,6 @@ struct Ipv4Header {
 /// Write the 20-byte header, header checksum included, at the start of
 /// `packet`; `header.total_length` is written as given.
 void write_ipv4_header(ByteSpan packet, const Ipv4Header& header);
-
-/// Build header + payload with a valid header checksum.
-[[nodiscard]] Bytes build_ipv4_packet(Ipv4Header header, ConstByteSpan payload);
 
 struct ParsedIpv4 {
   Ipv4Header header;

@@ -89,8 +89,4 @@ std::optional<ParsedUdp> parse_udp_datagram(ConstByteSpan data, Ipv4Addr src,
   return out;
 }
 
-void finalize_udp_checksum(ByteSpan datagram, Ipv4Addr src, Ipv4Addr dst) {
-  store_be16(datagram, 6, udp_checksum(datagram, src, dst));
-}
-
 }  // namespace vfpga::net

@@ -62,8 +62,4 @@ struct ParsedUdp {
                                                           Ipv4Addr src,
                                                           Ipv4Addr dst);
 
-/// Recompute the checksum field in place (what checksum-offload hardware
-/// does when VIRTIO_NET_F_CSUM hands it a partially-checksummed frame).
-void finalize_udp_checksum(ByteSpan datagram, Ipv4Addr src, Ipv4Addr dst);
-
 }  // namespace vfpga::net

@@ -21,16 +21,6 @@ Bytes PciExpressCapability::encode() const {
   return body;
 }
 
-PciExpressCapability PciExpressCapability::decode(ConstByteSpan body) {
-  VFPGA_EXPECTS(body.size() >= 8);
-  PciExpressCapability cap;
-  cap.device_port_type = static_cast<u8>((load_le16(body, 0) >> 4) & 0xf);
-  const u16 control = load_le16(body, 6);
-  cap.max_payload_encoding = static_cast<u32>((control >> 5) & 0x7);
-  cap.max_read_request_encoding = static_cast<u32>((control >> 12) & 0x7);
-  return cap;
-}
-
 MsixCapabilityInfo decode_msix_capability(const ConfigSpace& config,
                                           u16 cap_offset) {
   VFPGA_EXPECTS(config.read8(cap_offset) ==

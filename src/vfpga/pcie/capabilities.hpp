@@ -1,7 +1,7 @@
 // Builders and parsers for standard PCI capabilities.
 //
 // Only the capabilities the two testbeds actually need are modelled:
-// PCI Express (so enumeration can read MPS/MRRS), MSI-X (interrupts),
+// PCI Express (advertising MPS/MRRS), MSI-X (interrupts),
 // and the vendor-specific capability format (the carrier for VirtIO's
 // configuration-structure pointers, built in vfpga/virtio/pci_caps).
 #pragma once
@@ -19,14 +19,6 @@ struct PciExpressCapability {
   u32 max_read_request_encoding = 2;  ///< 2 => 512 B
 
   [[nodiscard]] Bytes encode() const;
-  static PciExpressCapability decode(ConstByteSpan body);
-
-  [[nodiscard]] u32 max_payload_bytes() const {
-    return 128u << max_payload_encoding;
-  }
-  [[nodiscard]] u32 max_read_request_bytes() const {
-    return 128u << max_read_request_encoding;
-  }
 };
 
 /// Parsed view of an MSI-X capability found during enumeration.

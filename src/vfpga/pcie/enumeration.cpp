@@ -6,17 +6,6 @@
 
 namespace vfpga::pcie {
 
-std::optional<EnumeratedBar> EnumeratedDevice::bar(u32 index) const {
-  const auto it = std::find_if(bars.begin(), bars.end(),
-                               [&](const EnumeratedBar& b) {
-                                 return b.index == index;
-                               });
-  if (it == bars.end()) {
-    return std::nullopt;
-  }
-  return *it;
-}
-
 std::vector<EnumeratedDevice> enumerate_bus(RootComplex& rc,
                                             EnumerationOptions options) {
   std::vector<EnumeratedDevice> devices;

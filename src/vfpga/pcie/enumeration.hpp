@@ -9,7 +9,6 @@
 // against a struct pci_dev.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "vfpga/pcie/capabilities.hpp"
@@ -43,8 +42,6 @@ struct EnumeratedDevice {
   /// round trips) — reported for completeness; enumeration is not on the
   /// measured data path.
   sim::Duration enumeration_time{};
-
-  [[nodiscard]] std::optional<EnumeratedBar> bar(u32 index) const;
 };
 
 struct EnumerationOptions {

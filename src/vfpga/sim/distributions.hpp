@@ -47,6 +47,16 @@ u64 sample_poisson_rest(Xoshiro256& rng, double mean, double first);
 /// sample_poisson's normal approximation, for means of 30 and above.
 u64 sample_poisson_normal(Xoshiro256& rng, double mean);
 
+/// sample_poisson's count for 0 < mean < 30 after its first uniform
+/// draw, `first`, has been taken.
+inline u64 sample_poisson_from_first(Xoshiro256& rng, double mean,
+                                     double first) {
+  if (first < poisson_zero_cutoff(mean)) {
+    return 0;
+  }
+  return sample_poisson_rest(rng, mean, first);
+}
+
 /// Poisson via inversion for small means, normal approximation above.
 /// The noise model's means are ~1e-3 and below, so nearly every call
 /// ends at the first draw; that path is inline.
@@ -58,11 +68,7 @@ inline u64 sample_poisson(Xoshiro256& rng, double mean) {
   if (mean >= 30.0) {
     return sample_poisson_normal(rng, mean);
   }
-  const double first = rng.uniform01();
-  if (first < poisson_zero_cutoff(mean)) {
-    return 0;
-  }
-  return sample_poisson_rest(rng, mean, first);
+  return sample_poisson_from_first(rng, mean, rng.uniform01());
 }
 
 /// A latency segment: median duration with multiplicative lognormal

@@ -31,16 +31,6 @@ PoissonZeroTest::PoissonZeroTest(double rate_per_us) {
   max_picos_ = static_cast<i64>(kZeroBelow / slope_);  // ≥ 1: k < 2^52.1
 }
 
-u64 NoiseModel::count_past_zero_test(Xoshiro256& rng, double mean,
-                                     u64 bits) {
-  // uniform01's value of the same draw, then sample_poisson's path.
-  const double first = static_cast<double>(bits) * 0x1.0p-53;
-  if (first < poisson_zero_cutoff(mean)) {
-    return 0;
-  }
-  return sample_poisson_rest(rng, mean, first);
-}
-
 Duration NoiseModel::common_delays(Xoshiro256& rng, u64 events) const {
   double extra_ns = 0.0;
   for (u64 i = 0; i < events; ++i) {

@@ -172,14 +172,15 @@ class NoiseModel {
     if (ps > zero.max_picos()) {
       return sample_poisson(rng, rate * t.micros());
     }
+    // Past the integer test, sample_poisson's path goes on from
+    // uniform01's value of the same draw.
     const u64 bits = rng() >> 11;
     return bits < zero.threshold(ps)
                ? 0
-               : count_past_zero_test(rng, rate * t.micros(), bits);
+               : sample_poisson_from_first(
+                     rng, rate * t.micros(),
+                     static_cast<double>(bits) * 0x1.0p-53);
   }
-  /// sample_poisson's count for 0 < mean < 1 after its first draw, whose
-  /// top 53 bits are `bits`.
-  static u64 count_past_zero_test(Xoshiro256& rng, double mean, u64 bits);
 
   /// The summed delays of `events` common interference events.
   Duration common_delays(Xoshiro256& rng, u64 events) const;

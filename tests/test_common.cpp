@@ -75,16 +75,11 @@ TEST_P(EndianProperty, AllPatternsRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EndianProperty,
                          ::testing::Values(1u, 7u, 13u, 127u));
 
-TEST(Log, ThresholdFiltersLevels) {
-  const auto saved = log::threshold();
-  log::set_threshold(log::Level::Warn);
-  EXPECT_FALSE(log::enabled(log::Level::Debug));
-  EXPECT_FALSE(log::enabled(log::Level::Info));
-  EXPECT_TRUE(log::enabled(log::Level::Warn));
-  EXPECT_TRUE(log::enabled(log::Level::Error));
-  log::set_threshold(log::Level::Trace);
-  EXPECT_TRUE(log::enabled(log::Level::Trace));
-  log::set_threshold(saved);
+TEST(Log, WarnWritesOneTaggedLineToStderr) {
+  ::testing::internal::CaptureStderr();
+  VFPGA_WARN("virtio-ctl", "queue size out of range: ignored");
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "[WARN ] virtio-ctl: queue size out of range: ignored\n");
 }
 
 }  // namespace

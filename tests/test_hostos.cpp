@@ -344,30 +344,26 @@ TEST_F(StackFixture, EveryKickIsASingleDoorbell) {
   EXPECT_EQ(bed.driver().tx_kicks() - kicks_before, 10u);
 }
 
-TEST_F(StackFixture, IcmpPingRoundTrips) {
+// EHOSTUNREACH: the FPGA's /32 is the only route, so even a host on the
+// FPGA's own /24 is refused before the driver sees the datagram; the
+// next send to the FPGA echoes.
+TEST_F(StackFixture, SendtoAnUnroutedHostFailsWithoutTouchingTheRing) {
   core::VirtioNetTestbed bed{options};
-  const Bytes payload(56, 0x77);
-  for (u16 seq = 0; seq < 25; ++seq) {
-    const auto rtt = bed.stack().icmp_ping(bed.thread(), bed.fpga_ip(),
-                                           0xabcd, seq, payload);
-    ASSERT_TRUE(rtt.has_value()) << seq;
-    EXPECT_GT(rtt->micros(), 5.0);
-    EXPECT_LT(rtt->micros(), 200.0);
-  }
-  EXPECT_EQ(bed.net_logic().icmp_echoes(), 25u);
-  // UDP still works interleaved with ICMP traffic.
+  const Bytes payload(32, 0x5a);
+  EXPECT_FALSE(bed.socket().sendto(bed.thread(),
+                                   net::Ipv4Addr::from_octets(10, 42, 0, 77),
+                                   bed.options().fpga_udp_port, payload));
+  EXPECT_EQ(bed.driver().tx_packets(), 0u);
+  EXPECT_EQ(bed.driver().tx_kicks(), 0u);
+  EXPECT_EQ(bed.stack().tx_oversized(), 0u);
+  EXPECT_EQ(bed.net_logic().udp_echoes(), 0u);
+
   ASSERT_TRUE(bed.socket().sendto(bed.thread(), bed.fpga_ip(),
                                   bed.options().fpga_udp_port, payload));
-  EXPECT_TRUE(bed.socket().recvfrom(bed.thread()).has_value());
-}
-
-TEST_F(StackFixture, PingToUnroutableHostFails) {
-  core::VirtioNetTestbed bed{options};
-  EXPECT_FALSE(bed.stack()
-                   .icmp_ping(bed.thread(),
-                              net::Ipv4Addr::from_octets(8, 8, 8, 8), 1, 1,
-                              Bytes(8, 0))
-                   .has_value());
+  const auto reply = bed.socket().recvfrom(bed.thread());
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->payload, payload);
+  EXPECT_EQ(bed.driver().tx_packets(), 1u);
 }
 
 TEST_F(StackFixture, NonBlockingReceiveDrainsDelivered) {

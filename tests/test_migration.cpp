@@ -528,15 +528,15 @@ TEST(Snapshot, ImagesArePinned) {
     return true;
   };
   const Pin pins[] = {
-      {"split", split_options(), quiesced, 0x6b9473b0, 74068},
-      {"packed", packed_options(), quiesced, 0x8a5cbb8d, 70466},
-      {"multi-queue", multi_queue_options(), quiesced, 0xb0bbacdb, 153016},
-      {"blk", blk_options(), drive_blk, 0x5ed894e9, 359015},
+      {"split", split_options(), quiesced, 0xb57a6ec6, 74056},
+      {"packed", packed_options(), quiesced, 0x4f737c45, 70454},
+      {"multi-queue", multi_queue_options(), quiesced, 0xd6a6b8b7, 153004},
+      {"blk", blk_options(), drive_blk, 0x14b39e0f, 359003},
       {"mid-flight", mid_flight_options(),
        [](core::VirtioNetTestbed& bed) {
          return drive_mid_flight(bed, kMidFlightPayload);
        },
-       0x61f2e50b, 74072},
+       0x86770f9b, 74060},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.setup);
@@ -771,9 +771,11 @@ TEST(SnapshotReject, VersionSkew) {
   // version 7 fingerprinted the MTU and the mergeable-RX and offload
   // options and carried the segmentation and span-reassembly state;
   // version 8 had a flags word whose bit 0 made the memory section
-  // optional, and carried the split engine's stale-completion count.
+  // optional, and carried the split engine's stale-completion count;
+  // version 9 carried the stack's queued ICMP replies and the device's
+  // ICMP echo count.
   for (const u8 version : {u8{1}, u8{2}, u8{3}, u8{4}, u8{5}, u8{6}, u8{7},
-                           u8{8}, u8{99}}) {
+                           u8{8}, u8{9}, u8{99}}) {
     SCOPED_TRACE(static_cast<int>(version));
     Bytes image = current;
     image[8] = version;  // version field, checked before the checksum

@@ -224,10 +224,10 @@ std::vector<u16> echo_queues(core::NetDeviceLogic& logic) {
   for (u16 port = 40000; port < 40064; ++port) {
     const Bytes udp = net_oracle::build_udp_datagram(
         net::UdpHeader{port, 9000}, host_ip, fpga_ip, Bytes(32, 0x5a));
-    const Bytes frame = net::build_ethernet_frame(
+    const Bytes frame = net_oracle::build_ethernet_frame(
         net::EthernetHeader{core::NetDeviceLogic::kFpgaMac, host_mac,
                             net::EtherType::Ipv4},
-        net::build_ipv4_packet(
+        net_oracle::build_ipv4_packet(
             net::Ipv4Header{host_ip, fpga_ip, net::IpProtocol::Udp}, udp));
     Bytes request(virtio::net::NetHeader::kSize, 0);
     request.insert(request.end(), frame.begin(), frame.end());

@@ -36,14 +36,14 @@ struct NetLogicFixture : ::testing::Test {
     const Bytes udp = net_oracle::build_udp_datagram(
         net::UdpHeader{4791, 9000}, host_ip, NetDeviceLogic::kFpgaIp,
         payload);
-    Bytes packet = net::build_ipv4_packet(
+    Bytes packet = net_oracle::build_ipv4_packet(
         net::Ipv4Header{host_ip, NetDeviceLogic::kFpgaIp,
                         net::IpProtocol::Udp},
         udp);
     if (!valid_udp_csum) {
       packet[net::Ipv4Header::kSize + 6] ^= 0x55;
     }
-    return net::build_ethernet_frame(
+    return net_oracle::build_ethernet_frame(
         net::EthernetHeader{NetDeviceLogic::kFpgaMac, host_mac,
                             net::EtherType::Ipv4},
         packet);
@@ -61,7 +61,7 @@ struct NetLogicFixture : ::testing::Test {
               body.begin() + 8);
     store_be32(ByteSpan{body}, 14, host_ip.value);
     store_be32(ByteSpan{body}, 24, target.value);
-    Bytes frame = net::build_ethernet_frame(
+    Bytes frame = net_oracle::build_ethernet_frame(
         net::EthernetHeader{net::kBroadcastMac, host_mac,
                             net::EtherType::Ipv4},
         body);
@@ -313,6 +313,33 @@ TEST_F(NetLogicFixture, ArpForSomeoneElseIgnored) {
                      .has_value());
     EXPECT_EQ(logic.dropped(), dropped + 1);
   }
+}
+
+// The echo personality answers UDP only: a well-formed ICMP echo
+// request (ping) to the device's own address takes the non-UDP drop.
+TEST_F(NetLogicFixture, IcmpEchoRequestIsDroppedAndCounted) {
+  constexpr u8 kIcmpProtocol = 1;
+  Bytes icmp(8 + 56, 0x77);
+  icmp[0] = 8;  // type: echo request
+  icmp[1] = 0;  // code
+  store_be16(ByteSpan{icmp}, 2, 0);       // checksum, computed below
+  store_be16(ByteSpan{icmp}, 4, 0xabcd);  // identifier
+  store_be16(ByteSpan{icmp}, 6, 1);       // sequence
+  store_be16(ByteSpan{icmp}, 2, net_oracle::internet_checksum(icmp));
+  const Bytes frame = net_oracle::build_ethernet_frame(
+      net::EthernetHeader{NetDeviceLogic::kFpgaMac, host_mac,
+                          net::EtherType::Ipv4},
+      net_oracle::build_ipv4_packet(
+          net::Ipv4Header{host_ip, NetDeviceLogic::kFpgaIp,
+                          static_cast<net::IpProtocol>(kIcmpProtocol)},
+          icmp));
+  const u64 dropped = logic.dropped();
+  EXPECT_FALSE(logic
+                   .process(virtio::net::kTxQueue, with_net_header(frame),
+                            2048, {})
+                   .has_value());
+  EXPECT_EQ(logic.dropped(), dropped + 1);
+  EXPECT_EQ(logic.udp_echoes(), 0u);
 }
 
 TEST_F(NetLogicFixture, RuntPayloadDropped) {
