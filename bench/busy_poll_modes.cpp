@@ -1,8 +1,9 @@
 // Busy-poll datapath sweep: interrupt vs pure-poll vs adaptive RX.
 //
 // For each (payload x flows) cell the three receive modes run the same
-// paced UDP echo workload (harness::run_multi_flow, one queue pair per
-// flow, trials on the worker pool) on paired seeds, reporting
+// paced UDP echo workload (harness::run_multi_flow, the flows sharing
+// the device's one queue pair, trials on the worker pool) on paired
+// seeds, reporting
 // p50/p95/p99/p99.9 latency AND CPU residency — the spin-vs-sleep trade:
 // poll mode buys its tail-latency win by keeping a core runnable through
 // the pacing gaps, which the interrupt and adaptive paths sleep. The
@@ -72,7 +73,6 @@ int vfpga::bench::busy_poll_modes(const Args& args) {
   for (const u16 flows : flow_counts) {
     for (const u64 payload : payloads) {
       harness::MultiFlowConfig config = base;
-      config.queue_pairs = flows;
       config.flows = flows;
       config.payload_bytes = payload;
       // The seed is shared by all three modes of a (payload, flows)

@@ -23,7 +23,6 @@ int ablation_pipelining(const Args& args);
 int ablation_ring_format(const Args& args);
 int portability_sweep(const Args& args);
 int fault_campaign(const Args& args);
-int mq_scaling(const Args& args);
 int busy_poll_modes(const Args& args);
 int blk_iops(const Args& args);
 int sim_speed(const Args& args);
@@ -48,7 +47,6 @@ inline constexpr Experiment kExperiments[] = {
     {"ablation_ring_format", kSeed, ablation_ring_format},
     {"portability_sweep", 0, portability_sweep},
     {"fault_campaign", kSeed, fault_campaign},
-    {"mq_scaling", kSweepFlags, mq_scaling},
     {"busy_poll_modes", kSmoke | kSeed, busy_poll_modes},
     {"blk_iops", kSweepFlags, blk_iops},
     {"sim_speed", kSweepFlags, sim_speed},

@@ -7,6 +7,7 @@
 
 #include <array>
 
+#include "vfpga/common/endian.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/fpga/perf_counter.hpp"
 #include "vfpga/hostos/cost_model.hpp"
@@ -98,7 +99,9 @@ void BM_VirtqueueAddHarvest(benchmark::State& state) {
     vq.publish();
     // Emulate the device completing instantly.
     const auto& addrs = vq.addresses();
-    const u16 used_idx = memory.read_le16(addrs.used + 2);
+    std::array<u8, 2> idx{};
+    memory.read(addrs.used + 2, idx);
+    const u16 used_idx = load_le16(idx);
     memory.write_le32(addrs.used + 4 + 8ull * (used_idx % 256), *head);
     memory.write_le16(addrs.used + 2, static_cast<u16>(used_idx + 1));
     benchmark::DoNotOptimize(vq.harvest_used());
@@ -223,9 +226,11 @@ void BM_HostMemoryAccess(benchmark::State& state) {
   const HostAddr read_at = state.range(0) == 0 ? a + 64 : b + 64;
   memory.write_le64(b, 1);  // both pages resident before timing
   u64 value = 0;
+  std::array<u8, 2> used_idx{};
   for (auto _ : state) {
     memory.write_le64(a, value++);
-    benchmark::DoNotOptimize(memory.read_le16(read_at));
+    memory.read(read_at, used_idx);
+    benchmark::DoNotOptimize(load_le16(used_idx));
   }
 }
 BENCHMARK(BM_HostMemoryAccess)->ArgName("two_pages")->Arg(0)->Arg(1);

@@ -1,7 +1,6 @@
 #include "vfpga/core/net_device.hpp"
 
 #include "vfpga/common/contract.hpp"
-#include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/migrate/state_io.hpp"
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
@@ -12,13 +11,7 @@ namespace vfpga::core {
 using virtio::net::NetConfigLayout;
 using virtio::net::NetHeader;
 
-NetDeviceLogic::NetDeviceLogic(NetDeviceConfig config)
-    : config_(config), pair_echoes_(config.max_queue_pairs, 0) {
-  // 64 pairs keeps both apertures inside the controller's BAR layout:
-  // notify window 4*(2*64+1) bytes and MSI-X table 130 entries.
-  VFPGA_EXPECTS(config_.max_queue_pairs >= 1 && config_.max_queue_pairs <= 64);
-  reset_steering_table();
-}
+NetDeviceLogic::NetDeviceLogic(NetDeviceConfig config) : config_(config) {}
 
 virtio::FeatureSet NetDeviceLogic::device_features() const {
   virtio::FeatureSet f;
@@ -32,10 +25,6 @@ virtio::FeatureSet NetDeviceLogic::device_features() const {
   // to offer unconditionally. No segmentation offload and no mergeable
   // RX buffers: every frame fits one buffer at the device MTU.
   f.set(virtio::feature::net::kGuestCsum);
-  if (config_.max_queue_pairs > 1) {
-    f.set(virtio::feature::net::kMq);
-    f.set(virtio::feature::net::kCtrlVq);
-  }
   return f;
 }
 
@@ -50,67 +39,6 @@ void NetDeviceLogic::on_driver_ready(virtio::FeatureSet negotiated) {
       virtio::FeatureSet{negotiated.bits() & ~kTransportBits}.subset_of(
           device_features()));
   negotiated_ = negotiated;
-  // §5.1.5: the device comes up with one active pair regardless of what
-  // it supports; more are enabled only by a later
-  // VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET on the control queue.
-  active_pairs_ = 1;
-  reset_steering_table();
-}
-
-void NetDeviceLogic::reset_steering_table() {
-  for (u16 i = 0; i < net::kSteeringTableSize; ++i) {
-    steering_table_[i] = static_cast<u8>(i);
-  }
-}
-
-u16 NetDeviceLogic::steer_flow(u32 hash) {
-  // Fetch the indirection-table entry for this hash; the fault hook
-  // corrupts the *fetched copy* (a transient read upset, matching the
-  // kDescCorrupt model) so a disarmed plane leaves the table pristine.
-  u8 entry = steering_table_[hash % net::kSteeringTableSize];
-  if (fault_ != nullptr &&
-      fault_->should_inject(fault::FaultClass::kSteeringCorrupt)) {
-    fault_->corrupt(ByteSpan{&entry, 1});
-  }
-  return static_cast<u16>(entry % active_pairs_);
-}
-
-UserLogic::Response NetDeviceLogic::ctrl_response(u16 queue, u8 ack,
-                                                  u64 cycles) {
-  Response response;
-  response.payload.assign(1, ack);
-  response.target_queue = queue;  // same-chain writable ack byte
-  response.processing_cycles = cycles;
-  return response;
-}
-
-std::optional<UserLogic::Response> NetDeviceLogic::process_ctrl(
-    u16 queue, ConstByteSpan payload, u32 writable_capacity) {
-  ++ctrl_commands_;
-  if (writable_capacity < 1) {
-    ++dropped_;  // nowhere to put the ack: ill-formed chain
-    return std::nullopt;
-  }
-  const u64 cycles = kNetPipelineTiming.fixed_cycles;
-  if (payload.size() < 2) {
-    ++ctrl_rejected_;
-    return ctrl_response(queue, virtio::net::kCtrlErr, cycles);
-  }
-  if (payload[0] == virtio::net::kCtrlClassMq &&
-      payload[1] == virtio::net::kCtrlMqVqPairsSet && payload.size() >= 4) {
-    const u16 pairs = load_le16(payload, 2);
-    if (pairs < virtio::net::kMqPairsMin ||
-        pairs > config_.max_queue_pairs ||
-        !negotiated_.has(virtio::feature::net::kMq)) {
-      ++ctrl_rejected_;
-      return ctrl_response(queue, virtio::net::kCtrlErr, cycles);
-    }
-    active_pairs_ = pairs;
-    reset_steering_table();
-    return ctrl_response(queue, virtio::net::kCtrlOk, cycles);
-  }
-  ++ctrl_rejected_;
-  return ctrl_response(queue, virtio::net::kCtrlErr, cycles);
 }
 
 u8 NetDeviceLogic::device_config_read(u32 offset) const {
@@ -126,10 +54,6 @@ u8 NetDeviceLogic::device_config_read(u32 offset) const {
       return static_cast<u8>(virtio::net::kNetStatusLinkUp);
     case NetConfigLayout::kStatusOffset + 1:
       return 0;
-    case NetConfigLayout::kMaxPairsOffset:
-      return static_cast<u8>(config_.max_queue_pairs & 0xff);
-    case NetConfigLayout::kMaxPairsOffset + 1:
-      return static_cast<u8>(config_.max_queue_pairs >> 8);
     case NetConfigLayout::kMtuOffset:
       return static_cast<u8>(virtio::net::kDeviceMtu & 0xff);
     case NetConfigLayout::kMtuOffset + 1:
@@ -151,13 +75,9 @@ u64 NetDeviceLogic::processing_cycles(u64 frame_bytes,
 }
 
 std::optional<UserLogic::Response> NetDeviceLogic::process(
-    u16 queue, ConstByteSpan payload, u32 writable_capacity,
+    u16 queue, ConstByteSpan payload, u32 /*writable_capacity*/,
     const ChainMeta& /*meta*/) {
-  if (has_ctrl_queue() && queue == ctrl_queue()) {
-    return process_ctrl(queue, payload, writable_capacity);
-  }
-  VFPGA_EXPECTS(virtio::net::is_tx_queue(queue) &&
-                virtio::net::queue_pair_of(queue) < config_.max_queue_pairs);
+  VFPGA_EXPECTS(queue == virtio::net::kTxQueue);
   if (payload.size() < NetHeader::kSize) {
     ++dropped_;
     return std::nullopt;
@@ -260,41 +180,18 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   out_hdr.encode(response.payload);
   net::write_udp_frame(ByteSpan{response.payload}.subspan(NetHeader::kSize),
                        echo, echo_payload, echo_csum);
-  // RSS stage: the echo steers by the symmetric flow hash, which lands
-  // on the originating pair because the host picked its TX queue with
-  // the same hash (steering faults can divert it — the host detects the
-  // mismatch and repairs via the control queue).
-  const u16 echo_pair = steer_flow(net::rss_flow_hash(
-      src_ip, parsed_udp->header.src_port, dst_ip,
-      parsed_udp->header.dst_port));
-  response.target_queue = virtio::net::rx_queue_index(echo_pair);
+  response.target_queue = virtio::net::kRxQueue;
   response.processing_cycles =
       processing_cycles(echo_frame_size, device_checksummed);
   ++udp_echoes_;
-  ++pair_echoes_[echo_pair];
   return response;
 }
 
 void NetDeviceLogic::transfer(migrate::StateIo& io) {
   io.features(negotiated_);
-  // Steering reduces a table entry modulo the active pairs and indexes
-  // the per-pair counters with the result.
-  io.u16(active_pairs_);
-  if (active_pairs_ == 0 || active_pairs_ > pair_echoes_.size()) {
-    io.fail();
-  }
-  for (u8& entry : steering_table_) {
-    io.u8(entry);
-  }
-  io.expect<u16>(static_cast<u16>(pair_echoes_.size()));
-  for (u64& e : pair_echoes_) {
-    io.u64(e);
-  }
   io.u64(udp_echoes_);
   io.u64(checksums_offloaded_);
   io.u64(dropped_);
-  io.u64(ctrl_commands_);
-  io.u64(ctrl_rejected_);
 }
 
 }  // namespace vfpga::core

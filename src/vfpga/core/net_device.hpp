@@ -12,12 +12,8 @@
 // UDP are dropped and counted.
 #pragma once
 
-#include <array>
-#include <vector>
-
 #include "vfpga/core/user_logic.hpp"
 #include "vfpga/net/addr.hpp"
-#include "vfpga/net/rss.hpp"
 #include "vfpga/virtio/net_defs.hpp"
 
 namespace vfpga::migrate {
@@ -29,12 +25,6 @@ namespace vfpga::core {
 struct NetDeviceConfig {
   /// Offer TX checksum offload (VIRTIO_NET_F_CSUM).
   bool offer_csum = true;
-
-  /// RX/TX queue pairs the fabric instantiates. 1 (the paper's device)
-  /// keeps the two-queue personality with no control queue; >1 offers
-  /// VIRTIO_NET_F_MQ + VIRTIO_NET_F_CTRL_VQ and adds the control queue
-  /// after the last pair.
-  u16 max_queue_pairs = 1;
 };
 
 /// User-logic pipeline model of the echo personality (fabric cycles).
@@ -61,17 +51,10 @@ class NetDeviceLogic final : public UserLogic {
     return virtio::DeviceType::Net;
   }
   [[nodiscard]] virtio::FeatureSet device_features() const override;
-  [[nodiscard]] u16 queue_count() const override {
-    // Single-pair keeps the paper's two-queue personality; multiqueue
-    // adds the control queue after the last supported pair (§5.1.2).
-    return has_ctrl_queue()
-               ? static_cast<u16>(2 * config_.max_queue_pairs + 1)
-               : u16{2};
-  }
+  /// The paper's one RX/TX pair (§III-B): queue 0 receives, queue 1
+  /// transmits.
+  [[nodiscard]] u16 queue_count() const override { return 2; }
   void on_driver_ready(virtio::FeatureSet negotiated) override;
-  void attach_fault_plane(fault::FaultPlane* plane) override {
-    fault_ = plane;
-  }
   [[nodiscard]] u32 device_config_size() const override {
     return virtio::net::NetConfigLayout::kSize;
   }
@@ -80,58 +63,29 @@ class NetDeviceLogic final : public UserLogic {
                                   u32 writable_capacity,
                                   const ChainMeta& meta) override;
 
-  // ---- multiqueue ---------------------------------------------------------------
-  [[nodiscard]] u16 max_queue_pairs() const { return config_.max_queue_pairs; }
-  [[nodiscard]] u16 active_queue_pairs() const { return active_pairs_; }
-  [[nodiscard]] bool has_ctrl_queue() const {
-    return config_.max_queue_pairs > 1;
-  }
-  [[nodiscard]] u16 ctrl_queue() const {
-    return virtio::net::ctrl_queue_index(config_.max_queue_pairs);
-  }
-
   // ---- stats ---------------------------------------------------------------------
   [[nodiscard]] u64 udp_echoes() const { return udp_echoes_; }
   [[nodiscard]] u64 checksums_offloaded() const {
     return checksums_offloaded_;
   }
   [[nodiscard]] u64 dropped() const { return dropped_; }
-  [[nodiscard]] u64 ctrl_commands() const { return ctrl_commands_; }
-  [[nodiscard]] u64 ctrl_rejected() const { return ctrl_rejected_; }
-  [[nodiscard]] u64 pair_echoes(u16 pair) const {
-    return pair_echoes_.at(pair);
-  }
   [[nodiscard]] const NetDeviceConfig& device_config() const {
     return config_;
   }
   [[nodiscard]] virtio::FeatureSet negotiated() const { return negotiated_; }
 
   /// Snapshot/restore of the fabric personality's dynamic state:
-  /// negotiated features, active pairs, the RSS indirection table and
-  /// counters.
+  /// negotiated features and counters.
   void transfer(migrate::StateIo& io);
 
  private:
   [[nodiscard]] u64 processing_cycles(u64 frame_bytes, bool checksummed) const;
-  /// RSS stage: indirection-table lookup (with the steering-corrupt
-  /// fault hook) clamped to the active pair count.
-  [[nodiscard]] u16 steer_flow(u32 hash);
-  void reset_steering_table();
-  [[nodiscard]] Response ctrl_response(u16 queue, u8 ack, u64 cycles);
-  std::optional<Response> process_ctrl(u16 queue, ConstByteSpan payload,
-                                       u32 writable_capacity);
 
   NetDeviceConfig config_;
   virtio::FeatureSet negotiated_{};
-  fault::FaultPlane* fault_ = nullptr;
-  u16 active_pairs_ = 1;
-  std::array<u8, net::kSteeringTableSize> steering_table_{};
-  std::vector<u64> pair_echoes_;
   u64 udp_echoes_ = 0;
   u64 checksums_offloaded_ = 0;
   u64 dropped_ = 0;
-  u64 ctrl_commands_ = 0;
-  u64 ctrl_rejected_ = 0;
 };
 
 }  // namespace vfpga::core

@@ -93,8 +93,7 @@ VirtioNetTestbed::VirtioNetTestbed(TestbedOptions options)
   // Size the driver's buffer pools for the device's MTU: the driver
   // reads the MTU from config space only after its pools exist.
   driver_.set_datapath(options_.datapath);
-  const bool bound =
-      driver_.probe(ctx, *thread_, options_.requested_queue_pairs);
+  const bool bound = driver_.probe(ctx, *thread_);
   VFPGA_ASSERT(bound);
   VFPGA_ASSERT(driver_.using_packed_rings() == options_.use_packed_rings);
 
@@ -125,9 +124,7 @@ std::unique_ptr<hostos::HostThread> VirtioNetTestbed::spawn_thread() {
 }
 
 void VirtioNetTestbed::quiesce() {
-  for (u16 pair = 0; pair < driver_.queue_pairs(); ++pair) {
-    driver_.flush_tx(*thread_, pair);
-  }
+  driver_.flush_tx(*thread_);
   if (blk_device_) {
     // Drain the storage datapath: reap every in-flight request and pop
     // the results so the driver's slot tables are empty at snapshot.

@@ -44,10 +44,6 @@ struct TestbedOptions {
   /// The test socket's port and the FPGA's echo port.
   static constexpr u16 udp_port = 4791;
   static constexpr u16 fpga_udp_port = 9000;
-  /// RX/TX queue pairs the driver asks for (VIRTIO_NET_F_MQ). Clamped
-  /// by the device's max_virtqueue_pairs (options.net.max_queue_pairs);
-  /// 1 keeps the paper's single-queue configuration.
-  u16 requested_queue_pairs = 1;
   /// Fault-injection configuration. A FaultPlane is instantiated and
   /// wired through every layer only when at least one rate is non-zero;
   /// the all-zero default leaves the datapath untouched (bit-identical
@@ -103,7 +99,7 @@ class VirtioNetTestbed {
   [[nodiscard]] std::unique_ptr<hostos::HostThread> spawn_thread();
 
   /// Park the testbed for a crash-consistent snapshot: flush coalesced
-  /// TX kicks on every pair (the only time-deferred net state) and drain
+  /// TX kicks (the only time-deferred net state) and drain
   /// any in-flight blk requests. Everything else (unharvested used
   /// entries, queued MSI deliveries) serializes as-is.
   void quiesce();

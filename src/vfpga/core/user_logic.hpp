@@ -46,7 +46,7 @@ class UserLogic {
   virtual void on_driver_ready(virtio::FeatureSet /*negotiated*/) {}
 
   /// The controller forwards its fault plane so personalities with
-  /// internal state (e.g. an RSS steering table) can expose their own
+  /// internal state (e.g. the blk request parser) can expose their own
   /// injection points. Null or never-called == no faults.
   virtual void attach_fault_plane(fault::FaultPlane* /*plane*/) {}
 

@@ -123,12 +123,6 @@ void VirtioDeviceFunction::connect(pcie::RootComplex& rc) {
                                             bram_, &counters_);
 }
 
-const VirtioDeviceFunction::QueueState& VirtioDeviceFunction::queue_state(
-    u16 q) const {
-  VFPGA_EXPECTS(q < queue_state_.size());
-  return queue_state_[q];
-}
-
 std::unique_ptr<IQueueEngine> VirtioDeviceFunction::make_engine(
     virtio::RingFormat format) const {
   switch (format) {

@@ -69,7 +69,8 @@ class VirtioDeviceFunction : public pcie::Function {
 
   /// Install a fault plane consulted by the queue engines (descriptor
   /// corruption, used-ring write failures), the interrupt path
-  /// (per-queue MSI-X loss) and the user logic (steering corruption).
+  /// (per-queue MSI-X loss) and the user logic (the blk personality's
+  /// header corruption and backing-store timeouts).
   /// Call before the driver enables queues; nullptr = no fault hooks.
   void set_fault_plane(fault::FaultPlane* plane) {
     fault_ = plane;
@@ -136,16 +137,15 @@ class VirtioDeviceFunction : public pcie::Function {
     return engines_[queue]->completion_visible_time(seq);
   }
 
-  /// Per-queue state the host driver configured (visible for tests).
+ private:
+  /// Per-queue state the host driver configured.
   struct QueueState {
     u16 size = 0;
     u16 msix_vector = virtio::kNoVector;
     bool enabled = false;
     virtio::RingAddresses rings{};
   };
-  [[nodiscard]] const QueueState& queue_state(u16 q) const;
 
- private:
   // ---- common config handlers ----
   u64 common_read(BarOffset offset, u32 size);
   void common_write(BarOffset offset, u64 value, u32 size, sim::SimTime at);
@@ -195,8 +195,7 @@ class VirtioDeviceFunction : public pcie::Function {
   std::vector<u16> total_drained_;  ///< chains consumed per queue (mod 2^16)
   /// Each queue engine is an independent fabric FSM, but one engine
   /// processes one chain at a time: work on queue q issued while q is
-  /// still busy waits for it, while other queues proceed in parallel —
-  /// the contention model the multi-queue scaling bench measures.
+  /// still busy waits for it, while other queues proceed in parallel.
   std::vector<sim::SimTime> queue_busy_until_;
 
   // Datapath scratch, reused so a steady-state echo allocates nothing

@@ -23,8 +23,6 @@ const char* fault_class_name(FaultClass cls) {
       return "notify-dup";
     case FaultClass::kEngineHalt:
       return "engine-halt";
-    case FaultClass::kSteeringCorrupt:
-      return "steering-corrupt";
     case FaultClass::kQueueIrqLost:
       return "queue-irq-lost";
     case FaultClass::kIndirectCorrupt:

@@ -35,7 +35,6 @@ enum class FaultClass : u8 {
   kNotifyLost,        ///< MSI-X message dropped
   kNotifyDup,         ///< MSI-X message delivered twice
   kEngineHalt,        ///< XDMA descriptor magic corrupted -> engine halt
-  kSteeringCorrupt,   ///< RSS steering-table entry corrupts on lookup
   kQueueIrqLost,      ///< per-queue MSI-X message dropped at the device
   kIndirectCorrupt,   ///< indirect descriptor table corrupts on fetch
   kBlkHeaderCorrupt,  ///< blk request header corrupts on the fabric bus
@@ -43,7 +42,7 @@ enum class FaultClass : u8 {
   kBlkBackingTimeout, ///< blk backing store stalls past its deadline
 };
 
-inline constexpr std::size_t kFaultClassCount = 14;
+inline constexpr std::size_t kFaultClassCount = 13;
 
 /// Control-plane ring traffic (indices, descriptors, used elements, MSI
 /// messages) is 2-32 bytes; only payload-sized TLPs at or above this

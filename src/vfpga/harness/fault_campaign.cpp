@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "vfpga/common/contract.hpp"
-#include "vfpga/harness/multi_flow.hpp"
 
 namespace vfpga::harness {
 
@@ -126,31 +125,18 @@ OpOutcome chardev_op(core::XdmaTestbed& bed, const CampaignConfig& config,
   return outcome;
 }
 
-/// One UDP echo workload of the campaign: the testbed's queue pairs,
-/// the fault-plane seed stride and the TX path.
+/// One UDP echo workload of the campaign: its name and TX path.
 struct UdpWorkload {
   const char* name;
-  u16 pairs;
-  u64 fault_seed_multiplier;
   hostos::VirtioNetDriver::TxPath tx_path;
 };
 
-constexpr UdpWorkload kUdpEcho{"udp-echo", 1, 7919,
+constexpr UdpWorkload kUdpEcho{"udp-echo",
                                hostos::VirtioNetDriver::TxPath::kBounceCopy};
 /// Puts indirect tables on the hot path so kIndirectCorrupt has
 /// opportunities to fire (the default TX path never posts one).
 constexpr UdpWorkload kUdpIndirect{
-    "udp-indir", 1, 7919,
-    hostos::VirtioNetDriver::TxPath::kScatterGatherIndirect};
-/// A 4-pair testbed with one socket per pair (source ports searched so
-/// every queue carries ops, round-robin). It exercises the per-queue
-/// recovery paths: a diverted echo (steering-table corruption) or a
-/// swallowed per-queue MSI-X message is picked up by the interrupt-less
-/// poll across all pairs, and a run of diverted flows triggers the
-/// netstack's steering-table reset (a control-queue command, not a
-/// device reset).
-constexpr UdpWorkload kUdpMq{"udp-mq", 4, 15485863,
-                             hostos::VirtioNetDriver::TxPath::kBounceCopy};
+    "udp-indir", hostos::VirtioNetDriver::TxPath::kScatterGatherIndirect};
 
 ClassReport run_udp_class(fault::FaultClass cls, const CampaignConfig& config,
                           const UdpWorkload& workload) {
@@ -160,31 +146,17 @@ ClassReport run_udp_class(fault::FaultClass cls, const CampaignConfig& config,
   for (u64 run = 0; run < config.runs_per_class; ++run) {
     core::TestbedOptions options;
     options.seed = config.base_seed + run;
-    options.fault.seed =
-        config.base_seed * workload.fault_seed_multiplier + run;
+    options.fault.seed = config.base_seed * 7919 + run;
     options.fault.set_rate(cls, config.fault_rate);
-    options.net.max_queue_pairs = workload.pairs;
-    options.requested_queue_pairs = workload.pairs;
     options.datapath.tx_path = workload.tx_path;
     core::VirtioNetTestbed bed{options};
     ++report.runs;
-
-    std::vector<std::unique_ptr<hostos::UdpSocket>> steered;
-    std::vector<hostos::UdpSocket*> socks;
-    if (workload.pairs > 1) {
-      steered = steered_sockets(bed, workload.pairs, 30'000);
-      for (const auto& sock : steered) {
-        socks.push_back(sock.get());
-      }
-    } else {
-      socks.push_back(&bed.socket());
-    }
+    hostos::UdpSocket& sock = bed.socket();
 
     for (u32 op = 0; op < config.ops_per_run; ++op) {
       const Bytes payload = make_payload(config.udp_payload_bytes,
                                          options.seed, op);
-      const OpOutcome outcome =
-          udp_echo_op(bed, *socks[op % socks.size()], payload, config);
+      const OpOutcome outcome = udp_echo_op(bed, sock, payload, config);
       if (!outcome.ok) {
         ++report.hangs;
         // The run cannot meaningfully continue past a hang.
@@ -201,15 +173,12 @@ ClassReport run_udp_class(fault::FaultClass cls, const CampaignConfig& config,
     bed.fault_plane()->set_armed(false);
     (void)bed.driver().tx_watchdog(bed.thread());
     (void)bed.stack().poll_rx(bed.thread());
-    for (hostos::UdpSocket* sock : socks) {
-      while (sock->recvfrom_nonblock(bed.thread()).has_value()) {
-      }
+    while (sock.recvfrom_nonblock(bed.thread()).has_value()) {
     }
     for (u32 op = 0; op < config.clean_ops; ++op) {
       const Bytes payload = make_payload(config.udp_payload_bytes,
                                          options.seed, 0x1000u + op);
-      const OpOutcome outcome =
-          udp_echo_op(bed, *socks[op % socks.size()], payload, config);
+      const OpOutcome outcome = udp_echo_op(bed, sock, payload, config);
       if (!outcome.ok || outcome.recovered) {
         ++report.steady_state_failures;
       }
@@ -397,11 +366,10 @@ CampaignResult run_fault_campaign(const CampaignConfig& config) {
   // table is ever fetched and the class would trivially pass).
   result.classes.push_back(
       run_udp_class(FaultClass::kIndirectCorrupt, config, kUdpIndirect));
-  // The multi-queue-only classes against the 4-pair UDP workload.
-  for (const FaultClass cls :
-       {FaultClass::kSteeringCorrupt, FaultClass::kQueueIrqLost}) {
-    result.classes.push_back(run_udp_class(cls, config, kUdpMq));
-  }
+  // A queue's MSI-X message lost at the device; the interrupt-less poll
+  // picks up the completion.
+  result.classes.push_back(
+      run_udp_class(FaultClass::kQueueIrqLost, config, kUdpEcho));
   // The DMA/engine classes against the character-device workload.
   for (const FaultClass cls : {FaultClass::kEngineHalt,
                                FaultClass::kNotifyLost,

@@ -47,7 +47,7 @@ struct CampaignConfig {
 /// Aggregated result for one (fault class, workload) pair.
 struct ClassReport {
   fault::FaultClass cls{};
-  /// "udp-echo", "udp-indir", "udp-mq", "chardev" or "blk-io"
+  /// "udp-echo", "udp-indir", "chardev" or "blk-io"
   std::string workload;
   u64 runs = 0;
   u64 hangs = 0;         ///< ops that exhausted the retry/time budget

@@ -6,7 +6,6 @@
 
 #include "vfpga/common/contract.hpp"
 #include "vfpga/harness/parallel.hpp"
-#include "vfpga/net/rss.hpp"
 #include "vfpga/sim/rng.hpp"
 #include "vfpga/stats/sharded.hpp"
 
@@ -39,7 +38,6 @@ struct TrialResult {
   std::vector<FlowTally> flows;
   double makespan_us = 0;
   double throughput_mpps = 0;
-  u64 cross_pair_rx = 0;
   u64 busy_polls = 0;
   u64 busy_poll_harvested = 0;
   u64 busy_poll_spins = 0;
@@ -53,13 +51,10 @@ TrialResult run_trial(const MultiFlowConfig& config, u32 index,
                       stats::SampleSet& shard) {
   core::TestbedOptions options = config.testbed;
   options.seed = sim::derive_seed(config.seed, index);
-  options.net.max_queue_pairs = config.queue_pairs;
-  options.requested_queue_pairs = config.queue_pairs;
   core::VirtioNetTestbed bed(options);
-  VFPGA_ASSERT(bed.driver().queue_pairs() == config.queue_pairs);
 
   // Declared after the testbed: the flows' threads and sockets die first.
-  auto sockets = steered_sockets(bed, config.flows, 20'000);
+  auto sockets = flow_sockets(bed, config.flows, 20'000);
   std::vector<FlowContext> flows(config.flows);
   for (u16 f = 0; f < config.flows; ++f) {
     FlowContext& flow = flows[f];
@@ -141,7 +136,6 @@ TrialResult run_trial(const MultiFlowConfig& config, u32 index,
       result.makespan_us > 0
           ? static_cast<double>(completed) / result.makespan_us
           : 0.0;
-  result.cross_pair_rx = bed.stack().steering_mismatches();
   result.busy_polls = bed.driver().busy_polls();
   result.busy_poll_harvested = bed.driver().busy_poll_harvested();
   result.busy_poll_spins = bed.driver().busy_poll_spins();
@@ -152,23 +146,13 @@ TrialResult run_trial(const MultiFlowConfig& config, u32 index,
 
 }  // namespace
 
-std::vector<std::unique_ptr<hostos::UdpSocket>> steered_sockets(
+std::vector<std::unique_ptr<hostos::UdpSocket>> flow_sockets(
     core::VirtioNetTestbed& bed, u16 flows, u16 first_port) {
-  const u16 pairs = bed.driver().queue_pairs();
+  VFPGA_EXPECTS(first_port + flows <= 0x10000);
   std::vector<std::unique_ptr<hostos::UdpSocket>> sockets;
-  u16 port = first_port;
   for (u16 f = 0; f < flows; ++f) {
-    // The Toeplitz hash varies with every port bit, so each pair residue
-    // turns up within a handful of candidates, long before a wrap.
-    while (net::steer(net::rss_flow_hash(hostos::KernelNetstack::kHostIp,
-                                         port, bed.fpga_ip(),
-                                         bed.options().fpga_udp_port),
-                      pairs) != f % pairs) {
-      ++port;
-      VFPGA_ASSERT(port > first_port);
-    }
-    sockets.push_back(std::make_unique<hostos::UdpSocket>(bed.stack(), port));
-    ++port;
+    sockets.push_back(std::make_unique<hostos::UdpSocket>(
+        bed.stack(), static_cast<u16>(first_port + f)));
   }
   return sockets;
 }
@@ -198,8 +182,7 @@ std::optional<sim::Duration> echo_with_retry(core::VirtioNetTestbed& bed,
 }
 
 MultiFlowResult run_multi_flow(const MultiFlowConfig& config) {
-  VFPGA_EXPECTS(config.queue_pairs >= 1 && config.flows >= 1 &&
-                config.trials >= 1);
+  VFPGA_EXPECTS(config.flows >= 1 && config.trials >= 1);
 
   // One shard per trial: workers append concurrently without a lock;
   // the merge below happens after run_parallel joins (fork/join
@@ -216,7 +199,6 @@ MultiFlowResult run_multi_flow(const MultiFlowConfig& config) {
   run_parallel(std::move(tasks), worker_threads(config.trials, config.threads));
 
   MultiFlowResult result;
-  result.queue_pairs = config.queue_pairs;
   result.flows = config.flows;
   result.payload_bytes = config.payload_bytes;
   result.all_latency_us = all.merged();
@@ -232,7 +214,6 @@ MultiFlowResult run_multi_flow(const MultiFlowConfig& config) {
       const FlowTally& tally = out.flows[f];
       FlowResult& merged = result.per_flow[f];
       merged.flow = f;
-      merged.pair = static_cast<u16>(f % config.queue_pairs);
       merged.completed += tally.completed;
       merged.failures += tally.failures;
       merged.latency_us.merge(tally.latency_us);
@@ -247,7 +228,6 @@ MultiFlowResult run_multi_flow(const MultiFlowConfig& config) {
     }
     mpps += out.throughput_mpps;
     makespan += out.makespan_us;
-    result.cross_pair_rx += out.cross_pair_rx;
     result.busy_polls += out.busy_polls;
     result.busy_poll_harvested += out.busy_poll_harvested;
     result.busy_poll_spins += out.busy_poll_spins;

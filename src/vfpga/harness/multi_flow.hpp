@@ -1,14 +1,13 @@
 // Concurrent-flows UDP load generator: the harness's one engine for
-// flows that share a testbed (bench/mq_scaling, bench/busy_poll_modes).
+// flows that share a testbed (bench/busy_poll_modes).
 //
-// Drives M concurrent UDP echo flows against one multi-queue
-// VirtioNetTestbed. Each flow owns a HostThread (its application/kernel
-// context) and a UDP socket whose source port is searched so the flow's
-// Toeplitz hash steers it to queue pair f mod P — every pair carries
-// traffic whenever flows >= pairs. Within a trial, flows advance
-// earliest-simulated-clock-first (ties to the lower flow index), so
-// per-queue device contention (the QueueEngine busy timelines) shapes
-// the latency tails exactly as concurrent senders would. Each echo may
+// Drives M concurrent UDP echo flows against one VirtioNetTestbed and
+// its one RX/TX queue pair. Each flow owns a HostThread (its
+// application/kernel context) and a UDP socket on its own source port.
+// Within a trial, flows advance earliest-simulated-clock-first (ties to
+// the lower flow index), so device contention on the shared queues (the
+// QueueEngine busy timelines) shapes the latency tails exactly as
+// concurrent senders would. Each echo may
 // be followed by a pacing gap — spun on-core under RxMode::kBusyPoll,
 // slept otherwise — the spin-vs-sleep trade the busy-poll sweep
 // measures as CPU residency.
@@ -17,8 +16,8 @@
 // pool (harness::run_parallel); latencies land in per-trial
 // stats::ShardedSamples shards. Trials share nothing, so the merged
 // result is bit-identical at any worker-thread count (VFPGA_THREADS=1
-// is the oracle; CI byte-diffs the mq_scaling --stats-only JSON and the
-// busy_poll_modes --smoke table against it).
+// is the oracle; CI byte-diffs the busy_poll_modes --smoke table
+// against it).
 #pragma once
 
 #include <memory>
@@ -31,9 +30,6 @@
 namespace vfpga::harness {
 
 struct MultiFlowConfig {
-  /// Queue pairs: the device advertises this many and the driver
-  /// requests the same (options.testbed values are overridden).
-  u16 queue_pairs = 4;
   /// Concurrent UDP flows (each on its own HostThread + socket).
   u16 flows = 8;
   u64 payload_bytes = 256;
@@ -43,7 +39,7 @@ struct MultiFlowConfig {
   /// Independent repetitions, each a fresh testbed with a derived seed,
   /// run on the worker pool and merged.
   u32 trials = 4;
-  /// Retry budget per echo (poll all queues between attempts).
+  /// Retry budget per echo (poll the RX queue between attempts).
   u32 max_attempts = 8;
   /// Receive path of every flow's socket.
   hostos::RxMode rx_mode = hostos::RxMode::kInterrupt;
@@ -62,17 +58,15 @@ struct MultiFlowConfig {
 };
 
 /// Per-flow outcome, merged across trials (flow f is the same identity
-/// — port-searched onto pair f mod P — in every trial).
+/// — the same source port — in every trial).
 struct FlowResult {
   u16 flow = 0;
-  u16 pair = 0;  ///< queue pair the flow's 4-tuple steers to
   u64 completed = 0;
   u64 failures = 0;  ///< echoes that exhausted the retry budget
   stats::SampleSet latency_us;
 };
 
 struct MultiFlowResult {
-  u16 queue_pairs = 0;  ///< negotiated (may be < requested)
   u16 flows = 0;
   u64 payload_bytes = 0;
   std::vector<FlowResult> per_flow;
@@ -82,9 +76,6 @@ struct MultiFlowResult {
   double aggregate_mpps = 0;
   double mean_makespan_us = 0;
   u64 failures = 0;
-  /// UDP frames that arrived on a pair other than their flow's — must
-  /// be 0 without fault injection (steering is deterministic).
-  u64 cross_pair_rx = 0;
   /// Mean over flow-threads of software_time / wall-clock during the
   /// measured phase: the fraction of a core the flow consumed.
   double cpu_residency = 0;
@@ -101,19 +92,18 @@ struct MultiFlowResult {
 
 MultiFlowResult run_multi_flow(const MultiFlowConfig& config);
 
-/// One socket per flow on `bed`: flow f's source port is the first above
-/// flow f-1's (flow 0's: at or above `first_port`) whose Toeplitz hash
-/// steers it to queue pair f mod P, P the negotiated pair count. Deterministic, so flow identities are stable across trials and
+/// One socket per flow on `bed`: flow f binds source port
+/// `first_port + f`, so flow identities are stable across trials and
 /// across two beds built from the same options.
-std::vector<std::unique_ptr<hostos::UdpSocket>> steered_sockets(
+std::vector<std::unique_ptr<hostos::UdpSocket>> flow_sockets(
     core::VirtioNetTestbed& bed, u16 flows, u16 first_port);
 
 /// The measured step of the paper's echo (§III-B.1): charge one
 /// application iteration, sendto, then block in recvfrom — up to
-/// `max_attempts` times, polling every queue between attempts (another
+/// `max_attempts` times, polling the RX queue between attempts (another
 /// flow's interrupt service may have demuxed the reply to our socket
-/// queue, or a fault diverted it). Returns the send-to-reply latency
-/// when the reply matches `payload`; nullopt on a failed send, a
+/// queue, or a fault swallowed its interrupt). Returns the send-to-reply
+/// latency when the reply matches `payload`; nullopt on a failed send, a
 /// corrupted reply (not retried) or an exhausted budget.
 std::optional<sim::Duration> echo_with_retry(core::VirtioNetTestbed& bed,
                                              hostos::HostThread& thread,

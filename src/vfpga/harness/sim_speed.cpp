@@ -64,15 +64,13 @@ class Runner {
       // Lane i takes elements 2i and 2i+1 of the SplitMix64 stream
       // seeded with config_.seed: testbed, then flow generator.
       options.seed = sim::derive_seed(config_.seed, 2 * u64{i});
-      options.requested_queue_pairs = 1;
-      options.net.max_queue_pairs = 1;
       ctx->bed = std::make_unique<core::VirtioNetTestbed>(options);
       ctx->thread = ctx->bed->spawn_thread();
 
       // The lane's population: its slice of the GLOBAL RSS space. Every
-      // flow's searched source port steers to pair `i` under the same
-      // Toeplitz hash the multi-queue device uses, so the lane sharding
-      // is exactly the device's own flow-to-queue mapping.
+      // flow's searched source port steers to slot `i` under net/rss's
+      // Toeplitz hash, the flow-to-queue mapping an RSS device would
+      // apply with one queue pair per lane.
       net::FlowGenConfig gen_config;
       gen_config.host_ip = hostos::KernelNetstack::kHostIp;
       gen_config.fpga_ip = ctx->bed->fpga_ip();

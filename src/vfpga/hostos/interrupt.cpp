@@ -8,7 +8,6 @@ namespace vfpga::hostos {
 
 u32 InterruptController::allocate_vector() {
   queues_.emplace_back();
-  delivered_per_vector_.push_back(0);
   return static_cast<u32>(queues_.size() - 1);
 }
 
@@ -21,13 +20,7 @@ void InterruptController::deliver(u32 message_data, sim::SimTime at) {
     return;
   }
   queues_[message_data].push_back(at);
-  ++delivered_per_vector_[message_data];
   ++delivered_;
-}
-
-u64 InterruptController::delivered_on(u32 vector) const {
-  VFPGA_EXPECTS(vector < delivered_per_vector_.size());
-  return delivered_per_vector_[vector];
 }
 
 bool InterruptController::pending(u32 vector) const {
@@ -57,15 +50,11 @@ void InterruptController::transfer(migrate::StateIo& io) {
   // reset on the snapshot source re-allocates vectors, so the source
   // may have more than a freshly-probed target. Resize to match.
   queues_.resize(io.count<u32>(queues_.size()));
-  delivered_per_vector_.resize(queues_.size());
   for (auto& q : queues_) {
     q.resize(io.count<u32>(q.size()));
     for (sim::SimTime& at : q) {
       io.time(at);
     }
-  }
-  for (u64& d : delivered_per_vector_) {
-    io.u64(d);
   }
   io.u64(delivered_);
 }

@@ -52,10 +52,6 @@ class InterruptController {
   /// Total interrupts delivered (diagnostics).
   [[nodiscard]] u64 delivered_count() const { return delivered_; }
 
-  /// Interrupts delivered on one vector — lets tests assert that each
-  /// queue's traffic arrived on its own MSI-X vector and nowhere else.
-  [[nodiscard]] u64 delivered_on(u32 vector) const;
-
   /// Program the standard MSI window address for `vector`.
   [[nodiscard]] static HostAddr message_address() {
     return pcie::kMsiWindowBase;
@@ -67,7 +63,6 @@ class InterruptController {
 
  private:
   std::vector<std::deque<sim::SimTime>> queues_;
-  std::vector<u64> delivered_per_vector_;
   u64 delivered_ = 0;
 };
 

@@ -1,11 +1,12 @@
 #include "vfpga/hostos/netstack.hpp"
 
+#include <vector>
+
 #include "vfpga/common/contract.hpp"
 #include "vfpga/common/endian.hpp"
 #include "vfpga/migrate/state_io.hpp"
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
-#include "vfpga/net/rss.hpp"
 
 namespace vfpga::hostos {
 
@@ -57,38 +58,24 @@ bool KernelNetstack::udp_send(HostThread& thread, u16 src_port,
   tx_frame_.resize(net::udp_frame_size(payload.size()));
   net::write_udp_frame(tx_frame_, header, payload,
                        offload_csum ? std::optional<u16>{0} : std::nullopt);
-  const ConstByteSpan frame{tx_frame_};
-
-  // Queue selection mirrors the device's RSS stage: same hash, same
-  // reduction, so the echo lands on the TX queue's partner RX queue.
-  const u16 pair = net::steer(
-      net::rss_flow_hash(kHostIp, src_port, dst, dst_port),
-      driver_->queue_pairs());
-  flow_affinity_[src_port] = pair;
-
-  driver_->xmit_frame(thread, frame, offload_csum,
+  driver_->xmit_frame(thread, tx_frame_, offload_csum,
                       /*csum_start=*/net::EthernetHeader::kSize +
                           net::Ipv4Header::kSize,
-                      /*csum_offset=*/6, pair, more_coming);
+                      /*csum_offset=*/6, more_coming);
   thread.exec(thread.costs().syscall_exit);
   return true;
 }
 
-u16 KernelNetstack::flow_pair(u16 local_port) const {
-  const auto it = flow_affinity_.find(local_port);
-  return it == flow_affinity_.end() ? u16{0} : it->second;
-}
-
 void KernelNetstack::service_rx_interrupt(HostThread& thread,
-                                          sim::SimTime irq_time, u16 pair) {
+                                          sim::SimTime irq_time) {
   thread.block_until(irq_time);
   thread.exec(thread.costs().irq_entry);
-  driver_->napi_poll(thread, pair);
-  demux_frames(thread, pair);
+  driver_->napi_poll(thread);
+  demux_frames(thread);
 }
 
-void KernelNetstack::demux_frames(HostThread& thread, u16 pair) {
-  while (const auto rx = driver_->pop_rx_frame(pair)) {
+void KernelNetstack::demux_frames(HostThread& thread) {
+  while (const auto rx = driver_->pop_rx_frame()) {
     const Bytes& raw = rx->frame;
     // Only IPv4 parses: any other EtherType is dropped before the UDP
     // stack's cost is charged.
@@ -128,25 +115,6 @@ void KernelNetstack::demux_frames(HostThread& thread, u16 pair) {
       }
       ++csum_rescued_;
     }
-    if (driver_->queue_pairs() > 1) {
-      // Steering check: the flow bound to this port hashed to a specific
-      // pair on transmit; an echo arriving elsewhere means the device's
-      // steering table diverged. The datagram is still delivered — only
-      // the affinity (and its cache/interrupt locality) is lost — but a
-      // run of diverted flows triggers a steering-table reset, the
-      // per-queue repair that avoids a whole-device reset.
-      const auto it = flow_affinity_.find(udp->header.dst_port);
-      if (it != flow_affinity_.end() && it->second != pair) {
-        ++steering_mismatches_;
-        if (++mismatches_since_repair_ >= kSteeringRepairThreshold) {
-          if (driver_->reset_steering(thread)) {
-            mismatches_since_repair_ = 0;
-          }
-        }
-      } else {
-        mismatches_since_repair_ = 0;
-      }
-    }
     Datagram dgram;
     dgram.src = ip->header.src;
     dgram.src_port = udp->header.src_port;
@@ -163,47 +131,43 @@ void KernelNetstack::demux_frames(HostThread& thread, u16 pair) {
 
 std::optional<KernelNetstack::Datagram> KernelNetstack::udp_receive(
     HostThread& thread, u16 local_port, RxMode mode, sim::Duration budget) {
-  // The flow's queue-pair affinity decides which RX vector the receiver
-  // polls and sleeps on — with one pair this is the paper's single
-  // rx_vector(). The adaptive controller is asked before the syscall.
-  const u16 pair = flow_pair(local_port);
+  // The adaptive controller is asked before the syscall.
   const bool adaptive = mode == RxMode::kAdaptive;
   const bool spin = mode == RxMode::kBusyPoll ||
-                    (adaptive && driver_->should_busy_poll(pair));
+                    (adaptive && driver_->should_busy_poll());
   thread.exec(thread.costs().syscall_entry);
   const sim::SimTime enter = thread.now();
   auto& queue = socket_queues_[local_port];
   if (spin && queue.empty()) {
     // sk_busy_loop: spin in the driver until data lands or the budget
     // runs out. No irq_entry, no scheduler wake-up on the hit path.
-    if (driver_->busy_poll(thread, pair, budget) > 0) {
-      demux_frames(thread, pair);
+    if (driver_->busy_poll(thread, budget) > 0) {
+      demux_frames(thread);
     }
   }
   if (queue.empty()) {
     // Task blocks; the next RX interrupt wakes it. After a poll miss
     // busy_poll re-armed the vector, so a completion it declined to
     // wait for still has — or will get — its interrupt queued.
-    const std::optional<sim::SimTime> irq_time = sleep_on_rx(thread, pair);
+    const std::optional<sim::SimTime> irq_time = sleep_on_rx(thread);
     if (irq_time.has_value() && adaptive && !spin) {
       // The controller chose to sleep: feed the observed wait back so
       // it can switch to spinning when the arrival pattern tightens.
-      driver_->note_rx_wait(
-          pair, *irq_time > enter ? *irq_time - enter : sim::Duration{});
+      driver_->note_rx_wait(*irq_time > enter ? *irq_time - enter
+                                              : sim::Duration{});
     }
   }
   return dequeue(thread, queue);
 }
 
-std::optional<sim::SimTime> KernelNetstack::sleep_on_rx(HostThread& thread,
-                                                        u16 pair) {
+std::optional<sim::SimTime> KernelNetstack::sleep_on_rx(HostThread& thread) {
   // In the transaction-level flow the device has already computed the
   // delivery time of the interrupt the task sleeps on.
-  if (!irq_->pending(driver_->rx_vector(pair))) {
+  if (!irq_->pending(driver_->rx_vector())) {
     return std::nullopt;
   }
-  const sim::SimTime irq_time = irq_->consume(driver_->rx_vector(pair));
-  service_rx_interrupt(thread, irq_time, pair);
+  const sim::SimTime irq_time = irq_->consume(driver_->rx_vector());
+  service_rx_interrupt(thread, irq_time);
   thread.exec(thread.costs().wakeup);  // scheduler wakes the receiver
   return irq_time;
 }
@@ -224,54 +188,38 @@ std::optional<KernelNetstack::Datagram> KernelNetstack::dequeue(
 
 u32 KernelNetstack::poll_rx(HostThread& thread) {
   // Consume any pending interrupt first so a later blocking receive
-  // doesn't double-service it; then poll unconditionally. Every pair is
-  // polled: a lost interrupt (or a diverted flow) can leave completions
-  // on any ring.
-  u32 harvested = 0;
-  for (u16 p = 0; p < driver_->queue_pairs(); ++p) {
-    while (irq_->pending(driver_->rx_vector(p))) {
-      irq_->consume(driver_->rx_vector(p));
-    }
-    harvested += driver_->napi_poll(thread, p);
-    demux_frames(thread, p);
+  // doesn't double-service it; then poll unconditionally: a lost
+  // interrupt can leave completions on the ring.
+  while (irq_->pending(driver_->rx_vector())) {
+    irq_->consume(driver_->rx_vector());
   }
+  const u32 harvested = driver_->napi_poll(thread);
+  demux_frames(thread);
   return harvested;
 }
 
 std::optional<KernelNetstack::Datagram> KernelNetstack::udp_receive_poll(
     HostThread& thread, u16 local_port) {
   thread.exec(thread.costs().syscall_entry);
-  for (u16 p = 0; p < driver_->queue_pairs(); ++p) {
-    while (irq_->pending(driver_->rx_vector(p))) {
-      service_rx_interrupt(thread, irq_->consume(driver_->rx_vector(p)), p);
-    }
+  while (irq_->pending(driver_->rx_vector())) {
+    service_rx_interrupt(thread, irq_->consume(driver_->rx_vector()));
   }
   return dequeue(thread, socket_queues_[local_port]);
 }
 
-namespace {
-
-/// The keys of a length-prefixed map, each transferred by the caller
-/// before its value. Loading clears the map for the caller to refill.
-template <class Map>
-std::vector<typename Map::key_type> map_keys(migrate::StateIo& io,
-                                             Map& map) {
-  std::vector<typename Map::key_type> keys;
-  for (const auto& entry : map) {
-    keys.push_back(entry.first);
-  }
-  keys.resize(io.count<u32>(keys.size()));
-  if (io.loading()) {
-    map.clear();
-  }
-  return keys;
-}
-
-}  // namespace
-
 void KernelNetstack::transfer(migrate::StateIo& io) {
   io.u16(next_ip_id_);
-  for (u16 port : map_keys(io, socket_queues_)) {
+  // The ports, each transferred before its queue. Loading clears the
+  // map to refill it.
+  std::vector<u16> ports;
+  for (const auto& entry : socket_queues_) {
+    ports.push_back(entry.first);
+  }
+  ports.resize(io.count<u32>(ports.size()));
+  if (io.loading()) {
+    socket_queues_.clear();
+  }
+  for (u16 port : ports) {
     io.u16(port);
     std::deque<Datagram>& queue = socket_queues_[port];
     queue.resize(io.count<u32>(queue.size()));
@@ -282,12 +230,6 @@ void KernelNetstack::transfer(migrate::StateIo& io) {
       io.blob(d.payload);
     }
   }
-  for (u16 port : map_keys(io, flow_affinity_)) {
-    io.u16(port);
-    io.u16(flow_affinity_[port]);
-  }
-  io.u64(steering_mismatches_);
-  io.u32(mismatches_since_repair_);
   io.u64(frames_demuxed_);
   io.u64(frames_dropped_);
   io.u64(tx_oversized_);

@@ -62,12 +62,12 @@ class KernelNetstack {
   /// recvfrom(2): receive the next datagram for `local_port` by `mode`.
   /// kInterrupt sleeps until the RX interrupt, then runs the
   /// NAPI/IP/UDP receive path. kBusyPoll (SO_BUSY_POLL) first spins on
-  /// the flow's RX queue for `budget` (zero = the driver's default),
+  /// the RX queue for `budget` (zero = the driver's default),
   /// harvesting completions as their used-ring writes become visible
   /// and skipping the IRQ entry and the scheduler wake-up on the hit
   /// path; a miss falls back to the sleep (busy_poll re-armed the
-  /// vector). kAdaptive asks the driver's per-pair EWMA controller
-  /// whether to spin, and feeds the wait back when it sleeps. Nullopt
+  /// vector). kAdaptive asks the driver's EWMA controller whether to
+  /// spin, and feeds the wait back when it sleeps. Nullopt
   /// when no interrupt is (or becomes) pending — the sequential-
   /// simulation analogue of a receive timeout.
   std::optional<Datagram> udp_receive(HostThread& thread, u16 local_port,
@@ -92,36 +92,21 @@ class KernelNetstack {
   /// on-wire checksum did not verify (a frame corrupted after the
   /// device checked it).
   [[nodiscard]] u64 csum_rescued() const { return csum_rescued_; }
-  /// UDP datagrams that arrived on a different queue pair than the one
-  /// the flow's hash steers to — the symptom of device steering-table
-  /// corruption.
-  [[nodiscard]] u64 steering_mismatches() const {
-    return steering_mismatches_;
-  }
 
-  /// Queue pair carrying the flow bound to `local_port` (0 until the
-  /// first send establishes the affinity).
-  [[nodiscard]] u16 flow_pair(u16 local_port) const;
-
-  /// Snapshot/restore of the stack's dynamic state: socket queues, flow
-  /// affinities, IP-id counter, counters. The route is configuration
+  /// Snapshot/restore of the stack's dynamic state: socket queues,
+  /// IP-id counter, counters. The route is configuration
   /// (configure_fpga_route) and is rebuilt by the restore target's own
   /// setup.
   void transfer(migrate::StateIo& io);
 
  private:
-  /// Consecutive diverted datagrams tolerated before the stack asks the
-  /// driver to reset the device's steering table.
-  static constexpr u32 kSteeringRepairThreshold = 4;
-
   /// Service one RX interrupt: irq entry, NAPI poll, IP/UDP demux.
-  void service_rx_interrupt(HostThread& thread, sim::SimTime irq_time,
-                            u16 pair = 0);
-  void demux_frames(HostThread& thread, u16 pair = 0);
-  /// Block on `pair`'s RX vector: service the interrupt, then wake the
+  void service_rx_interrupt(HostThread& thread, sim::SimTime irq_time);
+  void demux_frames(HostThread& thread);
+  /// Block on the RX vector: service the interrupt, then wake the
   /// sleeping task. Returns the interrupt time, or nullopt when none is
   /// pending (the receive would block forever).
-  std::optional<sim::SimTime> sleep_on_rx(HostThread& thread, u16 pair);
+  std::optional<sim::SimTime> sleep_on_rx(HostThread& thread);
   /// The receive tail: pop the queue's head and copy it out to the user
   /// (nullopt when empty), then charge the syscall exit.
   std::optional<Datagram> dequeue(HostThread& thread,
@@ -138,10 +123,6 @@ class KernelNetstack {
   /// udp_send's frame, reused so a steady send allocates nothing.
   Bytes tx_frame_;
   std::map<u16, std::deque<Datagram>> socket_queues_;
-  /// local port -> queue pair its flow hashes to (set on transmit).
-  std::map<u16, u16> flow_affinity_;
-  u64 steering_mismatches_ = 0;
-  u32 mismatches_since_repair_ = 0;
   u64 frames_demuxed_ = 0;
   u64 frames_dropped_ = 0;
   u64 tx_oversized_ = 0;

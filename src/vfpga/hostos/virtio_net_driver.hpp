@@ -6,14 +6,8 @@
 // construction (split or packed per negotiation); this class contributes
 // the network semantics — virtio_net_hdr framing, single-doorbell
 // transmission (§IV-A), and NAPI-style reception where the RX interrupt
-// triggers a poll that harvests used buffers and refills the ring.
-//
-// Multiqueue (VIRTIO_NET_F_MQ): the driver can negotiate up to the
-// device's max_virtqueue_pairs RX/TX pairs, each with its own MSI-X
-// vectors, buffer pools and NAPI context, and enables them with
-// VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET on the control virtqueue. With one
-// pair (the default) the behaviour is exactly the paper's single-queue
-// driver.
+// triggers a poll that harvests used buffers and refills the ring. Like
+// the paper's driver it runs one RX/TX queue pair (§III-B).
 //
 // Timing: probe-time costs are charged but irrelevant (not on the
 // measured path); the xmit/poll entry points charge the calibrated
@@ -59,58 +53,45 @@ class VirtioNetDriver {
   static constexpr u32 kFrameCapacity = 14 + virtio::net::kDeviceMtu + 12;
 
   /// Probe and initialize the device (§3.1.1 init sequence). `thread`
-  /// pays the MMIO costs. `requested_pairs` > 1 asks for multiqueue;
-  /// the result is capped by what the device supports (and falls back
-  /// to 1 when VIRTIO_NET_F_MQ is not negotiated). Returns false when
-  /// the device is not a virtio-net modern device or negotiation fails.
-  bool probe(const BindContext& ctx, HostThread& thread,
-             u16 requested_pairs = 1);
+  /// pays the MMIO costs. Returns false when the device is not a
+  /// virtio-net modern device or negotiation fails.
+  bool probe(const BindContext& ctx, HostThread& thread);
 
   [[nodiscard]] bool bound() const { return transport_.bound(); }
   [[nodiscard]] virtio::FeatureSet negotiated() const {
     return transport_.negotiated();
   }
-  /// Queue pairs actually negotiated and enabled.
-  [[nodiscard]] u16 queue_pairs() const { return pairs_; }
-  /// max_virtqueue_pairs the device advertised (1 when MQ is off).
-  [[nodiscard]] u16 max_device_pairs() const { return max_device_pairs_; }
-  [[nodiscard]] u32 rx_vector() const { return pair_state_[0].rx_vector; }
-  [[nodiscard]] u32 tx_vector() const { return pair_state_[0].tx_vector; }
-  [[nodiscard]] u32 rx_vector(u16 pair) const {
-    return pair_state_.at(pair).rx_vector;
-  }
-  [[nodiscard]] u32 tx_vector(u16 pair) const {
-    return pair_state_.at(pair).tx_vector;
-  }
+  [[nodiscard]] u32 rx_vector() const { return rx_vector_; }
+  [[nodiscard]] u32 tx_vector() const { return tx_vector_; }
   [[nodiscard]] net::MacAddr mac() const { return mac_; }
   [[nodiscard]] u16 mtu() const { return mtu_; }
   [[nodiscard]] bool using_packed_rings() const {
     return transport_.using_packed_rings();
   }
 
-  /// Transmit one Ethernet frame of at most kFrameCapacity bytes on
-  /// `pair`'s TX queue (virtio_net_hdr is prepended here, in the
-  /// driver, as virtio-net does). `needs_csum`
+  /// Transmit one Ethernet frame of at most kFrameCapacity bytes on the
+  /// TX queue (virtio_net_hdr is prepended here, in the driver, as
+  /// virtio-net does). `needs_csum`
   /// marks a frame whose L4 checksum was left for the device
   /// (VIRTIO_NET_F_CSUM negotiated); csum_start/csum_offset follow the
   /// UDP convention. `more_coming` is the xmit_more/MSG_MORE hint: the
-  /// caller promises another frame (or an explicit flush_tx) on this
-  /// pair immediately, so the driver may defer the avail publish and the
+  /// caller promises another frame (or an explicit flush_tx)
+  /// immediately, so the driver may defer the avail publish and the
   /// doorbell to coalesce up to set_kick_coalesce() frames into one
   /// kick. Returns true when the device was kicked.
   bool xmit_frame(HostThread& thread, ConstByteSpan frame, bool needs_csum,
-                  u16 csum_start = 0, u16 csum_offset = 0, u16 pair = 0,
+                  u16 csum_start = 0, u16 csum_offset = 0,
                   bool more_coming = false);
 
-  /// Publish any coalesced-but-unpublished TX chains on `pair` and ring
-  /// the doorbell if the device asked for it (one EVENT_IDX decision for
+  /// Publish any coalesced-but-unpublished TX chains and ring the
+  /// doorbell if the device asked for it (one EVENT_IDX decision for
   /// the whole batch). Returns true when the device was kicked.
-  bool flush_tx(HostThread& thread, u16 pair = 0);
+  bool flush_tx(HostThread& thread);
 
-  /// NAPI poll for one pair: harvest RX completions into that pair's
-  /// receive backlog and recycle TX completions; refill + re-enable
-  /// interrupts. Returns the number of frames harvested.
-  u32 napi_poll(HostThread& thread, u16 pair = 0);
+  /// NAPI poll: harvest RX completions into the receive backlog and
+  /// recycle TX completions; refill + re-enable interrupts. Returns the
+  /// number of frames harvested.
+  u32 napi_poll(HostThread& thread);
 
   /// Busy-poll tuning (Linux SO_BUSY_POLL / napi_busy_loop semantics in
   /// the modeled stack) and the adaptive spin-vs-sleep controller.
@@ -118,13 +99,13 @@ class VirtioNetDriver {
     /// Spin budget per busy_poll() call before falling back to
     /// interrupts (the SO_BUSY_POLL microseconds value).
     sim::Duration default_budget;
-    /// EWMA smoothing for the observed data-arrival wait per pair.
+    /// EWMA smoothing for the observed data-arrival wait.
     double ewma_alpha;
-    /// Adaptive mode spins when the pair's predicted wait is at or
+    /// Adaptive mode spins when the predicted wait is at or
     /// below this (like adaptive IRQ coalescing thresholds). Sized to
     /// cover the device's round-trip spread (~8-20us on the modeled
     /// link): a budget-expiry observation (default_budget charged on a
-    /// dry poll) still lands above it, so a pair whose traffic stops
+    /// dry poll) still lands above it, so a queue whose traffic stops
     /// drifts back to sleeping within a few calls.
     sim::Duration spin_threshold;
     /// Hard cap on spin iterations per call: a pathological loop fails
@@ -141,30 +122,27 @@ class VirtioNetDriver {
   /// xmit_more hint. 1 = kick per frame (the interrupt path's shape).
   void set_kick_coalesce(u32 frames) { kick_coalesce_ = frames; }
 
-  /// Poll-mode RX for one pair: flush any coalesced TX kicks, disarm
-  /// the pair's RX vector, and spin on the used ring — harvesting
+  /// Poll-mode RX: flush any coalesced TX kicks, disarm the RX vector,
+  /// and spin on the used ring — harvesting
   /// completions as their used-ring writes become visible — until
   /// nothing more can land within `budget` (zero = policy default).
   /// Re-arms interrupts on exit (hybrid fallback: a completion arriving
   /// after the budget expires raises the normal RX interrupt). Returns
   /// frames harvested into the backlog.
-  u32 busy_poll(HostThread& thread, u16 pair = 0,
-                sim::Duration budget = sim::Duration{});
+  u32 busy_poll(HostThread& thread, sim::Duration budget = sim::Duration{});
 
-  /// Adaptive controller decision for `pair`: spin (true) when the
-  /// EWMA of recently observed waits predicts data within
-  /// spin_threshold, sleep (false) otherwise.
-  [[nodiscard]] bool should_busy_poll(u16 pair = 0) const;
+  /// Adaptive controller decision: spin (true) when the EWMA of
+  /// recently observed waits predicts data within spin_threshold, sleep
+  /// (false) otherwise.
+  [[nodiscard]] bool should_busy_poll() const;
 
   /// Feed the adaptive EWMA with a wait observed outside busy_poll()
   /// (the interrupt path's block-until-IRQ duration).
-  void note_rx_wait(u16 pair, sim::Duration wait);
+  void note_rx_wait(sim::Duration wait);
 
-  /// The controller's current prediction for `pair` in microseconds
-  /// (negative = no observation yet). Exposed for tests and diagnostics.
-  [[nodiscard]] double rx_wait_ewma_us(u16 pair = 0) const {
-    return pair_state_.at(pair).rx_wait_ewma_us;
-  }
+  /// The controller's current prediction in microseconds (negative = no
+  /// observation yet). Exposed for tests and diagnostics.
+  [[nodiscard]] double rx_wait_ewma_us() const { return rx_wait_ewma_us_; }
 
   /// TX watchdog policy: how long a stuck TX queue is tolerated and how
   /// the bounded exponential backoff re-kicks are paced before the
@@ -184,30 +162,17 @@ class VirtioNetDriver {
     kReset,     ///< escalated: full reset -> renegotiate -> requeue
   };
 
-  /// The virtio-net TX watchdog (cf. virtnet dev_watchdog), across all
-  /// negotiated pairs: harvest completions, then — if a pair's
-  /// transmissions are stuck — re-kick that queue with bounded
-  /// exponential backoff (per-queue recovery: no device reset),
+  /// The virtio-net TX watchdog (cf. virtnet dev_watchdog): harvest
+  /// completions, then — if transmissions are stuck — re-kick the TX
+  /// queue with bounded exponential backoff (no device reset),
   /// escalating to recover() when the simulated-time deadline or the
   /// retry budget is exhausted. A device that latched
   /// DEVICE_NEEDS_RESET or a broken vring resets immediately.
   WatchdogAction tx_watchdog(HostThread& thread);
 
   /// Full recovery cycle: reset the device, renegotiate features,
-  /// rebuild every queue and requeue the (reused) RX/TX buffers.
+  /// rebuild both queues and requeue the (reused) RX/TX buffers.
   bool recover(HostThread& thread);
-
-  /// Send VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET on the control queue and
-  /// return the device's ack byte (VIRTIO_NET_OK/ERR), or nullopt when
-  /// no control queue was negotiated or the command never completed.
-  /// Out-of-range values are sent as-is so tests can observe rejection;
-  /// driver state only updates on an in-range OK.
-  std::optional<u8> set_queue_pairs(HostThread& thread, u16 pairs);
-
-  /// Re-issue VQ_PAIRS_SET with the current pair count — resets the
-  /// device's steering table, the repair for diverted flows (per-queue
-  /// recovery without a device reset).
-  bool reset_steering(HostThread& thread);
 
   /// One received frame plus the virtio_net_hdr metadata the device
   /// attached to it. csum_valid mirrors VIRTIO_NET_HDR_F_DATA_VALID:
@@ -218,19 +183,14 @@ class VirtioNetDriver {
     bool csum_valid = false;
   };
 
-  /// Pop one received frame from `pair`'s backlog (after napi_poll
-  /// queued it).
-  std::optional<RxFrame> pop_rx_frame(u16 pair = 0);
-  [[nodiscard]] bool rx_backlog_empty(u16 pair = 0) const {
-    return pair_state_.at(pair).rx_backlog.empty();
-  }
+  /// Pop one received frame from the backlog (after napi_poll queued
+  /// it).
+  std::optional<RxFrame> pop_rx_frame();
+  [[nodiscard]] bool rx_backlog_empty() const { return rx_backlog_.empty(); }
 
   /// Statistics.
   [[nodiscard]] u64 tx_packets() const { return tx_packets_; }
   [[nodiscard]] u64 rx_packets() const { return rx_packets_; }
-  [[nodiscard]] u64 rx_packets_on(u16 pair) const {
-    return pair_state_.at(pair).rx_packets;
-  }
   [[nodiscard]] u64 tx_kicks() const { return tx_kicks_; }
   /// Doorbells elided by TX kick coalescing (frames that rode a later
   /// kick): tx_kicks + tx_kicks_coalesced + suppressed-by-EVENT_IDX
@@ -246,27 +206,16 @@ class VirtioNetDriver {
   [[nodiscard]] u64 busy_poll_spins() const { return busy_poll_spins_; }
   [[nodiscard]] u64 device_resets() const { return device_resets_; }
   [[nodiscard]] u64 watchdog_kicks() const { return watchdog_kicks_; }
-  [[nodiscard]] u64 steering_repairs() const { return steering_repairs_; }
-  [[nodiscard]] u64 ctrl_commands_sent() const { return ctrl_commands_sent_; }
 
   /// Snapshot/restore of the driver's dynamic state: transport + rings,
-  /// per-pair buffer pools, RX backlogs, NAPI/watchdog state and
-  /// counters. Policies (busy-poll,
-  /// watchdog, datapath options) are configuration the restore target
-  /// already applied identically. The control-queue index is derived
-  /// from max_device_pairs, and a restore fails when it names a queue
-  /// the transport did not build.
+  /// buffer pools, the RX backlog, NAPI/watchdog state and counters.
+  /// Policies (busy-poll, watchdog, datapath options) are configuration
+  /// the restore target already applied identically.
   void transfer(migrate::StateIo& io);
 
  private:
   bool initialize_device(HostThread& thread);
-  void post_initial_rx_buffers(u16 pair);
-  /// Submit one {class, command, payload} chain on the control queue and
-  /// poll for the device's ack byte.
-  std::optional<u8> send_ctrl(HostThread& thread, u8 cls, u8 cmd,
-                              ConstByteSpan payload);
-  /// The control queue sits after the device's last supported pair.
-  [[nodiscard]] u16 ctrl_queue_index() const;
+  void post_initial_rx_buffers();
 
   /// RX buffer bookkeeping: token -> buffer address (single-buffer
   /// layout: virtio_net_hdr + frame in one descriptor, as modern
@@ -281,51 +230,38 @@ class VirtioNetDriver {
     HostAddr frame_addr = 0;
   };
 
-  /// Everything one RX/TX queue pair owns: buffer pools, backlog,
-  /// vectors and its NAPI/watchdog state. Persistent across recovery
-  /// cycles so buffer memory is reused.
-  struct PairState {
-    std::vector<RxBuffer> rx_buffers;
-    std::vector<TxBuffer> tx_buffers;
-    std::deque<u32> tx_free;
-    std::deque<RxFrame> rx_backlog;
-    u32 rx_vector = 0;
-    u32 tx_vector = 0;
-    u32 kick_retries = 0;
-    std::optional<sim::SimTime> tx_stall_since;
-    u64 rx_packets = 0;
-    /// RX completions harvested since queue enable — the sequence
-    /// number busy_poll() gates on the device's visibility log with.
-    /// Reset with the rings on (re)initialization.
-    u64 rx_harvest_seq = 0;
-    /// TX frames added but not yet published/kicked (xmit_more).
-    u32 tx_pending_kick = 0;
-    /// Adaptive controller: EWMA of observed data-arrival waits, in
-    /// microseconds (negative = no observation yet -> spin first).
-    double rx_wait_ewma_us = -1.0;
-  };
-
   /// Harvest exactly one RX completion into the backlog and recycle its
   /// buffer (shared by napi_poll and busy_poll).
-  void harvest_one_rx(virtio::DriverRing& rx, PairState& ps);
+  void harvest_one_rx(virtio::DriverRing& rx);
 
-  [[nodiscard]] virtio::DriverRing& rx_queue(u16 pair);
-  [[nodiscard]] virtio::DriverRing& tx_queue(u16 pair);
+  [[nodiscard]] virtio::DriverRing& rx_queue();
+  [[nodiscard]] virtio::DriverRing& tx_queue();
 
   VirtioPciTransport transport_;
   BindContext ctx_{};
   net::MacAddr mac_{};
   u16 mtu_ = 1500;
-  u16 requested_pairs_ = 1;
-  u16 pairs_ = 1;            ///< pairs currently enabled via the ctrl queue
-  u16 configured_pairs_ = 1;  ///< pairs with rings + vectors set up
-  u16 max_device_pairs_ = 1;
-  bool mq_active_ = false;  ///< MQ + CTRL_VQ negotiated
-  HostAddr ctrl_cmd_addr_ = 0;
-  HostAddr ctrl_ack_addr_ = 0;
-
-  std::vector<PairState> pair_state_{1};
   DatapathOptions datapath_{};
+
+  // Buffer pools, backlog, vectors and NAPI/watchdog state. Persistent
+  // across recovery cycles so buffer memory is reused.
+  std::vector<RxBuffer> rx_buffers_;
+  std::vector<TxBuffer> tx_buffers_;
+  std::deque<u32> tx_free_;
+  std::deque<RxFrame> rx_backlog_;
+  u32 rx_vector_ = 0;
+  u32 tx_vector_ = 0;
+  u32 kick_retries_ = 0;
+  std::optional<sim::SimTime> tx_stall_since_;
+  /// RX completions harvested since queue enable — the sequence number
+  /// busy_poll() gates on the device's visibility log with. Reset with
+  /// the rings on (re)initialization.
+  u64 rx_harvest_seq_ = 0;
+  /// TX frames added but not yet published/kicked (xmit_more).
+  u32 tx_pending_kick_ = 0;
+  /// Adaptive controller: EWMA of observed data-arrival waits, in
+  /// microseconds (negative = no observation yet -> spin first).
+  double rx_wait_ewma_us_ = -1.0;
 
   u64 tx_packets_ = 0;
   u64 rx_packets_ = 0;
@@ -337,8 +273,6 @@ class VirtioNetDriver {
   u64 busy_poll_spins_ = 0;
   u64 device_resets_ = 0;
   u64 watchdog_kicks_ = 0;
-  u64 steering_repairs_ = 0;
-  u64 ctrl_commands_sent_ = 0;
 
   u32 kick_coalesce_ = 1;
 };

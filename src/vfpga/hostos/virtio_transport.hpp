@@ -81,10 +81,6 @@ class VirtioPciTransport {
   [[nodiscard]] virtio::DriverRing& queue(u16 index) {
     return *queues_.at(index);
   }
-  /// True when setup_queue built queue `index`.
-  [[nodiscard]] bool has_queue(u16 index) const {
-    return index < queues_.size() && queues_[index] != nullptr;
-  }
   [[nodiscard]] mem::HostMemory& memory() { return ctx_.rc->memory(); }
 
   /// Doorbell: one posted MMIO write to the queue's notify address.

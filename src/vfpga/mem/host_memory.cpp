@@ -104,24 +104,6 @@ u8 HostMemory::read_u8(HostAddr addr) const {
   return page_for_read(addr / kPageSize)[addr % kPageSize];
 }
 
-u16 HostMemory::read_le16(HostAddr addr) const {
-  std::array<u8, 2> buf{};
-  read(addr, buf);
-  return load_le16(buf);
-}
-
-u32 HostMemory::read_le32(HostAddr addr) const {
-  std::array<u8, 4> buf{};
-  read(addr, buf);
-  return load_le32(buf);
-}
-
-u64 HostMemory::read_le64(HostAddr addr) const {
-  std::array<u8, 8> buf{};
-  read(addr, buf);
-  return load_le64(buf);
-}
-
 void HostMemory::write_u8(HostAddr addr, u8 v) {
   page_for_write(addr / kPageSize)[addr % kPageSize] = v;
 }

@@ -61,9 +61,6 @@ class HostMemory {
   void set_fault_plane(fault::FaultPlane* plane) { fault_ = plane; }
 
   [[nodiscard]] u8 read_u8(HostAddr addr) const;
-  [[nodiscard]] u16 read_le16(HostAddr addr) const;
-  [[nodiscard]] u32 read_le32(HostAddr addr) const;
-  [[nodiscard]] u64 read_le64(HostAddr addr) const;
   void write_u8(HostAddr addr, u8 v);
   void write_le16(HostAddr addr, u16 v);
   void write_le32(HostAddr addr, u32 v);

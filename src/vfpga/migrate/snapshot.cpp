@@ -21,9 +21,7 @@ constexpr std::size_t kTrailerBytes = 4;     // crc32
 void encode_fingerprint(const core::TestbedOptions& o, StateWriter& w) {
   w.put_u64(o.seed);
   w.put_bool(o.use_packed_rings);
-  w.put_u16(o.requested_queue_pairs);
   w.put_bool(o.net.offer_csum);
-  w.put_u16(o.net.max_queue_pairs);
   w.put_bool(o.controller.policy.batched_chain_fetch);
   w.put_bool(o.controller.policy.trust_cached_credits);
   w.put_bool(o.controller.policy.offer_packed);

@@ -28,7 +28,7 @@ namespace vfpga::migrate {
 
 inline constexpr u8 kSnapshotMagic[8] = {'V', 'F', 'P', 'G',
                                          'A', 'S', 'N', 'P'};
-inline constexpr u32 kSnapshotVersion = 10;
+inline constexpr u32 kSnapshotVersion = 11;
 
 /// Section ids, in on-disk order.
 inline constexpr u32 kSectionFingerprint = 1;

@@ -13,9 +13,9 @@
 //  * connection churn: a finished flow's table slot is re-filled by a
 //    fresh flow with a new 4-tuple, so the live-flow population stays at
 //    the configured level while flow identities turn over continuously,
-//  * every flow is pinned to a queue pair through the same Toeplitz RSS
-//    steering the device uses (net/rss), so a generated flow's packets
-//    really do land where the multi-queue data plane will process them.
+//  * every flow is pinned to a queue pair through net/rss's Toeplitz
+//    steering, so sim_speed's lane partition is the flow-to-queue
+//    mapping an RSS device would apply with one pair per lane.
 //
 // State is struct-of-arrays (15 bytes/slot of per-flow state), and
 // source ports come from per-pair freelists fed by a carve cursor over

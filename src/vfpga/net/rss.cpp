@@ -1,5 +1,8 @@
 #include "vfpga/net/rss.hpp"
 
+#include <array>
+#include <utility>
+
 namespace vfpga::net {
 
 namespace {
@@ -48,8 +51,6 @@ constexpr ToeplitzTables build_toeplitz_tables() {
 constexpr ToeplitzTables kToeplitzTables = build_toeplitz_tables();
 
 }  // namespace
-
-const std::array<u8, kRssKeyBytes>& rss_key() { return kRssKey; }
 
 u32 rss_flow_hash(Ipv4Addr src_ip, u16 src_port, Ipv4Addr dst_ip,
                   u16 dst_port) {

@@ -85,11 +85,6 @@ sim::SimTime MsixTable::fire(u32 index, sim::SimTime at, const DmaPort& port) {
   return port.write(at, e.address, message).delivered;
 }
 
-bool MsixTable::pending(u32 index) const {
-  VFPGA_EXPECTS(index < entries_.size());
-  return entries_[index].pending;
-}
-
 Bytes make_msix_capability_body(u16 table_size, u8 table_bar, u32 table_offset,
                                 u8 pba_bar, u32 pba_offset) {
   // The message-control field encodes (table_size - 1) in 11 bits; a

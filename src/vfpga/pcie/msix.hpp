@@ -50,8 +50,6 @@ class MsixTable {
   /// `at` when the vector is masked and only the pending bit was set).
   sim::SimTime fire(u32 index, sim::SimTime at, const DmaPort& port);
 
-  [[nodiscard]] bool pending(u32 index) const;
-
   /// Aperture size in bytes (for BAR layout).
   [[nodiscard]] u64 aperture_bytes() const {
     return static_cast<u64>(entries_.size()) * kMsixEntryBytes;

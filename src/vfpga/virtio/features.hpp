@@ -34,8 +34,8 @@ inline constexpr u32 kHostTso4 = 11;   ///< device segments TCPv4 (TSO)
 inline constexpr u32 kHostUfo = 14;    ///< device segments UDP (USO/UFO)
 inline constexpr u32 kMrgRxbuf = 15;   ///< driver can merge receive buffers
 inline constexpr u32 kStatus = 16;     ///< config status field is valid
-inline constexpr u32 kCtrlVq = 17;     ///< control virtqueue present
-inline constexpr u32 kMq = 22;         ///< multiqueue with automatic steering
+inline constexpr u32 kCtrlVq = 17;     ///< control virtqueue (not offered)
+inline constexpr u32 kMq = 22;         ///< multiqueue steering (not offered)
 inline constexpr u32 kNotfCoal = 53;   ///< notification coalescing (not offered)
 inline constexpr u32 kSpeedDuplex = 63;
 }  // namespace net

@@ -45,7 +45,7 @@ struct NetHeader {
 struct NetConfigLayout {
   static constexpr u32 kMacOffset = 0;       // 6 bytes
   static constexpr u32 kStatusOffset = 6;    // le16
-  static constexpr u32 kMaxPairsOffset = 8;  // le16
+  static constexpr u32 kMaxPairsOffset = 8;  // le16, valid only with MQ
   static constexpr u32 kMtuOffset = 10;      // le16
   static constexpr u32 kSpeedOffset = 12;    // le32
   static constexpr u32 kDuplexOffset = 16;   // u8
@@ -60,39 +60,11 @@ inline constexpr u16 kDeviceMtu = 1500;
 inline constexpr u16 kNetStatusLinkUp = 1;
 inline constexpr u16 kNetStatusAnnounce = 2;
 
-/// Queue numbering for a single-pair net device (§5.1.2): 0=RX, 1=TX,
-/// control queue last when negotiated.
+/// Queue numbering (§5.1.2): the device has one RX/TX pair and no
+/// control queue, since it offers neither VIRTIO_NET_F_MQ nor
+/// VIRTIO_NET_F_CTRL_VQ.
 inline constexpr u16 kRxQueue = 0;
 inline constexpr u16 kTxQueue = 1;
-inline constexpr u16 kCtrlQueue = 2;
-
-/// Multiqueue numbering (§5.1.2 with VIRTIO_NET_F_MQ): receiveq(N) is
-/// queue 2N, transmitq(N) is queue 2N+1 and the control queue sits after
-/// the last pair the device supports (not the last pair negotiated).
-[[nodiscard]] constexpr u16 rx_queue_index(u16 pair) {
-  return static_cast<u16>(2 * pair);
-}
-[[nodiscard]] constexpr u16 tx_queue_index(u16 pair) {
-  return static_cast<u16>(2 * pair + 1);
-}
-[[nodiscard]] constexpr u16 ctrl_queue_index(u16 max_pairs) {
-  return static_cast<u16>(2 * max_pairs);
-}
-[[nodiscard]] constexpr bool is_tx_queue(u16 queue) { return (queue & 1u) != 0; }
-[[nodiscard]] constexpr u16 queue_pair_of(u16 queue) {
-  return static_cast<u16>(queue / 2);
-}
-
-/// Control-virtqueue wire format (§5.1.6.5): a device-readable header
-/// {class, command} followed by command data, completed by one
-/// device-writable ack byte.
-inline constexpr u8 kCtrlClassMq = 4;        ///< VIRTIO_NET_CTRL_MQ
-inline constexpr u8 kCtrlMqVqPairsSet = 0;   ///< ..._MQ_VQ_PAIRS_SET
-inline constexpr u8 kCtrlOk = 0;             ///< VIRTIO_NET_OK
-inline constexpr u8 kCtrlErr = 1;            ///< VIRTIO_NET_ERR
-/// Legal bounds for VQ_PAIRS_SET argument (§5.1.6.5.5).
-inline constexpr u16 kMqPairsMin = 1;
-inline constexpr u16 kMqPairsMax = 0x8000;
 
 inline void NetHeader::encode(ByteSpan out) const {
   VFPGA_EXPECTS(out.size() >= kSize);

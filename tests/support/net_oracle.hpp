@@ -163,6 +163,14 @@ inline Bytes build_udp_frame(const net::UdpFrameHeader& h,
   return net_oracle::build_ethernet_frame(eth, packet);
 }
 
+/// The MSDN RSS verification key, a copy of the one net/rss hashes with.
+inline constexpr std::array<u8, net::kRssKeyBytes> kRssKey = {
+    0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67,
+    0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0, 0xd0, 0xca, 0x2b, 0xcb,
+    0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30,
+    0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
+};
+
 /// Toeplitz, one input bit per step: every set bit (MSB first) XORs in
 /// the 32-bit key window aligned at its position.
 inline u32 toeplitz_hash(ConstByteSpan data,
@@ -201,7 +209,7 @@ inline u32 rss_flow_hash(net::Ipv4Addr src_ip, u16 src_port,
   store_be32(ByteSpan{tuple}, 4, hi_ip);
   store_be16(ByteSpan{tuple}, 8, lo_port);
   store_be16(ByteSpan{tuple}, 10, hi_port);
-  return net_oracle::toeplitz_hash(tuple, net::rss_key());
+  return net_oracle::toeplitz_hash(tuple, kRssKey);
 }
 
 }  // namespace vfpga::net_oracle

@@ -132,4 +132,28 @@ class TestDriver {
   sim::SimTime now_{};
 };
 
+/// Queue `q`'s registers as the device holds them, read back through
+/// its common configuration. queue_select is restored afterwards, so a
+/// read leaves the device's state unchanged.
+struct QueueRegisters {
+  u16 size = 0;
+  bool enabled = false;
+  virtio::RingAddresses rings{};
+};
+inline QueueRegisters queue_registers(core::VirtioDeviceFunction& device,
+                                      u16 q) {
+  using namespace virtio::commoncfg;
+  const sim::SimTime t{};
+  const u64 selected = device.bar_read(0, kQueueSelect, 2, t);
+  device.bar_write(0, kQueueSelect, q, 2, t);
+  QueueRegisters regs;
+  regs.size = static_cast<u16>(device.bar_read(0, kQueueSize, 2, t));
+  regs.enabled = device.bar_read(0, kQueueEnable, 2, t) != 0;
+  regs.rings.desc = device.bar_read(0, kQueueDesc, 8, t);
+  regs.rings.avail = device.bar_read(0, kQueueDriver, 8, t);
+  regs.rings.used = device.bar_read(0, kQueueDevice, 8, t);
+  device.bar_write(0, kQueueSelect, selected, 2, t);
+  return regs;
+}
+
 }  // namespace vfpga::testing_support

@@ -40,7 +40,7 @@ TEST(BusyPoll, HarvestWaitsForUsedWriteVisibility) {
   for (u8 i = 0; i < 8; ++i) {
     ASSERT_TRUE(echo_once(bed, i));
     const auto visible = bed.device().completion_visible_time(
-        virtio::net::rx_queue_index(0), i);
+        virtio::net::kRxQueue, i);
     ASSERT_TRUE(visible.has_value()) << "completion " << int{i};
     EXPECT_GE(bed.thread().now(), *visible);
   }
@@ -113,20 +113,20 @@ TEST(BusyPoll, AdaptiveControllerFollowsEwma) {
   EXPECT_LT(driver.rx_wait_ewma_us(), 0.0);  // no observation yet
   EXPECT_TRUE(driver.should_busy_poll());
 
-  driver.note_rx_wait(0, sim::microseconds(8));
+  driver.note_rx_wait(sim::microseconds(8));
   EXPECT_NEAR(driver.rx_wait_ewma_us(), 8.0, 1e-9);
   EXPECT_TRUE(driver.should_busy_poll());
 
   // Repeated slow waits drag the EWMA above the threshold -> sleep.
   for (int i = 0; i < 32 && driver.should_busy_poll(); ++i) {
-    driver.note_rx_wait(0, threshold * 4);
+    driver.note_rx_wait(threshold * 4);
   }
   EXPECT_FALSE(driver.should_busy_poll());
   EXPECT_GT(driver.rx_wait_ewma_us(), threshold.micros());
 
   // And fast waits pull it back down -> spin again.
   for (int i = 0; i < 32 && !driver.should_busy_poll(); ++i) {
-    driver.note_rx_wait(0, sim::microseconds(5));
+    driver.note_rx_wait(sim::microseconds(5));
   }
   EXPECT_TRUE(driver.should_busy_poll());
 }
@@ -174,7 +174,7 @@ TEST(BusyPoll, AdaptiveSleepFeedsObservedWait) {
   const sim::Duration threshold =
       VirtioNetDriver::kBusyPollPolicy.spin_threshold;
   for (int i = 0; i < 32 && driver.should_busy_poll(); ++i) {
-    driver.note_rx_wait(0, threshold * 4);
+    driver.note_rx_wait(threshold * 4);
   }
   ASSERT_FALSE(driver.should_busy_poll());
   const double ewma_before = driver.rx_wait_ewma_us();

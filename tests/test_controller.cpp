@@ -4,6 +4,7 @@
 
 #include <array>
 
+#include "support/mem_read.hpp"
 #include "support/test_driver.hpp"
 #include "vfpga/core/console_device.hpp"
 #include "vfpga/core/net_device.hpp"
@@ -81,9 +82,9 @@ TEST_F(ControllerFixture, InitializationNegotiatesAndEnablesQueues) {
   driver->initialize(2);
   EXPECT_TRUE(device->device_status() & virtio::status::kDriverOk);
   EXPECT_TRUE(device->negotiated_features().has(virtio::feature::kVersion1));
-  EXPECT_TRUE(device->queue_state(0).enabled);
-  EXPECT_TRUE(device->queue_state(1).enabled);
-  EXPECT_EQ(device->queue_state(0).rings.desc,
+  EXPECT_TRUE(testing_support::queue_registers(*device, 0).enabled);
+  EXPECT_TRUE(testing_support::queue_registers(*device, 1).enabled);
+  EXPECT_EQ(testing_support::queue_registers(*device, 0).rings.desc,
             driver->vq(0).addresses().desc);
 }
 
@@ -108,12 +109,12 @@ TEST_F(ControllerFixture, QueueSelectPastTheQueuesSelectsAnAbsentQueue) {
   EXPECT_EQ(driver->rd16(kQueueSize), 0);
   EXPECT_EQ(driver->rd16(kQueueEnable), 0);
   for (u16 q = 0; q < 2; ++q) {
-    EXPECT_EQ(device->queue_state(q).size, 256);
-    EXPECT_EQ(device->queue_state(q).rings.desc, 0u);
-    EXPECT_FALSE(device->queue_state(q).enabled);
+    EXPECT_EQ(testing_support::queue_registers(*device, q).size, 256);
+    EXPECT_EQ(testing_support::queue_registers(*device, q).rings.desc, 0u);
+    EXPECT_FALSE(testing_support::queue_registers(*device, q).enabled);
   }
   driver->initialize(2);
-  EXPECT_TRUE(device->queue_state(1).enabled);
+  EXPECT_TRUE(testing_support::queue_registers(*device, 1).enabled);
 }
 
 // A queue_size of 0 or past the maximum does not take.
@@ -145,16 +146,16 @@ TEST_F(ControllerFixture, EnablingAnUnwalkableSplitRingLatchesNeedsReset) {
     driver->wr16(kQueueEnable, 1);
   };
   enable_queue0(24, rings);
-  EXPECT_FALSE(device->queue_state(0).enabled);
+  EXPECT_FALSE(testing_support::queue_registers(*device, 0).enabled);
   EXPECT_NE(device->device_status() & virtio::status::kDeviceNeedsReset, 0);
   EXPECT_EQ(device->device_errors(), 1u);
 
   enable_queue0(16, rings + 8);
-  EXPECT_FALSE(device->queue_state(0).enabled);
+  EXPECT_FALSE(testing_support::queue_registers(*device, 0).enabled);
   EXPECT_EQ(device->device_errors(), 2u);
 
   enable_queue0(16, rings);
-  EXPECT_TRUE(device->queue_state(0).enabled);
+  EXPECT_TRUE(testing_support::queue_registers(*device, 0).enabled);
   EXPECT_EQ(device->device_status() & virtio::status::kDeviceNeedsReset, 0);
 }
 
@@ -171,7 +172,7 @@ TEST_F(ControllerFixture, ResetClearsEverything) {
   driver->initialize(2);
   driver->wr32(virtio::commoncfg::kDeviceStatus, 0);
   EXPECT_EQ(device->device_status(), 0);
-  EXPECT_FALSE(device->queue_state(0).enabled);
+  EXPECT_FALSE(testing_support::queue_registers(*device, 0).enabled);
   EXPECT_EQ(device->negotiated_features().bits(), 0u);
 }
 
@@ -248,10 +249,15 @@ TEST_F(ControllerFixture, DeclinedEventIdxInterruptsOnEveryCompletion) {
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(console_echo(*driver, memory, message), message) << i;
   }
-  EXPECT_EQ(
-      irq.delivered_on(driver->queue_vector(virtio::console::kRxQueue)), 6u);
+  const u32 rx_vector = driver->queue_vector(virtio::console::kRxQueue);
+  u32 rx_interrupts = 0;
+  while (irq.pending(rx_vector)) {
+    irq.consume(rx_vector);
+    ++rx_interrupts;
+  }
+  EXPECT_EQ(rx_interrupts, 6u);
   const auto& tx = driver->vq(virtio::console::kTxQueue);
-  EXPECT_EQ(memory.read_le16(tx.addresses().used +
+  EXPECT_EQ(testing_support::read_le16(memory, tx.addresses().used +
                              virtio::avail_event_offset(tx.size())),
             0);
 }

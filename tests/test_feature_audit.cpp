@@ -4,9 +4,11 @@
 // NET_F_SPEED_DUPLEX, F_ACCESS_PLATFORM, ...); offering one would invite
 // a driver to negotiate semantics the device cannot deliver. These tests
 // pin the offered sets to explicit whitelists of implemented bits, over
-// every policy/topology combination that changes an offer, and verify
-// that a bit sneaking into the negotiated set without an offer behind it
-// fails loudly at DRIVER_OK rather than silently dropping semantics.
+// every policy/topology combination that changes an offer, check that
+// the net driver requests none of the unimplemented bits even when they
+// are offered, and verify that a bit sneaking into the negotiated set
+// without an offer behind it fails loudly at DRIVER_OK rather than
+// silently dropping semantics.
 #include <gtest/gtest.h>
 
 #include "vfpga/core/blk_device.hpp"
@@ -14,6 +16,12 @@
 #include "vfpga/core/net_device.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/core/virtio_controller.hpp"
+#include "vfpga/hostos/interrupt.hpp"
+#include "vfpga/hostos/virtio_net_driver.hpp"
+#include "vfpga/pcie/enumeration.hpp"
+#include "vfpga/pcie/root_complex.hpp"
+#include "vfpga/sim/noise.hpp"
+#include "vfpga/sim/rng.hpp"
 #include "vfpga/virtio/features.hpp"
 
 namespace vfpga::core {
@@ -42,8 +50,6 @@ FeatureSet implemented_net() {
   f.set(feature::net::kMtu);
   f.set(feature::net::kMac);
   f.set(feature::net::kStatus);
-  f.set(feature::net::kCtrlVq);
-  f.set(feature::net::kMq);
   return f;
 }
 
@@ -86,6 +92,10 @@ FeatureSet unimplemented_net() {
   f.set(feature::net::kHostTso4);
   f.set(feature::net::kHostUfo);
   f.set(feature::net::kMrgRxbuf);
+  // Multi-queue and its control virtqueue: the device has one RX/TX
+  // pair and no control queue.
+  f.set(feature::net::kMq);
+  f.set(feature::net::kCtrlVq);
   return f;
 }
 
@@ -104,39 +114,94 @@ FeatureSet unimplemented_console() {
 }
 
 TEST(FeatureAudit, NetLogicOffersOnlyImplementedBits) {
-  for (const u16 pairs : {u16{1}, u16{4}, u16{64}}) {
-    for (const bool csum : {false, true}) {
-      NetDeviceConfig config;
-      config.max_queue_pairs = pairs;
-      config.offer_csum = csum;
-      NetDeviceLogic logic{config};
-      const FeatureSet offered = logic.device_features();
-      EXPECT_TRUE(offered.subset_of(implemented_net()))
-          << "pairs=" << pairs << " csum=" << csum
-          << " offered=" << std::hex << offered.bits();
-      EXPECT_EQ(offered.intersect(unimplemented_net()), FeatureSet{});
-      // The whole offer, pinned: MAC, STATUS, MTU and GUEST_CSUM (the
-      // echo logic always produces full checksums) always; CSUM with
-      // the checksum offer; MQ + CTRL_VQ together with multiqueue, as
-      // steering without a control queue is not a personality this
-      // device has.
-      FeatureSet expected;
-      expected.set(feature::net::kMac);
-      expected.set(feature::net::kStatus);
-      expected.set(feature::net::kMtu);
-      expected.set(feature::net::kGuestCsum);
-      if (csum) {
-        expected.set(feature::net::kCsum);
-      }
-      if (pairs > 1) {
-        expected.set(feature::net::kMq);
-        expected.set(feature::net::kCtrlVq);
-      }
-      EXPECT_EQ(offered, expected) << "pairs=" << pairs << " csum=" << csum;
-      // The control queue exists only with multiqueue.
-      EXPECT_EQ(logic.queue_count(), pairs > 1 ? 2 * pairs + 1 : 2);
+  for (const bool csum : {false, true}) {
+    NetDeviceConfig config;
+    config.offer_csum = csum;
+    NetDeviceLogic logic{config};
+    const FeatureSet offered = logic.device_features();
+    EXPECT_TRUE(offered.subset_of(implemented_net()))
+        << "csum=" << csum << " offered=" << std::hex << offered.bits();
+    EXPECT_EQ(offered.intersect(unimplemented_net()), FeatureSet{});
+    // The whole offer, pinned: MAC, STATUS, MTU and GUEST_CSUM (the echo
+    // logic always produces full checksums) always; CSUM with the
+    // checksum offer.
+    FeatureSet expected;
+    expected.set(feature::net::kMac);
+    expected.set(feature::net::kStatus);
+    expected.set(feature::net::kMtu);
+    expected.set(feature::net::kGuestCsum);
+    if (csum) {
+      expected.set(feature::net::kCsum);
     }
+    EXPECT_EQ(offered, expected) << "csum=" << csum;
+    // One RX/TX pair, no control queue.
+    EXPECT_EQ(logic.queue_count(), 2);
   }
+}
+
+/// A net personality that offers every virtio-net bit features.hpp
+/// defines, so the set the driver negotiates with it is exactly the set
+/// the driver requests. Its config structure is the echo device's.
+class OfferEveryNetBitLogic final : public UserLogic {
+ public:
+  [[nodiscard]] virtio::DeviceType device_type() const override {
+    return virtio::DeviceType::Net;
+  }
+  [[nodiscard]] FeatureSet device_features() const override {
+    return FeatureSet{(implemented_net().bits() | unimplemented_net().bits()) &
+                      ~unimplemented_transport().bits()};
+  }
+  [[nodiscard]] u16 queue_count() const override { return 2; }
+  [[nodiscard]] u32 device_config_size() const override {
+    return echo_.device_config_size();
+  }
+  [[nodiscard]] u8 device_config_read(u32 offset) const override {
+    return echo_.device_config_read(offset);
+  }
+  std::optional<Response> process(u16 /*queue*/, ConstByteSpan /*payload*/,
+                                  u32 /*writable_capacity*/,
+                                  const ChainMeta& /*meta*/) override {
+    return std::nullopt;
+  }
+
+ private:
+  NetDeviceLogic echo_;
+};
+
+// The driver's side of the audit: offered every net bit, it requests
+// none of the never-offered ones — in particular neither MQ nor
+// CTRL_VQ, so it builds no control queue and one RX/TX pair.
+TEST(FeatureAudit, NetDriverNeverRequestsUnimplementedBits) {
+  mem::HostMemory memory;
+  pcie::RootComplex rc{memory, pcie::LinkModel{}};
+  OfferEveryNetBitLogic logic;
+  ASSERT_TRUE(logic.device_features().has(feature::net::kMq));
+  ASSERT_TRUE(logic.device_features().has(feature::net::kCtrlVq));
+  VirtioDeviceFunction device{logic};
+  hostos::InterruptController irq;
+  rc.set_irq_sink([&](u32 data, sim::SimTime at) { irq.deliver(data, at); });
+  rc.attach(device);
+  device.connect(rc);
+  const auto devices = pcie::enumerate_bus(rc);
+  ASSERT_EQ(devices.size(), 1u);
+
+  sim::Xoshiro256 rng{0xfea9};
+  sim::NoiseModel noise{sim::NoiseConfig{.enabled = false}};
+  hostos::HostThread thread{rng, hostos::CostModelConfig::fedora_defaults(),
+                            noise};
+  hostos::VirtioNetDriver driver;
+  hostos::VirtioPciTransport::BindContext ctx;
+  ctx.rc = &rc;
+  ctx.device = &device;
+  ctx.enumerated = &devices.front();
+  ctx.irq = &irq;
+  ASSERT_TRUE(driver.probe(ctx, thread));
+
+  const FeatureSet negotiated = device.negotiated_features();
+  EXPECT_EQ(negotiated.intersect(unimplemented_net()), FeatureSet{})
+      << std::hex << negotiated.bits();
+  EXPECT_TRUE(negotiated.has(feature::net::kCsum));
+  EXPECT_TRUE(negotiated.has(feature::net::kMac));
 }
 
 TEST(FeatureAudit, BlkAndConsoleOfferOnlyImplementedBits) {

@@ -5,6 +5,7 @@
 #include <array>
 #include <vector>
 
+#include "support/mem_read.hpp"
 #include "vfpga/mem/bram.hpp"
 #include "vfpga/mem/host_memory.hpp"
 #include "vfpga/sim/rng.hpp"
@@ -12,10 +13,14 @@
 namespace vfpga::mem {
 namespace {
 
+using testing_support::read_le16;
+using testing_support::read_le32;
+using testing_support::read_le64;
+
 TEST(HostMemory, ReadsZeroBeforeWrite) {
   HostMemory memory;
   EXPECT_EQ(memory.read_u8(0x1234), 0);
-  EXPECT_EQ(memory.read_le64(0xdead0000), 0u);
+  EXPECT_EQ(read_le64(memory, 0xdead0000), 0u);
   EXPECT_EQ(memory.resident_bytes(), 0u);  // reads never allocate
 }
 
@@ -45,11 +50,11 @@ TEST(HostMemory, TypedAccessorsAreLittleEndian) {
   memory.write_le32(0x100, 0xdeadbeef);
   EXPECT_EQ(memory.read_u8(0x100), 0xef);
   EXPECT_EQ(memory.read_u8(0x103), 0xde);
-  EXPECT_EQ(memory.read_le32(0x100), 0xdeadbeefu);
+  EXPECT_EQ(read_le32(memory, 0x100), 0xdeadbeefu);
   memory.write_le16(0x200, 0x1234);
-  EXPECT_EQ(memory.read_le16(0x200), 0x1234);
+  EXPECT_EQ(read_le16(memory, 0x200), 0x1234);
   memory.write_le64(0x300, 0x1122334455667788ull);
-  EXPECT_EQ(memory.read_le64(0x300), 0x1122334455667788ull);
+  EXPECT_EQ(read_le64(memory, 0x300), 0x1122334455667788ull);
 }
 
 TEST(HostMemory, FillWorksAcrossPages) {
@@ -120,9 +125,9 @@ TEST(HostMemory, EveryLengthAndOffsetRoundTrips) {
 
 TEST(HostMemory, WriteAfterZeroPageReadAllocates) {
   HostMemory memory;
-  EXPECT_EQ(memory.read_le64(0x7000), 0u);
+  EXPECT_EQ(read_le64(memory, 0x7000), 0u);
   memory.write_le64(0x7000, 0x0102030405060708ull);
-  EXPECT_EQ(memory.read_le64(0x7000), 0x0102030405060708ull);
+  EXPECT_EQ(read_le64(memory, 0x7000), 0x0102030405060708ull);
   EXPECT_EQ(memory.resident_bytes(), HostMemory::kPageSize);
 }
 
@@ -135,8 +140,8 @@ TEST(HostMemory, AlternatingPagesReadTheirOwnData) {
     memory.write_le16(b + 2 * i, static_cast<u16>(0xb000 + i));
   }
   for (u16 i = 0; i < 64; ++i) {
-    EXPECT_EQ(memory.read_le16(a + 2 * i), 0xa000 + i);
-    EXPECT_EQ(memory.read_le16(b + 2 * i), 0xb000 + i);
+    EXPECT_EQ(read_le16(memory, a + 2 * i), 0xa000 + i);
+    EXPECT_EQ(read_le16(memory, b + 2 * i), 0xb000 + i);
   }
   EXPECT_EQ(memory.resident_bytes(), 2 * HostMemory::kPageSize);
 }
@@ -267,16 +272,16 @@ TEST(RegionView, MatchesHostMemoryTypedAccessors) {
     }
     switch (a.width) {
       case 2:
-        EXPECT_EQ(view->read_le16(a.offset), direct.read_le16(addr));
-        EXPECT_EQ(view->read_le16(a.offset), through_view.read_le16(addr));
+        EXPECT_EQ(view->read_le16(a.offset), read_le16(direct, addr));
+        EXPECT_EQ(view->read_le16(a.offset), read_le16(through_view, addr));
         break;
       case 4:
-        EXPECT_EQ(view->read_le32(a.offset), direct.read_le32(addr));
-        EXPECT_EQ(view->read_le32(a.offset), through_view.read_le32(addr));
+        EXPECT_EQ(view->read_le32(a.offset), read_le32(direct, addr));
+        EXPECT_EQ(view->read_le32(a.offset), read_le32(through_view, addr));
         break;
       default:
-        EXPECT_EQ(view->read_le64(a.offset), direct.read_le64(addr));
-        EXPECT_EQ(view->read_le64(a.offset), through_view.read_le64(addr));
+        EXPECT_EQ(view->read_le64(a.offset), read_le64(direct, addr));
+        EXPECT_EQ(view->read_le64(a.offset), read_le64(through_view, addr));
         break;
     }
   }

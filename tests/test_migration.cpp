@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/test_driver.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/fpga/perf_counter.hpp"
 #include "vfpga/harness/fault_campaign.hpp"
@@ -332,14 +333,6 @@ core::TestbedOptions packed_options() {
   return options;
 }
 
-core::TestbedOptions multi_queue_options() {
-  core::TestbedOptions options;
-  options.seed = 0x3b;
-  options.net.max_queue_pairs = 2;
-  options.requested_queue_pairs = 2;
-  return options;
-}
-
 TEST(Snapshot, RoundTripSplitRings) { expect_round_trip(split_options()); }
 
 TEST(Snapshot, RoundTripPackedRings) { expect_round_trip(packed_options()); }
@@ -357,8 +350,8 @@ void expect_restored_rings_carry_traffic(core::TestbedOptions options) {
   const Bytes image = migrate::save_snapshot(a);
 
   core::VirtioNetTestbed b{options};
-  ASSERT_NE(b.device().queue_state(1).rings.desc,
-            a.device().queue_state(1).rings.desc);
+  ASSERT_NE(testing_support::queue_registers(b.device(), 1).rings.desc,
+            testing_support::queue_registers(a.device(), 1).rings.desc);
   ASSERT_EQ(migrate::restore_snapshot(b, image), RestoreStatus::kOk);
   const auto trace_b = run_trace(b, 100, 256, 100);
   EXPECT_EQ(std::count(trace_b.begin(), trace_b.end(), -1), 0);
@@ -372,10 +365,6 @@ TEST(Snapshot, RestoredSplitRingsCarryTraffic) {
 
 TEST(Snapshot, RestoredPackedRingsCarryTraffic) {
   expect_restored_rings_carry_traffic(packed_options());
-}
-
-TEST(Snapshot, RoundTripMultiQueue) {
-  expect_round_trip(multi_queue_options());
 }
 
 /// Send a request and snapshot BEFORE harvesting the reply, so the
@@ -528,15 +517,14 @@ TEST(Snapshot, ImagesArePinned) {
     return true;
   };
   const Pin pins[] = {
-      {"split", split_options(), quiesced, 0xb57a6ec6, 74056},
-      {"packed", packed_options(), quiesced, 0x4f737c45, 70454},
-      {"multi-queue", multi_queue_options(), quiesced, 0xd6a6b8b7, 153004},
-      {"blk", blk_options(), drive_blk, 0x14b39e0f, 359003},
+      {"split", split_options(), quiesced, 0x282cf227, 73793},
+      {"packed", packed_options(), quiesced, 0xe1307c3a, 70191},
+      {"blk", blk_options(), drive_blk, 0x3e7ee5e8, 358724},
       {"mid-flight", mid_flight_options(),
        [](core::VirtioNetTestbed& bed) {
          return drive_mid_flight(bed, kMidFlightPayload);
        },
-       0x86770f9b, 74060},
+       0x5dcc49ec, 73797},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.setup);
@@ -581,7 +569,7 @@ std::vector<FaultedOp> faulted_echoes(
   return ops;
 }
 
-/// Two pairs and four steered flows with TLP drops, lost notifies and
+/// Four flows on the one queue pair with TLP drops, lost notifies and
 /// lost used writes each at 2%: drive faulted echoes on A, quiesce,
 /// snapshot and restore into a fresh B. The image restores exactly, and
 /// an identical faulted op sequence then plays out identically on both
@@ -591,8 +579,6 @@ void expect_round_trip_under_faults(bool packed, u64 seed) {
   core::TestbedOptions options;
   options.seed = seed;
   options.use_packed_rings = packed;
-  options.net.max_queue_pairs = 2;
-  options.requested_queue_pairs = 2;
   options.fault.seed = seed * 7919 + 1;
   for (const fault::FaultClass cls :
        {fault::FaultClass::kTlpDrop, fault::FaultClass::kNotifyLost,
@@ -601,8 +587,8 @@ void expect_round_trip_under_faults(bool packed, u64 seed) {
   }
   core::VirtioNetTestbed a{options};
   core::VirtioNetTestbed b{options};
-  const auto socks_a = harness::steered_sockets(a, kFaultedFlows, 30'000);
-  const auto socks_b = harness::steered_sockets(b, kFaultedFlows, 30'000);
+  const auto socks_a = harness::flow_sockets(a, kFaultedFlows, 30'000);
+  const auto socks_b = harness::flow_sockets(b, kFaultedFlows, 30'000);
 
   (void)faulted_echoes(a, socks_a, 0, 24);
   a.quiesce();
@@ -773,9 +759,13 @@ TEST(SnapshotReject, VersionSkew) {
   // version 8 had a flags word whose bit 0 made the memory section
   // optional, and carried the split engine's stale-completion count;
   // version 9 carried the stack's queued ICMP replies and the device's
-  // ICMP echo count.
+  // ICMP echo count; version 10 fingerprinted the pair counts and
+  // carried the multi-queue state (the device's steering table and
+  // per-pair echo and control counts, the driver's control-queue
+  // buffers and per-pair state, the stack's flow affinities), the
+  // per-vector interrupt counts and the steering-corrupt fault rate.
   for (const u8 version : {u8{1}, u8{2}, u8{3}, u8{4}, u8{5}, u8{6}, u8{7},
-                           u8{8}, u8{9}, u8{99}}) {
+                           u8{8}, u8{9}, u8{10}, u8{99}}) {
     SCOPED_TRACE(static_cast<int>(version));
     Bytes image = current;
     image[8] = version;  // version field, checked before the checksum
@@ -900,11 +890,12 @@ struct Poison {
   u64 value;
 };
 
-/// Where the TX ring of pair 0 (queue 1) starts in the driver state:
-/// ten bytes (queue size, features) before its ring addresses, which
-/// the device's queue registers hold too.
+/// Where the TX ring (queue 1) starts in the driver state: ten bytes
+/// (queue size, features) before its ring addresses, which the device's
+/// queue registers hold too.
 std::size_t tx_ring_at(ConstByteSpan state, core::VirtioNetTestbed& bed) {
-  const virtio::RingAddresses& rings = bed.device().queue_state(1).rings;
+  const virtio::RingAddresses rings =
+      testing_support::queue_registers(bed.device(), 1).rings;
   std::array<u8, 24> addrs{};
   store_le(addrs, 0, 8, rings.desc);
   store_le(addrs, 8, 8, rings.avail);
@@ -969,11 +960,11 @@ std::size_t net_driver_fields_at(ConstByteSpan state,
   return static_cast<std::size_t>(it - state.begin());
 }
 
-/// Pair 0's first free TX slot. 35 bytes of scalars after the MAC come
-/// the RX buffers (12 bytes each), the TX buffers (16 bytes each) and
-/// the free TX slots, each list behind a u32 count.
+/// The first free TX slot. After the MAC and MTU (8 bytes) come the RX
+/// buffers (12 bytes each), the TX buffers (16 bytes each) and the free
+/// TX slots, each list behind a u32 count.
 Poison net_tx_free_slot(ConstByteSpan state, core::VirtioNetTestbed& bed) {
-  std::size_t at = net_driver_fields_at(state, bed) + 35;
+  std::size_t at = net_driver_fields_at(state, bed) + 8;
   at += 4 + 12 * load_le(state, at, 4);
   const u64 tx_buffers = load_le(state, at, 4);
   at += 4 + 16 * tx_buffers;
@@ -981,12 +972,12 @@ Poison net_tx_free_slot(ConstByteSpan state, core::VirtioNetTestbed& bed) {
   return {at + 4, 4, tx_buffers};
 }
 
-/// Pair 0's interrupt vectors follow its free TX slots and its RX
-/// backlog (each frame a blob and a checksum flag). A vector past the
-/// host's vector count names an interrupt queue that was never
-/// allocated: the first echo after the restore would index it.
+/// The interrupt vectors follow the free TX slots and the RX backlog
+/// (each frame a blob and a checksum flag). A vector past the host's
+/// vector count names an interrupt queue that was never allocated: the
+/// first echo after the restore would index it.
 std::size_t net_vectors_at(ConstByteSpan state, core::VirtioNetTestbed& bed) {
-  std::size_t at = net_driver_fields_at(state, bed) + 35;
+  std::size_t at = net_driver_fields_at(state, bed) + 8;
   at += 4 + 12 * load_le(state, at, 4);
   at += 4 + 16 * load_le(state, at, 4);
   at += 4 + 4 * load_le(state, at, 4);
@@ -1008,20 +999,13 @@ Poison net_tx_vector(ConstByteSpan state, core::VirtioNetTestbed& bed) {
   return {net_vectors_at(state, bed) + 4, 4, bed.irq().vector_count()};
 }
 
-/// The driver's max_device_pairs follows the MAC, MTU and three pair
-/// counts. The control queue index derives from it, so 3 on the
-/// two-pair bed names queue 6, which the transport never built.
-Poison net_max_device_pairs(ConstByteSpan state,
-                            core::VirtioNetTestbed& bed) {
-  return {net_driver_fields_at(state, bed) + 14, 2, 3};
-}
-
 /// Where queue 1's ring addresses next occur in the device state at or
 /// after `from`. The state holds them twice: in the queue registers
 /// (after the size, MSI-X vector and enabled flag), then in the engine.
 std::size_t device_rings_at(ConstByteSpan state, core::VirtioNetTestbed& bed,
                             std::size_t from) {
-  const virtio::RingAddresses& rings = bed.device().queue_state(1).rings;
+  const virtio::RingAddresses rings =
+      testing_support::queue_registers(bed.device(), 1).rings;
   std::array<u8, 24> addrs{};
   store_le(addrs, 0, 8, rings.desc);
   store_le(addrs, 8, 8, rings.avail);
@@ -1154,12 +1138,6 @@ TEST(RestoredIndex, NetRxVector) {
 
 TEST(RestoredIndex, NetTxVector) {
   EXPECT_EQ(expect_poison_rejected(split_options(), net_tx_vector), 0u);
-}
-
-TEST(RestoredIndex, NetCtrlQueueFromMaxDevicePairs) {
-  EXPECT_EQ(expect_poison_rejected(multi_queue_options(),
-                                   net_max_device_pairs),
-            0u);
 }
 
 // The device-side poisons fail before the MSI-X table is read: the

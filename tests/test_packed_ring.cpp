@@ -8,6 +8,7 @@
 #include <array>
 #include <memory>
 
+#include "support/mem_read.hpp"
 #include "vfpga/core/packed_queue_engine.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/pcie/enumeration.hpp"
@@ -15,6 +16,9 @@
 
 namespace vfpga::virtio {
 namespace {
+
+using testing_support::read_le16;
+using testing_support::read_le64;
 
 namespace pk = packed;
 
@@ -87,17 +91,17 @@ TEST_F(PackedFixture, AddChainEncodesOwnershipAndId) {
 
   const HostAddr ring = drv.ring_addresses().desc;
   // Slot 0: readable, chained, available at wrap=1.
-  const u16 f0 = memory.read_le16(ring + pk::kDescFlagsOffset);
+  const u16 f0 = read_le16(memory, ring + pk::kDescFlagsOffset);
   EXPECT_TRUE(pk::is_available(f0, true));
   EXPECT_NE(f0 & pk::flags::kNext, 0);
   EXPECT_EQ(f0 & pk::flags::kWrite, 0);
-  EXPECT_EQ(memory.read_le64(ring + pk::kDescAddrOffset), buf);
+  EXPECT_EQ(read_le64(memory, ring + pk::kDescAddrOffset), buf);
   // Slot 1: writable, last in chain, carries the buffer id.
   const u16 f1 =
-      memory.read_le16(ring + pk::desc_offset(1) + pk::kDescFlagsOffset);
+      read_le16(memory, ring + pk::desc_offset(1) + pk::kDescFlagsOffset);
   EXPECT_NE(f1 & pk::flags::kWrite, 0);
   EXPECT_EQ(f1 & pk::flags::kNext, 0);
-  EXPECT_EQ(memory.read_le16(ring + pk::desc_offset(1) + pk::kDescIdOffset),
+  EXPECT_EQ(read_le16(memory, ring + pk::desc_offset(1) + pk::kDescIdOffset),
             *id);
 }
 

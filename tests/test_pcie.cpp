@@ -1,13 +1,17 @@
 // Unit tests: link timing model, config space, capability chains,
-// enumeration, MSI-X, root complex routing.
+// enumeration, MSI-X (table capacity included), root complex routing.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <map>
 
+#include "support/mem_read.hpp"
+#include "support/test_driver.hpp"
 #include "vfpga/common/endian.hpp"
 #include "vfpga/core/console_device.hpp"
+#include "vfpga/core/net_device.hpp"
 #include "vfpga/core/virtio_controller.hpp"
+#include "vfpga/hostos/interrupt.hpp"
 #include "vfpga/pcie/capabilities.hpp"
 #include "vfpga/pcie/enumeration.hpp"
 #include "vfpga/pcie/link_model.hpp"
@@ -258,7 +262,7 @@ TEST_F(RcFixture, MsiWindowWriteDeliversInterrupt) {
   EXPECT_EQ(delivered_data, 0x31u);
   EXPECT_GT(delivered_at.nanos(), 0.0);
   // MSI writes must not land in memory.
-  EXPECT_EQ(memory.read_le32(kMsiWindowBase + 0x40), 0u);
+  EXPECT_EQ(testing_support::read_le32(memory, kMsiWindowBase + 0x40), 0u);
 }
 
 // ---- MSI-X table ----------------------------------------------------------------------
@@ -275,12 +279,15 @@ TEST_F(RcFixture, MsixMaskedVectorSetsPendingThenDeliversOnUnmask) {
   table.aperture_write(kMsixEntryData, 7, 4, sim::SimTime{}, port);
   table.fire(0, sim::SimTime{}, port);
   EXPECT_EQ(count, 0u);
-  EXPECT_TRUE(table.pending(0));
 
-  // Unmasking flushes the pending interrupt.
+  // Unmasking flushes the pending interrupt, and clears the pending bit:
+  // a second mask/unmask cycle delivers nothing more.
   table.aperture_write(kMsixEntryControl, 0, 4, sim::SimTime{}, port);
   EXPECT_EQ(count, 1u);
-  EXPECT_FALSE(table.pending(0));
+  table.aperture_write(kMsixEntryControl, kMsixControlMasked, 4,
+                       sim::SimTime{}, port);
+  table.aperture_write(kMsixEntryControl, 0, 4, sim::SimTime{}, port);
+  EXPECT_EQ(count, 1u);
 }
 
 TEST_F(RcFixture, MsixUnmaskedVectorFiresImmediately) {
@@ -379,6 +386,49 @@ TEST(MsixWindow, XdmaRegistersIgnoreAccessesNotFourBytesWide) {
   xdma_fn.bar_write(0, desc_lo, 0x3000u, 8, t);
   EXPECT_EQ(xdma_fn.bar_read(0, desc_lo, 8, t), 0u);
   EXPECT_EQ(xdma_fn.bar_read(0, desc_lo, 4, t), 0x1000u);
+}
+
+// ---- MSI-X table capacity (fails loudly, never aliases) --------------------------
+
+TEST(MsixCapacityDeathTest, RejectsOversizedAndEmptyTables) {
+  EXPECT_DEATH((void)pcie::make_msix_capability_body(2049, 0, 0x2000, 0,
+                                                     0x3000),
+               "table_size");
+  EXPECT_DEATH((void)pcie::make_msix_capability_body(0, 0, 0x2000, 0,
+                                                     0x3000),
+               "table_size");
+}
+
+TEST(MsixCapacity, EncodesFullSizeWithoutMasking) {
+  // 2048 entries encodes as N-1 = 2047; the old silent `& 0x7ff` mask
+  // would have aliased larger tables instead of rejecting them.
+  const Bytes body =
+      pcie::make_msix_capability_body(2048, 0, 0x2000, 0, 0x3000);
+  EXPECT_EQ(body[0], 0xff);
+  EXPECT_EQ(body[1], 0x07);
+}
+
+TEST(MsixCapacity, ControllerRejectsVectorBeyondTable) {
+  // Device side: programming a queue's MSI-X vector past the table must
+  // park the queue on NO_VECTOR, not alias into a phantom entry.
+  mem::HostMemory memory;
+  pcie::RootComplex rc{memory, pcie::LinkModel{}};
+  core::NetDeviceLogic logic;  // 2 queues, 3-entry MSI-X table
+  core::VirtioDeviceFunction device{logic};
+  hostos::InterruptController irq;
+  rc.set_irq_sink([&](u32 d, sim::SimTime at) { irq.deliver(d, at); });
+  rc.attach(device);
+  device.connect(rc);
+  ASSERT_EQ(pcie::enumerate_bus(rc).size(), 1u);
+
+  testing_support::TestDriver drv{rc, device, irq};
+  drv.wr16(virtio::commoncfg::kQueueSelect, 0);
+  drv.wr16(virtio::commoncfg::kQueueMsixVector, 999);
+  EXPECT_EQ(drv.rd16(virtio::commoncfg::kQueueMsixVector), virtio::kNoVector);
+  drv.wr16(virtio::commoncfg::kQueueMsixVector, 3);
+  EXPECT_EQ(drv.rd16(virtio::commoncfg::kQueueMsixVector), virtio::kNoVector);
+  drv.wr16(virtio::commoncfg::kQueueMsixVector, 2);  // in range sticks
+  EXPECT_EQ(drv.rd16(virtio::commoncfg::kQueueMsixVector), 2);
 }
 
 }  // namespace

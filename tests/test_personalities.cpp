@@ -8,6 +8,7 @@
 #include <array>
 #include <vector>
 
+#include "support/mem_read.hpp"
 #include "support/net_oracle.hpp"
 #include "support/test_driver.hpp"
 #include "vfpga/core/blk_device.hpp"
@@ -385,8 +386,10 @@ TEST_P(GsoTxHeader, IsDroppedAndCounted) {
   ASSERT_TRUE(bed.stack().udp_send(thread, TestbedOptions::udp_port,
                                    bed.fpga_ip(), TestbedOptions::fpga_udp_port,
                                    payload, /*more_coming=*/true));
-  const HostAddr hdr_addr = bed.memory().read_le64(
-      bed.device().queue_state(virtio::net::kTxQueue).rings.desc);
+  const HostAddr hdr_addr = testing_support::read_le64(
+      bed.memory(),
+      testing_support::queue_registers(bed.device(), virtio::net::kTxQueue)
+          .rings.desc);
   NetHeader hdr =
       NetHeader::decode(bed.memory().read_bytes(hdr_addr, NetHeader::kSize));
   ASSERT_EQ(hdr.gso_type, NetHeader::kGsoNone);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "support/chain_io.hpp"
+#include "support/mem_read.hpp"
 #include "vfpga/core/packed_queue_engine.hpp"
 #include "vfpga/core/queue_engine.hpp"
 #include "vfpga/pcie/root_complex.hpp"
@@ -57,7 +58,7 @@ struct SplitSgFixture : ::testing::Test {
   /// (for heads of descriptor tables the driver would never build).
   void publish_raw_head(const VirtqueueDriver& drv, u16 head) {
     const HostAddr avail = drv.addresses().avail;
-    const u16 idx = memory.read_le16(avail + kAvailIdxOffset);
+    const u16 idx = testing_support::read_le16(memory, avail + kAvailIdxOffset);
     memory.write_le16(
         avail + avail_entry_offset(static_cast<u16>(idx % drv.size())), head);
     memory.write_le16(avail + kAvailIdxOffset, static_cast<u16>(idx + 1));

@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "support/chain_io.hpp"
+#include "support/mem_read.hpp"
 #include "vfpga/core/queue_engine.hpp"
 #include "vfpga/pcie/root_complex.hpp"
 #include "vfpga/sim/rng.hpp"
@@ -18,6 +19,10 @@
 
 namespace vfpga::virtio {
 namespace {
+
+using testing_support::read_le16;
+using testing_support::read_le32;
+using testing_support::read_le64;
 
 TEST(RingLayout, SpecSizes) {
   // VirtIO 1.2 §2.7: sizes for a 256-entry queue.
@@ -78,8 +83,8 @@ TEST_F(RingFixture, FreshQueueIsEmptyAndFullyFree) {
   EXPECT_EQ(drv.in_flight(), 0);
   EXPECT_FALSE(drv.used_pending());
   // Ring memory is zeroed.
-  EXPECT_EQ(memory.read_le16(drv.addresses().avail + kAvailIdxOffset), 0);
-  EXPECT_EQ(memory.read_le16(drv.addresses().used + kUsedIdxOffset), 0);
+  EXPECT_EQ(read_le16(memory, drv.addresses().avail + kAvailIdxOffset), 0);
+  EXPECT_EQ(read_le16(memory, drv.addresses().used + kUsedIdxOffset), 0);
 }
 
 TEST_F(RingFixture, AddChainWritesSpecCompliantDescriptors) {
@@ -94,13 +99,13 @@ TEST_F(RingFixture, AddChainWritesSpecCompliantDescriptors) {
   ASSERT_TRUE(head.has_value());
 
   const HostAddr d0 = drv.addresses().desc + desc_offset(*head);
-  EXPECT_EQ(memory.read_le64(d0 + kDescAddrOffset), buf_a);
-  EXPECT_EQ(memory.read_le32(d0 + kDescLenOffset), 64u);
-  EXPECT_EQ(memory.read_le16(d0 + kDescFlagsOffset), descflags::kNext);
-  const u16 next = memory.read_le16(d0 + kDescNextOffset);
+  EXPECT_EQ(read_le64(memory, d0 + kDescAddrOffset), buf_a);
+  EXPECT_EQ(read_le32(memory, d0 + kDescLenOffset), 64u);
+  EXPECT_EQ(read_le16(memory, d0 + kDescFlagsOffset), descflags::kNext);
+  const u16 next = read_le16(memory, d0 + kDescNextOffset);
   const HostAddr d1 = drv.addresses().desc + desc_offset(next);
-  EXPECT_EQ(memory.read_le64(d1 + kDescAddrOffset), buf_b);
-  EXPECT_EQ(memory.read_le16(d1 + kDescFlagsOffset), descflags::kWrite);
+  EXPECT_EQ(read_le64(memory, d1 + kDescAddrOffset), buf_b);
+  EXPECT_EQ(read_le16(memory, d1 + kDescFlagsOffset), descflags::kWrite);
   EXPECT_EQ(drv.free_descriptors(), 6);
 }
 
@@ -109,9 +114,9 @@ TEST_F(RingFixture, PublishIsTheVisibilityPoint) {
   const ChainBuffer buf{memory.allocate(16), 16, false};
   drv.add_chain(std::span{&buf, 1}, 1);
   // Not yet visible: avail.idx still 0.
-  EXPECT_EQ(memory.read_le16(drv.addresses().avail + kAvailIdxOffset), 0);
+  EXPECT_EQ(read_le16(memory, drv.addresses().avail + kAvailIdxOffset), 0);
   EXPECT_EQ(drv.publish(), 1);
-  EXPECT_EQ(memory.read_le16(drv.addresses().avail + kAvailIdxOffset), 1);
+  EXPECT_EQ(read_le16(memory, drv.addresses().avail + kAvailIdxOffset), 1);
   EXPECT_EQ(drv.publish(), 0);  // idempotent with nothing pending
 }
 
@@ -227,7 +232,7 @@ TEST_F(RingFixture, UsedEventControlsDeviceVisibleField) {
   auto drv = make_driver();
   drv.set_used_event(7);
   EXPECT_EQ(
-      memory.read_le16(drv.addresses().avail + used_event_offset(drv.size())),
+      read_le16(memory, drv.addresses().avail + used_event_offset(drv.size())),
       7);
   // The device reads 7: only the update that moves used.idx past it
   // (the eighth, 7 -> 8) interrupts.
@@ -294,17 +299,18 @@ TEST_P(RingSizeProperty, ConservationOfDescriptors) {
       // Complete the oldest outstanding chain, bypassing the device:
       // emulate its used-ring write directly.
       const u16 slot = static_cast<u16>(
-          memory.read_le16(drv.addresses().used + kUsedIdxOffset) % size);
+          read_le16(memory, drv.addresses().used + kUsedIdxOffset) % size);
       // Find the head for the oldest token by scanning the avail ring is
       // overkill; instead complete in publish order which matches the
       // avail order for this workload.
       const u16 avail_slot = static_cast<u16>(
-          (memory.read_le16(drv.addresses().used + kUsedIdxOffset)) % size);
+          (read_le16(memory, drv.addresses().used + kUsedIdxOffset)) % size);
       (void)avail_slot;
-      const u16 head = memory.read_le16(
+      const u16 head = read_le16(
+          memory,
           drv.addresses().avail +
           avail_entry_offset(static_cast<u16>(
-              memory.read_le16(drv.addresses().used + kUsedIdxOffset) %
+              read_le16(memory, drv.addresses().used + kUsedIdxOffset) %
               size)));
       memory.write_le32(drv.addresses().used + used_entry_offset(slot), head);
       memory.write_le32(drv.addresses().used + used_entry_offset(slot) + 4,
@@ -312,7 +318,7 @@ TEST_P(RingSizeProperty, ConservationOfDescriptors) {
       memory.write_le16(
           drv.addresses().used + kUsedIdxOffset,
           static_cast<u16>(
-              memory.read_le16(drv.addresses().used + kUsedIdxOffset) + 1));
+              read_le16(memory, drv.addresses().used + kUsedIdxOffset) + 1));
       const auto completion = drv.harvest_used();
       ASSERT_TRUE(completion.has_value());
       EXPECT_EQ(completion->token, outstanding.front());

@@ -4,6 +4,7 @@
 
 #include <array>
 
+#include "support/mem_read.hpp"
 #include "vfpga/pcie/enumeration.hpp"
 #include "vfpga/xdma/host_driver.hpp"
 #include "vfpga/xdma/xdma_ip.hpp"
@@ -208,7 +209,8 @@ TEST_F(EngineFixture, PollModeWritebackLandsInHostMemory) {
   desc.dst_addr = src;
   device.c2h().set_descriptor_address(write_descriptor(desc));
   device.c2h().run(sim::SimTime{});
-  EXPECT_EQ(memory.read_le32(wb), 1u);  // completed descriptor count
+  // One completed descriptor.
+  EXPECT_EQ(testing_support::read_le32(memory, wb), 1u);
 }
 
 TEST_F(EngineFixture, RegisterFileIdentifiersAndStatus) {
